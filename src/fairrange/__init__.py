@@ -14,6 +14,7 @@ from .instance import (
 from .errors import (
     FairRangeError,
     InfeasibleRangesError,
+    UnrangedGroupError,
     StageError,
     SimplexError,
     IterationLimitError,

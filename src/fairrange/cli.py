@@ -172,6 +172,16 @@ def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number >= 0")
+    return value
+
+
 def cmd_solve(args) -> int:
     try:
         with open(args.path) as fh:
@@ -201,7 +211,8 @@ def cmd_solve(args) -> int:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 1
     cfg = SolverConfig(seed=args.seed,
-                       rel_tol=args.tol_override if args.tol_override else 1e-6)
+                       rel_tol=SolverConfig.rel_tol if args.tol_override is None
+                       else args.tol_override)
     try:
         report = solve_fair_range(inst, rc, cfg)
     except InfeasibleRangesError as exc:
@@ -292,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the exact oracle when within budget")
     sp.add_argument("--allow-nonmetric", action="store_true")
     sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--tol-override", type=float, default=None,
-                    help="relative certificate tolerance")
+    sp.add_argument("--tol-override", type=_nonnegative_float, default=None,
+                    help="relative certificate tolerance (>= 0)")
     sp.set_defaults(func=cmd_solve)
 
     gp = sub.add_parser("generate", help="write an instance document")

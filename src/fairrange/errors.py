@@ -9,6 +9,10 @@ class InfeasibleRangesError(FairRangeError):
     """The range constraints admit no center set of size k."""
 
 
+class UnrangedGroupError(FairRangeError):
+    """A facility's group has no range in the range constraints."""
+
+
 class StageError(FairRangeError):
     """An internal invariant failed inside a named pipeline stage."""
 

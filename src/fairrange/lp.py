@@ -7,8 +7,10 @@ and exact checkers for the structured constraint matrix.
 The simplex keeps a full dense tableau.  That is deliberate: desk-scale
 instances stay below a few thousand variables, and basic solutions are what
 the half-integrality argument downstream needs.  Large assignment LPs can be
-routed to scipy's HiGHS backend through solve_lp, which leaves the vertex
-guarantees of the small structured solves untouched.
+routed to scipy's HiGHS backend through solve_lp, which hands it the rows as
+a sparse matrix and leaves the vertex guarantees of the small structured
+solves untouched.  Both backends gate their answer on the same vectorised
+residual check.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ LEQ, GEQ, EQ = "<=", ">=", "=="
 
 @dataclass(frozen=True)
 class Row:
+    """One constraint; coeffs names each variable at most once."""
     coeffs: tuple[tuple[int, float], ...]   # (variable index, coefficient)
     sense: str
     rhs: float
@@ -105,20 +108,54 @@ def _normalized_rows(lp: LinearProgram) -> list[tuple[dict, str, float]]:
     return out
 
 
-def _violation(lp: LinearProgram, x: np.ndarray) -> float:
-    worst = 0.0
-    for coeffs, sense, rhs in _normalized_rows(lp):
-        lhs = sum(a * x[j] for j, a in coeffs.items())
-        scale = 1.0 + abs(rhs)
-        if sense == LEQ:
-            worst = max(worst, (lhs - rhs) / scale)
-        elif sense == GEQ:
-            worst = max(worst, (rhs - lhs) / scale)
-        else:
-            worst = max(worst, abs(lhs - rhs) / scale)
-    if len(x):
-        worst = max(worst, float(-(x.min(initial=0.0))))
-    return worst
+@dataclass(frozen=True)
+class _RowArrays:
+    """lp.rows in compressed sparse row layout, in their given order and
+    orientation (no sign normalization)."""
+    indptr: np.ndarray      # row i holds entries indptr[i]:indptr[i+1]
+    indices: np.ndarray     # variable index per entry
+    data: np.ndarray        # coefficient per entry
+    row_of: np.ndarray      # row index per entry
+    rhs: np.ndarray
+    geq: np.ndarray         # per-row sense masks; the remaining rows are <=
+    eq: np.ndarray
+
+
+def _row_arrays(lp: LinearProgram) -> _RowArrays:
+    """Collect the rows in one pass."""
+    ends, indices, data, rhs, geq, eq = [0], [], [], [], [], []
+    for row in lp.rows:
+        for j, a in row.coeffs:
+            indices.append(j)
+            data.append(a)
+        ends.append(len(indices))
+        rhs.append(row.rhs)
+        geq.append(row.sense == GEQ)
+        eq.append(row.sense == EQ)
+    indptr = np.array(ends, dtype=np.intp)
+    cols = np.array(indices, dtype=np.intp)
+    row_of = np.repeat(np.arange(len(lp.rows), dtype=np.intp), np.diff(indptr))
+    return _RowArrays(indptr, cols, np.array(data, dtype=float), row_of,
+                      np.array(rhs, dtype=float), np.array(geq, dtype=bool),
+                      np.array(eq, dtype=bool))
+
+
+def _violation(rows: _RowArrays, upper: np.ndarray | None, x: np.ndarray) -> float:
+    """Worst residual of x over the rows, the finite upper bounds and x >= 0.
+
+    A row's residual is scaled by 1 + |rhs|; equality rows count both ways.
+    """
+    lhs = np.bincount(rows.row_of, weights=rows.data * x[rows.indices],
+                      minlength=len(rows.rhs))
+    r = lhs - rows.rhs
+    r[rows.geq] = -r[rows.geq]
+    r[rows.eq] = np.abs(r[rows.eq])
+    parts = [r / (1.0 + np.abs(rows.rhs)), -x]
+    if upper is not None:
+        finite = np.isfinite(upper)
+        ub = upper[finite]
+        parts.append((x[finite] - ub) / (1.0 + np.abs(ub)))
+    return max(float(part.max(initial=0.0)) for part in parts)
 
 
 def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
@@ -319,8 +356,8 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
             x[b] = T[i, ncols]
     x[np.abs(x) < 1e-12] = 0.0
     np.maximum(x, 0.0, out=x)
-    viol = _violation(lp, x)
-    if viol > 100 * feas_tol:
+    viol = _violation(_row_arrays(lp), lp.upper, x)
+    if not viol <= 100 * feas_tol:
         raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
     obj = float(lp.objective @ x)
     return SimplexResult("optimal", x, obj, tuple(basis), tuple(kept),
@@ -329,34 +366,24 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
 
 def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     from scipy.optimize import linprog
+    from scipy.sparse import csr_array
 
-    nr = _normalized_rows(lp)
-    # bound rows are expressed through `bounds` instead
-    nrows = nr[:len(lp.rows)]
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for coeffs, sense, rhs in nrows:
-        dense = np.zeros(lp.num_vars)
-        for j, a in coeffs.items():
-            dense[j] = a
-        if sense == LEQ:
-            A_ub.append(dense)
-            b_ub.append(rhs)
-        elif sense == GEQ:
-            A_ub.append(-dense)
-            b_ub.append(-rhs)
-        else:
-            A_eq.append(dense)
-            b_eq.append(rhs)
-    if lp.upper is not None:
-        bounds = [(0.0, float(u) if np.isfinite(u) else None) for u in lp.upper]
-    else:
-        bounds = [(0.0, None)] * lp.num_vars
+    rows = _row_arrays(lp)
+    # >= rows go in negated as <= rows; = rows with a negative right-hand
+    # side are negated too, as the simplex's normalization does
+    sign = np.where(rows.geq | (rows.eq & (rows.rhs < 0)), -1.0, 1.0)
+    A = csr_array((rows.data * sign[rows.row_of], rows.indices, rows.indptr),
+                  shape=(len(rows.rhs), lp.num_vars))
+    b = sign * rows.rhs
+    ub = ~rows.eq
+    upper = np.full(lp.num_vars, np.inf) if lp.upper is None else lp.upper
     res = linprog(lp.objective,
-                  A_ub=np.array(A_ub) if A_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=np.array(A_eq) if A_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
-                  bounds=bounds, method="highs")
+                  A_ub=A[ub] if ub.any() else None,
+                  b_ub=b[ub] if ub.any() else None,
+                  A_eq=A[rows.eq] if rows.eq.any() else None,
+                  b_eq=b[rows.eq] if rows.eq.any() else None,
+                  bounds=np.column_stack((np.zeros(lp.num_vars), upper)),
+                  method="highs")
     if res.status == 2:
         return SimplexResult("infeasible", None, None, backend="scipy")
     if res.status == 3:
@@ -364,8 +391,8 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     if res.status != 0:
         raise SimplexError(f"backend failure: {res.message}")
     x = np.maximum(np.asarray(res.x, dtype=float), 0.0)
-    viol = _violation(lp, x)
-    if viol > 100 * FEAS_TOL:
+    viol = _violation(rows, lp.upper, x)
+    if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"backend residual {viol:.3g} exceeds tolerance")
     return SimplexResult("optimal", x, float(lp.objective @ x), backend="scipy",
                          max_violation=viol)

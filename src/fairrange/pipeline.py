@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .baseline import ReducedInstance, local_search_clustering, reduce_locations
-from .errors import InfeasibleRangesError, StageError
+from .errors import InfeasibleRangesError, StageError, UnrangedGroupError
 from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
                        instance_from_coords)
@@ -97,6 +97,19 @@ def _facility_groups(inst: MetricInstance) -> list[int]:
     return [inst.group_label[u] for u in inst.facility_ids]
 
 
+def _require_ranged_groups(inst: MetricInstance, rc: RangeConstraints) -> None:
+    """Refuse facilities whose group the ranges do not list.
+
+    Such a facility is bound by no window, so no stage can account for it.
+    """
+    for u in inst.facility_ids:
+        g = inst.group_label[u]
+        if not 1 <= g <= rc.num_groups:
+            raise UnrangedGroupError(
+                f"facility {u!r} is in group {g}, but ranges are given for "
+                f"groups 1..{rc.num_groups} only")
+
+
 def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list[str]:
     """Deterministic direct selection meeting the ranges.
 
@@ -120,8 +133,6 @@ def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list
             if ui in chosen_idx:
                 continue
             g = groups[ui] - 1
-            if not 0 <= g < rc.num_groups:
-                continue
             if counts[g] >= rc.ranges[g][1]:
                 continue
             need_after = need - (1 if counts[g] < rc.ranges[g][0] else 0)
@@ -144,12 +155,14 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
                      config: SolverConfig | None = None) -> SolveReport:
     """Full approximation chain from instance to certified center set.
 
-    Raises InfeasibleRangesError when no center set can meet the ranges,
-    and a stage-named error when an internal certificate fails.  On the
+    Raises UnrangedGroupError when a facility's group has no range,
+    InfeasibleRangesError when no center set can meet the ranges, and a
+    stage-named error when an internal certificate fails.  On the
     rare opening programs made infeasible by the one-unit territory caps,
     falls back to the direct greedy selection and marks the report.
     """
     cfg = config or SolverConfig()
+    _require_ranged_groups(inst, rc)
     sizes = inst.group_sizes(rc.num_groups)
     if not check_range_feasibility(sizes, rc):
         raise InfeasibleRangesError(
@@ -289,8 +302,10 @@ def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints,
     """Exact minimum over all range-feasible k-subsets of the facilities.
 
     Ties break to the lexicographically smallest center tuple.  Refuses to
-    enumerate more than `budget` subsets.
+    enumerate more than `budget` subsets, and facilities whose group has no
+    range (UnrangedGroupError).
     """
+    _require_ranged_groups(inst, rc)
     nF = len(inst.facility_ids)
     if rc.k > nF:
         raise InfeasibleRangesError(f"k={rc.k} exceeds {nF} facilities")
@@ -306,15 +321,9 @@ def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints,
     best_set: tuple[str, ...] | None = None
     for combo in itertools.combinations(range(nF), rc.k):
         counts = [0] * rc.num_groups
-        ok = True
         for ui in combo:
-            g = groups[ui] - 1
-            if not 0 <= g < rc.num_groups:
-                ok = False
-                break
-            counts[g] += 1
-        if not ok or any(not a <= t <= b
-                         for t, (a, b) in zip(counts, rc.ranges)):
+            counts[groups[ui] - 1] += 1
+        if any(not a <= t <= b for t, (a, b) in zip(counts, rc.ranges)):
             continue
         cost = float(w @ dmat[:, combo].min(axis=1))
         if cost < best - 1e-12:

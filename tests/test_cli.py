@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fairrange.cli
 from fairrange.cli import (CSV_HEADER, InstanceDocument, document_from_instance,
                            document_to_instance, main, parse_document,
                            serialize_document)
@@ -130,6 +131,36 @@ class TestSolveCommand:
                      "--p", "2"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()[1].split(": ")[1].split()) == 3
+
+    def test_unranged_facility_group_exit_one(self, tmp_path, capsys):
+        doc = tiny_document()
+        unranged = InstanceDocument(doc.format_version, doc.point_ids,
+                                    doc.coords, doc.matrix, doc.facilities,
+                                    doc.clients, doc.p, 2, ((0, 2),))
+        assert main(["solve", self.write(tmp_path, unranged)]) == 1
+        err = capsys.readouterr().err
+        assert "group 2" in err and "Traceback" not in err
+
+    def test_tol_override_zero_is_kept(self, tmp_path, monkeypatch):
+        seen = []
+        real = fairrange.cli.solve_fair_range
+
+        def spy(inst, rc, cfg):
+            seen.append(cfg.rel_tol)
+            return real(inst, rc, cfg)
+
+        monkeypatch.setattr(fairrange.cli, "solve_fair_range", spy)
+        path = self.write(tmp_path, tiny_document())
+        assert main(["solve", path, "--tol-override", "0"]) == 0
+        assert main(["solve", path]) == 0
+        assert seen == [0.0, 1e-6]
+
+    def test_tol_override_negative_rejected(self, tmp_path, capsys):
+        path = self.write(tmp_path, tiny_document())
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--tol-override", "-0.5"])
+        assert exc.value.code == 2
+        assert "not a number >= 0" in capsys.readouterr().err
 
 
 class TestGenerateCommand:

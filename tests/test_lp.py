@@ -14,6 +14,9 @@ from fairrange.lp import (
     DeterminantReport,
     LinearProgram,
     Row,
+    _normalized_rows,
+    _row_arrays,
+    _violation,
     bareiss_determinant,
     build_fair_range_lp,
     build_structured_lp,
@@ -352,6 +355,84 @@ class TestBackendRouting:
         lp = simple_lp([1.0], [])
         with pytest.raises(ValueError):
             solve_lp(lp, backend="gurobi")
+
+
+def loop_violation(lp, x):
+    """Row-by-row residual over the normalized rows: the reference that the
+    vectorised _violation must reproduce bit for bit."""
+    worst = 0.0
+    for coeffs, sense, rhs in _normalized_rows(lp):
+        lhs = sum(a * x[j] for j, a in coeffs.items())
+        scale = 1.0 + abs(rhs)
+        if sense == LEQ:
+            worst = max(worst, (lhs - rhs) / scale)
+        elif sense == GEQ:
+            worst = max(worst, (rhs - lhs) / scale)
+        else:
+            worst = max(worst, abs(lhs - rhs) / scale)
+    if len(x):
+        worst = max(worst, float(-(x.min(initial=0.0))))
+    return worst
+
+
+def eq_negative_rhs_lp():
+    # min x0 + 2 x1 + 3 x2 with x0 + x1 + x2 = 3, x1 >= x0 + 1, x2 <= 1,
+    # every row written with a negative right-hand side; optimum (1, 2, 0)
+    return simple_lp([1.0, 2.0, 3.0], [
+        ([(0, -1.0), (1, -1.0), (2, -1.0)], EQ, -3.0),
+        ([(0, 1.0), (1, -1.0)], LEQ, -1.0),
+        ([(2, -1.0)], GEQ, -1.0),
+    ], ub=[np.inf, np.inf, 5.0])
+
+
+class TestSparseHighs:
+    def test_fair_range_backends_agree_above_cutover(self, rng):
+        nD, nF = 3, 200
+        pts = rng.uniform(0.0, 10.0, size=(nD + nF, 2))
+        dp = np.linalg.norm(pts[:nD, None] - pts[None, nD:], axis=2) ** 2
+        groups = [1 + u % 3 for u in range(nF)]
+        lp = build_fair_range_lp(dp, [1.0, 2.0, 3.0], groups, 3,
+                                 ((0, 2), (1, 2), (0, 1)))
+        highs = solve_lp(lp)
+        assert lp.num_vars > 600 and highs.backend == "scipy"
+        mine = solve_lp(lp, backend="simplex")
+        assert highs.objective == pytest.approx(mine.objective, rel=1e-9)
+
+    def test_equality_rows_with_negative_rhs(self):
+        lp = eq_negative_rhs_lp()
+        res = solve_lp(lp, backend="scipy")
+        assert res.backend == "scipy" and res.status == "optimal"
+        assert res.objective == pytest.approx(5.0, abs=1e-9)
+        assert res.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-9)
+        assert solve_vertex(lp).objective == pytest.approx(5.0, abs=1e-9)
+
+    def test_perturbed_backend_answer_is_rejected(self, monkeypatch):
+        import scipy.optimize
+        real = scipy.optimize.linprog
+
+        def perturbed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = res.x + 1e-3
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", perturbed)
+        with pytest.raises(SimplexError, match="residual"):
+            solve_lp(eq_negative_rhs_lp(), backend="scipy")
+
+    def test_violation_matches_row_loop(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(1, 6))
+            rows = []
+            for _ in range(int(rng.integers(0, 5))):
+                cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                coeffs = [(int(j), float(rng.normal())) for j in cols]
+                rows.append((coeffs, [LEQ, GEQ, EQ][int(rng.integers(3))],
+                             float(rng.normal())))
+            ub = np.where(rng.random(n) < 0.5, np.inf, rng.normal(size=n))
+            lp = simple_lp(rng.normal(size=n), rows,
+                           ub=None if trial % 3 == 0 else ub)
+            x = rng.normal(size=n)
+            assert _violation(_row_arrays(lp), lp.upper, x) == loop_violation(lp, x)
 
 
 class TestText:

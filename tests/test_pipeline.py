@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fairrange.errors import InfeasibleRangesError, StageError
+import fairrange
+from fairrange.errors import InfeasibleRangesError, StageError, UnrangedGroupError
 from fairrange.instance import RangeConstraints, validate_instance
 from fairrange.pipeline import (
     SolverConfig,
@@ -64,6 +68,17 @@ class TestSolveFairRange:
         inst = line_instance([0.0, 1.0, 2.0])
         with pytest.raises(InfeasibleRangesError):
             solve_fair_range(inst, RangeConstraints(2, ((3, 4),)))
+
+    def test_facility_group_without_range_rejected(self):
+        # groups 1..3 but ranges for two groups only: a group-3 center is
+        # bound by no window and used to undercut the oracle
+        for seed in range(5):
+            inst = random_instance(seed, 10, 3, 1.0)
+            rc = RangeConstraints(3, ((0, 3), (0, 3)))
+            with pytest.raises(UnrangedGroupError, match="group 3"):
+                solve_fair_range(inst, rc)
+            with pytest.raises(UnrangedGroupError, match="group 3"):
+                brute_force_optimum(inst, rc)
 
     def test_fairness_free_degeneration(self):
         inst = random_instance(3, 14, 1, 1.0)
@@ -246,3 +261,16 @@ class TestStudy:
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
             approximation_study(seeds=[0], grid=[(40, 20, 2)], p_values=[1.0])
+
+
+def test_small_solve_imports_no_scipy():
+    # below the HiGHS cutover the solver must not pay for importing scipy
+    code = ("import sys, fairrange\n"
+            "inst = fairrange.random_instance(4, 15, 3, 2.0)\n"
+            "fairrange.solve_fair_range(inst, fairrange.random_ranges(4, inst, 4, 3))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(fairrange.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
