@@ -16,6 +16,8 @@ from .errors import (
     InfeasibleRangesError,
     UnrangedGroupError,
     StageError,
+    OpeningInfeasibleError,
+    NoIntegralSelectionError,
     SimplexError,
     IterationLimitError,
 )

@@ -11,7 +11,7 @@ accounts for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,15 +35,78 @@ def farthest_first(inst: MetricInstance, k: int,
     cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
     if not 1 <= k <= len(cand):
         raise ValueError(f"k={k} out of range for {len(cand)} candidates")
-    ci = [inst.index(c) for c in cand]
-    D = inst.dist[np.ix_(ci, ci)]
+    ci = np.array([inst.index(c) for c in cand])
     chosen = [0]
-    mind = D[0].copy()
+    mind = inst.dist[ci[0], ci]
     while len(chosen) < k:
         nxt = int(np.argmax(mind))          # first max = lowest id
         chosen.append(nxt)
-        np.minimum(mind, D[nxt], out=mind)
+        np.minimum(mind, inst.dist[ci[nxt], ci], out=mind)
     return tuple(sorted(cand[i] for i in chosen))
+
+
+# candidate columns per block of the swap table: its temporaries stay two
+# clients x 128 arrays whatever the number of candidates
+_TABLE_BLOCK = 128
+
+
+def _swap_table_minima(Dp: np.ndarray, w: np.ndarray, d1: np.ndarray,
+                       d2: np.ndarray, near: np.ndarray, k: int,
+                       inside: np.ndarray) -> np.ndarray:
+    """Cheapest swap cost for each removal slot, from one sweep over Dp.
+
+    Entry (r, c) of the swap table is the cost after the center in slot r
+    leaves and candidate c joins: a client whose nearest center sits in
+    slot r pays min(d2, Dp[:, c]), every other client min(d1, Dp[:, c])
+    (the nearest/second-nearest bookkeeping of FasterPAM, Schubert and
+    Rousseeuw 2021).  An entry sums the same n terms as the direct
+    evaluation of that swap, only in another order.  Returns the row
+    minima over the candidates outside the current set (inside is True
+    for the current centers' columns).
+    """
+    own = np.zeros((k, len(w)))             # w_i in the row of i's nearest slot
+    own[near, np.arange(len(w))] = w
+    rest = w - own
+    best = np.full(k, np.inf)
+    for b in range(0, Dp.shape[1], _TABLE_BLOCK):
+        blk = Dp[:, b:b + _TABLE_BLOCK]
+        table = rest @ np.minimum(d1[:, None], blk) + own @ np.minimum(d2[:, None], blk)
+        table[:, inside[b:b + _TABLE_BLOCK]] = np.inf
+        np.minimum(best, table.min(axis=1), out=best)
+    return best
+
+
+def _first_best_swap(approx: np.ndarray, slack: float, cost: float, tol: float,
+                     exact: Callable[[int], tuple[float, int]]) -> tuple[int, int] | None:
+    """Replay the scan that evaluates every removal slot directly.
+
+    That scan walks the slots in order and moves to slot r when its
+    cheapest swap costs less than best * (1 - tol) - 1e-15, best being the
+    cost of the slot it holds (cost at first).  approx[r] is within slack
+    of that cheapest swap; exact(r) evaluates it directly and returns it
+    with its first cheapest column.  A slot is evaluated directly only
+    where approx cannot settle the comparison, so the slot and the column
+    returned are those of the full scan.  None when no swap improves.
+    """
+    best, slot, col = cost, None, None
+    unsure = 0.0                            # half-width of best's interval
+    for r, a in enumerate(approx):
+        if a - slack >= (best + unsure) * (1.0 - tol) - 1e-15:
+            continue                        # cannot beat best
+        if a + slack < (best - unsure) * (1.0 - tol) - 1e-15:
+            best, slot, col, unsure = a, r, None, slack
+            continue                        # beats best whatever its exact value
+        if unsure:
+            best, col = exact(slot)
+            unsure = 0.0
+        val, j = exact(r)
+        if val < best * (1.0 - tol) - 1e-15:
+            best, slot, col = val, r, j
+    if slot is None:
+        return None
+    if col is None:
+        col = exact(slot)[1]
+    return slot, col
 
 
 def local_search_clustering(inst: MetricInstance, k: int, *,
@@ -56,7 +119,9 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     none improves by more than a relative tol or max_iters swaps were made.
     Returns (centers, cost in power-p terms, swaps applied).  Deterministic:
     swap candidates are scanned in id order and only strict improvements are
-    taken.
+    taken.  Each step scores every swap from one nearest/second-nearest
+    table and evaluates directly only the swaps the table cannot rank, so
+    centers, cost bits and swap count are those of evaluating every swap.
     """
     cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
     if not 1 <= k <= len(cand):
@@ -65,8 +130,8 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
         max_iters = 100 * k
     cl_idx, w = _client_arrays(inst)
     ci = [inst.index(c) for c in cand]
-    D = inst.dist[np.ix_(cl_idx, ci)]
-    Dp = D ** inst.p
+    # column-major: every scan below reads whole candidate columns
+    Dp = np.asfortranarray(inst.dist[np.ix_(cl_idx, ci)]) ** inst.p
     start = farthest_first(inst, k, candidates=cand)
     pos_of = {c: t for t, c in enumerate(cand)}
     current = sorted(pos_of[c] for c in start)
@@ -74,30 +139,38 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     def cost_of(pos_list):
         return float(w @ Dp[:, pos_list].min(axis=1))
 
+    # a table entry adds the terms of the direct evaluation plus n exact
+    # zeros; each term is at most |w_i| * max_c Dp[i, c], so the two sums
+    # differ by about 1.5 * n * eps times the sum of those bounds at most
+    # (a bound that is inf or NaN sends every slot to direct evaluation)
+    slack = 4.0 * (len(w) + 1) * np.finfo(float).eps * float(np.abs(w) @ Dp.max(axis=1))
     cur_cost = cost_of(current)
+    rows = np.arange(len(w))
     swaps = 0
     while swaps < max_iters and k < len(cand):
         sub = Dp[:, current]
         order = np.argsort(sub, axis=1)
-        d1 = np.take_along_axis(sub, order[:, :1], axis=1)[:, 0]
-        near = np.asarray(current)[order[:, 0]]
-        if k > 1:
-            d2 = np.take_along_axis(sub, order[:, 1:2], axis=1)[:, 0]
-        else:
-            d2 = np.full_like(d1, np.inf)
-        outside = [t for t in range(len(cand)) if t not in set(current)]
-        best_cost, best_swap = cur_cost, None
-        for out in current:
-            base = np.where(near == out, d2, d1)
-            vals = w @ np.minimum(base[:, None], Dp[:, outside])
+        near = order[:, 0]
+        d1 = sub[rows, near]
+        d2 = sub[rows, order[:, 1]] if k > 1 else np.full_like(d1, np.inf)
+        inside = np.zeros(len(cand), dtype=bool)
+        inside[current] = True
+        outside = np.flatnonzero(~inside)
+
+        def exact(slot):
+            base = np.where(near == slot, d2, d1)
+            cols = Dp[:, outside]
+            vals = w @ np.minimum(base[:, None], cols, out=cols)
             j = int(np.argmin(vals))
-            if vals[j] < best_cost * (1.0 - tol) - 1e-15:
-                best_cost, best_swap = float(vals[j]), (out, outside[j])
-        if best_swap is None:
+            return float(vals[j]), j
+
+        approx = _swap_table_minima(Dp, w, d1, d2, near, k, inside)
+        swap = _first_best_swap(approx, slack, cur_cost, tol, exact)
+        if swap is None:
             break
-        out, inn = best_swap
-        current = sorted(p for p in current if p != out) + [inn]
-        current.sort()
+        slot, j = swap
+        out, inn = current[slot], int(outside[j])
+        current = sorted([p for p in current if p != out] + [inn])
         cur_cost = cost_of(current)
         swaps += 1
     centers = tuple(sorted(cand[t] for t in current))

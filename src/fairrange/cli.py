@@ -210,8 +210,7 @@ def cmd_solve(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 1
-    cfg = SolverConfig(seed=args.seed,
-                       rel_tol=SolverConfig.rel_tol if args.tol_override is None
+    cfg = SolverConfig(rel_tol=SolverConfig.rel_tol if args.tol_override is None
                        else args.tol_override)
     try:
         report = solve_fair_range(inst, rc, cfg)
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--ranges", type=str, default=None,
                     help="a1:b1,a2:b2,... overriding the document")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--oracle", action="store_true",
                     help="also run the exact oracle when within budget")
     sp.add_argument("--allow-nonmetric", action="store_true")

@@ -21,6 +21,22 @@ class StageError(FairRangeError):
         super().__init__(f"{stage}: {message}")
 
 
+class OpeningInfeasibleError(StageError):
+    """The territory-capped opening program has no solution.
+
+    Its one-unit territory caps can pin a group below its lower bound even
+    though integral selections exist; the solver then falls back to a
+    direct selection.
+    """
+
+
+class NoIntegralSelectionError(StageError):
+    """Flow rounding found no integral selection that meets the ranges.
+
+    The solver then falls back to a direct selection.
+    """
+
+
 class SimplexError(FairRangeError):
     """The LP solver could not produce a usable result."""
 

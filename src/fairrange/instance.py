@@ -15,6 +15,7 @@ import numpy as np
 METRIC_TOL = 1e-9
 TRIANGLE_SAMPLE_CAP = 1_000_000
 POWER_CHECK_TOL = 1e-9
+COORD_ROW_BLOCK = 64     # rows of pairwise differences built at a time
 
 
 @dataclass
@@ -87,8 +88,13 @@ def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
     pts = np.asarray(coords, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != len(ids):
         raise ValueError("coordinate array shape does not match ids")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    # row blocks bound the rows x n x dim temporaries; each entry is the same
+    # per-pair expression (one sum over the coordinates), so the bits do
+    # not depend on the block size
+    dist = np.empty((len(pts), len(pts)))
+    for a in range(0, len(pts), COORD_ROW_BLOCK):
+        diff = pts[a:a + COORD_ROW_BLOCK, None, :] - pts[None, :, :]
+        np.sqrt((diff * diff).sum(axis=2), out=dist[a:a + COORD_ROW_BLOCK])
     np.fill_diagonal(dist, 0.0)
     return MetricInstance(tuple(ids), dist, tuple(facility_ids),
                           dict(group_label), dict(client_demands), p, coords=pts)

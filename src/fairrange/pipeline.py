@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .baseline import ReducedInstance, local_search_clustering, reduce_locations
-from .errors import InfeasibleRangesError, StageError, UnrangedGroupError
+from .errors import (InfeasibleRangesError, NoIntegralSelectionError,
+                     OpeningInfeasibleError, StageError, UnrangedGroupError)
 from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
                        instance_from_coords)
@@ -36,7 +37,6 @@ ORACLE_BUDGET = 10_000_000
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything tunable in one place; defaults match the module contracts."""
-    seed: int = 0
     lp_backend: str = "auto"          # auto | simplex | scipy
     scipy_cutover: int = 600
     baseline_max_iters: int | None = None
@@ -268,9 +268,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     try:
         slp, constant = structured_program(ss, groups, rc)
         half = solve_half_integral(slp, constant)
-    except StageError as exc:
-        if "infeasible" not in str(exc):
-            raise
+    except OpeningInfeasibleError as exc:
         # the one-unit territory caps can pin a group below its lower
         # bound even though integral selections exist; fall back to the
         # direct selection rather than fail a feasible instance
@@ -284,9 +282,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     t0 = time.perf_counter()
     try:
         centers_idx, part, net = select_centers(ss, half, groups, rc)
-    except StageError as exc:
-        if "no integral selection" not in str(exc):
-            raise
+    except NoIntegralSelectionError as exc:
         timings["rounding"] = time.perf_counter() - t0
         return finish(_greedy_feasible_centers(inst, rc), True, str(exc))
     stage_costs["assignment"] = float(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StageError
+from .errors import NoIntegralSelectionError, OpeningInfeasibleError, StageError
 from .lp import GEQ, LEQ, LinearProgram, build_structured_lp, scale_doubled, solve_vertex
 from .structure import StructuredSolution, saturating_assignment
 
@@ -68,6 +68,8 @@ def solve_half_integral(lp: LinearProgram, constant_term: float) -> HalfIntegral
     """
     scaled = scale_doubled(lp)
     res = solve_vertex(scaled)
+    if res.status == "infeasible":
+        raise OpeningInfeasibleError("round", "scaled structured program is infeasible")
     if res.status != "optimal":
         raise StageError("round", f"scaled structured program is {res.status}")
     snapped = np.round(res.x[:lp.num_vars])
@@ -297,7 +299,7 @@ def select_centers(ss: StructuredSolution, half: HalfIntegralSolution,
     net = build_flow_network(part, len(ss.sp.facility_ids), fac_groups, rc)
     flows = solve_flow_lower_bounds(net)
     if flows is None:
-        raise StageError("round", "no integral selection meets the ranges")
+        raise NoIntegralSelectionError("round", "no integral selection meets the ranges")
     return extract_centers(flows, net), part, net
 
 

@@ -21,6 +21,21 @@ from fairrange.instance import (
 from conftest import line_instance, matrix_instance
 
 
+@pytest.mark.parametrize("dim", [2, 3, 9])
+def test_coordinate_distances_match_full_difference_tensor(dim):
+    # 150 points span three row blocks; the distances must keep the bits of
+    # the one-shot n x n x dim expression that documents were written with
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(size=(150, dim)) * rng.uniform(0.1, 1000.0, size=dim)
+    ids = [f"q{i}" for i in range(150)]
+    inst = instance_from_coords(ids, pts, ids, {i: 1 for i in ids},
+                                {i: 1 for i in ids}, 1.0)
+    diff = pts[:, None, :] - pts[None, :, :]
+    want = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(want, 0.0)
+    assert inst.dist.tobytes() == want.tobytes()
+
+
 def test_validate_clean_instance():
     inst = line_instance([0.0, 1.0, 2.0], (0, 1, 2), {0: 1, 1: 1, 2: 1},
                          {0: 1, 1: 1, 2: 1}, p=1.0)

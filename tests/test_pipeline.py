@@ -168,7 +168,36 @@ class TestSolveFairRange:
         assert rep.fallback
         assert rep.centers.centers == ("p0", "p1", "p3")
         assert rep.centers.cost_p == pytest.approx(0.0, abs=1e-12)
-        assert "fallback_reason" in rep.diagnostics
+        assert rep.diagnostics["fallback_reason"] == \
+            "round: scaled structured program is infeasible"
+
+    def test_flow_rounding_fallback(self, monkeypatch):
+        # a flow network without a feasible flow: select_centers raises
+        # NoIntegralSelectionError and the direct selection answers
+        monkeypatch.setattr(fairrange.round, "solve_flow_lower_bounds",
+                            lambda net: None)
+        inst = random_instance(3, 12, 2, 2.0)
+        rep = solve_fair_range(inst, random_ranges(3, inst, 3, 2))
+        assert rep.fallback
+        assert rep.diagnostics["fallback_reason"] == \
+            "round: no integral selection meets the ranges"
+        assert {b.name for b in rep.bounds} == {
+            "reassigned-vs-opt", "structured-vs-opt", "clients-lift"}
+        assert all(b.passed for b in rep.bounds)
+
+    def test_untyped_stage_errors_propagate(self, monkeypatch):
+        # the fallback follows the exception type, not the message text
+        def fail(*args):
+            raise StageError("round", "no integral selection meets the ranges")
+
+        monkeypatch.setattr(fairrange.pipeline, "select_centers", fail)
+        inst = random_instance(3, 12, 2, 2.0)
+        with pytest.raises(StageError):
+            solve_fair_range(inst, random_ranges(3, inst, 3, 2))
+        unbounded = fairrange.lp.SimplexResult("unbounded", None, None)
+        monkeypatch.setattr(fairrange.round, "solve_vertex", lambda lp: unbounded)
+        with pytest.raises(StageError, match="is unbounded"):
+            solve_fair_range(inst, random_ranges(3, inst, 3, 2))
 
     def test_high_p_switches_to_log_space(self):
         inst = line_instance([0.0, 1.0, 3.0], p=50.0)
