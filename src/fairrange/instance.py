@@ -31,17 +31,18 @@ class MetricInstance:
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.point_ids)) != len(self.point_ids):
+        points = set(self.point_ids)
+        if len(points) != len(self.point_ids):
             raise ValueError("duplicate point ids")
         n = len(self.point_ids)
         self.dist = np.asarray(self.dist, dtype=float)
         if self.dist.shape != (n, n):
             raise ValueError("distance matrix shape does not match point count")
         for f in self.facility_ids:
-            if f not in set(self.point_ids):
+            if f not in points:
                 raise ValueError(f"facility {f!r} is not a point")
         for c in self.client_demands:
-            if c not in set(self.point_ids):
+            if c not in points:
                 raise ValueError(f"client {c!r} is not a point")
         if self.p < 1:
             raise ValueError("p must be at least 1")

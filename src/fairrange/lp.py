@@ -6,17 +6,17 @@ and exact checkers for the structured constraint matrix.
 
 The simplex keeps a full dense tableau.  That is deliberate: desk-scale
 instances stay below a few thousand variables, and basic solutions are what
-the half-integrality argument downstream needs.  Large assignment LPs can be
-routed to scipy's HiGHS backend through solve_lp, which hands it the rows as
-a sparse matrix and leaves the vertex guarantees of the small structured
-solves untouched.  Both backends gate their answer on the same vectorised
-residual check.
+the half-integrality argument downstream needs.  solve_lp sends programs
+above HIGHS_CUTOVER variables (large assignment LPs) to scipy's HiGHS
+backend as a sparse matrix and keeps the rest on the simplex; the opening
+LP, which needs a vertex, calls solve_vertex directly.  Both backends gate
+their answer on the same vectorised residual check.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +27,7 @@ from .errors import IterationLimitError, SimplexError
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 MAX_ITERS = 1_000_000
+HIGHS_CUTOVER = 600     # variables; larger programs go to HiGHS
 
 LEQ, GEQ, EQ = "<=", ">=", "=="
 
@@ -158,8 +159,76 @@ def _violation(rows: _RowArrays, upper: np.ndarray | None, x: np.ndarray) -> flo
     return max(float(part.max(initial=0.0)) for part in parts)
 
 
-def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
-                 pivot_tol: float = PIVOT_TOL, feas_tol: float = FEAS_TOL) -> SimplexResult:
+def _slack_columns(norm: list[tuple[dict, str, float]], n: int) -> dict[int, int]:
+    """Column of each inequality row's slack, numbered n, n+1, ... in row
+    order; equality rows have none."""
+    slack: dict[int, int] = {}
+    for i, (_, sense, _) in enumerate(norm):
+        if sense != EQ:
+            slack[i] = n + len(slack)
+    return slack
+
+
+def _pivot(T: np.ndarray, r: int, j: int) -> None:
+    """Make column j basic in row r of the tableau, objective row included."""
+    T[r] /= T[r, j]
+    colv = T[:, j].copy()
+    colv[r] = 0.0
+    T -= np.outer(colv, T[r])
+    T[:, j] = 0.0
+    T[r, j] = 1.0
+
+
+def _pivot_loop(T: np.ndarray, basis: list[int], allowed: np.ndarray,
+                iters: int, max_iters: int) -> tuple[str, int]:
+    """Price and pivot until no allowed column improves the objective row.
+
+    T holds one row per basic variable and the objective row last, with the
+    right-hand sides in its last column.  Returns "optimal" or "unbounded"
+    and the pivot count carried on from iters.
+    """
+    m = len(basis)
+    ncols = T.shape[1] - 1
+    bland = False
+    stall = 0
+    stall_limit = max(200, m)
+    best = np.inf
+    while True:
+        z = T[m, :ncols]
+        if bland:
+            cand = np.nonzero(allowed & (z < -PIVOT_TOL))[0]
+            if cand.size == 0:
+                return "optimal", iters
+            j = int(cand[0])
+        else:
+            masked = np.where(allowed, z, np.inf)
+            j = int(np.argmin(masked))
+            if masked[j] >= -PIVOT_TOL:
+                return "optimal", iters
+        col = T[:m, j]
+        rows_ok = np.nonzero(col > PIVOT_TOL)[0]
+        if rows_ok.size == 0:
+            return "unbounded", iters
+        ratios = T[rows_ok, ncols] / col[rows_ok]
+        rmin = ratios.min()
+        near = rows_ok[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
+        r = int(min(near, key=lambda i: basis[i]))
+        _pivot(T, r, j)
+        basis[r] = j
+        iters += 1
+        if iters > max_iters:
+            raise IterationLimitError("iteration limit")
+        obj = -T[m, ncols]
+        if obj < best - 1e-12 * (1.0 + abs(best)):
+            best = obj
+            stall = 0
+        else:
+            stall += 1
+            if stall > stall_limit:
+                bland = True
+
+
+def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexResult:
     """Two-phase primal simplex on a dense tableau.
 
     Pricing is by steepest reduced cost with first-index ties; a stall
@@ -171,22 +240,14 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
     norm = _normalized_rows(lp)
     m = len(norm)
     n = lp.num_vars
-    n_slack = sum(1 for _, sense, _ in norm if sense != EQ)
-    slack_of_row = {}
-    t = 0
-    for i, (_, sense, _) in enumerate(norm):
-        if sense != EQ:
-            slack_of_row[i] = n + t
-            t += 1
-    art_rows = [i for i, (_, sense, rhs) in enumerate(norm)
-                if sense in (GEQ, EQ)]
-    n_art = len(art_rows)
-    ncols = n + n_slack + n_art
+    slack_of_row = _slack_columns(norm, n)
+    n_real = n + len(slack_of_row)
+    art_rows = [i for i, (_, sense, _) in enumerate(norm) if sense in (GEQ, EQ)]
+    art_cols = list(range(n_real, n_real + len(art_rows)))
+    ncols = n_real + len(art_rows)
 
     T = np.zeros((m + 1, ncols + 1))
     basis = [0] * m
-    art_cols = set()
-    a_at = n + n_slack
     for i, (coeffs, sense, rhs) in enumerate(norm):
         for j, a in coeffs.items():
             T[i, j] = a
@@ -196,102 +257,42 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
         elif sense == GEQ:
             T[i, slack_of_row[i]] = -1.0
         T[i, ncols] = rhs
-    for i in art_rows:
-        T[i, a_at] = 1.0
-        basis[i] = a_at
-        art_cols.add(a_at)
-        a_at += 1
+    for i, a in zip(art_rows, art_cols):
+        T[i, a] = 1.0
+        basis[i] = a
 
     allowed = np.ones(ncols, dtype=bool)
     iters = 0
-
-    def pivot_loop(max_total):
-        nonlocal iters
-        bland = False
-        stall = 0
-        stall_limit = max(200, m)
-        best = np.inf
-        while True:
-            z = T[m, :ncols]
-            if bland:
-                cand = np.nonzero(allowed & (z < -pivot_tol))[0]
-                if cand.size == 0:
-                    return "optimal"
-                j = int(cand[0])
-            else:
-                masked = np.where(allowed, z, np.inf)
-                j = int(np.argmin(masked))
-                if masked[j] >= -pivot_tol:
-                    return "optimal"
-            col = T[:m, j]
-            rows_ok = np.nonzero(col > pivot_tol)[0]
-            if rows_ok.size == 0:
-                return "unbounded"
-            ratios = T[rows_ok, ncols] / col[rows_ok]
-            rmin = ratios.min()
-            near = rows_ok[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
-            r = int(min(near, key=lambda i: basis[i]))
-            piv = T[r, j]
-            T[r] /= piv
-            colv = T[:, j].copy()
-            colv[r] = 0.0
-            T[:] -= np.outer(colv, T[r])
-            T[:, j] = 0.0
-            T[r, j] = 1.0
-            basis[r] = j
-            iters += 1
-            if iters > max_total:
-                raise IterationLimitError("iteration limit")
-            obj = -T[m, ncols]
-            if obj < best - 1e-12 * (1.0 + abs(best)):
-                best = obj
-                stall = 0
-            else:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-
+    kept = list(range(m))
     # phase 1: minimize the artificial mass
-    if n_art:
+    if art_rows:
         for i in art_rows:
             T[m, :] -= T[i, :]
-        T[m, list(art_cols)] = 0.0
-        status = pivot_loop(max_iters)
+        T[m, art_cols] = 0.0
+        status, iters = _pivot_loop(T, basis, allowed, iters, max_iters)
         if status == "unbounded":
             raise SimplexError("phase 1 unbounded; malformed program")
-        if -T[m, ncols] > feas_tol:
+        if -T[m, ncols] > FEAS_TOL:
             return SimplexResult("infeasible", None, None, iterations=iters)
-        # remove leftover artificials from the basis
-        drop = []
+        # drive leftover artificials out of the basis; rows with no real
+        # column to pivot on are redundant and go
+        drop = set()
         for i in range(m):
-            if basis[i] in art_cols:
-                row = T[i, :ncols]
-                pick = -1
-                for j in range(n + n_slack):
-                    if abs(row[j]) > pivot_tol:
-                        pick = j
-                        break
-                if pick < 0:
-                    drop.append(i)
+            if basis[i] >= n_real:
+                nz = np.nonzero(np.abs(T[i, :n_real]) > PIVOT_TOL)[0]
+                if nz.size == 0:
+                    drop.add(i)
                     continue
-                piv = T[i, pick]
-                T[i] /= piv
-                colv = T[:, pick].copy()
-                colv[i] = 0.0
-                T[:] -= np.outer(colv, T[i])
-                T[:, pick] = 0.0
-                T[i, pick] = 1.0
-                basis[i] = pick
-        kept = [i for i in range(m) if i not in set(drop)]
+                basis[i] = int(nz[0])
+                _pivot(T, i, basis[i])
         if drop:
-            T = np.delete(T, drop, axis=0)
+            kept = [i for i in kept if i not in drop]
+            T = np.delete(T, sorted(drop), axis=0)
             basis = [basis[i] for i in kept]
-    else:
-        kept = list(range(m))
-    m_eff = len(basis)
-    allowed[list(art_cols)] = False
+        allowed[art_cols] = False
 
-    # phase 2: real objective
+    # phase 2: real objective, in the last row
+    m_eff = len(basis)
     T[m_eff, :] = 0.0
     T[m_eff, :n] = lp.objective
     for i in range(m_eff):
@@ -299,54 +300,7 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
         cb = lp.objective[b] if b < n else 0.0
         if cb:
             T[m_eff, :] -= cb * T[i, :]
-
-    def pivot_loop2():
-        nonlocal iters
-        bland = False
-        stall = 0
-        stall_limit = max(200, m_eff)
-        best = np.inf
-        while True:
-            z = T[m_eff, :ncols]
-            if bland:
-                cand = np.nonzero(allowed & (z < -pivot_tol))[0]
-                if cand.size == 0:
-                    return "optimal"
-                j = int(cand[0])
-            else:
-                masked = np.where(allowed, z, np.inf)
-                j = int(np.argmin(masked))
-                if masked[j] >= -pivot_tol:
-                    return "optimal"
-            col = T[:m_eff, j]
-            rows_ok = np.nonzero(col > pivot_tol)[0]
-            if rows_ok.size == 0:
-                return "unbounded"
-            ratios = T[rows_ok, ncols] / col[rows_ok]
-            rmin = ratios.min()
-            near = rows_ok[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
-            r = int(min(near, key=lambda i: basis[i]))
-            piv = T[r, j]
-            T[r] /= piv
-            colv = T[:m_eff + 1, j].copy()
-            colv[r] = 0.0
-            T[:m_eff + 1] -= np.outer(colv, T[r])
-            T[:m_eff + 1, j] = 0.0
-            T[r, j] = 1.0
-            basis[r] = j
-            iters += 1
-            if iters > max_iters:
-                raise IterationLimitError("iteration limit")
-            obj = -T[m_eff, ncols]
-            if obj < best - 1e-12 * (1.0 + abs(best)):
-                best = obj
-                stall = 0
-            else:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-
-    status = pivot_loop2()
+    status, iters = _pivot_loop(T, basis, allowed, iters, max_iters)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, iterations=iters)
 
@@ -357,7 +311,7 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
     x[np.abs(x) < 1e-12] = 0.0
     np.maximum(x, 0.0, out=x)
     viol = _violation(_row_arrays(lp), lp.upper, x)
-    if not viol <= 100 * feas_tol:
+    if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
     obj = float(lp.objective @ x)
     return SimplexResult("optimal", x, obj, tuple(basis), tuple(kept),
@@ -398,27 +352,12 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
                          max_violation=viol)
 
 
-def solve_lp(lp: LinearProgram, *, backend: str = "auto",
-             scipy_cutover: int = 600, **kw) -> SimplexResult:
-    """Solve, choosing the backend.
-
-    "simplex" always uses the in-package vertex solver, "scipy" always uses
-    HiGHS, and "auto" switches to HiGHS above scipy_cutover variables where
-    the dense tableau gets slow.  Structured solves that need an exact vertex
-    must use the simplex backend.
-    """
-    if backend == "simplex":
-        return solve_vertex(lp, **kw)
-    if backend == "scipy":
+def solve_lp(lp: LinearProgram) -> SimplexResult:
+    """Solve on HiGHS above HIGHS_CUTOVER variables, where the dense tableau
+    gets slow, and on the in-package vertex simplex at or below it."""
+    if lp.num_vars > HIGHS_CUTOVER:
         return _solve_scipy(lp)
-    if backend != "auto":
-        raise ValueError(f"unknown backend {backend!r}")
-    if lp.num_vars > scipy_cutover:
-        try:
-            return _solve_scipy(lp)
-        except ImportError:  # pragma: no cover
-            pass
-    return solve_vertex(lp, **kw)
+    return solve_vertex(lp)
 
 
 # ---------------------------------------------------------------------------
@@ -726,30 +665,31 @@ def submatrix_determinant_check(A: np.ndarray, trials: int, max_dim: int,
 # exact rational recertification (test support)
 
 
+def _exact(v: float) -> Fraction:
+    if v == int(v):
+        return Fraction(int(v))
+    return Fraction(v).limit_denominator(10 ** 12)
+
+
 def _std_form_fractions(lp: LinearProgram):
+    """Equality standard form over Fractions, with the simplex's row order
+    and slack columns; returns (A, b, c, row senses)."""
     norm = _normalized_rows(lp)
     n = lp.num_vars
-    t = 0
-    cols = n
-    slack = {}
-    for i, (_, sense, _) in enumerate(norm):
-        if sense != EQ:
-            slack[i] = n + t
-            t += 1
-    cols = n + t
+    slack = _slack_columns(norm, n)
+    cols = n + len(slack)
     A = [[Fraction(0)] * cols for _ in norm]
     b = []
     for i, (coeffs, sense, rhs) in enumerate(norm):
         for j, a in coeffs.items():
-            A[i][j] = Fraction(a).limit_denominator(10 ** 12) if a != int(a) else Fraction(int(a))
+            A[i][j] = _exact(a)
         if sense == LEQ:
             A[i][slack[i]] = Fraction(1)
         elif sense == GEQ:
             A[i][slack[i]] = Fraction(-1)
-        b.append(Fraction(rhs).limit_denominator(10 ** 12) if rhs != int(rhs) else Fraction(int(rhs)))
-    c = [Fraction(v).limit_denominator(10 ** 12) if v != int(v) else Fraction(int(v))
-         for v in lp.objective] + [Fraction(0)] * t
-    return A, b, c, cols
+        b.append(_exact(rhs))
+    c = [_exact(v) for v in lp.objective] + [Fraction(0)] * len(slack)
+    return A, b, c, [sense for _, sense, _ in norm]
 
 
 def _frac_solve(B, rhs):
@@ -790,7 +730,8 @@ def recertify_rational(lp: LinearProgram, res: SimplexResult,
     """
     if res.basis is None or res.kept_rows is None:
         raise ValueError("result carries no basis")
-    A, b, c, cols = _std_form_fractions(lp)
+    A, b, c, senses = _std_form_fractions(lp)
+    cols = len(c)
     rows = list(res.kept_rows)
     basis = list(res.basis)
     B = [[A[i][j] for j in basis] for i in rows]
@@ -802,14 +743,13 @@ def recertify_rational(lp: LinearProgram, res: SimplexResult,
     for j, val in zip(basis, xb):
         x[j] = val
     feasible = all(v >= 0 for v in x)
-    for i, row in enumerate(A):
+    for row, sense, bi in zip(A, senses, b):
         lhs = sum(a * v for a, v in zip(row, x))
-        norm = _normalized_rows(lp)[i]
-        if norm[1] == LEQ and lhs > b[i]:
+        if sense == LEQ and lhs > bi:
             feasible = False
-        if norm[1] == GEQ and lhs < b[i]:
+        if sense == GEQ and lhs < bi:
             feasible = False
-        if norm[1] == EQ and lhs != b[i]:
+        if sense == EQ and lhs != bi:
             feasible = False
     exact_obj = sum(cj * xj for cj, xj in zip(c, x))
     agrees = res.objective is not None and abs(float(exact_obj) - res.objective) <= tol * (1 + abs(res.objective))
@@ -839,8 +779,8 @@ def enumerate_vertices_min(lp: LinearProgram, max_bases: int = 300_000) -> Fract
 
     Exponential; intended for cross-checks on tiny programs only.
     """
-    A, b, c, cols = _std_form_fractions(lp)
-    m = len(A)
+    A, b, c, _ = _std_form_fractions(lp)
+    m, cols = len(A), len(c)
     if math.comb(cols, m) > max_bases:
         raise ValueError("too many bases to enumerate")
     best = None
@@ -857,34 +797,3 @@ def enumerate_vertices_min(lp: LinearProgram, max_bases: int = 300_000) -> Fract
     if best is None:
         raise ValueError("no feasible basis")
     return best
-
-
-def lp_to_text(lp: LinearProgram, names: Sequence[str] | None = None) -> str:
-    """Human-readable dump in the common LP exchange layout."""
-    if names is None:
-        names = [f"x{j}" for j in range(lp.num_vars)]
-
-    def term(j, a, first):
-        s = "" if first and a >= 0 else ("+ " if a >= 0 else "- ")
-        mag = abs(a)
-        return f"{s}{mag:g} {names[j]}"
-
-    lines = ["Minimize", " obj: " + " ".join(
-        term(j, a, i == 0) for i, (j, a) in enumerate(
-            (j, a) for j, a in enumerate(lp.objective) if a != 0.0) ) ]
-    if lines[1] == " obj: ":
-        lines[1] = " obj: 0"
-    lines.append("Subject To")
-    for i, row in enumerate(lp.rows):
-        body = " ".join(term(j, a, t == 0) for t, (j, a) in enumerate(row.coeffs))
-        op = {LEQ: "<=", GEQ: ">=", EQ: "="}[row.sense]
-        lines.append(f" c{i}: {body} {op} {row.rhs:g}")
-    lines.append("Bounds")
-    for j in range(lp.num_vars):
-        ub = None if lp.upper is None else lp.upper[j]
-        if ub is None or not np.isfinite(ub):
-            lines.append(f" 0 <= {names[j]}")
-        else:
-            lines.append(f" 0 <= {names[j]} <= {ub:g}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -32,17 +32,14 @@ from .structure import (build_super_balls, enforce_structure,
                         reassign_private_facilities)
 
 ORACLE_BUDGET = 10_000_000
+CERT_ABS_TOL = 1e-9       # certificate slack, absolute
+LOG_SPACE_P = 40.0        # beyond this p, certify in log space
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Everything tunable in one place; defaults match the module contracts."""
-    lp_backend: str = "auto"          # auto | simplex | scipy
-    scipy_cutover: int = 600
-    baseline_max_iters: int | None = None
-    rel_tol: float = 1e-6             # certificate slack, relative
-    abs_tol: float = 1e-9             # certificate slack, absolute
-    p_cap: float = 40.0               # beyond this, certify in log space
+    """What a caller may tune: the relative certificate slack."""
+    rel_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ def _certificate(name: str, lhs: float, terms: list[tuple[float, float]],
     factors at large p cannot overflow."""
     if log_space:
         logs = [lf + math.log(v) for lf, v in terms if v > 0.0]
-        if lhs <= cfg.abs_tol:
+        if lhs <= CERT_ABS_TOL:
             return BoundCheck(name, lhs, math.inf, True, True)
         if not logs:
             return BoundCheck(name, lhs, 0.0, False, True)
@@ -83,7 +80,7 @@ def _certificate(name: str, lhs: float, terms: list[tuple[float, float]],
         rhs = math.exp(rhs_log) if rhs_log < 700 else math.inf
         return BoundCheck(name, lhs, float(rhs), bool(ok), True)
     rhs = sum(math.exp(lf) * v for lf, v in terms)
-    ok = lhs <= rhs * (1.0 + cfg.rel_tol) + cfg.abs_tol
+    ok = lhs <= rhs * (1.0 + cfg.rel_tol) + CERT_ABS_TOL
     return BoundCheck(name, lhs, rhs, bool(ok), False)
 
 
@@ -167,9 +164,9 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     if not check_range_feasibility(sizes, rc):
         raise InfeasibleRangesError(
             f"no size-{rc.k} center set can meet the ranges")
-    log_space = inst.p > cfg.p_cap
+    log_space = inst.p > LOG_SPACE_P
     if log_space:
-        warnings.warn(f"p={inst.p} above the certificate cap {cfg.p_cap}; "
+        warnings.warn(f"p={inst.p} above the certificate cap {LOG_SPACE_P}; "
                       "comparing certificates in log space", RuntimeWarning)
 
     timings: dict[str, float] = {}
@@ -178,8 +175,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     t0 = time.perf_counter()
     reduced = len(inst.client_ids) > rc.k
     if reduced:
-        centers0, _, swaps = local_search_clustering(
-            inst, rc.k, max_iters=cfg.baseline_max_iters)
+        centers0, _, swaps = local_search_clustering(inst, rc.k)
         red = reduce_locations(inst, centers0)
     else:
         swaps = 0
@@ -190,7 +186,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     groups = _facility_groups(inst)
     dp_red = red.dist_to_facilities() ** inst.p
     flp = build_fair_range_lp(dp_red, red.weights, groups, rc.k, rc.ranges)
-    res = solve_lp(flp, backend=cfg.lp_backend, scipy_cutover=cfg.scipy_cutover)
+    res = solve_lp(flp)
     if res.status != "optimal":
         raise StageError("pipeline", f"assignment relaxation is {res.status}")
     opt_d = float(res.objective)

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .baseline import ReducedInstance
+from .errors import StageError
 
 COVER_TOL = 1e-7
 SEPARATION_SLACK = 1e-9
@@ -36,15 +37,16 @@ def canonical_assignment(x: np.ndarray, cover_tol: float = COVER_TOL) -> np.ndar
     """Clip stray negatives and rescale rows with mass above one.
 
     Scaling a row down to unit mass keeps it feasible and never raises the
-    objective, so a canonicalized optimal solution stays optimal.  Rows
-    short of unit mass mean the solve went wrong; that raises.
+    objective, so a canonicalized optimal solution stays optimal.  A row
+    short of unit mass means the solve went wrong; that raises StageError.
     """
     x = np.array(x, dtype=float)
     np.maximum(x, 0.0, out=x)
     sums = x.sum(axis=1)
     if np.any(sums < 1.0 - cover_tol):
         bad = int(np.argmin(sums))
-        raise ValueError(f"assignment row {bad} has mass {sums[bad]:.9f}")
+        raise StageError("sparsify",
+                         f"assignment row {bad} has mass {sums[bad]:.9f}")
     over = sums > 1.0
     x[over] /= sums[over, None]
     return x
@@ -58,7 +60,8 @@ def fractional_radius(dp: np.ndarray, x: np.ndarray, p: float,
     sums = x.sum(axis=1)
     if np.any(sums < 1.0 - cover_tol):
         bad = int(np.argmin(sums))
-        raise ValueError(f"assignment row {bad} has mass {sums[bad]:.9f}")
+        raise StageError("sparsify",
+                         f"assignment row {bad} has mass {sums[bad]:.9f}")
     return (dp * x).sum(axis=1) ** (1.0 / p)
 
 

@@ -197,6 +197,15 @@ def test_instance_rejects_malformed():
         matrix_instance(["a", "b"], [[0, 1], [1, 0]], ["a"], {"a": 1}, {"a": 1}, 0.5)
 
 
+def test_instance_rejects_ids_that_are_not_points():
+    dist = [[0, 1], [1, 0]]
+    with pytest.raises(ValueError, match="facility 'z' is not a point"):
+        matrix_instance(["a", "b"], dist, ["a", "z"], {"a": 1, "z": 1},
+                        {"a": 1}, 1.0)
+    with pytest.raises(ValueError, match="client 'z' is not a point"):
+        matrix_instance(["a", "b"], dist, ["a"], {"a": 1}, {"a": 1, "z": 2}, 1.0)
+
+
 def test_zero_distance_distinct_points_allowed():
     dist = [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
     inst = matrix_instance(["a", "b", "c"], dist, ["a", "b"], {"a": 1, "b": 1},

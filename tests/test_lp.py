@@ -1,28 +1,35 @@
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fairrange
 from fairrange.errors import IterationLimitError, SimplexError
 from fairrange.lp import (
+    FEAS_TOL,
     GEQ,
+    HIGHS_CUTOVER,
     LEQ,
     EQ,
+    MAX_ITERS,
+    PIVOT_TOL,
     DeterminantReport,
     LinearProgram,
     Row,
+    SimplexResult,
     _normalized_rows,
     _row_arrays,
+    _solve_scipy,
     _violation,
     bareiss_determinant,
     build_fair_range_lp,
     build_structured_lp,
     enumerate_vertices_min,
     ghouila_houri_check,
-    lp_to_text,
     recertify_rational,
     scale_doubled,
     solve_lp,
@@ -31,12 +38,22 @@ from fairrange.lp import (
     structured_column_profile,
     submatrix_determinant_check,
 )
+from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 
 
 def simple_lp(c, rows, ub=None):
     return LinearProgram(len(c), np.array(c, dtype=float),
                          [Row(tuple(co), s, r) for co, s, r in rows],
                          upper=None if ub is None else np.array(ub, dtype=float))
+
+
+def beale_lp():
+    # classic degenerate program that can cycle without an anti-cycling rule
+    return simple_lp([-0.75, 150.0, -0.02, 6.0], [
+        ([(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], LEQ, 0.0),
+        ([(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], LEQ, 0.0),
+        ([(2, 1.0)], LEQ, 1.0),
+    ])
 
 
 class TestSimplex:
@@ -85,12 +102,7 @@ class TestSimplex:
         assert res.objective == pytest.approx(-5.0, abs=1e-9)
 
     def test_beale_terminates(self):
-        # classic degenerate program that can cycle without an anti-cycling rule
-        lp = simple_lp([-0.75, 150.0, -0.02, 6.0], [
-            ([(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], LEQ, 0.0),
-            ([(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], LEQ, 0.0),
-            ([(2, 1.0)], LEQ, 1.0),
-        ])
+        lp = beale_lp()
         res = solve_vertex(lp)
         assert res.status == "optimal"
         exact = enumerate_vertices_min(lp)
@@ -153,7 +165,7 @@ class TestSimplex:
             rows.append((coeffs, sense, data.draw(st.integers(0, 6))))
         lp = simple_lp([float(v) for v in c], rows, ub=[4.0] * n)
         mine = solve_vertex(lp)
-        other = solve_lp(lp, backend="scipy")
+        other = _solve_scipy(lp)
         assert mine.status == other.status
         if mine.status == "optimal":
             assert mine.objective == pytest.approx(other.objective, abs=1e-6)
@@ -322,7 +334,7 @@ class TestUnimodularity:
 class TestRationalRecheck:
     def test_recertify_requires_basis(self):
         lp = simple_lp([1.0], [([(0, 1.0)], GEQ, 1.0)])
-        res = solve_lp(lp, backend="scipy")
+        res = _solve_scipy(lp)
         with pytest.raises(ValueError):
             recertify_rational(lp, res)
 
@@ -343,18 +355,14 @@ class TestBackendRouting:
         assert solve_lp(lp).backend == "simplex"
 
     def test_large_moves_to_scipy(self):
-        n = 40
-        c = np.ones(n)
-        rows = [([(j, 1.0) for j in range(n)], GEQ, 5.0)]
-        lp = simple_lp(c, rows, ub=[1.0] * n)
-        res = solve_lp(lp, scipy_cutover=10)
-        assert res.backend == "scipy"
-        assert res.objective == pytest.approx(5.0, abs=1e-7)
-
-    def test_unknown_backend(self):
-        lp = simple_lp([1.0], [])
-        with pytest.raises(ValueError):
-            solve_lp(lp, backend="gurobi")
+        # the cutover itself stays on the simplex; one variable more goes
+        # to HiGHS
+        for n, backend in ((HIGHS_CUTOVER, "simplex"), (HIGHS_CUTOVER + 1, "scipy")):
+            rows = [([(j, 1.0) for j in range(n)], GEQ, 5.0)]
+            lp = simple_lp(np.ones(n), rows, ub=[1.0] * n)
+            res = solve_lp(lp)
+            assert res.backend == backend
+            assert res.objective == pytest.approx(5.0, abs=1e-7)
 
 
 def loop_violation(lp, x):
@@ -394,13 +402,13 @@ class TestSparseHighs:
         lp = build_fair_range_lp(dp, [1.0, 2.0, 3.0], groups, 3,
                                  ((0, 2), (1, 2), (0, 1)))
         highs = solve_lp(lp)
-        assert lp.num_vars > 600 and highs.backend == "scipy"
-        mine = solve_lp(lp, backend="simplex")
+        assert lp.num_vars > HIGHS_CUTOVER and highs.backend == "scipy"
+        mine = solve_vertex(lp)
         assert highs.objective == pytest.approx(mine.objective, rel=1e-9)
 
     def test_equality_rows_with_negative_rhs(self):
         lp = eq_negative_rhs_lp()
-        res = solve_lp(lp, backend="scipy")
+        res = _solve_scipy(lp)
         assert res.backend == "scipy" and res.status == "optimal"
         assert res.objective == pytest.approx(5.0, abs=1e-9)
         assert res.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-9)
@@ -417,7 +425,7 @@ class TestSparseHighs:
 
         monkeypatch.setattr(scipy.optimize, "linprog", perturbed)
         with pytest.raises(SimplexError, match="residual"):
-            solve_lp(eq_negative_rhs_lp(), backend="scipy")
+            _solve_scipy(eq_negative_rhs_lp())
 
     def test_violation_matches_row_loop(self, rng):
         for trial in range(60):
@@ -435,12 +443,308 @@ class TestSparseHighs:
             assert _violation(_row_arrays(lp), lp.upper, x) == loop_violation(lp, x)
 
 
-class TestText:
-    def test_dump_shape(self):
+# The two-phase simplex as it was before its two pivot loops and the
+# artificial drive-out were merged into one _pivot and one _pivot_loop,
+# kept verbatim as the oracle for that merge.
+def reference_solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
+                           pivot_tol: float = PIVOT_TOL, feas_tol: float = FEAS_TOL) -> SimplexResult:
+    """Two-phase primal simplex on a dense tableau.
+
+    Pricing is by steepest reduced cost with first-index ties; a stall
+    counter switches to Bland's rule, which guards against cycling.  The
+    leaving row always takes the smallest basic variable index among the
+    minimum-ratio rows, so results are deterministic.  Returns a basic
+    optimal solution, i.e. a vertex of the feasible polytope.
+    """
+    norm = _normalized_rows(lp)
+    m = len(norm)
+    n = lp.num_vars
+    n_slack = sum(1 for _, sense, _ in norm if sense != EQ)
+    slack_of_row = {}
+    t = 0
+    for i, (_, sense, _) in enumerate(norm):
+        if sense != EQ:
+            slack_of_row[i] = n + t
+            t += 1
+    art_rows = [i for i, (_, sense, rhs) in enumerate(norm)
+                if sense in (GEQ, EQ)]
+    n_art = len(art_rows)
+    ncols = n + n_slack + n_art
+
+    T = np.zeros((m + 1, ncols + 1))
+    basis = [0] * m
+    art_cols = set()
+    a_at = n + n_slack
+    for i, (coeffs, sense, rhs) in enumerate(norm):
+        for j, a in coeffs.items():
+            T[i, j] = a
+        if sense == LEQ:
+            T[i, slack_of_row[i]] = 1.0
+            basis[i] = slack_of_row[i]
+        elif sense == GEQ:
+            T[i, slack_of_row[i]] = -1.0
+        T[i, ncols] = rhs
+    for i in art_rows:
+        T[i, a_at] = 1.0
+        basis[i] = a_at
+        art_cols.add(a_at)
+        a_at += 1
+
+    allowed = np.ones(ncols, dtype=bool)
+    iters = 0
+
+    def pivot_loop(max_total):
+        nonlocal iters
+        bland = False
+        stall = 0
+        stall_limit = max(200, m)
+        best = np.inf
+        while True:
+            z = T[m, :ncols]
+            if bland:
+                cand = np.nonzero(allowed & (z < -pivot_tol))[0]
+                if cand.size == 0:
+                    return "optimal"
+                j = int(cand[0])
+            else:
+                masked = np.where(allowed, z, np.inf)
+                j = int(np.argmin(masked))
+                if masked[j] >= -pivot_tol:
+                    return "optimal"
+            col = T[:m, j]
+            rows_ok = np.nonzero(col > pivot_tol)[0]
+            if rows_ok.size == 0:
+                return "unbounded"
+            ratios = T[rows_ok, ncols] / col[rows_ok]
+            rmin = ratios.min()
+            near = rows_ok[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
+            r = int(min(near, key=lambda i: basis[i]))
+            piv = T[r, j]
+            T[r] /= piv
+            colv = T[:, j].copy()
+            colv[r] = 0.0
+            T[:] -= np.outer(colv, T[r])
+            T[:, j] = 0.0
+            T[r, j] = 1.0
+            basis[r] = j
+            iters += 1
+            if iters > max_total:
+                raise IterationLimitError("iteration limit")
+            obj = -T[m, ncols]
+            if obj < best - 1e-12 * (1.0 + abs(best)):
+                best = obj
+                stall = 0
+            else:
+                stall += 1
+                if stall > stall_limit:
+                    bland = True
+
+    # phase 1: minimize the artificial mass
+    if n_art:
+        for i in art_rows:
+            T[m, :] -= T[i, :]
+        T[m, list(art_cols)] = 0.0
+        status = pivot_loop(max_iters)
+        if status == "unbounded":
+            raise SimplexError("phase 1 unbounded; malformed program")
+        if -T[m, ncols] > feas_tol:
+            return SimplexResult("infeasible", None, None, iterations=iters)
+        # remove leftover artificials from the basis
+        drop = []
+        for i in range(m):
+            if basis[i] in art_cols:
+                row = T[i, :ncols]
+                pick = -1
+                for j in range(n + n_slack):
+                    if abs(row[j]) > pivot_tol:
+                        pick = j
+                        break
+                if pick < 0:
+                    drop.append(i)
+                    continue
+                piv = T[i, pick]
+                T[i] /= piv
+                colv = T[:, pick].copy()
+                colv[i] = 0.0
+                T[:] -= np.outer(colv, T[i])
+                T[:, pick] = 0.0
+                T[i, pick] = 1.0
+                basis[i] = pick
+        kept = [i for i in range(m) if i not in set(drop)]
+        if drop:
+            T = np.delete(T, drop, axis=0)
+            basis = [basis[i] for i in kept]
+    else:
+        kept = list(range(m))
+    m_eff = len(basis)
+    allowed[list(art_cols)] = False
+
+    # phase 2: real objective
+    T[m_eff, :] = 0.0
+    T[m_eff, :n] = lp.objective
+    for i in range(m_eff):
+        b = basis[i]
+        cb = lp.objective[b] if b < n else 0.0
+        if cb:
+            T[m_eff, :] -= cb * T[i, :]
+
+    def pivot_loop2():
+        nonlocal iters
+        bland = False
+        stall = 0
+        stall_limit = max(200, m_eff)
+        best = np.inf
+        while True:
+            z = T[m_eff, :ncols]
+            if bland:
+                cand = np.nonzero(allowed & (z < -pivot_tol))[0]
+                if cand.size == 0:
+                    return "optimal"
+                j = int(cand[0])
+            else:
+                masked = np.where(allowed, z, np.inf)
+                j = int(np.argmin(masked))
+                if masked[j] >= -pivot_tol:
+                    return "optimal"
+            col = T[:m_eff, j]
+            rows_ok = np.nonzero(col > pivot_tol)[0]
+            if rows_ok.size == 0:
+                return "unbounded"
+            ratios = T[rows_ok, ncols] / col[rows_ok]
+            rmin = ratios.min()
+            near = rows_ok[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
+            r = int(min(near, key=lambda i: basis[i]))
+            piv = T[r, j]
+            T[r] /= piv
+            colv = T[:m_eff + 1, j].copy()
+            colv[r] = 0.0
+            T[:m_eff + 1] -= np.outer(colv, T[r])
+            T[:m_eff + 1, j] = 0.0
+            T[r, j] = 1.0
+            basis[r] = j
+            iters += 1
+            if iters > max_iters:
+                raise IterationLimitError("iteration limit")
+            obj = -T[m_eff, ncols]
+            if obj < best - 1e-12 * (1.0 + abs(best)):
+                best = obj
+                stall = 0
+            else:
+                stall += 1
+                if stall > stall_limit:
+                    bland = True
+
+    status = pivot_loop2()
+    if status == "unbounded":
+        return SimplexResult("unbounded", None, None, iterations=iters)
+
+    x = np.zeros(n)
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = T[i, ncols]
+    x[np.abs(x) < 1e-12] = 0.0
+    np.maximum(x, 0.0, out=x)
+    viol = _violation(_row_arrays(lp), lp.upper, x)
+    if not viol <= 100 * feas_tol:
+        raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
+    obj = float(lp.objective @ x)
+    return SimplexResult("optimal", x, obj, tuple(basis), tuple(kept),
+                         iterations=iters, max_violation=viol)
+
+
+def outcome(solve, lp, **kw):
+    """Everything a solve returns, floats as their bytes; a raised solver
+    error stands for itself."""
+    try:
+        res = solve(lp, **kw)
+    except SimplexError as exc:
+        return type(exc).__name__, str(exc)
+    return (res.status,
+            None if res.x is None else res.x.tobytes(),
+            None if res.objective is None else struct.pack("<d", res.objective),
+            res.basis, res.kept_rows, res.iterations, res.backend,
+            struct.pack("<d", res.max_violation))
+
+
+COEFFS = st.one_of(st.integers(-3, 3).map(float),
+                   st.sampled_from([0.5, -1.5, 2.25, 1.0 / 3.0, -0.1]))
+
+
+@st.composite
+def small_programs(draw):
+    """Dense-simplex inputs of every row shape: <=, >= and = rows with
+    right-hand sides of either sign, finite and infinite upper bounds,
+    = rows repeated at a multiple (redundant, so phase 1 drops one), and
+    infeasible or unbounded programs among them."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cols = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        coeffs = [(j, draw(COEFFS)) for j in cols]
+        sense = draw(st.sampled_from([LEQ, LEQ, GEQ, EQ]))
+        rhs = float(draw(st.integers(-3, 8)))
+        rows.append((coeffs, sense, rhs))
+        if sense == EQ and draw(st.booleans()):
+            f = draw(st.sampled_from([1.0, 2.0, -1.0]))
+            rows.append(([(j, f * a) for j, a in coeffs], EQ, f * rhs))
+    ub = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([np.inf, 0.0, 1.0, 2.5, 4.0]),
+                 min_size=n, max_size=n)))
+    c = [draw(COEFFS) for _ in range(n)]
+    return simple_lp(c, rows, ub=ub)
+
+
+class TestMergedLoopMatchesReference:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(small_programs(), st.one_of(st.just(MAX_ITERS), st.integers(0, 3)))
+    def test_bit_identical_on_small_programs(self, lp, max_iters):
+        assert (outcome(solve_vertex, lp, max_iters=max_iters)
+                == outcome(reference_solve_vertex, lp, max_iters=max_iters))
+
+    def test_bit_identical_on_structured_programs(self):
         lp, _ = tiny_structured()
-        text = lp_to_text(lp, names=[f"y{j}" for j in range(4)])
-        lines = text.splitlines()
-        assert lines[0] == "Minimize"
-        assert "Subject To" in lines
-        assert lines[-1] == "End"
-        assert sum(1 for ln in lines if ln.startswith(" c")) == len(lp.rows)
+        for prog in (lp, scale_doubled(lp), scale_doubled(scale_doubled(lp))):
+            assert outcome(solve_vertex, prog) == outcome(reference_solve_vertex, prog)
+
+    def test_bit_identical_on_every_exit(self):
+        # named programs that drop a redundant row, are infeasible, are
+        # unbounded, hit the pivot cap, have negative right-hand sides, and
+        # stall long enough to switch to Bland's rule
+        cases = [
+            (simple_lp([1.0, 1.0], [([(0, 1.0), (1, 1.0)], EQ, 2.0),
+                                    ([(0, 2.0), (1, 2.0)], EQ, 4.0),
+                                    ([(0, 1.0)], GEQ, 0.5)]), {}),
+            (simple_lp([1.0], [([(0, 1.0)], GEQ, 2.0),
+                               ([(0, 1.0)], LEQ, 1.0)]), {}),
+            (simple_lp([-1.0], []), {}),
+            (simple_lp([-1.0], [([(0, 1.0)], LEQ, 1.0)]), {"max_iters": 0}),
+            (eq_negative_rhs_lp(), {}),
+            (beale_lp(), {}),
+        ]
+        seen = []
+        for lp, kw in cases:
+            got = outcome(solve_vertex, lp, **kw)
+            assert got == outcome(reference_solve_vertex, lp, **kw)
+            seen.append(got[0])
+        assert seen == ["optimal", "infeasible", "unbounded",
+                        "IterationLimitError", "optimal", "optimal"]
+        assert solve_vertex(cases[0][0]).kept_rows == (0, 2)
+        assert solve_vertex(beale_lp()).iterations > 200
+
+    def test_bit_identical_on_pipeline_programs(self, monkeypatch):
+        # every relaxation and opening program of a few small solves
+        checked = []
+
+        def compare(lp, **kw):
+            got = outcome(solve_vertex, lp, **kw)
+            assert got == outcome(reference_solve_vertex, lp, **kw)
+            checked.append(got[0])
+            return solve_vertex(lp, **kw)
+
+        monkeypatch.setattr(fairrange.lp, "solve_vertex", compare)
+        monkeypatch.setattr(fairrange.round, "solve_vertex", compare)
+        for seed in range(4):
+            inst = random_instance(seed, 14, 2, 2.0)
+            solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
+        assert len(checked) >= 8 and set(checked) == {"optimal"}

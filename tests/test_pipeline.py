@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import fairrange
+from fairrange.cli import document_from_instance, main, serialize_document
 from fairrange.errors import InfeasibleRangesError, StageError, UnrangedGroupError
 from fairrange.instance import RangeConstraints, validate_instance
 from fairrange.pipeline import (
@@ -198,6 +200,30 @@ class TestSolveFairRange:
         monkeypatch.setattr(fairrange.round, "solve_vertex", lambda lp: unbounded)
         with pytest.raises(StageError, match="is unbounded"):
             solve_fair_range(inst, random_ranges(3, inst, 3, 2))
+
+    def test_short_relaxation_row_is_a_stage_error(self, monkeypatch, tmp_path,
+                                                    capsys):
+        # a cover row 1e-6 short passes the LP residual gate, which scales
+        # by 1 + |rhs|, but not the mass check of sparsification
+        real = fairrange.pipeline.solve_lp
+
+        def short_cover(lp):
+            res = real(lp)
+            cols = [j for j, _ in lp.rows[0].coeffs]
+            x = res.x.copy()
+            x[cols] *= (1.0 - 1e-6) / x[cols].sum()
+            return dataclasses.replace(res, x=x)
+
+        monkeypatch.setattr(fairrange.pipeline, "solve_lp", short_cover)
+        inst = random_instance(3, 12, 2, 2.0)
+        rc = random_ranges(3, inst, 3, 2)
+        with pytest.raises(StageError, match="sparsify: assignment row 0 has mass"):
+            solve_fair_range(inst, rc)
+        path = tmp_path / "short.txt"
+        path.write_text(serialize_document(document_from_instance(inst, rc)))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "sparsify: assignment row 0" in err and "Traceback" not in err
 
     def test_high_p_switches_to_log_space(self):
         inst = line_instance([0.0, 1.0, 3.0], p=50.0)

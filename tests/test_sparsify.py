@@ -9,6 +9,7 @@ from fairrange.baseline import (
     local_search_clustering,
     reduce_locations,
 )
+from fairrange.errors import StageError
 from fairrange.instance import RangeConstraints, clustering_cost, instance_from_coords
 from fairrange.lp import build_fair_range_lp, solve_lp, split_fair_solution
 from fairrange.sparsify import (
@@ -36,14 +37,14 @@ class TestRadii:
         assert fractional_radius(dp, x, 2.0)[0] == pytest.approx(math.sqrt(5.0))
 
     def test_short_row_rejected(self):
-        with pytest.raises(ValueError, match="mass"):
+        with pytest.raises(StageError, match="mass"):
             fractional_radius(np.array([[1.0]]), np.array([[0.4]]), 1.0)
 
     def test_canonical_assignment(self):
         x = canonical_assignment(np.array([[1.2, 0.6], [-1e-12, 1.0]]))
         assert x[0].sum() == pytest.approx(1.0)
         assert x[1, 0] == 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(StageError, match="mass"):
             canonical_assignment(np.array([[0.3, 0.3]]))
 
     def test_multipliers(self):
