@@ -170,11 +170,14 @@ def _slack_columns(norm: list[tuple[dict, str, float]], n: int) -> dict[int, int
 
 
 def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    """Make column j basic in row r of the tableau, objective row included."""
+    """Make column j basic in row r of the tableau, objective row included.
+
+    Only the rows with a nonzero entry in column j change."""
     T[r] /= T[r, j]
     colv = T[:, j].copy()
     colv[r] = 0.0
-    T -= np.outer(colv, T[r])
+    nz = np.nonzero(colv)[0]
+    T[nz] -= np.outer(colv[nz], T[r])
     T[:, j] = 0.0
     T[r, j] = 1.0
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIntegralSelectionError, OpeningInfeasibleError, StageError
-from .lp import GEQ, LEQ, LinearProgram, build_structured_lp, scale_doubled, solve_vertex
+from .lp import (GEQ, LEQ, LinearProgram, Row, build_structured_lp, scale_doubled,
+                 solve_vertex)
 from .structure import StructuredSolution, saturating_assignment
 
 SNAP_TOL = 1e-6
@@ -59,25 +60,85 @@ def _check_rows_exact(lp: LinearProgram, x: np.ndarray) -> None:
         raise StageError("round", "snapped vertex went negative")
 
 
+def merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarray]]:
+    """Presolve: one column for each set of identical free facilities.
+
+    A free column has objective 0 and sits in no ball or super-ball row,
+    so it meets only its group's range rows and the card row, and all free
+    columns of a group are the same column.  Each such set becomes one
+    column, at the place of its first member, with the members' summed
+    upper bound: a copy of an existing column, so total unimodularity and
+    integral bounds survive (duplicate-column merging, Andersen & Andersen,
+    "Presolving in linear programming", 1995).  Reads the row tags and
+    upper bounds that build_structured_lp sets.  Returns the small program
+    and the original columns behind each of its columns, in index order.
+    """
+    n = lp.num_vars
+    entries: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    free = lp.objective == 0.0
+    for i, row in enumerate(lp.rows):
+        touches = lp.row_kinds[i][0] in ("ball", "superball")
+        for j, a in row.coeffs:
+            entries[j].append((i, a))
+            if touches:
+                free[j] = False
+    by_key: dict = {}
+    for j in range(n):
+        by_key.setdefault(tuple(entries[j]) if free[j] else j, []).append(j)
+    members = [np.array(cols) for cols in by_key.values()]
+    new_of = np.empty(n, dtype=int)
+    for c, cols in enumerate(members):
+        new_of[cols] = c
+    rows = [Row(tuple({int(new_of[j]): a for j, a in row.coeffs}.items()),
+                row.sense, row.rhs) for row in lp.rows]
+    first = [cols[0] for cols in members]
+    upper = np.array([lp.upper[cols].sum() for cols in members])
+    return LinearProgram(len(members), lp.objective[first], rows, upper=upper,
+                         row_kinds=lp.row_kinds), members
+
+
+def _spread(values: np.ndarray, members: list[np.ndarray], upper: np.ndarray,
+            n: int) -> np.ndarray:
+    """Full-length point from merged values: each merged value fills its
+    members in index order up to their bounds (2, 2, ..., the remainder),
+    and anything a bound cannot take stays on the last member, where the
+    exact check catches it."""
+    x = np.zeros(n)
+    for val, cols in zip(values, members):
+        if len(cols) == 1:
+            x[cols[0]] = val
+            continue
+        ub = upper[cols]
+        before = np.concatenate(([0.0], np.cumsum(ub[:-1])))
+        part = np.clip(val - before, 0.0, ub)
+        part[-1] += val - part.sum()
+        x[cols] = part
+    return x
+
+
 def solve_half_integral(lp: LinearProgram, constant_term: float) -> HalfIntegralSolution:
     """Vertex of the doubled program, snapped and halved.
 
     The doubled program has an integral vertex optimum, so any coordinate
     farther than SNAP_TOL from an integer means the solver did not return
-    a vertex and we refuse to continue.
+    a vertex and we refuse to continue.  The vertex is found on the
+    program with each group's free facilities merged into one column, and
+    the spread-out point is checked exactly against the full program.
     """
     scaled = scale_doubled(lp)
-    res = solve_vertex(scaled)
+    small, members = merge_free_columns(scaled)
+    res = solve_vertex(small)
     if res.status == "infeasible":
         raise OpeningInfeasibleError("round", "scaled structured program is infeasible")
     if res.status != "optimal":
         raise StageError("round", f"scaled structured program is {res.status}")
-    snapped = np.round(res.x[:lp.num_vars])
-    dev = float(np.max(np.abs(res.x[:lp.num_vars] - snapped))) if lp.num_vars else 0.0
+    snapped = np.round(res.x)
+    dev = float(np.max(np.abs(res.x - snapped))) if small.num_vars else 0.0
     if dev > SNAP_TOL:
         raise StageError("round", f"half-integrality violation, deviation {dev:.3g}")
-    _check_rows_exact(scaled, snapped)
-    y = snapped / 2.0
+    full = _spread(snapped, members, scaled.upper, lp.num_vars)
+    _check_rows_exact(scaled, full)
+    y = full / 2.0
     objective = float(np.dot(lp.objective, y)) + constant_term
     return HalfIntegralSolution(y, objective, None, dev)
 

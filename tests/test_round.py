@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fairrange.errors import StageError
+import fairrange.pipeline
+import fairrange.round
+from fairrange.errors import OpeningInfeasibleError, StageError
 from fairrange.instance import RangeConstraints
-from fairrange.lp import build_structured_lp, solve_lp
+from fairrange.lp import build_structured_lp, scale_doubled, solve_lp, solve_vertex
+from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 from fairrange.round import (
     FacilityPartition,
+    HalfIntegralSolution,
     build_flow_network,
     extract_centers,
     flow_to_text,
     half_integral_assignment,
+    merge_free_columns,
     partition_facilities,
     select_centers,
     solve_flow_lower_bounds,
@@ -86,6 +92,246 @@ class TestSolveHalfIntegral:
             assert half.objective == pytest.approx(unscaled, rel=1e-6, abs=1e-9)
             relaxed = float(np.dot(lp.objective, ss.y_bar)) + constant
             assert half.objective <= relaxed * (1.0 + 1e-9) + 1e-9
+
+
+def free_columns(lp):
+    """Free columns (objective 0, in no ball or super-ball row) and each
+    column's group, read off the row tags."""
+    touched = np.zeros(lp.num_vars, dtype=bool)
+    group = np.zeros(lp.num_vars, dtype=int)
+    for row, kind in zip(lp.rows, lp.row_kinds):
+        cols = [j for j, _ in row.coeffs]
+        if kind[0] in ("ball", "superball"):
+            touched[cols] = True
+        if kind[0] == "range_lower":
+            group[cols] = kind[1]
+    return ~touched & (lp.objective == 0.0), group
+
+
+def check_merged_matches_full(lp, constant):
+    """solve_half_integral against the vertex of the full doubled program.
+
+    Returns the half-integral solution, or None when both find the program
+    infeasible.
+    """
+    full = solve_vertex(scale_doubled(lp))
+    if full.status == "infeasible":
+        with pytest.raises(OpeningInfeasibleError):
+            solve_half_integral(lp, constant)
+        return None
+    assert full.status == "optimal"
+    half = solve_half_integral(lp, constant)
+    assert half.objective == pytest.approx(full.objective / 2.0 + constant,
+                                           rel=1e-12, abs=1e-12)
+    free, group = free_columns(lp)
+    full_y = np.round(full.x) / 2.0
+    assert half.y[~free].tolist() == full_y[~free].tolist()
+    assert set(half.y[free].tolist()) <= {0.0, 0.5, 1.0}
+    # the merged value reaches the members whole, filled in index order
+    small, members = merge_free_columns(scale_doubled(lp))
+    merged = np.round(solve_vertex(small).x)
+    assert sorted(j for cols in members if len(cols) > 1 for j in cols) == \
+        [j for j in np.nonzero(free)[0] if np.sum(free & (group == group[j])) > 1]
+    for value, cols in zip(merged, members):
+        assert 2.0 * half.y[cols].sum() == value
+        assert np.all(np.diff(half.y[cols]) <= 0.0)
+        assert np.sum((half.y[cols] > 0.0) & (half.y[cols] < 1.0)) <= 1
+    return half
+
+
+@st.composite
+def opening_programs(draw):
+    """Opening programs of the structured shape: disjoint territories with
+    a ball inside each, facilities outside every territory (free unless
+    none is), one to three groups with alpha = beta quotas among the
+    ranges, and the single-survivor form.  Costs are drawn from a
+    continuous law, so the optimum is unique on the tied columns; with
+    tied costs two optimal vertices can split the territories differently,
+    and either is a valid answer."""
+    nF = draw(st.integers(1, 9))
+    ell = draw(st.integers(1, 3))
+    groups = [draw(st.integers(1, ell)) for _ in range(nF)]
+    single = draw(st.booleans())
+    nD = 1 if single else draw(st.integers(1, min(3, nF)))
+    order = draw(st.permutations(range(nF)))
+    owner = [draw(st.integers(-1, nD - 1)) for _ in range(nF)]
+    for v in range(nD):
+        owner[order[v]] = v
+    supers, balls = [], []
+    for v in range(nD):
+        members = [u for u in range(nF) if owner[u] == v]
+        supers.append(np.array(members))
+        balls.append(np.array([u for u in members
+                               if u == order[v] or draw(st.booleans())]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dp = rng.uniform(0.0, 6.0, size=(nD, nF))
+    w = [float(draw(st.integers(1, 3))) for _ in range(nD)]
+    nn_pow = None if single else rng.uniform(0.0, 6.0, size=nD)
+    ranges = []
+    for g in range(1, ell + 1):
+        alpha = draw(st.integers(0, groups.count(g)))
+        beta = alpha if draw(st.booleans()) else \
+            draw(st.integers(alpha, groups.count(g) + 1))
+        ranges.append((alpha, beta))
+    k = draw(st.integers(1, nF))
+    return build_structured_lp(dp, w, groups, k, ranges, balls,
+                               balls if single else supers, nn_pow)
+
+
+def named_opening_programs():
+    """One program per shape the property family must reach."""
+    # single survivor: a full unit on the ball, three free facilities
+    single = build_structured_lp(np.array([[3.0, 1.0, 2.0, 5.0]]), [1.0],
+                                 [1, 1, 1, 2], 2, [(1, 2), (1, 1)],
+                                 [[0]], [[0]], None)
+    # alpha = beta in both groups, group 2 with no free facility
+    tight = build_structured_lp(np.array([[2.0, 0.5, 4.0, 1.0, 3.0]]), [2.0],
+                                [1, 2, 1, 2, 1], 3, [(2, 2), (1, 1)],
+                                [[1]], [[1, 3]], [2.5])
+    # group 1 with exactly one free facility
+    one_free = build_structured_lp(np.array([[1.0, 4.0, 2.0], [4.0, 1.0, 3.0]]),
+                                   [1.0, 1.0], [1, 2, 1], 2, [(1, 2), (0, 1)],
+                                   [[0], [1]], [[0], [1]], [3.0, 3.0])
+    # a dear ball that wants only its half unit: the merged value is odd,
+    # so one free member ends at 1/2
+    odd = build_structured_lp(np.array([[5.0, 0.0, 0.0, 0.0]]), [1.0],
+                              [1, 1, 1, 1], 1, [(1, 1)], [[0]], [[0]], [2.0])
+    # two colocated ball facilities: cost 0 and identical columns, but in
+    # the ball row, so they are not free and stay apart
+    zero_cost_ball = build_structured_lp(np.array([[0.0, 0.0, 2.0, 4.0, 5.0]]),
+                                         [1.0], [1, 1, 1, 2, 2], 2, [(1, 2), (0, 1)],
+                                         [[0, 1]], [[0, 1]], None)
+    return {"single": single, "tight": tight, "one_free": one_free, "odd": odd,
+            "zero_cost_ball": zero_cost_ball}
+
+
+class TestMergedOpeningLP:
+    """The vertex solve runs on the program with each group's free
+    facilities merged into one column; the answer must be the full
+    program's."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(opening_programs())
+    def test_matches_full_solve_on_random_programs(self, program):
+        check_merged_matches_full(*program)
+
+    @pytest.mark.parametrize("name", ["single", "tight", "one_free", "odd",
+                                      "zero_cost_ball"])
+    def test_matches_full_solve_on_named_programs(self, name):
+        assert check_merged_matches_full(*named_opening_programs()[name]) is not None
+
+    def test_named_programs_have_their_shapes(self):
+        programs = named_opening_programs()
+        for name, groups_with_free in (("single", {1, 2}), ("tight", {1}),
+                                       ("one_free", {1}), ("odd", {1}),
+                                       ("zero_cost_ball", {1, 2})):
+            lp, _ = programs[name]
+            free, group = free_columns(lp)
+            assert set(group[free].tolist()) == groups_with_free
+        lp, _ = programs["one_free"]
+        free, group = free_columns(lp)
+        assert free.tolist() == [False, False, True]
+        half = check_merged_matches_full(*programs["odd"])
+        assert half.y.tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert half.objective == pytest.approx(3.5)
+        lp, _ = programs["zero_cost_ball"]
+        assert lp.objective.tolist()[:2] == [0.0, 0.0]
+        assert free_columns(lp)[0].tolist() == [False, False, True, True, True]
+
+    def test_merged_value_above_the_members_bounds_is_refused(self, monkeypatch):
+        # col 0 takes the ball's unit; the free pair {1, 2} may hold up to 2
+        # in the doubled program, so 6 there breaks a bound but no row
+        lp, constant = build_structured_lp(np.array([[3.0, 1.0, 2.0]]), [1.0],
+                                           [1, 1, 1], 5, [(1, 5)], [[0]], [[0]], None)
+
+        def overfull(small, **kw):
+            res = solve_vertex(small, **kw)
+            assert small.num_vars == 2 and small.upper.tolist() == [2.0, 4.0]
+            res.x[1] = 6.0
+            return res
+
+        monkeypatch.setattr(fairrange.round, "solve_vertex", overfull)
+        with pytest.raises(StageError, match="upper bound"):
+            solve_half_integral(lp, constant)
+
+    def test_exact_check_runs_on_the_spread_point(self, monkeypatch):
+        lp, constant = named_opening_programs()["odd"]
+        monkeypatch.setattr(fairrange.round, "_spread",
+                            lambda values, members, upper, n: np.zeros(n))
+        with pytest.raises(StageError, match=">= row"):
+            solve_half_integral(lp, constant)
+
+    def test_matches_full_solve_on_fixtures(self):
+        merged = 0
+        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(14, 12):
+            again = check_merged_matches_full(lp, constant)
+            assert again.y.tolist() == half.y.tolist()
+            merged += merge_free_columns(scale_doubled(lp))[0].num_vars < lp.num_vars
+        assert merged > 0
+
+    def test_vertex_solve_sees_one_column_per_group_of_free_facilities(self, monkeypatch):
+        # an assign-lp sized solve: every point a client and a facility
+        inst = random_instance(3, 300, 4, 1.0)
+        rc = random_ranges(3, inst, 10, 4)
+        built, widths = [], []
+        real_build, real_vertex = structured_program, solve_vertex
+
+        def build(*args):
+            out = real_build(*args)
+            built.append(out[0])
+            return out
+
+        def vertex(lp, **kw):
+            widths.append(lp.num_vars)
+            return real_vertex(lp, **kw)
+
+        monkeypatch.setattr(fairrange.pipeline, "structured_program", build)
+        monkeypatch.setattr(fairrange.round, "solve_vertex", vertex)
+        solve_fair_range(inst, rc)
+        (lp,) = built
+        free, group = free_columns(lp)
+        assert lp.num_vars == 300
+        assert widths == [int(np.sum(~free)) + len(set(group[free].tolist()))]
+
+
+def partition_fields(part):
+    return (part.surviving, part.sets, part.r_values.tolist(), part.count,
+            part.served, part.removed_by)
+
+
+def move_free_mass(y, lp, rng):
+    """Same group sums on the free columns, each value still in {0, 1/2, 1},
+    the mass placed on other members."""
+    free, group = free_columns(lp)
+    out = y.copy()
+    for g in set(group[free].tolist()):
+        cols = np.nonzero(free & (group == g))[0]
+        out[cols] = rng.permutation(y[cols])
+    return out
+
+
+class TestFreeOpeningsUnread:
+    def test_later_stages_ignore_where_free_mass_sits(self):
+        rng = np.random.default_rng(15)
+        moved = 0
+        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(16, 12, sizes=(12, 20)):
+            x = half_integral_assignment(ss, half.y)
+            part = partition_facilities(sp, x)
+            centers, _, _ = select_centers(ss, HalfIntegralSolution(
+                half.y, half.objective, None, half.snap_deviation), groups_of(inst), rc)
+            for _ in range(4):
+                y = move_free_mass(half.y, lp, rng)
+                moved += y.tolist() != half.y.tolist()
+                assert set(y.tolist()) <= {0.0, 0.5, 1.0}
+                x2 = half_integral_assignment(ss, y)
+                assert x2.tolist() == x.tolist()
+                assert partition_fields(partition_facilities(sp, x2)) == \
+                    partition_fields(part)
+                centers2, part2, _ = select_centers(ss, HalfIntegralSolution(
+                    y, half.objective, None, half.snap_deviation), groups_of(inst), rc)
+                assert centers2.tolist() == centers.tolist()
+                assert partition_fields(part2) == partition_fields(part)
+        assert moved > 0
 
 
 class TestHalfIntegralAssignment:
