@@ -183,17 +183,27 @@ class ReducedInstance:
 
     location_ids keeps only centers that received demand.  assign maps each
     client id to its location; baseline_cost_p is the power-p cost of that
-    assignment on the source instance.
+    assignment on the source instance.  The distance tables are computed
+    once, here: fac_dist (locations x facilities), its p-th power
+    fac_dist_p, and loc_dist (locations x locations).
     """
     source: MetricInstance
     location_ids: tuple[str, ...]
     weights: np.ndarray
     assign: dict[str, str]
     baseline_cost_p: float
-    _loc_idx: list[int] = field(default_factory=list, repr=False)
+    _loc_idx: list[int] = field(init=False, repr=False)
+    fac_dist: np.ndarray = field(init=False, repr=False)
+    fac_dist_p: np.ndarray = field(init=False, repr=False)
+    loc_dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._loc_idx = [self.source.index(v) for v in self.location_ids]
+        src = self.source
+        self._loc_idx = [src.index(v) for v in self.location_ids]
+        fi = [src.index(u) for u in self.facility_ids]
+        self.fac_dist = src.dist[np.ix_(self._loc_idx, fi)]
+        self.fac_dist_p = self.fac_dist ** self.p
+        self.loc_dist = src.dist[np.ix_(self._loc_idx, self._loc_idx)]
 
     @property
     def p(self) -> float:
@@ -202,13 +212,6 @@ class ReducedInstance:
     @property
     def facility_ids(self) -> tuple[str, ...]:
         return self.source.facility_ids
-
-    def dist_to_facilities(self) -> np.ndarray:
-        fi = [self.source.index(u) for u in self.facility_ids]
-        return self.source.dist[np.ix_(self._loc_idx, fi)]
-
-    def location_dist(self) -> np.ndarray:
-        return self.source.dist[np.ix_(self._loc_idx, self._loc_idx)]
 
     def cost_of(self, centers: Iterable[str]) -> float:
         """Power-p cost of serving the weighted locations from centers."""

@@ -63,13 +63,12 @@ class LinearProgram:
 
         Equality rows are rejected; the structured matrix never has any.
         """
-        A = np.zeros((len(self.rows), self.num_vars))
-        for i, row in enumerate(self.rows):
-            sgn = 1.0 if row.sense == GEQ else -1.0
-            if row.sense == EQ:
-                raise ValueError("equality row has no >= orientation")
-            for j, a in row.coeffs:
-                A[i, j] = sgn * a
+        rows = _row_arrays(self)
+        if rows.eq.any():
+            raise ValueError("equality row has no >= orientation")
+        sign = np.where(rows.geq, 1.0, -1.0)
+        A = np.zeros((len(rows.rhs), self.num_vars))
+        A[rows.row_of, rows.indices] = sign[rows.row_of] * rows.data
         return A
 
 
@@ -85,34 +84,10 @@ class SimplexResult:
     max_violation: float = 0.0
 
 
-def _normalized_rows(lp: LinearProgram) -> list[tuple[dict, str, float]]:
-    """lp rows plus bound rows, with nonnegative right-hand sides.
-
-    The fixed ordering here (lp.rows first, then one bound row per finite
-    upper bound in variable order) is shared with the rational recheck.
-    """
-    out = []
-    for row in lp.rows:
-        coeffs = dict(row.coeffs)
-        sense, rhs = row.sense, row.rhs
-        if rhs < 0:
-            coeffs = {j: -a for j, a in coeffs.items()}
-            rhs = -rhs
-            if sense != EQ:
-                sense = LEQ if sense == GEQ else GEQ
-        out.append((coeffs, sense, rhs))
-    if lp.upper is not None:
-        for j in range(lp.num_vars):
-            ub = lp.upper[j]
-            if np.isfinite(ub):
-                out.append(({j: 1.0}, LEQ, float(ub)))
-    return out
-
-
 @dataclass(frozen=True)
 class _RowArrays:
-    """lp.rows in compressed sparse row layout, in their given order and
-    orientation (no sign normalization)."""
+    """Rows in compressed sparse row layout.  _row_arrays gives lp.rows in
+    their given order and orientation; _normalized, the simplex's rows."""
     indptr: np.ndarray      # row i holds entries indptr[i]:indptr[i+1]
     indices: np.ndarray     # variable index per entry
     data: np.ndarray        # coefficient per entry
@@ -120,6 +95,9 @@ class _RowArrays:
     rhs: np.ndarray
     geq: np.ndarray         # per-row sense masks; the remaining rows are <=
     eq: np.ndarray
+
+    def senses(self) -> list[str]:
+        return np.where(self.eq, EQ, np.where(self.geq, GEQ, LEQ)).tolist()
 
 
 def _row_arrays(lp: LinearProgram) -> _RowArrays:
@@ -141,6 +119,39 @@ def _row_arrays(lp: LinearProgram) -> _RowArrays:
                       np.array(eq, dtype=bool))
 
 
+def _normalized(rows: _RowArrays, upper: np.ndarray | None) -> _RowArrays:
+    """The rows with nonnegative right-hand sides (a row with a negative one
+    is negated, and an inequality flips), then one x_j <= ub row per finite
+    upper bound in variable order.  The simplex and the rational recheck
+    share this row order."""
+    flip = rows.rhs < 0
+    sign = np.where(flip, -1.0, 1.0)
+    ub = np.empty(0) if upper is None else upper
+    bound = np.flatnonzero(np.isfinite(ub))
+    nb = len(bound)
+    return _RowArrays(
+        np.concatenate((rows.indptr, rows.indptr[-1] + np.arange(1, nb + 1))),
+        np.concatenate((rows.indices, bound)),
+        np.concatenate((rows.data * sign[rows.row_of], np.ones(nb))),
+        np.concatenate((rows.row_of, len(rows.rhs) + np.arange(nb))),
+        np.concatenate((rows.rhs * sign, ub[bound])),
+        np.concatenate((rows.geq ^ (flip & ~rows.eq), np.zeros(nb, dtype=bool))),
+        np.concatenate((rows.eq, np.zeros(nb, dtype=bool))))
+
+
+def _write_standard(M: np.ndarray, norm: _RowArrays, n: int) -> np.ndarray:
+    """Write normalized rows into the leading rows of M: the coefficients in
+    columns 0..n-1, then each inequality row's slack in columns n, n+1, ...
+    in row order, +1 on a <= row and -1 on a >= row.  Returns each row's
+    slack column, -1 on equality rows, which have none."""
+    ineq = np.flatnonzero(~norm.eq)
+    slack = np.full(len(norm.rhs), -1)
+    slack[ineq] = n + np.arange(len(ineq))
+    M[norm.row_of, norm.indices] = norm.data
+    M[ineq, slack[ineq]] = np.where(norm.geq[ineq], -1.0, 1.0)
+    return slack
+
+
 def _violation(rows: _RowArrays, upper: np.ndarray | None, x: np.ndarray) -> float:
     """Worst residual of x over the rows, the finite upper bounds and x >= 0.
 
@@ -157,16 +168,6 @@ def _violation(rows: _RowArrays, upper: np.ndarray | None, x: np.ndarray) -> flo
         ub = upper[finite]
         parts.append((x[finite] - ub) / (1.0 + np.abs(ub)))
     return max(float(part.max(initial=0.0)) for part in parts)
-
-
-def _slack_columns(norm: list[tuple[dict, str, float]], n: int) -> dict[int, int]:
-    """Column of each inequality row's slack, numbered n, n+1, ... in row
-    order; equality rows have none."""
-    slack: dict[int, int] = {}
-    for i, (_, sense, _) in enumerate(norm):
-        if sense != EQ:
-            slack[i] = n + len(slack)
-    return slack
 
 
 def _pivot(T: np.ndarray, r: int, j: int) -> None:
@@ -240,35 +241,27 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
     minimum-ratio rows, so results are deterministic.  Returns a basic
     optimal solution, i.e. a vertex of the feasible polytope.
     """
-    norm = _normalized_rows(lp)
-    m = len(norm)
+    rows = _row_arrays(lp)
+    norm = _normalized(rows, lp.upper)
+    m = len(norm.rhs)
     n = lp.num_vars
-    slack_of_row = _slack_columns(norm, n)
-    n_real = n + len(slack_of_row)
-    art_rows = [i for i, (_, sense, _) in enumerate(norm) if sense in (GEQ, EQ)]
-    art_cols = list(range(n_real, n_real + len(art_rows)))
+    n_real = n + int(np.count_nonzero(~norm.eq))
+    art_rows = np.flatnonzero(norm.geq | norm.eq)
+    art_cols = np.arange(n_real, n_real + len(art_rows))
     ncols = n_real + len(art_rows)
 
     T = np.zeros((m + 1, ncols + 1))
-    basis = [0] * m
-    for i, (coeffs, sense, rhs) in enumerate(norm):
-        for j, a in coeffs.items():
-            T[i, j] = a
-        if sense == LEQ:
-            T[i, slack_of_row[i]] = 1.0
-            basis[i] = slack_of_row[i]
-        elif sense == GEQ:
-            T[i, slack_of_row[i]] = -1.0
-        T[i, ncols] = rhs
-    for i, a in zip(art_rows, art_cols):
-        T[i, a] = 1.0
-        basis[i] = a
+    basis = _write_standard(T, norm, n)     # <= rows start on their slack
+    T[:m, ncols] = norm.rhs
+    T[art_rows, art_cols] = 1.0
+    basis[art_rows] = art_cols
+    basis = basis.tolist()
 
     allowed = np.ones(ncols, dtype=bool)
     iters = 0
     kept = list(range(m))
     # phase 1: minimize the artificial mass
-    if art_rows:
+    if len(art_rows):
         for i in art_rows:
             T[m, :] -= T[i, :]
         T[m, art_cols] = 0.0
@@ -313,7 +306,7 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
             x[b] = T[i, ncols]
     x[np.abs(x) < 1e-12] = 0.0
     np.maximum(x, 0.0, out=x)
-    viol = _violation(_row_arrays(lp), lp.upper, x)
+    viol = _violation(rows, lp.upper, x)
     if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
     obj = float(lp.objective @ x)
@@ -677,22 +670,15 @@ def _exact(v: float) -> Fraction:
 def _std_form_fractions(lp: LinearProgram):
     """Equality standard form over Fractions, with the simplex's row order
     and slack columns; returns (A, b, c, row senses)."""
-    norm = _normalized_rows(lp)
+    norm = _normalized(_row_arrays(lp), lp.upper)
     n = lp.num_vars
-    slack = _slack_columns(norm, n)
-    cols = n + len(slack)
-    A = [[Fraction(0)] * cols for _ in norm]
-    b = []
-    for i, (coeffs, sense, rhs) in enumerate(norm):
-        for j, a in coeffs.items():
-            A[i][j] = _exact(a)
-        if sense == LEQ:
-            A[i][slack[i]] = Fraction(1)
-        elif sense == GEQ:
-            A[i][slack[i]] = Fraction(-1)
-        b.append(_exact(rhs))
-    c = [_exact(v) for v in lp.objective] + [Fraction(0)] * len(slack)
-    return A, b, c, [sense for _, sense, _ in norm]
+    n_slack = int(np.count_nonzero(~norm.eq))
+    M = np.zeros((len(norm.rhs), n + n_slack))
+    _write_standard(M, norm, n)
+    A = [[_exact(v) for v in row] for row in M.tolist()]
+    b = [_exact(v) for v in norm.rhs.tolist()]
+    c = [_exact(v) for v in lp.objective] + [Fraction(0)] * n_slack
+    return A, b, c, norm.senses()
 
 
 def _frac_solve(B, rhs):

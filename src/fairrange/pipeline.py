@@ -184,8 +184,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
 
     t0 = time.perf_counter()
     groups = _facility_groups(inst)
-    dp_red = red.dist_to_facilities() ** inst.p
-    flp = build_fair_range_lp(dp_red, red.weights, groups, rc.k, rc.ranges)
+    flp = build_fair_range_lp(red.fac_dist_p, red.weights, groups, rc.k, rc.ranges)
     res = solve_lp(flp)
     if res.status != "optimal":
         raise StageError("pipeline", f"assignment relaxation is {res.status}")
@@ -200,9 +199,8 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     timings["sparsify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dp_sparse = sp.dist_to_facilities() ** sp.p
     x2, moves = reassign_private_facilities(sp)
-    cost_reassigned = float(sp.weights @ (x2 * dp_sparse).sum(axis=1))
+    cost_reassigned = float(sp.weights @ (x2 * sp.fac_dist_p).sum(axis=1))
     ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.y, sp.balls), sp)
     timings["structure"] = time.perf_counter() - t0
 
@@ -221,7 +219,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
             if not a <= cnt <= b:
                 raise StageError("pipeline", "selected centers break a range")
         cidx = [inst.facility_ids.index(c) for c in solution.centers]
-        dmin = sp.dist_to_facilities()[:, cidx].min(axis=1)
+        dmin = sp.fac_dist[:, cidx].min(axis=1)
         stage_costs["integral_sparse"] = float(sp.weights @ dmin ** sp.p)
         stage_costs["integral_clients"] = red.cost_of(solution.centers)
         stage_costs["integral_original"] = solution.cost_p
@@ -282,7 +280,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
         timings["rounding"] = time.perf_counter() - t0
         return finish(_greedy_feasible_centers(inst, rc), True, str(exc))
     stage_costs["assignment"] = float(
-        sp.weights @ (half.x_tilde * dp_sparse).sum(axis=1))
+        sp.weights @ (half.x_tilde * sp.fac_dist_p).sum(axis=1))
     diagnostics["partition_sets"] = part.count
     timings["rounding"] = time.perf_counter() - t0
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIntegralSelectionError, OpeningInfeasibleError, StageError
-from .lp import (GEQ, LEQ, LinearProgram, Row, build_structured_lp, scale_doubled,
+from .lp import (LinearProgram, Row, _row_arrays, build_structured_lp, scale_doubled,
                  solve_vertex)
-from .structure import StructuredSolution, saturating_assignment
+from .structure import SUPPORT_TOL as MASS_TOL
+from .structure import StructuredSolution, fill_nearest
 
 SNAP_TOL = 1e-6
 SUPPORT_TOL = 1e-9
@@ -30,11 +31,9 @@ def structured_program(ss: StructuredSolution, fac_groups, rc) -> tuple[LinearPr
     stays free for the range rows at zero service cost.
     """
     sp = ss.sp
-    dp = sp.dist_to_facilities() ** sp.p
     nn_pow = None if ss.single else ss.nn_dist ** sp.p
-    supers = [sp.balls[0]] if ss.single else ss.supers
-    return build_structured_lp(dp, sp.weights, fac_groups, rc.k, rc.ranges,
-                               sp.balls, supers, nn_pow)
+    return build_structured_lp(sp.fac_dist_p, sp.weights, fac_groups, rc.k, rc.ranges,
+                               sp.balls, ss.territories, nn_pow)
 
 
 @dataclass
@@ -47,13 +46,17 @@ class HalfIntegralSolution:
 
 def _check_rows_exact(lp: LinearProgram, x: np.ndarray) -> None:
     # All coefficients are unit and all values and right-hand sides are
-    # small integers, so float comparison is exact here.
-    for row in lp.rows:
-        total = sum(x[j] * c for j, c in row.coeffs)
-        ok = (total <= row.rhs) if row.sense == LEQ else \
-             (total >= row.rhs) if row.sense == GEQ else (total == row.rhs)
-        if not ok:
-            raise StageError("round", f"snapped vertex breaks a {row.sense} row")
+    # small integers, so float sums and comparisons are exact here.  The
+    # comparisons are written as what holds, so a NaN breaks its row.
+    rows = _row_arrays(lp)
+    total = np.bincount(rows.row_of, weights=rows.data * x[rows.indices],
+                        minlength=len(rows.rhs))
+    ok = np.where(rows.geq, total >= rows.rhs,
+                  np.where(rows.eq, total == rows.rhs, total <= rows.rhs))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        sense = rows.senses()[bad[0]]
+        raise StageError("round", f"snapped vertex breaks a {sense} row")
     if lp.upper is not None and np.any(x > lp.upper):
         raise StageError("round", "snapped vertex breaks an upper bound")
     if np.any(x < 0.0):
@@ -74,26 +77,32 @@ def merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarra
     and the original columns behind each of its columns, in index order.
     """
     n = lp.num_vars
-    entries: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    rows = _row_arrays(lp)
+    touches = np.array([kind[0] in ("ball", "superball") for kind in lp.row_kinds],
+                       dtype=bool)
     free = lp.objective == 0.0
-    for i, row in enumerate(lp.rows):
-        touches = lp.row_kinds[i][0] in ("ball", "superball")
-        for j, a in row.coeffs:
-            entries[j].append((i, a))
-            if touches:
-                free[j] = False
-    by_key: dict = {}
-    for j in range(n):
-        by_key.setdefault(tuple(entries[j]) if free[j] else j, []).append(j)
-    members = [np.array(cols) for cols in by_key.values()]
-    new_of = np.empty(n, dtype=int)
-    for c, cols in enumerate(members):
-        new_of[cols] = c
-    rows = [Row(tuple({int(new_of[j]): a for j, a in row.coeffs}.items()),
-                row.sense, row.rhs) for row in lp.rows]
-    first = [cols[0] for cols in members]
-    upper = np.array([lp.upper[cols].sum() for cols in members])
-    return LinearProgram(len(members), lp.objective[first], rows, upper=upper,
+    free[rows.indices[touches[rows.row_of]]] = False
+    # a free column joins the first free column with the same entries: a
+    # stable sort of the free columns by their entries puts it right after
+    entries = np.zeros((n, len(rows.rhs)))
+    entries[rows.indices, rows.row_of] = rows.data
+    cols = np.flatnonzero(free)
+    order = cols[np.lexsort(entries[cols].T)]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (entries[order[1:]] != entries[order[:-1]]).any(axis=1)
+    head = np.arange(n)
+    head[order] = order[starts][np.cumsum(starts) - 1]
+    firsts, new_of = np.unique(head, return_inverse=True)
+    members = np.split(np.argsort(new_of, kind="stable"),
+                       np.cumsum(np.bincount(new_of)))[:-1]
+    # a merged column takes the entries of its first member
+    keep = head[rows.indices] == rows.indices
+    pairs = list(zip(new_of[rows.indices[keep]].tolist(), rows.data[keep].tolist()))
+    row_ends = np.cumsum(np.bincount(rows.row_of[keep], minlength=len(rows.rhs))).tolist()
+    small_rows = [Row(tuple(pairs[a:b]), sense, rhs) for a, b, sense, rhs
+                  in zip([0] + row_ends, row_ends, rows.senses(), rows.rhs.tolist())]
+    upper = np.array([lp.upper[c].sum() for c in members])
+    return LinearProgram(len(members), lp.objective[firsts], small_rows, upper=upper,
                          row_kinds=lp.row_kinds), members
 
 
@@ -146,16 +155,28 @@ def solve_half_integral(lp: LinearProgram, constant_term: float) -> HalfIntegral
 def half_integral_assignment(ss: StructuredSolution, y: np.ndarray) -> np.ndarray:
     """Service rows for the half-integral openings.
 
-    Same saturation rule as the structured rebuild: copy y over each
-    territory, top the row up from the neighbor ball nearest first.  All
-    masses are halves, so every row lands on exactly 1.
+    Copy y over each territory, then top the row up from the neighbor
+    ball, nearest facilities first, each take capped by the opening mass.
+    All masses are halves, so every row lands on exactly 1.
     """
-    supers = [ss.sp.balls[0]] if ss.single else ss.supers
-    try:
-        return saturating_assignment(ss.sp, y, supers, ss.nn_idx,
-                                     ss.sp.dist_to_facilities())
-    except StageError as exc:
-        raise StageError("round", str(exc).split(": ", 1)[1]) from exc
+    sp = ss.sp
+    D = sp.fac_dist
+    x = np.zeros(sp.x.shape)
+    for v, territory in enumerate(ss.territories):
+        x[v, territory] = y[territory]
+        rem = 1.0 - float(x[v].sum())
+        if rem <= 1e-12:
+            if rem < -1e-7:
+                raise StageError("round", f"super ball mass above one at {v}")
+            continue
+        if ss.single:
+            raise StageError("round", f"single survivor short of mass {rem:.3g}")
+        order = sorted(sp.balls[ss.nn_idx[v]].tolist(), key=lambda t: (D[v, t], t))
+        rem, _ = fill_nearest(x[v], order, y, rem)
+        if rem > MASS_TOL:
+            raise StageError("round",
+                             f"location {sp.location_ids[v]} short of mass {rem:.3g}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -176,7 +197,7 @@ def partition_facilities(sp, x_tilde: np.ndarray) -> FacilityPartition:
     rides on that claimant's set.
     """
     m, num_f = x_tilde.shape
-    dp = sp.dist_to_facilities() ** sp.p
+    dp = sp.fac_dist_p
     served = []
     for v in range(m):
         sup = tuple(int(u) for u in np.nonzero(x_tilde[v] > SUPPORT_TOL)[0])

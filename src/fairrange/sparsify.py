@@ -108,7 +108,9 @@ def consolidate(ids: Sequence[str], loc_dist: np.ndarray, radii: np.ndarray,
 
 @dataclass
 class SparsifiedInstance:
-    """Surviving locations with their balls and the carried LP solution."""
+    """Surviving locations with their balls and the carried LP solution.
+
+    The distance tables are red's, restricted to the surviving rows."""
     red: ReducedInstance
     location_ids: tuple[str, ...]
     weights: np.ndarray
@@ -117,6 +119,15 @@ class SparsifiedInstance:
     balls: list[np.ndarray]                 # facility indices per survivor
     x: np.ndarray                           # survivors x facilities
     y: np.ndarray
+    fac_dist: np.ndarray = field(init=False, repr=False)
+    fac_dist_p: np.ndarray = field(init=False, repr=False)
+    loc_dist: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        kept = [self.red.location_ids.index(v) for v in self.location_ids]
+        self.fac_dist = self.red.fac_dist[kept]
+        self.fac_dist_p = self.red.fac_dist_p[kept]
+        self.loc_dist = self.red.loc_dist[np.ix_(kept, kept)]
 
     @property
     def p(self) -> float:
@@ -126,20 +137,8 @@ class SparsifiedInstance:
     def facility_ids(self) -> tuple[str, ...]:
         return self.red.facility_ids
 
-    def dist_to_facilities(self) -> np.ndarray:
-        src = self.red.source
-        fi = [src.index(u) for u in self.facility_ids]
-        li = [src.index(v) for v in self.location_ids]
-        return src.dist[np.ix_(li, fi)]
-
-    def location_dist(self) -> np.ndarray:
-        src = self.red.source
-        li = [src.index(v) for v in self.location_ids]
-        return src.dist[np.ix_(li, li)]
-
     def assignment_cost(self) -> float:
-        dp = self.dist_to_facilities() ** self.p
-        return float(self.weights @ (self.x * dp).sum(axis=1))
+        return float(self.weights @ (self.x * self.fac_dist_p).sum(axis=1))
 
     def half_contribution(self) -> float:
         """Smallest in-ball assignment mass across survivors."""
@@ -154,7 +153,7 @@ class SparsifiedInstance:
         m = len(self.location_ids)
         if m < 2:
             return np.inf
-        D = self.location_dist()
+        D = self.loc_dist
         sep = separation_multiplier(self.p)
         worst = np.inf
         for i in range(m):
@@ -171,13 +170,11 @@ def sparsify(red: ReducedInstance, x: np.ndarray, y: np.ndarray) -> SparsifiedIn
     fractional cost never grows.
     """
     x = np.asarray(x, dtype=float)
-    D = red.dist_to_facilities()
-    dp = D ** red.p
-    radii = fractional_radius(dp, x, red.p)
-    kept, w_prime, fmap = consolidate(red.location_ids, red.location_dist(),
+    radii = fractional_radius(red.fac_dist_p, x, red.p)
+    kept, w_prime, fmap = consolidate(red.location_ids, red.loc_dist,
                                       radii, red.weights, red.p)
     ids = tuple(red.location_ids[t] for t in kept)
     r_kept = radii[kept]
-    balls = compute_balls(D[kept], r_kept, red.p)
+    balls = compute_balls(red.fac_dist[kept], r_kept, red.p)
     return SparsifiedInstance(red, ids, w_prime, r_kept, fmap, balls,
                               x[kept].copy(), np.asarray(y, dtype=float).copy())

@@ -35,6 +35,28 @@ def nearest_surviving(Dl: np.ndarray) -> tuple[np.ndarray, np.ndarray] | tuple[N
     return nn, masked[np.arange(m), nn]
 
 
+def fill_nearest(row: np.ndarray, order, cap: np.ndarray,
+                 need: float) -> tuple[float, list[tuple[int, float]]]:
+    """Raise row along order, each entry up to its cap, until need is met.
+
+    Entries with no room left are skipped.  Stops after the take that
+    brings need to 1e-12 or below.  Returns the need left and the takes
+    as (index, amount) pairs in order.
+    """
+    takes = []
+    for t in order:
+        room = cap[t] - row[t]
+        if room <= 0.0:
+            continue
+        step = min(need, room)
+        row[t] += step
+        takes.append((t, step))
+        need -= step
+        if need <= 1e-12:
+            break
+    return need, takes
+
+
 def reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.ndarray, list[tuple]]:
     """Per facility, keep only the nearest served location's out-of-ball use.
 
@@ -48,7 +70,7 @@ def reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.ndarray, lis
     (location, from, to, amount) index tuples.
     """
     m, F = sp.x.shape
-    D = sp.dist_to_facilities()
+    D = sp.fac_dist
     x = sp.x.copy()
     snap = sp.x.copy()
     in_ball = np.zeros((m, F), dtype=bool)
@@ -71,17 +93,8 @@ def reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.ndarray, lis
             amount = snap[vj, u]
             x[vj, u] -= amount
             order = sorted(targets, key=lambda t: (D[vj, t], t))
-            left = amount
-            for t in order:
-                room = sp.y[t] - x[vj, t]
-                if room <= 0.0:
-                    continue
-                step = min(left, room)
-                x[vj, t] += step
-                moves.append((vj, u, t, step))
-                left -= step
-                if left <= 1e-12:
-                    break
+            left, takes = fill_nearest(x[vj], order, sp.y, amount)
+            moves += [(vj, u, t, step) for t, step in takes]
             if left > SUPPORT_TOL:
                 raise StageError("structure",
                                  f"no room in target ball for {left:.3g} mass")
@@ -135,6 +148,12 @@ class StructuredSolution:
     def single(self) -> bool:
         return self.nn_idx is None
 
+    @property
+    def territories(self) -> list[np.ndarray]:
+        """What each survivor's service copies its openings over: its super
+        ball, or with a single survivor the ball alone."""
+        return [self.sp.balls[0]] if self.single else self.supers
+
 
 def enforce_structure(x2: np.ndarray, y: np.ndarray,
                       supers: Sequence[np.ndarray],
@@ -150,8 +169,8 @@ def enforce_structure(x2: np.ndarray, y: np.ndarray,
     cannot, so the fill never comes up short on a carried solution.
     """
     m, F = x2.shape
-    D = sp.dist_to_facilities()
-    nn_idx, nn_dist = nearest_surviving(sp.location_dist())
+    D = sp.fac_dist
+    nn_idx, nn_dist = nearest_surviving(sp.loc_dist)
     y_bar = np.clip(np.asarray(y, dtype=float).copy(), 0.0, 1.0)
     supers = [np.asarray(mem, dtype=int).copy() for mem in supers]
     ball_sets = [set(b.tolist()) for b in sp.balls]
@@ -175,21 +194,12 @@ def enforce_structure(x2: np.ndarray, y: np.ndarray,
                       key=lambda t: (D[v, t], t))
         peer = [] if nn_idx is None else sorted(
             sp.balls[nn_idx[v]].tolist(), key=lambda t: (D[v, t], t))
-        rem = 1.0
-        for u in own + priv + peer:
-            if rem <= 1e-12:
-                break
-            step = min(rem, float(y_bar[u]) - float(x_bar[v, u]))
-            if step <= 0.0:
-                continue
-            x_bar[v, u] += step
-            rem -= step
+        rem, _ = fill_nearest(x_bar[v], own + priv + peer, y_bar, 1.0)
         if rem > SUPPORT_TOL:
             raise StageError("structure",
                              f"location {sp.location_ids[v]} short of mass {rem:.3g}")
 
-    dp = D ** sp.p
-    cost = float(sp.weights @ (x_bar * dp).sum(axis=1))
+    cost = float(sp.weights @ (x_bar * sp.fac_dist_p).sum(axis=1))
     diagnostics["rerouted"] = float(np.abs(x_bar - x2).sum()) / 2.0
     return StructuredSolution(sp, nn_idx, nn_dist, supers, y_bar, x_bar,
                               cost, diagnostics)
@@ -204,44 +214,12 @@ def build_structured_solution(sp: SparsifiedInstance) -> StructuredSolution:
     return ss
 
 
-def saturating_assignment(sp, y_bar, supers, nn_idx, D):
-    """Service rebuilt from opening mass: copy it over the territory, then
-    top up from the neighbor ball, nearest facilities first.  Also used on
-    the half-integral openings later, where the same capacity argument
-    applies."""
-    m, F = sp.x.shape
-    x_bar = np.zeros((m, F))
-    for v in range(m):
-        x_bar[v, supers[v]] = y_bar[supers[v]]
-        rem = 1.0 - float(x_bar[v].sum())
-        if rem <= 1e-12:
-            if rem < -1e-7:
-                raise StageError("structure", f"super ball mass above one at {v}")
-            continue
-        if nn_idx is None:
-            raise StageError("structure", f"single survivor short of mass {rem:.3g}")
-        targets = sp.balls[nn_idx[v]]
-        for u in sorted(targets.tolist(), key=lambda t: (D[v, t], t)):
-            room = float(y_bar[u])
-            if room <= 0.0:
-                continue
-            step = min(rem, room)
-            x_bar[v, u] += step
-            rem -= step
-            if rem <= 1e-12:
-                break
-        if rem > SUPPORT_TOL:
-            raise StageError("structure",
-                             f"location {sp.location_ids[v]} short of mass {rem:.3g}")
-    return x_bar
-
-
 def verify_structured(ss: StructuredSolution,
                       tol: float = SUPPORT_TOL) -> list[str]:
     """Check every structural property; returns human-readable violations."""
     sp = ss.sp
     m, F = ss.x_bar.shape
-    D = sp.dist_to_facilities()
+    D = sp.fac_dist
     out: list[str] = []
 
     in_some_ball = np.zeros(F, dtype=bool)

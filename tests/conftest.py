@@ -82,7 +82,7 @@ def pipeline_front(inst, rc):
 
     centers, _, _ = local_search_clustering(inst, rc.k)
     red = reduce_locations(inst, centers)
-    dp = red.dist_to_facilities() ** inst.p
+    dp = red.fac_dist ** inst.p
     groups = [inst.group_label[u] for u in inst.facility_ids]
     lp = build_fair_range_lp(dp, red.weights, groups, rc.k, rc.ranges)
     res = solve_lp(lp)

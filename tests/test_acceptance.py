@@ -91,7 +91,7 @@ def stage_front(inst, rc):
     centers0, _, _ = local_search_clustering(inst, rc.k)
     red = reduce_locations(inst, centers0)
     groups = [inst.group_label[u] for u in inst.facility_ids]
-    dp = red.dist_to_facilities() ** inst.p
+    dp = red.fac_dist ** inst.p
     res = solve_lp(build_fair_range_lp(dp, red.weights, groups, rc.k, rc.ranges))
     assert res.status == "optimal"
     x, y = split_fair_solution(res.x, len(red.location_ids),

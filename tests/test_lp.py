@@ -21,9 +21,10 @@ from fairrange.lp import (
     LinearProgram,
     Row,
     SimplexResult,
-    _normalized_rows,
+    _exact,
     _row_arrays,
     _solve_scipy,
+    _std_form_fractions,
     _violation,
     bareiss_determinant,
     build_fair_range_lp,
@@ -363,6 +364,33 @@ class TestBackendRouting:
             res = solve_lp(lp)
             assert res.backend == backend
             assert res.objective == pytest.approx(5.0, abs=1e-7)
+
+
+# The row normalization the simplex used before it read the rows as
+# arrays, kept verbatim as the reference for loop_violation and
+# reference_solve_vertex.
+def _normalized_rows(lp: LinearProgram) -> list[tuple[dict, str, float]]:
+    """lp rows plus bound rows, with nonnegative right-hand sides.
+
+    The fixed ordering here (lp.rows first, then one bound row per finite
+    upper bound in variable order) is shared with the rational recheck.
+    """
+    out = []
+    for row in lp.rows:
+        coeffs = dict(row.coeffs)
+        sense, rhs = row.sense, row.rhs
+        if rhs < 0:
+            coeffs = {j: -a for j, a in coeffs.items()}
+            rhs = -rhs
+            if sense != EQ:
+                sense = LEQ if sense == GEQ else GEQ
+        out.append((coeffs, sense, rhs))
+    if lp.upper is not None:
+        for j in range(lp.num_vars):
+            ub = lp.upper[j]
+            if np.isfinite(ub):
+                out.append(({j: 1.0}, LEQ, float(ub)))
+    return out
 
 
 def loop_violation(lp, x):
@@ -748,3 +776,82 @@ class TestMergedLoopMatchesReference:
             inst = random_instance(seed, 14, 2, 2.0)
             solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
         assert len(checked) >= 8 and set(checked) == {"optimal"}
+
+
+# LinearProgram.matrix_geq and _std_form_fractions as they were before they
+# read the rows as arrays, kept as the references for that change.
+def loop_matrix_geq(lp):
+    A = np.zeros((len(lp.rows), lp.num_vars))
+    for i, row in enumerate(lp.rows):
+        sgn = 1.0 if row.sense == GEQ else -1.0
+        if row.sense == EQ:
+            raise ValueError("equality row has no >= orientation")
+        for j, a in row.coeffs:
+            A[i, j] = sgn * a
+    return A
+
+
+def loop_std_form_fractions(lp):
+    norm = _normalized_rows(lp)
+    n = lp.num_vars
+    slack: dict[int, int] = {}
+    for i, (_, sense, _) in enumerate(norm):
+        if sense != EQ:
+            slack[i] = n + len(slack)
+    cols = n + len(slack)
+    A = [[Fraction(0)] * cols for _ in norm]
+    b = []
+    for i, (coeffs, sense, rhs) in enumerate(norm):
+        for j, a in coeffs.items():
+            A[i][j] = _exact(a)
+        if sense == LEQ:
+            A[i][slack[i]] = Fraction(1)
+        elif sense == GEQ:
+            A[i][slack[i]] = Fraction(-1)
+        b.append(_exact(rhs))
+    c = [_exact(v) for v in lp.objective] + [Fraction(0)] * len(slack)
+    return A, b, c, [sense for _, sense, _ in norm]
+
+
+def raised_or(f, lp):
+    try:
+        return f(lp)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRowReadersMatchLoops:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(small_programs())
+    def test_matrix_geq(self, lp):
+        got, want = raised_or(LinearProgram.matrix_geq, lp), raised_or(loop_matrix_geq, lp)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_matrix_geq_on_structured_programs(self, monkeypatch):
+        lp, _ = tiny_structured()
+        programs = [lp, scale_doubled(lp)]
+        real = fairrange.round.structured_program
+
+        def build(*args):
+            out = real(*args)
+            programs.append(out[0])
+            return out
+
+        monkeypatch.setattr(fairrange.pipeline, "structured_program", build)
+        for seed in range(3):
+            inst = random_instance(seed, 16, 3, 2.0)
+            solve_fair_range(inst, random_ranges(seed, inst, 4, 3))
+        assert len(programs) == 5
+        for prog in programs:
+            assert prog.matrix_geq().tobytes() == loop_matrix_geq(prog).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(small_programs())
+    def test_std_form_fractions(self, lp):
+        A, b, c, senses = _std_form_fractions(lp)
+        want = loop_std_form_fractions(lp)
+        assert (A, b, c, senses) == want
+        assert all(type(v) is Fraction for row in A for v in row)

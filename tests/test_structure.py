@@ -98,7 +98,7 @@ class TestReassign:
 
     def test_moved_units_within_triple_distance(self):
         _, sp = shared_server_sp()
-        D = sp.dist_to_facilities()
+        D = sp.fac_dist
         _, moves = reassign_private_facilities(sp)
         for v, src, dst, _ in moves:
             assert D[v, dst] <= 3.0 * D[v, src] + 1e-9
@@ -118,7 +118,7 @@ class TestReassign:
             rc = feasible_ranges(rng, inst, k)
             sp, opt = pipeline_front(inst, rc)
             x2, moves = reassign_private_facilities(sp)
-            D = sp.dist_to_facilities()
+            D = sp.fac_dist
             assert x2.sum(axis=1) == pytest.approx(sp.x.sum(axis=1), abs=1e-7)
             assert np.all(x2 <= sp.y[None, :] + 1e-9)
             for v, src, dst, amt in moves:
@@ -161,7 +161,7 @@ class TestEnforceStructure:
             assert verify_structured(ss) == []
             # reordering on top of the reassignment stays within 3^p of it,
             # hence within 9^p of the relaxation optimum
-            dp = sp.dist_to_facilities() ** p
+            dp = sp.fac_dist ** p
             cost2 = float(sp.weights @ (x2 * dp).sum(axis=1))
             assert ss.cost_p <= (3.0 ** p) * cost2 * (1 + 1e-7) + 1e-9
             assert ss.cost_p <= (9.0 ** p) * opt * (1 + 1e-6) + 1e-9
