@@ -19,10 +19,7 @@ from .instance import MetricInstance
 
 
 def _client_arrays(inst: MetricInstance) -> tuple[list[int], np.ndarray]:
-    cids = inst.client_ids
-    idx = [inst.index(c) for c in cids]
-    w = np.array([inst.client_demands[c] for c in cids], dtype=float)
-    return idx, w
+    return [inst.index(c) for c in inst.client_ids], inst.client_weights()
 
 
 def farthest_first(inst: MetricInstance, k: int,

@@ -44,8 +44,8 @@ class MetricInstance:
         for c in self.client_demands:
             if c not in points:
                 raise ValueError(f"client {c!r} is not a point")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and at least 1, got {self.p}")
         self.facility_ids = tuple(sorted(self.facility_ids))
         self._index = {pid: i for i, pid in enumerate(self.point_ids)}
         self.dist.setflags(write=False)
@@ -61,6 +61,10 @@ class MetricInstance:
     @property
     def client_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.client_demands))
+
+    def client_weights(self) -> np.ndarray:
+        """Client demands as floats, in client_ids order."""
+        return np.array([self.client_demands[c] for c in self.client_ids], dtype=float)
 
     def index(self, pid: str) -> int:
         return self._index[pid]
@@ -218,11 +222,8 @@ def clustering_cost(inst: MetricInstance, centers: Iterable[str]) -> tuple[float
     for c in C:
         if c not in fset:
             raise ValueError(f"center {c!r} is not a facility")
-    clients = inst.client_ids
-    sub = inst.submatrix(clients, C)
-    nearest = sub.min(axis=1)
-    w = np.array([inst.client_demands[v] for v in clients], dtype=float)
-    cost_p = float(w @ nearest ** inst.p)
+    nearest = inst.submatrix(inst.client_ids, C).min(axis=1)
+    cost_p = float(inst.client_weights() @ nearest ** inst.p)
     return cost_p, cost_p ** (1.0 / inst.p)
 
 

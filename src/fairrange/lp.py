@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,7 +34,7 @@ LEQ, GEQ, EQ = "<=", ">=", "=="
 
 @dataclass(frozen=True)
 class Row:
-    """One constraint; coeffs names each variable at most once."""
+    """One constraint as LinearProgram.rows lists it."""
     coeffs: tuple[tuple[int, float], ...]   # (variable index, coefficient)
     sense: str
     rhs: float
@@ -42,12 +42,23 @@ class Row:
 
 @dataclass
 class LinearProgram:
-    """min c.x subject to rows, 0 <= x <= upper (upper may be +inf)."""
+    """min c.x subject to the rows, 0 <= x <= upper (upper may be +inf).
+
+    The rows are in compressed sparse row layout: row i holds the entries
+    indptr[i]:indptr[i+1] of indices (variable) and data (coefficient), and
+    reads >= where geq is set, == where eq is set and <= elsewhere.
+    """
     num_vars: int
     objective: np.ndarray
-    rows: list[Row]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rhs: np.ndarray
+    geq: np.ndarray
+    eq: np.ndarray
     upper: np.ndarray | None = None
     row_kinds: list[tuple] | None = None    # optional per-row tags for structure checks
+    row_of: np.ndarray = field(init=False, repr=False)     # row index per entry
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -57,18 +68,32 @@ class LinearProgram:
             self.upper = np.asarray(self.upper, dtype=float)
             if self.upper.shape != (self.num_vars,):
                 raise ValueError("upper bound length mismatch")
+        m = len(self.rhs)
+        if not (len(self.indptr) == m + 1 and len(self.geq) == len(self.eq) == m
+                and self.indptr[-1] == len(self.indices) == len(self.data)):
+            raise ValueError("row array length mismatch")
+        self.row_of = np.repeat(np.arange(m), self.indptr[1:] - self.indptr[:-1])
+
+    def senses(self) -> list[str]:
+        return np.where(self.eq, EQ, np.where(self.geq, GEQ, LEQ)).tolist()
+
+    @property
+    def rows(self) -> list[Row]:
+        """The rows as Row tuples, for readers outside the solver."""
+        ptr, idx, val = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
+        return [Row(tuple(zip(idx[a:b], val[a:b])), sense, rhs) for a, b, sense, rhs
+                in zip(ptr, ptr[1:], self.senses(), self.rhs.tolist())]
 
     def matrix_geq(self) -> np.ndarray:
         """Dense row matrix in >= orientation (<= rows negated).
 
         Equality rows are rejected; the structured matrix never has any.
         """
-        rows = _row_arrays(self)
-        if rows.eq.any():
+        if self.eq.any():
             raise ValueError("equality row has no >= orientation")
-        sign = np.where(rows.geq, 1.0, -1.0)
-        A = np.zeros((len(rows.rhs), self.num_vars))
-        A[rows.row_of, rows.indices] = sign[rows.row_of] * rows.data
+        sign = np.where(self.geq, 1.0, -1.0)
+        A = np.zeros((len(self.rhs), self.num_vars))
+        A[self.row_of, self.indices] = sign[self.row_of] * self.data
         return A
 
 
@@ -84,88 +109,54 @@ class SimplexResult:
     max_violation: float = 0.0
 
 
-@dataclass(frozen=True)
-class _RowArrays:
-    """Rows in compressed sparse row layout.  _row_arrays gives lp.rows in
-    their given order and orientation; _normalized, the simplex's rows."""
-    indptr: np.ndarray      # row i holds entries indptr[i]:indptr[i+1]
-    indices: np.ndarray     # variable index per entry
-    data: np.ndarray        # coefficient per entry
-    row_of: np.ndarray      # row index per entry
-    rhs: np.ndarray
-    geq: np.ndarray         # per-row sense masks; the remaining rows are <=
-    eq: np.ndarray
-
-    def senses(self) -> list[str]:
-        return np.where(self.eq, EQ, np.where(self.geq, GEQ, LEQ)).tolist()
-
-
-def _row_arrays(lp: LinearProgram) -> _RowArrays:
-    """Collect the rows in one pass."""
-    ends, indices, data, rhs, geq, eq = [0], [], [], [], [], []
-    for row in lp.rows:
-        for j, a in row.coeffs:
-            indices.append(j)
-            data.append(a)
-        ends.append(len(indices))
-        rhs.append(row.rhs)
-        geq.append(row.sense == GEQ)
-        eq.append(row.sense == EQ)
-    indptr = np.array(ends, dtype=np.intp)
-    cols = np.array(indices, dtype=np.intp)
-    row_of = np.repeat(np.arange(len(lp.rows), dtype=np.intp), np.diff(indptr))
-    return _RowArrays(indptr, cols, np.array(data, dtype=float), row_of,
-                      np.array(rhs, dtype=float), np.array(geq, dtype=bool),
-                      np.array(eq, dtype=bool))
-
-
-def _normalized(rows: _RowArrays, upper: np.ndarray | None) -> _RowArrays:
-    """The rows with nonnegative right-hand sides (a row with a negative one
-    is negated, and an inequality flips), then one x_j <= ub row per finite
-    upper bound in variable order.  The simplex and the rational recheck
-    share this row order."""
-    flip = rows.rhs < 0
+def _normalized(lp: LinearProgram) -> LinearProgram:
+    """The program with nonnegative right-hand sides (a row with a negative
+    one is negated, and an inequality flips) and, in place of the upper
+    bounds, one x_j <= ub row per finite bound in variable order.  The
+    simplex and the rational recheck share this row order."""
+    flip = lp.rhs < 0
     sign = np.where(flip, -1.0, 1.0)
-    ub = np.empty(0) if upper is None else upper
+    ub = np.empty(0) if lp.upper is None else lp.upper
     bound = np.flatnonzero(np.isfinite(ub))
     nb = len(bound)
-    return _RowArrays(
-        np.concatenate((rows.indptr, rows.indptr[-1] + np.arange(1, nb + 1))),
-        np.concatenate((rows.indices, bound)),
-        np.concatenate((rows.data * sign[rows.row_of], np.ones(nb))),
-        np.concatenate((rows.row_of, len(rows.rhs) + np.arange(nb))),
-        np.concatenate((rows.rhs * sign, ub[bound])),
-        np.concatenate((rows.geq ^ (flip & ~rows.eq), np.zeros(nb, dtype=bool))),
-        np.concatenate((rows.eq, np.zeros(nb, dtype=bool))))
+    no = np.zeros(nb, dtype=bool)
+    return LinearProgram(
+        lp.num_vars, lp.objective,
+        np.concatenate((lp.indptr, lp.indptr[-1] + np.arange(1, nb + 1))),
+        np.concatenate((lp.indices, bound)),
+        np.concatenate((lp.data * sign[lp.row_of], np.ones(nb))),
+        np.concatenate((lp.rhs * sign, ub[bound])),
+        np.concatenate((lp.geq ^ (flip & ~lp.eq), no)),
+        np.concatenate((lp.eq, no)))
 
 
-def _write_standard(M: np.ndarray, norm: _RowArrays, n: int) -> np.ndarray:
+def _write_standard(M: np.ndarray, norm: LinearProgram) -> np.ndarray:
     """Write normalized rows into the leading rows of M: the coefficients in
     columns 0..n-1, then each inequality row's slack in columns n, n+1, ...
     in row order, +1 on a <= row and -1 on a >= row.  Returns each row's
     slack column, -1 on equality rows, which have none."""
     ineq = np.flatnonzero(~norm.eq)
     slack = np.full(len(norm.rhs), -1)
-    slack[ineq] = n + np.arange(len(ineq))
+    slack[ineq] = norm.num_vars + np.arange(len(ineq))
     M[norm.row_of, norm.indices] = norm.data
     M[ineq, slack[ineq]] = np.where(norm.geq[ineq], -1.0, 1.0)
     return slack
 
 
-def _violation(rows: _RowArrays, upper: np.ndarray | None, x: np.ndarray) -> float:
+def _violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Worst residual of x over the rows, the finite upper bounds and x >= 0.
 
     A row's residual is scaled by 1 + |rhs|; equality rows count both ways.
     """
-    lhs = np.bincount(rows.row_of, weights=rows.data * x[rows.indices],
-                      minlength=len(rows.rhs))
-    r = lhs - rows.rhs
-    r[rows.geq] = -r[rows.geq]
-    r[rows.eq] = np.abs(r[rows.eq])
-    parts = [r / (1.0 + np.abs(rows.rhs)), -x]
-    if upper is not None:
-        finite = np.isfinite(upper)
-        ub = upper[finite]
+    lhs = np.bincount(lp.row_of, weights=lp.data * x[lp.indices],
+                      minlength=len(lp.rhs))
+    r = lhs - lp.rhs
+    r[lp.geq] = -r[lp.geq]
+    r[lp.eq] = np.abs(r[lp.eq])
+    parts = [r / (1.0 + np.abs(lp.rhs)), -x]
+    if lp.upper is not None:
+        finite = np.isfinite(lp.upper)
+        ub = lp.upper[finite]
         parts.append((x[finite] - ub) / (1.0 + np.abs(ub)))
     return max(float(part.max(initial=0.0)) for part in parts)
 
@@ -241,8 +232,7 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
     minimum-ratio rows, so results are deterministic.  Returns a basic
     optimal solution, i.e. a vertex of the feasible polytope.
     """
-    rows = _row_arrays(lp)
-    norm = _normalized(rows, lp.upper)
+    norm = _normalized(lp)
     m = len(norm.rhs)
     n = lp.num_vars
     n_real = n + int(np.count_nonzero(~norm.eq))
@@ -251,7 +241,7 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
     ncols = n_real + len(art_rows)
 
     T = np.zeros((m + 1, ncols + 1))
-    basis = _write_standard(T, norm, n)     # <= rows start on their slack
+    basis = _write_standard(T, norm)     # <= rows start on their slack
     T[:m, ncols] = norm.rhs
     T[art_rows, art_cols] = 1.0
     basis[art_rows] = art_cols
@@ -306,7 +296,7 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
             x[b] = T[i, ncols]
     x[np.abs(x) < 1e-12] = 0.0
     np.maximum(x, 0.0, out=x)
-    viol = _violation(rows, lp.upper, x)
+    viol = _violation(lp, x)
     if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
     obj = float(lp.objective @ x)
@@ -318,20 +308,19 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
-    rows = _row_arrays(lp)
     # >= rows go in negated as <= rows; = rows with a negative right-hand
     # side are negated too, as the simplex's normalization does
-    sign = np.where(rows.geq | (rows.eq & (rows.rhs < 0)), -1.0, 1.0)
-    A = csr_array((rows.data * sign[rows.row_of], rows.indices, rows.indptr),
-                  shape=(len(rows.rhs), lp.num_vars))
-    b = sign * rows.rhs
-    ub = ~rows.eq
+    sign = np.where(lp.geq | (lp.eq & (lp.rhs < 0)), -1.0, 1.0)
+    A = csr_array((lp.data * sign[lp.row_of], lp.indices, lp.indptr),
+                  shape=(len(lp.rhs), lp.num_vars))
+    b = sign * lp.rhs
+    ub = ~lp.eq
     upper = np.full(lp.num_vars, np.inf) if lp.upper is None else lp.upper
     res = linprog(lp.objective,
                   A_ub=A[ub] if ub.any() else None,
                   b_ub=b[ub] if ub.any() else None,
-                  A_eq=A[rows.eq] if rows.eq.any() else None,
-                  b_eq=b[rows.eq] if rows.eq.any() else None,
+                  A_eq=A[lp.eq] if lp.eq.any() else None,
+                  b_eq=b[lp.eq] if lp.eq.any() else None,
                   bounds=np.column_stack((np.zeros(lp.num_vars), upper)),
                   method="highs")
     if res.status == 2:
@@ -341,7 +330,7 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     if res.status != 0:
         raise SimplexError(f"backend failure: {res.message}")
     x = np.maximum(np.asarray(res.x, dtype=float), 0.0)
-    viol = _violation(rows, lp.upper, x)
+    viol = _violation(lp, x)
     if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"backend residual {viol:.3g} exceeds tolerance")
     return SimplexResult("optimal", x, float(lp.objective @ x), backend="scipy",
@@ -358,6 +347,30 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
 
 # ---------------------------------------------------------------------------
 # LP builders
+
+
+def _unit_rows(sets) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of unit-coefficient rows, one row per column set."""
+    cols = [np.asarray(s, dtype=np.intp) for s in sets]
+    indptr = np.array([0, *itertools.accumulate(map(len, cols))], dtype=np.intp)
+    return indptr, np.concatenate(cols)
+
+
+def _range_card_rows(groups: Sequence[int], k: int, ranges: Sequence[tuple[int, int]],
+                     first: int) -> tuple[list, list, list, list]:
+    """Column sets, right-hand sides, >= flags and tags of the range rows (a
+    lower and an upper one per group over its facilities) and the card row
+    (at most k facilities), facility u being column first + u."""
+    cols = first + np.arange(len(groups))
+    label = np.asarray(groups)
+    sets, rhs, geq, kinds = [], [], [], []
+    for gi, (a, b) in enumerate(ranges, start=1):
+        members = cols[label == gi]
+        sets += [members, members]
+        rhs += [float(a), float(b)]
+        geq += [True, False]
+        kinds += [("range_lower", gi), ("range_upper", gi)]
+    return sets + [cols], rhs + [float(k)], geq + [False], kinds + [("card",)]
 
 
 def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
@@ -378,28 +391,26 @@ def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     nx = nD * nF
     nv = nx + nF
     c = np.zeros(nv)
-    for v in range(nD):
-        c[v * nF:(v + 1) * nF] = w[v] * dp[v]
-    rows: list[Row] = []
-    kinds: list[tuple] = []
-    for v in range(nD):
-        rows.append(Row(tuple((v * nF + u, 1.0) for u in range(nF)), GEQ, 1.0))
-        kinds.append(("cover", v))
-    for gi, (a, b) in enumerate(ranges, start=1):
-        members = tuple(nx + u for u in range(nF) if groups[u] == gi)
-        rows.append(Row(tuple((j, 1.0) for j in members), GEQ, float(a)))
-        kinds.append(("range_lower", gi))
-        rows.append(Row(tuple((j, 1.0) for j in members), LEQ, float(b)))
-        kinds.append(("range_upper", gi))
-    rows.append(Row(tuple((nx + u, 1.0) for u in range(nF)), LEQ, float(k)))
-    kinds.append(("card",))
-    for v in range(nD):
-        for u in range(nF):
-            rows.append(Row(((v * nF + u, 1.0), (nx + u, -1.0)), LEQ, 0.0))
-            kinds.append(("link", v, u))
+    c[:nx] = (np.asarray(w, dtype=float)[:, None] * dp).ravel()
+    sets, rhs, geq, kinds = _range_card_rows(groups, k, ranges, nx)
+    # cover row v holds x[v, :]
+    indptr, indices = _unit_rows([*np.arange(nx).reshape(nD, nF), *sets])
+    # then the link rows x[v,u] - y[u] <= 0, two entries each
+    link = np.empty((nx, 2), dtype=np.intp)
+    link[:, 0] = np.arange(nx)
+    link[:, 1] = nx + link[:, 0] % nF
+    data = np.ones(len(indices) + 2 * nx)
+    data[len(indices) + 1::2] = -1.0
     upper = np.full(nv, np.inf)
     upper[nx:] = y_cap
-    return LinearProgram(nv, c, rows, upper=upper, row_kinds=kinds)
+    return LinearProgram(
+        nv, c, np.concatenate((indptr, indptr[-1] + 2 * np.arange(1, nx + 1))),
+        np.concatenate((indices, link.ravel())), data,
+        np.concatenate(([1.0] * nD + rhs, np.zeros(nx))),
+        np.concatenate(([True] * nD + geq, np.zeros(nx, dtype=bool))),
+        np.zeros(nD + len(rhs) + nx, dtype=bool), upper=upper,
+        row_kinds=[("cover", v) for v in range(nD)] + kinds
+        + list(itertools.product(("link",), range(nD), range(nF))))
 
 
 def split_fair_solution(x_flat: np.ndarray, nD: int, nF: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,25 +449,15 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
             constant += w[v] * base
             for u in supers[v]:
                 c[u] += w[v] * (dp[v, u] - base)
-    rows: list[Row] = []
-    kinds: list[tuple] = []
-    for gi, (a, b) in enumerate(ranges, start=1):
-        members = tuple(u for u in range(nF) if groups[u] == gi)
-        rows.append(Row(tuple((u, 1.0) for u in members), GEQ, float(a)))
-        kinds.append(("range_lower", gi))
-        rows.append(Row(tuple((u, 1.0) for u in members), LEQ, float(b)))
-        kinds.append(("range_upper", gi))
-    rows.append(Row(tuple((u, 1.0) for u in range(nF)), LEQ, float(k)))
-    kinds.append(("card",))
-    ball_need = 1.0 if single else 0.5
-    for v in range(nD):
-        rows.append(Row(tuple((u, 1.0) for u in balls[v]), GEQ, ball_need))
-        kinds.append(("ball", v))
-    for v in range(nD):
-        rows.append(Row(tuple((u, 1.0) for u in supers[v]), LEQ, 1.0))
-        kinds.append(("superball", v))
-    upper = np.ones(nF)
-    return LinearProgram(nF, c, rows, upper=upper, row_kinds=kinds), constant
+    sets, rhs, geq, kinds = _range_card_rows(groups, k, ranges, 0)
+    indptr, indices = _unit_rows([*sets, *balls, *supers])
+    rhs += [1.0 if single else 0.5] * nD + [1.0] * nD
+    geq += [True] * nD + [False] * nD
+    kinds += [("ball", v) for v in range(nD)] + [("superball", v) for v in range(nD)]
+    lp = LinearProgram(nF, c, indptr, indices, np.ones(len(indices)), np.array(rhs),
+                       np.array(geq), np.zeros(len(rhs), dtype=bool),
+                       upper=np.ones(nF), row_kinds=kinds)
+    return lp, constant
 
 
 def scale_doubled(lp: LinearProgram) -> LinearProgram:
@@ -466,10 +467,8 @@ def scale_doubled(lp: LinearProgram) -> LinearProgram:
     sides are integers, so every vertex of the scaled polytope is integral;
     halving an integral vertex yields a half-integral point of the original.
     """
-    rows = [Row(r.coeffs, r.sense, 2.0 * r.rhs) for r in lp.rows]
-    upper = None if lp.upper is None else 2.0 * lp.upper
-    return LinearProgram(lp.num_vars, lp.objective.copy(), rows, upper=upper,
-                         row_kinds=lp.row_kinds)
+    return replace(lp, rhs=2.0 * lp.rhs,
+                   upper=None if lp.upper is None else 2.0 * lp.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +669,10 @@ def _exact(v: float) -> Fraction:
 def _std_form_fractions(lp: LinearProgram):
     """Equality standard form over Fractions, with the simplex's row order
     and slack columns; returns (A, b, c, row senses)."""
-    norm = _normalized(_row_arrays(lp), lp.upper)
-    n = lp.num_vars
+    norm = _normalized(lp)
     n_slack = int(np.count_nonzero(~norm.eq))
-    M = np.zeros((len(norm.rhs), n + n_slack))
-    _write_standard(M, norm, n)
+    M = np.zeros((len(norm.rhs), lp.num_vars + n_slack))
+    _write_standard(M, norm)
     A = [[_exact(v) for v in row] for row in M.tolist()]
     b = [_exact(v) for v in norm.rhs.tolist()]
     c = [_exact(v) for v in lp.objective] + [Fraction(0)] * n_slack

@@ -86,8 +86,8 @@ def _certificate(name: str, lhs: float, terms: list[tuple[float, float]],
 
 def _identity_reduction(inst: MetricInstance) -> ReducedInstance:
     clients = inst.client_ids
-    w = np.array([inst.client_demands[c] for c in clients], dtype=float)
-    return ReducedInstance(inst, clients, w, {c: c for c in clients}, 0.0)
+    return ReducedInstance(inst, clients, inst.client_weights(),
+                           {c: c for c in clients}, 0.0)
 
 
 def _facility_groups(inst: MetricInstance) -> list[int]:
@@ -115,7 +115,7 @@ def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list
     whose choice would leave too few slots for the remaining lower bounds.
     """
     clients = inst.client_ids
-    w = np.array([inst.client_demands[c] for c in clients], dtype=float)
+    w = inst.client_weights()
     dmat = inst.submatrix(clients, inst.facility_ids) ** inst.p
     groups = _facility_groups(inst)
     counts = [0] * rc.num_groups
@@ -200,7 +200,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
 
     t0 = time.perf_counter()
     x2, moves = reassign_private_facilities(sp)
-    cost_reassigned = float(sp.weights @ (x2 * sp.fac_dist_p).sum(axis=1))
+    cost_reassigned = sp.assignment_cost(x2)
     ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.y, sp.balls), sp)
     timings["structure"] = time.perf_counter() - t0
 
@@ -279,8 +279,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     except NoIntegralSelectionError as exc:
         timings["rounding"] = time.perf_counter() - t0
         return finish(_greedy_feasible_centers(inst, rc), True, str(exc))
-    stage_costs["assignment"] = float(
-        sp.weights @ (half.x_tilde * sp.fac_dist_p).sum(axis=1))
+    stage_costs["assignment"] = sp.assignment_cost(half.x_tilde)
     diagnostics["partition_sets"] = part.count
     timings["rounding"] = time.perf_counter() - t0
 
@@ -303,9 +302,8 @@ def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints,
         raise ValueError(f"C({nF}, {rc.k}) subsets exceed the oracle budget")
     if not check_range_feasibility(inst.group_sizes(rc.num_groups), rc):
         raise InfeasibleRangesError("ranges admit no center set")
-    clients = inst.client_ids
-    w = np.array([inst.client_demands[c] for c in clients], dtype=float)
-    dmat = inst.submatrix(clients, inst.facility_ids) ** inst.p
+    w = inst.client_weights()
+    dmat = inst.submatrix(inst.client_ids, inst.facility_ids) ** inst.p
     groups = _facility_groups(inst)
     best = math.inf
     best_set: tuple[str, ...] | None = None

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIntegralSelectionError, OpeningInfeasibleError, StageError
-from .lp import (LinearProgram, Row, _row_arrays, build_structured_lp, scale_doubled,
-                 solve_vertex)
+from .lp import LinearProgram, build_structured_lp, scale_doubled, solve_vertex
 from .structure import SUPPORT_TOL as MASS_TOL
 from .structure import StructuredSolution, fill_nearest
 
@@ -48,14 +47,13 @@ def _check_rows_exact(lp: LinearProgram, x: np.ndarray) -> None:
     # All coefficients are unit and all values and right-hand sides are
     # small integers, so float sums and comparisons are exact here.  The
     # comparisons are written as what holds, so a NaN breaks its row.
-    rows = _row_arrays(lp)
-    total = np.bincount(rows.row_of, weights=rows.data * x[rows.indices],
-                        minlength=len(rows.rhs))
-    ok = np.where(rows.geq, total >= rows.rhs,
-                  np.where(rows.eq, total == rows.rhs, total <= rows.rhs))
+    total = np.bincount(lp.row_of, weights=lp.data * x[lp.indices],
+                        minlength=len(lp.rhs))
+    ok = np.where(lp.geq, total >= lp.rhs,
+                  np.where(lp.eq, total == lp.rhs, total <= lp.rhs))
     bad = np.flatnonzero(~ok)
     if bad.size:
-        sense = rows.senses()[bad[0]]
+        sense = lp.senses()[bad[0]]
         raise StageError("round", f"snapped vertex breaks a {sense} row")
     if lp.upper is not None and np.any(x > lp.upper):
         raise StageError("round", "snapped vertex breaks an upper bound")
@@ -76,16 +74,15 @@ def merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarra
     upper bounds that build_structured_lp sets.  Returns the small program
     and the original columns behind each of its columns, in index order.
     """
-    n = lp.num_vars
-    rows = _row_arrays(lp)
+    n, m = lp.num_vars, len(lp.rhs)
     touches = np.array([kind[0] in ("ball", "superball") for kind in lp.row_kinds],
                        dtype=bool)
     free = lp.objective == 0.0
-    free[rows.indices[touches[rows.row_of]]] = False
+    free[lp.indices[touches[lp.row_of]]] = False
     # a free column joins the first free column with the same entries: a
     # stable sort of the free columns by their entries puts it right after
-    entries = np.zeros((n, len(rows.rhs)))
-    entries[rows.indices, rows.row_of] = rows.data
+    entries = np.zeros((n, m))
+    entries[lp.indices, lp.row_of] = lp.data
     cols = np.flatnonzero(free)
     order = cols[np.lexsort(entries[cols].T)]
     starts = np.ones(len(order), dtype=bool)
@@ -96,14 +93,13 @@ def merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarra
     members = np.split(np.argsort(new_of, kind="stable"),
                        np.cumsum(np.bincount(new_of)))[:-1]
     # a merged column takes the entries of its first member
-    keep = head[rows.indices] == rows.indices
-    pairs = list(zip(new_of[rows.indices[keep]].tolist(), rows.data[keep].tolist()))
-    row_ends = np.cumsum(np.bincount(rows.row_of[keep], minlength=len(rows.rhs))).tolist()
-    small_rows = [Row(tuple(pairs[a:b]), sense, rhs) for a, b, sense, rhs
-                  in zip([0] + row_ends, row_ends, rows.senses(), rows.rhs.tolist())]
+    keep = head[lp.indices] == lp.indices
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(lp.row_of[keep], minlength=m), out=indptr[1:])
     upper = np.array([lp.upper[c].sum() for c in members])
-    return LinearProgram(len(members), lp.objective[firsts], small_rows, upper=upper,
-                         row_kinds=lp.row_kinds), members
+    return LinearProgram(len(members), lp.objective[firsts], indptr,
+                         new_of[lp.indices[keep]], lp.data[keep], lp.rhs, lp.geq, lp.eq,
+                         upper=upper, row_kinds=lp.row_kinds), members
 
 
 def _spread(values: np.ndarray, members: list[np.ndarray], upper: np.ndarray,

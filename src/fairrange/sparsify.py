@@ -137,8 +137,9 @@ class SparsifiedInstance:
     def facility_ids(self) -> tuple[str, ...]:
         return self.red.facility_ids
 
-    def assignment_cost(self) -> float:
-        return float(self.weights @ (self.x * self.fac_dist_p).sum(axis=1))
+    def assignment_cost(self, x: np.ndarray) -> float:
+        """Weighted p-th power cost of the survivors x facilities assignment x."""
+        return float(self.weights @ (x * self.fac_dist_p).sum(axis=1))
 
     def half_contribution(self) -> float:
         """Smallest in-ball assignment mass across survivors."""

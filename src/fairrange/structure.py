@@ -199,7 +199,7 @@ def enforce_structure(x2: np.ndarray, y: np.ndarray,
             raise StageError("structure",
                              f"location {sp.location_ids[v]} short of mass {rem:.3g}")
 
-    cost = float(sp.weights @ (x_bar * sp.fac_dist_p).sum(axis=1))
+    cost = sp.assignment_cost(x_bar)
     diagnostics["rerouted"] = float(np.abs(x_bar - x2).sum()) / 2.0
     return StructuredSolution(sp, nn_idx, nn_dist, supers, y_bar, x_bar,
                               cost, diagnostics)

@@ -70,6 +70,25 @@ def manual_sp(inst, locations, radii, balls, x, y):
         np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
+def lp_from_rows(num_vars, objective, rows, upper=None, row_kinds=None):
+    """LinearProgram from a list of Row tuples, collected in one pass."""
+    from fairrange.lp import EQ, GEQ, LinearProgram
+
+    ends, indices, data, rhs, geq, eq = [0], [], [], [], [], []
+    for row in rows:
+        for j, a in row.coeffs:
+            indices.append(j)
+            data.append(a)
+        ends.append(len(indices))
+        rhs.append(row.rhs)
+        geq.append(row.sense == GEQ)
+        eq.append(row.sense == EQ)
+    return LinearProgram(num_vars, objective, np.array(ends, dtype=np.intp),
+                         np.array(indices, dtype=np.intp), np.array(data, dtype=float),
+                         np.array(rhs, dtype=float), np.array(geq, dtype=bool),
+                         np.array(eq, dtype=bool), upper=upper, row_kinds=row_kinds)
+
+
 def groups_of(inst):
     return [inst.group_label[u] for u in inst.facility_ids]
 

@@ -141,6 +141,12 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "group 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_p_rejected(self, tmp_path, capsys, p):
+        assert main(["solve", self.write(tmp_path, tiny_document()), "--p", p]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid instance: p must be finite") and "Traceback" not in err
+
     def test_tol_override_zero_is_kept(self, tmp_path, monkeypatch):
         seen = []
         real = fairrange.cli.solve_fair_range
@@ -191,6 +197,14 @@ class TestGenerateCommand:
         assert main(["generate", "figure1", "--M", "10", "--m", "1",
                      "--allow-nonmetric", "--out", str(target)]) == 0
         assert len(parse_document(target.read_text()).point_ids) == 24
+
+    @pytest.mark.parametrize("kind", ["random", "figure1"])
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_p_rejected(self, capsys, kind, p):
+        assert main(["generate", kind, "--p", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid parameters: p must be finite")
 
     def test_bad_parameters_exit_one(self, capsys):
         assert main(["generate", "figure1", "--k", "5"]) == 1

@@ -197,6 +197,12 @@ def test_instance_rejects_malformed():
         matrix_instance(["a", "b"], [[0, 1], [1, 0]], ["a"], {"a": 1}, {"a": 1}, 0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_instance_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match="p must be finite and at least 1"):
+        matrix_instance(["a", "b"], [[0, 1], [1, 0]], ["a"], {"a": 1}, {"a": 1}, p)
+
+
 def test_instance_rejects_ids_that_are_not_points():
     dist = [[0, 1], [1, 0]]
     with pytest.raises(ValueError, match="facility 'z' is not a point"):

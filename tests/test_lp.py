@@ -2,6 +2,7 @@ import itertools
 import math
 import struct
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from fairrange.lp import (
     Row,
     SimplexResult,
     _exact,
-    _row_arrays,
     _solve_scipy,
     _std_form_fractions,
     _violation,
@@ -41,11 +41,13 @@ from fairrange.lp import (
 )
 from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 
+from conftest import lp_from_rows
+
 
 def simple_lp(c, rows, ub=None):
-    return LinearProgram(len(c), np.array(c, dtype=float),
-                         [Row(tuple(co), s, r) for co, s, r in rows],
-                         upper=None if ub is None else np.array(ub, dtype=float))
+    return lp_from_rows(len(c), np.array(c, dtype=float),
+                        [Row(tuple(co), s, r) for co, s, r in rows],
+                        upper=None if ub is None else np.array(ub, dtype=float))
 
 
 def beale_lp():
@@ -468,7 +470,7 @@ class TestSparseHighs:
             lp = simple_lp(rng.normal(size=n), rows,
                            ub=None if trial % 3 == 0 else ub)
             x = rng.normal(size=n)
-            assert _violation(_row_arrays(lp), lp.upper, x) == loop_violation(lp, x)
+            assert _violation(lp, x) == loop_violation(lp, x)
 
 
 # The two-phase simplex as it was before its two pivot loops and the
@@ -672,7 +674,7 @@ def reference_solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
             x[b] = T[i, ncols]
     x[np.abs(x) < 1e-12] = 0.0
     np.maximum(x, 0.0, out=x)
-    viol = _violation(_row_arrays(lp), lp.upper, x)
+    viol = _violation(lp, x)
     if not viol <= 100 * feas_tol:
         raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
     obj = float(lp.objective @ x)
@@ -855,3 +857,199 @@ class TestRowReadersMatchLoops:
         want = loop_std_form_fractions(lp)
         assert (A, b, c, senses) == want
         assert all(type(v) is Fraction for row in A for v in row)
+
+
+# The Row-based builders and scale_doubled as they were before the program
+# held its rows as CSR arrays, kept as the references for that change: the
+# bodies are verbatim except that their LinearProgram call became
+# lp_from_rows.
+def reference_build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
+                                  k: int, ranges: Sequence[tuple[int, int]],
+                                  y_cap: float = 1.0) -> LinearProgram:
+    dp = np.asarray(dp, dtype=float)
+    nD, nF = dp.shape
+    if len(w) != nD or len(groups) != nF:
+        raise ValueError("shape mismatch")
+    nx = nD * nF
+    nv = nx + nF
+    c = np.zeros(nv)
+    for v in range(nD):
+        c[v * nF:(v + 1) * nF] = w[v] * dp[v]
+    rows: list[Row] = []
+    kinds: list[tuple] = []
+    for v in range(nD):
+        rows.append(Row(tuple((v * nF + u, 1.0) for u in range(nF)), GEQ, 1.0))
+        kinds.append(("cover", v))
+    for gi, (a, b) in enumerate(ranges, start=1):
+        members = tuple(nx + u for u in range(nF) if groups[u] == gi)
+        rows.append(Row(tuple((j, 1.0) for j in members), GEQ, float(a)))
+        kinds.append(("range_lower", gi))
+        rows.append(Row(tuple((j, 1.0) for j in members), LEQ, float(b)))
+        kinds.append(("range_upper", gi))
+    rows.append(Row(tuple((nx + u, 1.0) for u in range(nF)), LEQ, float(k)))
+    kinds.append(("card",))
+    for v in range(nD):
+        for u in range(nF):
+            rows.append(Row(((v * nF + u, 1.0), (nx + u, -1.0)), LEQ, 0.0))
+            kinds.append(("link", v, u))
+    upper = np.full(nv, np.inf)
+    upper[nx:] = y_cap
+    return lp_from_rows(nv, c, rows, upper=upper, row_kinds=kinds)
+
+
+def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
+                                  k: int, ranges: Sequence[tuple[int, int]],
+                                  balls: Sequence[Sequence[int]],
+                                  supers: Sequence[Sequence[int]],
+                                  nn_dist_pow: Sequence[float] | None) -> tuple[LinearProgram, float]:
+    dp = np.asarray(dp, dtype=float)
+    nD, nF = dp.shape
+    single = nn_dist_pow is None
+    if single and nD != 1:
+        raise ValueError("nn_dist_pow required when several locations survive")
+    c = np.zeros(nF)
+    constant = 0.0
+    for v in range(nD):
+        if single:
+            for u in supers[v]:
+                c[u] += w[v] * dp[v, u]
+        else:
+            base = nn_dist_pow[v]
+            constant += w[v] * base
+            for u in supers[v]:
+                c[u] += w[v] * (dp[v, u] - base)
+    rows: list[Row] = []
+    kinds: list[tuple] = []
+    for gi, (a, b) in enumerate(ranges, start=1):
+        members = tuple(u for u in range(nF) if groups[u] == gi)
+        rows.append(Row(tuple((u, 1.0) for u in members), GEQ, float(a)))
+        kinds.append(("range_lower", gi))
+        rows.append(Row(tuple((u, 1.0) for u in members), LEQ, float(b)))
+        kinds.append(("range_upper", gi))
+    rows.append(Row(tuple((u, 1.0) for u in range(nF)), LEQ, float(k)))
+    kinds.append(("card",))
+    ball_need = 1.0 if single else 0.5
+    for v in range(nD):
+        rows.append(Row(tuple((u, 1.0) for u in balls[v]), GEQ, ball_need))
+        kinds.append(("ball", v))
+    for v in range(nD):
+        rows.append(Row(tuple((u, 1.0) for u in supers[v]), LEQ, 1.0))
+        kinds.append(("superball", v))
+    upper = np.ones(nF)
+    return lp_from_rows(nF, c, rows, upper=upper, row_kinds=kinds), constant
+
+
+def reference_scale_doubled(lp: LinearProgram) -> LinearProgram:
+    rows = [Row(r.coeffs, r.sense, 2.0 * r.rhs) for r in lp.rows]
+    upper = None if lp.upper is None else 2.0 * lp.upper
+    return lp_from_rows(lp.num_vars, lp.objective.copy(), rows, upper=upper,
+                        row_kinds=lp.row_kinds)
+
+
+PROGRAM_ARRAYS = ("objective", "indptr", "indices", "data", "rhs", "geq", "eq", "row_of")
+
+
+def assert_same_program(got, want):
+    """Equal size, arrays (dtype and bits), upper bounds and row tags."""
+    assert got.num_vars == want.num_vars
+    for name in PROGRAM_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.upper is None) == (want.upper is None)
+    if got.upper is not None:
+        assert got.upper.tobytes() == want.upper.tobytes()
+    assert got.row_kinds == want.row_kinds
+
+
+@st.composite
+def builder_inputs(draw):
+    """Builder arguments: groups that may have no facility, a single
+    survivor, and balls and super balls that may be empty."""
+    nD = draw(st.integers(1, 4))
+    nF = draw(st.integers(1, 7))
+    ell = draw(st.integers(1, 3))
+    dist = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
+    dp = np.array([[draw(dist) for _ in range(nF)] for _ in range(nD)])
+    w = [draw(st.sampled_from([1.0, 2.0, 3.5])) for _ in range(nD)]
+    groups = [draw(st.integers(1, ell)) for _ in range(nF)]
+    k = draw(st.integers(1, nF))
+    ranges = tuple(sorted((draw(st.integers(0, 3)), draw(st.integers(0, 3))))
+                   for _ in range(ell))
+    owner = [draw(st.integers(-1, nD - 1)) for _ in range(nF)]
+    supers = [[u for u in range(nF) if owner[u] == v] for v in range(nD)]
+    balls = [[u for u in s if draw(st.booleans())] for s in supers]
+    if draw(st.booleans()):
+        supers = [np.array(s, dtype=int) for s in supers]
+        balls = [np.array(b, dtype=int) for b in balls]
+    nn = None if nD == 1 and draw(st.booleans()) else [draw(dist) for _ in range(nD)]
+    return dp, w, groups, k, ranges, balls, supers, nn
+
+
+class TestArrayBuildersMatchRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(builder_inputs())
+    def test_bit_identical_to_row_builders(self, args):
+        dp, w, groups, k, ranges, balls, supers, nn = args
+        assert_same_program(build_fair_range_lp(dp, w, groups, k, ranges),
+                            reference_build_fair_range_lp(dp, w, groups, k, ranges))
+        lp, constant = build_structured_lp(*args)
+        want, want_constant = reference_build_structured_lp(*args)
+        assert_same_program(lp, want)
+        assert struct.pack("d", constant) == struct.pack("d", want_constant)
+        assert_same_program(scale_doubled(lp), reference_scale_doubled(lp))
+
+    def test_bit_identical_on_pipeline_fronts(self, monkeypatch):
+        seen = []
+
+        def checked(new, ref):
+            def build(*args, **kw):
+                out = new(*args, **kw)
+                want = ref(*args, **kw)
+                pair = (out[0], want[0]) if isinstance(out, tuple) else (out, want)
+                assert_same_program(*pair)
+                seen.append(new.__name__)
+                return out
+            return build
+
+        monkeypatch.setattr(fairrange.pipeline, "build_fair_range_lp",
+                            checked(build_fair_range_lp, reference_build_fair_range_lp))
+        monkeypatch.setattr(fairrange.round, "build_structured_lp",
+                            checked(build_structured_lp, reference_build_structured_lp))
+        monkeypatch.setattr(fairrange.round, "scale_doubled",
+                            checked(scale_doubled, reference_scale_doubled))
+        for seed in range(6):
+            inst = random_instance(seed, 12 + seed, 2 + seed % 2, 1.0 + seed % 3)
+            solve_fair_range(inst, random_ranges(seed, inst, 3, 2 + seed % 2))
+        assert seen.count("build_fair_range_lp") == 6
+        assert seen.count("build_structured_lp") == seen.count("scale_doubled") >= 5
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_programs())
+    def test_rows_round_trip(self, lp):
+        again = lp_from_rows(lp.num_vars, lp.objective, lp.rows, lp.upper, lp.row_kinds)
+        assert_same_program(again, lp)
+        assert repr(again.rows) == repr(lp.rows)
+
+    def test_rows_view_of_a_built_program(self):
+        lp, _ = tiny_structured()
+        assert lp.rows[0] == Row(((0, 1.0), (2, 1.0)), GEQ, 0.0)
+        assert lp.rows[-1] == Row(((2, 1.0), (3, 1.0)), LEQ, 1.0)
+        assert len(lp.rows) == len(lp.rhs)
+
+    @pytest.mark.parametrize("change", [
+        dict(indptr=np.array([0, 1], dtype=np.intp)),
+        dict(indices=np.array([0], dtype=np.intp)),
+        dict(data=np.ones(3)),
+        dict(indices=np.array([0, 1, 1], dtype=np.intp), data=np.ones(3)),
+        dict(rhs=np.zeros(3)),
+        dict(geq=np.zeros(1, dtype=bool)),
+        dict(eq=np.zeros(3, dtype=bool)),
+    ])
+    def test_mismatched_row_arrays_raise(self, change):
+        base = dict(indptr=np.array([0, 1, 2], dtype=np.intp),
+                    indices=np.array([0, 1], dtype=np.intp), data=np.ones(2),
+                    rhs=np.ones(2), geq=np.zeros(2, dtype=bool),
+                    eq=np.zeros(2, dtype=bool))
+        LinearProgram(2, np.zeros(2), **base)
+        with pytest.raises(ValueError, match="row array length mismatch"):
+            LinearProgram(2, np.zeros(2), **{**base, **change})

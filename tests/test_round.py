@@ -31,7 +31,7 @@ from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, StructuredSolution,
                                  build_structured_solution, build_super_balls,
                                  enforce_structure, nearest_surviving,
                                  reassign_private_facilities)
-from conftest import (feasible_ranges, groups_of, line_instance, manual_sp,
+from conftest import (feasible_ranges, groups_of, line_instance, lp_from_rows, manual_sp,
                       pipeline_front, random_fair_instance)
 
 
@@ -348,8 +348,8 @@ def reference_merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list
                 row.sense, row.rhs) for row in lp.rows]
     first = [cols[0] for cols in members]
     upper = np.array([lp.upper[cols].sum() for cols in members])
-    return LinearProgram(len(members), lp.objective[first], rows, upper=upper,
-                         row_kinds=lp.row_kinds), members
+    return lp_from_rows(len(members), lp.objective[first], rows, upper=upper,
+                        row_kinds=lp.row_kinds), members
 
 
 def same_merge(lp):
@@ -605,7 +605,7 @@ class TestSelectCenters:
 class TestCheckRowsExact:
     def program(self):
         # x0 + x1 >= 2, x1 + x2 <= 2, x0 + x2 == 2, x <= 2
-        return LinearProgram(3, np.zeros(3), [
+        return lp_from_rows(3, np.zeros(3), [
             Row(((0, 1.0), (1, 1.0)), ">=", 2.0),
             Row(((1, 1.0), (2, 1.0)), "<=", 2.0),
             Row(((0, 1.0), (2, 1.0)), "==", 2.0),
@@ -632,13 +632,13 @@ class TestCheckRowsExact:
     @pytest.mark.parametrize("sense", [">=", "<=", "=="])
     def test_nan_breaks_its_row(self, sense):
         # a check that flags lhs < rhs (or lhs > rhs) would pass a NaN
-        lp = LinearProgram(2, np.zeros(2), [Row(((0, 1.0), (1, 1.0)), sense, 1.0)])
+        lp = lp_from_rows(2, np.zeros(2), [Row(((0, 1.0), (1, 1.0)), sense, 1.0)])
         with pytest.raises(StageError, match=f"breaks a {sense} row"):
             _check_rows_exact(lp, np.array([np.nan, 1.0]))
 
     def test_bounds_and_sign(self):
-        lp = LinearProgram(2, np.zeros(2), [Row(((0, 1.0),), "<=", 5.0)],
-                           upper=np.array([4.0, 1.0]))
+        lp = lp_from_rows(2, np.zeros(2), [Row(((0, 1.0),), "<=", 5.0)],
+                          upper=np.array([4.0, 1.0]))
         with pytest.raises(StageError, match="upper bound"):
             _check_rows_exact(lp, np.array([0.0, 2.0]))
         with pytest.raises(StageError, match="negative"):

@@ -124,7 +124,7 @@ class TestSparsifyIntegration:
             agg = float(sp.weights @ sp.radii ** p)
             assert agg <= opt * (1 + 1e-7) + 1e-9
             # carried solution is intact
-            assert sp.assignment_cost() <= opt * (1 + 1e-7) + 1e-9
+            assert sp.assignment_cost(sp.x) <= opt * (1 + 1e-7) + 1e-9
             assert np.all(sp.x <= sp.y[None, :] + 1e-6)
 
     def test_forward_map_covers_all_locations(self, rng):

@@ -1,0 +1,45 @@
+"""The benchmark tracer's LP counts against the programs the solver builds.
+
+perfbench/tracing.py counts rows and nonzeros through LinearProgram.rows;
+these tests keep that read-only view in step with the program's arrays, so
+a change to it fails here and not only in a traced benchmark run.
+"""
+import os
+import sys
+
+import numpy as np
+
+from fairrange.lp import build_fair_range_lp
+from fairrange.pipeline import random_instance, random_ranges
+from fairrange.round import structured_program
+from fairrange.structure import build_structured_solution
+
+from conftest import groups_of, pipeline_front
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from tracing import _open_counts, _relax_counts  # noqa: E402
+
+
+def test_relaxation_counts():
+    rng = np.random.default_rng(5)
+    dp = rng.uniform(0.0, 10.0, size=(4, 9))
+    lp = build_fair_range_lp(dp, [1.0, 2.0, 1.0, 3.0], [1, 2, 3] * 3, 3,
+                             ((0, 2), (1, 2), (0, 1)))
+    counts = {}
+    _relax_counts(counts, (), lp)
+    assert counts["lp.relax_rows"] == len(lp.rhs) == 4 + 2 * 3 + 1 + 4 * 9
+    assert counts["lp.relax_nnz"] == len(lp.indices) == 4 * 9 + 2 * 9 + 9 + 2 * 4 * 9
+    assert counts["lp.relax_cols"] == lp.num_vars == 4 * 9 + 9
+
+
+def test_opening_program_counts():
+    for seed in range(3):
+        inst = random_instance(seed, 14, 2, 2.0)
+        rc = random_ranges(seed, inst, 3, 2)
+        ss = build_structured_solution(pipeline_front(inst, rc)[0])
+        out = structured_program(ss, groups_of(inst), rc)
+        counts = {}
+        _open_counts(counts, (), out)
+        assert counts["round.open_rows"] == len(out[0].rhs)
+        assert counts["round.open_cols"] == out[0].num_vars
