@@ -47,43 +47,57 @@ def farthest_first(inst: MetricInstance, k: int,
 _TABLE_BLOCK = 128
 
 
-def _swap_table_minima(Dp: np.ndarray, w: np.ndarray, d1: np.ndarray,
-                       d2: np.ndarray, near: np.ndarray, k: int,
-                       inside: np.ndarray) -> np.ndarray:
-    """Cheapest swap cost for each removal slot, from one sweep over Dp.
+def _swap_table(Dp: np.ndarray, w: np.ndarray, d1: np.ndarray,
+                d2: np.ndarray, near: np.ndarray, k: int,
+                inside: np.ndarray) -> np.ndarray:
+    """Cost of every single swap, from one sweep over Dp.
 
-    Entry (r, c) of the swap table is the cost after the center in slot r
-    leaves and candidate c joins: a client whose nearest center sits in
-    slot r pays min(d2, Dp[:, c]), every other client min(d1, Dp[:, c])
+    Entry (r, c) of the k x |cand| table is the cost after the center in
+    slot r leaves and candidate c joins: a client whose nearest center sits
+    in slot r pays min(d2, Dp[:, c]), every other client min(d1, Dp[:, c])
     (the nearest/second-nearest bookkeeping of FasterPAM, Schubert and
     Rousseeuw 2021).  An entry sums the same n terms as the direct
-    evaluation of that swap, only in another order.  Returns the row
-    minima over the candidates outside the current set (inside is True
-    for the current centers' columns).
+    evaluation of that swap, only in another order.  The columns of the
+    current centers (inside is True there) hold inf.
     """
     own = np.zeros((k, len(w)))             # w_i in the row of i's nearest slot
     own[near, np.arange(len(w))] = w
     rest = w - own
-    best = np.full(k, np.inf)
+    table = np.empty((k, Dp.shape[1]))
     for b in range(0, Dp.shape[1], _TABLE_BLOCK):
         blk = Dp[:, b:b + _TABLE_BLOCK]
-        table = rest @ np.minimum(d1[:, None], blk) + own @ np.minimum(d2[:, None], blk)
-        table[:, inside[b:b + _TABLE_BLOCK]] = np.inf
-        np.minimum(best, table.min(axis=1), out=best)
-    return best
+        np.add(rest @ np.minimum(d1[:, None], blk), own @ np.minimum(d2[:, None], blk),
+               out=table[:, b:b + _TABLE_BLOCK])
+    table[:, inside] = np.inf
+    return table
+
+
+def _table_column(row: np.ndarray, slack: float) -> int | None:
+    """The first exact argmin of a table row, where the table can name it.
+
+    Every entry lies within slack of its direct value, so when exactly one
+    entry lies within 2 * slack of the row minimum, every other column's
+    direct value exceeds that column's.  Ties, NaN entries and an inf or
+    NaN slack give zero or several hits and return None.
+    """
+    hits = np.flatnonzero(row <= row.min() + 2.0 * slack)
+    return int(hits[0]) if len(hits) == 1 else None
 
 
 def _first_best_swap(approx: np.ndarray, slack: float, cost: float, tol: float,
-                     exact: Callable[[int], tuple[float, int]]) -> tuple[int, int] | None:
+                     exact: Callable[[int], tuple[float, int]],
+                     row: Callable[[int], np.ndarray]) -> tuple[int, int] | None:
     """Replay the scan that evaluates every removal slot directly.
 
     That scan walks the slots in order and moves to slot r when its
     cheapest swap costs less than best * (1 - tol) - 1e-15, best being the
     cost of the slot it holds (cost at first).  approx[r] is within slack
     of that cheapest swap; exact(r) evaluates it directly and returns it
-    with its first cheapest column.  A slot is evaluated directly only
-    where approx cannot settle the comparison, so the slot and the column
-    returned are those of the full scan.  None when no swap improves.
+    with its first cheapest column, and row(r) gives slot r's table entries
+    over the same columns.  A slot is evaluated directly only where approx
+    cannot settle the comparison, and the chosen slot only where its row
+    cannot name the column, so the slot and the column returned are those
+    of the full scan.  None when no swap improves.
     """
     best, slot, col = cost, None, None
     unsure = 0.0                            # half-width of best's interval
@@ -101,6 +115,8 @@ def _first_best_swap(approx: np.ndarray, slack: float, cost: float, tol: float,
             best, slot, col = val, r, j
     if slot is None:
         return None
+    if col is None:
+        col = _table_column(row(slot), slack)
     if col is None:
         col = exact(slot)[1]
     return slot, col
@@ -128,7 +144,8 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     cl_idx, w = _client_arrays(inst)
     ci = [inst.index(c) for c in cand]
     # column-major: every scan below reads whole candidate columns
-    Dp = np.asfortranarray(inst.dist[np.ix_(cl_idx, ci)]) ** inst.p
+    Dp = np.asfortranarray(inst.dist.take(cl_idx, axis=0).take(ci, axis=1))
+    np.power(Dp, inst.p, out=Dp)
     start = farthest_first(inst, k, candidates=cand)
     pos_of = {c: t for t, c in enumerate(cand)}
     current = sorted(pos_of[c] for c in start)
@@ -161,8 +178,9 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
             j = int(np.argmin(vals))
             return float(vals[j]), j
 
-        approx = _swap_table_minima(Dp, w, d1, d2, near, k, inside)
-        swap = _first_best_swap(approx, slack, cur_cost, tol, exact)
+        table = _swap_table(Dp, w, d1, d2, near, k, inside)
+        swap = _first_best_swap(table.min(axis=1), slack, cur_cost, tol, exact,
+                                lambda r: table[r, outside])
         if swap is None:
             break
         slot, j = swap

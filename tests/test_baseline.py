@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrange.baseline import (_client_arrays, _first_best_swap, farthest_first,
-                                local_search_clustering, reduce_locations)
+import fairrange.baseline as baseline
+from fairrange.baseline import (_client_arrays, _first_best_swap, _table_column,
+                                farthest_first, local_search_clustering, reduce_locations)
 from fairrange.instance import RangeConstraints, instance_from_coords
 
 from conftest import enumerate_optimum, line_instance
@@ -96,6 +97,14 @@ def planar_instance(rng, n, p=1.0, groups=None):
     return instance_from_coords(
         ids, coords, facility_ids=ids, group_label=groups,
         client_demands={i: 1 for i in ids}, p=p)
+
+
+def grid_instance():
+    ids = [f"g{i:03d}" for i in range(300)]
+    return instance_from_coords(
+        ids, [(i % 20, i // 20) for i in range(300)], facility_ids=ids,
+        group_label={i: 1 for i in ids},
+        client_demands={i: 1 + j % 3 for j, i in enumerate(ids)}, p=2.0)
 
 
 def kcenter_radius(inst, centers):
@@ -248,15 +257,21 @@ class TestSwapTable:
             client_demands={i: int(rng.integers(1, 4)) for i in ids[::3]}, p=p)
         assert_same_search(inst, 6)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_many_clients_shape(self, rng, p):
+        # 800 clients, every 20th point a facility, demands 1-3, k=8
+        ids = [f"m{i:03d}" for i in range(800)]
+        inst = instance_from_coords(
+            ids, rng.uniform(0.0, 100.0, size=(800, 2)), facility_ids=ids[::20],
+            group_label={i: 1 for i in ids[::20]},
+            client_demands={i: int(rng.integers(1, 4)) for i in ids}, p=p)
+        assert_same_search(inst, 8)
+
     def test_grid_ties_across_blocks(self):
         # 20 x 15 integer grid: equal swaps everywhere, in every block
-        ids = [f"g{i:03d}" for i in range(300)]
-        inst = instance_from_coords(
-            ids, [(i % 20, i // 20) for i in range(300)], facility_ids=ids,
-            group_label={i: 1 for i in ids},
-            client_demands={i: 1 + j % 3 for j, i in enumerate(ids)}, p=2.0)
+        inst = grid_instance()
         assert_same_search(inst, 7)
-        assert_same_search(inst, 7, candidates=ids[::2])
+        assert_same_search(inst, 7, candidates=inst.point_ids[::2])
 
     @given(st.data())
     @settings(max_examples=400, derandomize=True, deadline=None)
@@ -279,7 +294,86 @@ class TestSwapTable:
             if v < best * (1.0 - tol) - 1e-15:
                 best, want = v, (r, cols[r])
         assert _first_best_swap(approx, slack, cost, tol,
-                                lambda r: (vals[r], cols[r])) == want
+                                lambda r: (vals[r], cols[r]),
+                                lambda r: np.where(np.arange(4) == cols[r],
+                                                   approx[r], approx[r] + 1.0)) == want
+
+    @given(st.data())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_column_rule_names_only_the_first_direct_argmin(self, data):
+        # integer values keep every sum exact, so each table entry is within
+        # slack of its direct value exactly as the rule assumes; exact ties,
+        # inf entries and a NaN or inf slack are all drawn
+        slack = data.draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan]))
+        m = data.draw(st.integers(1, 6))
+        direct = np.array([data.draw(st.sampled_from([*range(7), np.inf]))
+                           for _ in range(m)], dtype=float)
+        bound = 5 if not np.isfinite(slack) else int(slack)
+        row = direct + [data.draw(st.sampled_from([-bound, bound]) | st.integers(-bound, bound))
+                        for _ in range(m)]
+        if data.draw(st.booleans()):
+            row[data.draw(st.integers(0, m - 1))] = np.nan
+        col = _table_column(row, slack)
+        if col is not None:
+            assert col == int(np.argmin(direct))
+
+    def test_column_rule_cases(self):
+        assert _table_column(np.array([5.0, 9.0, 7.5]), 1.0) == 0
+        assert _table_column(np.array([9.0, 5.0, 7.0]), 1.0) is None   # within 2 * slack
+        assert _table_column(np.array([5.0, 5.0]), 0.0) is None        # exact tie
+        assert _table_column(np.array([5.0, np.nan, 9.0]), 1.0) is None
+        assert _table_column(np.array([5.0, 9.0]), np.nan) is None
+        assert _table_column(np.array([5.0, 9.0]), np.inf) is None
+        assert _table_column(np.array([np.inf, 5.0, 9.0]), 1.0) == 1
+
+    def test_table_settles_the_column_without_exact(self):
+        def exact(r):
+            raise AssertionError("direct evaluation")
+        rows = np.array([[12.0, 11.0, 13.0], [8.0, 9.0, 6.0]])
+        assert _first_best_swap(rows.min(axis=1), 0.25, 10.0, 1e-10, exact,
+                                lambda r: rows[r]) == (1, 2)
+
+    def test_exact_runs_where_the_table_cannot_name_the_column(self):
+        calls = []
+
+        def exact(r):
+            calls.append(r)
+            return 6.0, 0
+        rows = np.array([[12.0, 11.0, 13.0], [6.2, 9.0, 6.0]])
+        assert _first_best_swap(rows.min(axis=1), 0.25, 10.0, 1e-10, exact,
+                                lambda r: rows[r]) == (1, 0)
+        assert calls == [1]
+
+
+def count_direct_evaluations(monkeypatch):
+    """Route the search through a _first_best_swap that counts exact calls."""
+    calls = []
+    real = baseline._first_best_swap
+
+    def counting(approx, slack, cost, tol, exact, row):
+        def counted(r):
+            calls.append(r)
+            return exact(r)
+        return real(approx, slack, cost, tol, counted, row)
+    monkeypatch.setattr(baseline, "_first_best_swap", counting)
+    return calls
+
+
+class TestDirectEvaluations:
+    def test_none_without_ties(self, rng, monkeypatch):
+        calls = count_direct_evaluations(monkeypatch)
+        inst = planar_instance(rng, 300, p=2.0)
+        _, _, swaps = local_search_clustering(inst, 6)
+        assert swaps > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_fallback_runs_on_grid_ties(self, monkeypatch, every):
+        # with two centers the grid's best swap has a tied twin
+        calls = count_direct_evaluations(monkeypatch)
+        inst = grid_instance()
+        assert_same_search(inst, 2, candidates=inst.point_ids[::every])
+        assert len(calls) >= 1
 
 
 class TestReduceLocations:
