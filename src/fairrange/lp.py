@@ -7,10 +7,12 @@ and exact checkers for the structured constraint matrix.
 The simplex keeps a full dense tableau.  That is deliberate: desk-scale
 instances stay below a few thousand variables, and basic solutions are what
 the half-integrality argument downstream needs.  solve_lp sends programs
-above HIGHS_CUTOVER variables (large assignment LPs) to scipy's HiGHS
-backend as a sparse matrix and keeps the rest on the simplex; the opening
-LP, which needs a vertex, calls solve_vertex directly.  Both backends gate
-their answer on the same vectorised residual check.
+above HIGHS_CUTOVER variables (large assignment LPs) to HiGHS as a sparse
+matrix, through the binding scipy bundles (scipy.optimize._highspy, a
+private scipy module), with presolve off: presolve removes nothing from the
+assignment LP and costs about 40% of its solve.  The rest stay on the
+simplex; the opening LP, which needs a vertex, calls solve_vertex directly.
+Both backends gate their answer on the same vectorised residual check.
 """
 from __future__ import annotations
 
@@ -305,36 +307,57 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
 
 
 def _solve_scipy(lp: LinearProgram) -> SimplexResult:
-    from scipy.optimize import linprog
+    """HiGHS's dual simplex through scipy's bundled binding, presolve off.
+
+    The model is the one linprog(method="highs") builds, so the answer is
+    the one linprog gives without presolve.  The binding is a private scipy
+    module (scipy >= 1.15).
+    """
+    from scipy.optimize._highspy import _core as highspy
     from scipy.sparse import csr_array
 
     # >= rows go in negated as <= rows; = rows with a negative right-hand
-    # side are negated too, as the simplex's normalization does
+    # side are negated too, as the simplex's normalization does.  HiGHS
+    # reads row_lower <= A x <= row_upper, the <= rows first, then the = rows
     sign = np.where(lp.geq | (lp.eq & (lp.rhs < 0)), -1.0, 1.0)
+    order = np.argsort(lp.eq, kind="stable")
     A = csr_array((lp.data * sign[lp.row_of], lp.indices, lp.indptr),
-                  shape=(len(lp.rhs), lp.num_vars))
-    b = sign * lp.rhs
-    ub = ~lp.eq
-    upper = np.full(lp.num_vars, np.inf) if lp.upper is None else lp.upper
-    res = linprog(lp.objective,
-                  A_ub=A[ub] if ub.any() else None,
-                  b_ub=b[ub] if ub.any() else None,
-                  A_eq=A[lp.eq] if lp.eq.any() else None,
-                  b_eq=b[lp.eq] if lp.eq.any() else None,
-                  bounds=np.column_stack((np.zeros(lp.num_vars), upper)),
-                  method="highs")
-    if res.status == 2:
-        return SimplexResult("infeasible", None, None, backend="scipy")
-    if res.status == 3:
-        return SimplexResult("unbounded", None, None, backend="scipy")
-    if res.status != 0:
-        raise SimplexError(f"backend failure: {res.message}")
-    x = np.maximum(np.asarray(res.x, dtype=float), 0.0)
+                  shape=(len(lp.rhs), lp.num_vars))[order].tocsc()
+    b = (sign * lp.rhs)[order]
+    model = highspy.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
+    model.num_row_ = model.a_matrix_.num_row_ = len(b)
+    model.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    model.a_matrix_.start_ = A.indptr
+    model.a_matrix_.index_ = A.indices
+    model.a_matrix_.value_ = A.data
+    model.col_cost_ = lp.objective
+    model.col_lower_ = np.zeros(lp.num_vars)
+    model.col_upper_ = (np.full(lp.num_vars, highspy.kHighsInf) if lp.upper is None
+                        else lp.upper)
+    model.row_lower_ = np.where(lp.eq[order], b, -highspy.kHighsInf)
+    model.row_upper_ = b
+
+    highs = highspy._Highs()
+    for option, value in (("output_flag", False), ("log_to_console", False),
+                          ("presolve", "off"), ("simplex_strategy", 1)):
+        highs.setOptionValue(option, value)
+    highs.passModel(model)
+    highs.run()
+    status = highs.getModelStatus()
+    iters = highs.getInfo().simplex_iteration_count
+    if status == highspy.HighsModelStatus.kInfeasible:
+        return SimplexResult("infeasible", None, None, iterations=iters, backend="scipy")
+    if status == highspy.HighsModelStatus.kUnbounded:
+        return SimplexResult("unbounded", None, None, iterations=iters, backend="scipy")
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise SimplexError(f"backend failure: {highs.modelStatusToString(status)}")
+    x = np.maximum(np.array(highs.getSolution().col_value), 0.0)
     viol = _violation(lp, x)
     if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"backend residual {viol:.3g} exceeds tolerance")
-    return SimplexResult("optimal", x, float(lp.objective @ x), backend="scipy",
-                         max_violation=viol)
+    return SimplexResult("optimal", x, float(lp.objective @ x), iterations=iters,
+                         backend="scipy", max_violation=viol)
 
 
 def solve_lp(lp: LinearProgram) -> SimplexResult:

@@ -423,6 +423,34 @@ def eq_negative_rhs_lp():
     ], ub=[np.inf, np.inf, 5.0])
 
 
+def random_fair_range_lp(rng, nD, nF, p):
+    pts = rng.uniform(0.0, 10.0, size=(nD + nF, 2))
+    dp = np.linalg.norm(pts[:nD, None] - pts[None, nD:], axis=2) ** p
+    groups = [1 + u % 3 for u in range(nF)]
+    return build_fair_range_lp(dp, rng.uniform(1.0, 3.0, size=nD), groups, 3,
+                               ((0, 2), (1, 2), (0, 1)))
+
+
+def linprog_reference(lp, presolve=True):
+    """linprog fed the arrays _solve_scipy hands HiGHS: the <= rows (>= rows
+    negated) as A_ub, the == rows as A_eq."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    sign = np.where(lp.geq | (lp.eq & (lp.rhs < 0)), -1.0, 1.0)
+    A = csr_array((lp.data * sign[lp.row_of], lp.indices, lp.indptr),
+                  shape=(len(lp.rhs), lp.num_vars))
+    b = sign * lp.rhs
+    ub = ~lp.eq
+    upper = np.full(lp.num_vars, np.inf) if lp.upper is None else lp.upper
+    return linprog(lp.objective,
+                   A_ub=A[ub] if ub.any() else None, b_ub=b[ub] if ub.any() else None,
+                   A_eq=A[lp.eq] if lp.eq.any() else None,
+                   b_eq=b[lp.eq] if lp.eq.any() else None,
+                   bounds=np.column_stack((np.zeros(lp.num_vars), upper)),
+                   method="highs", options={"presolve": presolve})
+
+
 class TestSparseHighs:
     def test_fair_range_backends_agree_above_cutover(self, rng):
         nD, nF = 3, 200
@@ -445,17 +473,61 @@ class TestSparseHighs:
         assert solve_vertex(lp).objective == pytest.approx(5.0, abs=1e-9)
 
     def test_perturbed_backend_answer_is_rejected(self, monkeypatch):
-        import scipy.optimize
-        real = scipy.optimize.linprog
+        from scipy.optimize._highspy import _core
 
-        def perturbed(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.x = res.x + 1e-3
-            return res
+        class Perturbed(_core._Highs):
+            def getSolution(self):
+                sol = super().getSolution()
+                sol.col_value = [v + 1e-3 for v in sol.col_value]
+                return sol
 
-        monkeypatch.setattr(scipy.optimize, "linprog", perturbed)
+        monkeypatch.setattr(_core, "_Highs", Perturbed)
         with pytest.raises(SimplexError, match="residual"):
             _solve_scipy(eq_negative_rhs_lp())
+
+    @pytest.mark.parametrize("nD,nF,p", list(itertools.product((3, 10), (200, 300), (1, 2))))
+    def test_direct_call_matches_linprog_bit_for_bit(self, rng, nD, nF, p):
+        lp = random_fair_range_lp(rng, nD, nF, p)
+        assert lp.num_vars > HIGHS_CUTOVER
+        res = _solve_scipy(lp)
+        assert res.status == "optimal"
+        unpresolved = linprog_reference(lp, presolve=False)
+        assert res.x.tobytes() == np.maximum(unpresolved.x, 0.0).tobytes()
+        assert res.objective == pytest.approx(linprog_reference(lp).fun, rel=1e-9)
+
+    def test_mixed_rows_match_linprog_bit_for_bit(self, rng):
+        # == rows ahead of <= and >= rows, some right-hand sides negative
+        lps = [eq_negative_rhs_lp()]
+        for _ in range(20):
+            n = 8
+            rows = [([(j, float(rng.integers(-2, 4))) for j in range(n)],
+                     [EQ, LEQ, GEQ][t % 3], float(rng.integers(-3, 6))) for t in range(5)]
+            lps.append(simple_lp(rng.uniform(0.5, 2.0, size=n), rows, ub=[3.0] * n))
+        optimal = 0
+        for lp in lps:
+            res, ref = _solve_scipy(lp), linprog_reference(lp, presolve=False)
+            assert res.status == {0: "optimal", 2: "infeasible"}[ref.status]
+            if res.status == "optimal":
+                optimal += 1
+                assert res.x.tobytes() == np.maximum(ref.x, 0.0).tobytes()
+        assert optimal >= 5
+
+    def test_contradictory_ranges_above_cutover_are_infeasible(self, rng):
+        # group 1 must open at least 3 and at most 1 facilities
+        nF = 250
+        lp = build_fair_range_lp(rng.uniform(1.0, 5.0, size=(3, nF)), [1.0] * 3,
+                                 [1 + u % 2 for u in range(nF)], 4, ((3, 1), (0, 2)))
+        assert lp.num_vars > HIGHS_CUTOVER
+        assert _solve_scipy(lp).status == "infeasible"
+
+    def test_unbounded_above_cutover(self):
+        n = HIGHS_CUTOVER + 1
+        lp = simple_lp(-np.ones(n), [([(j, 1.0) for j in range(n)], GEQ, 1.0)])
+        assert _solve_scipy(lp).status == "unbounded"
+
+    def test_reports_highs_iterations(self, rng):
+        res = solve_lp(random_fair_range_lp(rng, 3, 200, 2))
+        assert res.backend == "scipy" and res.iterations > 0
 
     def test_violation_matches_row_loop(self, rng):
         for trial in range(60):
