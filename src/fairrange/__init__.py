@@ -15,6 +15,7 @@ from .errors import (
     FairRangeError,
     InfeasibleRangesError,
     UnrangedGroupError,
+    CostRangeError,
     StageError,
     OpeningInfeasibleError,
     NoIntegralSelectionError,

@@ -11,7 +11,7 @@ accounts for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,9 @@ def farthest_first(inst: MetricInstance, k: int,
     """Greedy k-center seeding over the candidate points.
 
     Starts from the lexicographically smallest candidate id and repeatedly
-    adds the candidate farthest from the chosen set, ties again by id.
+    adds the candidate farthest from the chosen set, ties again by id.  A
+    chosen candidate is never chosen again, even where every candidate left
+    coincides with a chosen one.
     """
     cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
     if not 1 <= k <= len(cand):
@@ -35,91 +37,58 @@ def farthest_first(inst: MetricInstance, k: int,
     ci = np.array([inst.index(c) for c in cand])
     chosen = [0]
     mind = inst.dist[ci[0], ci]
+    mind[0] = -np.inf
     while len(chosen) < k:
         nxt = int(np.argmax(mind))          # first max = lowest id
         chosen.append(nxt)
         np.minimum(mind, inst.dist[ci[nxt], ci], out=mind)
+        mind[nxt] = -np.inf
     return tuple(sorted(cand[i] for i in chosen))
 
 
-# candidate columns per block of the swap table: its temporaries stay two
-# clients x 128 arrays whatever the number of candidates
+# candidate columns per block.  The search builds one block's k x 128 swap
+# table at a time, so its temporaries stay two clients x 128 arrays whatever
+# the number of candidates, and a swap is applied as soon as its block finds it
 _TABLE_BLOCK = 128
 
 
-def _swap_table(Dp: np.ndarray, w: np.ndarray, d1: np.ndarray,
-                d2: np.ndarray, near: np.ndarray, k: int,
-                inside: np.ndarray) -> np.ndarray:
-    """Cost of every single swap, from one sweep over Dp.
+def _block_table(Dp: np.ndarray, rest: np.ndarray, own: np.ndarray,
+                 d1: np.ndarray, d2: np.ndarray, lo: int) -> np.ndarray:
+    """Cost of every swap into the candidates lo .. lo + 127, in one pass.
 
-    Entry (r, c) of the k x |cand| table is the cost after the center in
-    slot r leaves and candidate c joins: a client whose nearest center sits
-    in slot r pays min(d2, Dp[:, c]), every other client min(d1, Dp[:, c])
-    (the nearest/second-nearest bookkeeping of FasterPAM, Schubert and
-    Rousseeuw 2021).  An entry sums the same n terms as the direct
-    evaluation of that swap, only in another order.  The columns of the
-    current centers (inside is True there) hold inf.
+    Entry (r, c) is the cost after the center in slot r leaves and
+    candidate lo + c joins: a client whose nearest center sits in slot r
+    (own) pays min(d2, Dp[:, lo + c]), every other client (rest)
+    min(d1, Dp[:, lo + c]), the nearest/second-nearest bookkeeping of
+    FasterPAM (Schubert and Rousseeuw 2021).  An entry sums the same n
+    terms as the direct cost of that swap, in another order, plus n exact
+    zeros.
     """
-    own = np.zeros((k, len(w)))             # w_i in the row of i's nearest slot
-    own[near, np.arange(len(w))] = w
-    rest = w - own
-    table = np.empty((k, Dp.shape[1]))
-    for b in range(0, Dp.shape[1], _TABLE_BLOCK):
-        blk = Dp[:, b:b + _TABLE_BLOCK]
-        np.add(rest @ np.minimum(d1[:, None], blk), own @ np.minimum(d2[:, None], blk),
-               out=table[:, b:b + _TABLE_BLOCK])
+    blk = Dp[:, lo:lo + _TABLE_BLOCK]
+    return rest @ np.minimum(d1[:, None], blk) + own @ np.minimum(d2[:, None], blk)
+
+
+def _block_hits(table: np.ndarray, inside: np.ndarray, slack: float,
+                below: float) -> np.ndarray:
+    """The swaps of a block table whose direct cost must be taken.
+
+    Every entry lies within slack of its swap's direct cost.  So no swap
+    costs less than below when the block minimum is at least below + slack,
+    and the result is empty.  Otherwise every entry more than 2 * slack
+    above the minimum costs more than the minimum's swap, and the block's
+    first direct argmin is among the rest: a single hit is that argmin,
+    several are ties to settle directly.  A NaN entry or a NaN or inf slack
+    leaves every swap.  The columns of the current centers (inside is True
+    there) are set to inf and never hit.  Hits are flat row-major indices:
+    slot, then candidate.
+    """
     table[:, inside] = np.inf
-    return table
-
-
-def _table_column(row: np.ndarray, slack: float) -> int | None:
-    """The first exact argmin of a table row, where the table can name it.
-
-    Every entry lies within slack of its direct value, so when exactly one
-    entry lies within 2 * slack of the row minimum, every other column's
-    direct value exceeds that column's.  Ties, NaN entries and an inf or
-    NaN slack give zero or several hits and return None.
-    """
-    hits = np.flatnonzero(row <= row.min() + 2.0 * slack)
-    return int(hits[0]) if len(hits) == 1 else None
-
-
-def _first_best_swap(approx: np.ndarray, slack: float, cost: float, tol: float,
-                     exact: Callable[[int], tuple[float, int]],
-                     row: Callable[[int], np.ndarray]) -> tuple[int, int] | None:
-    """Replay the scan that evaluates every removal slot directly.
-
-    That scan walks the slots in order and moves to slot r when its
-    cheapest swap costs less than best * (1 - tol) - 1e-15, best being the
-    cost of the slot it holds (cost at first).  approx[r] is within slack
-    of that cheapest swap; exact(r) evaluates it directly and returns it
-    with its first cheapest column, and row(r) gives slot r's table entries
-    over the same columns.  A slot is evaluated directly only where approx
-    cannot settle the comparison, and the chosen slot only where its row
-    cannot name the column, so the slot and the column returned are those
-    of the full scan.  None when no swap improves.
-    """
-    best, slot, col = cost, None, None
-    unsure = 0.0                            # half-width of best's interval
-    for r, a in enumerate(approx):
-        if a - slack >= (best + unsure) * (1.0 - tol) - 1e-15:
-            continue                        # cannot beat best
-        if a + slack < (best - unsure) * (1.0 - tol) - 1e-15:
-            best, slot, col, unsure = a, r, None, slack
-            continue                        # beats best whatever its exact value
-        if unsure:
-            best, col = exact(slot)
-            unsure = 0.0
-        val, j = exact(r)
-        if val < best * (1.0 - tol) - 1e-15:
-            best, slot, col = val, r, j
-    if slot is None:
-        return None
-    if col is None:
-        col = _table_column(row(slot), slack)
-    if col is None:
-        col = exact(slot)[1]
-    return slot, col
+    low = float(table.min())
+    if low - slack >= below:
+        return np.empty(0, dtype=np.intp)
+    hit = ~(table > low + 2.0 * slack)
+    hit[:, inside] = False
+    return np.flatnonzero(hit)
 
 
 def local_search_clustering(inst: MetricInstance, k: int, *,
@@ -128,13 +97,17 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
                             tol: float = 1e-10) -> tuple[tuple[str, ...], float, int]:
     """Single-swap local search for the power-p clustering cost.
 
-    Seeded with farthest_first, then applies the best improving swap until
-    none improves by more than a relative tol or max_iters swaps were made.
-    Returns (centers, cost in power-p terms, swaps applied).  Deterministic:
-    swap candidates are scanned in id order and only strict improvements are
-    taken.  Each step scores every swap from one nearest/second-nearest
-    table and evaluates directly only the swaps the table cannot rank, so
-    centers, cost bits and swap count are those of evaluating every swap.
+    Seeded with farthest_first.  The search walks the candidates in blocks
+    of _TABLE_BLOCK, in id order and cyclically.  In each block it finds
+    the first cheapest swap, slots in order and then candidates in order,
+    and applies it when it costs less than cost * (1 - tol) - 1e-15; then
+    it moves on to the next block either way (the eager rule of FasterPAM).
+    It stops after a full cycle of blocks without a swap, which is a
+    single-swap local optimum, or after max_iters swaps.  Returns (centers,
+    cost in power-p terms, swaps applied).  Deterministic.  A block's swaps
+    are scored from one nearest/second-nearest table, which only filters:
+    every applied swap and its cost come from the direct cost of its
+    center set, so the result is that of costing every swap directly.
     """
     cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
     if not 1 <= k <= len(cand):
@@ -153,41 +126,41 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     def cost_of(pos_list):
         return float(w @ Dp[:, pos_list].min(axis=1))
 
-    # a table entry adds the terms of the direct evaluation plus n exact
-    # zeros; each term is at most |w_i| * max_c Dp[i, c], so the two sums
-    # differ by about 1.5 * n * eps times the sum of those bounds at most
-    # (a bound that is inf or NaN sends every slot to direct evaluation)
+    # a table entry adds the terms of the direct cost plus n exact zeros;
+    # each term is at most |w_i| * max_c Dp[i, c], so the two sums differ
+    # by about 1.5 * n * eps times the sum of those bounds at most (a bound
+    # that is inf or NaN sends every swap to its direct cost)
     slack = 4.0 * (len(w) + 1) * np.finfo(float).eps * float(np.abs(w) @ Dp.max(axis=1))
     cur_cost = cost_of(current)
     rows = np.arange(len(w))
-    swaps = 0
-    while swaps < max_iters and k < len(cand):
-        sub = Dp[:, current]
-        order = np.argsort(sub, axis=1)
-        near = order[:, 0]
-        d1 = sub[rows, near]
-        d2 = sub[rows, order[:, 1]] if k > 1 else np.full_like(d1, np.inf)
-        inside = np.zeros(len(cand), dtype=bool)
-        inside[current] = True
-        outside = np.flatnonzero(~inside)
-
-        def exact(slot):
-            base = np.where(near == slot, d2, d1)
-            cols = Dp[:, outside]
-            vals = w @ np.minimum(base[:, None], cols, out=cols)
-            j = int(np.argmin(vals))
-            return float(vals[j]), j
-
-        table = _swap_table(Dp, w, d1, d2, near, k, inside)
-        swap = _first_best_swap(table.min(axis=1), slack, cur_cost, tol, exact,
-                                lambda r: table[r, outside])
-        if swap is None:
-            break
-        slot, j = swap
-        out, inn = current[slot], int(outside[j])
-        current = sorted([p for p in current if p != out] + [inn])
-        cur_cost = cost_of(current)
-        swaps += 1
+    blocks = range(0, len(cand), _TABLE_BLOCK)
+    swaps = idle = b = 0
+    while swaps < max_iters and k < len(cand) and idle < len(blocks):
+        if idle == 0:                           # at the start and after a swap
+            sub = Dp[:, current]
+            order = np.argsort(sub, axis=1)
+            d1 = sub[rows, order[:, 0]]
+            d2 = sub[rows, order[:, 1]] if k > 1 else np.full_like(d1, np.inf)
+            own = np.zeros((k, len(w)))         # w_i in the row of i's nearest slot
+            own[order[:, 0], rows] = w
+            rest = w - own
+            inside = np.zeros(len(cand), dtype=bool)
+            inside[current] = True
+            below = cur_cost * (1.0 - tol) - 1e-15
+        lo = blocks[b]
+        table = _block_table(Dp, rest, own, d1, d2, lo)
+        hits = _block_hits(table, inside[lo:lo + _TABLE_BLOCK], slack, below)
+        trials = [sorted(current[:r] + current[r + 1:] + [lo + c])
+                  for r, c in (divmod(int(h), table.shape[1]) for h in hits)]
+        vals = [cost_of(t) for t in trials]
+        j = int(np.argmin(vals)) if vals else 0
+        if vals and vals[j] < below:
+            current, cur_cost = trials[j], vals[j]
+            swaps += 1
+            idle = 0
+        else:
+            idle += 1
+        b = (b + 1) % len(blocks)
     centers = tuple(sorted(cand[t] for t in current))
     return centers, cur_cost, swaps
 

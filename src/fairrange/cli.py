@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FairRangeError, InfeasibleRangesError
+from .errors import CostRangeError, FairRangeError, InfeasibleRangesError
 from .instance import (MetricInstance, RangeConstraints, instance_from_coords,
                        validate_instance)
 from .pipeline import (ORACLE_BUDGET, SolverConfig, approximation_study,
@@ -217,6 +217,9 @@ def cmd_solve(args) -> int:
     except InfeasibleRangesError as exc:
         print(f"infeasible ranges: {exc}", file=sys.stderr)
         return 2
+    except CostRangeError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 1
     text = report_to_text(report)
     if args.oracle:
         nF = len(inst.facility_ids)

@@ -13,6 +13,10 @@ class UnrangedGroupError(FairRangeError):
     """A facility's group has no range in the range constraints."""
 
 
+class CostRangeError(FairRangeError):
+    """The power p puts the instance's costs outside the float range."""
+
+
 class StageError(FairRangeError):
     """An internal invariant failed inside a named pipeline stage."""
 

@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .baseline import ReducedInstance, local_search_clustering, reduce_locations
-from .errors import (InfeasibleRangesError, NoIntegralSelectionError,
-                     OpeningInfeasibleError, StageError, UnrangedGroupError)
+from .errors import (CostRangeError, InfeasibleRangesError,
+                     NoIntegralSelectionError, OpeningInfeasibleError,
+                     StageError, UnrangedGroupError)
 from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
                        instance_from_coords)
@@ -34,6 +35,7 @@ from .structure import (build_super_balls, enforce_structure,
 ORACLE_BUDGET = 10_000_000
 CERT_ABS_TOL = 1e-9       # certificate slack, absolute
 LOG_SPACE_P = 40.0        # beyond this p, certify in log space
+COST_CAP = 1e300          # largest total weight * d_max^p a solve accepts
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,25 @@ def _require_ranged_groups(inst: MetricInstance, rc: RangeConstraints) -> None:
                 f"groups 1..{rc.num_groups} only")
 
 
+def _require_costs_in_range(inst: MetricInstance) -> None:
+    """Refuse a p at which costs may leave the float range.
+
+    No stage cost exceeds total weight * d_max^p.  Past COST_CAP it can
+    overflow to inf, then to nan, and stages fail on feasible instances.
+    """
+    weight, d_max = float(inst.client_weights().sum()), float(inst.dist.max())
+    with np.errstate(over="ignore"):
+        top = weight * np.float64(d_max) ** inst.p
+    if top <= COST_CAP:
+        return
+    largest = ""
+    if d_max > 1.0 and 0.0 < weight <= COST_CAP:
+        p_max = (math.log(COST_CAP) - math.log(weight)) / math.log(d_max)
+        largest = f"; this instance accepts p up to {p_max:.6g}"
+    raise CostRangeError(f"p={inst.p:g} puts total weight * d_max^p at {top:.3g}, "
+                         f"above {COST_CAP:g}{largest}")
+
+
 def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list[str]:
     """Deterministic direct selection meeting the ranges.
 
@@ -153,7 +174,8 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     """Full approximation chain from instance to certified center set.
 
     Raises UnrangedGroupError when a facility's group has no range,
-    InfeasibleRangesError when no center set can meet the ranges, and a
+    InfeasibleRangesError when no center set can meet the ranges,
+    CostRangeError when total weight * d_max^p is above COST_CAP, and a
     stage-named error when an internal certificate fails.  On the
     rare opening programs made infeasible by the one-unit territory caps,
     falls back to the direct greedy selection and marks the report.
@@ -164,6 +186,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     if not check_range_feasibility(sizes, rc):
         raise InfeasibleRangesError(
             f"no size-{rc.k} center set can meet the ranges")
+    _require_costs_in_range(inst)
     log_space = inst.p > LOG_SPACE_P
     if log_space:
         warnings.warn(f"p={inst.p} above the certificate cap {LOG_SPACE_P}; "

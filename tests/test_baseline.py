@@ -7,17 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairrange.baseline as baseline
-from fairrange.baseline import (_client_arrays, _first_best_swap, _table_column,
-                                farthest_first, local_search_clustering, reduce_locations)
+from fairrange.baseline import (_block_hits, _client_arrays, farthest_first,
+                                local_search_clustering, reduce_locations)
 from fairrange.instance import RangeConstraints, instance_from_coords
 
 from conftest import enumerate_optimum, line_instance
 
 
-# Reference copies of farthest_first and local_search_clustering as they
-# were before the swap table: the seeding built the full candidate block,
-# and the search evaluated each removal slot by a direct pass over every
-# outside candidate.  The fast versions must match them bit for bit.
+# Reference copy of farthest_first as it was before the seeding stopped
+# building the full candidate block; the fast version must match it bit for
+# bit.  reference_local_search below is the block-eager rule written without
+# the swap table.
 
 def reference_farthest_first(inst, k, candidates=None):
     cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
@@ -27,58 +27,63 @@ def reference_farthest_first(inst, k, candidates=None):
     D = inst.dist[np.ix_(ci, ci)]
     chosen = [0]
     mind = D[0].copy()
+    mind[0] = -np.inf
     while len(chosen) < k:
         nxt = int(np.argmax(mind))          # first max = lowest id
         chosen.append(nxt)
         np.minimum(mind, D[nxt], out=mind)
+        mind[nxt] = -np.inf
     return tuple(sorted(cand[i] for i in chosen))
 
 
+def direct_cost(inst, cand):
+    """cost_of(positions): the power-p cost of a set of candidate positions,
+    as one pass over the client x candidate matrix."""
+    cl_idx, w = _client_arrays(inst)
+    Dp = inst.dist[np.ix_(cl_idx, [inst.index(c) for c in cand])] ** inst.p
+    return lambda pos_list: float(w @ Dp[:, pos_list].min(axis=1))
+
+
 def reference_local_search(inst, k, *, candidates=None, max_iters=None, tol=1e-10):
+    """The block-eager rule, costing every candidate set of a block directly."""
     cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
     if not 1 <= k <= len(cand):
         raise ValueError(f"k={k} out of range for {len(cand)} candidates")
     if max_iters is None:
         max_iters = 100 * k
-    cl_idx, w = _client_arrays(inst)
-    ci = [inst.index(c) for c in cand]
-    D = inst.dist[np.ix_(cl_idx, ci)]
-    Dp = D ** inst.p
+    cost_of = direct_cost(inst, cand)
     start = reference_farthest_first(inst, k, candidates=cand)
-    pos_of = {c: t for t, c in enumerate(cand)}
-    current = sorted(pos_of[c] for c in start)
-
-    def cost_of(pos_list):
-        return float(w @ Dp[:, pos_list].min(axis=1))
-
+    current = sorted(cand.index(c) for c in start)
     cur_cost = cost_of(current)
-    swaps = 0
-    while swaps < max_iters and k < len(cand):
-        sub = Dp[:, current]
-        order = np.argsort(sub, axis=1)
-        d1 = np.take_along_axis(sub, order[:, :1], axis=1)[:, 0]
-        near = np.asarray(current)[order[:, 0]]
-        if k > 1:
-            d2 = np.take_along_axis(sub, order[:, 1:2], axis=1)[:, 0]
+    size = baseline._TABLE_BLOCK
+    blocks = [range(lo, min(lo + size, len(cand))) for lo in range(0, len(cand), size)]
+    swaps = idle = b = 0
+    while swaps < max_iters and k < len(cand) and idle < len(blocks):
+        # slots in order, then the block's candidates in order
+        trials = [sorted(set(current) - {out} | {inn})
+                  for out in current for inn in blocks[b] if inn not in current]
+        vals = [cost_of(t) for t in trials]
+        j = int(np.argmin(vals)) if vals else 0
+        if vals and vals[j] < cur_cost * (1.0 - tol) - 1e-15:
+            current, cur_cost = trials[j], vals[j]
+            swaps += 1
+            idle = 0
         else:
-            d2 = np.full_like(d1, np.inf)
-        outside = [t for t in range(len(cand)) if t not in set(current)]
-        best_cost, best_swap = cur_cost, None
-        for out in current:
-            base = np.where(near == out, d2, d1)
-            vals = w @ np.minimum(base[:, None], Dp[:, outside])
-            j = int(np.argmin(vals))
-            if vals[j] < best_cost * (1.0 - tol) - 1e-15:
-                best_cost, best_swap = float(vals[j]), (out, outside[j])
-        if best_swap is None:
-            break
-        out, inn = best_swap
-        current = sorted(p for p in current if p != out) + [inn]
-        current.sort()
-        cur_cost = cost_of(current)
-        swaps += 1
+            idle += 1
+        b = (b + 1) % len(blocks)
     centers = tuple(sorted(cand[t] for t in current))
     return centers, cur_cost, swaps
+
+
+def assert_local_optimum(inst, k, centers, cost, candidates=None, tol=1e-10):
+    """No single swap of the k * (|cand| - k) costs below the acceptance bound."""
+    cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
+    cost_of = direct_cost(inst, cand)
+    current = {cand.index(c) for c in centers}
+    assert len(current) == k
+    for out in current:
+        for inn in set(range(len(cand))) - current:
+            assert cost_of(sorted(current - {out} | {inn})) >= cost * (1.0 - tol) - 1e-15
 
 
 def assert_same_search(inst, k, **kw):
@@ -105,6 +110,16 @@ def grid_instance():
         ids, [(i % 20, i // 20) for i in range(300)], facility_ids=ids,
         group_label={i: 1 for i in ids},
         client_demands={i: 1 + j % 3 for j, i in enumerate(ids)}, p=2.0)
+
+
+def many_clients_instance(rng, p):
+    # 800 clients, every 20th point a facility, demands 1-3; the search
+    # runs over all 800 points, seven column blocks
+    ids = [f"m{i:03d}" for i in range(800)]
+    return instance_from_coords(
+        ids, rng.uniform(0.0, 100.0, size=(800, 2)), facility_ids=ids[::20],
+        group_label={i: 1 for i in ids[::20]},
+        client_demands={i: int(rng.integers(1, 4)) for i in ids}, p=p)
 
 
 def kcenter_radius(inst, centers):
@@ -152,6 +167,13 @@ class TestFarthestFirst:
             client_demands={i: 1 for i in "abcd"}, p=1.0)
         runs = {farthest_first(inst, 2) for _ in range(5)}
         assert runs == {("a", "d")}
+
+    def test_coincident_points_give_distinct_centers(self):
+        # two positions for three centers: the third is the first unchosen id
+        inst = line_instance([5.0, 0.0, 5.0, 0.0, 5.0])
+        assert farthest_first(inst, 3) == ("p0", "p1", "p2")
+        centers, cost, _ = local_search_clustering(inst, 3)
+        assert len(set(centers)) == 3 and cost == 0.0
 
     def test_matches_reference_on_fixtures(self, rng):
         fixtures = [(line_instance([0.0, 10.0, 11.0]), 2, None),
@@ -211,9 +233,9 @@ class TestLocalSearch:
 
 
 @st.composite
-def search_inputs(draw):
+def search_inputs(draw, max_n=12):
     """Small instance, k, candidate subset and swap budget for the search."""
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_n))
     if draw(st.booleans()):
         # integer grid with repeated points: many exactly tied swaps
         coords = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -238,8 +260,28 @@ def search_inputs(draw):
     return inst, k, cand, draw(st.sampled_from([0, 1, None]))
 
 
+def block_of(data, slack):
+    """A drawn block: direct costs, a table within slack of them (exactly,
+    as integers keep every sum exact) and the current centers' columns."""
+    k, width = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+    direct = np.array([[data.draw(st.sampled_from([*range(7), np.inf]))
+                        for _ in range(width)] for _ in range(k)], dtype=float)
+    bound = 5 if not np.isfinite(slack) else int(slack)
+    noise = [[data.draw(st.sampled_from([-bound, bound]) | st.integers(-bound, bound))
+              for _ in range(width)] for _ in range(k)]
+    inside = np.array([data.draw(st.booleans()) for _ in range(width)])
+    return direct, direct + noise, inside
+
+
+def first_direct_argmin(direct, inside):
+    """Row-major index of the block's first cheapest swap, None if none."""
+    order = np.flatnonzero(~np.broadcast_to(inside, direct.shape))
+    return int(order[np.argmin(direct.flat[order])]) if len(order) else None
+
+
 class TestSwapTable:
-    """The swap table must reproduce the direct scan exactly."""
+    """The search must reproduce the direct scan exactly; the block table
+    only filters, and the hits hold the block's direct choice."""
 
     @given(search_inputs())
     @settings(max_examples=400, derandomize=True, deadline=None)
@@ -256,16 +298,12 @@ class TestSwapTable:
             group_label={i: 1 for i in ids},
             client_demands={i: int(rng.integers(1, 4)) for i in ids[::3]}, p=p)
         assert_same_search(inst, 6)
+        centers, cost, _ = local_search_clustering(inst, 6)
+        assert_local_optimum(inst, 6, centers, cost)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_many_clients_shape(self, rng, p):
-        # 800 clients, every 20th point a facility, demands 1-3, k=8
-        ids = [f"m{i:03d}" for i in range(800)]
-        inst = instance_from_coords(
-            ids, rng.uniform(0.0, 100.0, size=(800, 2)), facility_ids=ids[::20],
-            group_label={i: 1 for i in ids[::20]},
-            client_demands={i: int(rng.integers(1, 4)) for i in ids}, p=p)
-        assert_same_search(inst, 8)
+        assert_same_search(many_clients_instance(rng, p), 8)
 
     def test_grid_ties_across_blocks(self):
         # 20 x 15 integer grid: equal swaps everywhere, in every block
@@ -273,89 +311,83 @@ class TestSwapTable:
         assert_same_search(inst, 7)
         assert_same_search(inst, 7, candidates=inst.point_ids[::2])
 
+    @given(search_inputs(max_n=40))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_ends_at_a_single_swap_local_optimum(self, args):
+        inst, k, cand, _ = args
+        centers, cost, swaps = local_search_clustering(inst, k, candidates=cand)
+        assert swaps < 100 * k
+        assert_local_optimum(inst, k, centers, cost, candidates=cand)
+
     @given(st.data())
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_replay_matches_direct_scan(self, data):
-        # row minima at, just under and just over the acceptance thresholds,
-        # seen through table values that are off by up to half the slack
-        tol, cost = 1e-10, 10.0
-        slack = data.draw(st.sampled_from([0.0, 1e-9, 0.25]))
-        vals, cols = [], []
-        for _ in range(data.draw(st.integers(1, 6))):
-            v = data.draw(st.sampled_from([10.0, 9.0, 8.75]))
-            if data.draw(st.booleans()):
-                v = v * (1.0 - tol) - 1e-15
-            vals.append(v + data.draw(st.sampled_from([0.0, -1e-9, 1e-9, -0.2, 0.2])))
-            cols.append(data.draw(st.integers(0, 3)))
-        approx = np.array([v + data.draw(st.floats(-0.5, 0.5)) * slack for v in vals])
-
-        best, want = cost, None
-        for r, v in enumerate(vals):
-            if v < best * (1.0 - tol) - 1e-15:
-                best, want = v, (r, cols[r])
-        assert _first_best_swap(approx, slack, cost, tol,
-                                lambda r: (vals[r], cols[r]),
-                                lambda r: np.where(np.arange(4) == cols[r],
-                                                   approx[r], approx[r] + 1.0)) == want
+        # costing only the hits takes the swap that costing every swap of
+        # the block takes, or none when that one does not cost below
+        slack = data.draw(st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]))
+        direct, table, inside = block_of(data, slack)
+        below = data.draw(st.sampled_from([0.5, 3.0, 6.0, 7.0]))
+        first = first_direct_argmin(direct, inside)
+        want = first if first is not None and direct.flat[first] < below else None
+        hits = _block_hits(table, inside, slack, below)
+        got = None
+        if len(hits) and direct.flat[hits[np.argmin(direct.flat[hits])]] < below:
+            got = int(hits[np.argmin(direct.flat[hits])])
+        assert got == want
 
     @given(st.data())
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_column_rule_names_only_the_first_direct_argmin(self, data):
-        # integer values keep every sum exact, so each table entry is within
-        # slack of its direct value exactly as the rule assumes; exact ties,
-        # inf entries and a NaN or inf slack are all drawn
+        # a single hit is the first direct argmin, slots then candidates;
+        # exact ties, inf entries, NaN entries and a NaN or inf slack are drawn
         slack = data.draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan]))
-        m = data.draw(st.integers(1, 6))
-        direct = np.array([data.draw(st.sampled_from([*range(7), np.inf]))
-                           for _ in range(m)], dtype=float)
-        bound = 5 if not np.isfinite(slack) else int(slack)
-        row = direct + [data.draw(st.sampled_from([-bound, bound]) | st.integers(-bound, bound))
-                        for _ in range(m)]
+        direct, table, inside = block_of(data, slack)
         if data.draw(st.booleans()):
-            row[data.draw(st.integers(0, m - 1))] = np.nan
-        col = _table_column(row, slack)
-        if col is not None:
-            assert col == int(np.argmin(direct))
+            table.flat[data.draw(st.integers(0, table.size - 1))] = np.nan
+        hits = _block_hits(table, inside, slack, np.inf)
+        assert not inside[hits % table.shape[1]].any()
+        if len(hits) == 1:
+            assert hits[0] == first_direct_argmin(direct, inside)
 
     def test_column_rule_cases(self):
-        assert _table_column(np.array([5.0, 9.0, 7.5]), 1.0) == 0
-        assert _table_column(np.array([9.0, 5.0, 7.0]), 1.0) is None   # within 2 * slack
-        assert _table_column(np.array([5.0, 5.0]), 0.0) is None        # exact tie
-        assert _table_column(np.array([5.0, np.nan, 9.0]), 1.0) is None
-        assert _table_column(np.array([5.0, 9.0]), np.nan) is None
-        assert _table_column(np.array([5.0, 9.0]), np.inf) is None
-        assert _table_column(np.array([np.inf, 5.0, 9.0]), 1.0) == 1
+        no = np.zeros(3, dtype=bool)
+        one = np.array([[5.0, 9.0, 7.5], [8.0, 9.0, 6.0]])
+        assert _block_hits(one.copy(), no, 0.25, 10.0).tolist() == [0]
+        assert _block_hits(one.copy(), no, 0.25, 4.0).tolist() == []      # none below
+        assert _block_hits(one.copy(), no, 1.0, 10.0).tolist() == [0, 5]  # within 2 * slack
+        assert _block_hits(np.array([[5.0, 5.0]]), no[:2], 0.0, 10.0).tolist() == [0, 1]
+        assert _block_hits(np.array([[5.0, np.nan, 9.0]]), no, 1.0, 10.0).tolist() == [0, 1, 2]
+        assert _block_hits(np.array([[5.0, 9.0]]), no[:2], np.nan, 10.0).tolist() == [0, 1]
+        assert _block_hits(np.array([[5.0, 9.0]]), no[:2], np.inf, 10.0).tolist() == [0, 1]
+        assert _block_hits(np.array([[np.inf, 5.0, 9.0]]), no, 1.0, 10.0).tolist() == [1]
 
     def test_table_settles_the_column_without_exact(self):
-        def exact(r):
-            raise AssertionError("direct evaluation")
-        rows = np.array([[12.0, 11.0, 13.0], [8.0, 9.0, 6.0]])
-        assert _first_best_swap(rows.min(axis=1), 0.25, 10.0, 1e-10, exact,
-                                lambda r: rows[r]) == (1, 2)
+        # the minimum sits in a center's column: it is skipped, and the
+        # table alone names slot 1's last candidate
+        rows = np.array([[1.0, 11.0, 13.0], [0.5, 9.0, 6.0]])
+        inside = np.array([True, False, False])
+        assert _block_hits(rows, inside, 0.25, 10.0).tolist() == [5]
+        assert np.isinf(rows[:, 0]).all()
 
     def test_exact_runs_where_the_table_cannot_name_the_column(self):
-        calls = []
-
-        def exact(r):
-            calls.append(r)
-            return 6.0, 0
-        rows = np.array([[12.0, 11.0, 13.0], [6.2, 9.0, 6.0]])
-        assert _first_best_swap(rows.min(axis=1), 0.25, 10.0, 1e-10, exact,
-                                lambda r: rows[r]) == (1, 0)
-        assert calls == [1]
+        # 6.2 lies within 2 * slack of 6.0 in another slot: both go to
+        # their direct costs, and with them a candidate
+        rows = np.array([[12.0, 11.0, 6.2], [6.6, 9.0, 6.0]])
+        assert _block_hits(rows, np.zeros(3, dtype=bool), 0.25, 10.0).tolist() == [2, 5]
 
 
 def count_direct_evaluations(monkeypatch):
-    """Route the search through a _first_best_swap that counts exact calls."""
+    """Route the search through a _block_hits that records every block
+    whose table leaves more than one swap to direct costing."""
     calls = []
-    real = baseline._first_best_swap
+    real = baseline._block_hits
 
-    def counting(approx, slack, cost, tol, exact, row):
-        def counted(r):
-            calls.append(r)
-            return exact(r)
-        return real(approx, slack, cost, tol, counted, row)
-    monkeypatch.setattr(baseline, "_first_best_swap", counting)
+    def counting(table, inside, slack, below):
+        hits = real(table, inside, slack, below)
+        if len(hits) > 1:
+            calls.append(len(hits))
+        return hits
+    monkeypatch.setattr(baseline, "_block_hits", counting)
     return calls
 
 
@@ -374,6 +406,23 @@ class TestDirectEvaluations:
         inst = grid_instance()
         assert_same_search(inst, 2, candidates=inst.point_ids[::every])
         assert len(calls) >= 1
+
+    def test_block_builds_below_whole_table_per_swap(self, rng, monkeypatch):
+        # a deterministic work count in place of a timing: rebuilding the
+        # whole table for every swap builds (swaps + 1) * nb blocks
+        builds = []
+        real = baseline._block_table
+
+        def counting(*args):
+            builds.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(baseline, "_block_table", counting)
+        inst = many_clients_instance(rng, 2.0)
+        _, _, swaps = local_search_clustering(inst, 8)
+        nb = -(-len(inst.point_ids) // baseline._TABLE_BLOCK)
+        assert nb == 7
+        assert swaps > 0
+        assert len(builds) < (swaps + 1) * nb
 
 
 class TestReduceLocations:

@@ -147,6 +147,12 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("invalid instance: p must be finite") and "Traceback" not in err
 
+    def test_overflowing_p_exit_one(self, tmp_path, capsys):
+        assert main(["solve", self.write(tmp_path, tiny_document()), "--p", "1000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: p=1000 puts total weight")
+        assert "accepts p up to" in err and "Traceback" not in err
+
     def test_tol_override_zero_is_kept(self, tmp_path, monkeypatch):
         seen = []
         real = fairrange.cli.solve_fair_range

@@ -9,7 +9,8 @@ import pytest
 
 import fairrange
 from fairrange.cli import document_from_instance, main, serialize_document
-from fairrange.errors import InfeasibleRangesError, StageError, UnrangedGroupError
+from fairrange.errors import (CostRangeError, InfeasibleRangesError, StageError,
+                              UnrangedGroupError)
 from fairrange.instance import RangeConstraints, validate_instance
 from fairrange.pipeline import (
     SolverConfig,
@@ -232,6 +233,47 @@ class TestSolveFairRange:
             rep = solve_fair_range(inst, rc)
         assert all(b.log_space for b in rep.bounds)
         assert all(b.passed for b in rep.bounds)
+
+    def test_overflowing_p_rejected_up_front(self, monkeypatch):
+        # at p=1000 every seed's costs overflow; before the check all 20
+        # ended in "structure: empty ball"
+        def no_stage(*args):
+            raise AssertionError("stage 1 ran")
+        monkeypatch.setattr(fairrange.pipeline, "local_search_clustering", no_stage)
+        for seed in range(20):
+            inst = random_instance(seed, 10, 2, 1000.0)
+            with pytest.raises(CostRangeError, match="above 1e.300; this instance accepts p up to"):
+                solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
+
+    @pytest.mark.filterwarnings("ignore:p=300.0 above the certificate cap")
+    def test_no_overflow_failures_at_p_300(self):
+        # what the check lets through at p=300 ends in an answer or, until
+        # ROADMAP item 2, an assignment-vs-half certificate; never an empty
+        # ball or a nan certificate as before the check
+        outcomes = set()
+        for seed in range(20):
+            inst = random_instance(seed, 10, 2, 300.0)
+            try:
+                solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
+                outcomes.add("answer")
+            except CostRangeError:
+                outcomes.add("rejected")
+            except StageError as exc:
+                assert "assignment-vs-half" in str(exc)
+                outcomes.add("assignment-vs-half")
+        assert {"answer", "rejected"} <= outcomes
+
+    def test_named_largest_p_is_the_boundary(self):
+        inst = random_instance(0, 10, 2, 1000.0)
+        with pytest.raises(CostRangeError) as info:
+            solve_fair_range(inst, random_ranges(0, inst, 3, 2))
+        p_max = float(str(info.value).rsplit(" ", 1)[1])
+        below, above = (fairrange.MetricInstance(
+            inst.point_ids, inst.dist, inst.facility_ids, inst.group_label,
+            inst.client_demands, p_max * f) for f in (1 - 1e-4, 1 + 1e-4))
+        fairrange.pipeline._require_costs_in_range(below)
+        with pytest.raises(CostRangeError):
+            fairrange.pipeline._require_costs_in_range(above)
 
     def test_report_text_format(self):
         inst = random_instance(2, 10, 2, 1.0)
