@@ -7,17 +7,25 @@ and exact checkers for the structured constraint matrix.
 The simplex keeps a full dense tableau.  That is deliberate: desk-scale
 instances stay below a few thousand variables, and basic solutions are what
 the half-integrality argument downstream needs.  solve_lp sends programs
-above HIGHS_CUTOVER variables (large assignment LPs) to HiGHS as a sparse
-matrix, through the binding scipy bundles (scipy.optimize._highspy, a
-private scipy module), with presolve off: presolve removes nothing from the
-assignment LP and costs about 40% of its solve.  The rest stay on the
-simplex; the opening LP, which needs a vertex, calls solve_vertex directly.
-Both backends gate their answer on the same vectorised residual check.
+above HIGHS_CUTOVER variables (mid-size and large assignment LPs) to HiGHS
+as a column-wise sparse matrix built with numpy, with presolve off:
+presolve removes nothing from the assignment LP and costs about 40% of its
+solve.  The binding is the extension scipy bundles
+(scipy.optimize._highspy._core, a private module); _highs_core loads that
+one file, in about 10 ms, without importing scipy.optimize or scipy.sparse
+(about 0.8 s cold).  The rest stay on the simplex, so a solve whose programs
+are all at or below the cutover imports no scipy; the opening LP, which
+needs a vertex, calls solve_vertex directly.  Both backends gate their
+answer on the same vectorised residual check.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +37,11 @@ from .errors import IterationLimitError, SimplexError
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 MAX_ITERS = 1_000_000
-HIGHS_CUTOVER = 600     # variables; larger programs go to HiGHS
+# variables; larger programs go to HiGHS.  HiGHS solves faster at every size
+# measured, but its first use costs a 10 ms load.  Above 200 variables the
+# saving per solve repays that within a few solves; smaller programs stay on
+# the simplex, which needs no load.
+HIGHS_CUTOVER = 200
 
 LEQ, GEQ, EQ = "<=", ">=", "=="
 
@@ -306,37 +318,91 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
                          iterations=iters, max_violation=viol)
 
 
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """The HiGHS extension module scipy bundles, loaded without its package.
+
+    Importing it by name runs scipy.optimize's __init__, which pulls in
+    scipy.sparse and most of scipy.optimize.  Loading the extension file
+    alone, under the same module name and registered in sys.modules before
+    it runs, costs about 10 ms; a later import of scipy.optimize finds the
+    module there and reuses it.  scipy's own code reaches it with
+    from-imports, which fall back to sys.modules, so it does not need the
+    _core attribute on the parent package that this load cannot set.
+    Falls back to the plain import when the file is not where scipy's
+    layout puts it.
+    """
+    core = sys.modules.get(HIGHS_MODULE)
+    if core is not None:
+        return core
+    scipy_spec = importlib.util.find_spec("scipy")      # does not import scipy
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        folder = os.path.join(scipy_spec.submodule_search_locations[0],
+                              "optimize", "_highspy")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
+                core = importlib.util.module_from_spec(spec)
+                sys.modules[HIGHS_MODULE] = core
+                try:
+                    spec.loader.exec_module(core)
+                except BaseException:
+                    del sys.modules[HIGHS_MODULE]
+                    raise
+                return core
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+def _csc(lp: LinearProgram, order: np.ndarray,
+         sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, indices and data of the signed rows, permuted by order, in
+    compressed sparse column layout.  Within a column the entries run in
+    permuted row order, as scipy's csr_array(...)[order].tocsc() leaves them,
+    so HiGHS reads the model linprog builds."""
+    m, n = len(lp.rhs), lp.num_vars
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    row = rank[lp.row_of]
+    by_col = np.argsort(lp.indices.astype(np.int64) * m + row, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lp.indices, minlength=n), out=indptr[1:])
+    return indptr, row[by_col], (lp.data * sign[lp.row_of])[by_col]
+
+
 def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     """HiGHS's dual simplex through scipy's bundled binding, presolve off.
 
     The model is the one linprog(method="highs") builds, so the answer is
     the one linprog gives without presolve.  The binding is a private scipy
-    module (scipy >= 1.15).
+    module (scipy >= 1.15), loaded by _highs_core.
     """
-    from scipy.optimize._highspy import _core as highspy
-    from scipy.sparse import csr_array
+    highspy = _highs_core()
 
     # >= rows go in negated as <= rows; = rows with a negative right-hand
     # side are negated too, as the simplex's normalization does.  HiGHS
     # reads row_lower <= A x <= row_upper, the <= rows first, then the = rows
     sign = np.where(lp.geq | (lp.eq & (lp.rhs < 0)), -1.0, 1.0)
     order = np.argsort(lp.eq, kind="stable")
-    A = csr_array((lp.data * sign[lp.row_of], lp.indices, lp.indptr),
-                  shape=(len(lp.rhs), lp.num_vars))[order].tocsc()
+    start, index, data = _csc(lp, order, sign)
     b = (sign * lp.rhs)[order]
     model = highspy.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
     model.num_row_ = model.a_matrix_.num_row_ = len(b)
     model.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-    model.a_matrix_.start_ = A.indptr
-    model.a_matrix_.index_ = A.indices
-    model.a_matrix_.value_ = A.data
-    model.col_cost_ = lp.objective
-    model.col_lower_ = np.zeros(lp.num_vars)
-    model.col_upper_ = (np.full(lp.num_vars, highspy.kHighsInf) if lp.upper is None
-                        else lp.upper)
-    model.row_lower_ = np.where(lp.eq[order], b, -highspy.kHighsInf)
-    model.row_upper_ = b
+    # the binding copies element by element; lists convert faster than arrays
+    model.a_matrix_.start_ = start.tolist()
+    model.a_matrix_.index_ = index.tolist()
+    model.a_matrix_.value_ = data.tolist()
+    model.col_cost_ = lp.objective.tolist()
+    model.col_lower_ = [0.0] * lp.num_vars
+    model.col_upper_ = ([highspy.kHighsInf] * lp.num_vars if lp.upper is None
+                        else lp.upper.tolist())
+    model.row_lower_ = np.where(lp.eq[order], b, -highspy.kHighsInf).tolist()
+    model.row_upper_ = b.tolist()
 
     highs = highspy._Highs()
     for option, value in (("output_flag", False), ("log_to_console", False),

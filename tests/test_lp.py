@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +27,7 @@ from fairrange.lp import (
     LinearProgram,
     Row,
     SimplexResult,
+    _csc,
     _exact,
     _solve_scipy,
     _std_form_fractions,
@@ -543,6 +549,141 @@ class TestSparseHighs:
                            ub=None if trial % 3 == 0 else ub)
             x = rng.normal(size=n)
             assert _violation(lp, x) == loop_violation(lp, x)
+
+    def test_csc_matches_scipy_conversion(self, rng):
+        from scipy.sparse import csr_array
+
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            rows = [([(int(j), float(rng.integers(-3, 4) or 1))
+                      for j in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)],
+                     [EQ, LEQ, GEQ][int(rng.integers(3))], float(rng.integers(-3, 6)))
+                    for _ in range(int(rng.integers(1, 7)))]
+            lp = simple_lp(rng.uniform(0.5, 2.0, size=n), rows)
+            sign = np.where(lp.geq | (lp.eq & (lp.rhs < 0)), -1.0, 1.0)
+            order = np.argsort(lp.eq, kind="stable")
+            want = csr_array((lp.data * sign[lp.row_of], lp.indices, lp.indptr),
+                             shape=(len(lp.rhs), n))[order].tocsc()
+            start, index, data = _csc(lp, order, sign)
+            assert start.tolist() == want.indptr.tolist()
+            assert index.tolist() == want.indices.tolist()
+            assert data.tobytes() == want.data.tobytes()
+
+
+FRESH_SOLVE = """
+    import json, sys
+    import numpy as np
+    from fairrange import lp as L
+    rng = np.random.default_rng(1)
+    prog = L.build_fair_range_lp(rng.uniform(1.0, 5.0, size=(8, 40)), [1.0] * 8,
+                                 [1 + u % 2 for u in range(40)], 8, ((3, 5), (3, 5)))
+    def solve():
+        res = L.solve_lp(prog)
+        return [res.backend, res.status]
+"""
+
+
+def run_fresh(code: str) -> dict:
+    """Run FRESH_SOLVE and then code in a new interpreter with fairrange
+    importable; returns the JSON object it prints last."""
+    src = os.path.dirname(os.path.dirname(fairrange.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = textwrap.dedent(FRESH_SOLVE) + textwrap.dedent(code)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestHighsLoad:
+    def test_load_then_scipy_import(self):
+        facts = run_fresh("""
+            first = solve()
+            core = sys.modules[L.HIGHS_MODULE]
+            absent = [m for m in ("scipy.optimize", "scipy.sparse") if m not in sys.modules]
+            from scipy.optimize import linprog
+            ref = linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+            from scipy.optimize._highspy import _core
+            wrapper = sys.modules["scipy.optimize._highspy._highs_wrapper"]
+            print(json.dumps({
+                "first": first, "absent": absent, "linprog": [ref.status, ref.fun],
+                "same": [sys.modules[L.HIGHS_MODULE] is core, _core is core,
+                         wrapper._h is core, L._highs_core() is core],
+                "again": solve()}))
+        """)
+        assert facts["first"] == ["scipy", "optimal"]
+        assert facts["absent"] == ["scipy.optimize", "scipy.sparse"]
+        assert facts["linprog"] == [0, 1.0]
+        assert facts["same"] == [True] * 4
+        assert facts["again"] == ["scipy", "optimal"]
+
+    def test_scipy_import_then_load(self):
+        facts = run_fresh("""
+            from scipy.optimize._highspy import _core
+            print(json.dumps({"same": L._highs_core() is _core, "solve": solve()}))
+        """)
+        assert facts == {"same": True, "solve": ["scipy", "optimal"]}
+
+    def test_missing_file_takes_the_import(self):
+        facts = run_fresh("""
+            import importlib.machinery
+            importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+            solved = solve()
+            from scipy.optimize._highspy import _core
+            print(json.dumps({"solve": solved, "imported": "scipy.optimize" in sys.modules,
+                              "same": L._highs_core() is _core}))
+        """)
+        assert facts == {"solve": ["scipy", "optimal"], "imported": True, "same": True}
+
+
+class TestHighsBand:
+    """Programs of HIGHS_CUTOVER+1 to 600 variables, which moved from the
+    simplex to HiGHS when the cutover came down from 600."""
+
+    def test_routing(self, rng):
+        # 8 locations x 40 facilities is the many-clients relaxation; 90
+        # variables is small-mix's largest
+        assert solve_lp(random_fair_range_lp(rng, 8, 40, 2)).backend == "scipy"
+        assert solve_lp(random_fair_range_lp(rng, 5, 15, 2)).backend == "simplex"
+
+    @pytest.mark.parametrize("p", (1, 2))
+    @pytest.mark.parametrize("nD,nF", ((1, 101), (4, 50), (8, 40), (3, 100), (5, 100)))
+    def test_objective_matches_simplex(self, rng, nD, nF, p):
+        for _ in range(2):
+            lp = random_fair_range_lp(rng, nD, nF, p)
+            assert HIGHS_CUTOVER < lp.num_vars <= 600
+            highs, mine = _solve_scipy(lp), solve_vertex(lp)
+            assert highs.status == mine.status == "optimal"
+            assert highs.objective == pytest.approx(mine.objective, rel=1e-9)
+
+    def test_answers_match_the_old_cutover(self, monkeypatch):
+        from fairrange import RangeConstraints, instance_from_coords
+
+        ids = [f"c{j:03d}" for j in range(800)]
+        facilities = ids[::20]
+        labels = {f: 1 + t % 2 for t, f in enumerate(facilities)}
+        backends = []
+
+        def recording(lp):
+            res = solve_lp(lp)
+            backends.append(res.backend)
+            return res
+
+        monkeypatch.setattr(fairrange.pipeline, "solve_lp", recording)
+
+        def answers(cutover):
+            monkeypatch.setattr(fairrange.lp, "HIGHS_CUTOVER", cutover)
+            out = []
+            for seed in range(3):
+                rng = np.random.default_rng([seed, 7])
+                demands = {c: int(rng.integers(1, 4)) for c in ids}
+                inst = instance_from_coords(ids, rng.uniform(0.0, 10.0, size=(800, 2)),
+                                            facilities, labels, demands, 1.0 + seed % 2)
+                rep = solve_fair_range(inst, RangeConstraints(8, ((3, 5), (3, 5))))
+                out.append((tuple(rep.centers.centers), struct.pack("<d", rep.centers.cost_p)))
+            return out
+
+        assert answers(HIGHS_CUTOVER) == answers(600)
+        assert backends == ["scipy"] * 3 + ["simplex"] * 3
 
 
 # The two-phase simplex as it was before its two pivot loops and the
