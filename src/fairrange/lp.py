@@ -38,9 +38,12 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 MAX_ITERS = 1_000_000
 # variables; larger programs go to HiGHS.  HiGHS solves faster at every size
-# measured, but its first use costs a 10 ms load.  Above 200 variables the
-# saving per solve repays that within a few solves; smaller programs stay on
-# the simplex, which needs no load.
+# measured, but its first use costs a 10 ms load.  The cutover sits between
+# the relaxations of the small-instance traffic (at most 90 variables), which
+# keeps the load-free simplex, and repeated 360-variable relaxations, where
+# HiGHS saves about 10 ms a solve.  A process that solves one program of
+# 201-360 variables pays the load for less saving: a cold first solve of a
+# 300-variable relaxation takes about 2 ms longer than on the simplex.
 HIGHS_CUTOVER = 200
 
 LEQ, GEQ, EQ = "<=", ">=", "=="
@@ -331,30 +334,30 @@ def _highs_core():
     module there and reuses it.  scipy's own code reaches it with
     from-imports, which fall back to sys.modules, so it does not need the
     _core attribute on the parent package that this load cannot set.
-    Falls back to the plain import when the file is not where scipy's
-    layout puts it.
+    Every scipy >= 1.15 wheel ships the file; without it this raises
+    ImportError rather than pay the package import.
     """
     core = sys.modules.get(HIGHS_MODULE)
     if core is not None:
         return core
     scipy_spec = importlib.util.find_spec("scipy")      # does not import scipy
-    if scipy_spec is not None and scipy_spec.submodule_search_locations:
-        folder = os.path.join(scipy_spec.submodule_search_locations[0],
-                              "optimize", "_highspy")
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "_core" + suffix)
-            if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
-                core = importlib.util.module_from_spec(spec)
-                sys.modules[HIGHS_MODULE] = core
-                try:
-                    spec.loader.exec_module(core)
-                except BaseException:
-                    del sys.modules[HIGHS_MODULE]
-                    raise
-                return core
-    from scipy.optimize._highspy import _core
-    return _core
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("HiGHS needs scipy >= 1.15, which is not installed")
+    folder = os.path.join(scipy_spec.submodule_search_locations[0],
+                          "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
+            core = importlib.util.module_from_spec(spec)
+            sys.modules[HIGHS_MODULE] = core
+            try:
+                spec.loader.exec_module(core)
+            except BaseException:
+                del sys.modules[HIGHS_MODULE]
+                raise
+            return core
+    raise ImportError(f"no HiGHS extension (_core) in {folder}; scipy >= 1.15 ships one")
 
 
 def _csc(lp: LinearProgram, order: np.ndarray,

@@ -27,7 +27,8 @@ from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
                        instance_from_coords)
 from .lp import build_fair_range_lp, solve_lp, split_fair_solution
-from .round import select_centers, solve_half_integral, structured_program
+from .round import (half_integral_cost, select_centers, solve_half_integral,
+                    structured_program)
 from .sparsify import canonical_assignment, sparsify
 from .structure import (build_super_balls, enforce_structure,
                         reassign_private_facilities)
@@ -292,7 +293,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
         timings["half_integral"] = time.perf_counter() - t0
         timings["rounding"] = 0.0
         return finish(_greedy_feasible_centers(inst, rc), True, str(exc))
-    stage_costs["half_integral"] = half.objective
+    stage_costs["half_integral"] = half_integral_cost(ss, half.y)
     diagnostics["snap_deviation"] = half.snap_deviation
     timings["half_integral"] = time.perf_counter() - t0
 

@@ -148,6 +148,24 @@ def solve_half_integral(lp: LinearProgram, constant_term: float) -> HalfIntegral
     return HalfIntegralSolution(y, objective, None, dev)
 
 
+def half_integral_cost(ss: StructuredSolution, y: np.ndarray) -> float:
+    """The opening program's cost at y, summed in nonnegative terms.
+
+    The program's objective c.y + constant writes each location's cost as
+    d(v,v')^p plus coefficients d(v,u)^p - d(v,v')^p, which cancel to 0 at
+    large p.  Per location this sums
+        w_v [sum_{u in P(v)} d(v,u)^p y_u + (1 - sum_{u in P(v)} y_u) d(v,v')^p]
+    instead; the super ball rows cap the mass over P(v) at 1, so no term is
+    negative.  With a single survivor it is sum w d^p y over the ball.
+    """
+    sp = ss.sp
+    own = np.array([sp.fac_dist_p[v, t] @ y[t] for v, t in enumerate(ss.territories)])
+    if not ss.single:
+        mass = np.array([y[t].sum() for t in ss.territories])
+        own += (1.0 - mass) * ss.nn_dist ** sp.p
+    return float(sp.weights @ own)
+
+
 def half_integral_assignment(ss: StructuredSolution, y: np.ndarray) -> np.ndarray:
     """Service rows for the half-integral openings.
 

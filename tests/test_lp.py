@@ -623,16 +623,19 @@ class TestHighsLoad:
         """)
         assert facts == {"same": True, "solve": ["scipy", "optimal"]}
 
-    def test_missing_file_takes_the_import(self):
+    def test_missing_file_raises(self):
         facts = run_fresh("""
             import importlib.machinery
             importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
-            solved = solve()
-            from scipy.optimize._highspy import _core
-            print(json.dumps({"solve": solved, "imported": "scipy.optimize" in sys.modules,
-                              "same": L._highs_core() is _core}))
+            try:
+                solve()
+            except ImportError as exc:
+                error = str(exc)
+            print(json.dumps({"error": error, "imported": "scipy.optimize" in sys.modules,
+                              "registered": L.HIGHS_MODULE in sys.modules}))
         """)
-        assert facts == {"solve": ["scipy", "optimal"], "imported": True, "same": True}
+        assert facts["error"].startswith("no HiGHS extension (_core) in ")
+        assert facts["imported"] is False and facts["registered"] is False
 
 
 class TestHighsBand:

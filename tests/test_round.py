@@ -1,3 +1,4 @@
+import math
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from fairrange.round import (
     extract_centers,
     flow_to_text,
     half_integral_assignment,
+    half_integral_cost,
     merge_free_columns,
     partition_facilities,
     select_centers,
@@ -100,6 +102,21 @@ class TestSolveHalfIntegral:
             assert half.objective == pytest.approx(unscaled, rel=1e-6, abs=1e-9)
             relaxed = float(np.dot(lp.objective, ss.y_bar)) + constant
             assert half.objective <= relaxed * (1.0 + 1e-9) + 1e-9
+
+    @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
+    def test_cost_matches_objective_at_small_p(self, p):
+        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(7, 6, p_values=(p,)):
+            cost = half_integral_cost(ss, half.y)
+            assert cost >= 0.0
+            assert cost == pytest.approx(half.objective, rel=1e-9, abs=1e-12)
+
+    def test_cost_stays_nonnegative_at_large_p(self):
+        # at p=30 c.y + constant cancels: its constant is d(v,v')^p summed
+        fronts = random_fronts(8, 6, p_values=(30.0,))
+        costs = [half_integral_cost(ss, half.y) for _, _, _, ss, _, _, half, _ in fronts]
+        assert all(c >= 0.0 and math.isfinite(c) for c in costs)
+        for (_, _, sp, ss, _, _, half, _), cost in zip(fronts, costs):
+            assert cost <= sp.assignment_cost(half_integral_assignment(ss, half.y)) * (1 + 1e-9)
 
 
 def free_columns(lp):
