@@ -14,7 +14,8 @@ class UnrangedGroupError(FairRangeError):
 
 
 class CostRangeError(FairRangeError):
-    """The power p puts the instance's costs outside the float range."""
+    """The instance's costs are out of range: a distance is negative, or
+    the power p puts them past float range."""
 
 
 class StageError(FairRangeError):

@@ -37,16 +37,18 @@ from .errors import IterationLimitError, SimplexError
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 MAX_ITERS = 1_000_000
-# variables; larger programs go to HiGHS.  HiGHS solves faster at every size
-# measured, but its first use costs a 10 ms load.  The cutover sits between
-# the relaxations of the small-instance traffic (at most 90 variables), which
-# keeps the load-free simplex, and repeated 360-variable relaxations, where
-# HiGHS saves about 10 ms a solve.  A process that solves one program of
-# 201-360 variables pays the load for less saving: a cold first solve of a
-# 300-variable relaxation takes about 2 ms longer than on the simplex.
+# variables; larger programs go to HiGHS.  The cutover sits between the
+# relaxations of the small-instance traffic (at most 90 variables) and
+# repeated 360-variable relaxations, where HiGHS saves about 10 ms a solve.
+# Two things keep small programs on the simplex.  HiGHS's first use costs a
+# 10 ms load: a cold first solve of a 300-variable relaxation takes about
+# 2 ms longer than on the simplex.  And HiGHS gives up on large-p programs
+# whose costs span many orders of magnitude: sent every program, it fails
+# random_instance(s, 10, 2, p) at k=3 on 2, 5 and 9 of seeds 0-29 at p = 30,
+# 50 and 100, which the simplex answers (ROADMAP item 2).
 HIGHS_CUTOVER = 200
 
-LEQ, GEQ, EQ = "<=", ">=", "=="
+LEQ, GEQ = "<=", ">="
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,12 @@ class Row:
 
 @dataclass
 class LinearProgram:
-    """min c.x subject to the rows, 0 <= x <= upper (upper may be +inf).
+    """min c.x subject to the rows, 0 <= x <= upper (inf where unbounded).
 
     The rows are in compressed sparse row layout: row i holds the entries
     indptr[i]:indptr[i+1] of indices (variable) and data (coefficient), and
-    reads >= where geq is set, == where eq is set and <= elsewhere.
+    reads >= where geq is set and <= elsewhere.  Right-hand sides and upper
+    bounds are nonnegative, as in both clustering programs.
     """
     num_vars: int
     objective: np.ndarray
@@ -72,8 +75,7 @@ class LinearProgram:
     data: np.ndarray
     rhs: np.ndarray
     geq: np.ndarray
-    eq: np.ndarray
-    upper: np.ndarray | None = None
+    upper: np.ndarray
     row_kinds: list[tuple] | None = None    # optional per-row tags for structure checks
     row_of: np.ndarray = field(init=False, repr=False)     # row index per entry
 
@@ -81,18 +83,19 @@ class LinearProgram:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.shape != (self.num_vars,):
             raise ValueError("objective length mismatch")
-        if self.upper is not None:
-            self.upper = np.asarray(self.upper, dtype=float)
-            if self.upper.shape != (self.num_vars,):
-                raise ValueError("upper bound length mismatch")
+        self.upper = np.asarray(self.upper, dtype=float)
+        if self.upper.shape != (self.num_vars,):
+            raise ValueError("upper bound length mismatch")
         m = len(self.rhs)
-        if not (len(self.indptr) == m + 1 and len(self.geq) == len(self.eq) == m
+        if not (len(self.indptr) == m + 1 and len(self.geq) == m
                 and self.indptr[-1] == len(self.indices) == len(self.data)):
             raise ValueError("row array length mismatch")
+        if not (np.all(self.rhs >= 0.0) and np.all(self.upper >= 0.0)):
+            raise ValueError("negative right-hand side or upper bound")
         self.row_of = np.repeat(np.arange(m), self.indptr[1:] - self.indptr[:-1])
 
     def senses(self) -> list[str]:
-        return np.where(self.eq, EQ, np.where(self.geq, GEQ, LEQ)).tolist()
+        return np.where(self.geq, GEQ, LEQ).tolist()
 
     @property
     def rows(self) -> list[Row]:
@@ -102,12 +105,7 @@ class LinearProgram:
                 in zip(ptr, ptr[1:], self.senses(), self.rhs.tolist())]
 
     def matrix_geq(self) -> np.ndarray:
-        """Dense row matrix in >= orientation (<= rows negated).
-
-        Equality rows are rejected; the structured matrix never has any.
-        """
-        if self.eq.any():
-            raise ValueError("equality row has no >= orientation")
+        """Dense row matrix in >= orientation (<= rows negated)."""
         sign = np.where(self.geq, 1.0, -1.0)
         A = np.zeros((len(self.rhs), self.num_vars))
         A[self.row_of, self.indices] = sign[self.row_of] * self.data
@@ -120,61 +118,49 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
     basis: tuple[int, ...] | None = None
-    kept_rows: tuple[int, ...] | None = None
     iterations: int = 0
     backend: str = "simplex"
     max_violation: float = 0.0
 
 
 def _normalized(lp: LinearProgram) -> LinearProgram:
-    """The program with nonnegative right-hand sides (a row with a negative
-    one is negated, and an inequality flips) and, in place of the upper
-    bounds, one x_j <= ub row per finite bound in variable order.  The
-    simplex and the rational recheck share this row order."""
-    flip = lp.rhs < 0
-    sign = np.where(flip, -1.0, 1.0)
-    ub = np.empty(0) if lp.upper is None else lp.upper
-    bound = np.flatnonzero(np.isfinite(ub))
+    """The program with, in place of the upper bounds, one x_j <= ub row
+    per finite bound in variable order.  The simplex and the rational
+    recheck share this row order."""
+    bound = np.flatnonzero(np.isfinite(lp.upper))
     nb = len(bound)
-    no = np.zeros(nb, dtype=bool)
     return LinearProgram(
         lp.num_vars, lp.objective,
         np.concatenate((lp.indptr, lp.indptr[-1] + np.arange(1, nb + 1))),
         np.concatenate((lp.indices, bound)),
-        np.concatenate((lp.data * sign[lp.row_of], np.ones(nb))),
-        np.concatenate((lp.rhs * sign, ub[bound])),
-        np.concatenate((lp.geq ^ (flip & ~lp.eq), no)),
-        np.concatenate((lp.eq, no)))
+        np.concatenate((lp.data, np.ones(nb))),
+        np.concatenate((lp.rhs, lp.upper[bound])),
+        np.concatenate((lp.geq, np.zeros(nb, dtype=bool))),
+        np.full(lp.num_vars, np.inf))
 
 
 def _write_standard(M: np.ndarray, norm: LinearProgram) -> np.ndarray:
     """Write normalized rows into the leading rows of M: the coefficients in
-    columns 0..n-1, then each inequality row's slack in columns n, n+1, ...
-    in row order, +1 on a <= row and -1 on a >= row.  Returns each row's
-    slack column, -1 on equality rows, which have none."""
-    ineq = np.flatnonzero(~norm.eq)
-    slack = np.full(len(norm.rhs), -1)
-    slack[ineq] = norm.num_vars + np.arange(len(ineq))
+    columns 0..n-1, then row i's slack in column n + i, +1 on a <= row and
+    -1 on a >= row.  Returns each row's slack column."""
+    rows = np.arange(len(norm.rhs))
     M[norm.row_of, norm.indices] = norm.data
-    M[ineq, slack[ineq]] = np.where(norm.geq[ineq], -1.0, 1.0)
-    return slack
+    M[rows, norm.num_vars + rows] = np.where(norm.geq, -1.0, 1.0)
+    return norm.num_vars + rows
 
 
 def _violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Worst residual of x over the rows, the finite upper bounds and x >= 0.
 
-    A row's residual is scaled by 1 + |rhs|; equality rows count both ways.
+    A residual is scaled by 1 + its right-hand side or bound.
     """
     lhs = np.bincount(lp.row_of, weights=lp.data * x[lp.indices],
                       minlength=len(lp.rhs))
     r = lhs - lp.rhs
     r[lp.geq] = -r[lp.geq]
-    r[lp.eq] = np.abs(r[lp.eq])
-    parts = [r / (1.0 + np.abs(lp.rhs)), -x]
-    if lp.upper is not None:
-        finite = np.isfinite(lp.upper)
-        ub = lp.upper[finite]
-        parts.append((x[finite] - ub) / (1.0 + np.abs(ub)))
+    finite = np.isfinite(lp.upper)
+    ub = lp.upper[finite]
+    parts = (r / (1.0 + lp.rhs), -x, (x[finite] - ub) / (1.0 + ub))
     return max(float(part.max(initial=0.0)) for part in parts)
 
 
@@ -252,8 +238,8 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
     norm = _normalized(lp)
     m = len(norm.rhs)
     n = lp.num_vars
-    n_real = n + int(np.count_nonzero(~norm.eq))
-    art_rows = np.flatnonzero(norm.geq | norm.eq)
+    n_real = n + m
+    art_rows = np.flatnonzero(norm.geq)
     art_cols = np.arange(n_real, n_real + len(art_rows))
     ncols = n_real + len(art_rows)
 
@@ -266,7 +252,6 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
 
     allowed = np.ones(ncols, dtype=bool)
     iters = 0
-    kept = list(range(m))
     # phase 1: minimize the artificial mass
     if len(art_rows):
         for i in art_rows:
@@ -277,32 +262,26 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
             raise SimplexError("phase 1 unbounded; malformed program")
         if -T[m, ncols] > FEAS_TOL:
             return SimplexResult("infeasible", None, None, iterations=iters)
-        # drive leftover artificials out of the basis; rows with no real
-        # column to pivot on are redundant and go
-        drop = set()
+        # drive leftover artificials out of the basis; every row has a
+        # slack, so only a numerically broken tableau leaves a row with no
+        # real column to pivot on
         for i in range(m):
             if basis[i] >= n_real:
                 nz = np.nonzero(np.abs(T[i, :n_real]) > PIVOT_TOL)[0]
                 if nz.size == 0:
-                    drop.add(i)
-                    continue
+                    raise SimplexError(f"phase 1 left row {i} without a real pivot")
                 basis[i] = int(nz[0])
                 _pivot(T, i, basis[i])
-        if drop:
-            kept = [i for i in kept if i not in drop]
-            T = np.delete(T, sorted(drop), axis=0)
-            basis = [basis[i] for i in kept]
         allowed[art_cols] = False
 
     # phase 2: real objective, in the last row
-    m_eff = len(basis)
-    T[m_eff, :] = 0.0
-    T[m_eff, :n] = lp.objective
-    for i in range(m_eff):
+    T[m, :] = 0.0
+    T[m, :n] = lp.objective
+    for i in range(m):
         b = basis[i]
         cb = lp.objective[b] if b < n else 0.0
         if cb:
-            T[m_eff, :] -= cb * T[i, :]
+            T[m, :] -= cb * T[i, :]
     status, iters = _pivot_loop(T, basis, allowed, iters, max_iters)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, iterations=iters)
@@ -317,8 +296,8 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
     if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
     obj = float(lp.objective @ x)
-    return SimplexResult("optimal", x, obj, tuple(basis), tuple(kept),
-                         iterations=iters, max_violation=viol)
+    return SimplexResult("optimal", x, obj, tuple(basis), iterations=iters,
+                         max_violation=viol)
 
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"
@@ -360,20 +339,16 @@ def _highs_core():
     raise ImportError(f"no HiGHS extension (_core) in {folder}; scipy >= 1.15 ships one")
 
 
-def _csc(lp: LinearProgram, order: np.ndarray,
-         sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """indptr, indices and data of the signed rows, permuted by order, in
-    compressed sparse column layout.  Within a column the entries run in
-    permuted row order, as scipy's csr_array(...)[order].tocsc() leaves them,
-    so HiGHS reads the model linprog builds."""
+def _csc(lp: LinearProgram, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, indices and data of the signed rows in compressed sparse
+    column layout.  Within a column the entries run in row order, as
+    scipy's csr_array(...).tocsc() leaves them, so HiGHS reads the model
+    linprog builds."""
     m, n = len(lp.rhs), lp.num_vars
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m)
-    row = rank[lp.row_of]
-    by_col = np.argsort(lp.indices.astype(np.int64) * m + row, kind="stable")
+    by_col = np.argsort(lp.indices.astype(np.int64) * m + lp.row_of, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(lp.indices, minlength=n), out=indptr[1:])
-    return indptr, row[by_col], (lp.data * sign[lp.row_of])[by_col]
+    return indptr, lp.row_of[by_col], (lp.data * sign[lp.row_of])[by_col]
 
 
 def _solve_scipy(lp: LinearProgram) -> SimplexResult:
@@ -385,13 +360,10 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     """
     highspy = _highs_core()
 
-    # >= rows go in negated as <= rows; = rows with a negative right-hand
-    # side are negated too, as the simplex's normalization does.  HiGHS
-    # reads row_lower <= A x <= row_upper, the <= rows first, then the = rows
-    sign = np.where(lp.geq | (lp.eq & (lp.rhs < 0)), -1.0, 1.0)
-    order = np.argsort(lp.eq, kind="stable")
-    start, index, data = _csc(lp, order, sign)
-    b = (sign * lp.rhs)[order]
+    # >= rows go in negated as <= rows; HiGHS reads A x <= row_upper
+    sign = np.where(lp.geq, -1.0, 1.0)
+    start, index, data = _csc(lp, sign)
+    b = sign * lp.rhs
     model = highspy.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
     model.num_row_ = model.a_matrix_.num_row_ = len(b)
@@ -402,9 +374,8 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     model.a_matrix_.value_ = data.tolist()
     model.col_cost_ = lp.objective.tolist()
     model.col_lower_ = [0.0] * lp.num_vars
-    model.col_upper_ = ([highspy.kHighsInf] * lp.num_vars if lp.upper is None
-                        else lp.upper.tolist())
-    model.row_lower_ = np.where(lp.eq[order], b, -highspy.kHighsInf).tolist()
+    model.col_upper_ = lp.upper.tolist()
+    model.row_lower_ = [-highspy.kHighsInf] * len(b)
     model.row_upper_ = b.tolist()
 
     highs = highspy._Highs()
@@ -499,8 +470,7 @@ def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
         nv, c, np.concatenate((indptr, indptr[-1] + 2 * np.arange(1, nx + 1))),
         np.concatenate((indices, link.ravel())), data,
         np.concatenate(([1.0] * nD + rhs, np.zeros(nx))),
-        np.concatenate(([True] * nD + geq, np.zeros(nx, dtype=bool))),
-        np.zeros(nD + len(rhs) + nx, dtype=bool), upper=upper,
+        np.concatenate(([True] * nD + geq, np.zeros(nx, dtype=bool))), upper,
         row_kinds=[("cover", v) for v in range(nD)] + kinds
         + list(itertools.product(("link",), range(nD), range(nF))))
 
@@ -547,8 +517,7 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     geq += [True] * nD + [False] * nD
     kinds += [("ball", v) for v in range(nD)] + [("superball", v) for v in range(nD)]
     lp = LinearProgram(nF, c, indptr, indices, np.ones(len(indices)), np.array(rhs),
-                       np.array(geq), np.zeros(len(rhs), dtype=bool),
-                       upper=np.ones(nF), row_kinds=kinds)
+                       np.array(geq), np.ones(nF), row_kinds=kinds)
     return lp, constant
 
 
@@ -559,8 +528,7 @@ def scale_doubled(lp: LinearProgram) -> LinearProgram:
     sides are integers, so every vertex of the scaled polytope is integral;
     halving an integral vertex yields a half-integral point of the original.
     """
-    return replace(lp, rhs=2.0 * lp.rhs,
-                   upper=None if lp.upper is None else 2.0 * lp.upper)
+    return replace(lp, rhs=2.0 * lp.rhs, upper=2.0 * lp.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +730,12 @@ def _std_form_fractions(lp: LinearProgram):
     """Equality standard form over Fractions, with the simplex's row order
     and slack columns; returns (A, b, c, row senses)."""
     norm = _normalized(lp)
-    n_slack = int(np.count_nonzero(~norm.eq))
-    M = np.zeros((len(norm.rhs), lp.num_vars + n_slack))
+    m = len(norm.rhs)
+    M = np.zeros((m, lp.num_vars + m))
     _write_standard(M, norm)
     A = [[_exact(v) for v in row] for row in M.tolist()]
     b = [_exact(v) for v in norm.rhs.tolist()]
-    c = [_exact(v) for v in lp.objective] + [Fraction(0)] * n_slack
+    c = [_exact(v) for v in lp.objective] + [Fraction(0)] * m
     return A, b, c, norm.senses()
 
 
@@ -807,15 +775,13 @@ def recertify_rational(lp: LinearProgram, res: SimplexResult,
 
     Only meaningful for results of the in-package simplex (needs the basis).
     """
-    if res.basis is None or res.kept_rows is None:
+    if res.basis is None:
         raise ValueError("result carries no basis")
     A, b, c, senses = _std_form_fractions(lp)
     cols = len(c)
-    rows = list(res.kept_rows)
     basis = list(res.basis)
-    B = [[A[i][j] for j in basis] for i in rows]
-    rhs = [b[i] for i in rows]
-    xb = _frac_solve(B, rhs)
+    B = [[row[j] for j in basis] for row in A]
+    xb = _frac_solve(B, b)
     if xb is None:
         return RationalCheck(False, False, False, None)
     x = [Fraction(0)] * cols
@@ -827,8 +793,6 @@ def recertify_rational(lp: LinearProgram, res: SimplexResult,
         if sense == LEQ and lhs > bi:
             feasible = False
         if sense == GEQ and lhs < bi:
-            feasible = False
-        if sense == EQ and lhs != bi:
             feasible = False
     exact_obj = sum(cj * xj for cj, xj in zip(c, x))
     agrees = res.objective is not None and abs(float(exact_obj) - res.objective) <= tol * (1 + abs(res.objective))
@@ -846,7 +810,7 @@ def recertify_rational(lp: LinearProgram, res: SimplexResult,
         for j in range(cols):
             if j in base_set:
                 continue
-            red = c[j] - sum(y[i] * A[rows[i]][j] for i in range(len(rows)))
+            red = c[j] - sum(y[i] * A[i][j] for i in range(len(A)))
             if red < 0:
                 optimal = False
                 break

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,7 +34,6 @@ from .structure import (build_super_balls, enforce_structure,
 
 ORACLE_BUDGET = 10_000_000
 CERT_ABS_TOL = 1e-9       # certificate slack, absolute
-LOG_SPACE_P = 40.0        # beyond this p, certify in log space
 COST_CAP = 1e300          # largest total weight * d_max^p a solve accepts
 
 
@@ -51,7 +49,6 @@ class BoundCheck:
     lhs: float
     rhs: float
     passed: bool
-    log_space: bool = False
 
 
 @dataclass
@@ -65,26 +62,24 @@ class SolveReport:
     fallback: bool = False
 
 
+def _scaled(lf: float, v: float) -> float:
+    """exp(lf) * v.  Where exp(lf) alone overflows, this is exp(lf + log v):
+    0 when v is 0, and inf only where the product is past float range, so
+    above every stage cost (at most COST_CAP)."""
+    try:
+        return math.exp(lf) * v
+    except OverflowError:
+        with np.errstate(all="ignore"):
+            return float(np.exp(lf + np.log(v)))
+
+
 def _certificate(name: str, lhs: float, terms: list[tuple[float, float]],
-                 cfg: SolverConfig, log_space: bool) -> BoundCheck:
+                 cfg: SolverConfig) -> BoundCheck:
     """One bound check; terms are (log factor, value) pairs summed on the
-    right-hand side.  In log space only the comparison changes, so huge
-    factors at large p cannot overflow."""
-    if log_space:
-        logs = [lf + math.log(v) for lf, v in terms if v > 0.0]
-        if lhs <= CERT_ABS_TOL:
-            return BoundCheck(name, lhs, math.inf, True, True)
-        if not logs:
-            return BoundCheck(name, lhs, 0.0, False, True)
-        rhs_log = logs[0]
-        for lg in logs[1:]:
-            rhs_log = np.logaddexp(rhs_log, lg)
-        ok = math.log(lhs) <= rhs_log + math.log1p(cfg.rel_tol)
-        rhs = math.exp(rhs_log) if rhs_log < 700 else math.inf
-        return BoundCheck(name, lhs, float(rhs), bool(ok), True)
-    rhs = sum(math.exp(lf) * v for lf, v in terms)
+    right-hand side."""
+    rhs = sum(_scaled(lf, v) for lf, v in terms)
     ok = lhs <= rhs * (1.0 + cfg.rel_tol) + CERT_ABS_TOL
-    return BoundCheck(name, lhs, rhs, bool(ok), False)
+    return BoundCheck(name, lhs, rhs, bool(ok))
 
 
 def _identity_reduction(inst: MetricInstance) -> ReducedInstance:
@@ -110,6 +105,18 @@ def _require_ranged_groups(inst: MetricInstance, rc: RangeConstraints) -> None:
                 f"groups 1..{rc.num_groups} only")
 
 
+def _require_nonnegative_distances(inst: MetricInstance) -> None:
+    """Refuse a negative distance.
+
+    Its p-th power is negative or nan, so stage costs stop bounding one
+    another and a certificate fails on an instance that was never valid.
+    """
+    if inst.dist.min(initial=0.0) < 0.0:
+        i, j = np.argwhere(inst.dist < 0.0)[0]
+        raise CostRangeError(f"distance d({inst.point_ids[i]}, {inst.point_ids[j]}) = "
+                             f"{inst.dist[i, j]:g} is negative")
+
+
 def _require_costs_in_range(inst: MetricInstance) -> None:
     """Refuse a p at which costs may leave the float range.
 
@@ -122,9 +129,10 @@ def _require_costs_in_range(inst: MetricInstance) -> None:
     if top <= COST_CAP:
         return
     largest = ""
-    if d_max > 1.0 and 0.0 < weight <= COST_CAP:
+    if 1.0 < d_max < math.inf and 0.0 < weight <= COST_CAP:
         p_max = (math.log(COST_CAP) - math.log(weight)) / math.log(d_max)
-        largest = f"; this instance accepts p up to {p_max:.6g}"
+        if p_max >= 1.0:
+            largest = f"; this instance accepts p up to {p_max:.6g}"
     raise CostRangeError(f"p={inst.p:g} puts total weight * d_max^p at {top:.3g}, "
                          f"above {COST_CAP:g}{largest}")
 
@@ -176,10 +184,11 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
 
     Raises UnrangedGroupError when a facility's group has no range,
     InfeasibleRangesError when no center set can meet the ranges,
-    CostRangeError when total weight * d_max^p is above COST_CAP, and a
-    stage-named error when an internal certificate fails.  On the
-    rare opening programs made infeasible by the one-unit territory caps,
-    falls back to the direct greedy selection and marks the report.
+    CostRangeError when a distance is negative or total weight * d_max^p
+    is above COST_CAP, and a stage-named error when an internal
+    certificate fails.  On the rare opening programs made infeasible by
+    the one-unit territory caps, falls back to the direct greedy selection
+    and marks the report.
     """
     cfg = config or SolverConfig()
     _require_ranged_groups(inst, rc)
@@ -187,11 +196,8 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     if not check_range_feasibility(sizes, rc):
         raise InfeasibleRangesError(
             f"no size-{rc.k} center set can meet the ranges")
+    _require_nonnegative_distances(inst)
     _require_costs_in_range(inst)
-    log_space = inst.p > LOG_SPACE_P
-    if log_space:
-        warnings.warn(f"p={inst.p} above the certificate cap {LOG_SPACE_P}; "
-                      "comparing certificates in log space", RuntimeWarning)
 
     timings: dict[str, float] = {}
     t_all = time.perf_counter()
@@ -251,28 +257,23 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
             diagnostics["fallback_reason"] = reason
 
         bounds = [
-            _certificate("reassigned-vs-opt", cost_reassigned,
-                         [(lp3, opt_d)], cfg, log_space),
+            _certificate("reassigned-vs-opt", cost_reassigned, [(lp3, opt_d)], cfg),
             _certificate("structured-vs-opt", ss.cost_p,
-                         [(inst.p * math.log(9.0), opt_d)], cfg, log_space),
+                         [(inst.p * math.log(9.0), opt_d)], cfg),
         ]
         if not fallback:
             bounds += [
-                _certificate("half-integral-vs-structured",
-                             stage_costs["half_integral"],
-                             [(inst.p * math.log(2.0), ss.cost_p)], cfg, log_space),
+                _certificate("half-integral-vs-structured", stage_costs["half_integral"],
+                             [(inst.p * math.log(2.0), ss.cost_p)], cfg),
                 _certificate("assignment-vs-half", stage_costs["assignment"],
-                             [(inst.p * math.log(1.5), stage_costs["half_integral"])],
-                             cfg, log_space),
+                             [(inst.p * math.log(1.5), stage_costs["half_integral"])], cfg),
                 _certificate("integral-vs-half", stage_costs["integral_sparse"],
-                             [(inst.p * math.log(4.5), stage_costs["half_integral"])],
-                             cfg, log_space),
+                             [(inst.p * math.log(4.5), stage_costs["half_integral"])], cfg),
             ]
         bounds.append(_certificate(
             "clients-lift", stage_costs["integral_clients"],
             [(inst.p * math.log(4.0), opt_d),
-             ((inst.p - 1.0) * math.log(2.0), stage_costs["integral_sparse"])],
-            cfg, log_space))
+             ((inst.p - 1.0) * math.log(2.0), stage_costs["integral_sparse"])], cfg))
         for bc in bounds:
             if not bc.passed:
                 raise StageError(
@@ -505,9 +506,8 @@ def report_to_text(report: SolveReport) -> str:
     lines.append("bounds:")
     for bc in report.bounds:
         verdict = "PASS" if bc.passed else "FAIL"
-        space = " log-space" if bc.log_space else ""
         lines.append(f"  {bc.name}: " + g % bc.lhs + " <= " + g % bc.rhs
-                     + f" {verdict}{space}")
+                     + f" {verdict}")
     lines.append("timings-ms:")
     for name, value in report.timings.items():
         lines.append(f"  {name}: " + "%.3f" % (1000.0 * value))

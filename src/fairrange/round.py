@@ -49,13 +49,12 @@ def _check_rows_exact(lp: LinearProgram, x: np.ndarray) -> None:
     # comparisons are written as what holds, so a NaN breaks its row.
     total = np.bincount(lp.row_of, weights=lp.data * x[lp.indices],
                         minlength=len(lp.rhs))
-    ok = np.where(lp.geq, total >= lp.rhs,
-                  np.where(lp.eq, total == lp.rhs, total <= lp.rhs))
+    ok = np.where(lp.geq, total >= lp.rhs, total <= lp.rhs)
     bad = np.flatnonzero(~ok)
     if bad.size:
         sense = lp.senses()[bad[0]]
         raise StageError("round", f"snapped vertex breaks a {sense} row")
-    if lp.upper is not None and np.any(x > lp.upper):
+    if np.any(x > lp.upper):
         raise StageError("round", "snapped vertex breaks an upper bound")
     if np.any(x < 0.0):
         raise StageError("round", "snapped vertex went negative")
@@ -98,8 +97,8 @@ def merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarra
     np.cumsum(np.bincount(lp.row_of[keep], minlength=m), out=indptr[1:])
     upper = np.array([lp.upper[c].sum() for c in members])
     return LinearProgram(len(members), lp.objective[firsts], indptr,
-                         new_of[lp.indices[keep]], lp.data[keep], lp.rhs, lp.geq, lp.eq,
-                         upper=upper, row_kinds=lp.row_kinds), members
+                         new_of[lp.indices[keep]], lp.data[keep], lp.rhs, lp.geq,
+                         upper, row_kinds=lp.row_kinds), members
 
 
 def _spread(values: np.ndarray, members: list[np.ndarray], upper: np.ndarray,

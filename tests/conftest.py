@@ -33,6 +33,14 @@ def matrix_instance(ids, dist, facility_ids, group_label, client_demands, p):
                           dict(client_demands), p)
 
 
+def with_distance(inst, a, b, value):
+    """inst as a matrix instance with d(a, b) = d(b, a) = value."""
+    dist = inst.dist.copy()
+    dist[inst.index(a), inst.index(b)] = dist[inst.index(b), inst.index(a)] = value
+    return MetricInstance(inst.point_ids, dist, inst.facility_ids, inst.group_label,
+                          inst.client_demands, inst.p)
+
+
 def random_fair_instance(rng, n, p):
     """Planar instance, every point a client and a facility, two groups."""
     ids = [f"p{i:02d}" for i in range(n)]
@@ -71,10 +79,11 @@ def manual_sp(inst, locations, radii, balls, x, y):
 
 
 def lp_from_rows(num_vars, objective, rows, upper=None, row_kinds=None):
-    """LinearProgram from a list of Row tuples, collected in one pass."""
-    from fairrange.lp import EQ, GEQ, LinearProgram
+    """LinearProgram from a list of Row tuples, collected in one pass; no
+    upper bounds when upper is None."""
+    from fairrange.lp import GEQ, LinearProgram
 
-    ends, indices, data, rhs, geq, eq = [0], [], [], [], [], []
+    ends, indices, data, rhs, geq = [0], [], [], [], []
     for row in rows:
         for j, a in row.coeffs:
             indices.append(j)
@@ -82,11 +91,11 @@ def lp_from_rows(num_vars, objective, rows, upper=None, row_kinds=None):
         ends.append(len(indices))
         rhs.append(row.rhs)
         geq.append(row.sense == GEQ)
-        eq.append(row.sense == EQ)
     return LinearProgram(num_vars, objective, np.array(ends, dtype=np.intp),
                          np.array(indices, dtype=np.intp), np.array(data, dtype=float),
                          np.array(rhs, dtype=float), np.array(geq, dtype=bool),
-                         np.array(eq, dtype=bool), upper=upper, row_kinds=row_kinds)
+                         np.full(num_vars, np.inf) if upper is None else upper,
+                         row_kinds=row_kinds)
 
 
 def groups_of(inst):

@@ -6,9 +6,9 @@ from fairrange.cli import (CSV_HEADER, InstanceDocument, document_from_instance,
                            document_to_instance, main, parse_document,
                            serialize_document)
 from fairrange.instance import RangeConstraints
-from fairrange.pipeline import generate_figure1_instance, random_instance
+from fairrange.pipeline import generate_figure1_instance, random_instance, random_ranges
 
-from conftest import line_instance, matrix_instance
+from conftest import line_instance, matrix_instance, with_distance
 
 
 def roundtrip(doc):
@@ -152,6 +152,17 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("invalid parameters: p=1000 puts total weight")
         assert "accepts p up to" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_negative_distance_exit_one(self, tmp_path, capsys, p):
+        inst = with_distance(random_instance(3, 8, 2, p), "p000", "p001", -1.0)
+        path = self.write(tmp_path,
+                          document_from_instance(inst, random_ranges(3, inst, 3, 2)))
+        assert main(["solve", path]) == 1
+        assert "negativity" in capsys.readouterr().err
+        assert main(["solve", path, "--allow-nonmetric"]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid parameters: distance d(p000, p001) = -1 is negative\n"
 
     def test_tol_override_zero_is_kept(self, tmp_path, monkeypatch):
         seen = []

@@ -20,7 +20,6 @@ from fairrange.lp import (
     GEQ,
     HIGHS_CUTOVER,
     LEQ,
-    EQ,
     MAX_ITERS,
     PIVOT_TOL,
     DeterminantReport,
@@ -79,9 +78,12 @@ class TestSimplex:
         assert res.x == pytest.approx([2.0, 6.0], abs=1e-9)
 
     def test_equality_rows(self):
+        # x0 + x1 = 2 and x0 = x1, each as a >= and a <= row
         lp = simple_lp([1.0, 1.0], [
-            ([(0, 1.0), (1, 1.0)], EQ, 2.0),
-            ([(0, 1.0), (1, -1.0)], EQ, 0.0),
+            ([(0, 1.0), (1, 1.0)], GEQ, 2.0),
+            ([(0, 1.0), (1, 1.0)], LEQ, 2.0),
+            ([(0, 1.0), (1, -1.0)], GEQ, 0.0),
+            ([(0, 1.0), (1, -1.0)], LEQ, 0.0),
         ])
         res = solve_vertex(lp)
         assert res.status == "optimal"
@@ -98,11 +100,14 @@ class TestSimplex:
         lp = simple_lp([-1.0], [])
         assert solve_vertex(lp).status == "unbounded"
 
-    def test_negative_rhs_normalization(self):
-        # x >= -1 written as -x <= 1 after normalization; optimum at 0
+    def test_negative_rhs_rejected(self):
+        # neither clustering program has one, so no solver normalizes it
+        with pytest.raises(ValueError, match="negative right-hand side"):
+            simple_lp([1.0], [([(0, 1.0)], GEQ, -1.0)])
+        with pytest.raises(ValueError, match="or upper bound"):
+            simple_lp([1.0], [([(0, 1.0)], LEQ, 1.0)], ub=[-1.0])
         lp = simple_lp([1.0], [([(0, -1.0)], LEQ, 1.0)])
-        res = solve_vertex(lp)
-        assert res.objective == pytest.approx(0.0, abs=1e-12)
+        assert solve_vertex(lp).objective == 0.0
 
     def test_upper_bounds_respected(self):
         lp = simple_lp([-1.0, -1.0], [([(0, 1.0), (1, 1.0)], LEQ, 10.0)],
@@ -122,16 +127,6 @@ class TestSimplex:
         lp = simple_lp([-1.0], [([(0, 1.0)], LEQ, 1.0)])
         with pytest.raises(IterationLimitError):
             solve_vertex(lp, max_iters=0)
-
-    def test_redundant_rows_dropped(self):
-        lp = simple_lp([1.0, 1.0], [
-            ([(0, 1.0), (1, 1.0)], EQ, 2.0),
-            ([(0, 2.0), (1, 2.0)], EQ, 4.0),
-            ([(0, 1.0)], GEQ, 0.5),
-        ])
-        res = solve_vertex(lp)
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(2.0, abs=1e-9)
 
     def test_enumeration_agreement_random(self, rng):
         for trial in range(40):
@@ -375,29 +370,18 @@ class TestBackendRouting:
 
 
 # The row normalization the simplex used before it read the rows as
-# arrays, kept verbatim as the reference for loop_violation and
-# reference_solve_vertex.
+# arrays, the reference for loop_violation and reference_solve_vertex.
 def _normalized_rows(lp: LinearProgram) -> list[tuple[dict, str, float]]:
-    """lp rows plus bound rows, with nonnegative right-hand sides.
+    """lp rows plus bound rows.
 
     The fixed ordering here (lp.rows first, then one bound row per finite
     upper bound in variable order) is shared with the rational recheck.
     """
-    out = []
-    for row in lp.rows:
-        coeffs = dict(row.coeffs)
-        sense, rhs = row.sense, row.rhs
-        if rhs < 0:
-            coeffs = {j: -a for j, a in coeffs.items()}
-            rhs = -rhs
-            if sense != EQ:
-                sense = LEQ if sense == GEQ else GEQ
-        out.append((coeffs, sense, rhs))
-    if lp.upper is not None:
-        for j in range(lp.num_vars):
-            ub = lp.upper[j]
-            if np.isfinite(ub):
-                out.append(({j: 1.0}, LEQ, float(ub)))
+    out = [(dict(row.coeffs), row.sense, row.rhs) for row in lp.rows]
+    for j in range(lp.num_vars):
+        ub = lp.upper[j]
+        if np.isfinite(ub):
+            out.append(({j: 1.0}, LEQ, float(ub)))
     return out
 
 
@@ -410,22 +394,21 @@ def loop_violation(lp, x):
         scale = 1.0 + abs(rhs)
         if sense == LEQ:
             worst = max(worst, (lhs - rhs) / scale)
-        elif sense == GEQ:
-            worst = max(worst, (rhs - lhs) / scale)
         else:
-            worst = max(worst, abs(lhs - rhs) / scale)
+            worst = max(worst, (rhs - lhs) / scale)
     if len(x):
         worst = max(worst, float(-(x.min(initial=0.0))))
     return worst
 
 
-def eq_negative_rhs_lp():
-    # min x0 + 2 x1 + 3 x2 with x0 + x1 + x2 = 3, x1 >= x0 + 1, x2 <= 1,
-    # every row written with a negative right-hand side; optimum (1, 2, 0)
+def mixed_rows_lp():
+    # min x0 + 2 x1 + 3 x2 with x0 + x1 + x2 >= 3, x1 >= x0 + 1,
+    # x0 + x1 <= 3 and x2 <= 1; optimum (1, 2, 0), tight on the <= row
     return simple_lp([1.0, 2.0, 3.0], [
-        ([(0, -1.0), (1, -1.0), (2, -1.0)], EQ, -3.0),
-        ([(0, 1.0), (1, -1.0)], LEQ, -1.0),
-        ([(2, -1.0)], GEQ, -1.0),
+        ([(0, 1.0), (1, 1.0), (2, 1.0)], GEQ, 3.0),
+        ([(0, -1.0), (1, 1.0)], GEQ, 1.0),
+        ([(0, 1.0), (1, 1.0)], LEQ, 3.0),
+        ([(2, 1.0)], LEQ, 1.0),
     ], ub=[np.inf, np.inf, 5.0])
 
 
@@ -438,22 +421,16 @@ def random_fair_range_lp(rng, nD, nF, p):
 
 
 def linprog_reference(lp, presolve=True):
-    """linprog fed the arrays _solve_scipy hands HiGHS: the <= rows (>= rows
-    negated) as A_ub, the == rows as A_eq."""
+    """linprog fed the arrays _solve_scipy hands HiGHS: every row as a <=
+    row, the >= rows negated."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
-    sign = np.where(lp.geq | (lp.eq & (lp.rhs < 0)), -1.0, 1.0)
+    sign = np.where(lp.geq, -1.0, 1.0)
     A = csr_array((lp.data * sign[lp.row_of], lp.indices, lp.indptr),
                   shape=(len(lp.rhs), lp.num_vars))
-    b = sign * lp.rhs
-    ub = ~lp.eq
-    upper = np.full(lp.num_vars, np.inf) if lp.upper is None else lp.upper
-    return linprog(lp.objective,
-                   A_ub=A[ub] if ub.any() else None, b_ub=b[ub] if ub.any() else None,
-                   A_eq=A[lp.eq] if lp.eq.any() else None,
-                   b_eq=b[lp.eq] if lp.eq.any() else None,
-                   bounds=np.column_stack((np.zeros(lp.num_vars), upper)),
+    return linprog(lp.objective, A_ub=A, b_ub=sign * lp.rhs,
+                   bounds=np.column_stack((np.zeros(lp.num_vars), lp.upper)),
                    method="highs", options={"presolve": presolve})
 
 
@@ -470,14 +447,6 @@ class TestSparseHighs:
         mine = solve_vertex(lp)
         assert highs.objective == pytest.approx(mine.objective, rel=1e-9)
 
-    def test_equality_rows_with_negative_rhs(self):
-        lp = eq_negative_rhs_lp()
-        res = _solve_scipy(lp)
-        assert res.backend == "scipy" and res.status == "optimal"
-        assert res.objective == pytest.approx(5.0, abs=1e-9)
-        assert res.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-9)
-        assert solve_vertex(lp).objective == pytest.approx(5.0, abs=1e-9)
-
     def test_perturbed_backend_answer_is_rejected(self, monkeypatch):
         from scipy.optimize._highspy import _core
 
@@ -489,7 +458,7 @@ class TestSparseHighs:
 
         monkeypatch.setattr(_core, "_Highs", Perturbed)
         with pytest.raises(SimplexError, match="residual"):
-            _solve_scipy(eq_negative_rhs_lp())
+            _solve_scipy(mixed_rows_lp())
 
     @pytest.mark.parametrize("nD,nF,p", list(itertools.product((3, 10), (200, 300), (1, 2))))
     def test_direct_call_matches_linprog_bit_for_bit(self, rng, nD, nF, p):
@@ -502,12 +471,12 @@ class TestSparseHighs:
         assert res.objective == pytest.approx(linprog_reference(lp).fun, rel=1e-9)
 
     def test_mixed_rows_match_linprog_bit_for_bit(self, rng):
-        # == rows ahead of <= and >= rows, some right-hand sides negative
-        lps = [eq_negative_rhs_lp()]
+        # <= and >= rows interleaved
+        lps = [mixed_rows_lp()]
         for _ in range(20):
             n = 8
             rows = [([(j, float(rng.integers(-2, 4))) for j in range(n)],
-                     [EQ, LEQ, GEQ][t % 3], float(rng.integers(-3, 6))) for t in range(5)]
+                     [GEQ, LEQ][t % 2], float(rng.integers(0, 6))) for t in range(5)]
             lps.append(simple_lp(rng.uniform(0.5, 2.0, size=n), rows, ub=[3.0] * n))
         optimal = 0
         for lp in lps:
@@ -542,9 +511,9 @@ class TestSparseHighs:
             for _ in range(int(rng.integers(0, 5))):
                 cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
                 coeffs = [(int(j), float(rng.normal())) for j in cols]
-                rows.append((coeffs, [LEQ, GEQ, EQ][int(rng.integers(3))],
-                             float(rng.normal())))
-            ub = np.where(rng.random(n) < 0.5, np.inf, rng.normal(size=n))
+                rows.append((coeffs, [LEQ, GEQ][int(rng.integers(2))],
+                             abs(float(rng.normal()))))
+            ub = np.where(rng.random(n) < 0.5, np.inf, np.abs(rng.normal(size=n)))
             lp = simple_lp(rng.normal(size=n), rows,
                            ub=None if trial % 3 == 0 else ub)
             x = rng.normal(size=n)
@@ -557,14 +526,13 @@ class TestSparseHighs:
             n = int(rng.integers(1, 9))
             rows = [([(int(j), float(rng.integers(-3, 4) or 1))
                       for j in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)],
-                     [EQ, LEQ, GEQ][int(rng.integers(3))], float(rng.integers(-3, 6)))
+                     [LEQ, GEQ][int(rng.integers(2))], float(rng.integers(0, 6)))
                     for _ in range(int(rng.integers(1, 7)))]
             lp = simple_lp(rng.uniform(0.5, 2.0, size=n), rows)
-            sign = np.where(lp.geq | (lp.eq & (lp.rhs < 0)), -1.0, 1.0)
-            order = np.argsort(lp.eq, kind="stable")
+            sign = np.where(lp.geq, -1.0, 1.0)
             want = csr_array((lp.data * sign[lp.row_of], lp.indices, lp.indptr),
-                             shape=(len(lp.rhs), n))[order].tocsc()
-            start, index, data = _csc(lp, order, sign)
+                             shape=(len(lp.rhs), n)).tocsc()
+            start, index, data = _csc(lp, sign)
             assert start.tolist() == want.indptr.tolist()
             assert index.tolist() == want.indices.tolist()
             assert data.tobytes() == want.data.tobytes()
@@ -691,7 +659,9 @@ class TestHighsBand:
 
 # The two-phase simplex as it was before its two pivot loops and the
 # artificial drive-out were merged into one _pivot and one _pivot_loop,
-# kept verbatim as the oracle for that merge.
+# kept as the oracle for that merge.  Only its equality-row branches and
+# its kept-row list went with the program's equality rows; the row drop
+# stays, and every row having a slack keeps it from being taken.
 def reference_solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
                            pivot_tol: float = PIVOT_TOL, feas_tol: float = FEAS_TOL) -> SimplexResult:
     """Two-phase primal simplex on a dense tableau.
@@ -705,15 +675,9 @@ def reference_solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
     norm = _normalized_rows(lp)
     m = len(norm)
     n = lp.num_vars
-    n_slack = sum(1 for _, sense, _ in norm if sense != EQ)
-    slack_of_row = {}
-    t = 0
-    for i, (_, sense, _) in enumerate(norm):
-        if sense != EQ:
-            slack_of_row[i] = n + t
-            t += 1
-    art_rows = [i for i, (_, sense, rhs) in enumerate(norm)
-                if sense in (GEQ, EQ)]
+    n_slack = m
+    slack_of_row = {i: n + i for i in range(m)}
+    art_rows = [i for i, (_, sense, rhs) in enumerate(norm) if sense == GEQ]
     n_art = len(art_rows)
     ncols = n + n_slack + n_art
 
@@ -894,8 +858,8 @@ def reference_solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS,
     if not viol <= 100 * feas_tol:
         raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
     obj = float(lp.objective @ x)
-    return SimplexResult("optimal", x, obj, tuple(basis), tuple(kept),
-                         iterations=iters, max_violation=viol)
+    return SimplexResult("optimal", x, obj, tuple(basis), iterations=iters,
+                         max_violation=viol)
 
 
 def outcome(solve, lp, **kw):
@@ -908,7 +872,7 @@ def outcome(solve, lp, **kw):
     return (res.status,
             None if res.x is None else res.x.tobytes(),
             None if res.objective is None else struct.pack("<d", res.objective),
-            res.basis, res.kept_rows, res.iterations, res.backend,
+            res.basis, res.iterations, res.backend,
             struct.pack("<d", res.max_violation))
 
 
@@ -918,21 +882,22 @@ COEFFS = st.one_of(st.integers(-3, 3).map(float),
 
 @st.composite
 def small_programs(draw):
-    """Dense-simplex inputs of every row shape: <=, >= and = rows with
-    right-hand sides of either sign, finite and infinite upper bounds,
-    = rows repeated at a multiple (redundant, so phase 1 drops one), and
-    infeasible or unbounded programs among them."""
+    """Dense-simplex inputs of every row shape: <= and >= rows with
+    nonnegative right-hand sides, finite and infinite upper bounds, >= rows
+    repeated at a multiple (redundant, so phase 1 can end with an
+    artificial at zero to drive out), and infeasible or unbounded programs
+    among them."""
     n = draw(st.integers(1, 6))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         cols = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         coeffs = [(j, draw(COEFFS)) for j in cols]
-        sense = draw(st.sampled_from([LEQ, LEQ, GEQ, EQ]))
-        rhs = float(draw(st.integers(-3, 8)))
+        sense = draw(st.sampled_from([LEQ, LEQ, GEQ]))
+        rhs = float(draw(st.integers(0, 8)))
         rows.append((coeffs, sense, rhs))
-        if sense == EQ and draw(st.booleans()):
-            f = draw(st.sampled_from([1.0, 2.0, -1.0]))
-            rows.append(([(j, f * a) for j, a in coeffs], EQ, f * rhs))
+        if sense == GEQ and draw(st.booleans()):
+            f = draw(st.sampled_from([1.0, 2.0]))
+            rows.append(([(j, f * a) for j, a in coeffs], GEQ, f * rhs))
     ub = draw(st.one_of(
         st.none(),
         st.lists(st.sampled_from([np.inf, 0.0, 1.0, 2.5, 4.0]),
@@ -954,18 +919,18 @@ class TestMergedLoopMatchesReference:
             assert outcome(solve_vertex, prog) == outcome(reference_solve_vertex, prog)
 
     def test_bit_identical_on_every_exit(self):
-        # named programs that drop a redundant row, are infeasible, are
-        # unbounded, hit the pivot cap, have negative right-hand sides, and
-        # stall long enough to switch to Bland's rule
+        # named programs that repeat a row, are infeasible, are unbounded,
+        # hit the pivot cap, mix <= and >= rows, and stall long enough to
+        # switch to Bland's rule
         cases = [
-            (simple_lp([1.0, 1.0], [([(0, 1.0), (1, 1.0)], EQ, 2.0),
-                                    ([(0, 2.0), (1, 2.0)], EQ, 4.0),
+            (simple_lp([1.0, 1.0], [([(0, 1.0), (1, 1.0)], GEQ, 2.0),
+                                    ([(0, 2.0), (1, 2.0)], GEQ, 4.0),
                                     ([(0, 1.0)], GEQ, 0.5)]), {}),
             (simple_lp([1.0], [([(0, 1.0)], GEQ, 2.0),
                                ([(0, 1.0)], LEQ, 1.0)]), {}),
             (simple_lp([-1.0], []), {}),
             (simple_lp([-1.0], [([(0, 1.0)], LEQ, 1.0)]), {"max_iters": 0}),
-            (eq_negative_rhs_lp(), {}),
+            (mixed_rows_lp(), {}),
             (beale_lp(), {}),
         ]
         seen = []
@@ -975,7 +940,7 @@ class TestMergedLoopMatchesReference:
             seen.append(got[0])
         assert seen == ["optimal", "infeasible", "unbounded",
                         "IterationLimitError", "optimal", "optimal"]
-        assert solve_vertex(cases[0][0]).kept_rows == (0, 2)
+        assert len(solve_vertex(cases[0][0]).basis) == 3
         assert solve_vertex(beale_lp()).iterations > 200
 
     def test_bit_identical_on_pipeline_programs(self, monkeypatch):
@@ -1002,8 +967,6 @@ def loop_matrix_geq(lp):
     A = np.zeros((len(lp.rows), lp.num_vars))
     for i, row in enumerate(lp.rows):
         sgn = 1.0 if row.sense == GEQ else -1.0
-        if row.sense == EQ:
-            raise ValueError("equality row has no >= orientation")
         for j, a in row.coeffs:
             A[i, j] = sgn * a
     return A
@@ -1012,41 +975,25 @@ def loop_matrix_geq(lp):
 def loop_std_form_fractions(lp):
     norm = _normalized_rows(lp)
     n = lp.num_vars
-    slack: dict[int, int] = {}
-    for i, (_, sense, _) in enumerate(norm):
-        if sense != EQ:
-            slack[i] = n + len(slack)
+    slack = {i: n + i for i in range(len(norm))}
     cols = n + len(slack)
     A = [[Fraction(0)] * cols for _ in norm]
     b = []
     for i, (coeffs, sense, rhs) in enumerate(norm):
         for j, a in coeffs.items():
             A[i][j] = _exact(a)
-        if sense == LEQ:
-            A[i][slack[i]] = Fraction(1)
-        elif sense == GEQ:
-            A[i][slack[i]] = Fraction(-1)
+        A[i][slack[i]] = Fraction(1 if sense == LEQ else -1)
         b.append(_exact(rhs))
     c = [_exact(v) for v in lp.objective] + [Fraction(0)] * len(slack)
     return A, b, c, [sense for _, sense, _ in norm]
-
-
-def raised_or(f, lp):
-    try:
-        return f(lp)
-    except ValueError as exc:
-        return str(exc)
 
 
 class TestRowReadersMatchLoops:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(small_programs())
     def test_matrix_geq(self, lp):
-        got, want = raised_or(LinearProgram.matrix_geq, lp), raised_or(loop_matrix_geq, lp)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got, want = lp.matrix_geq(), loop_matrix_geq(lp)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_matrix_geq_on_structured_programs(self, monkeypatch):
         lp, _ = tiny_structured()
@@ -1157,23 +1104,19 @@ def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Se
 
 def reference_scale_doubled(lp: LinearProgram) -> LinearProgram:
     rows = [Row(r.coeffs, r.sense, 2.0 * r.rhs) for r in lp.rows]
-    upper = None if lp.upper is None else 2.0 * lp.upper
-    return lp_from_rows(lp.num_vars, lp.objective.copy(), rows, upper=upper,
+    return lp_from_rows(lp.num_vars, lp.objective.copy(), rows, upper=2.0 * lp.upper,
                         row_kinds=lp.row_kinds)
 
 
-PROGRAM_ARRAYS = ("objective", "indptr", "indices", "data", "rhs", "geq", "eq", "row_of")
+PROGRAM_ARRAYS = ("objective", "indptr", "indices", "data", "rhs", "geq", "upper", "row_of")
 
 
 def assert_same_program(got, want):
-    """Equal size, arrays (dtype and bits), upper bounds and row tags."""
+    """Equal size, arrays (dtype and bits), upper bounds included, and row tags."""
     assert got.num_vars == want.num_vars
     for name in PROGRAM_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert (got.upper is None) == (want.upper is None)
-    if got.upper is not None:
-        assert got.upper.tobytes() == want.upper.tobytes()
     assert got.row_kinds == want.row_kinds
 
 
@@ -1259,13 +1202,12 @@ class TestArrayBuildersMatchRows:
         dict(indices=np.array([0, 1, 1], dtype=np.intp), data=np.ones(3)),
         dict(rhs=np.zeros(3)),
         dict(geq=np.zeros(1, dtype=bool)),
-        dict(eq=np.zeros(3, dtype=bool)),
+        dict(indptr=np.array([0, 1, 3], dtype=np.intp)),
     ])
     def test_mismatched_row_arrays_raise(self, change):
         base = dict(indptr=np.array([0, 1, 2], dtype=np.intp),
                     indices=np.array([0, 1], dtype=np.intp), data=np.ones(2),
-                    rhs=np.ones(2), geq=np.zeros(2, dtype=bool),
-                    eq=np.zeros(2, dtype=bool))
+                    rhs=np.ones(2), geq=np.zeros(2, dtype=bool), upper=np.ones(2))
         LinearProgram(2, np.zeros(2), **base)
         with pytest.raises(ValueError, match="row array length mismatch"):
             LinearProgram(2, np.zeros(2), **{**base, **change})

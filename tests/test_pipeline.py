@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fairrange.pipeline import (
     solve_fair_range,
 )
 
-from conftest import enumerate_optimum, line_instance
+from conftest import enumerate_optimum, line_instance, matrix_instance, with_distance
 
 
 class TestBruteForce:
@@ -226,16 +227,15 @@ class TestSolveFairRange:
         err = capsys.readouterr().err
         assert "sparsify: assignment row 0" in err and "Traceback" not in err
 
-    def test_high_p_switches_to_log_space(self):
+    def test_high_p_certifies_without_warnings(self):
         inst = line_instance([0.0, 1.0, 3.0], p=50.0)
         rc = RangeConstraints(2, ((0, 2),))
-        with pytest.warns(RuntimeWarning, match="log space"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = solve_fair_range(inst, rc)
-        assert all(b.log_space for b in rep.bounds)
-        assert all(b.passed for b in rep.bounds)
+        assert len(rep.bounds) == 6 and all(b.passed for b in rep.bounds)
 
     @pytest.mark.parametrize("p,seed", ((12.0, 15), (20.0, 6), (50.0, 1)))
-    @pytest.mark.filterwarnings("ignore:p=.* log space")
     def test_large_p_half_integral_cost_does_not_cancel(self, p, seed):
         # the opening program's c.y + constant read exactly 0.0 here, and
         # assignment-vs-half failed against it
@@ -256,7 +256,6 @@ class TestSolveFairRange:
             with pytest.raises(CostRangeError, match="above 1e.300; this instance accepts p up to"):
                 solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
 
-    @pytest.mark.filterwarnings("ignore:p=300.0 above the certificate cap")
     def test_no_overflow_failures_at_p_300(self):
         # what the check lets through at p=300 ends in an answer; never an
         # empty ball or a nan certificate as before the check, nor, now that
@@ -283,6 +282,41 @@ class TestSolveFairRange:
         fairrange.pipeline._require_costs_in_range(below)
         with pytest.raises(CostRangeError):
             fairrange.pipeline._require_costs_in_range(above)
+
+    @pytest.mark.parametrize("p", (1.0, 1.5))
+    def test_negative_distance_rejected_up_front(self, p):
+        # before the check these ended in "certificate reassigned-vs-opt
+        # failed: -5 > -15" at p=1 and "nan > nan" at p=1.5
+        inst = with_distance(random_instance(3, 8, 2, p), "p000", "p001", -1.0)
+        with pytest.raises(CostRangeError, match=r"^distance d\(p000, p001\) = -1 is negative$"):
+            solve_fair_range(inst, random_ranges(3, inst, 3, 2))
+
+    def test_no_largest_p_named_below_one(self):
+        # an infinite distance read "this instance accepts p up to 0"
+        inst = with_distance(random_instance(0, 8, 2, 1.0), "p000", "p001", math.inf)
+        with pytest.raises(CostRangeError) as info:
+            solve_fair_range(inst, random_ranges(0, inst, 3, 2))
+        assert str(info.value) == "p=1 puts total weight * d_max^p at inf, above 1e+300"
+        # a weight of 1e299 leaves room for p up to 0.5 only
+        heavy = matrix_instance(["a", "b"], [[0.0, 100.0], [100.0, 0.0]], ["a", "b"],
+                                {"a": 1, "b": 1}, {"a": 10 ** 299, "b": 1}, 1.0)
+        with pytest.raises(CostRangeError) as info:
+            solve_fair_range(heavy, RangeConstraints(1, ((1, 1),)))
+        assert str(info.value) == "p=1 puts total weight * d_max^p at 1e+301, above 1e+300"
+
+    @pytest.mark.parametrize("p", (500.0, 1000.0))
+    def test_large_p_short_distances_pass_every_certificate(self, p):
+        # only d_max < 1 gets past p of about 323 under COST_CAP; in each of
+        # these solves some certificate factor exp(p log c) overflows alone
+        for seed in range(20):
+            inst = random_instance(seed, 10, 2, p)
+            short = fairrange.MetricInstance(inst.point_ids, inst.dist * 0.1,
+                                             inst.facility_ids, inst.group_label,
+                                             inst.client_demands, p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = solve_fair_range(short, random_ranges(seed, inst, 3, 2))
+            assert all(b.passed for b in rep.bounds)
 
     def test_report_text_format(self):
         inst = random_instance(2, 10, 2, 1.0)
