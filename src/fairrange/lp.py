@@ -483,17 +483,26 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
                         k: int, ranges: Sequence[tuple[int, int]],
                         balls: Sequence[Sequence[int]],
                         supers: Sequence[Sequence[int]],
-                        nn_dist_pow: Sequence[float] | None) -> tuple[LinearProgram, float]:
+                        nn_dist_pow: Sequence[float] | None
+                        ) -> tuple[LinearProgram, list[np.ndarray]]:
     """Opening LP over y alone, shaped by the per-location super balls.
 
     For several locations the per-location term is
         d(v, v')^p + sum_{u in P(v)} (d(v,u)^p - d(v,v')^p) y_u,
-    where v' is the nearest other surviving location.  With a single
-    location there is no v'; the term degenerates to sum d(v,u)^p y_u over
-    P(v) and the in-ball mass requirement tightens from 1/2 to 1.
+    where v' is the nearest other surviving location.  The objective holds
+    the sum alone, as the constant moves no optimum; half_integral_cost
+    prices a point in full.  With a single location there is no v'; the
+    term degenerates to sum d(v,u)^p y_u over P(v) and the in-ball mass
+    requirement tightens from 1/2 to 1.
 
-    Returns the LP plus the constant part of the objective, so the full cost
-    is lp optimum + constant.
+    A free facility, in no ball or super ball, costs nothing and meets only
+    its group's range rows and the card row, so the free facilities of a
+    group are one column (duplicate-column merging, Andersen & Andersen,
+    "Presolving in linear programming", 1995), placed where the first of
+    them sits, with their count as its upper bound.  A copy of an existing
+    column keeps the matrix totally unimodular and the bounds integral.
+    Group labels run over 1..len(ranges).  Returns the program and the
+    facilities behind each column, in index order.
     """
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
@@ -501,24 +510,29 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     if single and nD != 1:
         raise ValueError("nn_dist_pow required when several locations survive")
     c = np.zeros(nF)
-    constant = 0.0
     for v in range(nD):
-        if single:
-            for u in supers[v]:
-                c[u] += w[v] * dp[v, u]
-        else:
-            base = nn_dist_pow[v]
-            constant += w[v] * base
-            for u in supers[v]:
-                c[u] += w[v] * (dp[v, u] - base)
-    sets, rhs, geq, kinds = _range_card_rows(groups, k, ranges, 0)
-    indptr, indices = _unit_rows([*sets, *balls, *supers])
+        base = 0.0 if single else nn_dist_pow[v]
+        for u in supers[v]:
+            c[u] += w[v] * (dp[v, u] - base)
+    label = np.asarray(groups)
+    ball_sets = [np.asarray(s, dtype=np.intp) for s in (*balls, *supers)]
+    free = np.ones(nF, dtype=bool)
+    free[np.concatenate(ball_sets)] = False
+    # each free facility joins the first free facility of its group
+    head = np.arange(nF)
+    cols = np.flatnonzero(free)
+    labels, first = np.unique(label[cols], return_index=True)
+    head[cols] = cols[first][np.searchsorted(labels, label[cols])]
+    keep, col_of = np.unique(head, return_inverse=True)
+    members = np.split(np.argsort(col_of, kind="stable"), np.cumsum(np.bincount(col_of))[:-1])
+    sets, rhs, geq, kinds = _range_card_rows(label[keep], k, ranges, 0)
+    indptr, indices = _unit_rows([*sets, *(col_of[s] for s in ball_sets)])
     rhs += [1.0 if single else 0.5] * nD + [1.0] * nD
     geq += [True] * nD + [False] * nD
     kinds += [("ball", v) for v in range(nD)] + [("superball", v) for v in range(nD)]
-    lp = LinearProgram(nF, c, indptr, indices, np.ones(len(indices)), np.array(rhs),
-                       np.array(geq), np.ones(nF), row_kinds=kinds)
-    return lp, constant
+    lp = LinearProgram(len(keep), c[keep], indptr, indices, np.ones(len(indices)),
+                       np.array(rhs), np.array(geq), np.bincount(col_of), row_kinds=kinds)
+    return lp, members
 
 
 def scale_doubled(lp: LinearProgram) -> LinearProgram:

@@ -106,15 +106,17 @@ def _require_ranged_groups(inst: MetricInstance, rc: RangeConstraints) -> None:
 
 
 def _require_nonnegative_distances(inst: MetricInstance) -> None:
-    """Refuse a negative distance.
+    """Refuse a negative or nan distance.
 
     Its p-th power is negative or nan, so stage costs stop bounding one
     another and a certificate fails on an instance that was never valid.
+    The minimum is nan when any entry is.
     """
-    if inst.dist.min(initial=0.0) < 0.0:
-        i, j = np.argwhere(inst.dist < 0.0)[0]
+    if not inst.dist.min(initial=0.0) >= 0.0:
+        i, j = np.argwhere(~(inst.dist >= 0.0))[0]
+        d = inst.dist[i, j]
         raise CostRangeError(f"distance d({inst.point_ids[i]}, {inst.point_ids[j]}) = "
-                             f"{inst.dist[i, j]:g} is negative")
+                             f"{d:g} is {'negative' if d < 0.0 else 'not a number'}")
 
 
 def _require_costs_in_range(inst: MetricInstance) -> None:
@@ -184,8 +186,8 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
 
     Raises UnrangedGroupError when a facility's group has no range,
     InfeasibleRangesError when no center set can meet the ranges,
-    CostRangeError when a distance is negative or total weight * d_max^p
-    is above COST_CAP, and a stage-named error when an internal
+    CostRangeError when a distance is negative or nan or total weight *
+    d_max^p is above COST_CAP, and a stage-named error when an internal
     certificate fails.  On the rare opening programs made infeasible by
     the one-unit territory caps, falls back to the direct greedy selection
     and marks the report.
@@ -285,8 +287,8 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
 
     t0 = time.perf_counter()
     try:
-        slp, constant = structured_program(ss, groups, rc)
-        half = solve_half_integral(slp, constant)
+        slp, members = structured_program(ss, groups, rc)
+        half = solve_half_integral(slp, members)
     except OpeningInfeasibleError as exc:
         # the one-unit territory caps can pin a group below its lower
         # bound even though integral selections exist; fall back to the

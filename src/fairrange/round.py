@@ -22,8 +22,10 @@ SNAP_TOL = 1e-6
 SUPPORT_TOL = 1e-9
 
 
-def structured_program(ss: StructuredSolution, fac_groups, rc) -> tuple[LinearProgram, float]:
-    """Build the opening program for an already structured solution.
+def structured_program(ss: StructuredSolution, fac_groups,
+                       rc) -> tuple[LinearProgram, list[np.ndarray]]:
+    """Opening program and its columns' facilities for an already
+    structured solution.
 
     With a single survivor the serving territory collapses to the ball:
     a full unit must open there, and everything else, privates included,
@@ -38,7 +40,6 @@ def structured_program(ss: StructuredSolution, fac_groups, rc) -> tuple[LinearPr
 @dataclass
 class HalfIntegralSolution:
     y: np.ndarray               # coordinates in {0, 1/2, 1}
-    objective: float            # constant term included
     x_tilde: np.ndarray | None
     snap_deviation: float
 
@@ -60,99 +61,39 @@ def _check_rows_exact(lp: LinearProgram, x: np.ndarray) -> None:
         raise StageError("round", "snapped vertex went negative")
 
 
-def merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarray]]:
-    """Presolve: one column for each set of identical free facilities.
-
-    A free column has objective 0 and sits in no ball or super-ball row,
-    so it meets only its group's range rows and the card row, and all free
-    columns of a group are the same column.  Each such set becomes one
-    column, at the place of its first member, with the members' summed
-    upper bound: a copy of an existing column, so total unimodularity and
-    integral bounds survive (duplicate-column merging, Andersen & Andersen,
-    "Presolving in linear programming", 1995).  Reads the row tags and
-    upper bounds that build_structured_lp sets.  Returns the small program
-    and the original columns behind each of its columns, in index order.
-    """
-    n, m = lp.num_vars, len(lp.rhs)
-    touches = np.array([kind[0] in ("ball", "superball") for kind in lp.row_kinds],
-                       dtype=bool)
-    free = lp.objective == 0.0
-    free[lp.indices[touches[lp.row_of]]] = False
-    # a free column joins the first free column with the same entries: a
-    # stable sort of the free columns by their entries puts it right after
-    entries = np.zeros((n, m))
-    entries[lp.indices, lp.row_of] = lp.data
-    cols = np.flatnonzero(free)
-    order = cols[np.lexsort(entries[cols].T)]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (entries[order[1:]] != entries[order[:-1]]).any(axis=1)
-    head = np.arange(n)
-    head[order] = order[starts][np.cumsum(starts) - 1]
-    firsts, new_of = np.unique(head, return_inverse=True)
-    members = np.split(np.argsort(new_of, kind="stable"),
-                       np.cumsum(np.bincount(new_of)))[:-1]
-    # a merged column takes the entries of its first member
-    keep = head[lp.indices] == lp.indices
-    indptr = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(lp.row_of[keep], minlength=m), out=indptr[1:])
-    upper = np.array([lp.upper[c].sum() for c in members])
-    return LinearProgram(len(members), lp.objective[firsts], indptr,
-                         new_of[lp.indices[keep]], lp.data[keep], lp.rhs, lp.geq,
-                         upper, row_kinds=lp.row_kinds), members
-
-
-def _spread(values: np.ndarray, members: list[np.ndarray], upper: np.ndarray,
-            n: int) -> np.ndarray:
-    """Full-length point from merged values: each merged value fills its
-    members in index order up to their bounds (2, 2, ..., the remainder),
-    and anything a bound cannot take stays on the last member, where the
-    exact check catches it."""
-    x = np.zeros(n)
-    for val, cols in zip(values, members):
-        if len(cols) == 1:
-            x[cols[0]] = val
-            continue
-        ub = upper[cols]
-        before = np.concatenate(([0.0], np.cumsum(ub[:-1])))
-        part = np.clip(val - before, 0.0, ub)
-        part[-1] += val - part.sum()
-        x[cols] = part
-    return x
-
-
-def solve_half_integral(lp: LinearProgram, constant_term: float) -> HalfIntegralSolution:
-    """Vertex of the doubled program, snapped and halved.
+def solve_half_integral(lp: LinearProgram, members: list[np.ndarray]) -> HalfIntegralSolution:
+    """Vertex of the doubled program, snapped, spread and halved.
 
     The doubled program has an integral vertex optimum, so any coordinate
     farther than SNAP_TOL from an integer means the solver did not return
-    a vertex and we refuse to continue.  The vertex is found on the
-    program with each group's free facilities merged into one column, and
-    the spread-out point is checked exactly against the full program.
+    a vertex and we refuse to continue.  The snapped point is checked
+    exactly against the doubled program, which holds each column's value
+    to twice its members' count; the value then fills the members in
+    index order, 2 each.
     """
     scaled = scale_doubled(lp)
-    small, members = merge_free_columns(scaled)
-    res = solve_vertex(small)
+    res = solve_vertex(scaled)
     if res.status == "infeasible":
         raise OpeningInfeasibleError("round", "scaled structured program is infeasible")
     if res.status != "optimal":
         raise StageError("round", f"scaled structured program is {res.status}")
     snapped = np.round(res.x)
-    dev = float(np.max(np.abs(res.x - snapped))) if small.num_vars else 0.0
+    dev = float(np.max(np.abs(res.x - snapped))) if lp.num_vars else 0.0
     if dev > SNAP_TOL:
         raise StageError("round", f"half-integrality violation, deviation {dev:.3g}")
-    full = _spread(snapped, members, scaled.upper, lp.num_vars)
-    _check_rows_exact(scaled, full)
-    y = full / 2.0
-    objective = float(np.dot(lp.objective, y)) + constant_term
-    return HalfIntegralSolution(y, objective, None, dev)
+    _check_rows_exact(scaled, snapped)
+    y = np.zeros(sum(map(len, members)))
+    for val, cols in zip(snapped, members):
+        y[cols] = np.clip(val - 2.0 * np.arange(len(cols)), 0.0, 2.0)
+    return HalfIntegralSolution(y / 2.0, None, dev)
 
 
 def half_integral_cost(ss: StructuredSolution, y: np.ndarray) -> float:
     """The opening program's cost at y, summed in nonnegative terms.
 
-    The program's objective c.y + constant writes each location's cost as
-    d(v,v')^p plus coefficients d(v,u)^p - d(v,v')^p, which cancel to 0 at
-    large p.  Per location this sums
+    The program's objective weights y_u by d(v,u)^p - d(v,v')^p and leaves
+    out the constant sum of w_v d(v,v')^p; objective plus constant cancels
+    to 0 at large p.  Per location this sums
         w_v [sum_{u in P(v)} d(v,u)^p y_u + (1 - sum_{u in P(v)} y_u) d(v,v')^p]
     instead; the super ball rows cap the mass over P(v) at 1, so no term is
     negative.  With a single survivor it is sum w d^p y over the ball.
@@ -243,15 +184,9 @@ class FlowNetwork:
     names: tuple[str, ...]
     arcs: tuple[tuple[int, int, int, int], ...]   # (tail, head, lower, upper)
     s: int
-    set_nodes: tuple[int, ...]
-    pool: int
-    fac_base: int
-    grp_base: int
     t1: int
     t2: int
     k: int
-    count: int
-    num_facilities: int
     open_arcs: tuple[int, ...]              # facility -> index of its u->g arc
 
 
@@ -292,8 +227,7 @@ def build_flow_network(part: FacilityPartition, num_facilities: int,
     for j, (alpha, beta) in enumerate(rc.ranges):
         arcs.append((grp_base + j, t1, alpha, beta))
     arcs.append((t1, t2, rc.k, rc.k))
-    return FlowNetwork(t2 + 1, tuple(names), tuple(arcs), 0, set_nodes, pool,
-                       fac_base, grp_base, t1, t2, rc.k, L, num_facilities,
+    return FlowNetwork(t2 + 1, tuple(names), tuple(arcs), 0, t1, t2, rc.k,
                        tuple(open_arcs))
 
 

@@ -22,7 +22,6 @@ from .baseline import ReducedInstance
 from .errors import StageError
 
 COVER_TOL = 1e-7
-SEPARATION_SLACK = 1e-9
 
 
 def ball_multiplier(p: float) -> float:

@@ -1,10 +1,12 @@
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from fairrange.instance import MetricInstance, RangeConstraints, instance_from_coords
+from fairrange.lp import GEQ, LEQ, LinearProgram, Row, build_structured_lp, scale_doubled
 
 
 def line_instance(xs, facility_ids=None, group_label=None, client_demands=None, p=1.0):
@@ -81,8 +83,6 @@ def manual_sp(inst, locations, radii, balls, x, y):
 def lp_from_rows(num_vars, objective, rows, upper=None, row_kinds=None):
     """LinearProgram from a list of Row tuples, collected in one pass; no
     upper bounds when upper is None."""
-    from fairrange.lp import GEQ, LinearProgram
-
     ends, indices, data, rhs, geq = [0], [], [], [], []
     for row in rows:
         for j, a in row.coeffs:
@@ -96,6 +96,115 @@ def lp_from_rows(num_vars, objective, rows, upper=None, row_kinds=None):
                          np.array(rhs, dtype=float), np.array(geq, dtype=bool),
                          np.full(num_vars, np.inf) if upper is None else upper,
                          row_kinds=row_kinds)
+
+
+# The structured builder as it was before it merged free facilities itself,
+# one column per facility and with its constant returned, kept as the
+# reference for the program it writes: the body is verbatim except that its
+# LinearProgram call became lp_from_rows.
+def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
+                                  k: int, ranges: Sequence[tuple[int, int]],
+                                  balls: Sequence[Sequence[int]],
+                                  supers: Sequence[Sequence[int]],
+                                  nn_dist_pow: Sequence[float] | None) -> tuple[LinearProgram, float]:
+    dp = np.asarray(dp, dtype=float)
+    nD, nF = dp.shape
+    single = nn_dist_pow is None
+    if single and nD != 1:
+        raise ValueError("nn_dist_pow required when several locations survive")
+    c = np.zeros(nF)
+    constant = 0.0
+    for v in range(nD):
+        if single:
+            for u in supers[v]:
+                c[u] += w[v] * dp[v, u]
+        else:
+            base = nn_dist_pow[v]
+            constant += w[v] * base
+            for u in supers[v]:
+                c[u] += w[v] * (dp[v, u] - base)
+    rows: list[Row] = []
+    kinds: list[tuple] = []
+    for gi, (a, b) in enumerate(ranges, start=1):
+        members = tuple(u for u in range(nF) if groups[u] == gi)
+        rows.append(Row(tuple((u, 1.0) for u in members), GEQ, float(a)))
+        kinds.append(("range_lower", gi))
+        rows.append(Row(tuple((u, 1.0) for u in members), LEQ, float(b)))
+        kinds.append(("range_upper", gi))
+    rows.append(Row(tuple((u, 1.0) for u in range(nF)), LEQ, float(k)))
+    kinds.append(("card",))
+    ball_need = 1.0 if single else 0.5
+    for v in range(nD):
+        rows.append(Row(tuple((u, 1.0) for u in balls[v]), GEQ, ball_need))
+        kinds.append(("ball", v))
+    for v in range(nD):
+        rows.append(Row(tuple((u, 1.0) for u in supers[v]), LEQ, 1.0))
+        kinds.append(("superball", v))
+    upper = np.ones(nF)
+    return lp_from_rows(nF, c, rows, upper=upper, row_kinds=kinds), constant
+
+
+# The merge presolve that ran on the full builder's output, as it was when
+# it keyed the free columns by per-column entry lists, kept verbatim as the
+# reference for the columns the builder now merges itself.
+def reference_merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarray]]:
+    """Presolve: one column for each set of identical free facilities.
+
+    A free column has objective 0 and sits in no ball or super-ball row,
+    so it meets only its group's range rows and the card row, and all free
+    columns of a group are the same column.  Each such set becomes one
+    column, at the place of its first member, with the members' summed
+    upper bound: a copy of an existing column, so total unimodularity and
+    integral bounds survive (duplicate-column merging, Andersen & Andersen,
+    "Presolving in linear programming", 1995).  Reads the row tags and
+    upper bounds that build_structured_lp sets.  Returns the small program
+    and the original columns behind each of its columns, in index order.
+    """
+    n = lp.num_vars
+    entries: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    free = lp.objective == 0.0
+    for i, row in enumerate(lp.rows):
+        touches = lp.row_kinds[i][0] in ("ball", "superball")
+        for j, a in row.coeffs:
+            entries[j].append((i, a))
+            if touches:
+                free[j] = False
+    by_key: dict = {}
+    for j in range(n):
+        by_key.setdefault(tuple(entries[j]) if free[j] else j, []).append(j)
+    members = [np.array(cols) for cols in by_key.values()]
+    new_of = np.empty(n, dtype=int)
+    for c, cols in enumerate(members):
+        new_of[cols] = c
+    rows = [Row(tuple({int(new_of[j]): a for j, a in row.coeffs}.items()),
+                row.sense, row.rhs) for row in lp.rows]
+    first = [cols[0] for cols in members]
+    upper = np.array([lp.upper[cols].sum() for cols in members])
+    return lp_from_rows(len(members), lp.objective[first], rows, upper=upper,
+                        row_kinds=lp.row_kinds), members
+
+
+PROGRAM_ARRAYS = ("objective", "indptr", "indices", "data", "rhs", "geq", "upper", "row_of")
+
+
+def assert_same_program(got, want):
+    """Equal size, arrays (dtype and bits), upper bounds included, and row tags."""
+    assert got.num_vars == want.num_vars
+    for name in PROGRAM_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.row_kinds == want.row_kinds
+
+
+def same_opening_program(args):
+    """The doubled program build_structured_lp(*args) writes against the
+    reference builder's full program, doubled and merged by the reference
+    presolve: arrays bit for bit, row tags, and the members of every column."""
+    lp, members = build_structured_lp(*args)
+    full, _ = reference_build_structured_lp(*args)
+    want, want_members = reference_merge_free_columns(scale_doubled(full))
+    assert_same_program(scale_doubled(lp), want)
+    assert [c.tolist() for c in members] == [c.tolist() for c in want_members]
 
 
 def groups_of(inst):

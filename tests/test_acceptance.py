@@ -99,8 +99,8 @@ def stage_front(inst, rc):
     sp = sparsify(red, canonical_assignment(x), y)
     x2, _ = reassign_private_facilities(sp)
     ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.y, sp.balls), sp)
-    slp, constant = structured_program(ss, groups, rc)
-    half = solve_half_integral(slp, constant)
+    slp, members = structured_program(ss, groups, rc)
+    half = solve_half_integral(slp, members)
     part = partition_facilities(sp, half_integral_assignment(ss, half.y))
     net = build_flow_network(part, len(inst.facility_ids), groups, rc)
     return sp, slp, half, part, net, solve_flow_lower_bounds(net)

@@ -237,8 +237,8 @@ class TestSolveFairRange:
 
     @pytest.mark.parametrize("p,seed", ((12.0, 15), (20.0, 6), (50.0, 1)))
     def test_large_p_half_integral_cost_does_not_cancel(self, p, seed):
-        # the opening program's c.y + constant read exactly 0.0 here, and
-        # assignment-vs-half failed against it
+        # the opening program's objective plus its constant read exactly 0.0
+        # here, and assignment-vs-half failed against it
         inst = random_instance(seed, 10, 2, p)
         rep = solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
         assert not rep.fallback
@@ -290,6 +290,14 @@ class TestSolveFairRange:
         inst = with_distance(random_instance(3, 8, 2, p), "p000", "p001", -1.0)
         with pytest.raises(CostRangeError, match=r"^distance d\(p000, p001\) = -1 is negative$"):
             solve_fair_range(inst, random_ranges(3, inst, 3, 2))
+
+    def test_nan_distance_named(self):
+        # the p check took the blame: "p=1 puts total weight * d_max^p at
+        # nan, above 1e+300"
+        inst = with_distance(random_instance(0, 8, 2, 1.0), "p000", "p001", math.nan)
+        with pytest.raises(CostRangeError,
+                           match=r"^distance d\(p000, p001\) = nan is not a number$"):
+            solve_fair_range(inst, random_ranges(0, inst, 3, 2))
 
     def test_no_largest_p_named_below_one(self):
         # an infinite distance read "this instance accepts p up to 0"

@@ -9,8 +9,7 @@ import fairrange.pipeline
 import fairrange.round
 from fairrange.errors import OpeningInfeasibleError, StageError
 from fairrange.instance import RangeConstraints
-from fairrange.lp import (LinearProgram, Row, build_structured_lp, scale_doubled,
-                          solve_lp, solve_vertex)
+from fairrange.lp import Row, build_structured_lp, scale_doubled, solve_lp, solve_vertex
 from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 from fairrange.round import (
     _check_rows_exact,
@@ -21,7 +20,6 @@ from fairrange.round import (
     flow_to_text,
     half_integral_assignment,
     half_integral_cost,
-    merge_free_columns,
     partition_facilities,
     select_centers,
     solve_flow_lower_bounds,
@@ -33,17 +31,18 @@ from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, StructuredSolution,
                                  build_structured_solution, build_super_balls,
                                  enforce_structure, nearest_surviving,
                                  reassign_private_facilities)
-from conftest import (feasible_ranges, groups_of, line_instance, lp_from_rows, manual_sp,
-                      pipeline_front, random_fair_instance)
+from conftest import (assert_same_program, feasible_ranges, groups_of, line_instance,
+                      lp_from_rows, manual_sp, pipeline_front, random_fair_instance,
+                      reference_build_structured_lp, same_opening_program)
 
 
 def rounding_front(inst, rc):
     """Everything up to the half-integral solve."""
     sp, opt = pipeline_front(inst, rc)
     ss = build_structured_solution(sp)
-    lp, constant = structured_program(ss, groups_of(inst), rc)
-    half = solve_half_integral(lp, constant)
-    return sp, ss, lp, constant, half, opt
+    lp, members = structured_program(ss, groups_of(inst), rc)
+    half = solve_half_integral(lp, members)
+    return sp, ss, lp, members, half, opt
 
 
 def random_fronts(seed, count, sizes=(8, 14), p_values=(1.0, 2.0)):
@@ -60,55 +59,75 @@ def random_fronts(seed, count, sizes=(8, 14), p_values=(1.0, 2.0)):
     return out
 
 
+def opening_args(ss, groups, rc):
+    """The builder arguments structured_program passes for ss."""
+    sp = ss.sp
+    return (sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
+            ss.territories, None if ss.single else ss.nn_dist ** sp.p)
+
+
+def left_out_constant(ss):
+    """sum w_v d(v,v')^p, the part of the opening cost its objective omits."""
+    return 0.0 if ss.single else float(ss.sp.weights @ ss.nn_dist ** ss.sp.p)
+
+
+def program_cost(lp, members, ss, y):
+    """c.y + constant: the opening program's objective at y, the constant
+    added back."""
+    cols = np.array([y[c].sum() for c in members])
+    return float(lp.objective @ cols) + left_out_constant(ss)
+
+
 class TestSolveHalfIntegral:
     def test_forced_singleton(self):
-        lp, constant = build_structured_lp(
+        lp, members = build_structured_lp(
             np.array([[4.0]]), [1.0], [1], 1, [(0, 1)], [[0]], [[0]], None)
-        half = solve_half_integral(lp, constant)
+        half = solve_half_integral(lp, members)
         assert half.y.tolist() == [1.0]
-        assert half.objective == pytest.approx(4.0)
+        assert float(lp.objective @ half.y) == pytest.approx(4.0)
         assert half.snap_deviation <= 1e-9
 
     def test_equal_distance_pair_lands_on_a_vertex(self):
         # Vertices of this two-variable polytope put the whole unit on one
         # facility; the split 1/2, 1/2 has the same objective but is not a
         # vertex, and the first column wins the entering tie.
-        lp, constant = build_structured_lp(
+        lp, members = build_structured_lp(
             np.array([[4.0, 4.0]]), [1.0], [1, 1], 1, [(0, 1)],
             [[0, 1]], [[0, 1]], None)
-        half = solve_half_integral(lp, constant)
+        half = solve_half_integral(lp, members)
         assert half.y.tolist() == [1.0, 0.0]
-        assert half.objective == pytest.approx(4.0)
+        assert float(lp.objective @ half.y) == pytest.approx(4.0)
 
     def test_infeasible_range_raises(self):
-        lp, _ = build_structured_lp(
+        program = build_structured_lp(
             np.array([[1.0, 1.0]]), [1.0], [1, 1], 3, [(3, 3)],
             [[0, 1]], [[0, 1]], None)
         with pytest.raises(StageError) as err:
-            solve_half_integral(lp, 0.0)
+            solve_half_integral(*program)
         assert err.value.stage == "round"
 
     def test_random_coordinates_are_halves(self):
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(5, 8):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(5, 8):
             doubled = 2.0 * half.y
             assert np.all(doubled == np.round(doubled))
             assert np.all((half.y >= 0.0) & (half.y <= 1.0))
 
     def test_matches_unscaled_optimum_and_improves_on_y_bar(self):
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(6, 6):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(6, 6):
             res = solve_lp(lp)
             assert res.status == "optimal"
-            unscaled = res.objective + constant
-            assert half.objective == pytest.approx(unscaled, rel=1e-6, abs=1e-9)
-            relaxed = float(np.dot(lp.objective, ss.y_bar)) + constant
-            assert half.objective <= relaxed * (1.0 + 1e-9) + 1e-9
+            cost = program_cost(lp, members, ss, half.y)
+            assert cost == pytest.approx(res.objective + left_out_constant(ss),
+                                         rel=1e-6, abs=1e-9)
+            assert cost <= program_cost(lp, members, ss, ss.y_bar) * (1.0 + 1e-9) + 1e-9
 
     @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
     def test_cost_matches_objective_at_small_p(self, p):
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(7, 6, p_values=(p,)):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(7, 6, p_values=(p,)):
             cost = half_integral_cost(ss, half.y)
             assert cost >= 0.0
-            assert cost == pytest.approx(half.objective, rel=1e-9, abs=1e-12)
+            assert cost == pytest.approx(program_cost(lp, members, ss, half.y),
+                                         rel=1e-9, abs=1e-12)
 
     def test_cost_stays_nonnegative_at_large_p(self):
         # at p=30 c.y + constant cancels: its constant is d(v,v')^p summed
@@ -133,28 +152,30 @@ def free_columns(lp):
     return ~touched & (lp.objective == 0.0), group
 
 
-def check_merged_matches_full(lp, constant):
-    """solve_half_integral against the vertex of the full doubled program.
+def check_merged_matches_full(args):
+    """solve_half_integral against the vertex of the full doubled program,
+    one column per facility, that the reference builder writes.
 
     Returns the half-integral solution, or None when both find the program
     infeasible.
     """
-    full = solve_vertex(scale_doubled(lp))
-    if full.status == "infeasible":
+    lp, members = build_structured_lp(*args)
+    full, _ = reference_build_structured_lp(*args)
+    vertex = solve_vertex(scale_doubled(full))
+    if vertex.status == "infeasible":
         with pytest.raises(OpeningInfeasibleError):
-            solve_half_integral(lp, constant)
+            solve_half_integral(lp, members)
         return None
-    assert full.status == "optimal"
-    half = solve_half_integral(lp, constant)
-    assert half.objective == pytest.approx(full.objective / 2.0 + constant,
-                                           rel=1e-12, abs=1e-12)
-    free, group = free_columns(lp)
-    full_y = np.round(full.x) / 2.0
+    assert vertex.status == "optimal"
+    half = solve_half_integral(lp, members)
+    assert float(full.objective @ half.y) == pytest.approx(vertex.objective / 2.0,
+                                                           rel=1e-12, abs=1e-12)
+    free, group = free_columns(full)
+    full_y = np.round(vertex.x) / 2.0
     assert half.y[~free].tolist() == full_y[~free].tolist()
     assert set(half.y[free].tolist()) <= {0.0, 0.5, 1.0}
     # the merged value reaches the members whole, filled in index order
-    small, members = merge_free_columns(scale_doubled(lp))
-    merged = np.round(solve_vertex(small).x)
+    merged = np.round(solve_vertex(scale_doubled(lp)).x)
     assert sorted(j for cols in members if len(cols) > 1 for j in cols) == \
         [j for j in np.nonzero(free)[0] if np.sum(free & (group == group[j])) > 1]
     for value, cols in zip(merged, members):
@@ -166,13 +187,13 @@ def check_merged_matches_full(lp, constant):
 
 @st.composite
 def opening_programs(draw):
-    """Opening programs of the structured shape: disjoint territories with
-    a ball inside each, facilities outside every territory (free unless
-    none is), one to three groups with alpha = beta quotas among the
-    ranges, and the single-survivor form.  Costs are drawn from a
-    continuous law, so the optimum is unique on the tied columns; with
-    tied costs two optimal vertices can split the territories differently,
-    and either is a valid answer."""
+    """Builder arguments for opening programs of the structured shape:
+    disjoint territories with a ball inside each, facilities outside every
+    territory (free unless none is), one to three groups with alpha = beta
+    quotas among the ranges, and the single-survivor form.  Costs are drawn
+    from a continuous law, so the optimum is unique on the tied columns;
+    with tied costs two optimal vertices can split the territories
+    differently, and either is a valid answer."""
     nF = draw(st.integers(1, 9))
     ell = draw(st.integers(1, 3))
     groups = [draw(st.integers(1, ell)) for _ in range(nF)]
@@ -199,75 +220,70 @@ def opening_programs(draw):
             draw(st.integers(alpha, groups.count(g) + 1))
         ranges.append((alpha, beta))
     k = draw(st.integers(1, nF))
-    return build_structured_lp(dp, w, groups, k, ranges, balls,
-                               balls if single else supers, nn_pow)
+    return dp, w, groups, k, ranges, balls, balls if single else supers, nn_pow
 
 
 def named_opening_programs():
-    """One program per shape the property family must reach."""
+    """Builder arguments for one program per shape the property family
+    must reach."""
     # single survivor: a full unit on the ball, three free facilities
-    single = build_structured_lp(np.array([[3.0, 1.0, 2.0, 5.0]]), [1.0],
-                                 [1, 1, 1, 2], 2, [(1, 2), (1, 1)],
-                                 [[0]], [[0]], None)
+    single = (np.array([[3.0, 1.0, 2.0, 5.0]]), [1.0], [1, 1, 1, 2], 2, [(1, 2), (1, 1)],
+              [[0]], [[0]], None)
     # alpha = beta in both groups, group 2 with no free facility
-    tight = build_structured_lp(np.array([[2.0, 0.5, 4.0, 1.0, 3.0]]), [2.0],
-                                [1, 2, 1, 2, 1], 3, [(2, 2), (1, 1)],
-                                [[1]], [[1, 3]], [2.5])
+    tight = (np.array([[2.0, 0.5, 4.0, 1.0, 3.0]]), [2.0], [1, 2, 1, 2, 1], 3,
+             [(2, 2), (1, 1)], [[1]], [[1, 3]], [2.5])
     # group 1 with exactly one free facility
-    one_free = build_structured_lp(np.array([[1.0, 4.0, 2.0], [4.0, 1.0, 3.0]]),
-                                   [1.0, 1.0], [1, 2, 1], 2, [(1, 2), (0, 1)],
-                                   [[0], [1]], [[0], [1]], [3.0, 3.0])
+    one_free = (np.array([[1.0, 4.0, 2.0], [4.0, 1.0, 3.0]]), [1.0, 1.0], [1, 2, 1], 2,
+                [(1, 2), (0, 1)], [[0], [1]], [[0], [1]], [3.0, 3.0])
     # a dear ball that wants only its half unit: the merged value is odd,
     # so one free member ends at 1/2
-    odd = build_structured_lp(np.array([[5.0, 0.0, 0.0, 0.0]]), [1.0],
-                              [1, 1, 1, 1], 1, [(1, 1)], [[0]], [[0]], [2.0])
+    odd = (np.array([[5.0, 0.0, 0.0, 0.0]]), [1.0], [1, 1, 1, 1], 1, [(1, 1)],
+           [[0]], [[0]], [2.0])
     # two colocated ball facilities: cost 0 and identical columns, but in
     # the ball row, so they are not free and stay apart
-    zero_cost_ball = build_structured_lp(np.array([[0.0, 0.0, 2.0, 4.0, 5.0]]),
-                                         [1.0], [1, 1, 1, 2, 2], 2, [(1, 2), (0, 1)],
-                                         [[0, 1]], [[0, 1]], None)
+    zero_cost_ball = (np.array([[0.0, 0.0, 2.0, 4.0, 5.0]]), [1.0], [1, 1, 1, 2, 2], 2,
+                      [(1, 2), (0, 1)], [[0, 1]], [[0, 1]], None)
     return {"single": single, "tight": tight, "one_free": one_free, "odd": odd,
             "zero_cost_ball": zero_cost_ball}
 
 
 class TestMergedOpeningLP:
-    """The vertex solve runs on the program with each group's free
-    facilities merged into one column; the answer must be the full
-    program's."""
+    """The builder writes each group's free facilities as one column; the
+    answer must be the full program's."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(opening_programs())
-    def test_matches_full_solve_on_random_programs(self, program):
-        check_merged_matches_full(*program)
+    def test_matches_full_solve_on_random_programs(self, args):
+        check_merged_matches_full(args)
 
     @pytest.mark.parametrize("name", ["single", "tight", "one_free", "odd",
                                       "zero_cost_ball"])
     def test_matches_full_solve_on_named_programs(self, name):
-        assert check_merged_matches_full(*named_opening_programs()[name]) is not None
+        assert check_merged_matches_full(named_opening_programs()[name]) is not None
 
     def test_named_programs_have_their_shapes(self):
-        programs = named_opening_programs()
+        programs = {name: reference_build_structured_lp(*args)[0]
+                    for name, args in named_opening_programs().items()}
         for name, groups_with_free in (("single", {1, 2}), ("tight", {1}),
                                        ("one_free", {1}), ("odd", {1}),
                                        ("zero_cost_ball", {1, 2})):
-            lp, _ = programs[name]
-            free, group = free_columns(lp)
+            free, group = free_columns(programs[name])
             assert set(group[free].tolist()) == groups_with_free
-        lp, _ = programs["one_free"]
-        free, group = free_columns(lp)
+        free, group = free_columns(programs["one_free"])
         assert free.tolist() == [False, False, True]
-        half = check_merged_matches_full(*programs["odd"])
+        half = check_merged_matches_full(named_opening_programs()["odd"])
         assert half.y.tolist() == [0.5, 0.5, 0.0, 0.0]
-        assert half.objective == pytest.approx(3.5)
-        lp, _ = programs["zero_cost_ball"]
+        # 3.5 with the constant 2.0 the objective leaves out
+        assert float(programs["odd"].objective @ half.y) == pytest.approx(1.5)
+        lp = programs["zero_cost_ball"]
         assert lp.objective.tolist()[:2] == [0.0, 0.0]
         assert free_columns(lp)[0].tolist() == [False, False, True, True, True]
 
     def test_merged_value_above_the_members_bounds_is_refused(self, monkeypatch):
         # col 0 takes the ball's unit; the free pair {1, 2} may hold up to 2
         # in the doubled program, so 6 there breaks a bound but no row
-        lp, constant = build_structured_lp(np.array([[3.0, 1.0, 2.0]]), [1.0],
-                                           [1, 1, 1], 5, [(1, 5)], [[0]], [[0]], None)
+        lp, members = build_structured_lp(np.array([[3.0, 1.0, 2.0]]), [1.0],
+                                          [1, 1, 1], 5, [(1, 5)], [[0]], [[0]], None)
 
         def overfull(small, **kw):
             res = solve_vertex(small, **kw)
@@ -277,21 +293,28 @@ class TestMergedOpeningLP:
 
         monkeypatch.setattr(fairrange.round, "solve_vertex", overfull)
         with pytest.raises(StageError, match="upper bound"):
-            solve_half_integral(lp, constant)
+            solve_half_integral(lp, members)
 
-    def test_exact_check_runs_on_the_spread_point(self, monkeypatch):
-        lp, constant = named_opening_programs()["odd"]
-        monkeypatch.setattr(fairrange.round, "_spread",
-                            lambda values, members, upper, n: np.zeros(n))
+    def test_exact_check_runs_on_the_solved_point(self, monkeypatch):
+        # an all-zero point breaks the ball's >= row of the merged program
+        def empty(small, **kw):
+            res = solve_vertex(small, **kw)
+            assert small.num_vars == 2 and res.x.tolist() != [0.0, 0.0]
+            res.x[:] = 0.0
+            return res
+
+        monkeypatch.setattr(fairrange.round, "solve_vertex", empty)
         with pytest.raises(StageError, match=">= row"):
-            solve_half_integral(lp, constant)
+            solve_half_integral(*build_structured_lp(*named_opening_programs()["odd"]))
 
     def test_matches_full_solve_on_fixtures(self):
         merged = 0
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(14, 12):
-            again = check_merged_matches_full(lp, constant)
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(14, 12):
+            args = opening_args(ss, groups_of(inst), rc)
+            assert_same_program(build_structured_lp(*args)[0], lp)
+            again = check_merged_matches_full(args)
             assert again.y.tolist() == half.y.tolist()
-            merged += merge_free_columns(scale_doubled(lp))[0].num_vars < lp.num_vars
+            merged += lp.num_vars < len(sp.facility_ids)
         assert merged > 0
 
     def test_vertex_solve_sees_one_column_per_group_of_free_facilities(self, monkeypatch):
@@ -299,89 +322,35 @@ class TestMergedOpeningLP:
         inst = random_instance(3, 300, 4, 1.0)
         rc = random_ranges(3, inst, 10, 4)
         built, widths = [], []
-        real_build, real_vertex = structured_program, solve_vertex
+        real_build, real_vertex = build_structured_lp, solve_vertex
 
         def build(*args):
-            out = real_build(*args)
-            built.append(out[0])
-            return out
+            built.append(args)
+            return real_build(*args)
 
         def vertex(lp, **kw):
             widths.append(lp.num_vars)
             return real_vertex(lp, **kw)
 
-        monkeypatch.setattr(fairrange.pipeline, "structured_program", build)
+        monkeypatch.setattr(fairrange.round, "build_structured_lp", build)
         monkeypatch.setattr(fairrange.round, "solve_vertex", vertex)
         solve_fair_range(inst, rc)
-        (lp,) = built
-        free, group = free_columns(lp)
-        assert lp.num_vars == 300
+        (args,) = built
+        full, _ = reference_build_structured_lp(*args)
+        free, group = free_columns(full)
+        assert full.num_vars == 300
         assert widths == [int(np.sum(~free)) + len(set(group[free].tolist()))]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(opening_programs())
-    def test_merged_program_matches_the_entry_list_merge(self, program):
-        same_merge(scale_doubled(program[0]))
+    def test_merged_program_matches_the_entry_list_merge(self, args):
+        same_opening_program(args)
 
     def test_merged_program_matches_the_entry_list_merge_on_fixtures(self):
-        for lp, _ in named_opening_programs().values():
-            same_merge(scale_doubled(lp))
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(14, 12):
-            same_merge(scale_doubled(lp))
-
-
-# merge_free_columns as it was when it keyed the free columns by per-column
-# entry lists, kept verbatim as the reference for reading the arrays.
-def reference_merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarray]]:
-    """Presolve: one column for each set of identical free facilities.
-
-    A free column has objective 0 and sits in no ball or super-ball row,
-    so it meets only its group's range rows and the card row, and all free
-    columns of a group are the same column.  Each such set becomes one
-    column, at the place of its first member, with the members' summed
-    upper bound: a copy of an existing column, so total unimodularity and
-    integral bounds survive (duplicate-column merging, Andersen & Andersen,
-    "Presolving in linear programming", 1995).  Reads the row tags and
-    upper bounds that build_structured_lp sets.  Returns the small program
-    and the original columns behind each of its columns, in index order.
-    """
-    n = lp.num_vars
-    entries: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    free = lp.objective == 0.0
-    for i, row in enumerate(lp.rows):
-        touches = lp.row_kinds[i][0] in ("ball", "superball")
-        for j, a in row.coeffs:
-            entries[j].append((i, a))
-            if touches:
-                free[j] = False
-    by_key: dict = {}
-    for j in range(n):
-        by_key.setdefault(tuple(entries[j]) if free[j] else j, []).append(j)
-    members = [np.array(cols) for cols in by_key.values()]
-    new_of = np.empty(n, dtype=int)
-    for c, cols in enumerate(members):
-        new_of[cols] = c
-    rows = [Row(tuple({int(new_of[j]): a for j, a in row.coeffs}.items()),
-                row.sense, row.rhs) for row in lp.rows]
-    first = [cols[0] for cols in members]
-    upper = np.array([lp.upper[cols].sum() for cols in members])
-    return lp_from_rows(len(members), lp.objective[first], rows, upper=upper,
-                        row_kinds=lp.row_kinds), members
-
-
-def same_merge(lp):
-    """merge_free_columns against the per-column entry-list merge it
-    replaced: the same rows (coefficients, their order, senses and
-    right-hand sides, as the same Python types), objective, bounds and
-    members."""
-    small, members = merge_free_columns(lp)
-    want, want_members = reference_merge_free_columns(lp)
-    assert repr(small.rows) == repr(want.rows)
-    assert small.num_vars == want.num_vars
-    assert small.objective.tobytes() == want.objective.tobytes()
-    assert small.upper.tobytes() == want.upper.tobytes()
-    assert small.row_kinds is want.row_kinds
-    assert [c.tolist() for c in members] == [c.tolist() for c in want_members]
+        for args in named_opening_programs().values():
+            same_opening_program(args)
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(14, 12):
+            same_opening_program(opening_args(ss, groups_of(inst), rc))
 
 
 def partition_fields(part):
@@ -389,13 +358,12 @@ def partition_fields(part):
             part.served, part.removed_by)
 
 
-def move_free_mass(y, lp, rng):
-    """Same group sums on the free columns, each value still in {0, 1/2, 1},
-    the mass placed on other members."""
-    free, group = free_columns(lp)
+def move_free_mass(y, members, rng):
+    """Same sum over each column's members (a group's free facilities share
+    one column), each value still in {0, 1/2, 1}, the mass placed on other
+    members."""
     out = y.copy()
-    for g in set(group[free].tolist()):
-        cols = np.nonzero(free & (group == g))[0]
+    for cols in members:
         out[cols] = rng.permutation(y[cols])
     return out
 
@@ -404,13 +372,13 @@ class TestFreeOpeningsUnread:
     def test_later_stages_ignore_where_free_mass_sits(self):
         rng = np.random.default_rng(15)
         moved = 0
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(16, 12, sizes=(12, 20)):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(16, 12, sizes=(12, 20)):
             x = half_integral_assignment(ss, half.y)
             part = partition_facilities(sp, x)
             centers, _, _ = select_centers(ss, HalfIntegralSolution(
-                half.y, half.objective, None, half.snap_deviation), groups_of(inst), rc)
+                half.y, None, half.snap_deviation), groups_of(inst), rc)
             for _ in range(4):
-                y = move_free_mass(half.y, lp, rng)
+                y = move_free_mass(half.y, members, rng)
                 moved += y.tolist() != half.y.tolist()
                 assert set(y.tolist()) <= {0.0, 0.5, 1.0}
                 x2 = half_integral_assignment(ss, y)
@@ -418,7 +386,7 @@ class TestFreeOpeningsUnread:
                 assert partition_fields(partition_facilities(sp, x2)) == \
                     partition_fields(part)
                 centers2, part2, _ = select_centers(ss, HalfIntegralSolution(
-                    y, half.objective, None, half.snap_deviation), groups_of(inst), rc)
+                    y, None, half.snap_deviation), groups_of(inst), rc)
                 assert centers2.tolist() == centers.tolist()
                 assert partition_fields(part2) == partition_fields(part)
         assert moved > 0
@@ -448,7 +416,7 @@ class TestHalfIntegralAssignment:
 
     def test_random_rows_caps_and_certificate(self):
         saw_full_territory = 0
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(7, 10):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(7, 10):
             x = half_integral_assignment(ss, half.y)
             assert np.allclose(x.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(x <= half.y + 1e-12)
@@ -456,12 +424,12 @@ class TestHalfIntegralAssignment:
             dp = sp.fac_dist ** sp.p
             cost = float(sp.weights @ (x * dp).sum(axis=1))
             p = sp.p
-            assert cost <= (1.5 ** p) * half.objective * (1 + 1e-6) + 1e-9
+            assert cost <= (1.5 ** p) * half_integral_cost(ss, half.y) * (1 + 1e-6) + 1e-9
             for v in range(len(sp.location_ids)):
-                members = ss.supers[v]
-                if float(half.y[members].sum()) == 1.0:
+                territory = ss.supers[v]
+                if float(half.y[territory].sum()) == 1.0:
                     saw_full_territory += 1
-                    outside = np.setdiff1d(np.arange(x.shape[1]), members)
+                    outside = np.setdiff1d(np.arange(x.shape[1]), territory)
                     assert np.all(x[v, outside] == 0.0)
         assert saw_full_territory > 0
 
@@ -498,7 +466,7 @@ class TestPartition:
             partition_facilities(sp, third)
 
     def test_random_partition_invariants(self):
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(8, 10):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(8, 10):
             x = half_integral_assignment(ss, half.y)
             part = partition_facilities(sp, x)
             assert part.count == len(part.surviving) == len(part.sets)
@@ -559,7 +527,7 @@ class TestFlow:
         assert solve_flow_lower_bounds(net) is None
 
     def test_flow_conservation_and_bounds_exact(self):
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(9, 6):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(9, 6):
             centers, part, net = select_centers(ss, half, groups_of(inst), rc)
             flows = solve_flow_lower_bounds(net)
             balance = np.zeros(net.num_nodes, dtype=int)
@@ -574,7 +542,7 @@ class TestFlow:
 
 class TestSelectCenters:
     def test_end_to_end_random(self):
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(10, 12):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(10, 12):
             centers, part, net = select_centers(ss, half, groups_of(inst), rc)
             assert len(centers) == rc.k
             labels = np.asarray(groups_of(inst))
@@ -586,7 +554,7 @@ class TestSelectCenters:
                 assert chosen & set(part.sets[v])
 
     def test_removed_location_distance_bounds(self):
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(11, 12):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(11, 12):
             centers, part, net = select_centers(ss, half, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
             chosen = set(centers.tolist())
@@ -602,10 +570,10 @@ class TestSelectCenters:
 
     def test_partition_quality_for_any_hitting_set(self):
         rng = np.random.default_rng(12)
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(13, 8):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(13, 8):
             centers, part, net = select_centers(ss, half, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
-            bound = (4.5 ** sp.p) * half.objective * (1 + 1e-6) + 1e-9
+            bound = (4.5 ** sp.p) * half_integral_cost(ss, half.y) * (1 + 1e-6) + 1e-9
             num_f = dp.shape[1]
             candidates = [centers]
             for _ in range(20):
@@ -917,7 +885,7 @@ def structuring_inputs(draw):
 class TestFillsMatchReference:
     def test_pipeline_fronts(self):
         reached = set()
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(21, 16):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(21, 16):
             reached.add(compare_structuring(sp, half.y))
         assert reached == {"done"}
 
@@ -939,7 +907,7 @@ class TestFillsMatchReference:
         assert compare_structuring(sp) == "done"
 
     def test_tables_are_the_gathered_distances(self):
-        for inst, rc, sp, ss, lp, constant, half, opt in random_fronts(22, 8):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(22, 8):
             D = old_dist_to_facilities(sp)
             assert bits(sp.fac_dist) == bits(D)
             assert bits(sp.fac_dist_p) == bits(D ** sp.p)

@@ -9,9 +9,10 @@ import sys
 
 import numpy as np
 
-from fairrange.lp import build_fair_range_lp
+import fairrange.round
+from fairrange.lp import build_fair_range_lp, solve_vertex
 from fairrange.pipeline import random_instance, random_ranges
-from fairrange.round import structured_program
+from fairrange.round import solve_half_integral, structured_program
 from fairrange.structure import build_structured_solution
 
 from conftest import groups_of, pipeline_front
@@ -33,7 +34,15 @@ def test_relaxation_counts():
     assert counts["lp.relax_cols"] == lp.num_vars == 4 * 9 + 9
 
 
-def test_opening_program_counts():
+def test_opening_program_counts(monkeypatch):
+    widths = []
+
+    def vertex(lp, **kw):
+        widths.append(lp.num_vars)
+        return solve_vertex(lp, **kw)
+
+    monkeypatch.setattr(fairrange.round, "solve_vertex", vertex)
+    merged = 0
     for seed in range(3):
         inst = random_instance(seed, 14, 2, 2.0)
         rc = random_ranges(seed, inst, 3, 2)
@@ -43,3 +52,7 @@ def test_opening_program_counts():
         _open_counts(counts, (), out)
         assert counts["round.open_rows"] == len(out[0].rhs)
         assert counts["round.open_cols"] == out[0].num_vars
+        solve_half_integral(*out)
+        assert counts["round.open_cols"] == widths.pop()
+        merged += counts["round.open_cols"] < len(inst.facility_ids)
+    assert merged > 0
