@@ -22,6 +22,13 @@ def _client_arrays(inst: MetricInstance) -> tuple[list[int], np.ndarray]:
     return [inst.index(c) for c in inst.client_ids], inst.client_weights()
 
 
+def _block_of(D: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
+    """D[rows][:, cols]; a view of D if both are ascending runs of indices."""
+    runs = [slice(i[0], i[0] + len(i)) for i in (rows, cols)
+            if i and i == list(range(i[0], i[0] + len(i)))]
+    return D[tuple(runs)] if len(runs) == 2 else D[np.ix_(rows, cols)]
+
+
 def farthest_first(inst: MetricInstance, k: int,
                    candidates: Sequence[str] | None = None) -> tuple[str, ...]:
     """Greedy k-center seeding over the candidate points.
@@ -116,9 +123,13 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
         max_iters = 100 * k
     cl_idx, w = _client_arrays(inst)
     ci = [inst.index(c) for c in cand]
-    # column-major: every scan below reads whole candidate columns
-    Dp = np.asfortranarray(inst.dist.take(cl_idx, axis=0).take(ci, axis=1))
-    np.power(Dp, inst.p, out=Dp)
+    blocks = range(0, len(cand), _TABLE_BLOCK)
+    # column-major: every scan below reads whole candidate columns.  Raised
+    # a block of columns at a time, so no other n x |cand| array is made
+    Dp = np.empty((len(w), len(cand)), order="F")
+    for lo in blocks:
+        np.power(_block_of(inst.dist, cl_idx, ci[lo:lo + _TABLE_BLOCK]), inst.p,
+                 out=Dp[:, lo:lo + _TABLE_BLOCK])
     start = farthest_first(inst, k, candidates=cand)
     pos_of = {c: t for t, c in enumerate(cand)}
     current = sorted(pos_of[c] for c in start)
@@ -133,16 +144,16 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     slack = 4.0 * (len(w) + 1) * np.finfo(float).eps * float(np.abs(w) @ Dp.max(axis=1))
     cur_cost = cost_of(current)
     rows = np.arange(len(w))
-    blocks = range(0, len(cand), _TABLE_BLOCK)
     swaps = idle = b = 0
     while swaps < max_iters and k < len(cand) and idle < len(blocks):
         if idle == 0:                           # at the start and after a swap
-            sub = Dp[:, current]
-            order = np.argsort(sub, axis=1)
-            d1 = sub[rows, order[:, 0]]
-            d2 = sub[rows, order[:, 1]] if k > 1 else np.full_like(d1, np.inf)
+            sub = Dp[:, current]                # a copy: current is a list
+            near = sub.argmin(axis=1)           # first min = lowest slot
+            d1 = sub[rows, near]
+            sub[rows, near] = np.inf
+            d2 = sub.min(axis=1)                # inf when k = 1
             own = np.zeros((k, len(w)))         # w_i in the row of i's nearest slot
-            own[order[:, 0], rows] = w
+            own[near, rows] = w
             rest = w - own
             inside = np.zeros(len(cand), dtype=bool)
             inside[current] = True
@@ -232,17 +243,10 @@ def reduce_locations(inst: MetricInstance, centers: Sequence[str]) -> ReducedIns
     if not cs:
         raise ValueError("empty center set")
     cl_idx, w = _client_arrays(inst)
-    cids = inst.client_ids
     D = inst.dist[np.ix_(cl_idx, [inst.index(c) for c in cs])]
     nearest = np.argmin(D, axis=1)          # first min = lowest id
-    agg = {c: 0.0 for c in cs}
-    assign = {}
-    base_cost = 0.0
-    for t, v in enumerate(cids):
-        c = cs[nearest[t]]
-        agg[c] += w[t]
-        assign[v] = c
-        base_cost += w[t] * D[t, nearest[t]] ** inst.p
-    kept = [c for c in cs if agg[c] > 0.0]
-    weights = np.array([agg[c] for c in kept], dtype=float)
-    return ReducedInstance(inst, tuple(kept), weights, assign, float(base_cost))
+    agg = np.bincount(nearest, weights=w, minlength=len(cs))
+    assign = dict(zip(inst.client_ids, [cs[t] for t in nearest]))
+    base_cost = float(w @ D.min(axis=1) ** inst.p)
+    kept = tuple(c for c, a in zip(cs, agg) if a > 0.0)
+    return ReducedInstance(inst, kept, agg[agg > 0.0], assign, base_cost)

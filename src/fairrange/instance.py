@@ -147,20 +147,25 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
     """Check the metric and labeling invariants, reporting every violation found.
 
     Symmetry, zero diagonal, nonnegativity and the triangle inequality are
-    checked to METRIC_TOL.  Triangle triples are checked exhaustively up to
-    triangle_cap triples and sampled uniformly beyond that.
+    checked to METRIC_TOL; a nan entry is named and reported by no other
+    check.  Triangle triples: exhaustive up to triangle_cap, then sampled.
     """
     out: list[str] = []
     D = inst.dist
     n = inst.n
-    if not np.allclose(D, D.T, rtol=0.0, atol=METRIC_TOL):
-        i, j = np.unravel_index(np.argmax(np.abs(D - D.T)), D.shape)
+    nan = np.isnan(D)
+    if nan.any():
+        i, j = np.argwhere(nan)[0]
+        out.append(f"nan: d({inst.point_ids[i]},{inst.point_ids[j]}) is not a number")
+    S = np.where(nan | nan.T, 0.0, D)       # a nan pair is no symmetry fault
+    if not np.allclose(S, S.T, rtol=0.0, atol=METRIC_TOL):
+        i, j = np.unravel_index(np.argmax(np.abs(S - S.T)), D.shape)
         out.append(f"symmetry: d({inst.point_ids[i]},{inst.point_ids[j]}) != transpose")
     diag = np.abs(np.diag(D))
     if diag.max(initial=0.0) > METRIC_TOL:
         i = int(np.argmax(diag))
         out.append(f"diagonal: d({inst.point_ids[i]},{inst.point_ids[i]}) nonzero")
-    if D.min(initial=0.0) < -METRIC_TOL:
+    if np.nanmin(D, initial=0.0) < -METRIC_TOL:
         out.append("negativity: negative distance entry")
 
     if n >= 3:

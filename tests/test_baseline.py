@@ -1,5 +1,6 @@
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairrange.baseline as baseline
-from fairrange.baseline import (_block_hits, _client_arrays, farthest_first,
-                                local_search_clustering, reduce_locations)
+from fairrange.baseline import (_block_hits, _block_of, _client_arrays,
+                                farthest_first, local_search_clustering,
+                                reduce_locations)
 from fairrange.instance import RangeConstraints, instance_from_coords
 
-from conftest import enumerate_optimum, line_instance
+from conftest import enumerate_optimum, line_instance, matrix_instance
 
 
 # Reference copy of farthest_first as it was before the seeding stopped
@@ -73,6 +75,27 @@ def reference_local_search(inst, k, *, candidates=None, max_iters=None, tol=1e-1
         b = (b + 1) % len(blocks)
     centers = tuple(sorted(cand[t] for t in current))
     return centers, cur_cost, swaps
+
+
+def reference_reduce_locations(inst, centers):
+    """reduce_locations as a loop over the clients."""
+    cs = sorted(centers)
+    if not cs:
+        raise ValueError("empty center set")
+    cl_idx, w = _client_arrays(inst)
+    D = inst.dist[np.ix_(cl_idx, [inst.index(c) for c in cs])]
+    nearest = np.argmin(D, axis=1)          # first min = lowest id
+    agg = {c: 0.0 for c in cs}
+    assign = {}
+    base_cost = 0.0
+    for t, v in enumerate(inst.client_ids):
+        c = cs[nearest[t]]
+        agg[c] += w[t]
+        assign[v] = c
+        base_cost += w[t] * D[t, nearest[t]] ** inst.p
+    kept = [c for c in cs if agg[c] > 0.0]
+    weights = np.array([agg[c] for c in kept], dtype=float)
+    return tuple(kept), weights, assign, float(base_cost)
 
 
 def assert_local_optimum(inst, k, centers, cost, candidates=None, tol=1e-10):
@@ -305,6 +328,53 @@ class TestSwapTable:
     def test_many_clients_shape(self, rng, p):
         assert_same_search(many_clients_instance(rng, p), 8)
 
+    def test_clients_not_one_run(self, rng):
+        # every third point and a few more are clients: the table is gathered
+        ids = [f"p{i:03d}" for i in range(200)]
+        clients = ids[::3] + ids[1:40:7]
+        inst = instance_from_coords(
+            ids, rng.uniform(0.0, 10.0, size=(200, 2)), facility_ids=ids,
+            group_label={i: 1 for i in ids},
+            client_demands={c: int(rng.integers(1, 4)) for c in clients}, p=2.0)
+        assert_same_search(inst, 5)
+
+    def test_candidates_not_one_run(self, rng):
+        inst = planar_instance(rng, 90, p=2.0)
+        assert_same_search(inst, 4, candidates=inst.point_ids[1::3] + inst.point_ids[:5])
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_ids_out_of_index_order(self, rng, p):
+        # sorted ids sit at descending positions, so neither side is a run
+        ids = [f"p{i:03d}" for i in range(160)][::-1]
+        inst = instance_from_coords(
+            ids, rng.uniform(0.0, 10.0, size=(160, 2)), facility_ids=ids,
+            group_label={i: 1 for i in ids},
+            client_demands={i: int(rng.integers(1, 4)) for i in ids}, p=p)
+        assert_same_search(inst, 6)
+
+    def test_twenty_slots_with_tied_nearest_centers(self):
+        # 30 grid positions, each held by one to six points, and k = 20:
+        # clients between two centers tie for the nearest, above the
+        # 16 slots where argsort was a stable insertion sort
+        pos = [(x, y) for x in range(6) for y in range(5)]
+        coords = [pos[i % 30] for i in range(150) if i < 30 or i % 7 < 3]
+        ids = [f"d{i:03d}" for i in range(len(coords))]
+        inst = instance_from_coords(
+            ids, coords, facility_ids=ids, group_label={i: 1 for i in ids},
+            client_demands={c: 1 + j % 3 for j, c in enumerate(ids)}, p=1.0)
+        cl_idx, _ = _client_arrays(inst)
+        sub = inst.dist[np.ix_(cl_idx, [inst.index(c) for c in farthest_first(inst, 20)])]
+        assert ((sub == sub.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        assert_same_search(inst, 20)
+
+    def test_block_is_a_view_only_for_runs(self):
+        D = np.arange(36.0).reshape(6, 6)
+        assert np.shares_memory(_block_of(D, [1, 2, 3], [0, 1]), D)
+        for rows, cols in (([1, 3], [0, 1]), ([1, 2], [2, 1]), ([], [0])):
+            got = _block_of(D, rows, cols)
+            assert not np.shares_memory(got, D)
+            assert np.array_equal(got, D[np.ix_(rows, cols)])
+
     def test_grid_ties_across_blocks(self):
         # 20 x 15 integer grid: equal swaps everywhere, in every block
         inst = grid_instance()
@@ -425,6 +495,29 @@ class TestDirectEvaluations:
         assert len(builds) < (swaps + 1) * nb
 
 
+class TestSearchMemory:
+    @pytest.mark.parametrize("ids_in_order", [True, False])
+    def test_peak_near_one_power_table(self, rng, ids_in_order):
+        # the n x |cand| table is the search's one large array; building it
+        # through gathered copies peaked at twice its size.  With the ids in
+        # reverse order the table is gathered, not read through a view
+        inst = many_clients_instance(rng, 2.0)
+        if not ids_in_order:
+            order = inst.point_ids[::-1]
+            inst = matrix_instance(order, inst.submatrix(order, order), inst.facility_ids,
+                                   inst.group_label, inst.client_demands, inst.p)
+        table = len(inst.client_ids) * len(inst.point_ids) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            local_search_clustering(inst, 8)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * table
+
+
 class TestReduceLocations:
     def test_aggregation(self):
         inst = line_instance([0.0, 1.0, 10.0, 11.0])
@@ -457,6 +550,29 @@ class TestReduceLocations:
         inst = line_instance([0.0, 1.0])
         with pytest.raises(ValueError):
             reduce_locations(inst, ())
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_matches_client_loop(self, rng, p):
+        # some clients absent and some centers left without demand
+        cases = [(many_clients_instance(rng, p), 8)]
+        for _ in range(20):
+            n = int(rng.integers(5, 30))
+            ids = [f"p{i:02d}" for i in range(n)]
+            keep = [c for c in ids if rng.random() < 0.6] or ids[:1]
+            inst = instance_from_coords(
+                ids, rng.uniform(0.0, 10.0, size=(n, 2)), facility_ids=ids,
+                group_label={i: 1 for i in ids},
+                client_demands={c: int(rng.integers(1, 5)) for c in keep}, p=p)
+            cases.append((inst, int(rng.integers(1, n + 1))))
+        for inst, k in cases:
+            centers = list(rng.choice(inst.point_ids, size=k, replace=False))
+            red = reduce_locations(inst, centers)
+            kept, weights, assign, base_cost = reference_reduce_locations(inst, centers)
+            assert red.location_ids == kept
+            assert red.assign == assign
+            assert red.weights.dtype == weights.dtype
+            assert red.weights.tobytes() == weights.tobytes()
+            assert red.baseline_cost_p == pytest.approx(base_cost, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_consolidation_chain_bound(self, rng, p):

@@ -173,6 +173,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == "invalid parameters: distance d(p000, p001) = nan is not a number\n"
 
+    def test_nan_distance_named_by_validation(self, tmp_path, capsys):
+        # this read "validation: symmetry: d(p000,p001) != transpose"
+        inst = with_distance(random_instance(0, 8, 2, 1.0), "p000", "p001", float("nan"))
+        path = self.write(tmp_path,
+                          document_from_instance(inst, random_ranges(0, inst, 3, 2)))
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "validation: nan: d(p000,p001) is not a number\n"
+
     def test_tol_override_zero_is_kept(self, tmp_path, monkeypatch):
         seen = []
         real = fairrange.cli.solve_fair_range

@@ -67,6 +67,22 @@ def test_validate_flags_symmetry_and_diagonal():
     assert "diagonal" in kinds
 
 
+def test_validate_names_a_nan_distance():
+    # a nan pair read "symmetry: d(a,b) != transpose" (nan != nan); a
+    # one-sided nan is the same single fault, and real asymmetry still shows
+    def violations(ab, ba, bc):
+        dist = [[0.0, ab, 1.0], [ba, 0.0, bc], [1.0, 1.0, 0.0]]
+        inst = matrix_instance(["a", "b", "c"], dist, ["a"], {"a": 1}, {"b": 1}, 1.0)
+        return validate_instance(inst).violations
+
+    nan = "nan: d(a,b) is not a number"
+    assert violations(math.nan, math.nan, 1.0) == [nan]
+    assert violations(math.nan, 1.0, 1.0) == [nan]
+    assert violations(math.nan, math.nan, 1.5) == [nan, "symmetry: d(b,c) != transpose"]
+    assert violations(math.nan, math.nan, -1.0) == [
+        nan, "symmetry: d(b,c) != transpose", "negativity: negative distance entry"]
+
+
 def test_validate_sampled_triples_deterministic():
     rng = np.random.default_rng(7)
     pts = rng.random((110, 2))
