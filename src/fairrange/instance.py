@@ -89,17 +89,35 @@ class MetricInstance:
 
 def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
                          client_demands, p: float) -> MetricInstance:
-    """Build an instance with Euclidean distances from planar coordinates."""
+    """Build an instance with Euclidean distances from coordinates of any
+    dimension, one row per point."""
     pts = np.asarray(coords, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != len(ids):
         raise ValueError("coordinate array shape does not match ids")
-    # row blocks bound the rows x n x dim temporaries; each entry is the same
-    # per-pair expression (one sum over the coordinates), so the bits do
-    # not depend on the block size
-    dist = np.empty((len(pts), len(pts)))
-    for a in range(0, len(pts), COORD_ROW_BLOCK):
-        diff = pts[a:a + COORD_ROW_BLOCK, None, :] - pts[None, :, :]
-        np.sqrt((diff * diff).sum(axis=2), out=dist[a:a + COORD_ROW_BLOCK])
+    # Each entry keeps the bits of the one-shot sqrt(((x - y)**2).sum()) that
+    # documents were written with, whatever the block size.  Below 8
+    # coordinates numpy's sum adds left to right, so the squares are
+    # accumulated into the output rows one coordinate at a time with one
+    # rows x n temporary; from 8 on it sums pairwise, so those keep the
+    # rows x n x dim difference block.
+    n, dim = pts.shape
+    dist = np.empty((n, n))
+    if dim >= 8:
+        for a in range(0, n, COORD_ROW_BLOCK):
+            diff = pts[a:a + COORD_ROW_BLOCK, None, :] - pts[None, :, :]
+            np.sqrt((diff * diff).sum(axis=2), out=dist[a:a + COORD_ROW_BLOCK])
+    else:
+        cols = np.ascontiguousarray(pts.T)
+        tmp = np.empty((min(COORD_ROW_BLOCK, n), n))
+        for a in range(0, n, COORD_ROW_BLOCK):
+            out = dist[a:a + COORD_ROW_BLOCK]
+            sq = tmp[:len(out)]
+            out.fill(0.0)
+            for col in cols:
+                np.subtract(col[a:a + COORD_ROW_BLOCK, None], col, out=sq)
+                sq *= sq
+                out += sq
+            np.sqrt(out, out=out)
     np.fill_diagonal(dist, 0.0)
     return MetricInstance(tuple(ids), dist, tuple(facility_ids),
                           dict(group_label), dict(client_demands), p, coords=pts)
@@ -157,7 +175,9 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
     if nan.any():
         i, j = np.argwhere(nan)[0]
         out.append(f"nan: d({inst.point_ids[i]},{inst.point_ids[j]}) is not a number")
-    S = np.where(nan | nan.T, 0.0, D)       # a nan pair is no symmetry fault
+    # a nan pair is no symmetry fault, and equal pairs are zeroed so that
+    # inf - inf cannot hide the faulty pair from argmax
+    S = np.where(nan | nan.T | (D == D.T), 0.0, D)
     if not np.allclose(S, S.T, rtol=0.0, atol=METRIC_TOL):
         i, j = np.unravel_index(np.argmax(np.abs(S - S.T)), D.shape)
         out.append(f"symmetry: d({inst.point_ids[i]},{inst.point_ids[j]}) != transpose")
@@ -196,15 +216,15 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
     return ValidationReport(out)
 
 
+@np.errstate(invalid="ignore")     # an inf - inf slack is nan: no violation
 def _triangle_violations(D: np.ndarray, cap: int, seed: int) -> list[tuple[int, int, int]]:
     n = D.shape[0]
     bad: list[tuple[int, int, int]] = []
     if n ** 3 <= cap:
         for k in range(n):
             slack = D - (D[:, k][:, None] + D[k, :][None, :])
-            if slack.max() > METRIC_TOL:
-                for i, j in zip(*np.nonzero(slack > METRIC_TOL)):
-                    bad.append((int(i), int(j), k))
+            for i, j in zip(*np.nonzero(slack > METRIC_TOL)):
+                bad.append((int(i), int(j), k))
         return bad
     rng = np.random.default_rng(seed)
     m = cap

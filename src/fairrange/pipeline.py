@@ -397,7 +397,8 @@ def random_instance(seed: int, n: int, ell: int, p: float) -> MetricInstance:
     if n < ell:
         raise ValueError("need at least one point per group")
     rng = np.random.default_rng(seed)
-    ids = [f"p{i:03d}" for i in range(n)]
+    w = max(3, len(str(n - 1)))     # ids sort in matrix order at any n
+    ids = [f"p{i:0{w}d}" for i in range(n)]
     coords = rng.uniform(0.0, 10.0, size=(n, 2))
     labels = {ids[i]: 1 + i % ell for i in range(n)}
     demands = {pid: int(rng.integers(1, 4)) for pid in ids}

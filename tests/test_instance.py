@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,23 @@ from fairrange.instance import (
 
 from conftest import line_instance, matrix_instance
 
+# a numpy invalid-value warning in instance code is a fault, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def coords_instance(pts):
+    ids = [f"q{i}" for i in range(len(pts))]
+    return instance_from_coords(ids, pts, ids, {i: 1 for i in ids},
+                                {i: 1 for i in ids}, 1.0)
+
+
+def one_shot_distances(pts):
+    # the n x n x dim expression that documents were written with
+    diff = pts[:, None, :] - pts[None, :, :]
+    want = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(want, 0.0)
+    return want
+
 
 @pytest.mark.parametrize("dim", [2, 3, 9])
 def test_coordinate_distances_match_full_difference_tensor(dim):
@@ -27,13 +45,32 @@ def test_coordinate_distances_match_full_difference_tensor(dim):
     # the one-shot n x n x dim expression that documents were written with
     rng = np.random.default_rng(dim)
     pts = rng.normal(size=(150, dim)) * rng.uniform(0.1, 1000.0, size=dim)
-    ids = [f"q{i}" for i in range(150)]
-    inst = instance_from_coords(ids, pts, ids, {i: 1 for i in ids},
-                                {i: 1 for i in ids}, 1.0)
-    diff = pts[:, None, :] - pts[None, :, :]
-    want = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(want, 0.0)
-    assert inst.dist.tobytes() == want.tobytes()
+    inst = coords_instance(pts)
+    assert inst.dist.tobytes() == one_shot_distances(pts).tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 7, 8, 9])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 150])
+def test_coordinate_distances_keep_bits_at_block_edges(n, dim):
+    # dims 7 and 8 sit on either side of numpy's pairwise summation, and
+    # n on either side of a row-block edge
+    rng = np.random.default_rng([n, dim])
+    pts = rng.normal(size=(n, dim)) * rng.uniform(0.1, 1000.0, size=dim)
+    inst = coords_instance(pts)
+    assert inst.dist.shape == (n, n)
+    assert inst.dist.tobytes() == one_shot_distances(pts).tobytes()
+
+
+def test_coordinate_build_peaks_near_one_matrix():
+    n = 800
+    pts = np.random.default_rng(5).uniform(0.0, 10.0, size=(n, 2))
+    tracemalloc.start()
+    try:
+        coords_instance(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * n * n * 8
 
 
 def test_validate_clean_instance():
@@ -81,6 +118,19 @@ def test_validate_names_a_nan_distance():
     assert violations(math.nan, math.nan, 1.5) == [nan, "symmetry: d(b,c) != transpose"]
     assert violations(math.nan, math.nan, -1.0) == [
         nan, "symmetry: d(b,c) != transpose", "negativity: negative distance entry"]
+
+
+def test_validate_names_the_asymmetric_pair_beside_a_symmetric_infinity():
+    # inf - inf is nan, which argmax took for the worst pair, d(a,b); the
+    # triangle slack warned on it, and an infinite d(a,b) against a finite
+    # detour through c is still a violation
+    dist = [[0.0, math.inf, 1.0], [math.inf, 0.0, 1.0], [1.0, 2.0, 0.0]]
+    inst = matrix_instance(["a", "b", "c"], dist, ["a"], {"a": 1}, {"b": 1}, 1.0)
+    assert validate_instance(inst).violations == [
+        "symmetry: d(b,c) != transpose",
+        "triangle: d(a,b) > d(a,c) + d(c,b)",
+        "triangle: d(b,a) > d(b,c) + d(c,a)",
+    ]
 
 
 def test_validate_sampled_triples_deterministic():

@@ -411,6 +411,14 @@ class TestStudy:
             approximation_study(seeds=[0], grid=[(40, 20, 2)], p_values=[1.0])
 
 
+def test_random_instance_ids_sort_in_matrix_order():
+    assert random_instance(0, 12, 4, 2.0).point_ids == tuple(
+        f"p{i:03d}" for i in range(12))
+    ids = random_instance(0, 1001, 4, 2.0).point_ids
+    assert ids[-1] == "p1000"
+    assert list(ids) == sorted(ids)
+
+
 def test_small_solve_imports_no_scipy():
     # below the HiGHS cutover the solver must not pay for importing scipy
     code = ("import sys, fairrange\n"
