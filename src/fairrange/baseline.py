@@ -10,6 +10,8 @@ accounts for.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -57,6 +59,38 @@ def farthest_first(inst: MetricInstance, k: int,
 # table at a time, so its temporaries stay two clients x 128 arrays whatever
 # the number of candidates, and a swap is applied as soon as its block finds it
 _TABLE_BLOCK = 128
+# the float32 table is scaled by a power of two so that d_max^p sits below
+# 2^_TABLE_TOP; float32 holds up to 2^128, and the headroom keeps small
+# terms far from its subnormals
+_TABLE_TOP = 100
+
+
+def _table_scale(w: np.ndarray, dmax_p: float) -> tuple[float, float, float, float]:
+    """Scales and error bound of the float32 swap table: (wscale, scale,
+    rho, a).
+
+    The weights enter the table as float32(w * wscale) and the p-th powers
+    as float32(d^p * scale).  Both scales are powers of two: the weights'
+    total is at most 1 and dmax_p * scale is below 2^_TABLE_TOP, so no
+    entry overflows.  Every term of an entry is nonnegative, so an entry T
+    and its swap's direct float64 cost C, times wscale * scale, satisfy
+    |T - C| <= rho * T + a.  Along each term T takes two casts to float32,
+    one product and at most n additions (gamma_{n+4} of float32), and C is
+    an n-term float64 dot (gamma_n); a covers float32 subnormals and the
+    float64 ones scaled up.  A negative or NaN weight, or total weight *
+    dmax_p beyond float64, gives NaN bounds, which send every swap to its
+    direct cost.
+    """
+    n, total = len(w), float(w.sum())
+    top = dmax_p * total                        # inf or NaN past float64
+    if not (math.isfinite(top) and w.min(initial=0.0) >= 0.0):
+        return 1.0, 1.0, math.nan, math.nan
+    f = min(0, -math.frexp(total)[1])
+    e = min(_TABLE_TOP - math.frexp(dmax_p)[1], 1023)
+    g32 = (n + 4) * 2.0**-24 / (1.0 - (n + 4) * 2.0**-24)
+    g64 = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    return (math.ldexp(1.0, f), math.ldexp(1.0, e), (g32 + g64) / (1.0 - g32),
+            n * (2.0**-20 + math.ldexp(1.0, e + f - 1070)))
 
 
 def _block_table(Dp: np.ndarray, rest: np.ndarray, own: np.ndarray,
@@ -67,33 +101,38 @@ def _block_table(Dp: np.ndarray, rest: np.ndarray, own: np.ndarray,
     candidate lo + c joins: a client whose nearest center sits in slot r
     (own) pays min(d2, Dp[:, lo + c]), every other client (rest)
     min(d1, Dp[:, lo + c]), the nearest/second-nearest bookkeeping of
-    FasterPAM (Schubert and Rousseeuw 2021).  An entry sums the same n
-    terms as the direct cost of that swap, in another order, plus n exact
-    zeros.
+    FasterPAM (Schubert and Rousseeuw 2021).  In the search every array
+    is float32 and scaled (_table_scale): an entry sums the n terms of its
+    swap's direct cost, each rounded to float32, plus n exact zeros, and
+    stays within _table_scale's bound of that cost.
     """
     blk = Dp[:, lo:lo + _TABLE_BLOCK]
     return rest @ np.minimum(d1[:, None], blk) + own @ np.minimum(d2[:, None], blk)
 
 
-def _block_hits(table: np.ndarray, inside: np.ndarray, slack: float,
+def _block_hits(table: np.ndarray, inside: np.ndarray, rho: float, a: float,
                 below: float) -> np.ndarray:
     """The swaps of a block table whose direct cost must be taken.
 
-    Every entry lies within slack of its swap's direct cost.  So no swap
-    costs less than below when the block minimum is at least below + slack,
-    and the result is empty.  Otherwise every entry more than 2 * slack
-    above the minimum costs more than the minimum's swap, and the block's
-    first direct argmin is among the rest: a single hit is that argmin,
-    several are ties to settle directly.  A NaN entry or a NaN or inf slack
-    leaves every swap.  The columns of the current centers (inside is True
-    there) are set to inf and never hit.  Hits are flat row-major indices:
-    slot, then candidate.
+    Every entry T lies within rho * T + a of its swap's direct cost, in
+    the table's units.  With low the block minimum, no swap costs less
+    than below when low * (1 - rho) - a >= below, and the result is empty.
+    Otherwise the minimum's swap costs at most low * (1 + rho) + a, so
+    every swap that ties the block's direct minimum has
+    T * (1 - rho) <= low * (1 + rho) + 2a; the block's first direct argmin
+    is among those entries: a single hit is that argmin, several are ties
+    to settle directly.  A NaN entry or a NaN or inf bound leaves every
+    swap.  The columns of the current centers (inside is True there) are
+    set to inf and never hit.  Hits are flat row-major indices: slot, then
+    candidate.
     """
     table[:, inside] = np.inf
     low = float(table.min())
-    if low - slack >= below:
+    if low * (1.0 - rho) - a >= below:
         return np.empty(0, dtype=np.intp)
-    hit = ~(table > low + 2.0 * slack)
+    # a float32 table meets the bound rounded to the nearest float32, and
+    # every float32 entry at or below the bound is at or below that
+    hit = ~(table > (low * (1.0 + rho) + 2.0 * a) / (1.0 - rho))
     hit[:, inside] = False
     return np.flatnonzero(hit)
 
@@ -111,10 +150,17 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     it moves on to the next block either way (the eager rule of FasterPAM).
     It stops after a full cycle of blocks without a swap, which is a
     single-swap local optimum, or after max_iters swaps.  Returns (centers,
-    cost in power-p terms, swaps applied).  Deterministic.  A block's swaps
-    are scored from one nearest/second-nearest table, which only filters:
-    every applied swap and its cost come from the direct cost of its
-    center set, so the result is that of costing every swap directly.
+    cost in power-p terms, swaps applied).  Deterministic.
+
+    A block's swaps are scored from one float32 nearest/second-nearest
+    table, scaled by powers of two so that it cannot overflow
+    (_table_scale), which only filters (_block_hits).  Every direct cost
+    comes from float64 columns d^p of the current centers, held slot-major
+    (k x n), and of the candidate: the trial "slot r out, candidate c in"
+    costs w @ minimum(where(near == r, d2, d1), column of c).  So the
+    result is that of costing every swap directly, bit for bit.  The
+    filter's bound needs nonnegative distances, which solve_fair_range
+    requires.
     """
     cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
     if not 1 <= k <= len(cand):
@@ -124,49 +170,70 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     cl_idx, w = _client_arrays(inst)
     ci = [inst.index(c) for c in cand]
     blocks = range(0, len(cand), _TABLE_BLOCK)
+    with np.errstate(over="ignore"):
+        wscale, scale, rho, a = _table_scale(w, float(inst.dist.max() ** inst.p))
+    unit = wscale * scale                       # table units per unit of cost
+    w32 = (w * wscale).astype(np.float32)
     # column-major: every scan below reads whole candidate columns.  Raised
-    # a block of columns at a time, so no other n x |cand| array is made
-    Dp = np.empty((len(w), len(cand)), order="F")
-    for lo in blocks:
-        np.power(_block_of(inst.dist, cl_idx, ci[lo:lo + _TABLE_BLOCK]), inst.p,
-                 out=Dp[:, lo:lo + _TABLE_BLOCK])
+    # in float64 half a block of columns at a time, so its temporaries stay
+    # two clients x 64 arrays, and cast to float32 on the scaling write
+    Dp = np.empty((len(w), len(cand)), dtype=np.float32, order="F")
+    half = _TABLE_BLOCK // 2
+    for lo in range(0, len(cand), half):
+        np.multiply(np.power(_block_of(inst.dist, cl_idx, ci[lo:lo + half]), inst.p),
+                    scale, out=Dp[:, lo:lo + half])
+    rows_of, ci_of = np.array(cl_idx, dtype=np.intp), np.array(ci, dtype=np.intp)
+
+    def columns(ts):
+        # float64 d^p of candidate ts, or of a list of them one per row, for
+        # every client: the values that direct costs are defined on
+        return np.power(inst.dist[rows_of, ci_of[ts, None]], inst.p)
+
     start = farthest_first(inst, k, candidates=cand)
     pos_of = {c: t for t, c in enumerate(cand)}
     current = sorted(pos_of[c] for c in start)
-
-    def cost_of(pos_list):
-        return float(w @ Dp[:, pos_list].min(axis=1))
-
-    # a table entry adds the terms of the direct cost plus n exact zeros;
-    # each term is at most |w_i| * max_c Dp[i, c], so the two sums differ
-    # by about 1.5 * n * eps times the sum of those bounds at most (a bound
-    # that is inf or NaN sends every swap to its direct cost)
-    slack = 4.0 * (len(w) + 1) * np.finfo(float).eps * float(np.abs(w) @ Dp.max(axis=1))
-    cur_cost = cost_of(current)
+    cols = columns(current)                     # slot-major: k x n
+    colv = list(cols)
+    cur_cost = float(w @ cols.min(axis=0))
     rows = np.arange(len(w))
     swaps = idle = b = 0
     while swaps < max_iters and k < len(cand) and idle < len(blocks):
         if idle == 0:                           # at the start and after a swap
-            sub = Dp[:, current]                # a copy: current is a list
-            near = sub.argmin(axis=1)           # first min = lowest slot
-            d1 = sub[rows, near]
-            sub[rows, near] = np.inf
-            d2 = sub.min(axis=1)                # inf when k = 1
-            own = np.zeros((k, len(w)))         # w_i in the row of i's nearest slot
-            own[near, rows] = w
-            rest = w - own
+            near = cols.argmin(axis=0)          # first min = lowest slot
+            d1 = cols.min(axis=0)
+            masked = cols.copy()
+            masked[near, rows] = np.inf
+            d2 = masked.min(axis=0)             # inf when k = 1
+            own = np.zeros((k, len(w)), dtype=np.float32)
+            own[near, rows] = w32               # w_i in the row of i's nearest slot
+            rest = w32 - own
+            d1s = (d1 * scale).astype(np.float32)   # rounded as the table is
+            d2s = (d2 * scale).astype(np.float32)
             inside = np.zeros(len(cand), dtype=bool)
             inside[current] = True
             below = cur_cost * (1.0 - tol) - 1e-15
+            others = {}                         # slot r -> min over the other slots
         lo = blocks[b]
-        table = _block_table(Dp, rest, own, d1, d2, lo)
-        hits = _block_hits(table, inside[lo:lo + _TABLE_BLOCK], slack, below)
-        trials = [sorted(current[:r] + current[r + 1:] + [lo + c])
-                  for r, c in (divmod(int(h), table.shape[1]) for h in hits)]
-        vals = [cost_of(t) for t in trials]
+        table = _block_table(Dp, rest, own, d1s, d2s, lo)
+        hits = _block_hits(table, inside[lo:lo + _TABLE_BLOCK], rho, a, below * unit)
+        trial_cols = {}                         # candidate -> its column, this block
+        trials = [divmod(int(h), table.shape[1]) for h in hits]
+        vals = []
+        for r, c in trials:
+            if r not in others:
+                others[r] = np.where(near == r, d2, d1)
+            if c not in trial_cols:
+                trial_cols[c] = columns(lo + c)
+            vals.append(float(w @ np.minimum(others[r], trial_cols[c])))
         j = int(np.argmin(vals)) if vals else 0
         if vals and vals[j] < below:
-            current, cur_cost = trials[j], vals[j]
+            cur_cost = vals[j]
+            r, c = trials[j]
+            del current[r], colv[r]
+            i = bisect.bisect(current, lo + c)
+            current.insert(i, lo + c)
+            colv.insert(i, trial_cols[c])
+            cols = np.array(colv)
             swaps += 1
             idle = 0
         else:

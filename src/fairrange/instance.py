@@ -90,10 +90,16 @@ class MetricInstance:
 def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
                          client_demands, p: float) -> MetricInstance:
     """Build an instance with Euclidean distances from coordinates of any
-    dimension, one row per point."""
+    dimension, one row per point.  A point with an inf or nan coordinate
+    is refused by name: its distances would be inf or nan."""
     pts = np.asarray(coords, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != len(ids):
         raise ValueError("coordinate array shape does not match ids")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"point {ids[i]!r} has a non-finite coordinate: "
+                         f"({', '.join(f'{v:g}' for v in pts[i])})")
     # Each entry keeps the bits of the one-shot sqrt(((x - y)**2).sum()) that
     # documents were written with, whatever the block size.  Below 8
     # coordinates numpy's sum adds left to right, so the squares are

@@ -77,11 +77,10 @@ def reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.ndarray, lis
     for v in range(m):
         in_ball[v, sp.balls[v]] = True
     moves: list[tuple] = []
-    for u in range(F):
-        served = [v for v in range(m) if snap[v, u] > 0.0]
-        if len(served) < 2:
-            continue
-        served.sort(key=lambda v: (D[v, u], sp.location_ids[v]))
+    uses = snap > 0.0
+    for u in np.flatnonzero(uses.sum(axis=0) >= 2).tolist():
+        served = sorted(np.flatnonzero(uses[:, u]).tolist(),
+                        key=lambda v: (D[v, u], sp.location_ids[v]))
         v1 = served[0]
         targets = sorted(sp.balls[v1].tolist())
         if not targets:

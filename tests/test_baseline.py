@@ -1,6 +1,7 @@
 import itertools
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fairrange.baseline import (_block_hits, _block_of, _client_arrays,
                                 farthest_first, local_search_clustering,
                                 reduce_locations)
 from fairrange.instance import RangeConstraints, instance_from_coords
+from fairrange.pipeline import _require_costs_in_range
 
 from conftest import enumerate_optimum, line_instance, matrix_instance
 
@@ -278,22 +280,32 @@ def search_inputs(draw, max_n=12):
     k = draw(st.sampled_from(sorted({1, size - 1, draw(st.integers(1, size))})))
     inst = instance_from_coords(
         ids, coords, facility_ids=ids, group_label={i: 1 for i in ids},
-        client_demands={c: draw(st.integers(1, 5)) for c in clients},
-        p=draw(st.sampled_from([1.0, 2.0, 3.0])))
+        # demands past 2^24 are inexact in float32; at p = 12 and 30 the
+        # scale 1e5 leaves float32's range above and 1e-3 underflows it
+        client_demands={c: draw(st.integers(1, 5) | st.integers(2**24, 2**25))
+                        for c in clients},
+        p=draw(st.sampled_from([1.0, 2.0, 3.0, 12.0, 30.0])))
     return inst, k, cand, draw(st.sampled_from([0, 1, None]))
 
 
-def block_of(data, slack):
-    """A drawn block: direct costs, a table within slack of them (exactly,
-    as integers keep every sum exact) and the current centers' columns."""
+def block_of(data, rho, a):
+    """A drawn block: direct costs X, a table T with |T - X| <= rho * T + a
+    (exactly, as integers keep every sum exact) and the current centers'
+    columns."""
     k, width = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
     direct = np.array([[data.draw(st.sampled_from([*range(7), np.inf]))
                         for _ in range(width)] for _ in range(k)], dtype=float)
-    bound = 5 if not np.isfinite(slack) else int(slack)
-    noise = [[data.draw(st.sampled_from([-bound, bound]) | st.integers(-bound, bound))
-              for _ in range(width)] for _ in range(k)]
+
+    def noise(x):
+        # T = x + e: e <= rho * (x + e) + a and -e <= rho * (x + e) + a
+        if not np.isfinite([rho, x, a]).all():
+            lo, hi = -5, 5
+        else:
+            lo, hi = -int((rho * x + a) // (1 + rho)), int((rho * x + a) // (1 - rho))
+        return data.draw(st.sampled_from([lo, hi]) | st.integers(lo, hi))
+    table = direct + [[noise(x) for x in row] for row in direct]
     inside = np.array([data.draw(st.booleans()) for _ in range(width)])
-    return direct, direct + noise, inside
+    return direct, table, inside
 
 
 def first_direct_argmin(direct, inside):
@@ -311,6 +323,37 @@ class TestSwapTable:
     def test_matches_direct_scan(self, args):
         inst, k, cand, max_iters = args
         assert_same_search(inst, k, candidates=cand, max_iters=max_iters)
+
+    @given(search_inputs())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_table_entries_within_bound(self, args):
+        # every entry T of the first float32 table lies within rho * T + a
+        # of its swap's direct cost in table units, at every scale and p
+        inst, k, cand, _ = args
+        cand = sorted(cand) if cand is not None else sorted(inst.point_ids)
+        seen = []
+        real = baseline._block_hits
+
+        def capture(table, inside, *bound):
+            seen.append((table.copy(), inside.copy(), bound))
+            return real(table, inside, *bound)
+        with mock.patch.object(baseline, "_block_hits", capture):
+            local_search_clustering(inst, k, candidates=cand, max_iters=1)
+        if k == len(cand):
+            assert seen == []
+            return
+        _, w = _client_arrays(inst)
+        with np.errstate(over="ignore"):
+            wscale, scale, rho, a = baseline._table_scale(w, float(inst.dist.max() ** inst.p))
+        table, inside, bound = seen[0]
+        assert bound[:2] == (rho, a) and np.isfinite(rho)
+        cost_of = direct_cost(inst, cand)
+        start = sorted(cand.index(c) for c in farthest_first(inst, k, cand))
+        for r, out in enumerate(start):
+            for c in np.flatnonzero(~inside).tolist():
+                want = cost_of(sorted(set(start) - {out} | {c})) * wscale * scale
+                got = float(table[r, c])
+                assert abs(got - want) <= rho * got + a
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_several_column_blocks(self, rng, p):
@@ -394,12 +437,13 @@ class TestSwapTable:
     def test_replay_matches_direct_scan(self, data):
         # costing only the hits takes the swap that costing every swap of
         # the block takes, or none when that one does not cost below
-        slack = data.draw(st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]))
-        direct, table, inside = block_of(data, slack)
+        a = data.draw(st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]))
+        rho = data.draw(st.sampled_from([0.0, 0.5]))
+        direct, table, inside = block_of(data, rho, a)
         below = data.draw(st.sampled_from([0.5, 3.0, 6.0, 7.0]))
         first = first_direct_argmin(direct, inside)
         want = first if first is not None and direct.flat[first] < below else None
-        hits = _block_hits(table, inside, slack, below)
+        hits = _block_hits(table, inside, rho, a, below)
         got = None
         if len(hits) and direct.flat[hits[np.argmin(direct.flat[hits])]] < below:
             got = int(hits[np.argmin(direct.flat[hits])])
@@ -409,12 +453,13 @@ class TestSwapTable:
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_column_rule_names_only_the_first_direct_argmin(self, data):
         # a single hit is the first direct argmin, slots then candidates;
-        # exact ties, inf entries, NaN entries and a NaN or inf slack are drawn
-        slack = data.draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan]))
-        direct, table, inside = block_of(data, slack)
+        # exact ties, inf entries, NaN entries and a NaN or inf bound are drawn
+        a = data.draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan]))
+        rho = data.draw(st.sampled_from([0.0, 0.5, np.nan]))
+        direct, table, inside = block_of(data, rho, a)
         if data.draw(st.booleans()):
             table.flat[data.draw(st.integers(0, table.size - 1))] = np.nan
-        hits = _block_hits(table, inside, slack, np.inf)
+        hits = _block_hits(table, inside, rho, a, np.inf)
         assert not inside[hits % table.shape[1]].any()
         if len(hits) == 1:
             assert hits[0] == first_direct_argmin(direct, inside)
@@ -422,28 +467,33 @@ class TestSwapTable:
     def test_column_rule_cases(self):
         no = np.zeros(3, dtype=bool)
         one = np.array([[5.0, 9.0, 7.5], [8.0, 9.0, 6.0]])
-        assert _block_hits(one.copy(), no, 0.25, 10.0).tolist() == [0]
-        assert _block_hits(one.copy(), no, 0.25, 4.0).tolist() == []      # none below
-        assert _block_hits(one.copy(), no, 1.0, 10.0).tolist() == [0, 5]  # within 2 * slack
-        assert _block_hits(np.array([[5.0, 5.0]]), no[:2], 0.0, 10.0).tolist() == [0, 1]
-        assert _block_hits(np.array([[5.0, np.nan, 9.0]]), no, 1.0, 10.0).tolist() == [0, 1, 2]
-        assert _block_hits(np.array([[5.0, 9.0]]), no[:2], np.nan, 10.0).tolist() == [0, 1]
-        assert _block_hits(np.array([[5.0, 9.0]]), no[:2], np.inf, 10.0).tolist() == [0, 1]
-        assert _block_hits(np.array([[np.inf, 5.0, 9.0]]), no, 1.0, 10.0).tolist() == [1]
+        assert _block_hits(one.copy(), no, 0.0, 0.25, 10.0).tolist() == [0]
+        assert _block_hits(one.copy(), no, 0.0, 0.25, 4.0).tolist() == []      # none below
+        assert _block_hits(one.copy(), no, 0.0, 1.0, 10.0).tolist() == [0, 5]  # within 2a
+        assert _block_hits(np.array([[5.0, 5.0]]), no[:2], 0.0, 0.0, 10.0).tolist() == [0, 1]
+        assert _block_hits(np.array([[5.0, np.nan, 9.0]]), no, 0.0, 1.0, 10.0).tolist() == [0, 1, 2]
+        assert _block_hits(np.array([[5.0, 9.0]]), no[:2], 0.0, np.nan, 10.0).tolist() == [0, 1]
+        assert _block_hits(np.array([[5.0, 9.0]]), no[:2], 0.0, np.inf, 10.0).tolist() == [0, 1]
+        assert _block_hits(np.array([[np.inf, 5.0, 9.0]]), no, 0.0, 1.0, 10.0).tolist() == [1]
+        # relative: T * 0.75 <= 5 * 1.25 keeps T up to 8.33, and 5 * 0.75 >= 3
+        assert _block_hits(one.copy(), no, 0.25, 0.0, 10.0).tolist() == [0, 2, 3, 5]
+        assert _block_hits(one.copy(), no, 0.25, 0.0, 3.0).tolist() == []
+        assert _block_hits(one.copy(), no, 0.25, 0.0, 4.0).tolist() == [0, 2, 3, 5]
+        assert _block_hits(np.array([[5.0, 9.0]]), no[:2], np.nan, 0.0, 10.0).tolist() == [0, 1]
 
     def test_table_settles_the_column_without_exact(self):
         # the minimum sits in a center's column: it is skipped, and the
         # table alone names slot 1's last candidate
         rows = np.array([[1.0, 11.0, 13.0], [0.5, 9.0, 6.0]])
         inside = np.array([True, False, False])
-        assert _block_hits(rows, inside, 0.25, 10.0).tolist() == [5]
+        assert _block_hits(rows, inside, 0.0, 0.25, 10.0).tolist() == [5]
         assert np.isinf(rows[:, 0]).all()
 
     def test_exact_runs_where_the_table_cannot_name_the_column(self):
-        # 6.2 lies within 2 * slack of 6.0 in another slot: both go to
-        # their direct costs, and with them a candidate
+        # 6.2 lies within 2a of 6.0 in another slot: both go to their
+        # direct costs, and with them a candidate
         rows = np.array([[12.0, 11.0, 6.2], [6.6, 9.0, 6.0]])
-        assert _block_hits(rows, np.zeros(3, dtype=bool), 0.25, 10.0).tolist() == [2, 5]
+        assert _block_hits(rows, np.zeros(3, dtype=bool), 0.0, 0.25, 10.0).tolist() == [2, 5]
 
 
 def count_direct_evaluations(monkeypatch):
@@ -452,8 +502,8 @@ def count_direct_evaluations(monkeypatch):
     calls = []
     real = baseline._block_hits
 
-    def counting(table, inside, slack, below):
-        hits = real(table, inside, slack, below)
+    def counting(*args):
+        hits = real(*args)
         if len(hits) > 1:
             calls.append(len(hits))
         return hits
@@ -477,6 +527,23 @@ class TestDirectEvaluations:
         assert_same_search(inst, 2, candidates=inst.point_ids[::every])
         assert len(calls) >= 1
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.5e6])
+    def test_none_at_the_range_ends(self, monkeypatch, scale):
+        # at p = 40 every p-th power lies below 1e-190 (scale 1e-6) or they
+        # reach 1e293 (1.5e6, total weight * d_max^p still under COST_CAP),
+        # far outside float32 either way; the table's power-of-two scale
+        # still lets the table alone settle every block
+        calls = count_direct_evaluations(monkeypatch)
+        rng = np.random.default_rng(3)
+        ids = [f"p{i:02d}" for i in range(60)]
+        inst = instance_from_coords(
+            ids, rng.uniform(0.0, 10.0, size=(60, 2)) * scale, facility_ids=ids,
+            group_label={i: 1 for i in ids},
+            client_demands={i: int(rng.integers(1, 4)) for i in ids}, p=40.0)
+        _require_costs_in_range(inst)
+        assert_same_search(inst, 4)
+        assert calls == []
+
     def test_block_builds_below_whole_table_per_swap(self, rng, monkeypatch):
         # a deterministic work count in place of a timing: rebuilding the
         # whole table for every swap builds (swaps + 1) * nb blocks
@@ -498,9 +565,11 @@ class TestDirectEvaluations:
 class TestSearchMemory:
     @pytest.mark.parametrize("ids_in_order", [True, False])
     def test_peak_near_one_power_table(self, rng, ids_in_order):
-        # the n x |cand| table is the search's one large array; building it
-        # through gathered copies peaked at twice its size.  With the ids in
-        # reverse order the table is gathered, not read through a view
+        # the n x |cand| table is the search's one large array, in float32:
+        # half the bytes of a float64 table.  Building it through gathered
+        # copies peaked at twice the float64 size, and with a float64 table
+        # at 1.23 times it.  With the ids in reverse order the table is
+        # gathered, not read through a view
         inst = many_clients_instance(rng, 2.0)
         if not ids_in_order:
             order = inst.point_ids[::-1]
@@ -515,7 +584,7 @@ class TestSearchMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.4 * table
+        assert peak <= 0.8 * table
 
 
 class TestReduceLocations:

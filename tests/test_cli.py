@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,18 @@ class TestSolveCommand:
         assert main(["solve", path, "--allow-nonmetric"]) == 1
         err = capsys.readouterr().err
         assert err == "invalid parameters: distance d(p000, p001) = nan is not a number\n"
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_coordinate_exit_one(self, tmp_path, capsys, bad):
+        # an infinite coordinate once warned "invalid value encountered in
+        # subtract" and passed validation with inf distances
+        inst = random_instance(3, 8, 2, 1.0)
+        doc = document_from_instance(inst, random_ranges(3, inst, 3, 2))
+        coords = ((float(bad), 0.0),) + doc.coords[1:]
+        path = self.write(tmp_path, dataclasses.replace(doc, coords=coords))
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"invalid instance: point 'p000' has a non-finite coordinate: ({bad}, 0)\n"
 
     def test_nan_distance_named_by_validation(self, tmp_path, capsys):
         # this read "validation: symmetry: d(p000,p001) != transpose"

@@ -61,6 +61,16 @@ def test_coordinate_distances_keep_bits_at_block_edges(n, dim):
     assert inst.dist.tobytes() == one_shot_distances(pts).tobytes()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_coordinates_must_be_finite(bad):
+    # an infinite coordinate built inf - inf = nan distances with a
+    # RuntimeWarning, and validate_instance then reported nothing
+    pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
+    pts[1, 0] = bad
+    with pytest.raises(ValueError, match=rf"point 'q1' has a non-finite coordinate: \({bad:g}, 2\)"):
+        coords_instance(pts)
+
+
 def test_coordinate_build_peaks_near_one_matrix():
     n = 800
     pts = np.random.default_rng(5).uniform(0.0, 10.0, size=(n, 2))
