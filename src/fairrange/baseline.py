@@ -139,14 +139,13 @@ def _block_hits(table: np.ndarray, inside: np.ndarray, rho: float, a: float,
 
 def local_search_clustering(inst: MetricInstance, k: int, *,
                             candidates: Sequence[str] | None = None,
-                            max_iters: int | None = None,
-                            tol: float = 1e-10) -> tuple[tuple[str, ...], float, int]:
+                            max_iters: int | None = None) -> tuple[tuple[str, ...], float, int]:
     """Single-swap local search for the power-p clustering cost.
 
     Seeded with farthest_first.  The search walks the candidates in blocks
     of _TABLE_BLOCK, in id order and cyclically.  In each block it finds
     the first cheapest swap, slots in order and then candidates in order,
-    and applies it when it costs less than cost * (1 - tol) - 1e-15; then
+    and applies it when it costs less than cost * (1 - 1e-10) - 1e-15; then
     it moves on to the next block either way (the eager rule of FasterPAM).
     It stops after a full cycle of blocks without a swap, which is a
     single-swap local optimum, or after max_iters swaps.  Returns (centers,
@@ -211,7 +210,7 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
             d2s = (d2 * scale).astype(np.float32)
             inside = np.zeros(len(cand), dtype=bool)
             inside[current] = True
-            below = cur_cost * (1.0 - tol) - 1e-15
+            below = cur_cost * (1.0 - 1e-10) - 1e-15
             others = {}                         # slot r -> min over the other slots
         lo = blocks[b]
         table = _block_table(Dp, rest, own, d1s, d2s, lo)

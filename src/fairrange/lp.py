@@ -8,7 +8,7 @@ The simplex keeps a full dense tableau.  That is deliberate: desk-scale
 instances stay below a few thousand variables, and basic solutions are what
 the half-integrality argument downstream needs.  solve_lp sends programs
 above HIGHS_CUTOVER variables (mid-size and large assignment LPs) to HiGHS
-as a column-wise sparse matrix built with numpy, with presolve off:
+as the program's own row-wise sparse arrays, with presolve off:
 presolve removes nothing from the assignment LP and costs about 40% of its
 solve.  The binding is the extension scipy bundles
 (scipy.optimize._highspy._core, a private module); _highs_core loads that
@@ -339,39 +339,27 @@ def _highs_core():
     raise ImportError(f"no HiGHS extension (_core) in {folder}; scipy >= 1.15 ships one")
 
 
-def _csc(lp: LinearProgram, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """indptr, indices and data of the signed rows in compressed sparse
-    column layout.  Within a column the entries run in row order, as
-    scipy's csr_array(...).tocsc() leaves them, so HiGHS reads the model
-    linprog builds."""
-    m, n = len(lp.rhs), lp.num_vars
-    by_col = np.argsort(lp.indices.astype(np.int64) * m + lp.row_of, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lp.indices, minlength=n), out=indptr[1:])
-    return indptr, lp.row_of[by_col], (lp.data * sign[lp.row_of])[by_col]
-
-
 def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     """HiGHS's dual simplex through scipy's bundled binding, presolve off.
 
-    The model is the one linprog(method="highs") builds, so the answer is
-    the one linprog gives without presolve.  The binding is a private scipy
-    module (scipy >= 1.15), loaded by _highs_core.
+    The rows go in as built, row-wise; HiGHS stores them column-wise itself,
+    so the model is the one linprog(method="highs") builds and the answer
+    is the one linprog gives without presolve.  The binding is a private
+    scipy module (scipy >= 1.15), loaded by _highs_core.
     """
     highspy = _highs_core()
 
     # >= rows go in negated as <= rows; HiGHS reads A x <= row_upper
     sign = np.where(lp.geq, -1.0, 1.0)
-    start, index, data = _csc(lp, sign)
     b = sign * lp.rhs
     model = highspy.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
     model.num_row_ = model.a_matrix_.num_row_ = len(b)
-    model.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    model.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
     # the binding copies element by element; lists convert faster than arrays
-    model.a_matrix_.start_ = start.tolist()
-    model.a_matrix_.index_ = index.tolist()
-    model.a_matrix_.value_ = data.tolist()
+    model.a_matrix_.start_ = lp.indptr.tolist()
+    model.a_matrix_.index_ = lp.indices.tolist()
+    model.a_matrix_.value_ = (lp.data * sign[lp.row_of]).tolist()
     model.col_cost_ = lp.objective.tolist()
     model.col_lower_ = [0.0] * lp.num_vars
     model.col_upper_ = lp.upper.tolist()
@@ -437,15 +425,14 @@ def _range_card_rows(groups: Sequence[int], k: int, ranges: Sequence[tuple[int, 
 
 
 def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
-                        k: int, ranges: Sequence[tuple[int, int]],
-                        y_cap: float = 1.0) -> LinearProgram:
+                        k: int, ranges: Sequence[tuple[int, int]]) -> LinearProgram:
     """Assignment LP for weighted locations against group-labeled facilities.
 
     dp[v, u] is the p-th power distance from location v to facility u.
     Variables are x[v,u] (row-major, nD * nF of them) followed by y[u].
     Rows appear as: one coverage row per location, a lower and an upper range
     row per group, the cardinality row, then one linking row per (v, u) pair.
-    y is capped at y_cap per facility, which integral solutions satisfy.
+    y is capped at 1 per facility, which integral solutions satisfy.
     """
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
@@ -465,7 +452,7 @@ def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     data = np.ones(len(indices) + 2 * nx)
     data[len(indices) + 1::2] = -1.0
     upper = np.full(nv, np.inf)
-    upper[nx:] = y_cap
+    upper[nx:] = 1.0
     return LinearProgram(
         nv, c, np.concatenate((indptr, indptr[-1] + 2 * np.arange(1, nx + 1))),
         np.concatenate((indices, link.ravel())), data,

@@ -120,18 +120,30 @@ def _require_nonnegative_distances(inst: MetricInstance) -> None:
 
 
 def _require_costs_in_range(inst: MetricInstance) -> None:
-    """Refuse a p at which costs may leave the float range.
+    """Refuse a negative or non-finite demand, an infinite distance, and a
+    p at which costs may leave the float range.
 
     No stage cost exceeds total weight * d_max^p.  Past COST_CAP it can
     overflow to inf, then to nan, and stages fail on feasible instances.
+    A negative demand makes a cost negative, so stage costs stop bounding
+    one another, as a negative distance does.
     """
-    weight, d_max = float(inst.client_weights().sum()), float(inst.dist.max())
+    w = inst.client_weights()
+    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < math.inf):
+        i = int(np.flatnonzero(~((w >= 0.0) & (w < math.inf)))[0])
+        raise CostRangeError(f"demand of client {inst.client_ids[i]} = {w[i]:g} is "
+                             f"{'negative' if w[i] < 0.0 else 'not finite'}")
+    weight, d_max = float(w.sum()), float(inst.dist.max())
+    if d_max == math.inf:
+        i, j = np.unravel_index(np.argmax(inst.dist), inst.dist.shape)
+        raise CostRangeError(f"distance d({inst.point_ids[i]}, {inst.point_ids[j]}) = "
+                             "inf is not finite")
     with np.errstate(over="ignore"):
         top = weight * np.float64(d_max) ** inst.p
     if top <= COST_CAP:
         return
     largest = ""
-    if 1.0 < d_max < math.inf and 0.0 < weight <= COST_CAP:
+    if 1.0 < d_max and 0.0 < weight <= COST_CAP:
         p_max = (math.log(COST_CAP) - math.log(weight)) / math.log(d_max)
         if p_max >= 1.0:
             largest = f"; this instance accepts p up to {p_max:.6g}"
@@ -186,11 +198,11 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
 
     Raises UnrangedGroupError when a facility's group has no range,
     InfeasibleRangesError when no center set can meet the ranges,
-    CostRangeError when a distance is negative or nan or total weight *
-    d_max^p is above COST_CAP, and a stage-named error when an internal
-    certificate fails.  On the rare opening programs made infeasible by
-    the one-unit territory caps, falls back to the direct greedy selection
-    and marks the report.
+    CostRangeError when a distance is negative, nan or inf, a client
+    demand is negative or not finite, or total weight * d_max^p is above
+    COST_CAP, and a stage-named error when an internal certificate fails.
+    On the rare opening programs made infeasible by the one-unit territory
+    caps, falls back to the direct greedy selection and marks the report.
     """
     cfg = config or SolverConfig()
     _require_ranged_groups(inst, rc)
@@ -233,7 +245,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     t0 = time.perf_counter()
     x2, moves = reassign_private_facilities(sp)
     cost_reassigned = sp.assignment_cost(x2)
-    ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.y, sp.balls), sp)
+    ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.balls), sp)
     timings["structure"] = time.perf_counter() - t0
 
     stage_costs = {"opt_d": opt_d, "reassigned": cost_reassigned,

@@ -32,7 +32,7 @@ def separation_multiplier(p: float) -> float:
     return 2.0 ** (1.0 + 1.0 / p)
 
 
-def canonical_assignment(x: np.ndarray, cover_tol: float = COVER_TOL) -> np.ndarray:
+def canonical_assignment(x: np.ndarray) -> np.ndarray:
     """Clip stray negatives and rescale rows with mass above one.
 
     Scaling a row down to unit mass keeps it feasible and never raises the
@@ -42,7 +42,7 @@ def canonical_assignment(x: np.ndarray, cover_tol: float = COVER_TOL) -> np.ndar
     x = np.array(x, dtype=float)
     np.maximum(x, 0.0, out=x)
     sums = x.sum(axis=1)
-    if np.any(sums < 1.0 - cover_tol):
+    if np.any(sums < 1.0 - COVER_TOL):
         bad = int(np.argmin(sums))
         raise StageError("sparsify",
                          f"assignment row {bad} has mass {sums[bad]:.9f}")
@@ -51,13 +51,12 @@ def canonical_assignment(x: np.ndarray, cover_tol: float = COVER_TOL) -> np.ndar
     return x
 
 
-def fractional_radius(dp: np.ndarray, x: np.ndarray, p: float,
-                      cover_tol: float = COVER_TOL) -> np.ndarray:
+def fractional_radius(dp: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
     """Per-location p-norm radius of the fractional assignment."""
     dp = np.asarray(dp, dtype=float)
     x = np.asarray(x, dtype=float)
     sums = x.sum(axis=1)
-    if np.any(sums < 1.0 - cover_tol):
+    if np.any(sums < 1.0 - COVER_TOL):
         bad = int(np.argmin(sums))
         raise StageError("sparsify",
                          f"assignment row {bad} has mass {sums[bad]:.9f}")

@@ -100,9 +100,7 @@ def reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.ndarray, lis
     return x, moves
 
 
-def build_super_balls(x2: np.ndarray, y: np.ndarray,
-                      balls: Sequence[np.ndarray],
-                      tol: float = SUPPORT_TOL) -> list[np.ndarray]:
+def build_super_balls(x2: np.ndarray, balls: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Each survivor's territory: its ball plus its private servers.
 
     A private server is a facility outside every ball whose remaining
@@ -119,7 +117,7 @@ def build_super_balls(x2: np.ndarray, y: np.ndarray,
     out: list[np.ndarray] = []
     for v in range(m):
         members = set(np.asarray(balls[v], dtype=int).tolist())
-        for u in np.nonzero(x2[v] > tol)[0]:
+        for u in np.nonzero(x2[v] > SUPPORT_TOL)[0]:
             if in_some_ball[u]:
                 continue
             if claimed[u] >= 0 and claimed[u] != v:
@@ -204,17 +202,7 @@ def enforce_structure(x2: np.ndarray, y: np.ndarray,
                               cost, diagnostics)
 
 
-def build_structured_solution(sp: SparsifiedInstance) -> StructuredSolution:
-    """Run the three structuring steps in order on a sparsified solution."""
-    x2, moves = reassign_private_facilities(sp)
-    supers = build_super_balls(x2, sp.y, sp.balls)
-    ss = enforce_structure(x2, sp.y, supers, sp)
-    ss.diagnostics["reassign_moves"] = len(moves)
-    return ss
-
-
-def verify_structured(ss: StructuredSolution,
-                      tol: float = SUPPORT_TOL) -> list[str]:
+def verify_structured(ss: StructuredSolution) -> list[str]:
     """Check every structural property; returns human-readable violations."""
     sp = ss.sp
     m, F = ss.x_bar.shape
@@ -234,9 +222,9 @@ def verify_structured(ss: StructuredSolution,
         if not set(sp.balls[v].tolist()) <= set(mem.tolist()):
             out.append(f"containment: ball of {sp.location_ids[v]} leaves its territory")
 
-    serves_any = ss.x_bar.max(axis=0) > tol
+    serves_any = ss.x_bar.max(axis=0) > SUPPORT_TOL
     for u in range(F):
-        if ss.y_bar[u] > tol and (in_some_ball[u] or serves_any[u]):
+        if ss.y_bar[u] > SUPPORT_TOL and (in_some_ball[u] or serves_any[u]):
             if not in_some_super[u]:
                 out.append(f"cover: open facility {u} belongs to no territory")
 
@@ -244,7 +232,7 @@ def verify_structured(ss: StructuredSolution,
         allowed = set(ss.supers[v].tolist())
         if not ss.single:
             allowed |= set(sp.balls[ss.nn_idx[v]].tolist())
-        for u in np.nonzero(ss.x_bar[v] > tol)[0]:
+        for u in np.nonzero(ss.x_bar[v] > SUPPORT_TOL)[0]:
             if u not in allowed:
                 out.append(f"support: {sp.location_ids[v]} served from outside "
                            f"its territory and neighbor ball (facility {u})")
@@ -252,13 +240,13 @@ def verify_structured(ss: StructuredSolution,
 
     for v in range(m):
         got = float(ss.y_bar[sp.balls[v]].sum())
-        if got < 0.5 - tol:
+        if got < 0.5 - SUPPORT_TOL:
             out.append(f"ball-mass: {sp.location_ids[v]} has {got:.6f} < 0.5")
 
     if not ss.single:
         for v in range(m):
             far = [u for u in ss.supers[v]
-                   if ss.y_bar[u] > tol and D[v, u] > 2.0 * ss.nn_dist[v] + GEOM_TOL]
+                   if ss.y_bar[u] > SUPPORT_TOL and D[v, u] > 2.0 * ss.nn_dist[v] + GEOM_TOL]
             if far:
                 out.append(f"radius: territory of {sp.location_ids[v]} reaches too far")
 
@@ -267,19 +255,19 @@ def verify_structured(ss: StructuredSolution,
         ball_open = float(ss.y_bar[sp.balls[v]].sum())
         super_open = float(ss.y_bar[ss.supers[v]].sum())
         ball_set = set(sp.balls[v].tolist())
-        priv_used = any(ss.x_bar[v, u] > tol
+        priv_used = any(ss.x_bar[v, u] > SUPPORT_TOL
                         for u in super_set if u not in ball_set)
-        ext_used = any(ss.x_bar[v, u] > tol
+        ext_used = any(ss.x_bar[v, u] > SUPPORT_TOL
                        for u in range(F) if u not in super_set)
-        if priv_used and ball_open >= 1.0 - tol:
+        if priv_used and ball_open >= 1.0 - SUPPORT_TOL:
             out.append(f"optimality: {sp.location_ids[v]} uses a private facility "
                        f"with a saturated ball")
-        if ext_used and super_open >= 1.0 - tol:
+        if ext_used and super_open >= 1.0 - SUPPORT_TOL:
             out.append(f"optimality: {sp.location_ids[v]} leaves a saturated territory")
 
     sums = ss.x_bar.sum(axis=1)
     for v in range(m):
-        if abs(sums[v] - 1.0) > tol:
+        if abs(sums[v] - 1.0) > SUPPORT_TOL:
             out.append(f"mass: {sp.location_ids[v]} served {sums[v]:.8f}")
     if np.any(ss.x_bar > ss.y_bar[None, :] + GEOM_TOL):
         out.append("capacity: service exceeds opening mass somewhere")

@@ -5,6 +5,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+import fairrange.pipeline
 from fairrange.instance import MetricInstance, RangeConstraints, instance_from_coords
 from fairrange.lp import GEQ, LEQ, LinearProgram, Row, build_structured_lp, scale_doubled
 
@@ -211,22 +212,40 @@ def groups_of(inst):
     return [inst.group_label[u] for u in inst.facility_ids]
 
 
-def pipeline_front(inst, rc):
-    """Baseline, reduction, assignment LP, sparsification; returns (sp, opt)."""
-    from fairrange.baseline import local_search_clustering, reduce_locations
-    from fairrange.lp import build_fair_range_lp, solve_lp, split_fair_solution
-    from fairrange.sparsify import canonical_assignment, sparsify
+# The stage globals of fairrange.pipeline, in the order a solve calls them.
+PIPELINE_STAGES = ("local_search_clustering", "reduce_locations", "build_fair_range_lp",
+                   "solve_lp", "sparsify", "reassign_private_facilities",
+                   "build_super_balls", "enforce_structure", "structured_program",
+                   "solve_half_integral", "select_centers")
 
-    centers, _, _ = local_search_clustering(inst, rc.k)
-    red = reduce_locations(inst, centers)
-    dp = red.fac_dist ** inst.p
-    groups = [inst.group_label[u] for u in inst.facility_ids]
-    lp = build_fair_range_lp(dp, red.weights, groups, rc.k, rc.ranges)
-    res = solve_lp(lp)
-    assert res.status == "optimal"
-    x, y = split_fair_solution(res.x, len(red.location_ids), len(inst.facility_ids))
-    x = canonical_assignment(x)
-    return sparsify(red, x, y), res.objective
+
+class _LastStage(Exception):
+    """Ends a solve once the last stage asked for has returned."""
+
+
+def solve_stages(inst, rc, last):
+    """What each stage of solve_fair_range(inst, rc) returned, by the name
+    of its fairrange.pipeline global, up to and including `last`.
+
+    The stage globals are wrapped inside MonkeyPatch.context(), so module
+    fixtures can call this too.  Fails when the solve ends without calling
+    `last`, as it does when it falls back to the direct selection.
+    """
+    assert last in PIPELINE_STAGES, last
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in PIPELINE_STAGES:
+            def record(*args, _name=name, _stage=getattr(fairrange.pipeline, name), **kw):
+                out[_name] = _stage(*args, **kw)
+                if _name == last:
+                    raise _LastStage
+                return out[_name]
+            mp.setattr(fairrange.pipeline, name, record)
+        try:
+            fairrange.pipeline.solve_fair_range(inst, rc)
+        except _LastStage:
+            return out
+    raise AssertionError(f"the solve ended without calling {last}")
 
 
 def enumerate_optimum(inst, rc):

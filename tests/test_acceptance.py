@@ -11,21 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from fairrange.baseline import local_search_clustering, reduce_locations
 from fairrange.instance import (RangeConstraints, chain_power_check,
                                 power_triangle_check)
-from fairrange.lp import (build_fair_range_lp, ghouila_houri_check, solve_lp,
-                          split_fair_solution, submatrix_determinant_check)
+from fairrange.lp import ghouila_houri_check, submatrix_determinant_check
 from fairrange.pipeline import (brute_force_optimum, generate_figure1_instance,
                                 random_instance, random_ranges,
                                 solve_fair_range)
-from fairrange.round import (build_flow_network, extract_centers,
-                             half_integral_assignment, partition_facilities,
-                             solve_flow_lower_bounds, solve_half_integral,
-                             structured_program)
-from fairrange.sparsify import canonical_assignment, sparsify
-from fairrange.structure import (build_super_balls, enforce_structure,
-                                 reassign_private_facilities)
+from fairrange.round import extract_centers, solve_flow_lower_bounds
+
+from conftest import solve_stages
 
 SUITE1_SIZE = 500
 SUITE2_SIZE = 200
@@ -82,30 +76,6 @@ def suite2():
     return {"runs": runs, "seconds": time.perf_counter() - t0}
 
 
-def stage_front(inst, rc):
-    """Replay the solver's stage chain, keeping the intermediate artifacts.
-
-    The oracle-suite parameters always leave more clients than k, so the
-    location reduction is never the identity here.
-    """
-    centers0, _, _ = local_search_clustering(inst, rc.k)
-    red = reduce_locations(inst, centers0)
-    groups = [inst.group_label[u] for u in inst.facility_ids]
-    dp = red.fac_dist ** inst.p
-    res = solve_lp(build_fair_range_lp(dp, red.weights, groups, rc.k, rc.ranges))
-    assert res.status == "optimal"
-    x, y = split_fair_solution(res.x, len(red.location_ids),
-                               len(inst.facility_ids))
-    sp = sparsify(red, canonical_assignment(x), y)
-    x2, _ = reassign_private_facilities(sp)
-    ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.y, sp.balls), sp)
-    slp, members = structured_program(ss, groups, rc)
-    half = solve_half_integral(slp, members)
-    part = partition_facilities(sp, half_integral_assignment(ss, half.y))
-    net = build_flow_network(part, len(inst.facility_ids), groups, rc)
-    return sp, slp, half, part, net, solve_flow_lower_bounds(net)
-
-
 @pytest.fixture(scope="module")
 def sweep():
     entries = []
@@ -113,7 +83,11 @@ def sweep():
         n, k, ell, p = suite2_params(i)
         inst = random_instance(7000 + i, n, ell, p)
         rc = random_ranges(5000 + i, inst, k, ell)
-        entries.append((inst, rc) + stage_front(inst, rc))
+        stages = solve_stages(inst, rc, "select_centers")
+        _, part, net = stages["select_centers"]
+        entries.append((inst, rc, stages["sparsify"], stages["structured_program"][0],
+                        stages["solve_half_integral"], part, net,
+                        solve_flow_lower_bounds(net)))
     return entries
 
 

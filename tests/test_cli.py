@@ -175,6 +175,26 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == "invalid parameters: distance d(p000, p001) = nan is not a number\n"
 
+    def test_infinite_distance_exit_one(self, tmp_path, capsys):
+        # this read "p=1 puts total weight * d_max^p at inf, above 1e+300"
+        inst = with_distance(random_instance(0, 8, 2, 1.0), "p000", "p001", float("inf"))
+        path = self.write(tmp_path,
+                          document_from_instance(inst, random_ranges(0, inst, 3, 2)))
+        assert main(["solve", path, "--allow-nonmetric"]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid parameters: distance d(p000, p001) = inf is not finite\n"
+
+    def test_negative_demand_exit_one(self, tmp_path, capsys):
+        # this printed a negative cost-p and exited 0
+        doc = tiny_document()
+        clients = tuple((c, -3 if c == "p1" else w) for c, w in doc.clients)
+        path = self.write(tmp_path, dataclasses.replace(doc, clients=clients))
+        assert main(["solve", path]) == 1
+        assert "not a positive integer" in capsys.readouterr().err
+        assert main(["solve", path, "--allow-nonmetric"]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid parameters: demand of client p1 = -3 is negative\n"
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_coordinate_exit_one(self, tmp_path, capsys, bad):
         # an infinite coordinate once warned "invalid value encountered in

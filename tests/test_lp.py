@@ -26,7 +26,6 @@ from fairrange.lp import (
     LinearProgram,
     Row,
     SimplexResult,
-    _csc,
     _exact,
     _solve_scipy,
     _std_form_fractions,
@@ -519,24 +518,6 @@ class TestSparseHighs:
             x = rng.normal(size=n)
             assert _violation(lp, x) == loop_violation(lp, x)
 
-    def test_csc_matches_scipy_conversion(self, rng):
-        from scipy.sparse import csr_array
-
-        for _ in range(20):
-            n = int(rng.integers(1, 9))
-            rows = [([(int(j), float(rng.integers(-3, 4) or 1))
-                      for j in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)],
-                     [LEQ, GEQ][int(rng.integers(2))], float(rng.integers(0, 6)))
-                    for _ in range(int(rng.integers(1, 7)))]
-            lp = simple_lp(rng.uniform(0.5, 2.0, size=n), rows)
-            sign = np.where(lp.geq, -1.0, 1.0)
-            want = csr_array((lp.data * sign[lp.row_of], lp.indices, lp.indptr),
-                             shape=(len(lp.rhs), n)).tocsc()
-            start, index, data = _csc(lp, sign)
-            assert start.tolist() == want.indptr.tolist()
-            assert index.tolist() == want.indices.tolist()
-            assert data.tobytes() == want.data.tobytes()
-
 
 FRESH_SOLVE = """
     import json, sys
@@ -1025,10 +1006,10 @@ class TestRowReadersMatchLoops:
 # The Row-based assignment builder and scale_doubled as they were before the
 # program held its rows as CSR arrays, kept as the references for that
 # change (the structured builder's reference is in conftest): the bodies are
-# verbatim except that their LinearProgram call became lp_from_rows.
+# verbatim except that their LinearProgram call became lp_from_rows, and the
+# y cap, a parameter no caller set, became the 1 it always was.
 def reference_build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
-                                  k: int, ranges: Sequence[tuple[int, int]],
-                                  y_cap: float = 1.0) -> LinearProgram:
+                                  k: int, ranges: Sequence[tuple[int, int]]) -> LinearProgram:
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
     if len(w) != nD or len(groups) != nF:
@@ -1056,7 +1037,7 @@ def reference_build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Se
             rows.append(Row(((v * nF + u, 1.0), (nx + u, -1.0)), LEQ, 0.0))
             kinds.append(("link", v, u))
     upper = np.full(nv, np.inf)
-    upper[nx:] = y_cap
+    upper[nx:] = 1.0
     return lp_from_rows(nv, c, rows, upper=upper, row_kinds=kinds)
 
 
@@ -1101,7 +1082,7 @@ class TestArrayBuildersMatchRows:
         lp, _ = build_structured_lp(*args)
         assert_same_program(scale_doubled(lp), reference_scale_doubled(lp))
 
-    def test_bit_identical_on_pipeline_fronts(self, monkeypatch):
+    def test_bit_identical_on_solver_fronts(self, monkeypatch):
         seen = []
 
         def checked(new, ref):

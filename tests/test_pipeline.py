@@ -304,13 +304,43 @@ class TestSolveFairRange:
         inst = with_distance(random_instance(0, 8, 2, 1.0), "p000", "p001", math.inf)
         with pytest.raises(CostRangeError) as info:
             solve_fair_range(inst, random_ranges(0, inst, 3, 2))
-        assert str(info.value) == "p=1 puts total weight * d_max^p at inf, above 1e+300"
+        assert str(info.value) == "distance d(p000, p001) = inf is not finite"
         # a weight of 1e299 leaves room for p up to 0.5 only
         heavy = matrix_instance(["a", "b"], [[0.0, 100.0], [100.0, 0.0]], ["a", "b"],
                                 {"a": 1, "b": 1}, {"a": 10 ** 299, "b": 1}, 1.0)
         with pytest.raises(CostRangeError) as info:
             solve_fair_range(heavy, RangeConstraints(1, ((1, 1),)))
         assert str(info.value) == "p=1 puts total weight * d_max^p at 1e+301, above 1e+300"
+
+    def test_infinite_distance_named_without_demand(self):
+        # with zero demand everywhere this read "p=1 puts total weight *
+        # d_max^p at nan, above 1e+300", naming no pair
+        inst = with_distance(random_instance(0, 8, 2, 1.0), "p003", "p005", math.inf)
+        bad = matrix_instance(inst.point_ids, inst.dist, inst.facility_ids, inst.group_label,
+                              dict.fromkeys(inst.client_demands, 0), 1.0)
+        with pytest.raises(CostRangeError,
+                           match=r"^distance d\(p003, p005\) = inf is not finite$"):
+            solve_fair_range(bad, random_ranges(0, bad, 3, 2))
+
+    @pytest.mark.parametrize("demand, why", [(-3, "-3 is negative"),
+                                             (math.nan, "nan is not finite"),
+                                             (math.inf, "inf is not finite")],
+                             ids=["negative", "nan", "inf"])
+    def test_bad_demand_named(self, demand, why):
+        # a negative demand was answered with a negative cost, and a nan
+        # one refused as "d_max^p at nan", naming no client
+        inst = random_instance(0, 8, 2, 1.0)
+        bad = matrix_instance(inst.point_ids, inst.dist, inst.facility_ids, inst.group_label,
+                              {**inst.client_demands, "p002": demand}, 1.0)
+        with pytest.raises(CostRangeError, match=rf"^demand of client p002 = {why}$"):
+            solve_fair_range(bad, random_ranges(0, bad, 3, 2))
+
+    def test_zero_demand_is_answered(self):
+        inst = random_instance(0, 8, 2, 1.0)
+        zero = matrix_instance(inst.point_ids, inst.dist, inst.facility_ids, inst.group_label,
+                               {**inst.client_demands, "p002": 0}, 1.0)
+        report = solve_fair_range(zero, random_ranges(0, zero, 3, 2))
+        assert report.centers.cost_p >= 0.0 and all(b.passed for b in report.bounds)
 
     @pytest.mark.parametrize("p", (500.0, 1000.0))
     def test_large_p_short_distances_pass_every_certificate(self, p):

@@ -28,21 +28,11 @@ from fairrange.round import (
 )
 from fairrange.sparsify import SparsifiedInstance
 from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, StructuredSolution,
-                                 build_structured_solution, build_super_balls,
-                                 enforce_structure, nearest_surviving,
-                                 reassign_private_facilities)
+                                 build_super_balls, enforce_structure,
+                                 nearest_surviving, reassign_private_facilities)
 from conftest import (assert_same_program, feasible_ranges, groups_of, line_instance,
-                      lp_from_rows, manual_sp, pipeline_front, random_fair_instance,
-                      reference_build_structured_lp, same_opening_program)
-
-
-def rounding_front(inst, rc):
-    """Everything up to the half-integral solve."""
-    sp, opt = pipeline_front(inst, rc)
-    ss = build_structured_solution(sp)
-    lp, members = structured_program(ss, groups_of(inst), rc)
-    half = solve_half_integral(lp, members)
-    return sp, ss, lp, members, half, opt
+                      lp_from_rows, manual_sp, random_fair_instance,
+                      reference_build_structured_lp, same_opening_program, solve_stages)
 
 
 def random_fronts(seed, count, sizes=(8, 14), p_values=(1.0, 2.0)):
@@ -54,7 +44,10 @@ def random_fronts(seed, count, sizes=(8, 14), p_values=(1.0, 2.0)):
         p = p_values[made % len(p_values)]
         inst = random_fair_instance(rng, n, p)
         rc = feasible_ranges(rng, inst, int(rng.integers(2, 5)))
-        out.append((inst, rc) + rounding_front(inst, rc))
+        stages = solve_stages(inst, rc, "solve_half_integral")
+        lp, members = stages["structured_program"]
+        out.append((inst, rc, stages["sparsify"], stages["enforce_structure"], lp, members,
+                    stages["solve_half_integral"], stages["solve_lp"].objective))
         made += 1
     return out
 
@@ -829,7 +822,7 @@ def compare_structuring(sp, y_half=None):
     assert bits(x2) == bits(x2_ref)
     assert [(a, b, c, float(d).hex()) for a, b, c, d in moves] == \
         [(a, b, c, float(d).hex()) for a, b, c, d in moves_ref]
-    supers = outcome_of(build_super_balls, x2, sp.y, sp.balls)
+    supers = outcome_of(build_super_balls, x2, sp.balls)
     if isinstance(supers, Raised):
         return "super balls raised"
     got = outcome_of(enforce_structure, x2, sp.y, supers, sp)
@@ -883,7 +876,7 @@ def structuring_inputs(draw):
 
 
 class TestFillsMatchReference:
-    def test_pipeline_fronts(self):
+    def test_solver_fronts(self):
         reached = set()
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(21, 16):
             reached.add(compare_structuring(sp, half.y))

@@ -22,7 +22,7 @@ from fairrange.sparsify import (
     sparsify,
 )
 
-from conftest import feasible_ranges, line_instance, pipeline_front, random_fair_instance
+from conftest import feasible_ranges, line_instance, random_fair_instance, solve_stages
 
 
 class TestRadii:
@@ -112,7 +112,8 @@ class TestSparsifyIntegration:
             k = int(rng.integers(2, 5))
             inst = random_fair_instance(rng, n, p)
             rc = feasible_ranges(rng, inst, k)
-            sp, opt = pipeline_front(inst, rc)
+            stages = solve_stages(inst, rc, "sparsify")
+            sp, opt = stages["sparsify"], stages["solve_lp"].objective
             # survivors keep at least half their service mass in the ball
             assert sp.half_contribution() >= 0.5 - 1e-7
             # pairwise separation from the greedy merge
@@ -130,14 +131,14 @@ class TestSparsifyIntegration:
     def test_forward_map_covers_all_locations(self, rng):
         inst = random_fair_instance(rng, 10, 1.0)
         rc = feasible_ranges(rng, inst, 3)
-        sp, _ = pipeline_front(inst, rc)
+        sp = solve_stages(inst, rc, "sparsify")["sparsify"]
         assert set(sp.forward_map) == set(sp.red.location_ids)
         assert set(sp.forward_map.values()) == set(sp.location_ids)
 
     def test_weights_conserved(self, rng):
         inst = random_fair_instance(rng, 12, 2.0)
         rc = feasible_ranges(rng, inst, 4)
-        sp, _ = pipeline_front(inst, rc)
+        sp = solve_stages(inst, rc, "sparsify")["sparsify"]
         assert sp.weights.sum() == pytest.approx(sp.red.weights.sum())
 
 

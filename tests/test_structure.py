@@ -3,7 +3,6 @@ import pytest
 
 from fairrange.errors import StageError
 from fairrange.structure import (
-    build_structured_solution,
     build_super_balls,
     enforce_structure,
     nearest_surviving,
@@ -12,7 +11,7 @@ from fairrange.structure import (
 )
 
 from conftest import (feasible_ranges, line_instance, manual_sp,
-                      pipeline_front, random_fair_instance)
+                      random_fair_instance, solve_stages)
 
 
 class TestNearestSurviving:
@@ -35,24 +34,21 @@ class TestNearestSurviving:
 class TestSuperBalls:
     def test_support_inside_balls_gives_the_balls(self):
         x2 = np.array([[0.6, 0.4, 0.0], [0.0, 0.0, 1.0]])
-        supers = build_super_balls(x2, np.array([0.6, 0.4, 1.0]),
-                                   [np.array([0, 1]), np.array([2])])
+        supers = build_super_balls(x2, [np.array([0, 1]), np.array([2])])
         assert supers[0].tolist() == [0, 1]
         assert supers[1].tolist() == [2]
 
     def test_private_server_joins_territory(self):
         # facility 1 is outside both balls and serves only the first location
         x2 = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        supers = build_super_balls(x2, np.array([0.5, 0.5, 1.0]),
-                                   [np.array([0]), np.array([2])])
+        supers = build_super_balls(x2, [np.array([0]), np.array([2])])
         assert supers[0].tolist() == [0, 1]
         assert supers[1].tolist() == [2]
 
     def test_unserved_open_facility_stays_free(self):
-        # facility 1 carries opening mass but serves nobody: no territory
+        # facility 1 serves nobody, whatever its opening mass: no territory
         x2 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        supers = build_super_balls(x2, np.array([1.0, 0.8, 1.0]),
-                                   [np.array([0]), np.array([2])])
+        supers = build_super_balls(x2, [np.array([0]), np.array([2])])
         assert supers[0].tolist() == [0]
         assert supers[1].tolist() == [2]
 
@@ -60,16 +56,14 @@ class TestSuperBalls:
         # facility 1 sits in the first ball; the second location's use of it
         # does not pull it into the second territory
         x2 = np.array([[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
-        supers = build_super_balls(x2, np.array([1.0, 0.3, 0.7]),
-                                   [np.array([0, 1]), np.array([2])])
+        supers = build_super_balls(x2, [np.array([0, 1]), np.array([2])])
         assert supers[0].tolist() == [0, 1]
         assert supers[1].tolist() == [2]
 
     def test_shared_private_server_raises(self):
         x2 = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
         with pytest.raises(StageError, match="privately serves"):
-            build_super_balls(x2, np.array([0.5, 0.5, 0.5]),
-                              [np.array([0]), np.array([2])])
+            build_super_balls(x2, [np.array([0]), np.array([2])])
 
 
 def shared_server_sp():
@@ -116,7 +110,8 @@ class TestReassign:
             k = int(rng.integers(2, 5))
             inst = random_fair_instance(rng, n, p)
             rc = feasible_ranges(rng, inst, k)
-            sp, opt = pipeline_front(inst, rc)
+            stages = solve_stages(inst, rc, "sparsify")
+            sp, opt = stages["sparsify"], stages["solve_lp"].objective
             x2, moves = reassign_private_facilities(sp)
             D = sp.fac_dist
             assert x2.sum(axis=1) == pytest.approx(sp.x.sum(axis=1), abs=1e-7)
@@ -142,11 +137,9 @@ class TestReassign:
 
 
 def structured_front(inst, rc):
-    sp, opt = pipeline_front(inst, rc)
-    x2, _ = reassign_private_facilities(sp)
-    supers = build_super_balls(x2, sp.y, sp.balls)
-    ss = enforce_structure(x2, sp.y, supers, sp)
-    return sp, x2, ss, opt
+    stages = solve_stages(inst, rc, "enforce_structure")
+    return (stages["sparsify"], stages["reassign_private_facilities"][0],
+            stages["enforce_structure"], stages["solve_lp"].objective)
 
 
 class TestEnforceStructure:
@@ -179,17 +172,16 @@ class TestEnforceStructure:
     def test_deterministic(self, rng):
         inst = random_fair_instance(rng, 12, 2.0)
         rc = feasible_ranges(rng, inst, 3)
-        sp, _ = pipeline_front(inst, rc)
-        a = build_structured_solution(sp)
-        b = build_structured_solution(sp)
+        a, b = (solve_stages(inst, rc, "enforce_structure")["enforce_structure"]
+                for _ in range(2))
         assert np.array_equal(a.y_bar, b.y_bar)
         assert np.array_equal(a.x_bar, b.x_bar)
 
     def test_idempotent_on_structured_openings(self, rng):
         inst = random_fair_instance(rng, 14, 1.0)
         rc = feasible_ranges(rng, inst, 4)
-        sp, _ = pipeline_front(inst, rc)
-        ss = build_structured_solution(sp)
+        ss = solve_stages(inst, rc, "enforce_structure")["enforce_structure"]
+        sp = ss.sp
         again = enforce_structure(ss.x_bar, ss.y_bar, ss.supers, sp)
         assert np.allclose(again.y_bar, ss.y_bar)
         assert np.allclose(again.x_bar, ss.x_bar)
@@ -205,7 +197,7 @@ class TestEnforceStructure:
             x=[[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
             y=[0.5, 0.5, 1.0])
         x2, _ = reassign_private_facilities(sp)
-        supers = build_super_balls(x2, sp.y, sp.balls)
+        supers = build_super_balls(x2, sp.balls)
         assert supers[0].tolist() == [0, 1]
         ss = enforce_structure(x2, sp.y, supers, sp)
         assert ss.supers[0].tolist() == [0]
@@ -226,7 +218,7 @@ class TestEnforceStructure:
             x=[[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
             y=[0.5, 0.5, 1.0])
         x2, _ = reassign_private_facilities(sp)
-        supers = build_super_balls(x2, sp.y, sp.balls)
+        supers = build_super_balls(x2, sp.balls)
         ss = enforce_structure(x2, sp.y, supers, sp)
         # 15 <= 2 * 10: the private opening stays, and the fill prefers it
         # over the farther neighbor ball
@@ -246,27 +238,31 @@ class TestEnforceStructure:
             x=[[0.2, 0.8, 0.0], [0.0, 0.0, 1.0]],
             y=[1.0, 0.8, 1.0])
         x2, _ = reassign_private_facilities(sp)
-        ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.y, sp.balls), sp)
+        ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.balls), sp)
         assert ss.x_bar[0] == pytest.approx([1.0, 0.0, 0.0])
         assert verify_structured(ss) == []
 
     def test_verify_flags_broken_solutions(self, rng):
         inst = random_fair_instance(rng, 10, 1.0)
         rc = feasible_ranges(rng, inst, 3)
-        sp, _ = pipeline_front(inst, rc)
-        ss = build_structured_solution(sp)
+
+        def structured():
+            return solve_stages(inst, rc, "enforce_structure")["enforce_structure"]
+
+        ss = structured()
+        sp = ss.sp
 
         ss.x_bar[0, :] = 0.0        # break the unit-service property
         problems = verify_structured(ss)
         assert any(v.startswith("mass:") for v in problems)
 
-        ss2 = build_structured_solution(sp)
+        ss2 = structured()
         ss2.y_bar[sp.balls[0]] = 0.0
         problems = verify_structured(ss2)
         assert any(v.startswith("ball-mass:") for v in problems)
 
         if len(sp.location_ids) >= 2:
-            ss3 = build_structured_solution(sp)
+            ss3 = structured()
             merged = np.union1d(ss3.supers[0], ss3.supers[1])
             ss3.supers[0] = merged
             ss3.supers[1] = merged

@@ -1,9 +1,12 @@
-"""The benchmark tracer's LP counts against the programs the solver builds.
+"""The benchmark tracer against the solver it wraps.
 
 perfbench/tracing.py counts rows and nonzeros through LinearProgram.rows;
 these tests keep that read-only view in step with the program's arrays, so
-a change to it fails here and not only in a traced benchmark run.
+a change to it fails here and not only in a traced benchmark run.  The
+tracer, like the tests' solve_stages, sees a stage only when the solver
+calls it through its module global; the last test checks that it does.
 """
+import importlib
 import os
 import sys
 
@@ -11,15 +14,15 @@ import numpy as np
 
 import fairrange.round
 from fairrange.lp import build_fair_range_lp, solve_vertex
-from fairrange.pipeline import random_instance, random_ranges
-from fairrange.round import solve_half_integral, structured_program
-from fairrange.structure import build_structured_solution
+from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
+from fairrange.round import solve_half_integral
 
-from conftest import groups_of, pipeline_front
+from conftest import solve_stages
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
-from tracing import _open_counts, _relax_counts  # noqa: E402
+from tracing import STAGES, _open_counts, _relax_counts  # noqa: E402
+from workloads import make_case  # noqa: E402
 
 
 def test_relaxation_counts():
@@ -46,8 +49,7 @@ def test_opening_program_counts(monkeypatch):
     for seed in range(3):
         inst = random_instance(seed, 14, 2, 2.0)
         rc = random_ranges(seed, inst, 3, 2)
-        ss = build_structured_solution(pipeline_front(inst, rc)[0])
-        out = structured_program(ss, groups_of(inst), rc)
+        out = solve_stages(inst, rc, "structured_program")["structured_program"]
         counts = {}
         _open_counts(counts, (), out)
         assert counts["round.open_rows"] == len(out[0].rhs)
@@ -56,3 +58,24 @@ def test_opening_program_counts(monkeypatch):
         assert counts["round.open_cols"] == widths.pop()
         merged += counts["round.open_cols"] < len(inst.facility_ids)
     assert merged > 0
+
+
+def test_every_traced_stage_is_called_through_its_global(monkeypatch):
+    # scipy.optimize.linprog is left out: nothing in the solver calls it
+    wanted = {(m, a) for m, a, _, _ in STAGES if m.startswith("fairrange.")}
+    calls = {}
+    for modname, attr in wanted:
+        mod = importlib.import_module(modname)
+
+        def counted(*args, _key=(modname, attr), _fn=getattr(mod, attr), **kw):
+            out = _fn(*args, **kw)
+            calls.setdefault(_key, []).append(out)
+            return out
+        monkeypatch.setattr(mod, attr, counted)
+    for workload, backend in (("small-mix", "simplex"), ("assign-lp", "scipy")):
+        calls.clear()
+        case = make_case(workload, 1, 0)
+        report = solve_fair_range(case.inst, case.rc)
+        assert not report.fallback
+        assert [r.backend for r in calls[("fairrange.pipeline", "solve_lp")]] == [backend]
+        assert set(calls) == wanted
