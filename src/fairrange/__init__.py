@@ -16,6 +16,7 @@ from .errors import (
     InfeasibleRangesError,
     UnrangedGroupError,
     CostRangeError,
+    PowerRangeError,
     StageError,
     OpeningInfeasibleError,
     NoIntegralSelectionError,

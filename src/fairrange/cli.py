@@ -11,13 +11,15 @@ document reproduces it bit for bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CostRangeError, FairRangeError, InfeasibleRangesError
+from .errors import (CostRangeError, FairRangeError, InfeasibleRangesError,
+                     PowerRangeError)
 from .instance import (MetricInstance, RangeConstraints, instance_from_coords,
                        validate_instance)
 from .pipeline import (ORACLE_BUDGET, SolverConfig, approximation_study,
@@ -182,6 +184,15 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_solve(args) -> int:
     try:
         with open(args.path) as fh:
@@ -194,11 +205,9 @@ def cmd_solve(args) -> int:
         return 1
     try:
         inst, rc = document_to_instance(doc)
-        if args.p is not None or args.k is not None or args.ranges is not None:
-            p = args.p if args.p is not None else inst.p
-            inst = MetricInstance(inst.point_ids, inst.dist.copy(),
-                                  inst.facility_ids, inst.group_label,
-                                  inst.client_demands, p, coords=inst.coords)
+        if args.p is not None:
+            inst = dataclasses.replace(inst, p=args.p)    # shares the read-only dist
+        if args.k is not None or args.ranges is not None:
             rc = RangeConstraints(
                 args.k if args.k is not None else rc.k,
                 _parse_ranges(args.ranges) if args.ranges is not None else rc.ranges)
@@ -218,7 +227,9 @@ def cmd_solve(args) -> int:
         print(f"infeasible ranges: {exc}", file=sys.stderr)
         return 2
     except CostRangeError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
+        # only p is a solve parameter; the other refusals name a distance or a demand
+        at_fault = "parameters" if isinstance(exc, PowerRangeError) else "instance"
+        print(f"invalid {at_fault}: {exc}", file=sys.stderr)
         return 1
     text = report_to_text(report)
     if args.oracle:
@@ -231,11 +242,7 @@ def cmd_solve(args) -> int:
                      + "ratio: " + G % ratio + "\n")
         else:
             print("oracle skipped: subset count above budget", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -254,11 +261,7 @@ def cmd_generate(args) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
     text = serialize_document(document_from_instance(inst, rc))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -280,11 +283,7 @@ def cmd_bench(args) -> int:
             G % r.solver_cost, G % r.oracle_cost, G % r.ratio,
             "1" if r.certificates_passed else "0", "%.3f" % r.wall_ms]))
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 

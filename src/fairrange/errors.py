@@ -14,8 +14,13 @@ class UnrangedGroupError(FairRangeError):
 
 
 class CostRangeError(FairRangeError):
-    """The instance's costs are out of range: a distance is negative, or
-    the power p puts them past float range."""
+    """The instance's costs are out of range: a distance is negative, nan
+    or infinite, a client demand is negative or not finite, or the power p
+    puts them past float range (PowerRangeError)."""
+
+
+class PowerRangeError(CostRangeError):
+    """The power p puts total weight * d_max^p past the cap on stage costs."""
 
 
 class StageError(FairRangeError):

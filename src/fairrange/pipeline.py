@@ -21,13 +21,13 @@ import numpy as np
 from .baseline import ReducedInstance, local_search_clustering, reduce_locations
 from .errors import (CostRangeError, InfeasibleRangesError,
                      NoIntegralSelectionError, OpeningInfeasibleError,
-                     StageError, UnrangedGroupError)
+                     PowerRangeError, StageError, UnrangedGroupError)
 from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
                        instance_from_coords)
 from .lp import build_fair_range_lp, solve_lp, split_fair_solution
-from .round import (half_integral_cost, select_centers, solve_half_integral,
-                    structured_program)
+from .round import (half_integral_assignment, half_integral_cost, select_centers,
+                    solve_half_integral, structured_program)
 from .sparsify import canonical_assignment, sparsify
 from .structure import (build_super_balls, enforce_structure,
                         reassign_private_facilities)
@@ -62,6 +62,20 @@ class SolveReport:
     fallback: bool = False
 
 
+# The certificate chain: (name, stage cost bounded, right-hand terms,
+# checks a half-integral stage).  A term (c, e, stage cost) reads
+# c^(p - e) * stage cost; a fallback solve skips the half-integral stages.
+CERTIFICATES = (
+    ("reassigned-vs-opt", "reassigned", ((3.0, 0.0, "opt_d"),), False),
+    ("structured-vs-opt", "structured", ((9.0, 0.0, "opt_d"),), False),
+    ("half-integral-vs-structured", "half_integral", ((2.0, 0.0, "structured"),), True),
+    ("assignment-vs-half", "assignment", ((1.5, 0.0, "half_integral"),), True),
+    ("integral-vs-half", "integral_sparse", ((4.5, 0.0, "half_integral"),), True),
+    ("clients-lift", "integral_clients",
+     ((4.0, 0.0, "opt_d"), (2.0, 1.0, "integral_sparse")), False),
+)
+
+
 def _scaled(lf: float, v: float) -> float:
     """exp(lf) * v.  Where exp(lf) alone overflows, this is exp(lf + log v):
     0 when v is 0, and inf only where the product is past float range, so
@@ -71,15 +85,6 @@ def _scaled(lf: float, v: float) -> float:
     except OverflowError:
         with np.errstate(all="ignore"):
             return float(np.exp(lf + np.log(v)))
-
-
-def _certificate(name: str, lhs: float, terms: list[tuple[float, float]],
-                 cfg: SolverConfig) -> BoundCheck:
-    """One bound check; terms are (log factor, value) pairs summed on the
-    right-hand side."""
-    rhs = sum(_scaled(lf, v) for lf, v in terms)
-    ok = lhs <= rhs * (1.0 + cfg.rel_tol) + CERT_ABS_TOL
-    return BoundCheck(name, lhs, rhs, bool(ok))
 
 
 def _identity_reduction(inst: MetricInstance) -> ReducedInstance:
@@ -105,29 +110,23 @@ def _require_ranged_groups(inst: MetricInstance, rc: RangeConstraints) -> None:
                 f"groups 1..{rc.num_groups} only")
 
 
-def _require_nonnegative_distances(inst: MetricInstance) -> None:
-    """Refuse a negative or nan distance.
+def _require_costs_in_range(inst: MetricInstance) -> None:
+    """Refuse, in this order, a negative or nan distance, a negative or
+    non-finite demand, an infinite distance, and a p at which costs may
+    leave the float range.
 
-    Its p-th power is negative or nan, so stage costs stop bounding one
-    another and a certificate fails on an instance that was never valid.
-    The minimum is nan when any entry is.
+    A negative or nan distance or a negative demand makes a cost negative
+    or nan, so stage costs stop bounding one another and a certificate
+    fails on an instance that was never valid; the minimum is nan when
+    any entry is.  No stage cost exceeds total weight * d_max^p.  Past
+    COST_CAP it can overflow to inf, then to nan, and stages fail on
+    feasible instances.
     """
     if not inst.dist.min(initial=0.0) >= 0.0:
         i, j = np.argwhere(~(inst.dist >= 0.0))[0]
         d = inst.dist[i, j]
         raise CostRangeError(f"distance d({inst.point_ids[i]}, {inst.point_ids[j]}) = "
                              f"{d:g} is {'negative' if d < 0.0 else 'not a number'}")
-
-
-def _require_costs_in_range(inst: MetricInstance) -> None:
-    """Refuse a negative or non-finite demand, an infinite distance, and a
-    p at which costs may leave the float range.
-
-    No stage cost exceeds total weight * d_max^p.  Past COST_CAP it can
-    overflow to inf, then to nan, and stages fail on feasible instances.
-    A negative demand makes a cost negative, so stage costs stop bounding
-    one another, as a negative distance does.
-    """
     w = inst.client_weights()
     if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < math.inf):
         i = int(np.flatnonzero(~((w >= 0.0) & (w < math.inf)))[0])
@@ -147,8 +146,8 @@ def _require_costs_in_range(inst: MetricInstance) -> None:
         p_max = (math.log(COST_CAP) - math.log(weight)) / math.log(d_max)
         if p_max >= 1.0:
             largest = f"; this instance accepts p up to {p_max:.6g}"
-    raise CostRangeError(f"p={inst.p:g} puts total weight * d_max^p at {top:.3g}, "
-                         f"above {COST_CAP:g}{largest}")
+    raise PowerRangeError(f"p={inst.p:g} puts total weight * d_max^p at {top:.3g}, "
+                          f"above {COST_CAP:g}{largest}")
 
 
 def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list[str]:
@@ -202,7 +201,8 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     demand is negative or not finite, or total weight * d_max^p is above
     COST_CAP, and a stage-named error when an internal certificate fails.
     On the rare opening programs made infeasible by the one-unit territory
-    caps, falls back to the direct greedy selection and marks the report.
+    caps, and the rare flows that find no selection, falls back to the
+    direct greedy selection and marks the report.
     """
     cfg = config or SolverConfig()
     _require_ranged_groups(inst, rc)
@@ -210,13 +210,15 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     if not check_range_feasibility(sizes, rc):
         raise InfeasibleRangesError(
             f"no size-{rc.k} center set can meet the ranges")
-    _require_nonnegative_distances(inst)
     _require_costs_in_range(inst)
 
     timings: dict[str, float] = {}
-    t_all = time.perf_counter()
+    clock = [time.perf_counter()]        # start of the solve, then each lap's end
 
-    t0 = time.perf_counter()
+    def lap(stage: str) -> None:
+        clock.append(time.perf_counter())
+        timings[stage] = clock[-1] - clock[-2]
+
     reduced = len(inst.client_ids) > rc.k
     if reduced:
         centers0, _, swaps = local_search_clustering(inst, rc.k)
@@ -224,105 +226,83 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     else:
         swaps = 0
         red = _identity_reduction(inst)
-    timings["baseline"] = time.perf_counter() - t0
+    lap("baseline")
 
-    t0 = time.perf_counter()
     groups = _facility_groups(inst)
     flp = build_fair_range_lp(red.fac_dist_p, red.weights, groups, rc.k, rc.ranges)
     res = solve_lp(flp)
     if res.status != "optimal":
         raise StageError("pipeline", f"assignment relaxation is {res.status}")
-    opt_d = float(res.objective)
     x, y = split_fair_solution(res.x, len(red.location_ids),
                                len(inst.facility_ids))
     x = canonical_assignment(x)
-    timings["relaxation"] = time.perf_counter() - t0
+    lap("relaxation")
 
-    t0 = time.perf_counter()
     sp = sparsify(red, x, y)
-    timings["sparsify"] = time.perf_counter() - t0
+    lap("sparsify")
 
-    t0 = time.perf_counter()
     x2, moves = reassign_private_facilities(sp)
     cost_reassigned = sp.assignment_cost(x2)
     ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.balls), sp)
-    timings["structure"] = time.perf_counter() - t0
+    lap("structure")
 
-    stage_costs = {"opt_d": opt_d, "reassigned": cost_reassigned,
+    stage_costs = {"opt_d": float(res.objective), "reassigned": cost_reassigned,
                    "structured": ss.cost_p}
     diagnostics = {"locations": len(sp.location_ids), "baseline_swaps": swaps,
                    "reassign_moves": len(moves),
                    "pruned_mass": ss.diagnostics.get("pruned", 0.0)}
-    lp3 = inst.p * math.log(3.0)
-
-    def finish(center_ids, fallback, reason=None):
-        solution = build_center_solution(inst, center_ids, rc)
-        if len(solution.centers) != rc.k:
-            raise StageError("pipeline", f"selected {len(solution.centers)} centers")
-        for cnt, (a, b) in zip(solution.group_counts, rc.ranges):
-            if not a <= cnt <= b:
-                raise StageError("pipeline", "selected centers break a range")
-        cidx = [inst.facility_ids.index(c) for c in solution.centers]
-        dmin = sp.fac_dist[:, cidx].min(axis=1)
-        stage_costs["integral_sparse"] = float(sp.weights @ dmin ** sp.p)
-        stage_costs["integral_clients"] = red.cost_of(solution.centers)
-        stage_costs["integral_original"] = solution.cost_p
-        if reason is not None:
-            diagnostics["fallback_reason"] = reason
-
-        bounds = [
-            _certificate("reassigned-vs-opt", cost_reassigned, [(lp3, opt_d)], cfg),
-            _certificate("structured-vs-opt", ss.cost_p,
-                         [(inst.p * math.log(9.0), opt_d)], cfg),
-        ]
-        if not fallback:
-            bounds += [
-                _certificate("half-integral-vs-structured", stage_costs["half_integral"],
-                             [(inst.p * math.log(2.0), ss.cost_p)], cfg),
-                _certificate("assignment-vs-half", stage_costs["assignment"],
-                             [(inst.p * math.log(1.5), stage_costs["half_integral"])], cfg),
-                _certificate("integral-vs-half", stage_costs["integral_sparse"],
-                             [(inst.p * math.log(4.5), stage_costs["half_integral"])], cfg),
-            ]
-        bounds.append(_certificate(
-            "clients-lift", stage_costs["integral_clients"],
-            [(inst.p * math.log(4.0), opt_d),
-             ((inst.p - 1.0) * math.log(2.0), stage_costs["integral_sparse"])], cfg))
-        for bc in bounds:
-            if not bc.passed:
-                raise StageError(
-                    "pipeline",
-                    f"certificate {bc.name} failed: {bc.lhs:.6g} > {bc.rhs:.6g}")
-        timings["total"] = time.perf_counter() - t_all
-        return SolveReport(solution, stage_costs, bounds, timings,
-                           diagnostics, reduced, fallback)
-
-    t0 = time.perf_counter()
+    fallback = False
     try:
         slp, members = structured_program(ss, groups, rc)
         half = solve_half_integral(slp, members)
-    except OpeningInfeasibleError as exc:
+        stage_costs["half_integral"] = half_integral_cost(ss, half.y)
+        diagnostics["snap_deviation"] = half.snap_deviation
+        lap("half_integral")
+        x_tilde = half_integral_assignment(ss, half.y)
+        centers_idx, part, _ = select_centers(ss, x_tilde, groups, rc)
+        stage_costs["assignment"] = sp.assignment_cost(x_tilde)
+        diagnostics["partition_sets"] = part.count
+        center_ids = [inst.facility_ids[u] for u in centers_idx]
+        lap("rounding")
+    except (OpeningInfeasibleError, NoIntegralSelectionError) as exc:
         # the one-unit territory caps can pin a group below its lower
-        # bound even though integral selections exist; fall back to the
-        # direct selection rather than fail a feasible instance
-        timings["half_integral"] = time.perf_counter() - t0
-        timings["rounding"] = 0.0
-        return finish(_greedy_feasible_centers(inst, rc), True, str(exc))
-    stage_costs["half_integral"] = half_integral_cost(ss, half.y)
-    diagnostics["snap_deviation"] = half.snap_deviation
-    timings["half_integral"] = time.perf_counter() - t0
+        # bound, and flow rounding can find no selection, even though
+        # integral selections exist; fall back to the direct selection
+        # rather than fail a feasible instance
+        fallback = True
+        diagnostics["fallback_reason"] = str(exc)
+        if "half_integral" not in timings:
+            lap("half_integral")
+        lap("rounding")
+    if fallback:
+        center_ids = _greedy_feasible_centers(inst, rc)
 
-    t0 = time.perf_counter()
-    try:
-        centers_idx, part, net = select_centers(ss, half, groups, rc)
-    except NoIntegralSelectionError as exc:
-        timings["rounding"] = time.perf_counter() - t0
-        return finish(_greedy_feasible_centers(inst, rc), True, str(exc))
-    stage_costs["assignment"] = sp.assignment_cost(half.x_tilde)
-    diagnostics["partition_sets"] = part.count
-    timings["rounding"] = time.perf_counter() - t0
+    solution = build_center_solution(inst, center_ids, rc)
+    if len(solution.centers) != rc.k:
+        raise StageError("pipeline", f"selected {len(solution.centers)} centers")
+    for cnt, (a, b) in zip(solution.group_counts, rc.ranges):
+        if not a <= cnt <= b:
+            raise StageError("pipeline", "selected centers break a range")
+    cidx = [inst.facility_ids.index(c) for c in solution.centers]
+    dmin = sp.fac_dist[:, cidx].min(axis=1)
+    stage_costs["integral_sparse"] = float(sp.weights @ dmin ** sp.p)
+    stage_costs["integral_clients"] = red.cost_of(solution.centers)
+    stage_costs["integral_original"] = solution.cost_p
 
-    return finish([inst.facility_ids[u] for u in centers_idx], False)
+    bounds = []
+    for name, cost, terms, half_stage in CERTIFICATES:
+        if fallback and half_stage:
+            continue
+        lhs = stage_costs[cost]
+        rhs = sum(_scaled((inst.p - e) * math.log(c), stage_costs[term])
+                  for c, e, term in terms)
+        ok = bool(lhs <= rhs * (1.0 + cfg.rel_tol) + CERT_ABS_TOL)
+        if not ok:
+            raise StageError("pipeline", f"certificate {name} failed: {lhs:.6g} > {rhs:.6g}")
+        bounds.append(BoundCheck(name, lhs, rhs, ok))
+    timings["total"] = time.perf_counter() - clock[0]
+    return SolveReport(solution, stage_costs, bounds, timings,
+                       diagnostics, reduced, fallback)
 
 
 def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints,

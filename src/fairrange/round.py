@@ -37,10 +37,9 @@ def structured_program(ss: StructuredSolution, fac_groups,
                                sp.balls, ss.territories, nn_pow)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HalfIntegralSolution:
     y: np.ndarray               # coordinates in {0, 1/2, 1}
-    x_tilde: np.ndarray | None
     snap_deviation: float
 
 
@@ -85,7 +84,7 @@ def solve_half_integral(lp: LinearProgram, members: list[np.ndarray]) -> HalfInt
     y = np.zeros(sum(map(len, members)))
     for val, cols in zip(snapped, members):
         y[cols] = np.clip(val - 2.0 * np.arange(len(cols)), 0.0, 2.0)
-    return HalfIntegralSolution(y / 2.0, None, dev)
+    return HalfIntegralSolution(y / 2.0, dev)
 
 
 def half_integral_cost(ss: StructuredSolution, y: np.ndarray) -> float:
@@ -319,12 +318,11 @@ def extract_centers(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
     return centers
 
 
-def select_centers(ss: StructuredSolution, half: HalfIntegralSolution,
+def select_centers(ss: StructuredSolution, x_tilde: np.ndarray,
                    fac_groups, rc) -> tuple[np.ndarray, FacilityPartition, FlowNetwork]:
-    """Partition, flow, and extraction in one step."""
-    if half.x_tilde is None:
-        half.x_tilde = half_integral_assignment(ss, half.y)
-    part = partition_facilities(ss.sp, half.x_tilde)
+    """Partition, flow, and extraction in one step, on the service rows
+    x_tilde that half_integral_assignment gives for the openings."""
+    part = partition_facilities(ss.sp, x_tilde)
     net = build_flow_network(part, len(ss.sp.facility_ids), fac_groups, rc)
     flows = solve_flow_lower_bounds(net)
     if flows is None:

@@ -164,7 +164,7 @@ class TestSolveCommand:
         assert "negativity" in capsys.readouterr().err
         assert main(["solve", path, "--allow-nonmetric"]) == 1
         err = capsys.readouterr().err
-        assert err == "invalid parameters: distance d(p000, p001) = -1 is negative\n"
+        assert err == "invalid instance: distance d(p000, p001) = -1 is negative\n"
 
     def test_nan_distance_exit_one(self, tmp_path, capsys):
         # this read "p=1 puts total weight * d_max^p at nan, above 1e+300"
@@ -173,7 +173,7 @@ class TestSolveCommand:
                           document_from_instance(inst, random_ranges(0, inst, 3, 2)))
         assert main(["solve", path, "--allow-nonmetric"]) == 1
         err = capsys.readouterr().err
-        assert err == "invalid parameters: distance d(p000, p001) = nan is not a number\n"
+        assert err == "invalid instance: distance d(p000, p001) = nan is not a number\n"
 
     def test_infinite_distance_exit_one(self, tmp_path, capsys):
         # this read "p=1 puts total weight * d_max^p at inf, above 1e+300"
@@ -182,7 +182,7 @@ class TestSolveCommand:
                           document_from_instance(inst, random_ranges(0, inst, 3, 2)))
         assert main(["solve", path, "--allow-nonmetric"]) == 1
         err = capsys.readouterr().err
-        assert err == "invalid parameters: distance d(p000, p001) = inf is not finite\n"
+        assert err == "invalid instance: distance d(p000, p001) = inf is not finite\n"
 
     def test_negative_demand_exit_one(self, tmp_path, capsys):
         # this printed a negative cost-p and exited 0
@@ -193,7 +193,7 @@ class TestSolveCommand:
         assert "not a positive integer" in capsys.readouterr().err
         assert main(["solve", path, "--allow-nonmetric"]) == 1
         err = capsys.readouterr().err
-        assert err == "invalid parameters: demand of client p1 = -3 is negative\n"
+        assert err == "invalid instance: demand of client p1 = -3 is negative\n"
 
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_coordinate_exit_one(self, tmp_path, capsys, bad):

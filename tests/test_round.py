@@ -14,7 +14,6 @@ from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 from fairrange.round import (
     _check_rows_exact,
     FacilityPartition,
-    HalfIntegralSolution,
     build_flow_network,
     extract_centers,
     flow_to_text,
@@ -368,8 +367,7 @@ class TestFreeOpeningsUnread:
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(16, 12, sizes=(12, 20)):
             x = half_integral_assignment(ss, half.y)
             part = partition_facilities(sp, x)
-            centers, _, _ = select_centers(ss, HalfIntegralSolution(
-                half.y, None, half.snap_deviation), groups_of(inst), rc)
+            centers, _, _ = select_centers(ss, x, groups_of(inst), rc)
             for _ in range(4):
                 y = move_free_mass(half.y, members, rng)
                 moved += y.tolist() != half.y.tolist()
@@ -378,8 +376,7 @@ class TestFreeOpeningsUnread:
                 assert x2.tolist() == x.tolist()
                 assert partition_fields(partition_facilities(sp, x2)) == \
                     partition_fields(part)
-                centers2, part2, _ = select_centers(ss, HalfIntegralSolution(
-                    y, None, half.snap_deviation), groups_of(inst), rc)
+                centers2, part2, _ = select_centers(ss, x2, groups_of(inst), rc)
                 assert centers2.tolist() == centers.tolist()
                 assert partition_fields(part2) == partition_fields(part)
         assert moved > 0
@@ -521,7 +518,8 @@ class TestFlow:
 
     def test_flow_conservation_and_bounds_exact(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(9, 6):
-            centers, part, net = select_centers(ss, half, groups_of(inst), rc)
+            x = half_integral_assignment(ss, half.y)
+            centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             flows = solve_flow_lower_bounds(net)
             balance = np.zeros(net.num_nodes, dtype=int)
             for (a, b, lo, hi), f in zip(net.arcs, flows):
@@ -534,9 +532,29 @@ class TestFlow:
 
 
 class TestSelectCenters:
+    def test_leaves_the_opening_solution_alone(self, monkeypatch):
+        # stage 6 once stored its service rows in stage 5's result
+        def fields(half):
+            return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+                    for name, value in vars(half).items()}
+
+        returned = []
+
+        def solve(*args, _solve=fairrange.pipeline.solve_half_integral):
+            half = _solve(*args)
+            returned.append(fields(half))
+            return half
+
+        monkeypatch.setattr(fairrange.pipeline, "solve_half_integral", solve)
+        for seed in range(4):
+            inst = random_instance(seed, 14, 2, 1.0 + seed % 2)
+            stages = solve_stages(inst, random_ranges(seed, inst, 3, 2), "select_centers")
+            assert fields(stages["solve_half_integral"]) == returned.pop()
+
     def test_end_to_end_random(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(10, 12):
-            centers, part, net = select_centers(ss, half, groups_of(inst), rc)
+            x = half_integral_assignment(ss, half.y)
+            centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             assert len(centers) == rc.k
             labels = np.asarray(groups_of(inst))
             for gi, (alpha, beta) in enumerate(rc.ranges, start=1):
@@ -548,7 +566,8 @@ class TestSelectCenters:
 
     def test_removed_location_distance_bounds(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(11, 12):
-            centers, part, net = select_centers(ss, half, groups_of(inst), rc)
+            x = half_integral_assignment(ss, half.y)
+            centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
             chosen = set(centers.tolist())
             p = sp.p
@@ -564,7 +583,8 @@ class TestSelectCenters:
     def test_partition_quality_for_any_hitting_set(self):
         rng = np.random.default_rng(12)
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(13, 8):
-            centers, part, net = select_centers(ss, half, groups_of(inst), rc)
+            x = half_integral_assignment(ss, half.y)
+            centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
             bound = (4.5 ** sp.p) * half_integral_cost(ss, half.y) * (1 + 1e-6) + 1e-9
             num_f = dp.shape[1]
