@@ -130,14 +130,20 @@ def parse_document(text: str) -> InstanceDocument:
         matrix = tuple(tuple(float(v) for v in full[i]) for i in range(n))
     elif not has_coords:
         raise ValueError("points carry no coordinates and no matrix given")
-    facilities = tuple((rec.split()[0], int(rec.split()[1]))
-                       for rec in sections["facilities"])
-    clients = tuple((rec.split()[0], int(rec.split()[1]))
-                    for rec in sections["clients"])
+    facilities, clients = (tuple(_id_and_count(name, rec) for rec in sections[name])
+                           for name in ("facilities", "clients"))
     return InstanceDocument(
         version, tuple(ids),
         tuple(coords) if has_coords else None, matrix,
         facilities, clients, float(scalars["p"]), int(scalars["k"]), ranges)
+
+
+def _id_and_count(section: str, rec: str) -> tuple[str, int]:
+    """A facilities record (id, group) or a clients record (id, demand)."""
+    parts = rec.split()
+    if len(parts) != 2:
+        raise ValueError(f"{section} record {rec!r} needs an id and an integer")
+    return parts[0], int(parts[1])
 
 
 def document_to_instance(doc: InstanceDocument) -> tuple[MetricInstance, RangeConstraints]:

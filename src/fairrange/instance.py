@@ -14,7 +14,6 @@ import numpy as np
 
 METRIC_TOL = 1e-9
 TRIANGLE_SAMPLE_CAP = 1_000_000
-POWER_CHECK_TOL = 1e-9
 COORD_ROW_BLOCK = 64     # rows of pairwise differences built at a time
 
 
@@ -285,29 +284,3 @@ def build_center_solution(inst: MetricInstance, centers: Iterable[str],
             counts[g - 1] += 1
     cost_p, cost = clustering_cost(inst, C)
     return CenterSolution(C, tuple(counts), cost_p, cost)
-
-
-def power_triangle_check(x: float, ys: Sequence[float], lam: float, p: float) -> bool:
-    """Does (x + sum ys)^p <= (1+lam)^(p-1) x^p + ((1+lam) n / lam)^(p-1) sum ys^p hold?
-
-    All of x, ys must be nonnegative and lam positive.  Verified to a 1e-9
-    relative tolerance.
-    """
-    if x < 0 or any(y < 0 for y in ys) or lam <= 0 or p < 1:
-        raise ValueError("requires x, ys >= 0, lam > 0, p >= 1")
-    n = len(ys)
-    lhs = (x + sum(ys)) ** p
-    rhs = (1.0 + lam) ** (p - 1.0) * x ** p
-    if n:
-        rhs += ((1.0 + lam) * n / lam) ** (p - 1.0) * sum(y ** p for y in ys)
-    return lhs <= rhs * (1.0 + POWER_CHECK_TOL) + 1e-300
-
-
-def chain_power_check(end: float, legs: Sequence[float], p: float) -> bool:
-    """Does end^p <= r^(p-1) * sum legs^p hold for a length-r chain?"""
-    r = len(legs)
-    if r == 0:
-        return end <= 0.0
-    lhs = end ** p
-    rhs = r ** (p - 1.0) * sum(d ** p for d in legs)
-    return lhs <= rhs * (1.0 + POWER_CHECK_TOL) + 1e-300

@@ -1,8 +1,8 @@
 """Linear programming layer.
 
 Holds the shared LinearProgram container, a two-phase dense primal simplex
-that returns basic (vertex) solutions, builders for the two clustering LPs,
-and exact checkers for the structured constraint matrix.
+that returns basic (vertex) solutions, and builders for the two clustering
+LPs.
 
 The simplex keeps a full dense tableau.  That is deliberate: desk-scale
 instances stay below a few thousand variables, and basic solutions are what
@@ -23,11 +23,9 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import itertools
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -76,7 +74,6 @@ class LinearProgram:
     rhs: np.ndarray
     geq: np.ndarray
     upper: np.ndarray
-    row_kinds: list[tuple] | None = None    # optional per-row tags for structure checks
     row_of: np.ndarray = field(init=False, repr=False)     # row index per entry
 
     def __post_init__(self):
@@ -103,13 +100,6 @@ class LinearProgram:
         ptr, idx, val = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
         return [Row(tuple(zip(idx[a:b], val[a:b])), sense, rhs) for a, b, sense, rhs
                 in zip(ptr, ptr[1:], self.senses(), self.rhs.tolist())]
-
-    def matrix_geq(self) -> np.ndarray:
-        """Dense row matrix in >= orientation (<= rows negated)."""
-        sign = np.where(self.geq, 1.0, -1.0)
-        A = np.zeros((len(self.rhs), self.num_vars))
-        A[self.row_of, self.indices] = sign[self.row_of] * self.data
-        return A
 
 
 @dataclass
@@ -408,20 +398,19 @@ def _unit_rows(sets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _range_card_rows(groups: Sequence[int], k: int, ranges: Sequence[tuple[int, int]],
-                     first: int) -> tuple[list, list, list, list]:
-    """Column sets, right-hand sides, >= flags and tags of the range rows (a
-    lower and an upper one per group over its facilities) and the card row
-    (at most k facilities), facility u being column first + u."""
+                     first: int) -> tuple[list, list, list]:
+    """Column sets, right-hand sides and >= flags of the range rows (a lower
+    and an upper one per group over its facilities) and the card row (at
+    most k facilities), facility u being column first + u."""
     cols = first + np.arange(len(groups))
     label = np.asarray(groups)
-    sets, rhs, geq, kinds = [], [], [], []
+    sets, rhs, geq = [], [], []
     for gi, (a, b) in enumerate(ranges, start=1):
         members = cols[label == gi]
         sets += [members, members]
         rhs += [float(a), float(b)]
         geq += [True, False]
-        kinds += [("range_lower", gi), ("range_upper", gi)]
-    return sets + [cols], rhs + [float(k)], geq + [False], kinds + [("card",)]
+    return sets + [cols], rhs + [float(k)], geq + [False]
 
 
 def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
@@ -442,7 +431,7 @@ def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     nv = nx + nF
     c = np.zeros(nv)
     c[:nx] = (np.asarray(w, dtype=float)[:, None] * dp).ravel()
-    sets, rhs, geq, kinds = _range_card_rows(groups, k, ranges, nx)
+    sets, rhs, geq = _range_card_rows(groups, k, ranges, nx)
     # cover row v holds x[v, :]
     indptr, indices = _unit_rows([*np.arange(nx).reshape(nD, nF), *sets])
     # then the link rows x[v,u] - y[u] <= 0, two entries each
@@ -457,9 +446,7 @@ def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
         nv, c, np.concatenate((indptr, indptr[-1] + 2 * np.arange(1, nx + 1))),
         np.concatenate((indices, link.ravel())), data,
         np.concatenate(([1.0] * nD + rhs, np.zeros(nx))),
-        np.concatenate(([True] * nD + geq, np.zeros(nx, dtype=bool))), upper,
-        row_kinds=[("cover", v) for v in range(nD)] + kinds
-        + list(itertools.product(("link",), range(nD), range(nF))))
+        np.concatenate(([True] * nD + geq, np.zeros(nx, dtype=bool))), upper)
 
 
 def split_fair_solution(x_flat: np.ndarray, nD: int, nF: int) -> tuple[np.ndarray, np.ndarray]:
@@ -480,7 +467,9 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     the sum alone, as the constant moves no optimum; half_integral_cost
     prices a point in full.  With a single location there is no v'; the
     term degenerates to sum d(v,u)^p y_u over P(v) and the in-ball mass
-    requirement tightens from 1/2 to 1.
+    requirement tightens from 1/2 to 1.  Rows appear as: a lower and an
+    upper range row per group, the cardinality row, one ball row per
+    location, then one super ball row per location.
 
     A free facility, in no ball or super ball, costs nothing and meets only
     its group's range rows and the card row, so the free facilities of a
@@ -512,13 +501,12 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     head[cols] = cols[first][np.searchsorted(labels, label[cols])]
     keep, col_of = np.unique(head, return_inverse=True)
     members = np.split(np.argsort(col_of, kind="stable"), np.cumsum(np.bincount(col_of))[:-1])
-    sets, rhs, geq, kinds = _range_card_rows(label[keep], k, ranges, 0)
+    sets, rhs, geq = _range_card_rows(label[keep], k, ranges, 0)
     indptr, indices = _unit_rows([*sets, *(col_of[s] for s in ball_sets)])
     rhs += [1.0 if single else 0.5] * nD + [1.0] * nD
     geq += [True] * nD + [False] * nD
-    kinds += [("ball", v) for v in range(nD)] + [("superball", v) for v in range(nD)]
     lp = LinearProgram(len(keep), c[keep], indptr, indices, np.ones(len(indices)),
-                       np.array(rhs), np.array(geq), np.bincount(col_of), row_kinds=kinds)
+                       np.array(rhs), np.array(geq), np.bincount(col_of))
     return lp, members
 
 
@@ -530,314 +518,3 @@ def scale_doubled(lp: LinearProgram) -> LinearProgram:
     halving an integral vertex yields a half-integral point of the original.
     """
     return replace(lp, rhs=2.0 * lp.rhs, upper=2.0 * lp.upper)
-
-
-# ---------------------------------------------------------------------------
-# total unimodularity checks
-
-
-def structured_column_profile(lp: LinearProgram) -> list[str]:
-    """Structural scan of the matrix in >= orientation.
-
-    Each column may carry at most five nonzeros: +1 from its group's lower
-    range row, -1 from the upper one, -1 from the cardinality row, +1 from
-    one ball row and -1 from the matching super ball row.  Returns violation
-    descriptions, empty when the profile holds.
-    """
-    if lp.row_kinds is None:
-        raise ValueError("row kinds required")
-    A = lp.matrix_geq()
-    out = []
-    expected_sign = {"range_lower": 1.0, "range_upper": -1.0, "card": -1.0,
-                     "ball": 1.0, "superball": -1.0}
-    for j in range(lp.num_vars):
-        nz = np.nonzero(A[:, j])[0]
-        if len(nz) > 5:
-            out.append(f"column {j}: {len(nz)} nonzeros")
-            continue
-        ball_loc, super_loc = None, None
-        seen = set()
-        for i in nz:
-            kind = lp.row_kinds[i][0]
-            if A[i, j] != expected_sign.get(kind):
-                out.append(f"column {j}: row {i} ({kind}) entry {A[i, j]}")
-            if kind in seen and kind in ("range_lower", "range_upper", "card"):
-                out.append(f"column {j}: duplicate {kind} entry")
-            seen.add(kind)
-            if kind == "ball":
-                if ball_loc is not None:
-                    out.append(f"column {j}: in two balls")
-                ball_loc = lp.row_kinds[i][1]
-            if kind == "superball":
-                if super_loc is not None:
-                    out.append(f"column {j}: in two super balls")
-                super_loc = lp.row_kinds[i][1]
-        if ball_loc is not None and super_loc is not None and ball_loc != super_loc:
-            out.append(f"column {j}: ball and super ball locations differ")
-        if ball_loc is not None and super_loc is None:
-            out.append(f"column {j}: ball without covering super ball")
-    return out
-
-
-def ghouila_houri_check(A: np.ndarray, row_subset: Sequence[int],
-                        row_kinds: Sequence[tuple] | None = None) -> list[int] | None:
-    """Find a +-1 signing of the chosen rows whose signed column sums all lie
-    in {-1, 0, 1}.
-
-    With row kind tags a constructive signing specific to the structured
-    matrix is built (split on whether the cardinality row is present);
-    without tags, subsets of at most 20 rows fall back to exhaustive search.
-    Returns the signs aligned with row_subset, None when provably no signing
-    exists, and raises ValueError("undecided") when the subset is too large
-    to decide blindly.
-    """
-    rows = list(row_subset)
-    if not rows:
-        return []
-    A = np.asarray(A)
-    if row_kinds is not None:
-        signs = _gh_constructive(A, rows, row_kinds)
-        if signs is not None and _gh_valid(A, rows, signs):
-            return signs
-    if len(rows) > 20:
-        raise ValueError("undecided")
-    return _gh_exhaustive(A, rows)
-
-
-def _gh_valid(A, rows, signs) -> bool:
-    s = np.asarray(signs, dtype=float)
-    total = s @ A[rows]
-    return bool(np.all(np.abs(total) <= 1.0 + 1e-9))
-
-
-def _gh_constructive(A, rows, row_kinds):
-    kinds = [row_kinds[i] for i in rows]
-    has_center = any(k[0] == "card" for k in kinds)
-    group_rows: dict[int, list[int]] = {}
-    loc_rows: dict[object, dict[str, int]] = {}
-    signs = [0] * len(rows)
-    for t, k in enumerate(kinds):
-        if k[0] in ("range_lower", "range_upper"):
-            group_rows.setdefault(k[1], []).append(t)
-        elif k[0] in ("ball", "superball"):
-            loc_rows.setdefault(k[1], {})[k[0]] = t
-        elif k[0] == "card":
-            signs[t] = -1
-        else:
-            return None
-    for g, ts in group_rows.items():
-        if len(ts) == 2:
-            for t in ts:
-                signs[t] = 1
-        else:
-            t = ts[0]
-            lower = kinds[t][0] == "range_lower"
-            if has_center:
-                signs[t] = -1 if lower else 1
-            else:
-                signs[t] = 1 if lower else -1
-    for v, pair in loc_rows.items():
-        if "ball" in pair and "superball" in pair:
-            signs[pair["ball"]] = 1
-            signs[pair["superball"]] = 1
-        elif "ball" in pair:
-            signs[pair["ball"]] = -1
-        else:
-            signs[pair["superball"]] = 1
-    return signs
-
-
-def _gh_exhaustive(A, rows):
-    M = np.asarray(A)[rows].astype(np.int64)
-    r = len(rows)
-    chunk = 4096
-    for base in range(0, 1 << r, chunk):
-        hi = min(base + chunk, 1 << r)
-        idx = np.arange(base, hi, dtype=np.uint64)
-        bits = ((idx[:, None] >> np.arange(r, dtype=np.uint64)) & 1).astype(np.int64)
-        signs = 2 * bits - 1
-        sums = signs @ M
-        ok = np.all(np.abs(sums) <= 1, axis=1)
-        hit = np.nonzero(ok)[0]
-        if hit.size:
-            return [int(s) for s in signs[hit[0]]]
-    return None
-
-
-def bareiss_determinant(M) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    A = [[int(round(v)) for v in row] for row in M]
-    for row, orig in zip(A, np.asarray(M, dtype=float)):
-        for a, b in zip(row, orig):
-            if abs(a - b) > 1e-9:
-                raise ValueError("matrix is not integral")
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-@dataclass
-class DeterminantReport:
-    checked: int
-    ok: bool
-    witness: tuple | None = None
-
-
-def submatrix_determinant_check(A: np.ndarray, trials: int, max_dim: int,
-                                seed: int = 0) -> DeterminantReport:
-    """Sample square submatrices and verify every determinant is -1, 0 or 1."""
-    A = np.asarray(A)
-    m, n = A.shape
-    rng = np.random.default_rng(seed)
-    top = min(max_dim, m, n)
-    for t in range(trials):
-        d = int(rng.integers(1, top + 1))
-        ri = rng.choice(m, size=d, replace=False)
-        ci = rng.choice(n, size=d, replace=False)
-        det = bareiss_determinant(A[np.ix_(ri, ci)])
-        if det not in (-1, 0, 1):
-            return DeterminantReport(t + 1, False, (tuple(ri), tuple(ci), det))
-    return DeterminantReport(trials, True)
-
-
-# ---------------------------------------------------------------------------
-# exact rational recertification (test support)
-
-
-def _exact(v: float) -> Fraction:
-    if v == int(v):
-        return Fraction(int(v))
-    return Fraction(v).limit_denominator(10 ** 12)
-
-
-def _std_form_fractions(lp: LinearProgram):
-    """Equality standard form over Fractions, with the simplex's row order
-    and slack columns; returns (A, b, c, row senses)."""
-    norm = _normalized(lp)
-    m = len(norm.rhs)
-    M = np.zeros((m, lp.num_vars + m))
-    _write_standard(M, norm)
-    A = [[_exact(v) for v in row] for row in M.tolist()]
-    b = [_exact(v) for v in norm.rhs.tolist()]
-    c = [_exact(v) for v in lp.objective] + [Fraction(0)] * m
-    return A, b, c, norm.senses()
-
-
-def _frac_solve(B, rhs):
-    """Gaussian elimination over Fractions; returns None on singularity."""
-    n = len(B)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(B)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if M[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        M[k], M[piv] = M[piv], M[k]
-        inv = M[k][k]
-        M[k] = [v / inv for v in M[k]]
-        for i in range(n):
-            if i != k and M[i][k] != 0:
-                f = M[i][k]
-                M[i] = [a - f * bk for a, bk in zip(M[i], M[k])]
-    return [M[i][n] for i in range(n)]
-
-
-@dataclass
-class RationalCheck:
-    agrees: bool
-    feasible: bool
-    optimal: bool
-    exact_objective: Fraction | None
-
-
-def recertify_rational(lp: LinearProgram, res: SimplexResult,
-                       tol: float = 1e-7) -> RationalCheck:
-    """Re-solve the returned basis exactly and certify optimality.
-
-    Only meaningful for results of the in-package simplex (needs the basis).
-    """
-    if res.basis is None:
-        raise ValueError("result carries no basis")
-    A, b, c, senses = _std_form_fractions(lp)
-    cols = len(c)
-    basis = list(res.basis)
-    B = [[row[j] for j in basis] for row in A]
-    xb = _frac_solve(B, b)
-    if xb is None:
-        return RationalCheck(False, False, False, None)
-    x = [Fraction(0)] * cols
-    for j, val in zip(basis, xb):
-        x[j] = val
-    feasible = all(v >= 0 for v in x)
-    for row, sense, bi in zip(A, senses, b):
-        lhs = sum(a * v for a, v in zip(row, x))
-        if sense == LEQ and lhs > bi:
-            feasible = False
-        if sense == GEQ and lhs < bi:
-            feasible = False
-    exact_obj = sum(cj * xj for cj, xj in zip(c, x))
-    agrees = res.objective is not None and abs(float(exact_obj) - res.objective) <= tol * (1 + abs(res.objective))
-    for j, val in zip(basis, xb):
-        v = float(val)
-        if j < lp.num_vars and abs(v - res.x[j]) > tol * (1 + abs(v)):
-            agrees = False
-    # duals: solve B^T y = c_B, then all reduced costs must be nonnegative
-    Bt = [[B[i][j] for i in range(len(B))] for j in range(len(B))]
-    cb = [c[j] for j in basis]
-    y = _frac_solve(Bt, cb)
-    optimal = y is not None
-    base_set = set(basis)
-    if optimal:
-        for j in range(cols):
-            if j in base_set:
-                continue
-            red = c[j] - sum(y[i] * A[i][j] for i in range(len(A)))
-            if red < 0:
-                optimal = False
-                break
-    return RationalCheck(agrees, feasible, optimal, exact_obj)
-
-
-def enumerate_vertices_min(lp: LinearProgram, max_bases: int = 300_000) -> Fraction:
-    """Exact minimum over all basic feasible solutions, by enumeration.
-
-    Exponential; intended for cross-checks on tiny programs only.
-    """
-    A, b, c, _ = _std_form_fractions(lp)
-    m, cols = len(A), len(c)
-    if math.comb(cols, m) > max_bases:
-        raise ValueError("too many bases to enumerate")
-    best = None
-    for cand in itertools.combinations(range(cols), m):
-        B = [[A[i][j] for j in cand] for i in range(m)]
-        xb = _frac_solve(B, b)
-        if xb is None:
-            continue
-        if any(v < 0 for v in xb):
-            continue
-        obj = sum(c[j] * v for j, v in zip(cand, xb))
-        if best is None or obj < best:
-            best = obj
-    if best is None:
-        raise ValueError("no feasible basis")
-    return best

@@ -358,8 +358,8 @@ def generate_figure1_instance(k: int, n: int, m: float, M: float, *,
     """
     if m <= 0 or M <= m:
         raise ValueError("need M > m > 0")
-    if k % 6 != 0:
-        raise ValueError("k must be a multiple of 6")
+    if k < 6 or k % 6 != 0:
+        raise ValueError("k must be a positive multiple of 6")
     if n % 2 != 0 or (3 * n) % (4 * k) != 0:
         raise ValueError("n must split into 2k/3 blue clusters of size 3n/(4k)")
     if M > 2.0 * m and not allow_nonmetric:
@@ -386,8 +386,8 @@ def generate_figure1_instance(k: int, n: int, m: float, M: float, *,
 def random_instance(seed: int, n: int, ell: int, p: float) -> MetricInstance:
     """Planar instance for the study harness: every point is a client and
     a facility, groups cyclic so each of the ell groups is nonempty."""
-    if n < ell:
-        raise ValueError("need at least one point per group")
+    if not 1 <= ell <= n:
+        raise ValueError("need at least one group and one point per group")
     rng = np.random.default_rng(seed)
     w = max(3, len(str(n - 1)))     # ids sort in matrix order at any n
     ids = [f"p{i:0{w}d}" for i in range(n)]

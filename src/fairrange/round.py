@@ -180,7 +180,6 @@ def partition_facilities(sp, x_tilde: np.ndarray) -> FacilityPartition:
 @dataclass(frozen=True)
 class FlowNetwork:
     num_nodes: int
-    names: tuple[str, ...]
     arcs: tuple[tuple[int, int, int, int], ...]   # (tail, head, lower, upper)
     s: int
     t1: int
@@ -192,23 +191,17 @@ class FlowNetwork:
 def build_flow_network(part: FacilityPartition, num_facilities: int,
                        group_label, rc) -> FlowNetwork:
     """Layered selection network: one facility per serving set, the rest
-    from the pool, demographic counts funneled through bounded group arcs."""
+    from the pool, demographic counts funneled through bounded group arcs.
+    Nodes run s, sets, pool, facilities, groups, t1, t2; L + 1 arcs leave s."""
     L = part.count
     if L > rc.k:
         raise StageError("round", f"{L} serving sets exceed the budget {rc.k}")
-    num_groups = len(rc.ranges)
-    names = ["s"]
     set_nodes = tuple(range(1, L + 1))
-    names += [f"S{i + 1}" for i in range(L)]
     pool = L + 1
-    names.append("pool")
     fac_base = pool + 1
-    names += [f"f{u}" for u in range(num_facilities)]
     grp_base = fac_base + num_facilities
-    names += [f"g{j + 1}" for j in range(num_groups)]
-    t1 = grp_base + num_groups
+    t1 = grp_base + len(rc.ranges)
     t2 = t1 + 1
-    names += ["t1", "t2"]
 
     arcs: list[tuple[int, int, int, int]] = []
     for node in set_nodes:
@@ -226,7 +219,7 @@ def build_flow_network(part: FacilityPartition, num_facilities: int,
     for j, (alpha, beta) in enumerate(rc.ranges):
         arcs.append((grp_base + j, t1, alpha, beta))
     arcs.append((t1, t2, rc.k, rc.k))
-    return FlowNetwork(t2 + 1, tuple(names), tuple(arcs), 0, t1, t2, rc.k,
+    return FlowNetwork(t2 + 1, tuple(arcs), 0, t1, t2, rc.k,
                        tuple(open_arcs))
 
 
@@ -328,13 +321,3 @@ def select_centers(ss: StructuredSolution, x_tilde: np.ndarray,
     if flows is None:
         raise NoIntegralSelectionError("round", "no integral selection meets the ranges")
     return extract_centers(flows, net), part, net
-
-
-def flow_to_text(net: FlowNetwork, flows: np.ndarray | None = None) -> str:
-    lines = [f"nodes {net.num_nodes}: " + " ".join(net.names)]
-    for i, (a, b, lo, hi) in enumerate(net.arcs):
-        line = f"{net.names[a]} -> {net.names[b]} [{lo}, {hi}]"
-        if flows is not None:
-            line += f" flow={int(flows[i])}"
-        lines.append(line)
-    return "\n".join(lines)

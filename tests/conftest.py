@@ -8,6 +8,7 @@ import pytest
 import fairrange.pipeline
 from fairrange.instance import MetricInstance, RangeConstraints, instance_from_coords
 from fairrange.lp import GEQ, LEQ, LinearProgram, Row, build_structured_lp, scale_doubled
+from oracles import structured_row_kinds
 
 
 def line_instance(xs, facility_ids=None, group_label=None, client_demands=None, p=1.0):
@@ -81,7 +82,7 @@ def manual_sp(inst, locations, radii, balls, x, y):
         np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def lp_from_rows(num_vars, objective, rows, upper=None, row_kinds=None):
+def lp_from_rows(num_vars, objective, rows, upper=None):
     """LinearProgram from a list of Row tuples, collected in one pass; no
     upper bounds when upper is None."""
     ends, indices, data, rhs, geq = [0], [], [], [], []
@@ -95,19 +96,20 @@ def lp_from_rows(num_vars, objective, rows, upper=None, row_kinds=None):
     return LinearProgram(num_vars, objective, np.array(ends, dtype=np.intp),
                          np.array(indices, dtype=np.intp), np.array(data, dtype=float),
                          np.array(rhs, dtype=float), np.array(geq, dtype=bool),
-                         np.full(num_vars, np.inf) if upper is None else upper,
-                         row_kinds=row_kinds)
+                         np.full(num_vars, np.inf) if upper is None else upper)
 
 
 # The structured builder as it was before it merged free facilities itself,
 # one column per facility and with its constant returned, kept as the
 # reference for the program it writes: the body is verbatim except that its
-# LinearProgram call became lp_from_rows.
+# LinearProgram call became lp_from_rows, and it returns the row tags the
+# program held then beside the program.
 def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
                                   k: int, ranges: Sequence[tuple[int, int]],
                                   balls: Sequence[Sequence[int]],
                                   supers: Sequence[Sequence[int]],
-                                  nn_dist_pow: Sequence[float] | None) -> tuple[LinearProgram, float]:
+                                  nn_dist_pow: Sequence[float] | None
+                                  ) -> tuple[LinearProgram, float, list[tuple]]:
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
     single = nn_dist_pow is None
@@ -142,13 +144,15 @@ def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Se
         rows.append(Row(tuple((u, 1.0) for u in supers[v]), LEQ, 1.0))
         kinds.append(("superball", v))
     upper = np.ones(nF)
-    return lp_from_rows(nF, c, rows, upper=upper, row_kinds=kinds), constant
+    return lp_from_rows(nF, c, rows, upper=upper), constant, kinds
 
 
 # The merge presolve that ran on the full builder's output, as it was when
-# it keyed the free columns by per-column entry lists, kept verbatim as the
-# reference for the columns the builder now merges itself.
-def reference_merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list[np.ndarray]]:
+# it keyed the free columns by per-column entry lists, kept as the reference
+# for the columns the builder now merges itself: verbatim except that the
+# row tags it read off the program come in as row_kinds.
+def reference_merge_free_columns(lp: LinearProgram, row_kinds: list[tuple]
+                                 ) -> tuple[LinearProgram, list[np.ndarray]]:
     """Presolve: one column for each set of identical free facilities.
 
     A free column has objective 0 and sits in no ball or super-ball row,
@@ -165,7 +169,7 @@ def reference_merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list
     entries: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     free = lp.objective == 0.0
     for i, row in enumerate(lp.rows):
-        touches = lp.row_kinds[i][0] in ("ball", "superball")
+        touches = row_kinds[i][0] in ("ball", "superball")
         for j, a in row.coeffs:
             entries[j].append((i, a))
             if touches:
@@ -181,30 +185,30 @@ def reference_merge_free_columns(lp: LinearProgram) -> tuple[LinearProgram, list
                 row.sense, row.rhs) for row in lp.rows]
     first = [cols[0] for cols in members]
     upper = np.array([lp.upper[cols].sum() for cols in members])
-    return lp_from_rows(len(members), lp.objective[first], rows, upper=upper,
-                        row_kinds=lp.row_kinds), members
+    return lp_from_rows(len(members), lp.objective[first], rows, upper=upper), members
 
 
 PROGRAM_ARRAYS = ("objective", "indptr", "indices", "data", "rhs", "geq", "upper", "row_of")
 
 
 def assert_same_program(got, want):
-    """Equal size, arrays (dtype and bits), upper bounds included, and row tags."""
+    """Equal size and arrays (dtype and bits), upper bounds included."""
     assert got.num_vars == want.num_vars
     for name in PROGRAM_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.row_kinds == want.row_kinds
 
 
 def same_opening_program(args):
     """The doubled program build_structured_lp(*args) writes against the
     reference builder's full program, doubled and merged by the reference
-    presolve: arrays bit for bit, row tags, and the members of every column."""
+    presolve: arrays bit for bit, the row tags the oracles rebuild against
+    the reference's, and the members of every column."""
     lp, members = build_structured_lp(*args)
-    full, _ = reference_build_structured_lp(*args)
-    want, want_members = reference_merge_free_columns(scale_doubled(full))
+    full, _, kinds = reference_build_structured_lp(*args)
+    want, want_members = reference_merge_free_columns(scale_doubled(full), kinds)
     assert_same_program(scale_doubled(lp), want)
+    assert structured_row_kinds(lp) == kinds
     assert [c.tolist() for c in members] == [c.tolist() for c in want_members]
 
 

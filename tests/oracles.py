@@ -1,0 +1,358 @@
+"""Exact oracles the tests hold the solver to: row tags rebuilt from the
+builders' row order, unimodularity evidence, exact rational re-solves, the
+flow network as text, and the power inequalities."""
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from fairrange.lp import GEQ, LEQ, LinearProgram, SimplexResult, _normalized, _write_standard
+from fairrange.round import FlowNetwork
+
+POWER_CHECK_TOL = 1e-9
+
+
+def _range_card_kinds(num_groups: int) -> list[tuple]:
+    return [(kind, g) for g in range(1, num_groups + 1)
+            for kind in ("range_lower", "range_upper")] + [("card",)]
+
+
+def assignment_row_kinds(lp: LinearProgram, num_locations: int) -> list[tuple]:
+    """Tags of build_fair_range_lp's rows: a cover row per location, the
+    range and card rows, then a link row per (location, facility) pair."""
+    nD = num_locations
+    nF = lp.num_vars // (nD + 1)
+    num_groups = (len(lp.rhs) - nD - 1 - nD * nF) // 2
+    return ([("cover", v) for v in range(nD)] + _range_card_kinds(num_groups)
+            + list(itertools.product(("link",), range(nD), range(nF))))
+
+
+def structured_row_kinds(lp: LinearProgram) -> list[tuple]:
+    """Tags of build_structured_lp's rows: the range and card rows, then a
+    ball row and a super ball row per location.  Each group's rows are a >=
+    and a <=, so the card row is the first <= row at an even position."""
+    num_groups = next(g for g in itertools.count() if not lp.geq[2 * g])
+    nD = (len(lp.rhs) - 2 * num_groups - 1) // 2
+    return (_range_card_kinds(num_groups) + [("ball", v) for v in range(nD)]
+            + [("superball", v) for v in range(nD)])
+
+
+def matrix_geq(lp: LinearProgram) -> np.ndarray:
+    """Dense row matrix in >= orientation (<= rows negated)."""
+    sign = np.where(lp.geq, 1.0, -1.0)
+    A = np.zeros((len(lp.rhs), lp.num_vars))
+    A[lp.row_of, lp.indices] = sign[lp.row_of] * lp.data
+    return A
+
+
+def structured_column_profile(lp: LinearProgram) -> list[str]:
+    """Structural scan of the matrix in >= orientation.
+
+    Each column may carry at most five nonzeros: +1 from its group's lower
+    range row, -1 from the upper one, -1 from the cardinality row, +1 from
+    one ball row and -1 from the matching super ball row.  Returns violation
+    descriptions, empty when the profile holds.
+    """
+    A = matrix_geq(lp)
+    row_kinds = structured_row_kinds(lp)
+    out = []
+    expected_sign = {"range_lower": 1.0, "range_upper": -1.0, "card": -1.0,
+                     "ball": 1.0, "superball": -1.0}
+    for j in range(lp.num_vars):
+        nz = np.nonzero(A[:, j])[0]
+        if len(nz) > 5:
+            out.append(f"column {j}: {len(nz)} nonzeros")
+            continue
+        ball_loc, super_loc = None, None
+        seen = set()
+        for i in nz:
+            kind = row_kinds[i][0]
+            if A[i, j] != expected_sign.get(kind):
+                out.append(f"column {j}: row {i} ({kind}) entry {A[i, j]}")
+            if kind in seen and kind in ("range_lower", "range_upper", "card"):
+                out.append(f"column {j}: duplicate {kind} entry")
+            seen.add(kind)
+            if kind == "ball":
+                if ball_loc is not None:
+                    out.append(f"column {j}: in two balls")
+                ball_loc = row_kinds[i][1]
+            if kind == "superball":
+                if super_loc is not None:
+                    out.append(f"column {j}: in two super balls")
+                super_loc = row_kinds[i][1]
+        if ball_loc is not None and super_loc is not None and ball_loc != super_loc:
+            out.append(f"column {j}: ball and super ball locations differ")
+        if ball_loc is not None and super_loc is None:
+            out.append(f"column {j}: ball without covering super ball")
+    return out
+
+
+def ghouila_houri_check(A: np.ndarray, row_subset: Sequence[int],
+                        row_kinds: Sequence[tuple] | None = None) -> list[int] | None:
+    """Find a +-1 signing of the chosen rows whose signed column sums all lie
+    in {-1, 0, 1}.
+
+    With row kind tags a constructive signing specific to the structured
+    matrix is built (split on whether the cardinality row is present);
+    without tags, subsets of at most 20 rows fall back to exhaustive search.
+    Returns the signs aligned with row_subset, None when provably no signing
+    exists, and raises ValueError("undecided") when the subset is too large
+    to decide blindly.
+    """
+    rows = list(row_subset)
+    if not rows:
+        return []
+    A = np.asarray(A)
+    if row_kinds is not None:
+        signs = _gh_constructive(A, rows, row_kinds)
+        if signs is not None and _gh_valid(A, rows, signs):
+            return signs
+    if len(rows) > 20:
+        raise ValueError("undecided")
+    return _gh_exhaustive(A, rows)
+
+
+def _gh_valid(A, rows, signs) -> bool:
+    return bool(np.all(np.abs(np.asarray(signs, dtype=float) @ A[rows]) <= 1.0 + 1e-9))
+
+
+def _gh_constructive(A, rows, row_kinds):
+    kinds = [row_kinds[i] for i in rows]
+    has_center = any(k[0] == "card" for k in kinds)
+    group_rows: dict[int, list[int]] = {}
+    loc_rows: dict[object, dict[str, int]] = {}
+    signs = [0] * len(rows)
+    for t, k in enumerate(kinds):
+        if k[0] in ("range_lower", "range_upper"):
+            group_rows.setdefault(k[1], []).append(t)
+        elif k[0] in ("ball", "superball"):
+            loc_rows.setdefault(k[1], {})[k[0]] = t
+        elif k[0] == "card":
+            signs[t] = -1
+        else:
+            return None
+    for ts in group_rows.values():
+        if len(ts) == 2:
+            signs[ts[0]] = signs[ts[1]] = 1
+        else:
+            lower = kinds[ts[0]][0] == "range_lower"
+            signs[ts[0]] = 1 if lower != has_center else -1
+    for pair in loc_rows.values():
+        if "ball" in pair:
+            signs[pair["ball"]] = 1 if "superball" in pair else -1
+        if "superball" in pair:
+            signs[pair["superball"]] = 1
+    return signs
+
+
+def _gh_exhaustive(A, rows):
+    M = np.asarray(A)[rows].astype(np.int64)
+    r = len(rows)
+    chunk = 4096
+    for base in range(0, 1 << r, chunk):
+        hi = min(base + chunk, 1 << r)
+        idx = np.arange(base, hi, dtype=np.uint64)
+        bits = ((idx[:, None] >> np.arange(r, dtype=np.uint64)) & 1).astype(np.int64)
+        signs = 2 * bits - 1
+        hit = np.flatnonzero(np.all(np.abs(signs @ M) <= 1, axis=1))
+        if hit.size:
+            return [int(s) for s in signs[hit[0]]]
+    return None
+
+
+def bareiss_determinant(M) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    A = [[int(round(v)) for v in row] for row in M]
+    if any(abs(a - b) > 1e-9 for row, orig in zip(A, np.asarray(M, dtype=float))
+           for a, b in zip(row, orig)):
+        raise ValueError("matrix is not integral")
+    n = len(A)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+@dataclass
+class DeterminantReport:
+    checked: int
+    ok: bool
+    witness: tuple | None = None
+
+
+def submatrix_determinant_check(A: np.ndarray, trials: int, max_dim: int,
+                                seed: int = 0) -> DeterminantReport:
+    """Sample square submatrices and verify every determinant is -1, 0 or 1."""
+    A = np.asarray(A)
+    m, n = A.shape
+    rng = np.random.default_rng(seed)
+    top = min(max_dim, m, n)
+    for t in range(trials):
+        d = int(rng.integers(1, top + 1))
+        ri = rng.choice(m, size=d, replace=False)
+        ci = rng.choice(n, size=d, replace=False)
+        det = bareiss_determinant(A[np.ix_(ri, ci)])
+        if det not in (-1, 0, 1):
+            return DeterminantReport(t + 1, False, (tuple(ri), tuple(ci), det))
+    return DeterminantReport(trials, True)
+
+
+def _exact(v: float) -> Fraction:
+    if v == int(v):
+        return Fraction(int(v))
+    return Fraction(v).limit_denominator(10 ** 12)
+
+
+def _std_form_fractions(lp: LinearProgram):
+    """Equality standard form over Fractions, with the simplex's row order
+    and slack columns; returns (A, b, c, row senses)."""
+    norm = _normalized(lp)
+    m = len(norm.rhs)
+    M = np.zeros((m, lp.num_vars + m))
+    _write_standard(M, norm)
+    A = [[_exact(v) for v in row] for row in M.tolist()]
+    b = [_exact(v) for v in norm.rhs.tolist()]
+    c = [_exact(v) for v in lp.objective] + [Fraction(0)] * m
+    return A, b, c, norm.senses()
+
+
+def _frac_solve(B, rhs):
+    """Gaussian elimination over Fractions; returns None on singularity."""
+    n = len(B)
+    M = [row[:] + [rhs[i]] for i, row in enumerate(B)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k] != 0), None)
+        if piv is None:
+            return None
+        M[k], M[piv] = M[piv], M[k]
+        inv = M[k][k]
+        M[k] = [v / inv for v in M[k]]
+        for i in range(n):
+            if i != k and M[i][k] != 0:
+                f = M[i][k]
+                M[i] = [a - f * bk for a, bk in zip(M[i], M[k])]
+    return [M[i][n] for i in range(n)]
+
+
+@dataclass
+class RationalCheck:
+    agrees: bool
+    feasible: bool
+    optimal: bool
+    exact_objective: Fraction | None
+
+
+def recertify_rational(lp: LinearProgram, res: SimplexResult,
+                       tol: float = 1e-7) -> RationalCheck:
+    """Re-solve the returned basis exactly and certify optimality; only for
+    results of the in-package simplex, which carry a basis."""
+    if res.basis is None:
+        raise ValueError("result carries no basis")
+    A, b, c, senses = _std_form_fractions(lp)
+    cols = len(c)
+    basis = list(res.basis)
+    B = [[row[j] for j in basis] for row in A]
+    xb = _frac_solve(B, b)
+    if xb is None:
+        return RationalCheck(False, False, False, None)
+    x = [Fraction(0)] * cols
+    for j, val in zip(basis, xb):
+        x[j] = val
+    lhs = [sum(a * v for a, v in zip(row, x)) for row in A]
+    feasible = all(v >= 0 for v in x) and not any(
+        (sense == LEQ and h > bi) or (sense == GEQ and h < bi)
+        for h, sense, bi in zip(lhs, senses, b))
+    exact_obj = sum(cj * xj for cj, xj in zip(c, x))
+    agrees = res.objective is not None and abs(float(exact_obj) - res.objective) <= tol * (1 + abs(res.objective))
+    for j, val in zip(basis, xb):
+        v = float(val)
+        if j < lp.num_vars and abs(v - res.x[j]) > tol * (1 + abs(v)):
+            agrees = False
+    # duals: solve B^T y = c_B, then all reduced costs must be nonnegative
+    Bt = [[B[i][j] for i in range(len(B))] for j in range(len(B))]
+    cb = [c[j] for j in basis]
+    y = _frac_solve(Bt, cb)
+    base_set = set(basis)
+    optimal = y is not None and all(
+        c[j] - sum(y[i] * A[i][j] for i in range(len(A))) >= 0
+        for j in range(cols) if j not in base_set)
+    return RationalCheck(agrees, feasible, optimal, exact_obj)
+
+
+def enumerate_vertices_min(lp: LinearProgram, max_bases: int = 300_000) -> Fraction:
+    """Exact minimum over all basic feasible solutions, by enumeration:
+    exponential, for cross-checks on tiny programs only."""
+    A, b, c, _ = _std_form_fractions(lp)
+    m, cols = len(A), len(c)
+    if math.comb(cols, m) > max_bases:
+        raise ValueError("too many bases to enumerate")
+    best = None
+    for cand in itertools.combinations(range(cols), m):
+        B = [[A[i][j] for j in cand] for i in range(m)]
+        xb = _frac_solve(B, b)
+        if xb is None or any(v < 0 for v in xb):
+            continue
+        obj = sum(c[j] * v for j, v in zip(cand, xb))
+        if best is None or obj < best:
+            best = obj
+    if best is None:
+        raise ValueError("no feasible basis")
+    return best
+
+
+def flow_to_text(net: FlowNetwork, flows: np.ndarray | None = None) -> str:
+    """The network as text, its nodes named in build_flow_network's order."""
+    L = sum(a == net.s for a, _, _, _ in net.arcs) - 1
+    nF = len(net.open_arcs)
+    names = ["s", *(f"S{i + 1}" for i in range(L)), "pool", *(f"f{u}" for u in range(nF)),
+             *(f"g{j + 1}" for j in range(net.t1 - L - 2 - nF)), "t1", "t2"]
+    lines = [f"nodes {net.num_nodes}: " + " ".join(names)]
+    for i, (a, b, lo, hi) in enumerate(net.arcs):
+        line = f"{names[a]} -> {names[b]} [{lo}, {hi}]"
+        if flows is not None:
+            line += f" flow={int(flows[i])}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def power_triangle_check(x: float, ys: Sequence[float], lam: float, p: float) -> bool:
+    """Does (x + sum ys)^p <= (1+lam)^(p-1) x^p + ((1+lam) n / lam)^(p-1) sum ys^p hold?
+
+    All of x, ys must be nonnegative and lam positive.  Verified to a 1e-9
+    relative tolerance.
+    """
+    if x < 0 or any(y < 0 for y in ys) or lam <= 0 or p < 1:
+        raise ValueError("requires x, ys >= 0, lam > 0, p >= 1")
+    n = len(ys)
+    lhs = (x + sum(ys)) ** p
+    rhs = (1.0 + lam) ** (p - 1.0) * x ** p
+    if n:
+        rhs += ((1.0 + lam) * n / lam) ** (p - 1.0) * sum(y ** p for y in ys)
+    return lhs <= rhs * (1.0 + POWER_CHECK_TOL) + 1e-300
+
+
+def chain_power_check(end: float, legs: Sequence[float], p: float) -> bool:
+    """Does end^p <= r^(p-1) * sum legs^p hold for a length-r chain?"""
+    r = len(legs)
+    if r == 0:
+        return end <= 0.0
+    lhs = end ** p
+    rhs = r ** (p - 1.0) * sum(d ** p for d in legs)
+    return lhs <= rhs * (1.0 + POWER_CHECK_TOL) + 1e-300

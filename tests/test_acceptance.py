@@ -11,15 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from fairrange.instance import (RangeConstraints, chain_power_check,
-                                power_triangle_check)
-from fairrange.lp import ghouila_houri_check, submatrix_determinant_check
+from fairrange.instance import RangeConstraints
 from fairrange.pipeline import (brute_force_optimum, generate_figure1_instance,
                                 random_instance, random_ranges,
                                 solve_fair_range)
 from fairrange.round import extract_centers, solve_flow_lower_bounds
 
 from conftest import solve_stages
+from oracles import (chain_power_check, ghouila_houri_check, matrix_geq,
+                     power_triangle_check, structured_row_kinds,
+                     submatrix_determinant_check)
 
 SUITE1_SIZE = 500
 SUITE2_SIZE = 200
@@ -148,7 +149,8 @@ def test_criterion_05_unimodularity_evidence(sweep):
     failures = 0
     for i, entry in enumerate(sweep[:20]):
         slp = entry[3]
-        A = slp.matrix_geq().astype(int)
+        A = matrix_geq(slp).astype(int)
+        kinds = structured_row_kinds(slp)
         rep = submatrix_determinant_check(A, trials=1000, max_dim=8, seed=90 + i)
         checked += rep.checked
         if not rep.ok:
@@ -160,7 +162,7 @@ def test_criterion_05_unimodularity_evidence(sweep):
             subset = [int(r) for r in rng.choice(len(slp.rows), size=d,
                                                  replace=False)]
             try:
-                signs = ghouila_houri_check(A, subset, slp.row_kinds)
+                signs = ghouila_houri_check(A, subset, kinds)
             except ValueError:
                 signs = None
             if signs is None:

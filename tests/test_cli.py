@@ -184,6 +184,21 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == "invalid instance: distance d(p000, p001) = inf is not finite\n"
 
+    @pytest.mark.parametrize("section", ["facilities", "clients"])
+    @pytest.mark.parametrize("record", ["p1", "p1 1 2"])
+    def test_record_without_two_fields_exit_one(self, tmp_path, capsys, section, record):
+        # a one-field record raised IndexError out of the parser
+        lines = serialize_document(tiny_document()).splitlines()
+        at = lines.index(section + ":") + 2
+        lines[at] = "  " + record
+        path = tmp_path / "short.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"bad instance document: {section} record "
+                                f"{record!r} needs an id and an integer\n")
+
     def test_negative_demand_exit_one(self, tmp_path, capsys):
         # this printed a negative cost-p and exited 0
         doc = tiny_document()
@@ -278,6 +293,11 @@ class TestGenerateCommand:
     def test_bad_parameters_exit_one(self, capsys):
         assert main(["generate", "figure1", "--k", "5"]) == 1
         assert "multiple of 6" in capsys.readouterr().err
+        # k=0 and ell=0 divided by zero in the generators
+        assert main(["generate", "figure1", "--k", "0"]) == 1
+        assert capsys.readouterr().err.startswith("invalid parameters: k must be a positive")
+        assert main(["generate", "random", "--ell", "0"]) == 1
+        assert capsys.readouterr().err.startswith("invalid parameters: need at least one group")
 
 
 class TestBenchCommand:
@@ -307,3 +327,8 @@ class TestBenchCommand:
         assert main(["bench", "--grid", "40:12:2", "--p", "1",
                      "--seeds", "1"]) == 1
         assert "budget" in capsys.readouterr().err
+
+    def test_zero_groups_exit_one(self, capsys):
+        # a cell with l=0 divided by zero in random_instance
+        assert main(["bench", "--grid", "6:2:0", "--seeds", "1"]) == 1
+        assert capsys.readouterr().err.startswith("bench failed: ")

@@ -11,15 +11,14 @@ from fairrange.instance import (
     MetricInstance,
     RangeConstraints,
     build_center_solution,
-    chain_power_check,
     check_range_feasibility,
     clustering_cost,
     instance_from_coords,
-    power_triangle_check,
     validate_instance,
 )
 
 from conftest import line_instance, matrix_instance
+from oracles import chain_power_check, power_triangle_check
 
 # a numpy invalid-value warning in instance code is a fault, not noise
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

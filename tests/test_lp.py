@@ -22,30 +22,26 @@ from fairrange.lp import (
     LEQ,
     MAX_ITERS,
     PIVOT_TOL,
-    DeterminantReport,
     LinearProgram,
     Row,
     SimplexResult,
-    _exact,
     _solve_scipy,
-    _std_form_fractions,
     _violation,
-    bareiss_determinant,
     build_fair_range_lp,
     build_structured_lp,
-    enumerate_vertices_min,
-    ghouila_houri_check,
-    recertify_rational,
     scale_doubled,
     solve_lp,
     solve_vertex,
     split_fair_solution,
-    structured_column_profile,
-    submatrix_determinant_check,
 )
 from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 
-from conftest import assert_same_program, lp_from_rows, same_opening_program
+from conftest import (assert_same_program, groups_of, lp_from_rows,
+                      reference_build_structured_lp, same_opening_program, solve_stages)
+from oracles import (_exact, _std_form_fractions, assignment_row_kinds, bareiss_determinant,
+                     enumerate_vertices_min, ghouila_houri_check, matrix_geq,
+                     recertify_rational, structured_column_profile, structured_row_kinds,
+                     submatrix_determinant_check)
 
 
 def simple_lp(c, rows, ub=None):
@@ -184,7 +180,7 @@ class TestFairRangeBuilder:
         lp = self.build_line(1, ((0, 1), (0, 1)))
         assert lp.num_vars == 6
         assert len(lp.rows) == 1 + 4 + 1 + 3
-        kinds = [k[0] for k in lp.row_kinds]
+        kinds = [k[0] for k in assignment_row_kinds(lp, 1)]
         assert kinds == ["cover", "range_lower", "range_upper", "range_lower",
                          "range_upper", "card", "link", "link", "link"]
         assert np.all(lp.upper[:3] == np.inf)
@@ -232,10 +228,10 @@ class TestStructuredBuilder:
 
     def test_row_layout(self):
         lp, _ = tiny_structured()
-        kinds = [k[0] for k in lp.row_kinds]
+        kinds = [k[0] for k in structured_row_kinds(lp)]
         assert kinds == ["range_lower", "range_upper", "range_lower", "range_upper",
                          "card", "ball", "ball", "superball", "superball"]
-        ball_rows = [r for r, k in zip(lp.rows, lp.row_kinds) if k[0] == "ball"]
+        ball_rows = [r for r, k in zip(lp.rows, kinds) if k == "ball"]
         assert all(r.rhs == 0.5 for r in ball_rows)
 
     def test_optimum_matches_hand_value(self):
@@ -251,7 +247,7 @@ class TestStructuredBuilder:
             dp, [2.0], [1, 1, 1], 1, ((0, 3),),
             balls=[[0, 1]], supers=[[0, 1, 2]], nn_dist_pow=None)
         assert lp.objective == pytest.approx([2.0, 4.0, 6.0])
-        ball = [r for r, k in zip(lp.rows, lp.row_kinds) if k[0] == "ball"]
+        ball = [r for r, k in zip(lp.rows, structured_row_kinds(lp)) if k[0] == "ball"]
         assert ball[0].rhs == 1.0
 
     def test_single_location_requires_flag(self):
@@ -276,18 +272,19 @@ class TestStructuredBuilder:
 class TestUnimodularity:
     def test_constructive_signing_all_subsets(self):
         lp, _ = tiny_structured()
-        A = lp.matrix_geq().astype(int)
+        A = matrix_geq(lp).astype(int)
+        kinds = structured_row_kinds(lp)
         nrows = len(lp.rows)
         for size in range(1, nrows + 1):
             for subset in itertools.combinations(range(nrows), size):
-                signs = ghouila_houri_check(A, subset, lp.row_kinds)
+                signs = ghouila_houri_check(A, subset, kinds)
                 assert signs is not None
                 total = np.array(signs) @ A[list(subset)]
                 assert np.all(np.abs(total) <= 1)
 
     def test_exhaustive_matches_constructive(self):
         lp, _ = tiny_structured()
-        A = lp.matrix_geq().astype(int)
+        A = matrix_geq(lp).astype(int)
         subset = list(range(len(lp.rows)))
         blind = ghouila_houri_check(A, subset)   # no kind hints
         assert blind is not None
@@ -313,7 +310,7 @@ class TestUnimodularity:
 
     def test_submatrix_check_clean_structured(self):
         lp, _ = tiny_structured()
-        A = lp.matrix_geq()
+        A = matrix_geq(lp)
         rep = submatrix_determinant_check(A, trials=400, max_dim=6, seed=11)
         assert rep.ok and rep.checked == 400
 
@@ -942,8 +939,8 @@ class TestMergedLoopMatchesReference:
         assert len(checked) >= 8 and set(checked) == {"optimal"}
 
 
-# LinearProgram.matrix_geq and _std_form_fractions as they were before they
-# read the rows as arrays, kept as the references for that change.
+# matrix_geq and _std_form_fractions as they were before they read the rows
+# as arrays, kept as the references for that change.
 def loop_matrix_geq(lp):
     A = np.zeros((len(lp.rows), lp.num_vars))
     for i, row in enumerate(lp.rows):
@@ -973,7 +970,7 @@ class TestRowReadersMatchLoops:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(small_programs())
     def test_matrix_geq(self, lp):
-        got, want = lp.matrix_geq(), loop_matrix_geq(lp)
+        got, want = matrix_geq(lp), loop_matrix_geq(lp)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_matrix_geq_on_structured_programs(self, monkeypatch):
@@ -992,7 +989,7 @@ class TestRowReadersMatchLoops:
             solve_fair_range(inst, random_ranges(seed, inst, 4, 3))
         assert len(programs) == 5
         for prog in programs:
-            assert prog.matrix_geq().tobytes() == loop_matrix_geq(prog).tobytes()
+            assert matrix_geq(prog).tobytes() == loop_matrix_geq(prog).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(small_programs())
@@ -1006,10 +1003,12 @@ class TestRowReadersMatchLoops:
 # The Row-based assignment builder and scale_doubled as they were before the
 # program held its rows as CSR arrays, kept as the references for that
 # change (the structured builder's reference is in conftest): the bodies are
-# verbatim except that their LinearProgram call became lp_from_rows, and the
-# y cap, a parameter no caller set, became the 1 it always was.
+# verbatim except that their LinearProgram call became lp_from_rows, the
+# y cap, a parameter no caller set, became the 1 it always was, and the
+# assignment builder returns the row tags the program held then beside it.
 def reference_build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
-                                  k: int, ranges: Sequence[tuple[int, int]]) -> LinearProgram:
+                                  k: int, ranges: Sequence[tuple[int, int]]
+                                  ) -> tuple[LinearProgram, list[tuple]]:
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
     if len(w) != nD or len(groups) != nF:
@@ -1038,13 +1037,22 @@ def reference_build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Se
             kinds.append(("link", v, u))
     upper = np.full(nv, np.inf)
     upper[nx:] = 1.0
-    return lp_from_rows(nv, c, rows, upper=upper, row_kinds=kinds)
+    return lp_from_rows(nv, c, rows, upper=upper), kinds
 
 
 def reference_scale_doubled(lp: LinearProgram) -> LinearProgram:
     rows = [Row(r.coeffs, r.sense, 2.0 * r.rhs) for r in lp.rows]
-    return lp_from_rows(lp.num_vars, lp.objective.copy(), rows, upper=2.0 * lp.upper,
-                        row_kinds=lp.row_kinds)
+    return lp_from_rows(lp.num_vars, lp.objective.copy(), rows, upper=2.0 * lp.upper)
+
+
+def same_assignment_program(args):
+    """build_fair_range_lp(*args) against the Row-based reference: arrays
+    bit for bit, and the row tags the oracles rebuild against the
+    reference's."""
+    lp = build_fair_range_lp(*args)
+    want, kinds = reference_build_fair_range_lp(*args)
+    assert_same_program(lp, want)
+    assert assignment_row_kinds(lp, len(args[1])) == kinds
 
 
 @st.composite
@@ -1075,9 +1083,7 @@ class TestArrayBuildersMatchRows:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(builder_inputs())
     def test_bit_identical_to_row_builders(self, args):
-        dp, w, groups, k, ranges, balls, supers, nn = args
-        assert_same_program(build_fair_range_lp(dp, w, groups, k, ranges),
-                            reference_build_fair_range_lp(dp, w, groups, k, ranges))
+        same_assignment_program(args[:5])
         same_opening_program(args)
         lp, _ = build_structured_lp(*args)
         assert_same_program(scale_doubled(lp), reference_scale_doubled(lp))
@@ -1085,34 +1091,53 @@ class TestArrayBuildersMatchRows:
     def test_bit_identical_on_solver_fronts(self, monkeypatch):
         seen = []
 
-        def checked(new, ref):
-            def build(*args, **kw):
-                out = new(*args, **kw)
-                assert_same_program(out, ref(*args, **kw))
-                seen.append(new.__name__)
-                return out
-            return build
+        def assignment(*args):
+            same_assignment_program(args)
+            seen.append("build_fair_range_lp")
+            return build_fair_range_lp(*args)
+
+        def doubled(lp):
+            out = scale_doubled(lp)
+            assert_same_program(out, reference_scale_doubled(lp))
+            seen.append("scale_doubled")
+            return out
 
         def opening(*args):
             same_opening_program(args)
             seen.append("build_structured_lp")
             return build_structured_lp(*args)
 
-        monkeypatch.setattr(fairrange.pipeline, "build_fair_range_lp",
-                            checked(build_fair_range_lp, reference_build_fair_range_lp))
+        monkeypatch.setattr(fairrange.pipeline, "build_fair_range_lp", assignment)
         monkeypatch.setattr(fairrange.round, "build_structured_lp", opening)
-        monkeypatch.setattr(fairrange.round, "scale_doubled",
-                            checked(scale_doubled, reference_scale_doubled))
+        monkeypatch.setattr(fairrange.round, "scale_doubled", doubled)
         for seed in range(6):
             inst = random_instance(seed, 12 + seed, 2 + seed % 2, 1.0 + seed % 3)
             solve_fair_range(inst, random_ranges(seed, inst, 3, 2 + seed % 2))
         assert seen.count("build_fair_range_lp") == 6
         assert seen.count("build_structured_lp") == seen.count("scale_doubled") >= 5
 
+    def test_rebuilt_row_tags_match_the_reference_builders_on_real_solves(self):
+        # the Ghouila-Houri evidence reads these tags against the rows of
+        # the programs a solve builds
+        for seed in range(4):
+            inst = random_instance(seed, 14, 2 + seed % 2, 1.0 + seed % 3)
+            rc = random_ranges(seed, inst, 3, 2 + seed % 2)
+            out = solve_stages(inst, rc, "structured_program")
+            red, ss, groups = out["reduce_locations"], out["enforce_structure"], groups_of(inst)
+            _, kinds = reference_build_fair_range_lp(red.fac_dist_p, red.weights, groups,
+                                                     rc.k, rc.ranges)
+            assert assignment_row_kinds(out["build_fair_range_lp"], len(red.weights)) == kinds
+            sp = ss.sp
+            _, _, kinds = reference_build_structured_lp(
+                sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
+                ss.territories, None if ss.single else ss.nn_dist ** sp.p)
+            assert structured_row_kinds(out["structured_program"][0]) == kinds
+            assert kinds.count(("card",)) == 1 and ("ball", 1) in kinds
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(small_programs())
     def test_rows_round_trip(self, lp):
-        again = lp_from_rows(lp.num_vars, lp.objective, lp.rows, lp.upper, lp.row_kinds)
+        again = lp_from_rows(lp.num_vars, lp.objective, lp.rows, lp.upper)
         assert_same_program(again, lp)
         assert repr(again.rows) == repr(lp.rows)
 

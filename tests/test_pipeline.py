@@ -377,6 +377,9 @@ class TestFigure1:
             generate_figure1_instance(6, 24, 1.0, 3.0)
         with pytest.raises(ValueError, match="M > m"):
             generate_figure1_instance(6, 24, 2.0, 1.0)
+        for k in (0, -6):       # 0 passed as a multiple of 6 and divided by zero
+            with pytest.raises(ValueError, match="positive multiple of 6"):
+                generate_figure1_instance(k, 24, 1.0, 2.0)
 
     def test_metric_instantiation_validates(self):
         fig = generate_figure1_instance(6, 24, 1.0, 2.0)
@@ -449,12 +452,21 @@ def test_random_instance_ids_sort_in_matrix_order():
     assert list(ids) == sorted(ids)
 
 
+@pytest.mark.parametrize("ell", [0, -1])
+def test_random_instance_refuses_fewer_than_one_group(ell):
+    # ell=0 divided by zero when labelling the points
+    with pytest.raises(ValueError, match="at least one group"):
+        random_instance(0, 8, ell, 1.0)
+
+
 def test_small_solve_imports_no_scipy():
-    # below the HiGHS cutover the solver must not pay for importing scipy
+    # below the HiGHS cutover the solver must not pay for importing scipy,
+    # and no solve needs the exact arithmetic of fractions and decimal
     code = ("import sys, fairrange\n"
             "inst = fairrange.random_instance(4, 15, 3, 2.0)\n"
             "fairrange.solve_fair_range(inst, fairrange.random_ranges(4, inst, 4, 3))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))\n")
     src = os.path.dirname(os.path.dirname(fairrange.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -16,7 +16,6 @@ from fairrange.round import (
     FacilityPartition,
     build_flow_network,
     extract_centers,
-    flow_to_text,
     half_integral_assignment,
     half_integral_cost,
     partition_facilities,
@@ -32,6 +31,7 @@ from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, StructuredSolution,
 from conftest import (assert_same_program, feasible_ranges, groups_of, line_instance,
                       lp_from_rows, manual_sp, random_fair_instance,
                       reference_build_structured_lp, same_opening_program, solve_stages)
+from oracles import flow_to_text, structured_row_kinds
 
 
 def random_fronts(seed, count, sizes=(8, 14), p_values=(1.0, 2.0)):
@@ -135,7 +135,7 @@ def free_columns(lp):
     column's group, read off the row tags."""
     touched = np.zeros(lp.num_vars, dtype=bool)
     group = np.zeros(lp.num_vars, dtype=int)
-    for row, kind in zip(lp.rows, lp.row_kinds):
+    for row, kind in zip(lp.rows, structured_row_kinds(lp)):
         cols = [j for j, _ in row.coeffs]
         if kind[0] in ("ball", "superball"):
             touched[cols] = True
@@ -152,7 +152,7 @@ def check_merged_matches_full(args):
     infeasible.
     """
     lp, members = build_structured_lp(*args)
-    full, _ = reference_build_structured_lp(*args)
+    full, _, _ = reference_build_structured_lp(*args)
     vertex = solve_vertex(scale_doubled(full))
     if vertex.status == "infeasible":
         with pytest.raises(OpeningInfeasibleError):
@@ -328,7 +328,7 @@ class TestMergedOpeningLP:
         monkeypatch.setattr(fairrange.round, "solve_vertex", vertex)
         solve_fair_range(inst, rc)
         (args,) = built
-        full, _ = reference_build_structured_lp(*args)
+        full, _, _ = reference_build_structured_lp(*args)
         free, group = free_columns(full)
         assert full.num_vars == 300
         assert widths == [int(np.sum(~free)) + len(set(group[free].tolist()))]
@@ -491,7 +491,8 @@ class TestFlow:
         assert len(net.arcs) == 19
         assert net.arcs[2][3] == rc.k - part.count
         text = flow_to_text(net)
-        assert text.count("->") == 19 and "pool" in text
+        assert text.count("->") == 19
+        assert text.splitlines()[0] == "nodes 13: s S1 S2 pool f0 f1 f2 f3 f4 g1 g2 t1 t2"
 
     def test_budget_overrun_rejected(self):
         part = toy_partition({0: (0,), 1: (1,), 2: (2,)})
