@@ -211,12 +211,6 @@ def cmd_solve(args) -> int:
         return 1
     try:
         inst, rc = document_to_instance(doc)
-        if args.p is not None:
-            inst = dataclasses.replace(inst, p=args.p)    # shares the read-only dist
-        if args.k is not None or args.ranges is not None:
-            rc = RangeConstraints(
-                args.k if args.k is not None else rc.k,
-                _parse_ranges(args.ranges) if args.ranges is not None else rc.ranges)
         report_v = validate_instance(inst)
         if not report_v.ok and not args.allow_nonmetric:
             for v in report_v.violations[:5]:
@@ -224,6 +218,16 @@ def cmd_solve(args) -> int:
             return 1
     except (ValueError, KeyError) as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
+        return 1
+    try:
+        if args.p is not None:
+            inst = dataclasses.replace(inst, p=args.p)    # shares the read-only dist
+        if args.k is not None or args.ranges is not None:
+            rc = RangeConstraints(
+                args.k if args.k is not None else rc.k,
+                _parse_ranges(args.ranges) if args.ranges is not None else rc.ranges)
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
     cfg = SolverConfig(rel_tol=SolverConfig.rel_tol if args.tol_override is None
                        else args.tol_override)

@@ -456,22 +456,22 @@ def split_fair_solution(x_flat: np.ndarray, nD: int, nF: int) -> tuple[np.ndarra
 def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
                         k: int, ranges: Sequence[tuple[int, int]],
                         balls: Sequence[Sequence[int]],
-                        supers: Sequence[Sequence[int]],
-                        nn_dist_pow: Sequence[float] | None
+                        territories: Sequence[Sequence[int]],
+                        base_pow: Sequence[float], ball_need: Sequence[float]
                         ) -> tuple[LinearProgram, list[np.ndarray]]:
-    """Opening LP over y alone, shaped by the per-location super balls.
+    """Opening LP over y alone, shaped by the per-location territories.
 
-    For several locations the per-location term is
+    The per-location term is
         d(v, v')^p + sum_{u in P(v)} (d(v,u)^p - d(v,v')^p) y_u,
-    where v' is the nearest other surviving location.  The objective holds
-    the sum alone, as the constant moves no optimum; half_integral_cost
-    prices a point in full.  With a single location there is no v'; the
-    term degenerates to sum d(v,u)^p y_u over P(v) and the in-ball mass
-    requirement tightens from 1/2 to 1.  Rows appear as: a lower and an
-    upper range row per group, the cardinality row, one ball row per
-    location, then one super ball row per location.
+    where v' is the nearest other surviving location, d(v, v')^p is
+    base_pow[v] and P(v) the territory.  The objective holds the sum alone,
+    as the constant moves no optimum; half_integral_cost prices a point in
+    full.  Rows appear as: a lower and an upper range row per group, the
+    cardinality row, one ball row per location (at least ball_need[v]),
+    then one territory row per location (at most 1).  With no v' the
+    caller passes base 0 and need 1, and the term is sum d(v,u)^p y_u.
 
-    A free facility, in no ball or super ball, costs nothing and meets only
+    A free facility, in no ball or territory, costs nothing and meets only
     its group's range rows and the card row, so the free facilities of a
     group are one column (duplicate-column merging, Andersen & Andersen,
     "Presolving in linear programming", 1995), placed where the first of
@@ -482,18 +482,14 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     """
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
-    single = nn_dist_pow is None
-    if single and nD != 1:
-        raise ValueError("nn_dist_pow required when several locations survive")
     c = np.zeros(nF)
     for v in range(nD):
-        base = 0.0 if single else nn_dist_pow[v]
-        for u in supers[v]:
-            c[u] += w[v] * (dp[v, u] - base)
+        for u in territories[v]:
+            c[u] += w[v] * (dp[v, u] - base_pow[v])
     label = np.asarray(groups)
-    ball_sets = [np.asarray(s, dtype=np.intp) for s in (*balls, *supers)]
+    ball_sets = [np.asarray(s, dtype=np.intp) for s in (*balls, *territories)]
     free = np.ones(nF, dtype=bool)
-    free[np.concatenate(ball_sets)] = False
+    free[np.concatenate([np.zeros(0, dtype=np.intp), *ball_sets])] = False
     # each free facility joins the first free facility of its group
     head = np.arange(nF)
     cols = np.flatnonzero(free)
@@ -503,7 +499,7 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     members = np.split(np.argsort(col_of, kind="stable"), np.cumsum(np.bincount(col_of))[:-1])
     sets, rhs, geq = _range_card_rows(label[keep], k, ranges, 0)
     indptr, indices = _unit_rows([*sets, *(col_of[s] for s in ball_sets)])
-    rhs += [1.0 if single else 0.5] * nD + [1.0] * nD
+    rhs += [*ball_need] + [1.0] * nD
     geq += [True] * nD + [False] * nD
     lp = LinearProgram(len(keep), c[keep], indptr, indices, np.ones(len(indices)),
                        np.array(rhs), np.array(geq), np.bincount(col_of))

@@ -26,10 +26,10 @@ from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
                        instance_from_coords)
 from .lp import build_fair_range_lp, solve_lp, split_fair_solution
-from .round import (half_integral_assignment, half_integral_cost, select_centers,
-                    solve_half_integral, structured_program)
+from .round import (half_integral_cost, select_centers, solve_half_integral,
+                    structured_program)
 from .sparsify import canonical_assignment, sparsify
-from .structure import (build_super_balls, enforce_structure,
+from .structure import (build_super_balls, enforce_structure, fill_service,
                         reassign_private_facilities)
 
 ORACLE_BUDGET = 10_000_000
@@ -258,7 +258,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
         stage_costs["half_integral"] = half_integral_cost(ss, half.y)
         diagnostics["snap_deviation"] = half.snap_deviation
         lap("half_integral")
-        x_tilde = half_integral_assignment(ss, half.y)
+        x_tilde = fill_service(sp, ss.supers, ss.peer_balls, half.y)
         centers_idx, part, _ = select_centers(ss, x_tilde, groups, rc)
         stage_costs["assignment"] = sp.assignment_cost(x_tilde)
         diagnostics["partition_sets"] = part.count
@@ -360,8 +360,8 @@ def generate_figure1_instance(k: int, n: int, m: float, M: float, *,
         raise ValueError("need M > m > 0")
     if k < 6 or k % 6 != 0:
         raise ValueError("k must be a positive multiple of 6")
-    if n % 2 != 0 or (3 * n) % (4 * k) != 0:
-        raise ValueError("n must split into 2k/3 blue clusters of size 3n/(4k)")
+    if n <= 0 or n % 2 != 0 or (3 * n) % (4 * k) != 0:
+        raise ValueError(f"n={n} must split into 2k/3 blue clusters of size 3n/(4k) >= 1")
     if M > 2.0 * m and not allow_nonmetric:
         raise ValueError(f"M={M} > 2m breaks the triangle inequality; "
                          "pass allow_nonmetric to build it anyway")

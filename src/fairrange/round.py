@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import NoIntegralSelectionError, OpeningInfeasibleError, StageError
 from .lp import LinearProgram, build_structured_lp, scale_doubled, solve_vertex
-from .structure import SUPPORT_TOL as MASS_TOL
-from .structure import StructuredSolution, fill_nearest
+from .structure import StructuredSolution
 
 SNAP_TOL = 1e-6
 SUPPORT_TOL = 1e-9
@@ -25,16 +24,10 @@ SUPPORT_TOL = 1e-9
 def structured_program(ss: StructuredSolution, fac_groups,
                        rc) -> tuple[LinearProgram, list[np.ndarray]]:
     """Opening program and its columns' facilities for an already
-    structured solution.
-
-    With a single survivor the serving territory collapses to the ball:
-    a full unit must open there, and everything else, privates included,
-    stays free for the range rows at zero service cost.
-    """
+    structured solution."""
     sp = ss.sp
-    nn_pow = None if ss.single else ss.nn_dist ** sp.p
     return build_structured_lp(sp.fac_dist_p, sp.weights, fac_groups, rc.k, rc.ranges,
-                               sp.balls, ss.territories, nn_pow)
+                               sp.balls, ss.territories, ss.base_pow, ss.ball_need)
 
 
 @dataclass(frozen=True)
@@ -94,42 +87,13 @@ def half_integral_cost(ss: StructuredSolution, y: np.ndarray) -> float:
     out the constant sum of w_v d(v,v')^p; objective plus constant cancels
     to 0 at large p.  Per location this sums
         w_v [sum_{u in P(v)} d(v,u)^p y_u + (1 - sum_{u in P(v)} y_u) d(v,v')^p]
-    instead; the super ball rows cap the mass over P(v) at 1, so no term is
-    negative.  With a single survivor it is sum w d^p y over the ball.
+    instead; the territory rows cap the mass over P(v) at 1, so no term is
+    negative.  With no peer the base cost is 0.
     """
     sp = ss.sp
     own = np.array([sp.fac_dist_p[v, t] @ y[t] for v, t in enumerate(ss.territories)])
-    if not ss.single:
-        mass = np.array([y[t].sum() for t in ss.territories])
-        own += (1.0 - mass) * ss.nn_dist ** sp.p
-    return float(sp.weights @ own)
-
-
-def half_integral_assignment(ss: StructuredSolution, y: np.ndarray) -> np.ndarray:
-    """Service rows for the half-integral openings.
-
-    Copy y over each territory, then top the row up from the neighbor
-    ball, nearest facilities first, each take capped by the opening mass.
-    All masses are halves, so every row lands on exactly 1.
-    """
-    sp = ss.sp
-    D = sp.fac_dist
-    x = np.zeros(sp.x.shape)
-    for v, territory in enumerate(ss.territories):
-        x[v, territory] = y[territory]
-        rem = 1.0 - float(x[v].sum())
-        if rem <= 1e-12:
-            if rem < -1e-7:
-                raise StageError("round", f"super ball mass above one at {v}")
-            continue
-        if ss.single:
-            raise StageError("round", f"single survivor short of mass {rem:.3g}")
-        order = sorted(sp.balls[ss.nn_idx[v]].tolist(), key=lambda t: (D[v, t], t))
-        rem, _ = fill_nearest(x[v], order, y, rem)
-        if rem > MASS_TOL:
-            raise StageError("round",
-                             f"location {sp.location_ids[v]} short of mass {rem:.3g}")
-    return x
+    mass = np.array([y[t].sum() for t in ss.territories])
+    return float(sp.weights @ (own + (1.0 - mass) * ss.base_pow))
 
 
 @dataclass(frozen=True)
@@ -314,7 +278,7 @@ def extract_centers(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
 def select_centers(ss: StructuredSolution, x_tilde: np.ndarray,
                    fac_groups, rc) -> tuple[np.ndarray, FacilityPartition, FlowNetwork]:
     """Partition, flow, and extraction in one step, on the service rows
-    x_tilde that half_integral_assignment gives for the openings."""
+    x_tilde that fill_service gives for the half-integral openings."""
     part = partition_facilities(ss.sp, x_tilde)
     net = build_flow_network(part, len(ss.sp.facility_ids), fac_groups, rc)
     flows = solve_flow_lower_bounds(net)

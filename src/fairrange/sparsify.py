@@ -150,8 +150,6 @@ class SparsifiedInstance:
         Nonnegative up to float slack when consolidation ran correctly.
         """
         m = len(self.location_ids)
-        if m < 2:
-            return np.inf
         D = self.loc_dist
         sep = separation_multiplier(self.p)
         worst = np.inf

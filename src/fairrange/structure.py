@@ -9,7 +9,8 @@ are refilled inside their own balls at a bounded detour.  Second, each
 survivor's territory is formed from its ball plus the out-of-ball
 facilities now serving it alone.  Third, openings that sit more than
 twice the peer distance away are closed and every service row is rebuilt
-greedily from the surviving openings, nearest facilities first.
+greedily from the surviving openings, nearest facilities first; stage 5
+rebuilds its rows from the half-integral openings with the same fill.
 """
 from __future__ import annotations
 
@@ -132,24 +133,46 @@ def build_super_balls(x2: np.ndarray, balls: Sequence[np.ndarray]) -> list[np.nd
 
 @dataclass
 class StructuredSolution:
+    """Structured openings and service, and what each survivor is priced
+    against.  A survivor's peer is its nearest other survivor; with fewer
+    than two survivors there is none, its peer ball is empty, its peer
+    distance inf, its base cost 0, and its ball alone is its territory."""
     sp: SparsifiedInstance
-    nn_idx: np.ndarray | None
-    nn_dist: np.ndarray | None
     supers: list[np.ndarray]
+    territories: list[np.ndarray]   # the opening program's: super ball, or ball
+    peer_balls: list[np.ndarray]
+    peer_dist: np.ndarray           # d(v, v')
+    base_pow: np.ndarray            # d(v, v')^p
+    ball_need: np.ndarray           # in-ball opening mass: 1/2, or 1 with no peer
     y_bar: np.ndarray
     x_bar: np.ndarray
     cost_p: float
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def single(self) -> bool:
-        return self.nn_idx is None
 
-    @property
-    def territories(self) -> list[np.ndarray]:
-        """What each survivor's service copies its openings over: its super
-        ball, or with a single survivor the ball alone."""
-        return [self.sp.balls[0]] if self.single else self.supers
+def fill_service(sp: SparsifiedInstance, supers: Sequence[np.ndarray],
+                 peer_balls: Sequence[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """Service rows for the openings y, one unit per survivor.
+
+    Each row is filled from the survivor's own ball, then its private
+    facilities (its super ball outside the ball), then its peer ball,
+    each nearest facility first with ties to the lower index, each take
+    capped by y.  On half-integral openings, where the opening program
+    caps each territory's mass at one unit, this copies y over the
+    territory and tops the row up from the peer ball.
+    """
+    D = sp.fac_dist
+    x = np.zeros((len(supers), len(y)))
+    for v, (ball, peer) in enumerate(zip(sp.balls, peer_balls)):
+        in_ball = set(ball.tolist())
+        priv = [u for u in supers[v].tolist() if u not in in_ball]
+        order = [t for part in (ball.tolist(), priv, peer.tolist())
+                 for t in sorted(part, key=lambda t: (D[v, t], t))]
+        rem, _ = fill_nearest(x[v], order, y, 1.0)
+        if rem > SUPPORT_TOL:
+            raise StageError("structure",
+                             f"location {sp.location_ids[v]} short of mass {rem:.3g}")
+    return x
 
 
 def enforce_structure(x2: np.ndarray, y: np.ndarray,
@@ -159,47 +182,41 @@ def enforce_structure(x2: np.ndarray, y: np.ndarray,
 
     Openings survive untouched except for private facilities beyond twice
     the peer distance, which are closed outright.  Each survivor's service
-    row is then refilled to one unit from scratch: own ball first, then
-    surviving privates, then the peer's ball, always nearest facility
-    first with ties to the lower index, each take capped by the opening
-    mass.  The peer ball's half unit always covers what the territory
-    cannot, so the fill never comes up short on a carried solution.
+    row is then refilled to one unit from scratch by fill_service.  The
+    peer ball's half unit always covers what the territory cannot, so the
+    fill never comes up short on a carried solution.  Whether a survivor
+    has a peer is decided here, once, for every later stage.
     """
-    m, F = x2.shape
+    m = len(x2)
     D = sp.fac_dist
-    nn_idx, nn_dist = nearest_surviving(sp.loc_dist)
+    nn_idx, peer_dist = nearest_surviving(sp.loc_dist)
     y_bar = np.clip(np.asarray(y, dtype=float).copy(), 0.0, 1.0)
     supers = [np.asarray(mem, dtype=int).copy() for mem in supers]
-    ball_sets = [set(b.tolist()) for b in sp.balls]
     diagnostics = {"pruned": 0.0, "rerouted": 0.0}
 
-    if nn_idx is not None:
+    if nn_idx is None:
+        # no peer: nothing to prune against, and the ball must open a full unit
+        territories, peer_balls = list(sp.balls), [np.zeros(0, dtype=int)] * m
+        peer_dist, base_pow, ball_need = np.full(m, np.inf), np.zeros(m), np.ones(m)
+    else:
         for v in range(m):
+            ball = set(sp.balls[v].tolist())
             keep = []
             for u in supers[v].tolist():
-                if u not in ball_sets[v] and D[v, u] > 2.0 * nn_dist[v] + GEOM_TOL:
+                if u not in ball and D[v, u] > 2.0 * peer_dist[v] + GEOM_TOL:
                     diagnostics["pruned"] += float(y_bar[u])
                     y_bar[u] = 0.0
                     continue
                 keep.append(u)
             supers[v] = np.asarray(keep, dtype=int)
+        territories, peer_balls = supers, [sp.balls[w] for w in nn_idx]
+        base_pow, ball_need = peer_dist ** sp.p, np.full(m, 0.5)
 
-    x_bar = np.zeros_like(x2)
-    for v in range(m):
-        own = sorted(sp.balls[v].tolist(), key=lambda t: (D[v, t], t))
-        priv = sorted((u for u in supers[v].tolist() if u not in ball_sets[v]),
-                      key=lambda t: (D[v, t], t))
-        peer = [] if nn_idx is None else sorted(
-            sp.balls[nn_idx[v]].tolist(), key=lambda t: (D[v, t], t))
-        rem, _ = fill_nearest(x_bar[v], own + priv + peer, y_bar, 1.0)
-        if rem > SUPPORT_TOL:
-            raise StageError("structure",
-                             f"location {sp.location_ids[v]} short of mass {rem:.3g}")
-
+    x_bar = fill_service(sp, supers, peer_balls, y_bar)
     cost = sp.assignment_cost(x_bar)
     diagnostics["rerouted"] = float(np.abs(x_bar - x2).sum()) / 2.0
-    return StructuredSolution(sp, nn_idx, nn_dist, supers, y_bar, x_bar,
-                              cost, diagnostics)
+    return StructuredSolution(sp, supers, territories, peer_balls, peer_dist, base_pow,
+                              ball_need, y_bar, x_bar, cost, diagnostics)
 
 
 def verify_structured(ss: StructuredSolution) -> list[str]:
@@ -229,9 +246,7 @@ def verify_structured(ss: StructuredSolution) -> list[str]:
                 out.append(f"cover: open facility {u} belongs to no territory")
 
     for v in range(m):
-        allowed = set(ss.supers[v].tolist())
-        if not ss.single:
-            allowed |= set(sp.balls[ss.nn_idx[v]].tolist())
+        allowed = set(ss.supers[v].tolist()) | set(ss.peer_balls[v].tolist())
         for u in np.nonzero(ss.x_bar[v] > SUPPORT_TOL)[0]:
             if u not in allowed:
                 out.append(f"support: {sp.location_ids[v]} served from outside "
@@ -243,12 +258,11 @@ def verify_structured(ss: StructuredSolution) -> list[str]:
         if got < 0.5 - SUPPORT_TOL:
             out.append(f"ball-mass: {sp.location_ids[v]} has {got:.6f} < 0.5")
 
-    if not ss.single:
-        for v in range(m):
-            far = [u for u in ss.supers[v]
-                   if ss.y_bar[u] > SUPPORT_TOL and D[v, u] > 2.0 * ss.nn_dist[v] + GEOM_TOL]
-            if far:
-                out.append(f"radius: territory of {sp.location_ids[v]} reaches too far")
+    for v in range(m):
+        far = [u for u in ss.supers[v]
+               if ss.y_bar[u] > SUPPORT_TOL and D[v, u] > 2.0 * ss.peer_dist[v] + GEOM_TOL]
+        if far:
+            out.append(f"radius: territory of {sp.location_ids[v]} reaches too far")
 
     for v in range(m):
         super_set = set(ss.supers[v].tolist())
@@ -274,14 +288,12 @@ def verify_structured(ss: StructuredSolution) -> list[str]:
     if np.any(ss.y_bar < -GEOM_TOL) or np.any(ss.y_bar > 1.0 + GEOM_TOL):
         out.append("bounds: opening mass outside [0, 1]")
 
-    if not ss.single:
-        for v in range(m):
-            w = ss.nn_idx[v]
-            lo = 0.5 * ss.nn_dist[v] - GEOM_TOL
-            hi = 1.5 * ss.nn_dist[v] + GEOM_TOL
-            for u in sp.balls[w]:
-                if not (lo <= D[v, u] <= hi):
-                    out.append(f"neighbor-band: facility {u} at {D[v, u]:.6g} "
-                               f"outside the band of {sp.location_ids[v]}")
-                    break
+    for v in range(m):
+        lo = 0.5 * ss.peer_dist[v] - GEOM_TOL
+        hi = 1.5 * ss.peer_dist[v] + GEOM_TOL
+        for u in ss.peer_balls[v]:
+            if not (lo <= D[v, u] <= hi):
+                out.append(f"neighbor-band: facility {u} at {D[v, u]:.6g} "
+                           f"outside the band of {sp.location_ids[v]}")
+                break
     return out

@@ -102,30 +102,25 @@ def lp_from_rows(num_vars, objective, rows, upper=None):
 # The structured builder as it was before it merged free facilities itself,
 # one column per facility and with its constant returned, kept as the
 # reference for the program it writes: the body is verbatim except that its
-# LinearProgram call became lp_from_rows, and it returns the row tags the
-# program held then beside the program.
+# LinearProgram call became lp_from_rows, it returns the row tags the
+# program held then beside the program, and it reads the per-location base
+# costs and ball masses that replaced its single-survivor mode (base 0 and
+# need 1 there, which priced and built the same program).
 def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
                                   k: int, ranges: Sequence[tuple[int, int]],
                                   balls: Sequence[Sequence[int]],
                                   supers: Sequence[Sequence[int]],
-                                  nn_dist_pow: Sequence[float] | None
+                                  base_pow: Sequence[float], ball_need: Sequence[float]
                                   ) -> tuple[LinearProgram, float, list[tuple]]:
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
-    single = nn_dist_pow is None
-    if single and nD != 1:
-        raise ValueError("nn_dist_pow required when several locations survive")
     c = np.zeros(nF)
     constant = 0.0
     for v in range(nD):
-        if single:
-            for u in supers[v]:
-                c[u] += w[v] * dp[v, u]
-        else:
-            base = nn_dist_pow[v]
-            constant += w[v] * base
-            for u in supers[v]:
-                c[u] += w[v] * (dp[v, u] - base)
+        base = base_pow[v]
+        constant += w[v] * base
+        for u in supers[v]:
+            c[u] += w[v] * (dp[v, u] - base)
     rows: list[Row] = []
     kinds: list[tuple] = []
     for gi, (a, b) in enumerate(ranges, start=1):
@@ -136,9 +131,8 @@ def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Se
         kinds.append(("range_upper", gi))
     rows.append(Row(tuple((u, 1.0) for u in range(nF)), LEQ, float(k)))
     kinds.append(("card",))
-    ball_need = 1.0 if single else 0.5
     for v in range(nD):
-        rows.append(Row(tuple((u, 1.0) for u in balls[v]), GEQ, ball_need))
+        rows.append(Row(tuple((u, 1.0) for u in balls[v]), GEQ, float(ball_need[v])))
         kinds.append(("ball", v))
     for v in range(nD):
         rows.append(Row(tuple((u, 1.0) for u in supers[v]), LEQ, 1.0))

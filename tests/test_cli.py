@@ -143,11 +143,31 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "group 2" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("p", ["nan", "inf"])
+    @pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
     def test_non_finite_p_rejected(self, tmp_path, capsys, p):
+        # p came from the flag, so the parameters are at fault
         assert main(["solve", self.write(tmp_path, tiny_document()), "--p", p]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("invalid instance: p must be finite") and "Traceback" not in err
+        assert err == f"invalid parameters: p must be finite and at least 1, got {float(p)}\n"
+
+    def test_bad_k_flag_is_a_parameter_fault(self, tmp_path, capsys):
+        assert main(["solve", self.write(tmp_path, tiny_document()), "--k", "0"]) == 1
+        assert capsys.readouterr().err == "invalid parameters: k must be positive\n"
+
+    @pytest.mark.parametrize("clients", ["zero", "none"])
+    def test_no_positive_demand_prints_a_report(self, tmp_path, capsys, clients):
+        # zero demands and an empty client list fail validation, but with
+        # the flag they are solved, at cost 0
+        doc = tiny_document()
+        doc = dataclasses.replace(doc, clients=tuple((c, 0) for c, _ in doc.clients)
+                                  if clients == "zero" else ())
+        path = self.write(tmp_path, doc)
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err.startswith("validation: ")
+        assert main(["solve", path, "--allow-nonmetric"]) == 0
+        out = capsys.readouterr().out
+        assert "cost-p: 0\n" in out and out.count(" PASS") == 6
+        assert len(out.splitlines()[1].split(": ")[1].split()) == 2
 
     def test_overflowing_p_exit_one(self, tmp_path, capsys):
         assert main(["solve", self.write(tmp_path, tiny_document()), "--p", "1000"]) == 1
@@ -298,6 +318,10 @@ class TestGenerateCommand:
         assert capsys.readouterr().err.startswith("invalid parameters: k must be a positive")
         assert main(["generate", "random", "--ell", "0"]) == 1
         assert capsys.readouterr().err.startswith("invalid parameters: need at least one group")
+        # n=0 and n=-24 split evenly, into no clusters or negative ones
+        for n in ("0", "-24"):
+            assert main(["generate", "figure1", "--n", n]) == 1
+            assert capsys.readouterr().err.startswith(f"invalid parameters: n={n} must split")
 
 
 class TestBenchCommand:

@@ -217,7 +217,8 @@ def tiny_structured():
     dp = np.array([[1.0, 4.0, 9.0, 25.0], [49.0, 16.0, 4.0, 1.0]])
     return build_structured_lp(
         dp, [2.0, 3.0], [1, 2, 1, 2], 2, ((0, 2), (0, 2)),
-        balls=[[0], [3]], supers=[[0, 1], [2, 3]], nn_dist_pow=[9.0, 9.0])
+        balls=[[0], [3]], territories=[[0, 1], [2, 3]], base_pow=[9.0, 9.0],
+        ball_need=[0.5, 0.5])
 
 
 class TestStructuredBuilder:
@@ -242,20 +243,24 @@ class TestStructuredBuilder:
         assert res.objective + 45.0 == pytest.approx(5.0, abs=1e-9)
 
     def test_single_location_mode(self):
+        # no peer: base cost 0 and a full unit in the ball
         dp = np.array([[1.0, 2.0, 3.0]])
         lp, _ = build_structured_lp(
             dp, [2.0], [1, 1, 1], 1, ((0, 3),),
-            balls=[[0, 1]], supers=[[0, 1, 2]], nn_dist_pow=None)
+            balls=[[0, 1]], territories=[[0, 1, 2]], base_pow=[0.0], ball_need=[1.0])
         assert lp.objective == pytest.approx([2.0, 4.0, 6.0])
         ball = [r for r, k in zip(lp.rows, structured_row_kinds(lp)) if k[0] == "ball"]
         assert ball[0].rhs == 1.0
 
-    def test_single_location_requires_flag(self):
-        dp = np.array([[1.0], [2.0]])
-        with pytest.raises(ValueError):
-            build_structured_lp(dp, [1.0, 1.0], [1], 1, ((0, 1),),
-                                balls=[[0], [0]], supers=[[0], [0]],
-                                nn_dist_pow=None)
+    def test_no_locations(self):
+        # no survivor: only the range and card rows, each group one free column
+        lp, members = build_structured_lp(
+            np.zeros((0, 3)), [], [1, 2, 1], 2, ((1, 2), (0, 1)),
+            balls=[], territories=[], base_pow=[], ball_need=[])
+        assert [c.tolist() for c in members] == [[0, 2], [1]]
+        assert lp.upper.tolist() == [2.0, 1.0] and lp.objective.tolist() == [0.0, 0.0]
+        assert [k[0] for k in structured_row_kinds(lp)] == [
+            "range_lower", "range_upper", "range_lower", "range_upper", "card"]
 
     def test_scale_doubled(self):
         lp, _ = tiny_structured()
@@ -1057,13 +1062,13 @@ def same_assignment_program(args):
 
 @st.composite
 def builder_inputs(draw):
-    """Builder arguments: groups that may have no facility, a single
-    survivor, and balls and super balls that may be empty."""
-    nD = draw(st.integers(1, 4))
+    """Builder arguments: groups that may have no facility, no survivor or
+    a single one, and balls and super balls that may be empty."""
+    nD = draw(st.integers(0, 4))
     nF = draw(st.integers(1, 7))
     ell = draw(st.integers(1, 3))
     dist = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
-    dp = np.array([[draw(dist) for _ in range(nF)] for _ in range(nD)])
+    dp = np.array([[draw(dist) for _ in range(nF)] for _ in range(nD)]).reshape(nD, nF)
     w = [draw(st.sampled_from([1.0, 2.0, 3.5])) for _ in range(nD)]
     groups = [draw(st.integers(1, ell)) for _ in range(nF)]
     k = draw(st.integers(1, nF))
@@ -1075,8 +1080,11 @@ def builder_inputs(draw):
     if draw(st.booleans()):
         supers = [np.array(s, dtype=int) for s in supers]
         balls = [np.array(b, dtype=int) for b in balls]
-    nn = None if nD == 1 and draw(st.booleans()) else [draw(dist) for _ in range(nD)]
-    return dp, w, groups, k, ranges, balls, supers, nn
+    if nD == 1 and draw(st.booleans()):     # no peer
+        base, need = [0.0], [1.0]
+    else:
+        base, need = [draw(dist) for _ in range(nD)], [0.5] * nD
+    return dp, w, groups, k, ranges, balls, supers, base, need
 
 
 class TestArrayBuildersMatchRows:
@@ -1130,7 +1138,7 @@ class TestArrayBuildersMatchRows:
             sp = ss.sp
             _, _, kinds = reference_build_structured_lp(
                 sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
-                ss.territories, None if ss.single else ss.nn_dist ** sp.p)
+                ss.territories, ss.base_pow, ss.ball_need)
             assert structured_row_kinds(out["structured_program"][0]) == kinds
             assert kinds.count(("card",)) == 1 and ("ball", 1) in kinds
 

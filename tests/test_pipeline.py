@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairrange
 from fairrange.cli import document_from_instance, main, serialize_document
@@ -342,6 +343,23 @@ class TestSolveFairRange:
         report = solve_fair_range(zero, random_ranges(0, zero, 3, 2))
         assert report.centers.cost_p >= 0.0 and all(b.passed for b in report.bounds)
 
+    @pytest.mark.parametrize("demands", ["none", "zero"])
+    def test_no_survivor_answers_at_cost_zero(self, demands):
+        # no client, or every demand 0: no location survives, so no peer
+        # and no ball, and the opening program holds only the range rows
+        inst = random_instance(0, 8, 2, 2.0)
+        clients = {} if demands == "none" else dict.fromkeys(inst.point_ids, 0)
+        empty = matrix_instance(inst.point_ids, inst.dist, inst.facility_ids,
+                                inst.group_label, clients, 2.0)
+        rc = random_ranges(0, inst, 3, 2)
+        report = solve_fair_range(empty, rc)
+        assert report.diagnostics["locations"] == 0 and not report.fallback
+        assert len(report.centers.centers) == rc.k
+        assert all(a <= c <= b for c, (a, b) in zip(report.centers.group_counts, rc.ranges))
+        assert report.centers.cost_p == 0.0
+        assert set(report.stage_costs.values()) == {0.0}
+        assert len(report.bounds) == 6 and all(b.passed for b in report.bounds)
+
     @pytest.mark.parametrize("p", (500.0, 1000.0))
     def test_large_p_short_distances_pass_every_certificate(self, p):
         # only d_max < 1 gets past p of about 323 under COST_CAP; in each of
@@ -380,6 +398,9 @@ class TestFigure1:
         for k in (0, -6):       # 0 passed as a multiple of 6 and divided by zero
             with pytest.raises(ValueError, match="positive multiple of 6"):
                 generate_figure1_instance(k, 24, 1.0, 2.0)
+        for n in (0, -24):      # both split evenly, into no clusters or negative ones
+            with pytest.raises(ValueError, match=rf"^n={n} must split"):
+                generate_figure1_instance(6, n, 1.0, 2.0)
 
     def test_metric_instantiation_validates(self):
         fig = generate_figure1_instance(6, 24, 1.0, 2.0)
@@ -472,3 +493,46 @@ def test_small_solve_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@st.composite
+def tiny_instances(draw):
+    """Instances of at most 8 points on a 5x5 grid, so points may coincide,
+    with clients and facilities drawn as subsets of the points, demands
+    that may be 0, one to three groups, k up to |F|, and windows around a
+    drawn witness center set that are often tight (alpha = beta)."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    ids = [f"p{i}" for i in range(n)]
+    coords = np.array([[draw(st.integers(0, 4)), draw(st.integers(0, 4))] for _ in ids],
+                      dtype=float)
+    facilities = [u for u in ids if draw(st.booleans())] or [ids[0]]
+    ell = draw(st.integers(1, 3))
+    labels = {u: draw(st.integers(1, ell)) for u in facilities}
+    demands = {c: draw(st.integers(0, 3)) for c in ids if draw(st.booleans())}
+    inst = fairrange.instance_from_coords(ids, coords, facilities, labels, demands, p)
+    k = draw(st.integers(1, len(facilities)))
+    witness = [labels[u] for u in draw(st.permutations(facilities))[:k]]
+    ranges = []
+    for g in range(1, ell + 1):
+        tight = draw(st.booleans())
+        below, above = (0, 0) if tight else (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        ranges.append((max(0, witness.count(g) - below), witness.count(g) + above))
+    return inst, RangeConstraints(k, tuple(ranges))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(tiny_instances())
+def test_tiny_instances_end_certified_or_typed(case):
+    # every solve ends in a certified answer no cheaper than the optimum,
+    # or in one of the typed refusals
+    inst, rc = case
+    try:
+        report = solve_fair_range(inst, rc)
+    except (InfeasibleRangesError, UnrangedGroupError, CostRangeError):
+        return
+    assert len(report.bounds) == (3 if report.fallback else 6)
+    assert all(b.passed for b in report.bounds)
+    assert all(a <= c <= b for c, (a, b) in zip(report.centers.group_counts, rc.ranges))
+    optimum, _ = brute_force_optimum(inst, rc)
+    assert report.centers.cost_p >= optimum * (1.0 - 1e-9)

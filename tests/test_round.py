@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +19,6 @@ from fairrange.round import (
     FacilityPartition,
     build_flow_network,
     extract_centers,
-    half_integral_assignment,
     half_integral_cost,
     partition_facilities,
     select_centers,
@@ -25,9 +27,9 @@ from fairrange.round import (
     structured_program,
 )
 from fairrange.sparsify import SparsifiedInstance
-from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, StructuredSolution,
-                                 build_super_balls, enforce_structure,
-                                 nearest_surviving, reassign_private_facilities)
+from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, build_super_balls,
+                                 enforce_structure, fill_service, nearest_surviving,
+                                 reassign_private_facilities)
 from conftest import (assert_same_program, feasible_ranges, groups_of, line_instance,
                       lp_from_rows, manual_sp, random_fair_instance,
                       reference_build_structured_lp, same_opening_program, solve_stages)
@@ -55,12 +57,17 @@ def opening_args(ss, groups, rc):
     """The builder arguments structured_program passes for ss."""
     sp = ss.sp
     return (sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
-            ss.territories, None if ss.single else ss.nn_dist ** sp.p)
+            ss.territories, ss.base_pow, ss.ball_need)
 
 
 def left_out_constant(ss):
     """sum w_v d(v,v')^p, the part of the opening cost its objective omits."""
-    return 0.0 if ss.single else float(ss.sp.weights @ ss.nn_dist ** ss.sp.p)
+    return float(ss.sp.weights @ ss.base_pow)
+
+
+def service(ss, y):
+    """Stage 5's service rows for the openings y, as the pipeline fills them."""
+    return fill_service(ss.sp, ss.supers, ss.peer_balls, y)
 
 
 def program_cost(lp, members, ss, y):
@@ -73,7 +80,7 @@ def program_cost(lp, members, ss, y):
 class TestSolveHalfIntegral:
     def test_forced_singleton(self):
         lp, members = build_structured_lp(
-            np.array([[4.0]]), [1.0], [1], 1, [(0, 1)], [[0]], [[0]], None)
+            np.array([[4.0]]), [1.0], [1], 1, [(0, 1)], [[0]], [[0]], [0.0], [1.0])
         half = solve_half_integral(lp, members)
         assert half.y.tolist() == [1.0]
         assert float(lp.objective @ half.y) == pytest.approx(4.0)
@@ -85,7 +92,7 @@ class TestSolveHalfIntegral:
         # vertex, and the first column wins the entering tie.
         lp, members = build_structured_lp(
             np.array([[4.0, 4.0]]), [1.0], [1, 1], 1, [(0, 1)],
-            [[0, 1]], [[0, 1]], None)
+            [[0, 1]], [[0, 1]], [0.0], [1.0])
         half = solve_half_integral(lp, members)
         assert half.y.tolist() == [1.0, 0.0]
         assert float(lp.objective @ half.y) == pytest.approx(4.0)
@@ -93,7 +100,7 @@ class TestSolveHalfIntegral:
     def test_infeasible_range_raises(self):
         program = build_structured_lp(
             np.array([[1.0, 1.0]]), [1.0], [1, 1], 3, [(3, 3)],
-            [[0, 1]], [[0, 1]], None)
+            [[0, 1]], [[0, 1]], [0.0], [1.0])
         with pytest.raises(StageError) as err:
             solve_half_integral(*program)
         assert err.value.stage == "round"
@@ -127,7 +134,7 @@ class TestSolveHalfIntegral:
         costs = [half_integral_cost(ss, half.y) for _, _, _, ss, _, _, half, _ in fronts]
         assert all(c >= 0.0 and math.isfinite(c) for c in costs)
         for (_, _, sp, ss, _, _, half, _), cost in zip(fronts, costs):
-            assert cost <= sp.assignment_cost(half_integral_assignment(ss, half.y)) * (1 + 1e-9)
+            assert cost <= sp.assignment_cost(service(ss, half.y)) * (1 + 1e-9)
 
 
 def free_columns(lp):
@@ -204,7 +211,7 @@ def opening_programs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dp = rng.uniform(0.0, 6.0, size=(nD, nF))
     w = [float(draw(st.integers(1, 3))) for _ in range(nD)]
-    nn_pow = None if single else rng.uniform(0.0, 6.0, size=nD)
+    base = np.zeros(1) if single else rng.uniform(0.0, 6.0, size=nD)
     ranges = []
     for g in range(1, ell + 1):
         alpha = draw(st.integers(0, groups.count(g)))
@@ -212,7 +219,8 @@ def opening_programs(draw):
             draw(st.integers(alpha, groups.count(g) + 1))
         ranges.append((alpha, beta))
     k = draw(st.integers(1, nF))
-    return dp, w, groups, k, ranges, balls, balls if single else supers, nn_pow
+    need = [1.0] if single else [0.5] * nD
+    return dp, w, groups, k, ranges, balls, balls if single else supers, base, need
 
 
 def named_opening_programs():
@@ -220,21 +228,21 @@ def named_opening_programs():
     must reach."""
     # single survivor: a full unit on the ball, three free facilities
     single = (np.array([[3.0, 1.0, 2.0, 5.0]]), [1.0], [1, 1, 1, 2], 2, [(1, 2), (1, 1)],
-              [[0]], [[0]], None)
+              [[0]], [[0]], [0.0], [1.0])
     # alpha = beta in both groups, group 2 with no free facility
     tight = (np.array([[2.0, 0.5, 4.0, 1.0, 3.0]]), [2.0], [1, 2, 1, 2, 1], 3,
-             [(2, 2), (1, 1)], [[1]], [[1, 3]], [2.5])
+             [(2, 2), (1, 1)], [[1]], [[1, 3]], [2.5], [0.5])
     # group 1 with exactly one free facility
     one_free = (np.array([[1.0, 4.0, 2.0], [4.0, 1.0, 3.0]]), [1.0, 1.0], [1, 2, 1], 2,
-                [(1, 2), (0, 1)], [[0], [1]], [[0], [1]], [3.0, 3.0])
+                [(1, 2), (0, 1)], [[0], [1]], [[0], [1]], [3.0, 3.0], [0.5, 0.5])
     # a dear ball that wants only its half unit: the merged value is odd,
     # so one free member ends at 1/2
     odd = (np.array([[5.0, 0.0, 0.0, 0.0]]), [1.0], [1, 1, 1, 1], 1, [(1, 1)],
-           [[0]], [[0]], [2.0])
+           [[0]], [[0]], [2.0], [0.5])
     # two colocated ball facilities: cost 0 and identical columns, but in
     # the ball row, so they are not free and stay apart
     zero_cost_ball = (np.array([[0.0, 0.0, 2.0, 4.0, 5.0]]), [1.0], [1, 1, 1, 2, 2], 2,
-                      [(1, 2), (0, 1)], [[0, 1]], [[0, 1]], None)
+                      [(1, 2), (0, 1)], [[0, 1]], [[0, 1]], [0.0], [1.0])
     return {"single": single, "tight": tight, "one_free": one_free, "odd": odd,
             "zero_cost_ball": zero_cost_ball}
 
@@ -275,7 +283,7 @@ class TestMergedOpeningLP:
         # col 0 takes the ball's unit; the free pair {1, 2} may hold up to 2
         # in the doubled program, so 6 there breaks a bound but no row
         lp, members = build_structured_lp(np.array([[3.0, 1.0, 2.0]]), [1.0],
-                                          [1, 1, 1], 5, [(1, 5)], [[0]], [[0]], None)
+                                          [1, 1, 1], 5, [(1, 5)], [[0]], [[0]], [0.0], [1.0])
 
         def overfull(small, **kw):
             res = solve_vertex(small, **kw)
@@ -298,6 +306,22 @@ class TestMergedOpeningLP:
         monkeypatch.setattr(fairrange.round, "solve_vertex", empty)
         with pytest.raises(StageError, match=">= row"):
             solve_half_integral(*build_structured_lp(*named_opening_programs()["odd"]))
+
+    def test_territory_above_one_unit_is_refused_by_the_row_check(self, monkeypatch):
+        # facility 2 is free; a point putting 2 units on the territory {0, 1}
+        # breaks its row and no other, so the fill never sees it
+        lp, members = build_structured_lp(np.array([[1.0, 2.0, 3.0]]), [1.0], [1, 1, 1], 3,
+                                          [(0, 3)], [[0]], [[0, 1]], [1.0], [0.5])
+        assert solve_half_integral(lp, members).y[:2].sum() <= 1.0
+
+        def overfull(small, **kw):
+            res = solve_vertex(small, **kw)
+            res.x[:] = [2.0, 2.0, 0.0]
+            return res
+
+        monkeypatch.setattr(fairrange.round, "solve_vertex", overfull)
+        with pytest.raises(StageError, match="breaks a <= row"):
+            solve_half_integral(lp, members)
 
     def test_matches_full_solve_on_fixtures(self):
         merged = 0
@@ -365,14 +389,14 @@ class TestFreeOpeningsUnread:
         rng = np.random.default_rng(15)
         moved = 0
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(16, 12, sizes=(12, 20)):
-            x = half_integral_assignment(ss, half.y)
+            x = service(ss, half.y)
             part = partition_facilities(sp, x)
             centers, _, _ = select_centers(ss, x, groups_of(inst), rc)
             for _ in range(4):
                 y = move_free_mass(half.y, members, rng)
                 moved += y.tolist() != half.y.tolist()
                 assert set(y.tolist()) <= {0.0, 0.5, 1.0}
-                x2 = half_integral_assignment(ss, y)
+                x2 = service(ss, y)
                 assert x2.tolist() == x.tolist()
                 assert partition_fields(partition_facilities(sp, x2)) == \
                     partition_fields(part)
@@ -383,31 +407,27 @@ class TestFreeOpeningsUnread:
 
 
 class TestHalfIntegralAssignment:
-    def split_instance(self):
+    def fill(self, y):
+        # survivors p0 and p1, each the other's peer; p2 is p1's private
         inst = line_instance([0.0, 100.0, 101.0])
         sp = manual_sp(inst, ["p0", "p1"], [1.0, 1.0], [[0], [1]],
                        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                        [1.0, 1.0, 0.0])
-        nn = np.array([1, 0])
-        nnd = np.array([100.0, 100.0])
         supers = [np.array([0]), np.array([1, 2])]
-        return StructuredSolution(sp, nn, nnd, supers,
-                                  sp.y.copy(), sp.x.copy(), 0.0)
+        return fill_service(sp, supers, [sp.balls[1], sp.balls[0]], np.array(y))
 
     def test_full_territory_needs_no_fill(self):
-        ss = self.split_instance()
-        x = half_integral_assignment(ss, np.array([1.0, 1.0, 0.0]))
+        x = self.fill([1.0, 1.0, 0.0])
         assert x.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
     def test_half_territory_fills_from_neighbor_ball(self):
-        ss = self.split_instance()
-        x = half_integral_assignment(ss, np.array([1.0, 0.5, 0.0]))
+        x = self.fill([1.0, 0.5, 0.0])
         assert x.tolist() == [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
 
     def test_random_rows_caps_and_certificate(self):
         saw_full_territory = 0
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(7, 10):
-            x = half_integral_assignment(ss, half.y)
+            x = service(ss, half.y)
             assert np.allclose(x.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(x <= half.y + 1e-12)
             assert np.all(2.0 * x == np.round(2.0 * x))
@@ -457,7 +477,7 @@ class TestPartition:
 
     def test_random_partition_invariants(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(8, 10):
-            x = half_integral_assignment(ss, half.y)
+            x = service(ss, half.y)
             part = partition_facilities(sp, x)
             assert part.count == len(part.surviving) == len(part.sets)
             assert part.count <= rc.k
@@ -519,7 +539,7 @@ class TestFlow:
 
     def test_flow_conservation_and_bounds_exact(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(9, 6):
-            x = half_integral_assignment(ss, half.y)
+            x = service(ss, half.y)
             centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             flows = solve_flow_lower_bounds(net)
             balance = np.zeros(net.num_nodes, dtype=int)
@@ -554,7 +574,7 @@ class TestSelectCenters:
 
     def test_end_to_end_random(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(10, 12):
-            x = half_integral_assignment(ss, half.y)
+            x = service(ss, half.y)
             centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             assert len(centers) == rc.k
             labels = np.asarray(groups_of(inst))
@@ -567,7 +587,7 @@ class TestSelectCenters:
 
     def test_removed_location_distance_bounds(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(11, 12):
-            x = half_integral_assignment(ss, half.y)
+            x = service(ss, half.y)
             centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
             chosen = set(centers.tolist())
@@ -584,7 +604,7 @@ class TestSelectCenters:
     def test_partition_quality_for_any_hitting_set(self):
         rng = np.random.default_rng(12)
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(13, 8):
-            x = half_integral_assignment(ss, half.y)
+            x = service(ss, half.y)
             centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
             bound = (4.5 ** sp.p) * half_integral_cost(ss, half.y) * (1 + 1e-6) + 1e-9
@@ -646,9 +666,11 @@ class TestCheckRowsExact:
 
 
 # The three capped nearest-first fills as they were before they shared
-# fill_nearest (the third was the separate saturating_assignment behind
-# half_integral_assignment), and the distance-table methods they called,
-# kept verbatim as the references for that change.
+# fill_nearest (the third was the separate saturating_assignment that stage
+# 5 ran as half_integral_assignment until it took stage 4's fill_service),
+# and the distance-table methods they called, kept verbatim as the
+# references for those changes, except that reference_enforce_structure
+# returns its fields by name.
 def old_dist_to_facilities(sp):
     src = sp.red.source
     fi = [src.index(u) for u in sp.facility_ids]
@@ -717,7 +739,7 @@ def reference_reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.nd
 
 def reference_enforce_structure(x2: np.ndarray, y: np.ndarray,
                       supers: Sequence[np.ndarray],
-                      sp: SparsifiedInstance) -> StructuredSolution:
+                      sp: SparsifiedInstance) -> SimpleNamespace:
     """Prune far private openings and rebuild service greedily.
 
     Openings survive untouched except for private facilities beyond twice
@@ -770,8 +792,8 @@ def reference_enforce_structure(x2: np.ndarray, y: np.ndarray,
     dp = D ** sp.p
     cost = float(sp.weights @ (x_bar * dp).sum(axis=1))
     diagnostics["rerouted"] = float(np.abs(x_bar - x2).sum()) / 2.0
-    return StructuredSolution(sp, nn_idx, nn_dist, supers, y_bar, x_bar,
-                              cost, diagnostics)
+    return SimpleNamespace(nn_idx=nn_idx, nn_dist=nn_dist, supers=supers, y_bar=y_bar,
+                           x_bar=x_bar, cost_p=cost, diagnostics=diagnostics)
 
 
 def reference_saturating_assignment(sp, y_bar, supers, nn_idx, D):
@@ -832,9 +854,16 @@ def same_outcome(got, want):
     return False
 
 
+def meets_opening_rows(ss, y):
+    """y meets the opening program's ball and territory rows, as stage 5's
+    openings do."""
+    return (all(y[b].sum() >= need for b, need in zip(ss.sp.balls, ss.ball_need))
+            and all(y[t].sum() <= 1.0 for t in ss.territories))
+
+
 def compare_structuring(sp, y_half=None):
-    """Run the three fills and their references on sp; assert bit-equal
-    results.  Returns how far the run got."""
+    """Run the fills and their references on sp; assert bit-equal results.
+    Returns how far the run got."""
     got = outcome_of(reassign_private_facilities, sp)
     want = outcome_of(reference_reassign_private_facilities, sp)
     if same_outcome(got, want):
@@ -854,21 +883,27 @@ def compare_structuring(sp, y_half=None):
     assert bits(got.x_bar) == bits(want.x_bar)
     assert bits(got.y_bar) == bits(want.y_bar)
     assert [bits(a) for a in got.supers] == [bits(a) for a in want.supers]
-    assert (got.nn_idx is None) == (want.nn_idx is None)
-    if got.nn_idx is not None:
-        assert bits(got.nn_idx) == bits(want.nn_idx)
-        assert bits(got.nn_dist) == bits(want.nn_dist)
+    m = len(sp.location_ids)
+    if want.nn_idx is None:
+        assert got.peer_dist.tolist() == [np.inf] * m
+        assert [b.size for b in got.peer_balls] == [0] * m
+        assert [bits(t) for t in got.territories] == [bits(b) for b in sp.balls]
+    else:
+        assert bits(got.peer_dist) == bits(want.nn_dist)
+        assert [bits(b) for b in got.peer_balls] == [bits(sp.balls[w]) for w in want.nn_idx]
+        assert bits(got.base_pow) == bits(want.nn_dist ** sp.p)
+        assert got.territories is got.supers
     assert {k: float(v).hex() for k, v in got.diagnostics.items()} == \
         {k: float(v).hex() for k, v in want.diagnostics.items()}
-    ss = got
-    for y in (ss.y_bar, y_half):
-        if y is None:
-            continue
-        x = outcome_of(half_integral_assignment, ss, y)
-        x_ref = outcome_of(reference_saturating_assignment, ss.sp, y, ss.territories,
-                           ss.nn_idx, old_dist_to_facilities(ss.sp))
-        if not same_outcome(x, x_ref):
-            assert bits(x) == bits(x_ref)
+    if y_half is None:
+        return "done"
+    if not meets_opening_rows(got, y_half):
+        return "rows unmet"
+    x = outcome_of(fill_service, sp, got.supers, got.peer_balls, y_half)
+    x_ref = outcome_of(reference_saturating_assignment, sp, y_half, got.territories,
+                       want.nn_idx, old_dist_to_facilities(sp))
+    if not same_outcome(x, x_ref):
+        assert bits(x) == bits(x_ref)
     return "done"
 
 
@@ -930,3 +965,50 @@ class TestFillsMatchReference:
             li = [red.source.index(v) for v in red.location_ids]
             fi = [red.source.index(u) for u in red.facility_ids]
             assert bits(red.fac_dist_p) == bits(red.source.dist[np.ix_(li, fi)] ** red.p)
+
+
+def stage_five_rows(inst, rc):
+    """Stage 4's and stage 5's outputs of a real solve, and the service rows
+    the pipeline hands stage 6."""
+    rows = []
+
+    def select(ss, x_tilde, *args, _select=fairrange.pipeline.select_centers):
+        rows.append(x_tilde)
+        return _select(ss, x_tilde, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fairrange.pipeline, "select_centers", select)
+        stages = solve_stages(inst, rc, "select_centers")
+    return stages["enforce_structure"], stages["solve_half_integral"], rows[0]
+
+
+class TestStageFiveFill:
+    """Stage 5 fills its service rows with stage 4's fill_service.  On the
+    half-integral openings, whose territories hold at most one unit, that
+    is the copy-then-top-up of reference_saturating_assignment, bit for
+    bit, the single-survivor form included."""
+
+    def cases(self):
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench"))
+        from workloads import make_case
+
+        for i in range(48):
+            case = make_case("small-mix", 1, i)
+            yield case.inst, case.rc
+        for seed in range(15):
+            for p in (1.0, 2.0, 3.0):
+                inst = random_instance(seed, 10, 2, p)
+                yield inst, random_ranges(seed, inst, 3, 2)
+
+    def test_rows_match_copy_and_top_up(self):
+        singles = 0
+        for inst, rc in self.cases():
+            ss, half, x_tilde = stage_five_rows(inst, rc)
+            sp = ss.sp
+            nn_idx, _ = nearest_surviving(old_location_dist(sp))
+            want = reference_saturating_assignment(sp, half.y, ss.territories, nn_idx,
+                                                   old_dist_to_facilities(sp))
+            assert bits(x_tilde) == bits(want)
+            singles += nn_idx is None
+        assert singles >= 5

@@ -165,7 +165,10 @@ class TestEnforceStructure:
             rc = feasible_ranges(rng, inst, 1)
             sp, _, ss, _ = structured_front(inst, rc)
             assert len(sp.location_ids) == 1
-            assert ss.single
+            # no peer: the ball alone is the territory and opens a full unit
+            assert ss.peer_balls[0].size == 0 and ss.peer_dist.tolist() == [np.inf]
+            assert ss.base_pow.tolist() == [0.0] and ss.ball_need.tolist() == [1.0]
+            assert ss.territories[0] is sp.balls[0]
             assert verify_structured(ss) == []
             assert ss.x_bar.sum() == pytest.approx(1.0, abs=1e-7)
 
