@@ -17,18 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import MetricInstance
-
-
-def _client_arrays(inst: MetricInstance) -> tuple[list[int], np.ndarray]:
-    return [inst.index(c) for c in inst.client_ids], inst.client_weights()
-
-
-def _block_of(D: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
-    """D[rows][:, cols]; a view of D if both are ascending runs of indices."""
-    runs = [slice(i[0], i[0] + len(i)) for i in (rows, cols)
-            if i and i == list(range(i[0], i[0] + len(i)))]
-    return D[tuple(runs)] if len(runs) == 2 else D[np.ix_(rows, cols)]
+from .instance import MetricInstance, clustering_cost
 
 
 def farthest_first(inst: MetricInstance, k: int,
@@ -40,19 +29,26 @@ def farthest_first(inst: MetricInstance, k: int,
     chosen candidate is never chosen again, even where every candidate left
     coincides with a chosen one.
     """
-    cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
-    if not 1 <= k <= len(cand):
-        raise ValueError(f"k={k} out of range for {len(cand)} candidates")
-    ci = np.array([inst.index(c) for c in cand])
+    pos, chosen = _seed(inst, k, candidates)
+    return tuple(inst.point_ids[pos[t]] for t in chosen)
+
+
+def _seed(inst: MetricInstance, k: int,
+          candidates: Sequence[str] | None) -> tuple[np.ndarray, list[int]]:
+    """farthest_first's candidate positions, in id order, and its choice as
+    sorted indices into them."""
+    pos = inst.point_pos if candidates is None else inst.positions(sorted(candidates))
+    if not 1 <= k <= len(pos):
+        raise ValueError(f"k={k} out of range for {len(pos)} candidates")
     chosen = [0]
-    mind = inst.dist[ci[0], ci]
+    mind = inst.block(pos[:1], pos)[0].copy()     # the block may be a view
     mind[0] = -np.inf
     while len(chosen) < k:
         nxt = int(np.argmax(mind))          # first max = lowest id
         chosen.append(nxt)
-        np.minimum(mind, inst.dist[ci[nxt], ci], out=mind)
+        np.minimum(mind, inst.block(pos[nxt:nxt + 1], pos)[0], out=mind)
         mind[nxt] = -np.inf
-    return tuple(sorted(cand[i] for i in chosen))
+    return pos, sorted(chosen)
 
 
 # candidate columns per block.  The search builds one block's k x 128 swap
@@ -161,42 +157,36 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     filter's bound needs nonnegative distances, which solve_fair_range
     requires.
     """
-    cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
-    if not 1 <= k <= len(cand):
-        raise ValueError(f"k={k} out of range for {len(cand)} candidates")
+    pos, current = _seed(inst, k, candidates)
     if max_iters is None:
         max_iters = 100 * k
-    cl_idx, w = _client_arrays(inst)
-    ci = [inst.index(c) for c in cand]
-    blocks = range(0, len(cand), _TABLE_BLOCK)
+    clients, w = inst.client_pos, inst.client_weights()
+    blocks = range(0, len(pos), _TABLE_BLOCK)
     with np.errstate(over="ignore"):
-        wscale, scale, rho, a = _table_scale(w, float(inst.dist.max() ** inst.p))
+        wscale, scale, rho, a = _table_scale(
+            w, float(np.float64(inst.distance_range[1]) ** inst.p))
     unit = wscale * scale                       # table units per unit of cost
     w32 = (w * wscale).astype(np.float32)
     # column-major: every scan below reads whole candidate columns.  Raised
     # in float64 half a block of columns at a time, so its temporaries stay
     # two clients x 64 arrays, and cast to float32 on the scaling write
-    Dp = np.empty((len(w), len(cand)), dtype=np.float32, order="F")
+    Dp = np.empty((len(w), len(pos)), dtype=np.float32, order="F")
     half = _TABLE_BLOCK // 2
-    for lo in range(0, len(cand), half):
-        np.multiply(np.power(_block_of(inst.dist, cl_idx, ci[lo:lo + half]), inst.p),
+    for lo in range(0, len(pos), half):
+        np.multiply(np.power(inst.block(clients, pos[lo:lo + half]), inst.p),
                     scale, out=Dp[:, lo:lo + half])
-    rows_of, ci_of = np.array(cl_idx, dtype=np.intp), np.array(ci, dtype=np.intp)
 
     def columns(ts):
-        # float64 d^p of candidate ts, or of a list of them one per row, for
-        # every client: the values that direct costs are defined on
-        return np.power(inst.dist[rows_of, ci_of[ts, None]], inst.p)
+        # float64 d^p of the candidates ts, one row per candidate, for every
+        # client: the values that direct costs are defined on
+        return np.power(inst.block(clients, pos[ts]).T, inst.p, order="C")
 
-    start = farthest_first(inst, k, candidates=cand)
-    pos_of = {c: t for t, c in enumerate(cand)}
-    current = sorted(pos_of[c] for c in start)
     cols = columns(current)                     # slot-major: k x n
     colv = list(cols)
     cur_cost = float(w @ cols.min(axis=0))
     rows = np.arange(len(w))
     swaps = idle = b = 0
-    while swaps < max_iters and k < len(cand) and idle < len(blocks):
+    while swaps < max_iters and k < len(pos) and idle < len(blocks):
         if idle == 0:                           # at the start and after a swap
             near = cols.argmin(axis=0)          # first min = lowest slot
             d1 = cols.min(axis=0)
@@ -208,7 +198,7 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
             rest = w32 - own
             d1s = (d1 * scale).astype(np.float32)   # rounded as the table is
             d2s = (d2 * scale).astype(np.float32)
-            inside = np.zeros(len(cand), dtype=bool)
+            inside = np.zeros(len(pos), dtype=bool)
             inside[current] = True
             below = cur_cost * (1.0 - 1e-10) - 1e-15
             others = {}                         # slot r -> min over the other slots
@@ -222,7 +212,7 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
             if r not in others:
                 others[r] = np.where(near == r, d2, d1)
             if c not in trial_cols:
-                trial_cols[c] = columns(lo + c)
+                trial_cols[c] = columns([lo + c])[0]
             vals.append(float(w @ np.minimum(others[r], trial_cols[c])))
         j = int(np.argmin(vals)) if vals else 0
         if vals and vals[j] < below:
@@ -238,7 +228,7 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
         else:
             idle += 1
         b = (b + 1) % len(blocks)
-    centers = tuple(sorted(cand[t] for t in current))
+    centers = tuple(sorted(inst.point_ids[pos[t]] for t in current))
     return centers, cur_cost, swaps
 
 
@@ -257,18 +247,16 @@ class ReducedInstance:
     weights: np.ndarray
     assign: dict[str, str]
     baseline_cost_p: float
-    _loc_idx: list[int] = field(init=False, repr=False)
+    _loc_pos: np.ndarray = field(init=False, repr=False)
     fac_dist: np.ndarray = field(init=False, repr=False)
     fac_dist_p: np.ndarray = field(init=False, repr=False)
     loc_dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        src = self.source
-        self._loc_idx = [src.index(v) for v in self.location_ids]
-        fi = [src.index(u) for u in self.facility_ids]
-        self.fac_dist = src.dist[np.ix_(self._loc_idx, fi)]
+        self._loc_pos = self.source.positions(self.location_ids)
+        self.fac_dist = self.source.block(self._loc_pos, self.source.facility_pos)
         self.fac_dist_p = self.fac_dist ** self.p
-        self.loc_dist = src.dist[np.ix_(self._loc_idx, self._loc_idx)]
+        self.loc_dist = self.source.block(self._loc_pos, self._loc_pos)
 
     @property
     def p(self) -> float:
@@ -280,10 +268,10 @@ class ReducedInstance:
 
     def cost_of(self, centers: Iterable[str]) -> float:
         """Power-p cost of serving the weighted locations from centers."""
-        cs = [self.source.index(c) for c in centers]
-        if not cs:
+        cs = self.source.positions(centers)
+        if not len(cs):
             raise ValueError("empty center set")
-        d = self.source.dist[np.ix_(self._loc_idx, cs)].min(axis=1)
+        d = self.source.block(self._loc_pos, cs).min(axis=1)
         return float(self.weights @ d ** self.p)
 
 
@@ -294,8 +282,6 @@ def lift_bound(red: ReducedInstance, centers: Iterable[str]) -> tuple[float, flo
         cost_original <= 2^(p-1) * (baseline cost + cost on the locations),
     so returning to raw clients never costs more than the right-hand side.
     """
-    from .instance import clustering_cost
-
     centers = list(centers)
     actual = clustering_cost(red.source, centers)[0]
     bound = 2.0 ** (red.p - 1.0) * (red.baseline_cost_p + red.cost_of(centers))
@@ -308,11 +294,10 @@ def reduce_locations(inst: MetricInstance, centers: Sequence[str]) -> ReducedIns
     cs = sorted(centers)
     if not cs:
         raise ValueError("empty center set")
-    cl_idx, w = _client_arrays(inst)
-    D = inst.dist[np.ix_(cl_idx, [inst.index(c) for c in cs])]
+    D = inst.block(inst.client_pos, inst.positions(cs))
     nearest = np.argmin(D, axis=1)          # first min = lowest id
-    agg = np.bincount(nearest, weights=w, minlength=len(cs))
+    agg = np.bincount(nearest, weights=inst.client_weights(), minlength=len(cs))
     assign = dict(zip(inst.client_ids, [cs[t] for t in nearest]))
-    base_cost = float(w @ D.min(axis=1) ** inst.p)
+    base_cost = float(inst.client_weights() @ D.min(axis=1) ** inst.p)
     kept = tuple(c for c, a in zip(cs, agg) if a > 0.0)
     return ReducedInstance(inst, kept, agg[agg > 0.0], assign, base_cost)

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,10 @@ class InstanceDocument:
             raise ValueError("exactly one of coordinates or matrix required")
         if len(set(self.point_ids)) != len(self.point_ids):
             raise ValueError("duplicate point ids")
+        for name in ("facilities", "clients"):
+            for pid, n in Counter(pid for pid, _ in getattr(self, name)).most_common(1):
+                if n > 1:
+                    raise ValueError(f"{name} lists {pid!r} more than once")
 
 
 def serialize_document(doc: InstanceDocument) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,27 +28,40 @@ class MetricInstance:
     p: float
     coords: np.ndarray | None = None  # optional, kept only for serialization
 
-    _index: dict[str, int] = field(init=False, repr=False)
+    # Worked out once, here: the instance is read-only.  Positions are rows
+    # of dist; a solve reads dist only through block().
+    client_ids: tuple[str, ...] = field(init=False, compare=False)
+    client_pos: np.ndarray = field(init=False, repr=False, compare=False)
+    facility_pos: np.ndarray = field(init=False, repr=False, compare=False)
+    facility_groups: tuple[int, ...] = field(init=False, repr=False, compare=False)  # 0: unlabeled
+    point_pos: np.ndarray = field(init=False, repr=False, compare=False)  # in id order
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points = set(self.point_ids)
-        if len(points) != len(self.point_ids):
+        self._index = {pid: i for i, pid in enumerate(self.point_ids)}
+        if len(self._index) != len(self.point_ids):
             raise ValueError("duplicate point ids")
-        n = len(self.point_ids)
         self.dist = np.asarray(self.dist, dtype=float)
-        if self.dist.shape != (n, n):
+        if self.dist.shape != (len(self.point_ids),) * 2:
             raise ValueError("distance matrix shape does not match point count")
-        for f in self.facility_ids:
-            if f not in points:
-                raise ValueError(f"facility {f!r} is not a point")
-        for c in self.client_demands:
-            if c not in points:
-                raise ValueError(f"client {c!r} is not a point")
+        if len(set(self.facility_ids)) != len(self.facility_ids):
+            raise ValueError("duplicate facility ids")
+        for kind, ids in (("facility", self.facility_ids), ("client", self.client_demands)):
+            for i in ids:
+                if i not in self._index:
+                    raise ValueError(f"{kind} {i!r} is not a point")
         if not 1 <= self.p < math.inf:
             raise ValueError(f"p must be finite and at least 1, got {self.p}")
         self.facility_ids = tuple(sorted(self.facility_ids))
-        self._index = {pid: i for i, pid in enumerate(self.point_ids)}
-        self.dist.setflags(write=False)
+        self.client_ids = tuple(sorted(self.client_demands))
+        self.client_pos = self.positions(self.client_ids)
+        self.facility_pos = self.positions(self.facility_ids)
+        self.facility_groups = tuple(self.group_label.get(u, 0) for u in self.facility_ids)
+        self.point_pos = self.positions(sorted(self.point_ids))
+        self._weights = np.array([self.client_demands[c] for c in self.client_ids], float)
+        for a in (self.dist, self.client_pos, self.facility_pos, self.point_pos, self._weights):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -57,33 +71,49 @@ class MetricInstance:
     def num_groups(self) -> int:
         return max(self.group_label.values(), default=0)
 
-    @property
-    def client_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.client_demands))
-
     def client_weights(self) -> np.ndarray:
-        """Client demands as floats, in client_ids order."""
-        return np.array([self.client_demands[c] for c in self.client_ids], dtype=float)
+        """Client demands as floats, in client_ids order (read-only)."""
+        return self._weights
 
     def index(self, pid: str) -> int:
         return self._index[pid]
 
+    def positions(self, ids: Iterable[str]) -> np.ndarray:
+        """Matrix positions of the ids, in their order."""
+        return np.array([self.index(i) for i in ids], dtype=np.intp)
+
     def d(self, a: str, b: str) -> float:
         return float(self.dist[self._index[a], self._index[b]])
 
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances from the points at positions rows to those at cols: a
+        read-only view of the matrix when rows and cols are each one
+        ascending run of positions, a gathered copy otherwise."""
+        if _is_run(rows) and _is_run(cols):
+            return self.dist[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+        return self.dist[rows[:, None], cols]
+
     def submatrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
-        ri = [self._index[r] for r in rows]
-        ci = [self._index[c] for c in cols]
-        return self.dist[np.ix_(ri, ci)]
+        return self.block(self.positions(rows), self.positions(cols))
+
+    @cached_property
+    def distance_range(self) -> tuple[float, float]:
+        """(min(0, least distance), greatest distance), taken on first use."""
+        return float(self.dist.min(initial=0.0)), float(self.dist.max(initial=-math.inf))
+
+    def first_entry(self, where) -> tuple[str, str, float]:
+        """(row id, column id, distance) of the first entry where(dist) holds."""
+        i, j = np.argwhere(where(self.dist))[0]
+        return self.point_ids[i], self.point_ids[j], float(self.dist[i, j])
 
     def group_sizes(self, num_groups: int | None = None) -> list[int]:
         ell = self.num_groups if num_groups is None else num_groups
-        sizes = [0] * ell
-        for f in self.facility_ids:
-            g = self.group_label.get(f)
-            if g is not None and 1 <= g <= ell:
-                sizes[g - 1] += 1
-        return sizes
+        return [self.facility_groups.count(g) for g in range(1, ell + 1)]
+
+
+def _is_run(i: np.ndarray) -> bool:
+    """Whether the positions i are one ascending run i[0], i[0] + 1, ..."""
+    return len(i) > 0 and i[-1] - i[0] == len(i) - 1 and bool((i[:-1] < i[1:]).all())
 
 
 def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
@@ -208,8 +238,9 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
             out.append(f"group: facility {f} has no group label")
         elif g < 1:
             out.append(f"group: facility {f} has non-positive label {g}")
+    facilities = set(inst.facility_ids)
     for f in inst.group_label:
-        if f not in inst.facility_ids:
+        if f not in facilities:
             out.append(f"group: label given for non-facility {f}")
     for c, w in inst.client_demands.items():
         if not isinstance(w, int) or w <= 0:
@@ -252,7 +283,7 @@ def clustering_cost(inst: MetricInstance, centers: Iterable[str]) -> tuple[float
     for c in C:
         if c not in fset:
             raise ValueError(f"center {c!r} is not a facility")
-    nearest = inst.submatrix(inst.client_ids, C).min(axis=1)
+    nearest = inst.block(inst.client_pos, inst.positions(C)).min(axis=1)
     cost_p = float(inst.client_weights() @ nearest ** inst.p)
     return cost_p, cost_p ** (1.0 / inst.p)
 
@@ -277,10 +308,7 @@ def build_center_solution(inst: MetricInstance, centers: Iterable[str],
                           rc: RangeConstraints | None = None) -> CenterSolution:
     C = tuple(sorted(set(centers)))
     ell = rc.num_groups if rc is not None else inst.num_groups
-    counts = [0] * ell
-    for c in C:
-        g = inst.group_label.get(c)
-        if g is not None and 1 <= g <= ell:
-            counts[g - 1] += 1
+    groups = [inst.group_label.get(c) for c in C]
+    counts = tuple(groups.count(g) for g in range(1, ell + 1))
     cost_p, cost = clustering_cost(inst, C)
-    return CenterSolution(C, tuple(counts), cost_p, cost)
+    return CenterSolution(C, counts, cost_p, cost)

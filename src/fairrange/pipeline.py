@@ -87,23 +87,14 @@ def _scaled(lf: float, v: float) -> float:
             return float(np.exp(lf + np.log(v)))
 
 
-def _identity_reduction(inst: MetricInstance) -> ReducedInstance:
-    clients = inst.client_ids
-    return ReducedInstance(inst, clients, inst.client_weights(),
-                           {c: c for c in clients}, 0.0)
-
-
-def _facility_groups(inst: MetricInstance) -> list[int]:
-    return [inst.group_label[u] for u in inst.facility_ids]
-
-
 def _require_ranged_groups(inst: MetricInstance, rc: RangeConstraints) -> None:
-    """Refuse facilities whose group the ranges do not list.
+    """Refuse facilities with no group label or one the ranges do not list.
 
     Such a facility is bound by no window, so no stage can account for it.
     """
-    for u in inst.facility_ids:
-        g = inst.group_label[u]
+    for u, g in zip(inst.facility_ids, inst.facility_groups):
+        if u not in inst.group_label:
+            raise UnrangedGroupError(f"facility {u!r} has no group label")
         if not 1 <= g <= rc.num_groups:
             raise UnrangedGroupError(
                 f"facility {u!r} is in group {g}, but ranges are given for "
@@ -122,21 +113,19 @@ def _require_costs_in_range(inst: MetricInstance) -> None:
     COST_CAP it can overflow to inf, then to nan, and stages fail on
     feasible instances.
     """
-    if not inst.dist.min(initial=0.0) >= 0.0:
-        i, j = np.argwhere(~(inst.dist >= 0.0))[0]
-        d = inst.dist[i, j]
-        raise CostRangeError(f"distance d({inst.point_ids[i]}, {inst.point_ids[j]}) = "
-                             f"{d:g} is {'negative' if d < 0.0 else 'not a number'}")
+    if not inst.distance_range[0] >= 0.0:
+        a, b, d = inst.first_entry(lambda D: ~(D >= 0.0))
+        raise CostRangeError(f"distance d({a}, {b}) = {d:g} is "
+                             f"{'negative' if d < 0.0 else 'not a number'}")
     w = inst.client_weights()
     if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < math.inf):
         i = int(np.flatnonzero(~((w >= 0.0) & (w < math.inf)))[0])
         raise CostRangeError(f"demand of client {inst.client_ids[i]} = {w[i]:g} is "
                              f"{'negative' if w[i] < 0.0 else 'not finite'}")
-    weight, d_max = float(w.sum()), float(inst.dist.max())
+    weight, d_max = float(w.sum()), inst.distance_range[1]
     if d_max == math.inf:
-        i, j = np.unravel_index(np.argmax(inst.dist), inst.dist.shape)
-        raise CostRangeError(f"distance d({inst.point_ids[i]}, {inst.point_ids[j]}) = "
-                             "inf is not finite")
+        a, b, _ = inst.first_entry(np.isposinf)
+        raise CostRangeError(f"distance d({a}, {b}) = inf is not finite")
     with np.errstate(over="ignore"):
         top = weight * np.float64(d_max) ** inst.p
     if top <= COST_CAP:
@@ -150,29 +139,26 @@ def _require_costs_in_range(inst: MetricInstance) -> None:
                           f"above {COST_CAP:g}{largest}")
 
 
-def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list[str]:
-    """Deterministic direct selection meeting the ranges.
+def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list[int]:
+    """Deterministic direct selection meeting the ranges, as facility indices.
 
     Adds one center at a time, cheapest resulting cost first with ties to
     the lower facility id, skipping any facility whose group is full or
     whose choice would leave too few slots for the remaining lower bounds.
     """
-    clients = inst.client_ids
     w = inst.client_weights()
-    dmat = inst.submatrix(clients, inst.facility_ids) ** inst.p
-    groups = _facility_groups(inst)
+    dmat = inst.block(inst.client_pos, inst.facility_pos) ** inst.p
     counts = [0] * rc.num_groups
-    serve = np.full(len(clients), np.inf)
-    chosen: list[str] = []
-    chosen_idx: set[int] = set()
+    serve = np.full(len(w), np.inf)
+    chosen: list[int] = []
     for _ in range(rc.k):
         slots = rc.k - len(chosen)
         need = sum(max(0, a - c) for (a, _), c in zip(rc.ranges, counts))
         best = None
         for ui, u in enumerate(inst.facility_ids):
-            if ui in chosen_idx:
+            if ui in chosen:
                 continue
-            g = groups[ui] - 1
+            g = inst.facility_groups[ui] - 1
             if counts[g] >= rc.ranges[g][1]:
                 continue
             need_after = need - (1 if counts[g] < rc.ranges[g][0] else 0)
@@ -184,8 +170,7 @@ def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list
         if best is None:
             raise StageError("pipeline", "direct selection cannot meet the ranges")
         _, u, ui, g = best
-        chosen.append(u)
-        chosen_idx.add(ui)
+        chosen.append(ui)
         counts[g] += 1
         serve = np.minimum(serve, dmat[:, ui])
     return chosen
@@ -223,12 +208,13 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     if reduced:
         centers0, _, swaps = local_search_clustering(inst, rc.k)
         red = reduce_locations(inst, centers0)
-    else:
+    else:                                # the clients are the locations
         swaps = 0
-        red = _identity_reduction(inst)
+        red = ReducedInstance(inst, inst.client_ids, inst.client_weights(),
+                              {c: c for c in inst.client_ids}, 0.0)
     lap("baseline")
 
-    groups = _facility_groups(inst)
+    groups = inst.facility_groups
     flp = build_fair_range_lp(red.fac_dist_p, red.weights, groups, rc.k, rc.ranges)
     res = solve_lp(flp)
     if res.status != "optimal":
@@ -262,7 +248,6 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
         centers_idx, part, _ = select_centers(ss, x_tilde, groups, rc)
         stage_costs["assignment"] = sp.assignment_cost(x_tilde)
         diagnostics["partition_sets"] = part.count
-        center_ids = [inst.facility_ids[u] for u in centers_idx]
         lap("rounding")
     except (OpeningInfeasibleError, NoIntegralSelectionError) as exc:
         # the one-unit territory caps can pin a group below its lower
@@ -275,16 +260,15 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
             lap("half_integral")
         lap("rounding")
     if fallback:
-        center_ids = _greedy_feasible_centers(inst, rc)
+        centers_idx = _greedy_feasible_centers(inst, rc)
 
-    solution = build_center_solution(inst, center_ids, rc)
+    solution = build_center_solution(inst, [inst.facility_ids[u] for u in centers_idx], rc)
     if len(solution.centers) != rc.k:
         raise StageError("pipeline", f"selected {len(solution.centers)} centers")
     for cnt, (a, b) in zip(solution.group_counts, rc.ranges):
         if not a <= cnt <= b:
             raise StageError("pipeline", "selected centers break a range")
-    cidx = [inst.facility_ids.index(c) for c in solution.centers]
-    dmin = sp.fac_dist[:, cidx].min(axis=1)
+    dmin = sp.fac_dist[:, centers_idx].min(axis=1)
     stage_costs["integral_sparse"] = float(sp.weights @ dmin ** sp.p)
     stage_costs["integral_clients"] = red.cost_of(solution.centers)
     stage_costs["integral_original"] = solution.cost_p
@@ -322,8 +306,8 @@ def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints,
     if not check_range_feasibility(inst.group_sizes(rc.num_groups), rc):
         raise InfeasibleRangesError("ranges admit no center set")
     w = inst.client_weights()
-    dmat = inst.submatrix(inst.client_ids, inst.facility_ids) ** inst.p
-    groups = _facility_groups(inst)
+    dmat = inst.block(inst.client_pos, inst.facility_pos) ** inst.p
+    groups = inst.facility_groups
     best = math.inf
     best_set: tuple[str, ...] | None = None
     for combo in itertools.combinations(range(nF), rc.k):

@@ -106,26 +106,26 @@ def consolidate(ids: Sequence[str], loc_dist: np.ndarray, radii: np.ndarray,
 
 @dataclass
 class SparsifiedInstance:
-    """Surviving locations with their balls and the carried LP solution.
-
-    The distance tables are red's, restricted to the surviving rows."""
+    """Surviving locations, red's at positions kept, with their balls and the
+    carried LP solution.  The distance tables are red's, at the kept rows."""
     red: ReducedInstance
-    location_ids: tuple[str, ...]
+    kept: list[int]                         # positions in red.location_ids
     weights: np.ndarray
     radii: np.ndarray                       # aligned with location_ids
     forward_map: dict[str, str]             # reduced location id -> survivor id
     balls: list[np.ndarray]                 # facility indices per survivor
     x: np.ndarray                           # survivors x facilities
     y: np.ndarray
+    location_ids: tuple[str, ...] = field(init=False)
     fac_dist: np.ndarray = field(init=False, repr=False)
     fac_dist_p: np.ndarray = field(init=False, repr=False)
     loc_dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        kept = [self.red.location_ids.index(v) for v in self.location_ids]
-        self.fac_dist = self.red.fac_dist[kept]
-        self.fac_dist_p = self.red.fac_dist_p[kept]
-        self.loc_dist = self.red.loc_dist[np.ix_(kept, kept)]
+        self.location_ids = tuple(self.red.location_ids[t] for t in self.kept)
+        self.fac_dist = self.red.fac_dist[self.kept]
+        self.fac_dist_p = self.red.fac_dist_p[self.kept]
+        self.loc_dist = self.red.loc_dist[np.ix_(self.kept, self.kept)]
 
     @property
     def p(self) -> float:
@@ -140,23 +140,17 @@ class SparsifiedInstance:
         return float(self.weights @ (x * self.fac_dist_p).sum(axis=1))
 
     def half_contribution(self) -> float:
-        """Smallest in-ball assignment mass across survivors."""
-        return min(float(self.x[v, self.balls[v]].sum())
-                   for v in range(len(self.location_ids)))
+        """Smallest in-ball assignment mass across survivors; inf with none."""
+        return min((float(self.x[v, b].sum()) for v, b in enumerate(self.balls)), default=np.inf)
 
     def separation_margin(self) -> float:
         """min over survivor pairs of d(v, v') - 2^(1+1/p) max(R, R').
 
         Nonnegative up to float slack when consolidation ran correctly.
         """
-        m = len(self.location_ids)
-        D = self.loc_dist
-        sep = separation_multiplier(self.p)
-        worst = np.inf
-        for i in range(m):
-            for j in range(i + 1, m):
-                worst = min(worst, D[i, j] - sep * max(self.radii[i], self.radii[j]))
-        return float(worst)
+        i, j = np.triu_indices(len(self.location_ids), 1)
+        sep = separation_multiplier(self.p) * np.maximum(self.radii[i], self.radii[j])
+        return float((self.loc_dist[i, j] - sep).min(initial=np.inf))
 
 
 def sparsify(red: ReducedInstance, x: np.ndarray, y: np.ndarray) -> SparsifiedInstance:
@@ -170,8 +164,7 @@ def sparsify(red: ReducedInstance, x: np.ndarray, y: np.ndarray) -> SparsifiedIn
     radii = fractional_radius(red.fac_dist_p, x, red.p)
     kept, w_prime, fmap = consolidate(red.location_ids, red.loc_dist,
                                       radii, red.weights, red.p)
-    ids = tuple(red.location_ids[t] for t in kept)
     r_kept = radii[kept]
     balls = compute_balls(red.fac_dist[kept], r_kept, red.p)
-    return SparsifiedInstance(red, ids, w_prime, r_kept, fmap, balls,
+    return SparsifiedInstance(red, kept, w_prime, r_kept, fmap, balls,
                               x[kept].copy(), np.asarray(y, dtype=float).copy())

@@ -77,7 +77,7 @@ def manual_sp(inst, locations, radii, balls, x, y):
     red = reduce_locations(inst, locations)
     assert red.location_ids == tuple(locations)
     return SparsifiedInstance(
-        red, tuple(locations), red.weights, np.asarray(radii, dtype=float),
+        red, list(range(len(locations))), red.weights, np.asarray(radii, dtype=float),
         {v: v for v in locations}, [np.asarray(b, dtype=int) for b in balls],
         np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 

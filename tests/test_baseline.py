@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairrange.baseline as baseline
-from fairrange.baseline import (_block_hits, _block_of, _client_arrays,
-                                farthest_first, local_search_clustering,
+from fairrange.baseline import (_block_hits, farthest_first, local_search_clustering,
                                 reduce_locations)
 from fairrange.instance import RangeConstraints, instance_from_coords
 from fairrange.pipeline import _require_costs_in_range
@@ -43,8 +42,8 @@ def reference_farthest_first(inst, k, candidates=None):
 def direct_cost(inst, cand):
     """cost_of(positions): the power-p cost of a set of candidate positions,
     as one pass over the client x candidate matrix."""
-    cl_idx, w = _client_arrays(inst)
-    Dp = inst.dist[np.ix_(cl_idx, [inst.index(c) for c in cand])] ** inst.p
+    w = inst.client_weights()
+    Dp = inst.dist[np.ix_(inst.client_pos, [inst.index(c) for c in cand])] ** inst.p
     return lambda pos_list: float(w @ Dp[:, pos_list].min(axis=1))
 
 
@@ -84,8 +83,8 @@ def reference_reduce_locations(inst, centers):
     cs = sorted(centers)
     if not cs:
         raise ValueError("empty center set")
-    cl_idx, w = _client_arrays(inst)
-    D = inst.dist[np.ix_(cl_idx, [inst.index(c) for c in cs])]
+    w = inst.client_weights()
+    D = inst.dist[np.ix_(inst.client_pos, [inst.index(c) for c in cs])]
     nearest = np.argmin(D, axis=1)          # first min = lowest id
     agg = {c: 0.0 for c in cs}
     assign = {}
@@ -342,7 +341,7 @@ class TestSwapTable:
         if k == len(cand):
             assert seen == []
             return
-        _, w = _client_arrays(inst)
+        w = inst.client_weights()
         with np.errstate(over="ignore"):
             wscale, scale, rho, a = baseline._table_scale(w, float(inst.dist.max() ** inst.p))
         table, inside, bound = seen[0]
@@ -405,18 +404,10 @@ class TestSwapTable:
         inst = instance_from_coords(
             ids, coords, facility_ids=ids, group_label={i: 1 for i in ids},
             client_demands={c: 1 + j % 3 for j, c in enumerate(ids)}, p=1.0)
-        cl_idx, _ = _client_arrays(inst)
-        sub = inst.dist[np.ix_(cl_idx, [inst.index(c) for c in farthest_first(inst, 20)])]
+        sub = inst.dist[np.ix_(inst.client_pos,
+                               [inst.index(c) for c in farthest_first(inst, 20)])]
         assert ((sub == sub.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
         assert_same_search(inst, 20)
-
-    def test_block_is_a_view_only_for_runs(self):
-        D = np.arange(36.0).reshape(6, 6)
-        assert np.shares_memory(_block_of(D, [1, 2, 3], [0, 1]), D)
-        for rows, cols in (([1, 3], [0, 1]), ([1, 2], [2, 1]), ([], [0])):
-            got = _block_of(D, rows, cols)
-            assert not np.shares_memory(got, D)
-            assert np.array_equal(got, D[np.ix_(rows, cols)])
 
     def test_grid_ties_across_blocks(self):
         # 20 x 15 integer grid: equal swaps everywhere, in every block

@@ -219,6 +219,22 @@ class TestSolveCommand:
         assert captured.err == (f"bad instance document: {section} record "
                                 f"{record!r} needs an id and an integer\n")
 
+    @pytest.mark.parametrize("section", ["facilities", "clients"])
+    def test_repeated_record_exit_one(self, tmp_path, capsys, section):
+        # a repeated record was accepted and the last one won: "p1 1" then
+        # "p1 3" under clients solved with demand 3
+        lines = serialize_document(tiny_document()).splitlines()
+        at = lines.index(section + ":") + 2
+        lines.insert(at + 1, "  p1 3")
+        path = tmp_path / "repeated.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{section} lists 'p1' more than once"):
+            parse_document(path.read_text())
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad instance document: {section} lists 'p1' more than once\n"
+
     def test_negative_demand_exit_one(self, tmp_path, capsys):
         # this printed a negative cost-p and exited 0
         doc = tiny_document()

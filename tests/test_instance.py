@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairrange
 from fairrange.instance import (
     MetricInstance,
     RangeConstraints,
@@ -294,3 +297,88 @@ def test_zero_distance_distinct_points_allowed():
     assert validate_instance(inst).ok
     cost_p, _ = clustering_cost(inst, ["a"])
     assert cost_p == pytest.approx(2.0)
+
+
+def test_instance_rejects_duplicate_facility_ids():
+    # ("a", "a", "b") was accepted, and the flow then opened "a" twice, so
+    # a k=2 solve raised "pipeline: selected 1 centers"
+    with pytest.raises(ValueError, match="duplicate facility ids"):
+        matrix_instance(["a", "b"], [[0, 1], [1, 0]], ["a", "a", "b"],
+                        {"a": 1, "b": 1}, {"a": 1}, 1.0)
+
+
+def test_block_is_a_view_only_for_runs():
+    ids = [f"q{i}" for i in range(6)]
+    inst = matrix_instance(ids, np.arange(36.0).reshape(6, 6), ids, {i: 1 for i in ids},
+                           {i: 1 for i in ids}, 1.0)
+    D = inst.dist
+
+    def block(rows, cols):
+        return inst.block(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+    view = block([1, 2, 3], [0, 1])
+    assert np.shares_memory(view, D) and not view.flags.writeable
+    assert np.array_equal(view, D[1:4, 0:2])
+    for rows, cols in (([1, 3], [0, 1]), ([1, 2], [2, 1]), ([], [0]), ([2], [])):
+        got = block(rows, cols)
+        assert not np.shares_memory(got, D)
+        assert np.array_equal(got, D[np.ix_(rows, cols)])
+    assert np.array_equal(inst.submatrix(["q3", "q1"], ["q2"]), D[np.ix_([3, 1], [2])])
+
+
+def test_positions_are_worked_out_once():
+    # ids that sort against matrix order, clients and facilities as subsets
+    ids = ["c", "a", "d", "b"]
+    dist = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    inst = matrix_instance(ids, dist, ["d", "a"], {"d": 2}, {"b": 3, "c": 1, "a": 2}, 1.0)
+    assert inst.client_ids == ("a", "b", "c")
+    assert inst.client_pos.tolist() == [1, 3, 0]
+    assert inst.client_weights().tolist() == [2.0, 3.0, 1.0]
+    assert inst.facility_ids == ("a", "d")
+    assert inst.facility_pos.tolist() == [1, 2]
+    assert inst.facility_groups == (0, 2)          # "a" has no label
+    assert inst.point_pos.tolist() == [1, 3, 0, 2]
+    assert inst.positions(["d", "c"]).tolist() == [2, 0]
+    for a in (inst.client_pos, inst.facility_pos, inst.point_pos, inst.client_weights()):
+        assert not a.flags.writeable
+    assert inst.distance_range == (0.0, 3.0)
+    assert inst.first_entry(lambda D: D == 3.0) == ("c", "b", 3.0)
+
+
+def test_only_the_instance_reads_the_matrix():
+    # every block a solve reads comes from MetricInstance; the one other
+    # reader writes a matrix document out
+    def reads(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "dist"]
+
+    stray = []
+    for path in sorted(pathlib.Path(fairrange.__file__).parent.glob("*.py")):
+        if path.name == "instance.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = [n for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) == ("cli.py", "document_from_instance")
+                   for n in reads(fn)]
+        stray += [f"{path.name}:{n.lineno}" for n in reads(tree) if n not in allowed]
+    assert stray == []
+
+
+def test_solve_maps_only_o_of_k_ids(monkeypatch):
+    # a many-clients-shaped solve: 400 clients, every 20th point a facility.
+    # Ids become positions once, when the instance is built; a solve maps
+    # only centers and locations
+    rng = np.random.default_rng(3)
+    ids = [f"m{i:03d}" for i in range(400)]
+    inst = instance_from_coords(ids, rng.uniform(0.0, 100.0, size=(400, 2)), ids[::20],
+                                {u: 1 + t % 2 for t, u in enumerate(ids[::20])},
+                                {c: int(rng.integers(1, 4)) for c in ids}, 2.0)
+    rc = RangeConstraints(6, ((2, 4), (2, 4)))
+    calls = []
+    real = MetricInstance.index
+
+    def counting(self, pid):
+        calls.append(pid)
+        return real(self, pid)
+    monkeypatch.setattr(MetricInstance, "index", counting)
+    report = fairrange.solve_fair_range(inst, rc)
+    assert report.reduced and report.diagnostics["baseline_swaps"] > 0
+    assert 0 < len(calls) <= 10 * rc.k

@@ -85,6 +85,18 @@ class TestSolveFairRange:
             with pytest.raises(UnrangedGroupError, match="group 3"):
                 brute_force_optimum(inst, rc)
 
+    def test_unlabeled_facility_named(self):
+        # a facility with no group label raised a bare KeyError('b');
+        # validation still reports the missing label
+        inst = matrix_instance(["a", "b"], [[0.0, 1.0], [1.0, 0.0]], ["a", "b"],
+                               {"a": 1}, {"a": 1, "b": 1}, 1.0)
+        assert "group: facility b has no group label" in validate_instance(inst).violations
+        rc = RangeConstraints(1, ((0, 1),))
+        with pytest.raises(UnrangedGroupError, match="facility 'b' has no group label"):
+            solve_fair_range(inst, rc)
+        with pytest.raises(UnrangedGroupError, match="facility 'b' has no group label"):
+            brute_force_optimum(inst, rc)
+
     def test_fairness_free_degeneration(self):
         inst = random_instance(3, 14, 1, 1.0)
         rc = RangeConstraints(4, ((0, 4),))
@@ -498,23 +510,34 @@ def test_small_solve_imports_no_scipy():
 @st.composite
 def tiny_instances(draw):
     """Instances of at most 8 points on a 5x5 grid, so points may coincide,
-    with clients and facilities drawn as subsets of the points, demands
-    that may be 0, one to three groups, k up to |F|, and windows around a
-    drawn witness center set that are often tight (alpha = beta)."""
+    with ids that may sort against matrix order, built from coordinates or
+    from their matrix, clients and facilities drawn as subsets of the
+    points, demands that may be 0, one to three groups and now and then a
+    label outside them, k up to |F|, and windows around a drawn witness
+    center set that are often tight (alpha = beta), or now and then drawn
+    with no witness."""
     n = draw(st.integers(1, 8))
     p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
-    ids = [f"p{i}" for i in range(n)]
+    ids = draw(st.permutations([f"p{i}" for i in range(n)]))
     coords = np.array([[draw(st.integers(0, 4)), draw(st.integers(0, 4))] for _ in ids],
                       dtype=float)
     facilities = [u for u in ids if draw(st.booleans())] or [ids[0]]
     ell = draw(st.integers(1, 3))
-    labels = {u: draw(st.integers(1, ell)) for u in facilities}
+    label_range = st.integers(0, ell + 1) if draw(st.integers(0, 5)) == 0 else st.integers(1, ell)
+    labels = {u: draw(label_range) for u in facilities}
     demands = {c: draw(st.integers(0, 3)) for c in ids if draw(st.booleans())}
     inst = fairrange.instance_from_coords(ids, coords, facilities, labels, demands, p)
+    if draw(st.booleans()):
+        inst = matrix_instance(ids, inst.dist, facilities, labels, demands, p)
     k = draw(st.integers(1, len(facilities)))
     witness = [labels[u] for u in draw(st.permutations(facilities))[:k]]
     ranges = []
+    free = draw(st.integers(0, 5)) == 0
     for g in range(1, ell + 1):
+        if free:
+            a = draw(st.integers(0, 3))
+            ranges.append((a, a + draw(st.integers(0, 2))))
+            continue
         tight = draw(st.booleans())
         below, above = (0, 0) if tight else (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
         ranges.append((max(0, witness.count(g) - below), witness.count(g) + above))
@@ -536,3 +559,39 @@ def test_tiny_instances_end_certified_or_typed(case):
     assert all(a <= c <= b for c, (a, b) in zip(report.centers.group_counts, rc.ranges))
     optimum, _ = brute_force_optimum(inst, rc)
     assert report.centers.cost_p >= optimum * (1.0 - 1e-9)
+
+
+def _permuted(inst, seed):
+    """inst with the rows and columns of its matrix in another order, and
+    the same ids, labels and demands."""
+    perm = np.random.default_rng(seed).permutation(inst.n)
+    return matrix_instance([inst.point_ids[i] for i in perm], inst.dist[np.ix_(perm, perm)],
+                           inst.facility_ids, inst.group_label, inst.client_demands, inst.p)
+
+
+def _answer_bits(report):
+    return (report.centers.centers, {k: v.hex() for k, v in report.stage_costs.items()},
+            report.diagnostics["baseline_swaps"], report.fallback)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_answers_do_not_depend_on_matrix_order(p):
+    # ids in matrix order read every block through a view of the matrix,
+    # the permuted copy gathers each one: the answers must be the same bits
+    cases = [(random_instance(s, 10, 2, p), s) for s in range(3)]
+    cases.append((random_instance(11, 300, 4, p), 11))     # three column blocks
+    inst = random_instance(7, 40, 3, p)
+    cases.append((inst, 7))
+    ids = inst.point_ids
+    cases.append((matrix_instance(ids, inst.dist, ids[::5], inst.group_label,
+                                  {c: 1 + i % 3 for i, c in enumerate(ids)}, p), 7))
+    # three clients for k = 4: the locations are the clients themselves
+    cases.append((matrix_instance(ids, inst.dist, ids, inst.group_label,
+                                  {c: 2 for c in ids[1::14]}, p), 7))
+    reduced = []
+    for inst, s in cases:
+        rc = random_ranges(s, inst, 4 if inst.n > 10 else 3, inst.num_groups)
+        want = solve_fair_range(inst, rc)
+        reduced.append(want.reduced)
+        assert _answer_bits(solve_fair_range(_permuted(inst, s), rc)) == _answer_bits(want)
+    assert reduced == [True] * 6 + [False]

@@ -12,6 +12,7 @@ from fairrange.baseline import (
 from fairrange.errors import StageError
 from fairrange.instance import RangeConstraints, clustering_cost, instance_from_coords
 from fairrange.lp import build_fair_range_lp, solve_lp, split_fair_solution
+from fairrange.pipeline import random_instance, random_ranges
 from fairrange.sparsify import (
     ball_multiplier,
     canonical_assignment,
@@ -22,7 +23,8 @@ from fairrange.sparsify import (
     sparsify,
 )
 
-from conftest import feasible_ranges, line_instance, random_fair_instance, solve_stages
+from conftest import (feasible_ranges, line_instance, matrix_instance, random_fair_instance,
+                      solve_stages)
 
 
 class TestRadii:
@@ -127,6 +129,17 @@ class TestSparsifyIntegration:
             # carried solution is intact
             assert sp.assignment_cost(sp.x) <= opt * (1 + 1e-7) + 1e-9
             assert np.all(sp.x <= sp.y[None, :] + 1e-6)
+
+    def test_no_survivor_premises_hold_vacuously(self):
+        # with no client nothing survives; half_contribution raised
+        # "min() arg is an empty sequence"
+        inst = random_instance(0, 8, 2, 2.0)
+        empty = matrix_instance(inst.point_ids, inst.dist, inst.facility_ids,
+                                inst.group_label, {}, 2.0)
+        sp = solve_stages(empty, random_ranges(0, inst, 3, 2), "sparsify")["sparsify"]
+        assert sp.location_ids == ()
+        assert sp.half_contribution() == np.inf
+        assert sp.separation_margin() == np.inf
 
     def test_forward_map_covers_all_locations(self, rng):
         inst = random_fair_instance(rng, 10, 1.0)
