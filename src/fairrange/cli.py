@@ -4,7 +4,9 @@ The instance document is a line-oriented text format built for diffable
 golden files.  Scalars sit on `key: value` lines; the block sections
 `points`, `matrix`, `facilities`, and `clients` hold one indented record
 per line.  Exactly one of coordinates (on the points records) or an
-explicit matrix (lower triangle or full rows) describes the geometry.
+explicit matrix (lower-triangle rows or full rows, one form throughout)
+describes the geometry.  A document holds it as a read-only array, and an
+instance built from a matrix document reads that array without a copy.
 Floats are written with 17 significant digits, so a parse of a serialized
 document reproduces it bit for bit.
 """
@@ -33,12 +35,12 @@ G = "%.17g"
 CSV_HEADER = "n,k,l,p,seed,solver_cost,oracle_cost,ratio,certificates_passed,wall_ms"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceDocument:
     format_version: int
     point_ids: tuple[str, ...]
-    coords: tuple[tuple[float, ...], ...] | None
-    matrix: tuple[tuple[float, ...], ...] | None      # full square, symmetric
+    coords: np.ndarray | None        # n x dim, read-only
+    matrix: np.ndarray | None        # n x n, symmetric, read-only
     facilities: tuple[tuple[str, int], ...]           # (id, group)
     clients: tuple[tuple[str, int], ...]              # (id, demand)
     p: float
@@ -50,10 +52,31 @@ class InstanceDocument:
             raise ValueError("exactly one of coordinates or matrix required")
         if len(set(self.point_ids)) != len(self.point_ids):
             raise ValueError("duplicate point ids")
+        for name in ("coords", "matrix"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _read_only(getattr(self, name)))
         for name in ("facilities", "clients"):
-            for pid, n in Counter(pid for pid, _ in getattr(self, name)).most_common(1):
-                if n > 1:
+            for pid, count in Counter(pid for pid, _ in getattr(self, name)).most_common(1):
+                if count > 1:
                     raise ValueError(f"{name} lists {pid!r} more than once")
+
+    def __eq__(self, other):
+        """Field by field; the geometry arrays compare by value."""
+        if not isinstance(other, InstanceDocument):
+            return NotImplemented
+        pairs = ((f.name, getattr(self, f.name), getattr(other, f.name))
+                 for f in dataclasses.fields(self))
+        return all(np.array_equal(a, b) if name in ("coords", "matrix") else a == b
+                   for name, a, b in pairs)
+
+
+def _read_only(a) -> np.ndarray:
+    """a as a read-only float64 array: one that already is one is kept,
+    anything else is copied once."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
 
 
 def serialize_document(doc: InstanceDocument) -> str:
@@ -63,14 +86,13 @@ def serialize_document(doc: InstanceDocument) -> str:
              "ranges: " + ",".join(f"{a}:{b}" for a, b in doc.ranges),
              "points:"]
     if doc.coords is not None:
-        for pid, row in zip(doc.point_ids, doc.coords):
+        for pid, row in zip(doc.point_ids, doc.coords.tolist()):
             lines.append("  " + pid + " " + " ".join(G % c for c in row))
     else:
         lines.extend("  " + pid for pid in doc.point_ids)
         lines.append("matrix:")
-        for i in range(len(doc.point_ids)):
-            lines.append("  " + " ".join(G % doc.matrix[i][j]
-                                         for j in range(i + 1)))
+        for i, row in enumerate(doc.matrix):
+            lines.append("  " + " ".join(G % v for v in row[:i + 1].tolist()))
     lines.append("facilities:")
     lines.extend(f"  {pid} {g}" for pid, g in doc.facilities)
     lines.append("clients:")
@@ -90,7 +112,7 @@ def parse_document(text: str) -> InstanceDocument:
         if not line.strip():
             continue
         if line.startswith("  ") and current is not None:
-            current.append(line.strip())
+            current.append(line)        # records are split on whitespace
         elif line.endswith(":"):
             current = sections.setdefault(line[:-1], [])
         elif ": " in line:
@@ -105,13 +127,11 @@ def parse_document(text: str) -> InstanceDocument:
     for key in ("points", "facilities", "clients"):
         if key not in sections:
             raise ValueError(f"missing {key} section")
-    ranges = tuple(tuple(int(v) for v in part.split(":"))
-                   for part in scalars["ranges"].split(",") if part)
     ids, coords = [], []
     for rec in sections["points"]:
-        parts = rec.split()
-        ids.append(parts[0])
-        coords.append(tuple(float(v) for v in parts[1:]))
+        pid, *xs = rec.split()
+        ids.append(pid)
+        coords.append([float(v) for v in xs])
     has_coords = any(coords)
     if has_coords and not all(len(c) == len(coords[0]) and c for c in coords):
         raise ValueError("inconsistent coordinate dimensions")
@@ -119,36 +139,57 @@ def parse_document(text: str) -> InstanceDocument:
     if "matrix" in sections:
         if has_coords:
             raise ValueError("both coordinates and matrix present")
-        n = len(ids)
-        rows = [[float(v) for v in rec.split()] for rec in sections["matrix"]]
-        if len(rows) != n:
-            raise ValueError("matrix row count does not match points")
-        full = np.zeros((n, n))
-        for i, row in enumerate(rows):
-            if len(row) == i + 1:              # lower triangle
-                full[i, :i + 1] = row
-                full[:i + 1, i] = row
-            elif len(row) == n:
-                full[i] = row
-            else:
-                raise ValueError(f"matrix row {i} has {len(row)} entries")
-        matrix = tuple(tuple(float(v) for v in full[i]) for i in range(n))
+        matrix = _parse_matrix(sections["matrix"], len(ids))
     elif not has_coords:
         raise ValueError("points carry no coordinates and no matrix given")
     facilities, clients = (tuple(_id_and_count(name, rec) for rec in sections[name])
                            for name in ("facilities", "clients"))
     return InstanceDocument(
-        version, tuple(ids),
-        tuple(coords) if has_coords else None, matrix,
-        facilities, clients, float(scalars["p"]), int(scalars["k"]), ranges)
+        version, tuple(ids), coords if has_coords else None, matrix,
+        facilities, clients, float(scalars["p"]), int(scalars["k"]),
+        _parse_ranges(scalars["ranges"]))
+
+
+def _parse_matrix(rows: list[str], n: int) -> np.ndarray:
+    """The read-only n x n matrix of n lower-triangle rows (row i holds
+    i + 1 entries, mirrored above the diagonal) or n full rows, filled row
+    by row.  Row 0 sets the form; a row of the other form is refused."""
+    if len(rows) != n:
+        raise ValueError("matrix row count does not match points")
+    full = np.zeros((n, n))
+    whole = n > 1 and len(rows[0].split()) == n
+    for i, rec in enumerate(rows):
+        parts = rec.split()
+        width = n if whole else i + 1
+        if len(parts) != width:
+            raise ValueError(f"matrix row {i} has {len(parts)} entries; "
+                             f"{'full' if whole else 'lower-triangle'} rows need {width}")
+        full[i, :width] = list(map(float, parts))
+        if not whole:
+            full[:width, i] = full[i, :width]
+    full.setflags(write=False)
+    return full
 
 
 def _id_and_count(section: str, rec: str) -> tuple[str, int]:
     """A facilities record (id, group) or a clients record (id, demand)."""
     parts = rec.split()
     if len(parts) != 2:
-        raise ValueError(f"{section} record {rec!r} needs an id and an integer")
+        raise ValueError(f"{section} record {rec.strip()!r} needs an id and an integer")
     return parts[0], int(parts[1])
+
+
+def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
+    """Ranges written lo:hi,lo:hi,... (no ranges when text is empty); a
+    part that is not two integers around one colon is refused by quote."""
+    ranges = []
+    for part in text.split(",") if text else ():
+        lo, _, hi = part.partition(":")
+        try:
+            ranges.append((int(lo), int(hi)))
+        except ValueError:
+            raise ValueError(f"range {part!r} is not lo:hi") from None
+    return tuple(ranges)
 
 
 def document_to_instance(doc: InstanceDocument) -> tuple[MetricInstance, RangeConstraints]:
@@ -156,33 +197,20 @@ def document_to_instance(doc: InstanceDocument) -> tuple[MetricInstance, RangeCo
     demands = dict(doc.clients)
     fac_ids = tuple(pid for pid, _ in doc.facilities)
     if doc.coords is not None:
-        inst = instance_from_coords(doc.point_ids, np.asarray(doc.coords),
+        inst = instance_from_coords(doc.point_ids, doc.coords,
                                     fac_ids, group_label, demands, doc.p)
-    else:
-        inst = MetricInstance(doc.point_ids, np.asarray(doc.matrix),
+    else:       # the instance reads the document's read-only matrix, uncopied
+        inst = MetricInstance(doc.point_ids, doc.matrix,
                               fac_ids, group_label, demands, doc.p)
     return inst, RangeConstraints(doc.k, doc.ranges)
 
 
 def document_from_instance(inst: MetricInstance, rc: RangeConstraints) -> InstanceDocument:
-    coords = None
-    matrix = None
-    if inst.coords is not None:
-        coords = tuple(tuple(float(v) for v in row) for row in inst.coords)
-    else:
-        matrix = tuple(tuple(float(v) for v in row) for row in inst.dist)
+    matrix = inst.dist if inst.coords is None else None
     facilities = tuple((u, inst.group_label[u]) for u in inst.facility_ids)
     clients = tuple((c, inst.client_demands[c]) for c in inst.client_ids)
-    return InstanceDocument(FORMAT_VERSION, inst.point_ids, coords, matrix,
+    return InstanceDocument(FORMAT_VERSION, inst.point_ids, inst.coords, matrix,
                             facilities, clients, inst.p, rc.k, rc.ranges)
-
-
-def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for part in text.split(","):
-        a, b = part.split(":")
-        out.append((int(a), int(b)))
-    return tuple(out)
 
 
 def _nonnegative_float(text: str) -> float:

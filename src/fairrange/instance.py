@@ -15,7 +15,7 @@ import numpy as np
 
 METRIC_TOL = 1e-9
 TRIANGLE_SAMPLE_CAP = 1_000_000
-COORD_ROW_BLOCK = 64     # rows of pairwise differences built at a time
+ROW_BLOCK = 64     # rows of an n-wide temporary built at a time
 
 
 @dataclass
@@ -120,8 +120,11 @@ def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
                          client_demands, p: float) -> MetricInstance:
     """Build an instance with Euclidean distances from coordinates of any
     dimension, one row per point.  A point with an inf or nan coordinate
-    is refused by name: its distances would be inf or nan."""
-    pts = np.asarray(coords, dtype=float)
+    is refused by name: its distances would be inf or nan.  The instance
+    keeps its own read-only copy of the coordinates, so a later write to
+    the caller's array cannot part them from the distances."""
+    pts = np.array(coords, dtype=float)
+    pts.setflags(write=False)
     if pts.ndim != 2 or pts.shape[0] != len(ids):
         raise ValueError("coordinate array shape does not match ids")
     finite = np.isfinite(pts).all(axis=1)
@@ -138,18 +141,18 @@ def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
     n, dim = pts.shape
     dist = np.empty((n, n))
     if dim >= 8:
-        for a in range(0, n, COORD_ROW_BLOCK):
-            diff = pts[a:a + COORD_ROW_BLOCK, None, :] - pts[None, :, :]
-            np.sqrt((diff * diff).sum(axis=2), out=dist[a:a + COORD_ROW_BLOCK])
+        for a in range(0, n, ROW_BLOCK):
+            diff = pts[a:a + ROW_BLOCK, None, :] - pts[None, :, :]
+            np.sqrt((diff * diff).sum(axis=2), out=dist[a:a + ROW_BLOCK])
     else:
         cols = np.ascontiguousarray(pts.T)
-        tmp = np.empty((min(COORD_ROW_BLOCK, n), n))
-        for a in range(0, n, COORD_ROW_BLOCK):
-            out = dist[a:a + COORD_ROW_BLOCK]
+        tmp = np.empty((min(ROW_BLOCK, n), n))
+        for a in range(0, n, ROW_BLOCK):
+            out = dist[a:a + ROW_BLOCK]
             sq = tmp[:len(out)]
             out.fill(0.0)
             for col in cols:
-                np.subtract(col[a:a + COORD_ROW_BLOCK, None], col, out=sq)
+                np.subtract(col[a:a + ROW_BLOCK, None], col, out=sq)
                 sq *= sq
                 out += sq
             np.sqrt(out, out=out)
@@ -206,15 +209,27 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
     out: list[str] = []
     D = inst.dist
     n = inst.n
-    nan = np.isnan(D)
-    if nan.any():
-        i, j = np.argwhere(nan)[0]
+    first_nan = None                # flat position in D
+    worst = (METRIC_TOL, None)      # (gap, flat position): the first largest gap
+    for a in range(0, n, ROW_BLOCK):
+        rows = D[a:a + ROW_BLOCK]
+        nan = np.isnan(rows)
+        if first_nan is None and nan.any():
+            first_nan = a * n + int(np.argmax(nan))
+        # |d(i,j) - d(j,i)|; a nan pair is no symmetry fault, nor is an
+        # equal infinite pair (inf - inf is nan), so both gaps read 0
+        with np.errstate(invalid="ignore"):
+            gap = rows - D[:, a:a + ROW_BLOCK].T
+        np.abs(gap, out=gap)
+        gap[np.isnan(gap)] = 0.0
+        t = int(np.argmax(gap))
+        if gap.flat[t] > worst[0]:
+            worst = (gap.flat[t], a * n + t)
+    if first_nan is not None:
+        i, j = divmod(first_nan, n)
         out.append(f"nan: d({inst.point_ids[i]},{inst.point_ids[j]}) is not a number")
-    # a nan pair is no symmetry fault, and equal pairs are zeroed so that
-    # inf - inf cannot hide the faulty pair from argmax
-    S = np.where(nan | nan.T | (D == D.T), 0.0, D)
-    if not np.allclose(S, S.T, rtol=0.0, atol=METRIC_TOL):
-        i, j = np.unravel_index(np.argmax(np.abs(S - S.T)), D.shape)
+    if worst[1] is not None:
+        i, j = divmod(worst[1], n)
         out.append(f"symmetry: d({inst.point_ids[i]},{inst.point_ids[j]}) != transpose")
     diag = np.abs(np.diag(D))
     if diag.max(initial=0.0) > METRIC_TOL:

@@ -32,20 +32,27 @@ def separation_multiplier(p: float) -> float:
     return 2.0 ** (1.0 + 1.0 / p)
 
 
-def canonical_assignment(x: np.ndarray) -> np.ndarray:
-    """Clip stray negatives and rescale rows with mass above one.
-
-    Scaling a row down to unit mass keeps it feasible and never raises the
-    objective, so a canonicalized optimal solution stays optimal.  A row
-    short of unit mass means the solve went wrong; that raises StageError.
-    """
-    x = np.array(x, dtype=float)
-    np.maximum(x, 0.0, out=x)
+def _row_masses(x: np.ndarray) -> np.ndarray:
+    """Row sums of the assignment x.  A row short of unit mass means the
+    solve went wrong; that raises StageError."""
     sums = x.sum(axis=1)
     if np.any(sums < 1.0 - COVER_TOL):
         bad = int(np.argmin(sums))
         raise StageError("sparsify",
                          f"assignment row {bad} has mass {sums[bad]:.9f}")
+    return sums
+
+
+def canonical_assignment(x: np.ndarray) -> np.ndarray:
+    """Clip stray negatives and rescale rows with mass above one.
+
+    Scaling a row down to unit mass keeps it feasible and never raises the
+    objective, so a canonicalized optimal solution stays optimal.  A row
+    short of unit mass raises StageError.
+    """
+    x = np.array(x, dtype=float)
+    np.maximum(x, 0.0, out=x)
+    sums = _row_masses(x)
     over = sums > 1.0
     x[over] /= sums[over, None]
     return x
@@ -55,11 +62,7 @@ def fractional_radius(dp: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
     """Per-location p-norm radius of the fractional assignment."""
     dp = np.asarray(dp, dtype=float)
     x = np.asarray(x, dtype=float)
-    sums = x.sum(axis=1)
-    if np.any(sums < 1.0 - COVER_TOL):
-        bad = int(np.argmin(sums))
-        raise StageError("sparsify",
-                         f"assignment row {bad} has mass {sums[bad]:.9f}")
+    _row_masses(x)
     return (dp * x).sum(axis=1) ** (1.0 / p)
 
 

@@ -50,7 +50,7 @@ class TestDocumentRoundTrip:
         full = text.replace("matrix:\n  0\n  2 0\n", "matrix:\n  0 2\n  2 0\n")
         assert full != text
         doc = parse_document(full)
-        assert doc.matrix == ((0.0, 2.0), (2.0, 0.0))
+        assert doc.matrix.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
     def test_instance_reconstruction(self):
         inst = random_instance(9, 8, 3, 2.0)
@@ -73,6 +73,37 @@ class TestDocumentRoundTrip:
             parse_document("hello\n")
         with pytest.raises(ValueError, match="missing k"):
             parse_document("fair-range instance v1\np: 1\n")
+
+
+class TestOneCopy:
+    def test_matrix_is_shared_from_document_to_instance_and_back(self):
+        # the document held 4 million Python floats at n=2000 beside the
+        # instance's array, and writing it back out rebuilt them
+        inst = generate_figure1_instance(6, 24, 1.0, 2.0)
+        rc = RangeConstraints(6, ((2, 4), (2, 4)))
+        doc = roundtrip(document_from_instance(inst, rc))
+        back, _ = document_to_instance(doc)
+        again = document_from_instance(back, rc)
+        assert np.shares_memory(back.dist, doc.matrix)
+        assert np.shares_memory(again.matrix, back.dist)
+        for a in (doc.matrix, back.dist, again.matrix):
+            assert not a.flags.writeable
+        assert again == doc
+
+    def test_coordinates_are_shared_with_the_instance(self):
+        inst = random_instance(3, 10, 2, 2.0)
+        doc = document_from_instance(inst, RangeConstraints(3, ((1, 2), (1, 2))))
+        assert np.shares_memory(doc.coords, inst.coords)
+        assert not doc.coords.flags.writeable
+
+    def test_nested_tuples_are_converted_once(self):
+        doc = InstanceDocument(1, ("a", "b"), None, ((0.0, 1.0), (1.0, 0.0)),
+                               (("a", 1),), (("b", 1),), 1.0, 1, ((1, 1),))
+        assert doc.matrix.dtype == np.float64 and not doc.matrix.flags.writeable
+        assert dataclasses.replace(doc, matrix=doc.matrix).matrix is doc.matrix
+        assert roundtrip(doc) == doc
+        assert roundtrip(doc) != dataclasses.replace(doc, matrix=((0.0, 2.0), (2.0, 0.0)))
+        assert doc != dataclasses.replace(doc, matrix=None, coords=((0.0,), (1.0,)))
 
 
 class TestSolveCommand:
@@ -235,6 +266,40 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == f"bad instance document: {section} lists 'p1' more than once\n"
 
+    @pytest.mark.parametrize("ranges, part", [
+        ("1:2,,0:2", ""), ("1:2:3", "1:2:3"), ("1", "1"), ("1:x", "1:x")])
+    def test_malformed_range_part_quoted(self, tmp_path, capsys, ranges, part):
+        # the document dropped an empty part while the flag refused it, and
+        # "1:2:3" and "1" came out as unpacking errors ("too many values to
+        # unpack (expected 2)") on either side
+        text = serialize_document(tiny_document())
+        bad = tmp_path / "ranges.txt"
+        bad.write_text(text.replace("ranges: 1:1,1:1\n", f"ranges: {ranges}\n"))
+        assert main(["solve", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad instance document: range {part!r} is not lo:hi\n"
+        good = self.write(tmp_path, tiny_document())
+        assert main(["solve", good, "--ranges", ranges]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid parameters: range {part!r} is not lo:hi\n"
+
+    @pytest.mark.parametrize("rows, err", [
+        (("0 5 7", "9 0", "7 4 0"), "matrix row 1 has 2 entries; full rows need 3"),
+        (("0", "5 0 4", "7 4 0"), "matrix row 1 has 3 entries; lower-triangle rows need 2")])
+    def test_mixed_matrix_rows_exit_one(self, tmp_path, capsys, rows, err):
+        # the full row "0 5 7" for a and then the lower-triangle row "9 0"
+        # for b set d(a,b) = 9, dropped the 5, and passed validation
+        path = tmp_path / "mixed.txt"
+        path.write_text("fair-range instance v1\np: 1\nk: 1\nranges: 1:1\npoints:\n"
+                        "  a\n  b\n  c\nmatrix:\n" + "".join(f"  {r}\n" for r in rows)
+                        + "facilities:\n  a 1\nclients:\n  b 1\n")
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad instance document: {err}\n"
+
     def test_negative_demand_exit_one(self, tmp_path, capsys):
         # this printed a negative cost-p and exited 0
         doc = tiny_document()
@@ -252,7 +317,8 @@ class TestSolveCommand:
         # subtract" and passed validation with inf distances
         inst = random_instance(3, 8, 2, 1.0)
         doc = document_from_instance(inst, random_ranges(3, inst, 3, 2))
-        coords = ((float(bad), 0.0),) + doc.coords[1:]
+        coords = doc.coords.copy()
+        coords[0] = (float(bad), 0.0)
         path = self.write(tmp_path, dataclasses.replace(doc, coords=coords))
         assert main(["solve", path]) == 1
         err = capsys.readouterr().err

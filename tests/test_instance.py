@@ -145,6 +145,83 @@ def test_validate_names_the_asymmetric_pair_beside_a_symmetric_infinity():
     ]
 
 
+def test_validate_pins_the_faults_of_a_broken_matrix():
+    # a nan pair, an inf/finite pair and two finite gaps.  Symmetry is
+    # checked against the transpose in row blocks and names the pair the
+    # n x n check named: the first pair of largest gap, in row order
+    ids = ["a", "b", "c", "d", "e", "f"]
+    x = np.array([0.0, 1.0, 3.0, 6.0, 10.0, 15.0])
+    dist = np.abs(np.subtract.outer(x, x))
+    dist[0, 1] = dist[1, 0] = math.nan
+    dist[2, 3] = math.inf
+    dist[4, 0] += 0.5
+    dist[1, 5] += 0.25
+
+    def violations():
+        every = {u: 1 for u in ids}
+        return validate_instance(matrix_instance(ids, dist.copy(), ids, every, every,
+                                                 1.0)).violations
+
+    assert violations() == [
+        "nan: d(a,b) is not a number",
+        "symmetry: d(c,d) != transpose",
+        "triangle: d(c,d) > d(c,a) + d(a,d)",
+        "triangle: d(c,d) > d(c,b) + d(b,d)",
+        "triangle: d(b,f) > d(b,c) + d(c,f)",
+        "triangle: 6 further violated triples",
+    ]
+    dist[2, 3] = 3.0            # the two finite gaps remain; d(a,e)'s is larger
+    assert violations() == [
+        "nan: d(a,b) is not a number",
+        "symmetry: d(a,e) != transpose",
+        "triangle: d(b,f) > d(b,c) + d(c,f)",
+        "triangle: d(e,a) > d(e,c) + d(c,a)",
+        "triangle: d(b,f) > d(b,d) + d(d,f)",
+        "triangle: 2 further violated triples",
+    ]
+
+
+def test_validate_names_the_first_largest_gap_across_row_blocks():
+    # 130 points span three row blocks: of two equal gaps the one first in
+    # row order is named, and a larger gap in a later block wins
+    ids = [f"p{i}" for i in range(130)]
+    dist = np.abs(np.subtract.outer(np.arange(130.0), np.arange(130.0)))
+
+    def symmetry():
+        inst = matrix_instance(ids, dist.copy(), ids[:1], {"p0": 1}, {"p1": 1}, 1.0)
+        return [v for v in validate_instance(inst).violations if v.startswith("symmetry")]
+
+    dist[100, 3] += 2.0
+    dist[120, 70] += 2.0
+    assert symmetry() == ["symmetry: d(p3,p100) != transpose"]
+    dist[120, 70] += 1.0
+    assert symmetry() == ["symmetry: d(p70,p120) != transpose"]
+
+
+def test_validate_builds_no_square_temporary():
+    # the symmetry check built an n x n copy and allclose's temporaries
+    n = 600
+    inst = coords_instance(np.random.default_rng(2).uniform(0.0, 10.0, size=(n, 2)))
+    tracemalloc.start()
+    try:
+        validate_instance(inst, triangle_cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * n * n * 8
+
+
+def test_coordinates_are_the_instance_own_copy():
+    # the instance kept the caller's array: after c[1] = (30, 40),
+    # inst.coords[1] read (30, 40) while d(q0,q1) still read 5
+    c = np.array([[0.0, 0.0], [3.0, 4.0]])
+    inst = coords_instance(c)
+    c[1] = (30.0, 40.0)
+    assert inst.coords.tolist() == [[0.0, 0.0], [3.0, 4.0]]
+    assert inst.d("q0", "q1") == 5.0
+    assert not inst.coords.flags.writeable
+
+
 def test_validate_sampled_triples_deterministic():
     rng = np.random.default_rng(7)
     pts = rng.random((110, 2))
