@@ -24,7 +24,6 @@ from .errors import (
     IterationLimitError,
 )
 from .pipeline import (
-    SolverConfig,
     SolveReport,
     solve_fair_range,
     brute_force_optimum,

@@ -3,6 +3,7 @@
 The fair solver does not work on raw clients.  It first solves the vanilla
 k-clustering problem (no groups, no ranges, centers anywhere), then snaps
 every client onto its nearest baseline center and aggregates demand there.
+With no more clients than k the clients themselves serve as the centers.
 Downstream stages only ever see the, at most k, weighted locations that
 survive.  The price of the snap is a factor 2^(p-1) against the sum of the
 baseline cost and any candidate solution's cost, which the final certificate
@@ -290,7 +291,11 @@ def lift_bound(red: ReducedInstance, centers: Iterable[str]) -> tuple[float, flo
 
 def reduce_locations(inst: MetricInstance, centers: Sequence[str]) -> ReducedInstance:
     """Snap clients to their nearest center (ties to the lowest center id)
-    and aggregate demand; centers left with zero demand are dropped."""
+    and aggregate demand; centers left with zero demand are dropped, so an
+    instance with no client, or none with positive demand, keeps no
+    location."""
+    if not inst.client_ids:
+        return ReducedInstance(inst, (), np.zeros(0), {}, 0.0)
     cs = sorted(centers)
     if not cs:
         raise ValueError("empty center set")

@@ -25,7 +25,7 @@ from .errors import (CostRangeError, FairRangeError, InfeasibleRangesError,
                      PowerRangeError)
 from .instance import (MetricInstance, RangeConstraints, instance_from_coords,
                        validate_instance)
-from .pipeline import (ORACLE_BUDGET, SolverConfig, approximation_study,
+from .pipeline import (ORACLE_BUDGET, approximation_study,
                        brute_force_optimum, generate_figure1_instance,
                        random_instance, random_ranges, report_to_text,
                        solve_fair_range)
@@ -104,7 +104,10 @@ def parse_document(text: str) -> InstanceDocument:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("fair-range instance v"):
         raise ValueError("not a fair-range instance document")
-    version = int(lines[0].rsplit("v", 1)[1])
+    version = _parse_field("version", lines[0].rsplit("v", 1)[1], "an integer", int)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"version {version} is not supported; "
+                         f"v{FORMAT_VERSION} is the only format")
     scalars: dict[str, str] = {}
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
@@ -145,9 +148,28 @@ def parse_document(text: str) -> InstanceDocument:
     facilities, clients = (tuple(_id_and_count(name, rec) for rec in sections[name])
                            for name in ("facilities", "clients"))
     return InstanceDocument(
-        version, tuple(ids), coords if has_coords else None, matrix,
-        facilities, clients, float(scalars["p"]), int(scalars["k"]),
+        FORMAT_VERSION, tuple(ids), coords if has_coords else None, matrix,
+        facilities, clients, _parse_field("p", scalars["p"], "a number", float),
+        _parse_field("k", scalars["k"], "an integer", int),
         _parse_ranges(scalars["ranges"]))
+
+
+def _parse_field(name: str, text: str, what: str, parse):
+    """parse(text), or a ValueError that quotes text under name."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not {what}") from None
+
+
+def _colon_ints(count: int):
+    """A parser of count integers written a:b:..."""
+    def parse(text: str) -> tuple[int, ...]:
+        parts = text.split(":")
+        if len(parts) != count:
+            raise ValueError(text)
+        return tuple(map(int, parts))
+    return parse
 
 
 def _parse_matrix(rows: list[str], n: int) -> np.ndarray:
@@ -182,14 +204,8 @@ def _id_and_count(section: str, rec: str) -> tuple[str, int]:
 def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
     """Ranges written lo:hi,lo:hi,... (no ranges when text is empty); a
     part that is not two integers around one colon is refused by quote."""
-    ranges = []
-    for part in text.split(",") if text else ():
-        lo, _, hi = part.partition(":")
-        try:
-            ranges.append((int(lo), int(hi)))
-        except ValueError:
-            raise ValueError(f"range {part!r} is not lo:hi") from None
-    return tuple(ranges)
+    return tuple(_parse_field("range", part, "lo:hi", _colon_ints(2))
+                 for part in (text.split(",") if text else ()))
 
 
 def document_to_instance(doc: InstanceDocument) -> tuple[MetricInstance, RangeConstraints]:
@@ -211,16 +227,6 @@ def document_from_instance(inst: MetricInstance, rc: RangeConstraints) -> Instan
     clients = tuple((c, inst.client_demands[c]) for c in inst.client_ids)
     return InstanceDocument(FORMAT_VERSION, inst.point_ids, inst.coords, matrix,
                             facilities, clients, inst.p, rc.k, rc.ranges)
-
-
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number >= 0")
-    return value
 
 
 def _write(text: str, out: str | None) -> None:
@@ -262,10 +268,8 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
-    cfg = SolverConfig(rel_tol=SolverConfig.rel_tol if args.tol_override is None
-                       else args.tol_override)
     try:
-        report = solve_fair_range(inst, rc, cfg)
+        report = solve_fair_range(inst, rc)
     except InfeasibleRangesError as exc:
         print(f"infeasible ranges: {exc}", file=sys.stderr)
         return 2
@@ -310,11 +314,9 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        grid = []
-        for cell in args.grid.split(","):
-            n, k, ell = (int(v) for v in cell.split(":"))
-            grid.append((n, k, ell))
-        p_values = [float(v) for v in args.p.split(",")]
+        grid = [_parse_field("grid cell", cell, "n:k:l", _colon_ints(3))
+                for cell in args.grid.split(",")]
+        p_values = [_parse_field("p", v, "a number", float) for v in args.p.split(",")]
         rows, _ = approximation_study(range(args.seeds), grid, p_values)
     except ValueError as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
@@ -346,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the exact oracle when within budget")
     sp.add_argument("--allow-nonmetric", action="store_true")
     sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--tol-override", type=_nonnegative_float, default=None,
-                    help="relative certificate tolerance (>= 0)")
     sp.set_defaults(func=cmd_solve)
 
     gp = sub.add_parser("generate", help="write an instance document")

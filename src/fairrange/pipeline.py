@@ -1,7 +1,7 @@
 """End-to-end solver, exact oracle, and the empirical study harness.
 
-solve_fair_range composes every stage: baseline clustering and location
-reduction when the client set is large, the assignment relaxation,
+solve_fair_range composes every stage: baseline clustering when the client
+set is large, location reduction, the assignment relaxation,
 consolidation, structuring, the half-integral opening program, and the
 flow-based selection.  Along the way it evaluates one certificate per
 stage against the relaxation optimum and refuses to return a solution
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baseline import ReducedInstance, local_search_clustering, reduce_locations
+from .baseline import local_search_clustering, reduce_locations
 from .errors import (CostRangeError, InfeasibleRangesError,
                      NoIntegralSelectionError, OpeningInfeasibleError,
                      PowerRangeError, StageError, UnrangedGroupError)
@@ -34,13 +34,8 @@ from .structure import (build_super_balls, enforce_structure, fill_service,
 
 ORACLE_BUDGET = 10_000_000
 CERT_ABS_TOL = 1e-9       # certificate slack, absolute
+CERT_REL_TOL = 1e-6       # certificate slack, relative
 COST_CAP = 1e300          # largest total weight * d_max^p a solve accepts
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """What a caller may tune: the relative certificate slack."""
-    rel_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -176,8 +171,7 @@ def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list
     return chosen
 
 
-def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
-                     config: SolverConfig | None = None) -> SolveReport:
+def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     """Full approximation chain from instance to certified center set.
 
     Raises UnrangedGroupError when a facility's group has no range,
@@ -189,7 +183,6 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
     caps, and the rare flows that find no selection, falls back to the
     direct greedy selection and marks the report.
     """
-    cfg = config or SolverConfig()
     _require_ranged_groups(inst, rc)
     sizes = inst.group_sizes(rc.num_groups)
     if not check_range_feasibility(sizes, rc):
@@ -204,14 +197,13 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
         clock.append(time.perf_counter())
         timings[stage] = clock[-1] - clock[-2]
 
+    # the locations are the baseline centers, or the clients themselves
+    # when there are no more than k; either way only points with demand
     reduced = len(inst.client_ids) > rc.k
+    centers0, swaps = inst.client_ids, 0
     if reduced:
         centers0, _, swaps = local_search_clustering(inst, rc.k)
-        red = reduce_locations(inst, centers0)
-    else:                                # the clients are the locations
-        swaps = 0
-        red = ReducedInstance(inst, inst.client_ids, inst.client_weights(),
-                              {c: c for c in inst.client_ids}, 0.0)
+    red = reduce_locations(inst, centers0)
     lap("baseline")
 
     groups = inst.facility_groups
@@ -280,7 +272,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints,
         lhs = stage_costs[cost]
         rhs = sum(_scaled((inst.p - e) * math.log(c), stage_costs[term])
                   for c, e, term in terms)
-        ok = bool(lhs <= rhs * (1.0 + cfg.rel_tol) + CERT_ABS_TOL)
+        ok = bool(lhs <= rhs * (1.0 + CERT_REL_TOL) + CERT_ABS_TOL)
         if not ok:
             raise StageError("pipeline", f"certificate {name} failed: {lhs:.6g} > {rhs:.6g}")
         bounds.append(BoundCheck(name, lhs, rhs, ok))
@@ -417,7 +409,6 @@ class StudyRow:
 def approximation_study(seeds: Sequence[int],
                         grid: Sequence[tuple[int, int, int]],
                         p_values: Sequence[float],
-                        config: SolverConfig | None = None,
                         budget: int = ORACLE_BUDGET
                         ) -> tuple[list[StudyRow], dict]:
     """Solver-versus-oracle ratios over a (n, k, ell) x p x seed grid.
@@ -435,7 +426,7 @@ def approximation_study(seeds: Sequence[int],
                 inst = random_instance(seed, n, ell, p)
                 rc = random_ranges(seed, inst, k, ell)
                 t0 = time.perf_counter()
-                report = solve_fair_range(inst, rc, config)
+                report = solve_fair_range(inst, rc)
                 wall_ms = 1000.0 * (time.perf_counter() - t0)
                 oracle_p, _ = brute_force_optimum(inst, rc, budget)
                 solver = report.centers.cost_p ** (1.0 / p)

@@ -61,7 +61,7 @@ def fill_nearest(row: np.ndarray, order, cap: np.ndarray,
 def reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.ndarray, list[tuple]]:
     """Per facility, keep only the nearest served location's out-of-ball use.
 
-    Works column by column on a snapshot of the assignment.  For a facility
+    Reads sp.x column by column and writes a copy of it.  For a facility
     u serving several locations out of their balls, every location but the
     nearest keeps in-ball mass untouched and has its share at u refilled
     from the nearest location's ball, nearest facilities first, capped by
@@ -73,12 +73,11 @@ def reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.ndarray, lis
     m, F = sp.x.shape
     D = sp.fac_dist
     x = sp.x.copy()
-    snap = sp.x.copy()
     in_ball = np.zeros((m, F), dtype=bool)
     for v in range(m):
         in_ball[v, sp.balls[v]] = True
     moves: list[tuple] = []
-    uses = snap > 0.0
+    uses = sp.x > 0.0
     for u in np.flatnonzero(uses.sum(axis=0) >= 2).tolist():
         served = sorted(np.flatnonzero(uses[:, u]).tolist(),
                         key=lambda v: (D[v, u], sp.location_ids[v]))
@@ -90,7 +89,7 @@ def reassign_private_facilities(sp: SparsifiedInstance) -> tuple[np.ndarray, lis
             if in_ball[vj, u] or in_ball[v1, u]:
                 # already inside its own ball, or inside the target ball
                 continue
-            amount = snap[vj, u]
+            amount = sp.x[vj, u]
             x[vj, u] -= amount
             order = sorted(targets, key=lambda t: (D[vj, t], t))
             left, takes = fill_nearest(x[vj], order, sp.y, amount)

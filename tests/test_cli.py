@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import fairrange.cli
 from fairrange.cli import (CSV_HEADER, InstanceDocument, document_from_instance,
                            document_to_instance, main, parse_document,
                            serialize_document)
@@ -333,26 +332,22 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == "validation: nan: d(p000,p001) is not a number\n"
 
-    def test_tol_override_zero_is_kept(self, tmp_path, monkeypatch):
-        seen = []
-        real = fairrange.cli.solve_fair_range
-
-        def spy(inst, rc, cfg):
-            seen.append(cfg.rel_tol)
-            return real(inst, rc, cfg)
-
-        monkeypatch.setattr(fairrange.cli, "solve_fair_range", spy)
-        path = self.write(tmp_path, tiny_document())
-        assert main(["solve", path, "--tol-override", "0"]) == 0
-        assert main(["solve", path]) == 0
-        assert seen == [0.0, 1e-6]
-
-    def test_tol_override_negative_rejected(self, tmp_path, capsys):
-        path = self.write(tmp_path, tiny_document())
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", path, "--tol-override", "-0.5"])
-        assert exc.value.code == 2
-        assert "not a number >= 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("old, new, err", [
+        ("k: 2\n", "k: two\n", "k 'two' is not an integer"),
+        ("p: 1\n", "p: one\n", "p 'one' is not a number"),
+        ("instance v1\n", "instance v7\n", "version 7 is not supported; v1 is the only format"),
+        ("instance v1\n", "instance vX\n", "version 'X' is not an integer")])
+    def test_bad_scalar_named(self, tmp_path, capsys, old, new, err):
+        # k and p were refused with bare int() and float() messages, and a
+        # v7 header was read as v1
+        text = serialize_document(tiny_document())
+        assert old in text
+        bad = tmp_path / "scalar.txt"
+        bad.write_text(text.replace(old, new))
+        assert main(["solve", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad instance document: {err}\n"
 
 
 class TestGenerateCommand:
@@ -433,6 +428,18 @@ class TestBenchCommand:
         assert main(["bench", "--grid", "40:12:2", "--p", "1",
                      "--seeds", "1"]) == 1
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, err", [
+        (["--grid", "8:2"], "grid cell '8:2' is not n:k:l"),
+        (["--grid", "8:2:x"], "grid cell '8:2:x' is not n:k:l"),
+        (["--grid", "8:2:2,8:2:2:2"], "grid cell '8:2:2:2' is not n:k:l"),
+        (["--grid", "8:2:2", "--p", "1,one"], "p 'one' is not a number")])
+    def test_bad_argument_quoted(self, capsys, args, err):
+        # these printed unpacking, int() and float() messages
+        assert main(["bench", *args, "--seeds", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bench failed: {err}\n"
 
     def test_zero_groups_exit_one(self, capsys):
         # a cell with l=0 divided by zero in random_instance

@@ -15,7 +15,6 @@ from fairrange.errors import (CostRangeError, InfeasibleRangesError, StageError,
                               UnrangedGroupError)
 from fairrange.instance import RangeConstraints, validate_instance
 from fairrange.pipeline import (
-    SolverConfig,
     approximation_study,
     brute_force_optimum,
     generate_figure1_instance,
@@ -355,6 +354,36 @@ class TestSolveFairRange:
         report = solve_fair_range(zero, random_ranges(0, zero, 3, 2))
         assert report.centers.cost_p >= 0.0 and all(b.passed for b in report.bounds)
 
+    @pytest.mark.parametrize("case", ["certificate", "dearer"])
+    def test_zero_demand_client_changes_nothing_at_most_k_clients(self, case):
+        # with no more clients than k the zero-demand client p0 was kept as
+        # a location, whose LP rows cost nothing: the first instance failed
+        # half-integral-vs-structured (6.41892 > 0), the second answered
+        # p2 p3 at cost_p 173.26, twice the relaxation optimum
+        if case == "certificate":
+            coords = [[6.617, 0.69], [7.028, 3.19], [4.501, 9.806], [0.644, 1.837],
+                      [1.083, 8.486]]
+            facilities, groups = ("p0", "p1", "p2", "p4"), (2, 1, 1, 2)
+            demands, rc, p = {"p0": 0, "p3": 1}, RangeConstraints(3, ((2, 2), (0, 3))), 2.0
+            want, cost_p = ("p0", "p1", "p2"), 36.99
+        else:
+            coords = [[5.077, 3.927], [6.94, 6.691], [2.169, 4.068], [5.425, 4.554],
+                      [5.988, 8.383], [1.583, 9.612], [7.854, 3.299], [0.975, 3.696],
+                      [3.032, 5.429]]
+            facilities, groups = ("p1", "p2", "p3", "p4", "p6", "p8"), (1, 2, 1, 1, 1, 2)
+            demands, rc, p = {"p0": 0, "p5": 1}, RangeConstraints(2, ((0, 1), (0, 2))), 3.0
+            want, cost_p = ("p1", "p8"), 86.75
+        ids = [f"p{i}" for i in range(len(coords))]
+        labels = dict(zip(facilities, groups))
+        inst, without = (fairrange.instance_from_coords(ids, coords, facilities, labels, d, p)
+                         for d in (demands, {c: w for c, w in demands.items() if w}))
+        report = solve_fair_range(inst, rc)
+        assert report.centers.centers == want and not report.fallback
+        assert report.centers.cost_p == pytest.approx(cost_p, abs=0.005)
+        assert len(report.bounds) == 6 and all(b.passed for b in report.bounds)
+        assert report.diagnostics["locations"] == 1
+        assert _answer_bits(report) == _answer_bits(solve_fair_range(without, rc))
+
     @pytest.mark.parametrize("demands", ["none", "zero"])
     def test_no_survivor_answers_at_cost_zero(self, demands):
         # no client, or every demand 0: no location survives, so no peer
@@ -595,3 +624,43 @@ def test_answers_do_not_depend_on_matrix_order(p):
         reduced.append(want.reduced)
         assert _answer_bits(solve_fair_range(_permuted(inst, s), rc)) == _answer_bits(want)
     assert reduced == [True] * 6 + [False]
+
+
+@st.composite
+def few_client_instances(draw):
+    """Instances of 4 to 8 distinct points on a 10x10 grid with no more
+    clients than k, at least one of them with demand 0, and windows around
+    a drawn witness center set.  The points are distinct because a
+    zero-demand client on the same spot as a client with demand and a lower
+    id would take that client's demand, and its id, as the location."""
+    n = draw(st.integers(4, 8))
+    cells = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                          min_size=n, max_size=n, unique=True))
+    ids = [f"p{i}" for i in range(n)]
+    p = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    facilities = [u for u in ids if draw(st.booleans())] or [ids[0]]
+    ell = draw(st.integers(1, 2))
+    labels = {u: draw(st.integers(1, ell)) for u in facilities}
+    k = draw(st.integers(1, len(facilities)))
+    clients = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=k, unique=True))
+    zeros = draw(st.integers(1, len(clients)))
+    demands = {c: 0 if i < zeros else draw(st.integers(1, 3)) for i, c in enumerate(clients)}
+    witness = [labels[u] for u in draw(st.permutations(facilities))[:k]]
+    ranges = tuple((max(0, witness.count(g) - draw(st.integers(0, 1))),
+                    witness.count(g) + draw(st.integers(0, 1))) for g in range(1, ell + 1))
+    inst = fairrange.instance_from_coords(ids, np.array(cells, dtype=float),
+                                          facilities, labels, demands, p)
+    return inst, RangeConstraints(k, ranges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(few_client_instances())
+def test_zero_demand_clients_change_nothing(case):
+    # the objective gives a zero-demand client no weight, so dropping it
+    # must leave the same answer, bit for bit, also when the clients
+    # themselves are the locations
+    inst, rc = case
+    kept = {c: w for c, w in inst.client_demands.items() if w > 0}
+    without = fairrange.instance_from_coords(inst.point_ids, inst.coords, inst.facility_ids,
+                                             inst.group_label, kept, inst.p)
+    assert _answer_bits(solve_fair_range(inst, rc)) == _answer_bits(solve_fair_range(without, rc))
