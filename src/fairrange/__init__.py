@@ -18,8 +18,6 @@ from .errors import (
     CostRangeError,
     PowerRangeError,
     StageError,
-    OpeningInfeasibleError,
-    NoIntegralSelectionError,
     SimplexError,
     IterationLimitError,
 )

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import MetricInstance, clustering_cost
+from .instance import MetricInstance
 
 
 def farthest_first(inst: MetricInstance, k: int,
@@ -237,17 +237,13 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
 class ReducedInstance:
     """Clients consolidated onto baseline centers.
 
-    location_ids keeps only centers that received demand.  assign maps each
-    client id to its location; baseline_cost_p is the power-p cost of that
-    assignment on the source instance.  The distance tables are computed
-    once, here: fac_dist (locations x facilities), its p-th power
-    fac_dist_p, and loc_dist (locations x locations).
+    location_ids keeps only centers that received demand.  The distance
+    tables are computed once, here: fac_dist (locations x facilities), its
+    p-th power fac_dist_p, and loc_dist (locations x locations).
     """
     source: MetricInstance
     location_ids: tuple[str, ...]
     weights: np.ndarray
-    assign: dict[str, str]
-    baseline_cost_p: float
     _loc_pos: np.ndarray = field(init=False, repr=False)
     fac_dist: np.ndarray = field(init=False, repr=False)
     fac_dist_p: np.ndarray = field(init=False, repr=False)
@@ -276,33 +272,18 @@ class ReducedInstance:
         return float(self.weights @ d ** self.p)
 
 
-def lift_bound(red: ReducedInstance, centers: Iterable[str]) -> tuple[float, float]:
-    """Original-instance cost of centers, with its consolidation bound.
-
-    One triangle application per client gives
-        cost_original <= 2^(p-1) * (baseline cost + cost on the locations),
-    so returning to raw clients never costs more than the right-hand side.
-    """
-    centers = list(centers)
-    actual = clustering_cost(red.source, centers)[0]
-    bound = 2.0 ** (red.p - 1.0) * (red.baseline_cost_p + red.cost_of(centers))
-    return actual, bound
-
-
 def reduce_locations(inst: MetricInstance, centers: Sequence[str]) -> ReducedInstance:
     """Snap clients to their nearest center (ties to the lowest center id)
     and aggregate demand; centers left with zero demand are dropped, so an
     instance with no client, or none with positive demand, keeps no
     location."""
     if not inst.client_ids:
-        return ReducedInstance(inst, (), np.zeros(0), {}, 0.0)
+        return ReducedInstance(inst, (), np.zeros(0))
     cs = sorted(centers)
     if not cs:
         raise ValueError("empty center set")
     D = inst.block(inst.client_pos, inst.positions(cs))
     nearest = np.argmin(D, axis=1)          # first min = lowest id
     agg = np.bincount(nearest, weights=inst.client_weights(), minlength=len(cs))
-    assign = dict(zip(inst.client_ids, [cs[t] for t in nearest]))
-    base_cost = float(inst.client_weights() @ D.min(axis=1) ** inst.p)
     kept = tuple(c for c, a in zip(cs, agg) if a > 0.0)
-    return ReducedInstance(inst, kept, agg[agg > 0.0], assign, base_cost)
+    return ReducedInstance(inst, kept, agg[agg > 0.0])

@@ -457,8 +457,8 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
                         k: int, ranges: Sequence[tuple[int, int]],
                         balls: Sequence[Sequence[int]],
                         territories: Sequence[Sequence[int]],
-                        base_pow: Sequence[float], ball_need: Sequence[float]
-                        ) -> tuple[LinearProgram, list[np.ndarray]]:
+                        base_pow: Sequence[float], ball_need: Sequence[float],
+                        split: Sequence[int]) -> tuple[LinearProgram, list[np.ndarray]]:
     """Opening LP over y alone, shaped by the per-location territories.
 
     The per-location term is
@@ -468,8 +468,18 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     as the constant moves no optimum; half_integral_cost prices a point in
     full.  Rows appear as: a lower and an upper range row per group, the
     cardinality row, one ball row per location (at least ball_need[v]),
-    then one territory row per location (at most 1).  With no v' the
-    caller passes base 0 and need 1, and the term is sum d(v,u)^p y_u.
+    one territory row per location (at most 1), then one split row per
+    facility in split.  With no v' the caller passes base 0 and need 1,
+    and the term is sum d(v,u)^p y_u.
+
+    Each facility u in split, a territory facility that may open beyond
+    its survivor's own use, gets a second, spare column after all the
+    others: cost 0, in its group's range rows and the card row only, and
+    with the split row own + spare <= 1.  The territory row then caps the
+    survivor's own use and not the whole opening (facility splitting as in
+    Krishnaswamy et al., "The matroid median problem", 2011).  A split
+    row lies inside one group's range rows, so the range side stays
+    laminar and the matrix totally unimodular.
 
     A free facility, in no ball or territory, costs nothing and meets only
     its group's range rows and the card row, so the free facilities of a
@@ -478,7 +488,8 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     them sits, with their count as its upper bound.  A copy of an existing
     column keeps the matrix totally unimodular and the bounds integral.
     Group labels run over 1..len(ranges).  Returns the program and the
-    facilities behind each column, in index order.
+    facilities behind each column, in index order; a facility in split
+    is behind its own column and, later, its spare.
     """
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
@@ -487,6 +498,7 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
         for u in territories[v]:
             c[u] += w[v] * (dp[v, u] - base_pow[v])
     label = np.asarray(groups)
+    split = np.asarray(split, dtype=np.intp)
     ball_sets = [np.asarray(s, dtype=np.intp) for s in (*balls, *territories)]
     free = np.ones(nF, dtype=bool)
     free[np.concatenate([np.zeros(0, dtype=np.intp), *ball_sets])] = False
@@ -497,13 +509,16 @@ def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
     head[cols] = cols[first][np.searchsorted(labels, label[cols])]
     keep, col_of = np.unique(head, return_inverse=True)
     members = np.split(np.argsort(col_of, kind="stable"), np.cumsum(np.bincount(col_of))[:-1])
-    sets, rhs, geq = _range_card_rows(label[keep], k, ranges, 0)
-    indptr, indices = _unit_rows([*sets, *(col_of[s] for s in ball_sets)])
-    rhs += [*ball_need] + [1.0] * nD
-    geq += [True] * nD + [False] * nD
-    lp = LinearProgram(len(keep), c[keep], indptr, indices, np.ones(len(indices)),
-                       np.array(rhs), np.array(geq), np.bincount(col_of))
-    return lp, members
+    spare = len(keep) + np.arange(len(split))
+    sets, rhs, geq = _range_card_rows(label[np.concatenate((keep, split))], k, ranges, 0)
+    pairs = np.column_stack((col_of[split], spare))
+    indptr, indices = _unit_rows([*sets, *(col_of[s] for s in ball_sets), *pairs])
+    rhs += [*ball_need] + [1.0] * (nD + len(split))
+    geq += [True] * nD + [False] * (nD + len(split))
+    lp = LinearProgram(len(spare) + len(keep), np.concatenate((c[keep], np.zeros(len(split)))),
+                       indptr, indices, np.ones(len(indices)), np.array(rhs), np.array(geq),
+                       np.concatenate((np.bincount(col_of), np.ones(len(split)))))
+    return lp, [*members, *split[:, None]]
 
 
 def scale_doubled(lp: LinearProgram) -> LinearProgram:

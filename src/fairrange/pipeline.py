@@ -19,9 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .baseline import local_search_clustering, reduce_locations
-from .errors import (CostRangeError, InfeasibleRangesError,
-                     NoIntegralSelectionError, OpeningInfeasibleError,
-                     PowerRangeError, StageError, UnrangedGroupError)
+from .errors import (CostRangeError, InfeasibleRangesError, PowerRangeError,
+                     StageError, UnrangedGroupError)
 from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
                        instance_from_coords)
@@ -54,20 +53,19 @@ class SolveReport:
     timings: dict[str, float]          # seconds per stage
     diagnostics: dict = field(default_factory=dict)
     reduced: bool = False
-    fallback: bool = False
+    fallback: bool = False             # always False: every answer is certified
 
 
-# The certificate chain: (name, stage cost bounded, right-hand terms,
-# checks a half-integral stage).  A term (c, e, stage cost) reads
-# c^(p - e) * stage cost; a fallback solve skips the half-integral stages.
+# The certificate chain: (name, stage cost bounded, right-hand terms).  A
+# term (c, e, stage cost) reads c^(p - e) * stage cost.
 CERTIFICATES = (
-    ("reassigned-vs-opt", "reassigned", ((3.0, 0.0, "opt_d"),), False),
-    ("structured-vs-opt", "structured", ((9.0, 0.0, "opt_d"),), False),
-    ("half-integral-vs-structured", "half_integral", ((2.0, 0.0, "structured"),), True),
-    ("assignment-vs-half", "assignment", ((1.5, 0.0, "half_integral"),), True),
-    ("integral-vs-half", "integral_sparse", ((4.5, 0.0, "half_integral"),), True),
+    ("reassigned-vs-opt", "reassigned", ((3.0, 0.0, "opt_d"),)),
+    ("structured-vs-opt", "structured", ((9.0, 0.0, "opt_d"),)),
+    ("half-integral-vs-structured", "half_integral", ((2.0, 0.0, "structured"),)),
+    ("assignment-vs-half", "assignment", ((1.5, 0.0, "half_integral"),)),
+    ("integral-vs-half", "integral_sparse", ((4.5, 0.0, "half_integral"),)),
     ("clients-lift", "integral_clients",
-     ((4.0, 0.0, "opt_d"), (2.0, 1.0, "integral_sparse")), False),
+     ((4.0, 0.0, "opt_d"), (2.0, 1.0, "integral_sparse"))),
 )
 
 
@@ -134,43 +132,6 @@ def _require_costs_in_range(inst: MetricInstance) -> None:
                           f"above {COST_CAP:g}{largest}")
 
 
-def _greedy_feasible_centers(inst: MetricInstance, rc: RangeConstraints) -> list[int]:
-    """Deterministic direct selection meeting the ranges, as facility indices.
-
-    Adds one center at a time, cheapest resulting cost first with ties to
-    the lower facility id, skipping any facility whose group is full or
-    whose choice would leave too few slots for the remaining lower bounds.
-    """
-    w = inst.client_weights()
-    dmat = inst.block(inst.client_pos, inst.facility_pos) ** inst.p
-    counts = [0] * rc.num_groups
-    serve = np.full(len(w), np.inf)
-    chosen: list[int] = []
-    for _ in range(rc.k):
-        slots = rc.k - len(chosen)
-        need = sum(max(0, a - c) for (a, _), c in zip(rc.ranges, counts))
-        best = None
-        for ui, u in enumerate(inst.facility_ids):
-            if ui in chosen:
-                continue
-            g = inst.facility_groups[ui] - 1
-            if counts[g] >= rc.ranges[g][1]:
-                continue
-            need_after = need - (1 if counts[g] < rc.ranges[g][0] else 0)
-            if need_after > slots - 1:
-                continue
-            cost = float(w @ np.minimum(serve, dmat[:, ui]))
-            if best is None or (cost, u) < (best[0], best[1]):
-                best = (cost, u, ui, g)
-        if best is None:
-            raise StageError("pipeline", "direct selection cannot meet the ranges")
-        _, u, ui, g = best
-        chosen.append(ui)
-        counts[g] += 1
-        serve = np.minimum(serve, dmat[:, ui])
-    return chosen
-
-
 def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     """Full approximation chain from instance to certified center set.
 
@@ -179,9 +140,10 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     CostRangeError when a distance is negative, nan or inf, a client
     demand is negative or not finite, or total weight * d_max^p is above
     COST_CAP, and a stage-named error when an internal certificate fails.
-    On the rare opening programs made infeasible by the one-unit territory
-    caps, and the rare flows that find no selection, falls back to the
-    direct greedy selection and marks the report.
+    There is one selection path: stage 4's point lies in the opening
+    program, whose territory rows cap only each survivor's own use, and
+    the flow over its half-integral openings always finds a selection, so
+    an infeasible opening program or an empty flow is a StageError too.
     """
     _require_ranged_groups(inst, rc)
     sizes = inst.group_sizes(rc.num_groups)
@@ -229,30 +191,16 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     diagnostics = {"locations": len(sp.location_ids), "baseline_swaps": swaps,
                    "reassign_moves": len(moves),
                    "pruned_mass": ss.diagnostics.get("pruned", 0.0)}
-    fallback = False
-    try:
-        slp, members = structured_program(ss, groups, rc)
-        half = solve_half_integral(slp, members)
-        stage_costs["half_integral"] = half_integral_cost(ss, half.y)
-        diagnostics["snap_deviation"] = half.snap_deviation
-        lap("half_integral")
-        x_tilde = fill_service(sp, ss.supers, ss.peer_balls, half.y)
-        centers_idx, part, _ = select_centers(ss, x_tilde, groups, rc)
-        stage_costs["assignment"] = sp.assignment_cost(x_tilde)
-        diagnostics["partition_sets"] = part.count
-        lap("rounding")
-    except (OpeningInfeasibleError, NoIntegralSelectionError) as exc:
-        # the one-unit territory caps can pin a group below its lower
-        # bound, and flow rounding can find no selection, even though
-        # integral selections exist; fall back to the direct selection
-        # rather than fail a feasible instance
-        fallback = True
-        diagnostics["fallback_reason"] = str(exc)
-        if "half_integral" not in timings:
-            lap("half_integral")
-        lap("rounding")
-    if fallback:
-        centers_idx = _greedy_feasible_centers(inst, rc)
+    slp, members = structured_program(ss, groups, rc)
+    half = solve_half_integral(slp, members)
+    stage_costs["half_integral"] = half_integral_cost(ss, half.y_own)
+    diagnostics["snap_deviation"] = half.snap_deviation
+    lap("half_integral")
+    x_tilde = fill_service(sp, ss.supers, ss.peer_balls, half.y_own, half.y)
+    centers_idx, part, _ = select_centers(ss, x_tilde, groups, rc)
+    stage_costs["assignment"] = sp.assignment_cost(x_tilde)
+    diagnostics["partition_sets"] = part.count
+    lap("rounding")
 
     solution = build_center_solution(inst, [inst.facility_ids[u] for u in centers_idx], rc)
     if len(solution.centers) != rc.k:
@@ -266,9 +214,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     stage_costs["integral_original"] = solution.cost_p
 
     bounds = []
-    for name, cost, terms, half_stage in CERTIFICATES:
-        if fallback and half_stage:
-            continue
+    for name, cost, terms in CERTIFICATES:
         lhs = stage_costs[cost]
         rhs = sum(_scaled((inst.p - e) * math.log(c), stage_costs[term])
                   for c, e, term in terms)
@@ -277,15 +223,15 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
             raise StageError("pipeline", f"certificate {name} failed: {lhs:.6g} > {rhs:.6g}")
         bounds.append(BoundCheck(name, lhs, rhs, ok))
     timings["total"] = time.perf_counter() - clock[0]
-    return SolveReport(solution, stage_costs, bounds, timings,
-                       diagnostics, reduced, fallback)
+    return SolveReport(solution, stage_costs, bounds, timings, diagnostics, reduced)
 
 
 def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints,
                         budget: int = ORACLE_BUDGET) -> tuple[float, tuple[str, ...]]:
     """Exact minimum over all range-feasible k-subsets of the facilities.
 
-    Ties break to the lexicographically smallest center tuple.  Refuses to
+    Ties, costs within a relative 1e-12 of the best, break to the
+    lexicographically smallest center tuple.  Refuses to
     enumerate more than `budget` subsets, and facilities whose group has no
     range (UnrangedGroupError).
     """
@@ -309,7 +255,7 @@ def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints,
         if any(not a <= t <= b for t, (a, b) in zip(counts, rc.ranges)):
             continue
         cost = float(w @ dmat[:, combo].min(axis=1))
-        if cost < best - 1e-12:
+        if cost < best * (1.0 - 1e-12):
             best = cost
             best_set = tuple(inst.facility_ids[ui] for ui in combo)
     if best_set is None:
@@ -437,7 +383,7 @@ def approximation_study(seeds: Sequence[int],
                     ratio = solver / oracle if oracle > 0.0 else math.inf
                 rows.append(StudyRow(
                     n, k, ell, p, seed, solver, oracle, ratio,
-                    all(b.passed for b in report.bounds) and not report.fallback,
+                    all(b.passed for b in report.bounds),
                     wall_ms))
     summary: dict[tuple, dict] = {}
     for row in rows:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoIntegralSelectionError, OpeningInfeasibleError, StageError
+from .errors import StageError
 from .lp import LinearProgram, build_structured_lp, scale_doubled, solve_vertex
 from .structure import StructuredSolution
 
@@ -27,12 +27,14 @@ def structured_program(ss: StructuredSolution, fac_groups,
     structured solution."""
     sp = ss.sp
     return build_structured_lp(sp.fac_dist_p, sp.weights, fac_groups, rc.k, rc.ranges,
-                               sp.balls, ss.territories, ss.base_pow, ss.ball_need)
+                               sp.balls, ss.territories, ss.base_pow, ss.ball_need,
+                               ss.split)
 
 
 @dataclass(frozen=True)
 class HalfIntegralSolution:
-    y: np.ndarray               # coordinates in {0, 1/2, 1}
+    y: np.ndarray               # openings, own plus spare, in {0, 1/2, 1}
+    y_own: np.ndarray           # the own columns' part of y
     snap_deviation: float
 
 
@@ -61,12 +63,12 @@ def solve_half_integral(lp: LinearProgram, members: list[np.ndarray]) -> HalfInt
     a vertex and we refuse to continue.  The snapped point is checked
     exactly against the doubled program, which holds each column's value
     to twice its members' count; the value then fills the members in
-    index order, 2 each.
+    index order, 2 each.  A facility's first column is its own and a
+    later one its spare: y sums both, y_own holds the first.  Stage 4's
+    point lies in the program, so an infeasible one is a fault.
     """
     scaled = scale_doubled(lp)
     res = solve_vertex(scaled)
-    if res.status == "infeasible":
-        raise OpeningInfeasibleError("round", "scaled structured program is infeasible")
     if res.status != "optimal":
         raise StageError("round", f"scaled structured program is {res.status}")
     snapped = np.round(res.x)
@@ -74,21 +76,25 @@ def solve_half_integral(lp: LinearProgram, members: list[np.ndarray]) -> HalfInt
     if dev > SNAP_TOL:
         raise StageError("round", f"half-integrality violation, deviation {dev:.3g}")
     _check_rows_exact(scaled, snapped)
-    y = np.zeros(sum(map(len, members)))
-    for val, cols in zip(snapped, members):
-        y[cols] = np.clip(val - 2.0 * np.arange(len(cols)), 0.0, 2.0)
-    return HalfIntegralSolution(y / 2.0, dev)
+    facs = np.concatenate([np.zeros(0, dtype=np.intp), *members])
+    vals = np.concatenate([np.zeros(0), *(np.clip(val - 2.0 * np.arange(len(cols)), 0.0, 2.0)
+                                          for val, cols in zip(snapped, members))]) / 2.0
+    own, first = np.unique(facs, return_index=True)
+    y_own = np.zeros(len(own))
+    y_own[own] = vals[first]
+    return HalfIntegralSolution(np.bincount(facs, vals, len(own)), y_own, dev)
 
 
 def half_integral_cost(ss: StructuredSolution, y: np.ndarray) -> float:
-    """The opening program's cost at y, summed in nonnegative terms.
+    """The opening program's cost at the own openings y, summed in
+    nonnegative terms.
 
-    The program's objective weights y_u by d(v,u)^p - d(v,v')^p and leaves
-    out the constant sum of w_v d(v,v')^p; objective plus constant cancels
-    to 0 at large p.  Per location this sums
+    The program's objective weights own y_u by d(v,u)^p - d(v,v')^p, spare
+    columns by 0, and leaves out the constant sum of w_v d(v,v')^p;
+    objective plus constant cancels to 0 at large p.  Per location this sums
         w_v [sum_{u in P(v)} d(v,u)^p y_u + (1 - sum_{u in P(v)} y_u) d(v,v')^p]
-    instead; the territory rows cap the mass over P(v) at 1, so no term is
-    negative.  With no peer the base cost is 0.
+    instead; the territory rows cap the own mass over P(v) at 1, so no
+    term is negative.  With no peer the base cost is 0.
     """
     sp = ss.sp
     own = np.array([sp.fac_dist_p[v, t] @ y[t] for v, t in enumerate(ss.territories)])
@@ -278,10 +284,14 @@ def extract_centers(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
 def select_centers(ss: StructuredSolution, x_tilde: np.ndarray,
                    fac_groups, rc) -> tuple[np.ndarray, FacilityPartition, FlowNetwork]:
     """Partition, flow, and extraction in one step, on the service rows
-    x_tilde that fill_service gives for the half-integral openings."""
+    x_tilde that fill_service gives for the half-integral openings.
+
+    Each surviving serving set carries a full unit of x_tilde <= y, and y
+    meets the range and card rows, so a fractional selection exists and
+    max flow finds an integral one; a flow without one is a fault."""
     part = partition_facilities(ss.sp, x_tilde)
     net = build_flow_network(part, len(ss.sp.facility_ids), fac_groups, rc)
     flows = solve_flow_lower_bounds(net)
     if flows is None:
-        raise NoIntegralSelectionError("round", "no integral selection meets the ranges")
+        raise StageError("round", "no integral selection meets the ranges")
     return extract_centers(flows, net), part, net

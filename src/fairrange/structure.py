@@ -11,6 +11,8 @@ facilities now serving it alone.  Third, openings that sit more than
 twice the peer distance away are closed and every service row is rebuilt
 greedily from the surviving openings, nearest facilities first; stage 5
 rebuilds its rows from the half-integral openings with the same fill.
+A territory facility opened beyond its survivor's own use is listed, so
+that the opening program can split it into the used part and a spare.
 """
 from __future__ import annotations
 
@@ -135,7 +137,9 @@ class StructuredSolution:
     """Structured openings and service, and what each survivor is priced
     against.  A survivor's peer is its nearest other survivor; with fewer
     than two survivors there is none, its peer ball is empty, its peer
-    distance inf, its base cost 0, and its ball alone is its territory."""
+    distance inf, its base cost 0, and its ball alone is its territory.
+    split lists, in index order, the territory facilities whose opening
+    y_bar[u] is above their survivor's own use x_bar[v, u]."""
     sp: SparsifiedInstance
     supers: list[np.ndarray]
     territories: list[np.ndarray]   # the opening program's: super ball, or ball
@@ -143,6 +147,7 @@ class StructuredSolution:
     peer_dist: np.ndarray           # d(v, v')
     base_pow: np.ndarray            # d(v, v')^p
     ball_need: np.ndarray           # in-ball opening mass: 1/2, or 1 with no peer
+    split: np.ndarray               # facilities opened beyond their survivor's use
     y_bar: np.ndarray
     x_bar: np.ndarray
     cost_p: float
@@ -150,14 +155,17 @@ class StructuredSolution:
 
 
 def fill_service(sp: SparsifiedInstance, supers: Sequence[np.ndarray],
-                 peer_balls: Sequence[np.ndarray], y: np.ndarray) -> np.ndarray:
+                 peer_balls: Sequence[np.ndarray], y_own: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
     """Service rows for the openings y, one unit per survivor.
 
     Each row is filled from the survivor's own ball, then its private
     facilities (its super ball outside the ball), then its peer ball,
-    each nearest facility first with ties to the lower index, each take
-    capped by y.  On half-integral openings, where the opening program
-    caps each territory's mass at one unit, this copies y over the
+    each nearest facility first with ties to the lower index.  Takes in
+    the survivor's super ball are capped by y_own, its own part of the
+    openings, and takes in the peer ball by the whole opening y.  On
+    half-integral openings, where the opening program caps each
+    territory's own mass at one unit, this copies y_own over the
     territory and tops the row up from the peer ball.
     """
     D = sp.fac_dist
@@ -167,7 +175,9 @@ def fill_service(sp: SparsifiedInstance, supers: Sequence[np.ndarray],
         priv = [u for u in supers[v].tolist() if u not in in_ball]
         order = [t for part in (ball.tolist(), priv, peer.tolist())
                  for t in sorted(part, key=lambda t: (D[v, t], t))]
-        rem, _ = fill_nearest(x[v], order, y, 1.0)
+        cap = y.copy()
+        cap[supers[v]] = y_own[supers[v]]
+        rem, _ = fill_nearest(x[v], order, cap, 1.0)
         if rem > SUPPORT_TOL:
             raise StageError("structure",
                              f"location {sp.location_ids[v]} short of mass {rem:.3g}")
@@ -184,7 +194,8 @@ def enforce_structure(x2: np.ndarray, y: np.ndarray,
     row is then refilled to one unit from scratch by fill_service.  The
     peer ball's half unit always covers what the territory cannot, so the
     fill never comes up short on a carried solution.  Whether a survivor
-    has a peer is decided here, once, for every later stage.
+    has a peer, and which territory facilities are opened beyond their
+    survivor's own use, is decided here, once, for every later stage.
     """
     m = len(x2)
     D = sp.fac_dist
@@ -211,88 +222,10 @@ def enforce_structure(x2: np.ndarray, y: np.ndarray,
         territories, peer_balls = supers, [sp.balls[w] for w in nn_idx]
         base_pow, ball_need = peer_dist ** sp.p, np.full(m, 0.5)
 
-    x_bar = fill_service(sp, supers, peer_balls, y_bar)
+    x_bar = fill_service(sp, supers, peer_balls, y_bar, y_bar)
     cost = sp.assignment_cost(x_bar)
     diagnostics["rerouted"] = float(np.abs(x_bar - x2).sum()) / 2.0
+    split = np.array(sorted(u for v, t in enumerate(territories)
+                            for u in t[y_bar[t] > x_bar[v, t]].tolist()), dtype=int)
     return StructuredSolution(sp, supers, territories, peer_balls, peer_dist, base_pow,
-                              ball_need, y_bar, x_bar, cost, diagnostics)
-
-
-def verify_structured(ss: StructuredSolution) -> list[str]:
-    """Check every structural property; returns human-readable violations."""
-    sp = ss.sp
-    m, F = ss.x_bar.shape
-    D = sp.fac_dist
-    out: list[str] = []
-
-    in_some_ball = np.zeros(F, dtype=bool)
-    for b in sp.balls:
-        in_some_ball[b] = True
-    in_some_super = np.zeros(F, dtype=bool)
-    seen = np.zeros(F, dtype=bool)
-    for v, mem in enumerate(ss.supers):
-        if np.any(seen[mem]):
-            out.append(f"disjoint: territory of {sp.location_ids[v]} overlaps another")
-        seen[mem] = True
-        in_some_super[mem] = True
-        if not set(sp.balls[v].tolist()) <= set(mem.tolist()):
-            out.append(f"containment: ball of {sp.location_ids[v]} leaves its territory")
-
-    serves_any = ss.x_bar.max(axis=0) > SUPPORT_TOL
-    for u in range(F):
-        if ss.y_bar[u] > SUPPORT_TOL and (in_some_ball[u] or serves_any[u]):
-            if not in_some_super[u]:
-                out.append(f"cover: open facility {u} belongs to no territory")
-
-    for v in range(m):
-        allowed = set(ss.supers[v].tolist()) | set(ss.peer_balls[v].tolist())
-        for u in np.nonzero(ss.x_bar[v] > SUPPORT_TOL)[0]:
-            if u not in allowed:
-                out.append(f"support: {sp.location_ids[v]} served from outside "
-                           f"its territory and neighbor ball (facility {u})")
-                break
-
-    for v in range(m):
-        got = float(ss.y_bar[sp.balls[v]].sum())
-        if got < 0.5 - SUPPORT_TOL:
-            out.append(f"ball-mass: {sp.location_ids[v]} has {got:.6f} < 0.5")
-
-    for v in range(m):
-        far = [u for u in ss.supers[v]
-               if ss.y_bar[u] > SUPPORT_TOL and D[v, u] > 2.0 * ss.peer_dist[v] + GEOM_TOL]
-        if far:
-            out.append(f"radius: territory of {sp.location_ids[v]} reaches too far")
-
-    for v in range(m):
-        super_set = set(ss.supers[v].tolist())
-        ball_open = float(ss.y_bar[sp.balls[v]].sum())
-        super_open = float(ss.y_bar[ss.supers[v]].sum())
-        ball_set = set(sp.balls[v].tolist())
-        priv_used = any(ss.x_bar[v, u] > SUPPORT_TOL
-                        for u in super_set if u not in ball_set)
-        ext_used = any(ss.x_bar[v, u] > SUPPORT_TOL
-                       for u in range(F) if u not in super_set)
-        if priv_used and ball_open >= 1.0 - SUPPORT_TOL:
-            out.append(f"optimality: {sp.location_ids[v]} uses a private facility "
-                       f"with a saturated ball")
-        if ext_used and super_open >= 1.0 - SUPPORT_TOL:
-            out.append(f"optimality: {sp.location_ids[v]} leaves a saturated territory")
-
-    sums = ss.x_bar.sum(axis=1)
-    for v in range(m):
-        if abs(sums[v] - 1.0) > SUPPORT_TOL:
-            out.append(f"mass: {sp.location_ids[v]} served {sums[v]:.8f}")
-    if np.any(ss.x_bar > ss.y_bar[None, :] + GEOM_TOL):
-        out.append("capacity: service exceeds opening mass somewhere")
-    if np.any(ss.y_bar < -GEOM_TOL) or np.any(ss.y_bar > 1.0 + GEOM_TOL):
-        out.append("bounds: opening mass outside [0, 1]")
-
-    for v in range(m):
-        lo = 0.5 * ss.peer_dist[v] - GEOM_TOL
-        hi = 1.5 * ss.peer_dist[v] + GEOM_TOL
-        for u in ss.peer_balls[v]:
-            if not (lo <= D[v, u] <= hi):
-                out.append(f"neighbor-band: facility {u} at {D[v, u]:.6g} "
-                           f"outside the band of {sp.location_ids[v]}")
-                break
-    return out
+                              ball_need, split, y_bar, x_bar, cost, diagnostics)

@@ -105,16 +105,23 @@ def lp_from_rows(num_vars, objective, rows, upper=None):
 # LinearProgram call became lp_from_rows, it returns the row tags the
 # program held then beside the program, and it reads the per-location base
 # costs and ball masses that replaced its single-survivor mode (base 0 and
-# need 1 there, which priced and built the same program).
+# need 1 there, which priced and built the same program).  Split
+# facilities were added later: each listed facility u gets a spare column
+# nF + i after the facilities, in its group's range rows and the card row,
+# and a split row u + spare <= 1 after the super ball rows.
 def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
                                   k: int, ranges: Sequence[tuple[int, int]],
                                   balls: Sequence[Sequence[int]],
                                   supers: Sequence[Sequence[int]],
-                                  base_pow: Sequence[float], ball_need: Sequence[float]
+                                  base_pow: Sequence[float], ball_need: Sequence[float],
+                                  split: Sequence[int]
                                   ) -> tuple[LinearProgram, float, list[tuple]]:
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
-    c = np.zeros(nF)
+    split = [int(u) for u in split]
+    groups = [*groups, *(groups[u] for u in split)]
+    nC = nF + len(split)
+    c = np.zeros(nC)
     constant = 0.0
     for v in range(nD):
         base = base_pow[v]
@@ -124,12 +131,12 @@ def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Se
     rows: list[Row] = []
     kinds: list[tuple] = []
     for gi, (a, b) in enumerate(ranges, start=1):
-        members = tuple(u for u in range(nF) if groups[u] == gi)
+        members = tuple(u for u in range(nC) if groups[u] == gi)
         rows.append(Row(tuple((u, 1.0) for u in members), GEQ, float(a)))
         kinds.append(("range_lower", gi))
         rows.append(Row(tuple((u, 1.0) for u in members), LEQ, float(b)))
         kinds.append(("range_upper", gi))
-    rows.append(Row(tuple((u, 1.0) for u in range(nF)), LEQ, float(k)))
+    rows.append(Row(tuple((u, 1.0) for u in range(nC)), LEQ, float(k)))
     kinds.append(("card",))
     for v in range(nD):
         rows.append(Row(tuple((u, 1.0) for u in balls[v]), GEQ, float(ball_need[v])))
@@ -137,19 +144,23 @@ def reference_build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Se
     for v in range(nD):
         rows.append(Row(tuple((u, 1.0) for u in supers[v]), LEQ, 1.0))
         kinds.append(("superball", v))
-    upper = np.ones(nF)
-    return lp_from_rows(nF, c, rows, upper=upper), constant, kinds
+    for i, u in enumerate(split):
+        rows.append(Row(((u, 1.0), (nF + i, 1.0)), LEQ, 1.0))
+        kinds.append(("split", i))
+    upper = np.ones(nC)
+    return lp_from_rows(nC, c, rows, upper=upper), constant, kinds
 
 
 # The merge presolve that ran on the full builder's output, as it was when
 # it keyed the free columns by per-column entry lists, kept as the reference
 # for the columns the builder now merges itself: verbatim except that the
-# row tags it read off the program come in as row_kinds.
+# row tags it read off the program come in as row_kinds, and that a spare
+# column, in a split row, is not free.
 def reference_merge_free_columns(lp: LinearProgram, row_kinds: list[tuple]
                                  ) -> tuple[LinearProgram, list[np.ndarray]]:
     """Presolve: one column for each set of identical free facilities.
 
-    A free column has objective 0 and sits in no ball or super-ball row,
+    A free column has objective 0 and sits in no ball, super-ball or split row,
     so it meets only its group's range rows and the card row, and all free
     columns of a group are the same column.  Each such set becomes one
     column, at the place of its first member, with the members' summed
@@ -163,7 +174,7 @@ def reference_merge_free_columns(lp: LinearProgram, row_kinds: list[tuple]
     entries: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     free = lp.objective == 0.0
     for i, row in enumerate(lp.rows):
-        touches = row_kinds[i][0] in ("ball", "superball")
+        touches = row_kinds[i][0] in ("ball", "superball", "split")
         for j, a in row.coeffs:
             entries[j].append((i, a))
             if touches:
@@ -197,13 +208,16 @@ def same_opening_program(args):
     """The doubled program build_structured_lp(*args) writes against the
     reference builder's full program, doubled and merged by the reference
     presolve: arrays bit for bit, the row tags the oracles rebuild against
-    the reference's, and the members of every column."""
+    the reference's, and the members of every column, a spare column's
+    being the facility it splits."""
     lp, members = build_structured_lp(*args)
     full, _, kinds = reference_build_structured_lp(*args)
     want, want_members = reference_merge_free_columns(scale_doubled(full), kinds)
     assert_same_program(scale_doubled(lp), want)
     assert structured_row_kinds(lp) == kinds
-    assert [c.tolist() for c in members] == [c.tolist() for c in want_members]
+    facility = [*range(len(args[2])), *args[9]]
+    assert [c.tolist() for c in members] == \
+        [[facility[j] for j in c] for c in want_members]
 
 
 def groups_of(inst):
@@ -227,7 +241,7 @@ def solve_stages(inst, rc, last):
 
     The stage globals are wrapped inside MonkeyPatch.context(), so module
     fixtures can call this too.  Fails when the solve ends without calling
-    `last`, as it does when it falls back to the direct selection.
+    `last`.
     """
     assert last in PIPELINE_STAGES, last
     out = {}
@@ -250,7 +264,8 @@ def enumerate_optimum(inst, rc):
     """Independent brute-force oracle used to cross-check solver output.
 
     Walks all k-subsets of facilities in lexicographic order and keeps the
-    first strict minimizer among range-feasible subsets.
+    first minimizer among range-feasible subsets, a cost within a relative
+    1e-12 of the best counting as a tie.
     """
     best = None
     best_set = None
@@ -273,7 +288,7 @@ def enumerate_optimum(inst, rc):
             continue
         cols = [fidx[c] for c in combo]
         cost = float(w @ dmat[:, cols].min(axis=1))
-        if best is None or cost < best - 1e-12:
+        if best is None or cost < best * (1.0 - 1e-12):
             best = cost
             best_set = combo
     return best, best_set

@@ -1,6 +1,7 @@
 """Exact oracles the tests hold the solver to: row tags rebuilt from the
 builders' row order, unimodularity evidence, exact rational re-solves, the
-flow network as text, and the power inequalities."""
+flow network as text, the power inequalities, the consolidation bound and
+the structural properties of stage 4's point."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -9,8 +10,11 @@ from typing import Sequence
 
 import numpy as np
 
+from fairrange.baseline import ReducedInstance
+from fairrange.instance import clustering_cost
 from fairrange.lp import GEQ, LEQ, LinearProgram, SimplexResult, _normalized, _write_standard
 from fairrange.round import FlowNetwork
+from fairrange.structure import GEOM_TOL, SUPPORT_TOL, StructuredSolution
 
 POWER_CHECK_TOL = 1e-9
 
@@ -31,13 +35,16 @@ def assignment_row_kinds(lp: LinearProgram, num_locations: int) -> list[tuple]:
 
 
 def structured_row_kinds(lp: LinearProgram) -> list[tuple]:
-    """Tags of build_structured_lp's rows: the range and card rows, then a
-    ball row and a super ball row per location.  Each group's rows are a >=
-    and a <=, so the card row is the first <= row at an even position."""
+    """Tags of build_structured_lp's rows: the range and card rows, a ball
+    row and a super ball row per location, then the split rows in order.
+    Each group's rows are a >= and a <=, so the card row is the first <=
+    row at an even position; after it only the ball rows are >=."""
     num_groups = next(g for g in itertools.count() if not lp.geq[2 * g])
-    nD = (len(lp.rhs) - 2 * num_groups - 1) // 2
+    nD = int(lp.geq[2 * num_groups + 1:].sum())
+    num_split = len(lp.rhs) - 2 * num_groups - 1 - 2 * nD
     return (_range_card_kinds(num_groups) + [("ball", v) for v in range(nD)]
-            + [("superball", v) for v in range(nD)])
+            + [("superball", v) for v in range(nD)]
+            + [("split", i) for i in range(num_split)])
 
 
 def matrix_geq(lp: LinearProgram) -> np.ndarray:
@@ -51,19 +58,19 @@ def matrix_geq(lp: LinearProgram) -> np.ndarray:
 def structured_column_profile(lp: LinearProgram) -> list[str]:
     """Structural scan of the matrix in >= orientation.
 
-    Each column may carry at most five nonzeros: +1 from its group's lower
+    Each column may carry at most six nonzeros: +1 from its group's lower
     range row, -1 from the upper one, -1 from the cardinality row, +1 from
-    one ball row and -1 from the matching super ball row.  Returns violation
-    descriptions, empty when the profile holds.
+    one ball row, -1 from the matching super ball row and -1 from one split
+    row.  Returns violation descriptions, empty when the profile holds.
     """
     A = matrix_geq(lp)
     row_kinds = structured_row_kinds(lp)
     out = []
     expected_sign = {"range_lower": 1.0, "range_upper": -1.0, "card": -1.0,
-                     "ball": 1.0, "superball": -1.0}
+                     "ball": 1.0, "superball": -1.0, "split": -1.0}
     for j in range(lp.num_vars):
         nz = np.nonzero(A[:, j])[0]
-        if len(nz) > 5:
+        if len(nz) > 6:
             out.append(f"column {j}: {len(nz)} nonzeros")
             continue
         ball_loc, super_loc = None, None
@@ -72,7 +79,7 @@ def structured_column_profile(lp: LinearProgram) -> list[str]:
             kind = row_kinds[i][0]
             if A[i, j] != expected_sign.get(kind):
                 out.append(f"column {j}: row {i} ({kind}) entry {A[i, j]}")
-            if kind in seen and kind in ("range_lower", "range_upper", "card"):
+            if kind in seen and kind in ("range_lower", "range_upper", "card", "split"):
                 out.append(f"column {j}: duplicate {kind} entry")
             seen.add(kind)
             if kind == "ball":
@@ -124,6 +131,7 @@ def _gh_constructive(A, rows, row_kinds):
     has_center = any(k[0] == "card" for k in kinds)
     group_rows: dict[int, list[int]] = {}
     loc_rows: dict[object, dict[str, int]] = {}
+    split_rows: list[int] = []
     signs = [0] * len(rows)
     for t, k in enumerate(kinds):
         if k[0] in ("range_lower", "range_upper"):
@@ -132,6 +140,8 @@ def _gh_constructive(A, rows, row_kinds):
             loc_rows.setdefault(k[1], {})[k[0]] = t
         elif k[0] == "card":
             signs[t] = -1
+        elif k[0] == "split":
+            split_rows.append(t)
         else:
             return None
     for ts in group_rows.values():
@@ -145,6 +155,15 @@ def _gh_constructive(A, rows, row_kinds):
             signs[pair["ball"]] = 1 if "superball" in pair else -1
         if "superball" in pair:
             signs[pair["superball"]] = 1
+    # the range and card rows now sum to 0 or 1 on every column, the same
+    # on the two columns of a split row (they share a group), and the ball
+    # and super ball rows to 0 or -1 on the own column; a split row's -1
+    # entries then take 1 off where the range side gives 1, else add 1
+    side = [t for t, k in enumerate(kinds) if k[0] in ("range_lower", "range_upper", "card")]
+    range_sum = np.array([signs[t] for t in side], dtype=float) @ A[[rows[t] for t in side]]
+    for t in split_rows:
+        j = np.flatnonzero(A[rows[t]])[0]
+        signs[t] = 1 if range_sum[j] >= 1 else -1
     return signs
 
 
@@ -356,3 +375,111 @@ def chain_power_check(end: float, legs: Sequence[float], p: float) -> bool:
     lhs = end ** p
     rhs = r ** (p - 1.0) * sum(d ** p for d in legs)
     return lhs <= rhs * (1.0 + POWER_CHECK_TOL) + 1e-300
+
+
+def baseline_cost_p(red: ReducedInstance) -> float:
+    """Power-p cost of snapping every client to its nearest location.
+
+    A client with positive demand has its nearest baseline center among
+    the kept locations, and a client without demand adds 0, so this is the
+    baseline clustering's cost on the source instance.
+    """
+    if not red.location_ids:
+        return 0.0
+    src = red.source
+    w = src.client_weights()
+    D = src.block(src.client_pos, src.positions(red.location_ids))
+    return float(w @ D.min(axis=1) ** src.p)
+
+
+def lift_bound(red: ReducedInstance, centers) -> tuple[float, float]:
+    """Original-instance cost of centers, with its consolidation bound.
+
+    One triangle application per client gives
+        cost_original <= 2^(p-1) * (baseline cost + cost on the locations),
+    so returning to raw clients never costs more than the right-hand side.
+    """
+    centers = list(centers)
+    actual = clustering_cost(red.source, centers)[0]
+    bound = 2.0 ** (red.p - 1.0) * (baseline_cost_p(red) + red.cost_of(centers))
+    return actual, bound
+
+
+def verify_structured(ss: StructuredSolution) -> list[str]:
+    """Check every structural property; returns human-readable violations."""
+    sp = ss.sp
+    m, F = ss.x_bar.shape
+    D = sp.fac_dist
+    out: list[str] = []
+
+    in_some_ball = np.zeros(F, dtype=bool)
+    for b in sp.balls:
+        in_some_ball[b] = True
+    in_some_super = np.zeros(F, dtype=bool)
+    seen = np.zeros(F, dtype=bool)
+    for v, mem in enumerate(ss.supers):
+        if np.any(seen[mem]):
+            out.append(f"disjoint: territory of {sp.location_ids[v]} overlaps another")
+        seen[mem] = True
+        in_some_super[mem] = True
+        if not set(sp.balls[v].tolist()) <= set(mem.tolist()):
+            out.append(f"containment: ball of {sp.location_ids[v]} leaves its territory")
+
+    serves_any = ss.x_bar.max(axis=0) > SUPPORT_TOL
+    for u in range(F):
+        if ss.y_bar[u] > SUPPORT_TOL and (in_some_ball[u] or serves_any[u]):
+            if not in_some_super[u]:
+                out.append(f"cover: open facility {u} belongs to no territory")
+
+    for v in range(m):
+        allowed = set(ss.supers[v].tolist()) | set(ss.peer_balls[v].tolist())
+        for u in np.nonzero(ss.x_bar[v] > SUPPORT_TOL)[0]:
+            if u not in allowed:
+                out.append(f"support: {sp.location_ids[v]} served from outside "
+                           f"its territory and neighbor ball (facility {u})")
+                break
+
+    for v in range(m):
+        got = float(ss.y_bar[sp.balls[v]].sum())
+        if got < 0.5 - SUPPORT_TOL:
+            out.append(f"ball-mass: {sp.location_ids[v]} has {got:.6f} < 0.5")
+
+    for v in range(m):
+        far = [u for u in ss.supers[v]
+               if ss.y_bar[u] > SUPPORT_TOL and D[v, u] > 2.0 * ss.peer_dist[v] + GEOM_TOL]
+        if far:
+            out.append(f"radius: territory of {sp.location_ids[v]} reaches too far")
+
+    for v in range(m):
+        super_set = set(ss.supers[v].tolist())
+        ball_open = float(ss.y_bar[sp.balls[v]].sum())
+        super_open = float(ss.y_bar[ss.supers[v]].sum())
+        ball_set = set(sp.balls[v].tolist())
+        priv_used = any(ss.x_bar[v, u] > SUPPORT_TOL
+                        for u in super_set if u not in ball_set)
+        ext_used = any(ss.x_bar[v, u] > SUPPORT_TOL
+                       for u in range(F) if u not in super_set)
+        if priv_used and ball_open >= 1.0 - SUPPORT_TOL:
+            out.append(f"optimality: {sp.location_ids[v]} uses a private facility "
+                       f"with a saturated ball")
+        if ext_used and super_open >= 1.0 - SUPPORT_TOL:
+            out.append(f"optimality: {sp.location_ids[v]} leaves a saturated territory")
+
+    sums = ss.x_bar.sum(axis=1)
+    for v in range(m):
+        if abs(sums[v] - 1.0) > SUPPORT_TOL:
+            out.append(f"mass: {sp.location_ids[v]} served {sums[v]:.8f}")
+    if np.any(ss.x_bar > ss.y_bar[None, :] + GEOM_TOL):
+        out.append("capacity: service exceeds opening mass somewhere")
+    if np.any(ss.y_bar < -GEOM_TOL) or np.any(ss.y_bar > 1.0 + GEOM_TOL):
+        out.append("bounds: opening mass outside [0, 1]")
+
+    for v in range(m):
+        lo = 0.5 * ss.peer_dist[v] - GEOM_TOL
+        hi = 1.5 * ss.peer_dist[v] + GEOM_TOL
+        for u in ss.peer_balls[v]:
+            if not (lo <= D[v, u] <= hi):
+                out.append(f"neighbor-band: facility {u} at {D[v, u]:.6g} "
+                           f"outside the band of {sp.location_ids[v]}")
+                break
+    return out

@@ -44,11 +44,10 @@ def suite2_params(i):
 
 @pytest.fixture(scope="module")
 def suite1():
-    # Stream checked corner-free: with tight group quotas the structured
-    # program can be genuinely infeasible (all of a group's facilities
-    # inside one capped territory), which the solver answers with its
-    # greedy fallback and a shorter bound chain.  That corner is pinned
-    # in test_pipeline; this suite exercises the full chain.
+    # Every solve runs the full chain.  The corner where tight group quotas
+    # want more than one unit of opening inside one territory, which the
+    # opening program meets through spare columns, is pinned in
+    # test_pipeline.
     t0 = time.perf_counter()
     runs = []
     for i in range(SUITE1_SIZE):

@@ -38,7 +38,8 @@ from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 
 from conftest import (assert_same_program, groups_of, lp_from_rows,
                       reference_build_structured_lp, same_opening_program, solve_stages)
-from oracles import (_exact, _std_form_fractions, assignment_row_kinds, bareiss_determinant,
+from oracles import (_exact, _gh_constructive, _gh_valid, _std_form_fractions,
+                     assignment_row_kinds, bareiss_determinant,
                      enumerate_vertices_min, ghouila_houri_check, matrix_geq,
                      recertify_rational, structured_column_profile, structured_row_kinds,
                      submatrix_determinant_check)
@@ -218,10 +219,37 @@ def tiny_structured():
     return build_structured_lp(
         dp, [2.0, 3.0], [1, 2, 1, 2], 2, ((0, 2), (0, 2)),
         balls=[[0], [3]], territories=[[0, 1], [2, 3]], base_pow=[9.0, 9.0],
-        ball_need=[0.5, 0.5])
+        ball_need=[0.5, 0.5], split=[])
+
+
+def tiny_split():
+    """tiny_structured with facility 1 (group 2, first territory) and
+    facility 2 (group 1, second territory) split."""
+    dp = np.array([[1.0, 4.0, 9.0, 25.0], [49.0, 16.0, 4.0, 1.0]])
+    return build_structured_lp(
+        dp, [2.0, 3.0], [1, 2, 1, 2], 2, ((0, 2), (0, 2)),
+        balls=[[0], [3]], territories=[[0, 1], [2, 3]], base_pow=[9.0, 9.0],
+        ball_need=[0.5, 0.5], split=[1, 2])
 
 
 class TestStructuredBuilder:
+    def test_spare_columns(self):
+        lp, members = tiny_split()
+        assert [c.tolist() for c in members] == [[0], [1], [2], [3], [1], [2]]
+        assert lp.objective[4:].tolist() == [0.0, 0.0]
+        assert lp.upper.tolist() == [1.0] * 6
+        kinds = structured_row_kinds(lp)
+        assert [k[0] for k in kinds[-4:]] == ["superball", "superball", "split", "split"]
+        rows = lp.rows
+        # a spare sits in its group's range rows and the card row, and in
+        # its split row beside its own column
+        assert [j for j, _ in rows[0].coeffs] == [0, 2, 5]
+        assert [j for j, _ in rows[2].coeffs] == [1, 3, 4]
+        assert [j for j, _ in rows[4].coeffs] == list(range(6))
+        assert rows[-2:] == [Row(((1, 1.0), (4, 1.0)), LEQ, 1.0),
+                             Row(((2, 1.0), (5, 1.0)), LEQ, 1.0)]
+        assert structured_column_profile(lp) == []
+
     def test_objective_terms(self):
         lp, members = tiny_structured()
         assert [c.tolist() for c in members] == [[0], [1], [2], [3]]
@@ -247,7 +275,8 @@ class TestStructuredBuilder:
         dp = np.array([[1.0, 2.0, 3.0]])
         lp, _ = build_structured_lp(
             dp, [2.0], [1, 1, 1], 1, ((0, 3),),
-            balls=[[0, 1]], territories=[[0, 1, 2]], base_pow=[0.0], ball_need=[1.0])
+            balls=[[0, 1]], territories=[[0, 1, 2]], base_pow=[0.0], ball_need=[1.0],
+            split=[])
         assert lp.objective == pytest.approx([2.0, 4.0, 6.0])
         ball = [r for r, k in zip(lp.rows, structured_row_kinds(lp)) if k[0] == "ball"]
         assert ball[0].rhs == 1.0
@@ -256,7 +285,7 @@ class TestStructuredBuilder:
         # no survivor: only the range and card rows, each group one free column
         lp, members = build_structured_lp(
             np.zeros((0, 3)), [], [1, 2, 1], 2, ((1, 2), (0, 1)),
-            balls=[], territories=[], base_pow=[], ball_need=[])
+            balls=[], territories=[], base_pow=[], ball_need=[], split=[])
         assert [c.tolist() for c in members] == [[0, 2], [1]]
         assert lp.upper.tolist() == [2.0, 1.0] and lp.objective.tolist() == [0.0, 0.0]
         assert [k[0] for k in structured_row_kinds(lp)] == [
@@ -276,16 +305,28 @@ class TestStructuredBuilder:
 
 class TestUnimodularity:
     def test_constructive_signing_all_subsets(self):
-        lp, _ = tiny_structured()
+        for build in (tiny_structured, tiny_split):
+            lp, _ = build()
+            A = matrix_geq(lp).astype(int)
+            kinds = structured_row_kinds(lp)
+            nrows = len(lp.rows)
+            for size in range(1, nrows + 1):
+                for subset in itertools.combinations(range(nrows), size):
+                    signs = ghouila_houri_check(A, subset, kinds)
+                    assert signs is not None
+                    total = np.array(signs) @ A[list(subset)]
+                    assert np.all(np.abs(total) <= 1)
+
+    def test_constructive_signing_covers_split_rows(self):
+        # the tagged signing alone, without the exhaustive search behind it
+        lp, _ = tiny_split()
         A = matrix_geq(lp).astype(int)
         kinds = structured_row_kinds(lp)
         nrows = len(lp.rows)
         for size in range(1, nrows + 1):
             for subset in itertools.combinations(range(nrows), size):
-                signs = ghouila_houri_check(A, subset, kinds)
-                assert signs is not None
-                total = np.array(signs) @ A[list(subset)]
-                assert np.all(np.abs(total) <= 1)
+                signs = _gh_constructive(A, list(subset), kinds)
+                assert signs is not None and _gh_valid(A, list(subset), signs)
 
     def test_exhaustive_matches_constructive(self):
         lp, _ = tiny_structured()
@@ -1063,7 +1104,8 @@ def same_assignment_program(args):
 @st.composite
 def builder_inputs(draw):
     """Builder arguments: groups that may have no facility, no survivor or
-    a single one, and balls and super balls that may be empty."""
+    a single one, balls and super balls that may be empty, and some super
+    ball facilities split."""
     nD = draw(st.integers(0, 4))
     nF = draw(st.integers(1, 7))
     ell = draw(st.integers(1, 3))
@@ -1084,7 +1126,8 @@ def builder_inputs(draw):
         base, need = [0.0], [1.0]
     else:
         base, need = [draw(dist) for _ in range(nD)], [0.5] * nD
-    return dp, w, groups, k, ranges, balls, supers, base, need
+    split = [u for u in range(nF) if owner[u] >= 0 and draw(st.booleans())]
+    return dp, w, groups, k, ranges, balls, supers, base, need, split
 
 
 class TestArrayBuildersMatchRows:
@@ -1138,7 +1181,7 @@ class TestArrayBuildersMatchRows:
             sp = ss.sp
             _, _, kinds = reference_build_structured_lp(
                 sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
-                ss.territories, ss.base_pow, ss.ball_need)
+                ss.territories, ss.base_pow, ss.ball_need, ss.split)
             assert structured_row_kinds(out["structured_program"][0]) == kinds
             assert kinds.count(("card",)) == 1 and ("ball", 1) in kinds
 

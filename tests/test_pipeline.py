@@ -24,7 +24,8 @@ from fairrange.pipeline import (
     solve_fair_range,
 )
 
-from conftest import enumerate_optimum, line_instance, matrix_instance, with_distance
+from conftest import (enumerate_optimum, line_instance, matrix_instance, solve_stages,
+                      with_distance)
 
 
 class TestBruteForce:
@@ -57,6 +58,16 @@ class TestBruteForce:
         cost, centers = brute_force_optimum(inst, RangeConstraints(1, ((0, 1),)))
         assert cost == pytest.approx(2.0)
         assert centers == ("p0",)
+
+    def test_tiny_costs_are_not_ties(self):
+        # every cost is below 1e-11, so an absolute tie margin of 1e-12
+        # kept p0 (1.091e-12) over p2 (2.81e-13)
+        inst = line_instance([0.0, 3e-5, 4e-5, 1e-4], p=3.0)
+        rc = RangeConstraints(1, ((0, 1),))
+        for oracle in (brute_force_optimum, enumerate_optimum):
+            cost, centers = oracle(inst, rc)
+            assert tuple(centers) == ("p2",)
+            assert cost == pytest.approx(2.81e-13, rel=1e-9)
 
     def test_matches_independent_enumeration(self, rng):
         for seed in range(6):
@@ -171,38 +182,45 @@ class TestSolveFairRange:
                     "integral_original"):
             assert key in rep.stage_costs
 
-    def test_capped_territory_fallback(self):
+    def test_capped_territory_answers(self):
         # both group-1 facilities share one ball while the lower bound
-        # demands two openings there: the opening program has no solution,
-        # yet an integral selection exists and must be returned
+        # demands two openings there: a one-unit cap on the territory's
+        # whole opening left the opening program without a solution; the
+        # cap on the survivor's own use, with a spare column, has one
         inst = line_instance([0.0, 0.0, 100.0, 100.0],
                              facility_ids=[0, 1, 3],
                              group_label={0: 1, 1: 1, 3: 2},
                              client_demands={"p0": 1, "p2": 1})
         rc = RangeConstraints(3, ((2, 2), (1, 1)))
         rep = solve_fair_range(inst, rc)
-        assert rep.fallback
+        assert not rep.fallback
         assert rep.centers.centers == ("p0", "p1", "p3")
         assert rep.centers.cost_p == pytest.approx(0.0, abs=1e-12)
-        assert rep.diagnostics["fallback_reason"] == \
-            "round: scaled structured program is infeasible"
+        assert len(rep.bounds) == 6 and all(b.passed for b in rep.bounds)
 
-    def test_flow_rounding_fallback(self, monkeypatch):
-        # a flow network without a feasible flow: select_centers raises
-        # NoIntegralSelectionError and the direct selection answers
+    def test_flow_without_selection_is_a_stage_error(self, monkeypatch):
+        # the flow over half-integral openings always has a selection, so a
+        # network without a feasible flow is a fault, not a fallback
         monkeypatch.setattr(fairrange.round, "solve_flow_lower_bounds",
                             lambda net: None)
         inst = random_instance(3, 12, 2, 2.0)
-        rep = solve_fair_range(inst, random_ranges(3, inst, 3, 2))
-        assert rep.fallback
-        assert rep.diagnostics["fallback_reason"] == \
-            "round: no integral selection meets the ranges"
-        assert {b.name for b in rep.bounds} == {
-            "reassigned-vs-opt", "structured-vs-opt", "clients-lift"}
-        assert all(b.passed for b in rep.bounds)
+        with pytest.raises(StageError, match="round: no integral selection") as err:
+            solve_fair_range(inst, random_ranges(3, inst, 3, 2))
+        assert err.value.stage == "round"
+
+    @pytest.mark.parametrize("seed", (12, 22, 23))
+    def test_territories_over_one_unit_answer_at_large_p(self, seed):
+        # 80 of these 159 solves put more than one unit of opening in a
+        # territory, and fell back to a greedy selection before facilities
+        # were split
+        for p in range(48, 101):
+            inst = random_instance(seed, 10, 2, float(p))
+            rep = solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
+            assert not rep.fallback
+            assert len(rep.bounds) == 6 and all(b.passed for b in rep.bounds), p
 
     def test_untyped_stage_errors_propagate(self, monkeypatch):
-        # the fallback follows the exception type, not the message text
+        # a stage error ends the solve, whatever its message
         def fail(*args):
             raise StageError("round", "no integral selection meets the ranges")
 
@@ -583,11 +601,19 @@ def test_tiny_instances_end_certified_or_typed(case):
         report = solve_fair_range(inst, rc)
     except (InfeasibleRangesError, UnrangedGroupError, CostRangeError):
         return
-    assert len(report.bounds) == (3 if report.fallback else 6)
+    assert len(report.bounds) == 6 and not report.fallback
     assert all(b.passed for b in report.bounds)
     assert all(a <= c <= b for c, (a, b) in zip(report.centers.group_counts, rc.ranges))
     optimum, _ = brute_force_optimum(inst, rc)
     assert report.centers.cost_p >= optimum * (1.0 - 1e-9)
+    # stage 5's own openings meet every territory cap, and own plus spare
+    # every split row; a facility that is not split has no spare
+    stages = solve_stages(inst, rc, "solve_half_integral")
+    ss, half = stages["enforce_structure"], stages["solve_half_integral"]
+    assert all(half.y_own[t].sum() <= 1.0 for t in ss.territories)
+    assert np.all((half.y_own <= half.y) & (half.y <= 1.0))
+    unsplit = np.setdiff1d(np.arange(len(half.y)), ss.split)
+    assert half.y_own[unsplit].tolist() == half.y[unsplit].tolist()
 
 
 def _permuted(inst, seed):

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import fairrange.pipeline
 import fairrange.round
-from fairrange.errors import OpeningInfeasibleError, StageError
+from fairrange.errors import StageError
 from fairrange.instance import RangeConstraints
 from fairrange.lp import Row, build_structured_lp, scale_doubled, solve_lp, solve_vertex
 from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
@@ -57,7 +58,7 @@ def opening_args(ss, groups, rc):
     """The builder arguments structured_program passes for ss."""
     sp = ss.sp
     return (sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
-            ss.territories, ss.base_pow, ss.ball_need)
+            ss.territories, ss.base_pow, ss.ball_need, ss.split)
 
 
 def left_out_constant(ss):
@@ -65,22 +66,32 @@ def left_out_constant(ss):
     return float(ss.sp.weights @ ss.base_pow)
 
 
-def service(ss, y):
-    """Stage 5's service rows for the openings y, as the pipeline fills them."""
-    return fill_service(ss.sp, ss.supers, ss.peer_balls, y)
+def service(ss, half):
+    """Stage 5's service rows for the openings half, as the pipeline fills
+    them."""
+    return fill_service(ss.sp, ss.supers, ss.peer_balls, half.y_own, half.y)
 
 
-def program_cost(lp, members, ss, y):
-    """c.y + constant: the opening program's objective at y, the constant
-    added back."""
-    cols = np.array([y[c].sum() for c in members])
+def program_cost(lp, members, ss, y_own):
+    """c.y + constant: the opening program's objective at the own openings
+    y_own, the constant added back.  Spare columns cost nothing."""
+    cols = np.array([y_own[c].sum() for c in members])
     return float(lp.objective @ cols) + left_out_constant(ss)
+
+
+def stage_four_own(ss):
+    """The own part of stage 4's point in the opening program: each
+    survivor's use of its territory, and y_bar elsewhere."""
+    own = ss.y_bar.copy()
+    for v, t in enumerate(ss.territories):
+        own[t] = ss.x_bar[v, t]
+    return own
 
 
 class TestSolveHalfIntegral:
     def test_forced_singleton(self):
         lp, members = build_structured_lp(
-            np.array([[4.0]]), [1.0], [1], 1, [(0, 1)], [[0]], [[0]], [0.0], [1.0])
+            np.array([[4.0]]), [1.0], [1], 1, [(0, 1)], [[0]], [[0]], [0.0], [1.0], [])
         half = solve_half_integral(lp, members)
         assert half.y.tolist() == [1.0]
         assert float(lp.objective @ half.y) == pytest.approx(4.0)
@@ -92,7 +103,7 @@ class TestSolveHalfIntegral:
         # vertex, and the first column wins the entering tie.
         lp, members = build_structured_lp(
             np.array([[4.0, 4.0]]), [1.0], [1, 1], 1, [(0, 1)],
-            [[0, 1]], [[0, 1]], [0.0], [1.0])
+            [[0, 1]], [[0, 1]], [0.0], [1.0], [])
         half = solve_half_integral(lp, members)
         assert half.y.tolist() == [1.0, 0.0]
         assert float(lp.objective @ half.y) == pytest.approx(4.0)
@@ -100,7 +111,7 @@ class TestSolveHalfIntegral:
     def test_infeasible_range_raises(self):
         program = build_structured_lp(
             np.array([[1.0, 1.0]]), [1.0], [1, 1], 3, [(3, 3)],
-            [[0, 1]], [[0, 1]], [0.0], [1.0])
+            [[0, 1]], [[0, 1]], [0.0], [1.0], [])
         with pytest.raises(StageError) as err:
             solve_half_integral(*program)
         assert err.value.stage == "round"
@@ -115,36 +126,36 @@ class TestSolveHalfIntegral:
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(6, 6):
             res = solve_lp(lp)
             assert res.status == "optimal"
-            cost = program_cost(lp, members, ss, half.y)
+            cost = program_cost(lp, members, ss, half.y_own)
             assert cost == pytest.approx(res.objective + left_out_constant(ss),
                                          rel=1e-6, abs=1e-9)
-            assert cost <= program_cost(lp, members, ss, ss.y_bar) * (1.0 + 1e-9) + 1e-9
+            assert cost <= program_cost(lp, members, ss, stage_four_own(ss)) * (1.0 + 1e-9) + 1e-9
 
     @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
     def test_cost_matches_objective_at_small_p(self, p):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(7, 6, p_values=(p,)):
-            cost = half_integral_cost(ss, half.y)
+            cost = half_integral_cost(ss, half.y_own)
             assert cost >= 0.0
-            assert cost == pytest.approx(program_cost(lp, members, ss, half.y),
+            assert cost == pytest.approx(program_cost(lp, members, ss, half.y_own),
                                          rel=1e-9, abs=1e-12)
 
     def test_cost_stays_nonnegative_at_large_p(self):
         # at p=30 c.y + constant cancels: its constant is d(v,v')^p summed
         fronts = random_fronts(8, 6, p_values=(30.0,))
-        costs = [half_integral_cost(ss, half.y) for _, _, _, ss, _, _, half, _ in fronts]
+        costs = [half_integral_cost(ss, half.y_own) for _, _, _, ss, _, _, half, _ in fronts]
         assert all(c >= 0.0 and math.isfinite(c) for c in costs)
         for (_, _, sp, ss, _, _, half, _), cost in zip(fronts, costs):
-            assert cost <= sp.assignment_cost(service(ss, half.y)) * (1 + 1e-9)
+            assert cost <= sp.assignment_cost(service(ss, half)) * (1 + 1e-9)
 
 
 def free_columns(lp):
-    """Free columns (objective 0, in no ball or super-ball row) and each
-    column's group, read off the row tags."""
+    """Free columns (objective 0, in no ball, super-ball or split row) and
+    each column's group, read off the row tags."""
     touched = np.zeros(lp.num_vars, dtype=bool)
     group = np.zeros(lp.num_vars, dtype=int)
     for row, kind in zip(lp.rows, structured_row_kinds(lp)):
         cols = [j for j, _ in row.coeffs]
-        if kind[0] in ("ball", "superball"):
+        if kind[0] in ("ball", "superball", "split"):
             touched[cols] = True
         if kind[0] == "range_lower":
             group[cols] = kind[1]
@@ -153,7 +164,8 @@ def free_columns(lp):
 
 def check_merged_matches_full(args):
     """solve_half_integral against the vertex of the full doubled program,
-    one column per facility, that the reference builder writes.
+    one column per facility and one per spare, that the reference builder
+    writes.
 
     Returns the half-integral solution, or None when both find the program
     infeasible.
@@ -162,25 +174,30 @@ def check_merged_matches_full(args):
     full, _, _ = reference_build_structured_lp(*args)
     vertex = solve_vertex(scale_doubled(full))
     if vertex.status == "infeasible":
-        with pytest.raises(OpeningInfeasibleError):
+        with pytest.raises(StageError, match="program is infeasible"):
             solve_half_integral(lp, members)
         return None
     assert vertex.status == "optimal"
     half = solve_half_integral(lp, members)
-    assert float(full.objective @ half.y) == pytest.approx(vertex.objective / 2.0,
+    split = list(args[9])
+    spare = (half.y - half.y_own)[split]
+    y_full = np.concatenate((half.y_own, spare))
+    assert float(full.objective @ y_full) == pytest.approx(vertex.objective / 2.0,
                                                            rel=1e-12, abs=1e-12)
     free, group = free_columns(full)
     full_y = np.round(vertex.x) / 2.0
-    assert half.y[~free].tolist() == full_y[~free].tolist()
-    assert set(half.y[free].tolist()) <= {0.0, 0.5, 1.0}
+    assert y_full[~free].tolist() == full_y[~free].tolist()
+    assert set(y_full[free].tolist()) <= {0.0, 0.5, 1.0}
     # the merged value reaches the members whole, filled in index order
     merged = np.round(solve_vertex(scale_doubled(lp)).x)
     assert sorted(j for cols in members if len(cols) > 1 for j in cols) == \
         [j for j in np.nonzero(free)[0] if np.sum(free & (group == group[j])) > 1]
-    for value, cols in zip(merged, members):
-        assert 2.0 * half.y[cols].sum() == value
-        assert np.all(np.diff(half.y[cols]) <= 0.0)
-        assert np.sum((half.y[cols] > 0.0) & (half.y[cols] < 1.0)) <= 1
+    own_cols = len(members) - len(split)
+    for value, cols in zip(merged, members[:own_cols]):
+        assert 2.0 * half.y_own[cols].sum() == value
+        assert np.all(np.diff(half.y_own[cols]) <= 0.0)
+        assert np.sum((half.y_own[cols] > 0.0) & (half.y_own[cols] < 1.0)) <= 1
+    assert (2.0 * spare).tolist() == merged[own_cols:].tolist()
     return half
 
 
@@ -189,10 +206,11 @@ def opening_programs(draw):
     """Builder arguments for opening programs of the structured shape:
     disjoint territories with a ball inside each, facilities outside every
     territory (free unless none is), one to three groups with alpha = beta
-    quotas among the ranges, and the single-survivor form.  Costs are drawn
-    from a continuous law, so the optimum is unique on the tied columns;
-    with tied costs two optimal vertices can split the territories
-    differently, and either is a valid answer."""
+    quotas among the ranges, the single-survivor form, and some territory
+    facilities split.  Costs are drawn from a continuous law, so the
+    optimum is unique on the tied columns; with tied costs two optimal
+    vertices can split the territories differently, and either is a valid
+    answer."""
     nF = draw(st.integers(1, 9))
     ell = draw(st.integers(1, 3))
     groups = [draw(st.integers(1, ell)) for _ in range(nF)]
@@ -220,7 +238,9 @@ def opening_programs(draw):
         ranges.append((alpha, beta))
     k = draw(st.integers(1, nF))
     need = [1.0] if single else [0.5] * nD
-    return dp, w, groups, k, ranges, balls, balls if single else supers, base, need
+    territories = balls if single else supers
+    split = sorted(u for t in territories for u in t.tolist() if draw(st.booleans()))
+    return dp, w, groups, k, ranges, balls, territories, base, need, split
 
 
 def named_opening_programs():
@@ -228,23 +248,27 @@ def named_opening_programs():
     must reach."""
     # single survivor: a full unit on the ball, three free facilities
     single = (np.array([[3.0, 1.0, 2.0, 5.0]]), [1.0], [1, 1, 1, 2], 2, [(1, 2), (1, 1)],
-              [[0]], [[0]], [0.0], [1.0])
+              [[0]], [[0]], [0.0], [1.0], [])
     # alpha = beta in both groups, group 2 with no free facility
     tight = (np.array([[2.0, 0.5, 4.0, 1.0, 3.0]]), [2.0], [1, 2, 1, 2, 1], 3,
-             [(2, 2), (1, 1)], [[1]], [[1, 3]], [2.5], [0.5])
+             [(2, 2), (1, 1)], [[1]], [[1, 3]], [2.5], [0.5], [])
     # group 1 with exactly one free facility
     one_free = (np.array([[1.0, 4.0, 2.0], [4.0, 1.0, 3.0]]), [1.0, 1.0], [1, 2, 1], 2,
-                [(1, 2), (0, 1)], [[0], [1]], [[0], [1]], [3.0, 3.0], [0.5, 0.5])
+                [(1, 2), (0, 1)], [[0], [1]], [[0], [1]], [3.0, 3.0], [0.5, 0.5], [])
     # a dear ball that wants only its half unit: the merged value is odd,
     # so one free member ends at 1/2
     odd = (np.array([[5.0, 0.0, 0.0, 0.0]]), [1.0], [1, 1, 1, 1], 1, [(1, 1)],
-           [[0]], [[0]], [2.0], [0.5])
+           [[0]], [[0]], [2.0], [0.5], [])
     # two colocated ball facilities: cost 0 and identical columns, but in
     # the ball row, so they are not free and stay apart
     zero_cost_ball = (np.array([[0.0, 0.0, 2.0, 4.0, 5.0]]), [1.0], [1, 1, 1, 2, 2], 2,
-                      [(1, 2), (0, 1)], [[0, 1]], [[0, 1]], [0.0], [1.0])
+                      [(1, 2), (0, 1)], [[0, 1]], [[0, 1]], [0.0], [1.0], [])
+    # group 1 wants both ball facilities open while the territory caps the
+    # survivor's own use at one unit: only facility 1's spare can open it
+    shared = (np.array([[1.0, 2.0, 3.0]]), [1.0], [1, 1, 2], 3, [(2, 2), (1, 1)],
+              [[0, 1]], [[0, 1]], [0.0], [1.0], [1])
     return {"single": single, "tight": tight, "one_free": one_free, "odd": odd,
-            "zero_cost_ball": zero_cost_ball}
+            "zero_cost_ball": zero_cost_ball, "shared": shared}
 
 
 class TestMergedOpeningLP:
@@ -257,7 +281,7 @@ class TestMergedOpeningLP:
         check_merged_matches_full(args)
 
     @pytest.mark.parametrize("name", ["single", "tight", "one_free", "odd",
-                                      "zero_cost_ball"])
+                                      "zero_cost_ball", "shared"])
     def test_matches_full_solve_on_named_programs(self, name):
         assert check_merged_matches_full(named_opening_programs()[name]) is not None
 
@@ -278,12 +302,19 @@ class TestMergedOpeningLP:
         lp = programs["zero_cost_ball"]
         assert lp.objective.tolist()[:2] == [0.0, 0.0]
         assert free_columns(lp)[0].tolist() == [False, False, True, True, True]
+        # the spare column is in the split row, not free
+        assert free_columns(programs["shared"])[0].tolist() == [False, False, True, False]
+        half = check_merged_matches_full(named_opening_programs()["shared"])
+        assert half.y.tolist() == [1.0, 1.0, 1.0] and half.y_own.tolist() == [1.0, 0.0, 1.0]
+        unsplit = (*named_opening_programs()["shared"][:9], [])
+        assert check_merged_matches_full(unsplit) is None
 
     def test_merged_value_above_the_members_bounds_is_refused(self, monkeypatch):
         # col 0 takes the ball's unit; the free pair {1, 2} may hold up to 2
         # in the doubled program, so 6 there breaks a bound but no row
         lp, members = build_structured_lp(np.array([[3.0, 1.0, 2.0]]), [1.0],
-                                          [1, 1, 1], 5, [(1, 5)], [[0]], [[0]], [0.0], [1.0])
+                                          [1, 1, 1], 5, [(1, 5)], [[0]], [[0]], [0.0], [1.0],
+                                          [])
 
         def overfull(small, **kw):
             res = solve_vertex(small, **kw)
@@ -311,7 +342,7 @@ class TestMergedOpeningLP:
         # facility 2 is free; a point putting 2 units on the territory {0, 1}
         # breaks its row and no other, so the fill never sees it
         lp, members = build_structured_lp(np.array([[1.0, 2.0, 3.0]]), [1.0], [1, 1, 1], 3,
-                                          [(0, 3)], [[0]], [[0, 1]], [1.0], [0.5])
+                                          [(0, 3)], [[0]], [[0, 1]], [1.0], [0.5], [])
         assert solve_half_integral(lp, members).y[:2].sum() <= 1.0
 
         def overfull(small, **kw):
@@ -354,7 +385,7 @@ class TestMergedOpeningLP:
         (args,) = built
         full, _, _ = reference_build_structured_lp(*args)
         free, group = free_columns(full)
-        assert full.num_vars == 300
+        assert full.num_vars == 300 + len(args[9])
         assert widths == [int(np.sum(~free)) + len(set(group[free].tolist()))]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -374,14 +405,14 @@ def partition_fields(part):
             part.served, part.removed_by)
 
 
-def move_free_mass(y, members, rng):
+def move_free_mass(half, members, rng):
     """Same sum over each column's members (a group's free facilities share
     one column), each value still in {0, 1/2, 1}, the mass placed on other
-    members."""
-    out = y.copy()
+    members; a free facility has no spare, so its own part moves with it."""
+    y = half.y.copy()
     for cols in members:
-        out[cols] = rng.permutation(y[cols])
-    return out
+        y[cols] = rng.permutation(half.y[cols])
+    return replace(half, y=y, y_own=y - (half.y - half.y_own))
 
 
 class TestFreeOpeningsUnread:
@@ -389,14 +420,14 @@ class TestFreeOpeningsUnread:
         rng = np.random.default_rng(15)
         moved = 0
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(16, 12, sizes=(12, 20)):
-            x = service(ss, half.y)
+            x = service(ss, half)
             part = partition_facilities(sp, x)
             centers, _, _ = select_centers(ss, x, groups_of(inst), rc)
             for _ in range(4):
-                y = move_free_mass(half.y, members, rng)
-                moved += y.tolist() != half.y.tolist()
-                assert set(y.tolist()) <= {0.0, 0.5, 1.0}
-                x2 = service(ss, y)
+                other = move_free_mass(half, members, rng)
+                moved += other.y.tolist() != half.y.tolist()
+                assert set(other.y.tolist()) <= {0.0, 0.5, 1.0}
+                x2 = service(ss, other)
                 assert x2.tolist() == x.tolist()
                 assert partition_fields(partition_facilities(sp, x2)) == \
                     partition_fields(part)
@@ -407,14 +438,16 @@ class TestFreeOpeningsUnread:
 
 
 class TestHalfIntegralAssignment:
-    def fill(self, y):
+    def fill(self, y, y_own=None):
         # survivors p0 and p1, each the other's peer; p2 is p1's private
         inst = line_instance([0.0, 100.0, 101.0])
         sp = manual_sp(inst, ["p0", "p1"], [1.0, 1.0], [[0], [1]],
                        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                        [1.0, 1.0, 0.0])
         supers = [np.array([0]), np.array([1, 2])]
-        return fill_service(sp, supers, [sp.balls[1], sp.balls[0]], np.array(y))
+        y_own = y if y_own is None else y_own
+        return fill_service(sp, supers, [sp.balls[1], sp.balls[0]], np.array(y_own),
+                            np.array(y))
 
     def test_full_territory_needs_no_fill(self):
         x = self.fill([1.0, 1.0, 0.0])
@@ -424,20 +457,27 @@ class TestHalfIntegralAssignment:
         x = self.fill([1.0, 0.5, 0.0])
         assert x.tolist() == [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
 
+    def test_spare_mass_in_the_territory_is_not_taken(self):
+        # p2's half unit is a spare, not p1's own: p1 tops up from its
+        # peer ball instead, 100 away and not 1
+        x = self.fill([1.0, 0.5, 0.5], y_own=[1.0, 0.5, 0.0])
+        assert x.tolist() == [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
+
     def test_random_rows_caps_and_certificate(self):
         saw_full_territory = 0
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(7, 10):
-            x = service(ss, half.y)
+            x = service(ss, half)
             assert np.allclose(x.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(x <= half.y + 1e-12)
             assert np.all(2.0 * x == np.round(2.0 * x))
             dp = sp.fac_dist ** sp.p
             cost = float(sp.weights @ (x * dp).sum(axis=1))
             p = sp.p
-            assert cost <= (1.5 ** p) * half_integral_cost(ss, half.y) * (1 + 1e-6) + 1e-9
+            assert cost <= (1.5 ** p) * half_integral_cost(ss, half.y_own) * (1 + 1e-6) + 1e-9
             for v in range(len(sp.location_ids)):
                 territory = ss.supers[v]
-                if float(half.y[territory].sum()) == 1.0:
+                assert np.all(x[v, territory] <= half.y_own[territory])
+                if float(half.y_own[territory].sum()) == 1.0:
                     saw_full_territory += 1
                     outside = np.setdiff1d(np.arange(x.shape[1]), territory)
                     assert np.all(x[v, outside] == 0.0)
@@ -477,7 +517,7 @@ class TestPartition:
 
     def test_random_partition_invariants(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(8, 10):
-            x = service(ss, half.y)
+            x = service(ss, half)
             part = partition_facilities(sp, x)
             assert part.count == len(part.surviving) == len(part.sets)
             assert part.count <= rc.k
@@ -539,7 +579,7 @@ class TestFlow:
 
     def test_flow_conservation_and_bounds_exact(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(9, 6):
-            x = service(ss, half.y)
+            x = service(ss, half)
             centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             flows = solve_flow_lower_bounds(net)
             balance = np.zeros(net.num_nodes, dtype=int)
@@ -574,7 +614,7 @@ class TestSelectCenters:
 
     def test_end_to_end_random(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(10, 12):
-            x = service(ss, half.y)
+            x = service(ss, half)
             centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             assert len(centers) == rc.k
             labels = np.asarray(groups_of(inst))
@@ -587,7 +627,7 @@ class TestSelectCenters:
 
     def test_removed_location_distance_bounds(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(11, 12):
-            x = service(ss, half.y)
+            x = service(ss, half)
             centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
             chosen = set(centers.tolist())
@@ -604,10 +644,10 @@ class TestSelectCenters:
     def test_partition_quality_for_any_hitting_set(self):
         rng = np.random.default_rng(12)
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(13, 8):
-            x = service(ss, half.y)
+            x = service(ss, half)
             centers, part, net = select_centers(ss, x, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
-            bound = (4.5 ** sp.p) * half_integral_cost(ss, half.y) * (1 + 1e-6) + 1e-9
+            bound = (4.5 ** sp.p) * half_integral_cost(ss, half.y_own) * (1 + 1e-6) + 1e-9
             num_f = dp.shape[1]
             candidates = [centers]
             for _ in range(20):
@@ -796,15 +836,16 @@ def reference_enforce_structure(x2: np.ndarray, y: np.ndarray,
                            x_bar=x_bar, cost_p=cost, diagnostics=diagnostics)
 
 
-def reference_saturating_assignment(sp, y_bar, supers, nn_idx, D):
-    """Service rebuilt from opening mass: copy it over the territory, then
-    top up from the neighbor ball, nearest facilities first.  Also used on
-    the half-integral openings later, where the same capacity argument
-    applies."""
+def reference_saturating_assignment(sp, y_own, y_bar, supers, nn_idx, D):
+    """Service rebuilt from opening mass: copy its own part over the
+    territory, then top up from the neighbor ball, nearest facilities
+    first.  Also used on the half-integral openings later, where the same
+    capacity argument applies.  (Its one cap became y_own over the
+    territory and y_bar over the neighbor ball when facilities split.)"""
     m, F = sp.x.shape
     x_bar = np.zeros((m, F))
     for v in range(m):
-        x_bar[v, supers[v]] = y_bar[supers[v]]
+        x_bar[v, supers[v]] = y_own[supers[v]]
         rem = 1.0 - float(x_bar[v].sum())
         if rem <= 1e-12:
             if rem < -1e-7:
@@ -854,16 +895,17 @@ def same_outcome(got, want):
     return False
 
 
-def meets_opening_rows(ss, y):
-    """y meets the opening program's ball and territory rows, as stage 5's
-    openings do."""
-    return (all(y[b].sum() >= need for b, need in zip(ss.sp.balls, ss.ball_need))
-            and all(y[t].sum() <= 1.0 for t in ss.territories))
+def meets_opening_rows(ss, y_own):
+    """y_own meets the opening program's ball and territory rows, as stage
+    5's own openings do."""
+    return (all(y_own[b].sum() >= need for b, need in zip(ss.sp.balls, ss.ball_need))
+            and all(y_own[t].sum() <= 1.0 for t in ss.territories))
 
 
-def compare_structuring(sp, y_half=None):
+def compare_structuring(sp, half=None):
     """Run the fills and their references on sp; assert bit-equal results.
-    Returns how far the run got."""
+    half, when given, holds openings y and their own part y_own for the
+    fill of stage 5.  Returns how far the run got."""
     got = outcome_of(reassign_private_facilities, sp)
     want = outcome_of(reference_reassign_private_facilities, sp)
     if same_outcome(got, want):
@@ -895,13 +937,13 @@ def compare_structuring(sp, y_half=None):
         assert got.territories is got.supers
     assert {k: float(v).hex() for k, v in got.diagnostics.items()} == \
         {k: float(v).hex() for k, v in want.diagnostics.items()}
-    if y_half is None:
+    if half is None:
         return "done"
-    if not meets_opening_rows(got, y_half):
+    if not meets_opening_rows(got, half.y_own):
         return "rows unmet"
-    x = outcome_of(fill_service, sp, got.supers, got.peer_balls, y_half)
-    x_ref = outcome_of(reference_saturating_assignment, sp, y_half, got.territories,
-                       want.nn_idx, old_dist_to_facilities(sp))
+    x = outcome_of(fill_service, sp, got.supers, got.peer_balls, half.y_own, half.y)
+    x_ref = outcome_of(reference_saturating_assignment, sp, half.y_own, half.y,
+                       got.territories, want.nn_idx, old_dist_to_facilities(sp))
     if not same_outcome(x, x_ref):
         assert bits(x) == bits(x_ref)
     return "done"
@@ -927,15 +969,16 @@ def structuring_inputs(draw):
     y = [draw(mass) for _ in range(n)]
     x = [[min(draw(mass), y[u]) for u in range(n)] for _ in range(m)]
     sp = manual_sp(inst, [f"p{u}" for u in locs], [1.0] * m, balls, x, y)
-    y_half = np.array([draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(n)])
-    return sp, y_half
+    y_own = np.array([draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(n)])
+    spare = np.array([draw(st.sampled_from([0.0, 0.0, 0.5])) for _ in range(n)])
+    return sp, SimpleNamespace(y_own=y_own, y=np.minimum(y_own + spare, 1.0))
 
 
 class TestFillsMatchReference:
     def test_solver_fronts(self):
         reached = set()
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(21, 16):
-            reached.add(compare_structuring(sp, half.y))
+            reached.add(compare_structuring(sp, half))
         assert reached == {"done"}
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -984,9 +1027,10 @@ def stage_five_rows(inst, rc):
 
 class TestStageFiveFill:
     """Stage 5 fills its service rows with stage 4's fill_service.  On the
-    half-integral openings, whose territories hold at most one unit, that
-    is the copy-then-top-up of reference_saturating_assignment, bit for
-    bit, the single-survivor form included."""
+    half-integral openings, whose territories hold at most one unit of own
+    openings, that is the copy-then-top-up of
+    reference_saturating_assignment, bit for bit, the single-survivor form
+    included."""
 
     def cases(self):
         sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -1007,8 +1051,8 @@ class TestStageFiveFill:
             ss, half, x_tilde = stage_five_rows(inst, rc)
             sp = ss.sp
             nn_idx, _ = nearest_surviving(old_location_dist(sp))
-            want = reference_saturating_assignment(sp, half.y, ss.territories, nn_idx,
-                                                   old_dist_to_facilities(sp))
+            want = reference_saturating_assignment(sp, half.y_own, half.y, ss.territories,
+                                                   nn_idx, old_dist_to_facilities(sp))
             assert bits(x_tilde) == bits(want)
             singles += nn_idx is None
         assert singles >= 5

@@ -4,11 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fairrange.baseline import (
-    lift_bound,
-    local_search_clustering,
-    reduce_locations,
-)
+from fairrange.baseline import local_search_clustering, reduce_locations
 from fairrange.errors import StageError
 from fairrange.instance import RangeConstraints, clustering_cost, instance_from_coords
 from fairrange.lp import build_fair_range_lp, solve_lp, split_fair_solution
@@ -25,6 +21,7 @@ from fairrange.sparsify import (
 
 from conftest import (feasible_ranges, line_instance, matrix_instance, random_fair_instance,
                       solve_stages)
+from oracles import lift_bound
 
 
 class TestRadii:

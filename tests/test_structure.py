@@ -7,11 +7,11 @@ from fairrange.structure import (
     enforce_structure,
     nearest_surviving,
     reassign_private_facilities,
-    verify_structured,
 )
 
 from conftest import (feasible_ranges, line_instance, manual_sp,
                       random_fair_instance, solve_stages)
+from oracles import verify_structured
 
 
 class TestNearestSurviving:
