@@ -161,6 +161,11 @@ def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
                           dict(group_label), dict(client_demands), p, coords=pts)
 
 
+def is_integer(v) -> bool:
+    """Whether v is an int or a numpy integer; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class RangeConstraints:
     """Per-group center count window plus the total center budget k."""
@@ -168,6 +173,14 @@ class RangeConstraints:
     ranges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        named = {"k": self.k}
+        for j, (a, b) in enumerate(self.ranges, start=1):
+            named |= {f"range {j} lower bound": a, f"range {j} upper bound": b}
+        for name, v in named.items():
+            if not is_integer(v):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "ranges", tuple((int(a), int(b)) for a, b in self.ranges))
         if self.k < 1:
             raise ValueError("k must be positive")
         for a, b in self.ranges:
@@ -251,6 +264,8 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
         g = inst.group_label.get(f)
         if g is None:
             out.append(f"group: facility {f} has no group label")
+        elif not is_integer(g):
+            out.append(f"group: facility {f} has non-integer label {g!r}")
         elif g < 1:
             out.append(f"group: facility {f} has non-positive label {g}")
     facilities = set(inst.facility_ids)

@@ -23,7 +23,7 @@ from .errors import (CostRangeError, InfeasibleRangesError, PowerRangeError,
                      StageError, UnrangedGroupError)
 from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
-                       instance_from_coords)
+                       instance_from_coords, is_integer)
 from .lp import build_fair_range_lp, solve_lp, split_fair_solution
 from .round import (half_integral_cost, select_centers, solve_half_integral,
                     structured_program)
@@ -81,13 +81,15 @@ def _scaled(lf: float, v: float) -> float:
 
 
 def _require_ranged_groups(inst: MetricInstance, rc: RangeConstraints) -> None:
-    """Refuse facilities with no group label or one the ranges do not list.
+    """Refuse a facility with no group label, a non-integer one, or one the ranges omit.
 
     Such a facility is bound by no window, so no stage can account for it.
     """
     for u, g in zip(inst.facility_ids, inst.facility_groups):
         if u not in inst.group_label:
             raise UnrangedGroupError(f"facility {u!r} has no group label")
+        if not is_integer(g):
+            raise UnrangedGroupError(f"facility {u!r} has non-integer label {g!r}")
         if not 1 <= g <= rc.num_groups:
             raise UnrangedGroupError(
                 f"facility {u!r} is in group {g}, but ranges are given for "
@@ -197,7 +199,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     diagnostics["snap_deviation"] = half.snap_deviation
     lap("half_integral")
     x_tilde = fill_service(sp, ss.supers, ss.peer_balls, half.y_own, half.y)
-    centers_idx, part, _ = select_centers(ss, x_tilde, groups, rc)
+    centers_idx, part = select_centers(ss, x_tilde, groups, rc)
     stage_costs["assignment"] = sp.assignment_cost(x_tilde)
     diagnostics["partition_sets"] = part.count
     lap("rounding")

@@ -3,8 +3,8 @@
 The chain here: solve the structured program at a vertex of its doubled
 copy (integral by total unimodularity), halve back, rebuild the service
 assignment on the half-integral openings, partition the serving facilities
-into disjoint sets, and pick one facility per set with a flow that also
-enforces the demographic ranges and the exact budget.
+into disjoint sets, and pick one facility per set with a max flow whose
+group arcs also enforce the demographic ranges and the exact budget.
 """
 from __future__ import annotations
 
@@ -147,52 +147,6 @@ def partition_facilities(sp, x_tilde: np.ndarray) -> FacilityPartition:
                              tuple(served), removed_by)
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
-    num_nodes: int
-    arcs: tuple[tuple[int, int, int, int], ...]   # (tail, head, lower, upper)
-    s: int
-    t1: int
-    t2: int
-    k: int
-    open_arcs: tuple[int, ...]              # facility -> index of its u->g arc
-
-
-def build_flow_network(part: FacilityPartition, num_facilities: int,
-                       group_label, rc) -> FlowNetwork:
-    """Layered selection network: one facility per serving set, the rest
-    from the pool, demographic counts funneled through bounded group arcs.
-    Nodes run s, sets, pool, facilities, groups, t1, t2; L + 1 arcs leave s."""
-    L = part.count
-    if L > rc.k:
-        raise StageError("round", f"{L} serving sets exceed the budget {rc.k}")
-    set_nodes = tuple(range(1, L + 1))
-    pool = L + 1
-    fac_base = pool + 1
-    grp_base = fac_base + num_facilities
-    t1 = grp_base + len(rc.ranges)
-    t2 = t1 + 1
-
-    arcs: list[tuple[int, int, int, int]] = []
-    for node in set_nodes:
-        arcs.append((0, node, 0, 1))
-    arcs.append((0, pool, 0, rc.k - L))
-    for i, v in enumerate(part.surviving):
-        for u in part.sets[v]:
-            arcs.append((set_nodes[i], fac_base + u, 0, 1))
-    for u in range(num_facilities):
-        arcs.append((pool, fac_base + u, 0, 1))
-    open_arcs = []
-    for u in range(num_facilities):
-        open_arcs.append(len(arcs))
-        arcs.append((fac_base + u, grp_base + int(group_label[u]) - 1, 0, 1))
-    for j, (alpha, beta) in enumerate(rc.ranges):
-        arcs.append((grp_base + j, t1, alpha, beta))
-    arcs.append((t1, t2, rc.k, rc.k))
-    return FlowNetwork(t2 + 1, tuple(arcs), 0, t1, t2, rc.k,
-                       tuple(open_arcs))
-
-
 class _MaxFlow:
     """Shortest-augmenting-path max flow over paired residual edges."""
 
@@ -241,57 +195,41 @@ class _MaxFlow:
             total += push
 
 
-def solve_flow_lower_bounds(net: FlowNetwork) -> np.ndarray | None:
-    """Integral flow meeting every [lower, upper] arc bound, or None.
-
-    Closes the circulation with a [k, k] return arc, shifts lower bounds
-    onto a super source and sink, and checks that the max flow saturates
-    every shifted unit.
-    """
-    arcs = list(net.arcs) + [(net.t2, net.s, net.k, net.k)]
-    src, sink = net.num_nodes, net.num_nodes + 1
-    mf = _MaxFlow(net.num_nodes + 2)
-    eids = []
-    excess = [0] * net.num_nodes
-    for a, b, lo, hi in arcs:
-        if lo > hi:
-            raise StageError("round", "arc with lower bound above upper bound")
-        eids.append(mf.add(a, b, hi - lo))
-        excess[a] -= lo
-        excess[b] += lo
-    need = 0
-    for v, e in enumerate(excess):
-        if e > 0:
-            mf.add(src, v, e)
-            need += e
-        elif e < 0:
-            mf.add(v, sink, -e)
-    if mf.max_flow(src, sink) < need:
-        return None
-    flows = [arcs[i][2] + (arcs[i][3] - arcs[i][2] - mf.cap[eids[i]])
-             for i in range(len(net.arcs))]
-    return np.asarray(flows, dtype=int)
-
-
-def extract_centers(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
-    """Facilities whose selection arc carries a unit."""
-    centers = np.nonzero(flows[list(net.open_arcs)] == 1)[0]
-    if len(centers) != net.k:
-        raise StageError("round", f"flow opened {len(centers)} facilities, wanted {net.k}")
-    return centers
-
-
 def select_centers(ss: StructuredSolution, x_tilde: np.ndarray,
-                   fac_groups, rc) -> tuple[np.ndarray, FacilityPartition, FlowNetwork]:
-    """Partition, flow, and extraction in one step, on the service rows
-    x_tilde that fill_service gives for the half-integral openings.
-
-    Each surviving serving set carries a full unit of x_tilde <= y, and y
-    meets the range and card rows, so a fractional selection exists and
-    max flow finds an integral one; a flow without one is a fault."""
+                   fac_groups, rc) -> tuple[np.ndarray, FacilityPartition]:
+    """Partition, then one facility per serving set by max flow, on the
+    service rows x_tilde that fill_service gives for the half-integral
+    openings.  Only the group arcs have lower bounds, so the bounded flow
+    is a max flow: group j sends alpha_j to the sink and up to
+    beta_j - alpha_j through t, which sends k - sum(alpha); a flow of k
+    meets every window.  Each serving set carries a full unit of
+    x_tilde <= y, and y meets the range and card rows, so a selection
+    exists, and a flow below k is a fault."""
     part = partition_facilities(ss.sp, x_tilde)
-    net = build_flow_network(part, len(ss.sp.facility_ids), fac_groups, rc)
-    flows = solve_flow_lower_bounds(net)
-    if flows is None:
+    L, k, num_f = part.count, rc.k, len(ss.sp.facility_ids)
+    if L > k:
+        raise StageError("round", f"{L} serving sets exceed the budget {k}")
+    pool, fac = L + 1, L + 2            # nodes: s, sets, pool, facilities, groups, t, sink
+    grp = fac + num_f
+    t = grp + len(rc.ranges)
+    sink = t + 1
+    mf = _MaxFlow(sink + 1)
+    for i in range(L):
+        mf.add(0, 1 + i, 1)
+    mf.add(0, pool, k - L)
+    for i, v in enumerate(part.surviving):
+        for u in part.sets[v]:
+            mf.add(1 + i, fac + u, 1)
+    for u in range(num_f):
+        mf.add(pool, fac + u, 1)
+    opens = [mf.add(fac + u, grp + int(fac_groups[u]) - 1, 1) for u in range(num_f)]
+    for j, (alpha, beta) in enumerate(rc.ranges):
+        mf.add(grp + j, t, beta - alpha)
+        if alpha > 0:
+            mf.add(grp + j, sink, alpha)
+    rest = k - sum(alpha for alpha, _ in rc.ranges)
+    if rest > 0:
+        mf.add(t, sink, rest)
+    if rest < 0 or mf.max_flow(0, sink) < k:
         raise StageError("round", "no integral selection meets the ranges")
-    return extract_centers(flows, net), part, net
+    return np.flatnonzero([mf.cap[e] == 0 for e in opens]), part

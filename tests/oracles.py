@@ -1,7 +1,8 @@
 """Exact oracles the tests hold the solver to: row tags rebuilt from the
 builders' row order, unimodularity evidence, exact rational re-solves, the
-flow network as text, the power inequalities, the consolidation bound and
-the structural properties of stage 4's point."""
+reference center selection by a circulation with arc lower bounds and its
+network as text, the power inequalities, the consolidation bound and the
+structural properties of stage 4's point."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ import numpy as np
 from fairrange.baseline import ReducedInstance
 from fairrange.instance import clustering_cost
 from fairrange.lp import GEQ, LEQ, LinearProgram, SimplexResult, _normalized, _write_standard
-from fairrange.round import FlowNetwork
+from fairrange.errors import StageError
+from fairrange.round import FacilityPartition, _MaxFlow
 from fairrange.structure import GEOM_TOL, SUPPORT_TOL, StructuredSolution
 
 POWER_CHECK_TOL = 1e-9
@@ -334,6 +336,104 @@ def enumerate_vertices_min(lp: LinearProgram, max_bases: int = 300_000) -> Fract
     if best is None:
         raise ValueError("no feasible basis")
     return best
+
+
+@dataclass(frozen=True)
+class FlowNetwork:
+    num_nodes: int
+    arcs: tuple[tuple[int, int, int, int], ...]   # (tail, head, lower, upper)
+    s: int
+    t1: int
+    t2: int
+    k: int
+    open_arcs: tuple[int, ...]              # facility -> index of its u->g arc
+
+
+def build_flow_network(part: FacilityPartition, num_facilities: int,
+                       group_label, rc) -> FlowNetwork:
+    """Layered selection network: one facility per serving set, the rest
+    from the pool, demographic counts funneled through bounded group arcs.
+    Nodes run s, sets, pool, facilities, groups, t1, t2; L + 1 arcs leave s."""
+    L = part.count
+    if L > rc.k:
+        raise StageError("round", f"{L} serving sets exceed the budget {rc.k}")
+    set_nodes = tuple(range(1, L + 1))
+    pool = L + 1
+    fac_base = pool + 1
+    grp_base = fac_base + num_facilities
+    t1 = grp_base + len(rc.ranges)
+    t2 = t1 + 1
+
+    arcs: list[tuple[int, int, int, int]] = []
+    for node in set_nodes:
+        arcs.append((0, node, 0, 1))
+    arcs.append((0, pool, 0, rc.k - L))
+    for i, v in enumerate(part.surviving):
+        for u in part.sets[v]:
+            arcs.append((set_nodes[i], fac_base + u, 0, 1))
+    for u in range(num_facilities):
+        arcs.append((pool, fac_base + u, 0, 1))
+    open_arcs = []
+    for u in range(num_facilities):
+        open_arcs.append(len(arcs))
+        arcs.append((fac_base + u, grp_base + int(group_label[u]) - 1, 0, 1))
+    for j, (alpha, beta) in enumerate(rc.ranges):
+        arcs.append((grp_base + j, t1, alpha, beta))
+    arcs.append((t1, t2, rc.k, rc.k))
+    return FlowNetwork(t2 + 1, tuple(arcs), 0, t1, t2, rc.k,
+                       tuple(open_arcs))
+
+
+def solve_flow_lower_bounds(net: FlowNetwork) -> np.ndarray | None:
+    """Integral flow meeting every [lower, upper] arc bound, or None.
+
+    Closes the circulation with a [k, k] return arc, shifts lower bounds
+    onto a super source and sink, and checks that the max flow saturates
+    every shifted unit.
+    """
+    arcs = list(net.arcs) + [(net.t2, net.s, net.k, net.k)]
+    src, sink = net.num_nodes, net.num_nodes + 1
+    mf = _MaxFlow(net.num_nodes + 2)
+    eids = []
+    excess = [0] * net.num_nodes
+    for a, b, lo, hi in arcs:
+        if lo > hi:
+            raise StageError("round", "arc with lower bound above upper bound")
+        eids.append(mf.add(a, b, hi - lo))
+        excess[a] -= lo
+        excess[b] += lo
+    need = 0
+    for v, e in enumerate(excess):
+        if e > 0:
+            mf.add(src, v, e)
+            need += e
+        elif e < 0:
+            mf.add(v, sink, -e)
+    if mf.max_flow(src, sink) < need:
+        return None
+    flows = [arcs[i][2] + (arcs[i][3] - arcs[i][2] - mf.cap[eids[i]])
+             for i in range(len(net.arcs))]
+    return np.asarray(flows, dtype=int)
+
+
+def extract_centers(flows: np.ndarray, net: FlowNetwork) -> np.ndarray:
+    """Facilities whose selection arc carries a unit."""
+    centers = np.nonzero(flows[list(net.open_arcs)] == 1)[0]
+    if len(centers) != net.k:
+        raise StageError("round", f"flow opened {len(centers)} facilities, wanted {net.k}")
+    return centers
+
+
+def reference_select(part: FacilityPartition, num_facilities: int, groups,
+                     rc) -> np.ndarray:
+    """Centers picked by the general circulation with arc lower bounds,
+    closed by a [k, k] return arc: the reference that select_centers' plain
+    max flow must match center for center."""
+    net = build_flow_network(part, num_facilities, groups, rc)
+    flows = solve_flow_lower_bounds(net)
+    if flows is None:
+        raise StageError("round", "no integral selection meets the ranges")
+    return extract_centers(flows, net)
 
 
 def flow_to_text(net: FlowNetwork, flows: np.ndarray | None = None) -> str:

@@ -15,7 +15,6 @@ from fairrange.instance import RangeConstraints
 from fairrange.pipeline import (brute_force_optimum, generate_figure1_instance,
                                 random_instance, random_ranges,
                                 solve_fair_range)
-from fairrange.round import extract_centers, solve_flow_lower_bounds
 
 from conftest import solve_stages
 from oracles import (chain_power_check, ghouila_houri_check, matrix_geq,
@@ -84,10 +83,9 @@ def sweep():
         inst = random_instance(7000 + i, n, ell, p)
         rc = random_ranges(5000 + i, inst, k, ell)
         stages = solve_stages(inst, rc, "select_centers")
-        _, part, net = stages["select_centers"]
+        centers, part = stages["select_centers"]
         entries.append((inst, rc, stages["sparsify"], stages["structured_program"][0],
-                        stages["solve_half_integral"], part, net,
-                        solve_flow_lower_bounds(net)))
+                        stages["solve_half_integral"], part, centers))
     return entries
 
 
@@ -190,23 +188,17 @@ def test_criterion_06_consolidation_quality(sweep):
 
 def test_criterion_07_flow_rounding(sweep):
     bad = 0
-    for inst, rc, sp, slp, half, part, net, flows in sweep:
-        if flows is None:
-            bad += 1
-            continue
-        top = next(i for i, (a, b, _, _) in enumerate(net.arcs)
-                   if a == net.t1 and b == net.t2)
-        bounded = all(lo <= flows[i] <= hi
-                      for i, (_, _, lo, hi) in enumerate(net.arcs))
-        centers = {int(u) for u in extract_centers(flows, net)}
-        hits = all(any(u in centers for u in part.sets[v])
-                   for v in part.surviving)
-        if not (np.array_equal(flows, np.round(flows)) and bounded
-                and flows[top] == rc.k and hits):
+    for inst, rc, sp, slp, half, part, centers in sweep:
+        chosen = {int(u) for u in centers}
+        labels = np.asarray(inst.facility_groups)
+        in_windows = all(a <= int(np.sum(labels[centers] == g)) <= b
+                         for g, (a, b) in enumerate(rc.ranges, start=1))
+        hits = all(chosen & set(part.sets[v]) for v in part.surviving)
+        if not (len(centers) == len(chosen) == rc.k and in_windows and hits):
             bad += 1
     emit(7, bad == 0,
-         f"{len(sweep) - bad}/{len(sweep)} networks routed exactly k units "
-         f"with every serving set hit")
+         f"{len(sweep) - bad}/{len(sweep)} selections opened k distinct centers "
+         f"inside every window with every serving set hit")
 
 
 def test_criterion_08_two_group_blocks_family():

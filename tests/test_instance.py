@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -305,6 +306,29 @@ def test_check_range_feasibility_matches_enumeration(k, sizes, data):
 def test_range_constraints_reject_empty_window():
     with pytest.raises(ValueError):
         RangeConstraints(2, ((3, 1),))
+
+
+@pytest.mark.parametrize("k, ranges, message", [
+    # a float or bool k reached np.zeros((k, n)) in local search
+    (2.0, ((0, 4),), "k must be an integer, got 2.0"),
+    (True, ((0, 4),), "k must be an integer, got True"),
+    # 0.5 let the selection flow open one facility of two; inf made the
+    # relaxation's residual nan; nan was accepted
+    (2, ((0, 0.5), (0, 2)), "range 1 upper bound must be an integer, got 0.5"),
+    (2, ((0, math.inf), (0, 2)), "range 1 upper bound must be an integer, got inf"),
+    (2, ((math.nan, 2),), "range 1 lower bound must be an integer, got nan"),
+    (2, ((0, 2), (False, 2)), "range 2 lower bound must be an integer, got False"),
+])
+def test_range_constraints_refuse_non_integers(k, ranges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RangeConstraints(k, ranges)
+
+
+def test_range_constraints_store_plain_ints():
+    rc = RangeConstraints(np.int64(2), ((np.int32(0), np.uint8(2)),))
+    assert type(rc.k) is int
+    assert all(type(v) is int for window in rc.ranges for v in window)
+    assert rc == RangeConstraints(2, ((0, 2),))
 
 
 def test_power_triangle_tight_point():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -107,6 +108,29 @@ class TestSolveFairRange:
         with pytest.raises(UnrangedGroupError, match="facility 'b' has no group label"):
             brute_force_optimum(inst, rc)
 
+    @pytest.mark.parametrize("label", ["1", 1.5, 1.0, True])
+    def test_non_integer_label_named(self, label):
+        # "1" raised a TypeError comparing it to 1, and 1.5 an
+        # InfeasibleRangesError for a feasible pair of windows
+        inst = line_instance([0.0, 1.0, 2.0], group_label={0: 1, 1: label, 2: 2})
+        assert (f"group: facility p1 has non-integer label {label!r}"
+                in validate_instance(inst).violations)
+        rc = RangeConstraints(2, ((0, 2), (0, 2)))
+        for solve in (solve_fair_range, brute_force_optimum):
+            with pytest.raises(UnrangedGroupError,
+                               match=re.escape(f"facility 'p1' has non-integer label {label!r}")):
+                solve(inst, rc)
+
+    def test_non_integer_window_refused_before_the_solve(self):
+        # with a window of (0, 0.5) the selection flow opened one facility
+        # of two; the integral window of the same meaning answers {p2, p3}
+        inst = line_instance([0.0, 1.0, 2.0, 3.0], group_label={0: 1, 1: 1, 2: 2, 3: 2})
+        with pytest.raises(ValueError, match="range 1 upper bound must be an integer"):
+            RangeConstraints(2, ((0, 0.5), (0, 2)))
+        rep = solve_fair_range(inst, RangeConstraints(2, ((0, 0), (0, 2))))
+        assert rep.centers.centers == ("p2", "p3")
+        assert all(b.passed for b in rep.bounds)
+
     def test_fairness_free_degeneration(self):
         inst = random_instance(3, 14, 1, 1.0)
         rc = RangeConstraints(4, ((0, 4),))
@@ -200,9 +224,8 @@ class TestSolveFairRange:
 
     def test_flow_without_selection_is_a_stage_error(self, monkeypatch):
         # the flow over half-integral openings always has a selection, so a
-        # network without a feasible flow is a fault, not a fallback
-        monkeypatch.setattr(fairrange.round, "solve_flow_lower_bounds",
-                            lambda net: None)
+        # max flow below k is a fault, not a fallback
+        monkeypatch.setattr(fairrange.round._MaxFlow, "max_flow", lambda self, s, t: 0)
         inst = random_instance(3, 12, 2, 2.0)
         with pytest.raises(StageError, match="round: no integral selection") as err:
             solve_fair_range(inst, random_ranges(3, inst, 3, 2))

@@ -18,12 +18,9 @@ from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 from fairrange.round import (
     _check_rows_exact,
     FacilityPartition,
-    build_flow_network,
-    extract_centers,
     half_integral_cost,
     partition_facilities,
     select_centers,
-    solve_flow_lower_bounds,
     solve_half_integral,
     structured_program,
 )
@@ -34,7 +31,7 @@ from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, build_super_balls,
 from conftest import (assert_same_program, feasible_ranges, groups_of, line_instance,
                       lp_from_rows, manual_sp, random_fair_instance,
                       reference_build_structured_lp, same_opening_program, solve_stages)
-from oracles import flow_to_text, structured_row_kinds
+from oracles import build_flow_network, flow_to_text, reference_select, structured_row_kinds
 
 
 def random_fronts(seed, count, sizes=(8, 14), p_values=(1.0, 2.0)):
@@ -422,7 +419,7 @@ class TestFreeOpeningsUnread:
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(16, 12, sizes=(12, 20)):
             x = service(ss, half)
             part = partition_facilities(sp, x)
-            centers, _, _ = select_centers(ss, x, groups_of(inst), rc)
+            centers, _ = select_centers(ss, x, groups_of(inst), rc)
             for _ in range(4):
                 other = move_free_mass(half, members, rng)
                 moved += other.y.tolist() != half.y.tolist()
@@ -431,7 +428,7 @@ class TestFreeOpeningsUnread:
                 assert x2.tolist() == x.tolist()
                 assert partition_fields(partition_facilities(sp, x2)) == \
                     partition_fields(part)
-                centers2, part2, _ = select_centers(ss, x2, groups_of(inst), rc)
+                centers2, part2 = select_centers(ss, x2, groups_of(inst), rc)
                 assert centers2.tolist() == centers.tolist()
                 assert partition_fields(part2) == partition_fields(part)
         assert moved > 0
@@ -539,8 +536,65 @@ def toy_partition(sets, r=None):
                              r_values, len(sets), served, {})
 
 
+def toy_select(part, num_facilities, groups, rc):
+    """select_centers on a given partition of num_facilities facilities."""
+    ss = SimpleNamespace(sp=SimpleNamespace(facility_ids=tuple(range(num_facilities))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fairrange.round, "partition_facilities", lambda sp, x: part)
+        return select_centers(ss, None, groups, rc)[0]
+
+
+def assert_valid_selection(centers, part, groups, rc):
+    """k distinct centers, every window met, every surviving set hit."""
+    chosen = centers.tolist()
+    assert len(chosen) == len(set(chosen)) == rc.k
+    labels = np.asarray(groups)
+    for gi, (alpha, beta) in enumerate(rc.ranges, start=1):
+        assert alpha <= int(np.sum(labels[centers] == gi)) <= beta
+    for v in part.surviving:
+        assert set(chosen) & set(part.sets[v])
+
+
+def selection_outcome(select, *args):
+    """The centers select picks as a list, or its StageError's text."""
+    try:
+        return select(*args).tolist()
+    except StageError as exc:
+        return str(exc)
+
+
+@st.composite
+def selection_problems(draw):
+    """A partition of up to 8 facilities into sets of one or two, group
+    labels and windows; k = L, alpha = beta, alpha = 0 and sum(alpha) = k
+    all come up."""
+    nF = draw(st.integers(1, 8))
+    ell = draw(st.integers(1, 3))
+    groups = draw(st.lists(st.integers(1, ell), min_size=nF, max_size=nF))
+    order = draw(st.permutations(range(nF)))
+    sets, at = {}, 0
+    for size in draw(st.lists(st.integers(1, 2), min_size=1, max_size=nF)):
+        if at + size > nF:
+            break
+        sets[len(sets)] = tuple(order[at:at + size])
+        at += size
+    k = draw(st.integers(max(1, len(sets)), nF))
+    if draw(st.booleans()):         # windows around a selection that exists
+        picks = [draw(st.sampled_from(sets[v])) for v in sets]
+        rest = draw(st.permutations([u for u in range(nF) if u not in picks]))
+        picks += rest[:k - len(picks)]
+        counts = [sum(groups[u] == g for u in picks) for g in range(1, ell + 1)]
+        ranges = tuple((max(0, c - draw(st.integers(0, 1))), c + draw(st.integers(0, 1)))
+                       for c in counts)
+    else:
+        alphas = draw(st.lists(st.integers(0, 2), min_size=ell, max_size=ell))
+        ranges = tuple((a, a + draw(st.integers(0, 2))) for a in alphas)
+    return toy_partition(sets, [0.0] * len(sets)), nF, groups, RangeConstraints(k, ranges)
+
+
 class TestFlow:
     def test_manual_arc_and_node_count(self):
+        # the reference circulation's network
         part = toy_partition({0: (0, 1), 1: (2,)})
         rc = RangeConstraints(3, ((1, 2), (0, 3)))
         net = build_flow_network(part, 5, [1, 1, 2, 2, 1], rc)
@@ -557,39 +611,61 @@ class TestFlow:
     def test_budget_overrun_rejected(self):
         part = toy_partition({0: (0,), 1: (1,), 2: (2,)})
         rc = RangeConstraints(2, ((0, 2),))
-        with pytest.raises(StageError):
-            build_flow_network(part, 3, [1, 1, 1], rc)
+        with pytest.raises(StageError, match="3 serving sets exceed the budget 2"):
+            toy_select(part, 3, [1, 1, 1], rc)
 
     def test_forced_singletons_route_uniquely(self):
         part = toy_partition({0: (0,), 1: (1,)})
         rc = RangeConstraints(2, ((1, 1), (1, 1)))
-        net = build_flow_network(part, 2, [1, 2], rc)
-        flows = solve_flow_lower_bounds(net)
-        assert flows is not None
-        centers = extract_centers(flows, net)
-        assert centers.tolist() == [0, 1]
+        assert toy_select(part, 2, [1, 2], rc).tolist() == [0, 1]
 
     def test_unreachable_lower_bound_is_infeasible(self):
         # Group 1 demands a center, but its only facility hangs off the
         # pool and the pool has no budget left.
         part = toy_partition({0: (0,)})
         rc = RangeConstraints(1, ((1, 1), (0, 1)))
-        net = build_flow_network(part, 2, [2, 1], rc)
-        assert solve_flow_lower_bounds(net) is None
+        with pytest.raises(StageError, match="no integral selection meets the ranges"):
+            toy_select(part, 2, [2, 1], rc)
 
-    def test_flow_conservation_and_bounds_exact(self):
+    def test_k_distinct_centers_meet_windows_and_hit_sets(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(9, 6):
             x = service(ss, half)
-            centers, part, net = select_centers(ss, x, groups_of(inst), rc)
-            flows = solve_flow_lower_bounds(net)
-            balance = np.zeros(net.num_nodes, dtype=int)
-            for (a, b, lo, hi), f in zip(net.arcs, flows):
-                assert lo <= f <= hi
-                balance[a] -= int(f)
-                balance[b] += int(f)
-            balance[net.s] += net.k    # the implicit return arc
-            balance[net.t2] -= net.k
-            assert np.all(balance == 0)
+            centers, part = select_centers(ss, x, groups_of(inst), rc)
+            assert_valid_selection(centers, part, groups_of(inst), rc)
+
+
+class TestSelectionMatchesReference:
+    """The max flow picks the very centers the circulation with lower
+    bounds picked."""
+
+    def test_random_fronts(self):
+        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(14, 12):
+            centers, part = select_centers(ss, service(ss, half), groups_of(inst), rc)
+            ref = reference_select(part, len(sp.facility_ids), groups_of(inst), rc)
+            assert centers.tolist() == ref.tolist()
+
+    @pytest.mark.parametrize("sets, num_f, groups, rc", [
+        ({0: (0,), 1: (1,)}, 2, [1, 2], RangeConstraints(2, ((1, 1), (1, 1)))),
+        ({0: (0, 1), 1: (2,)}, 5, [1, 1, 2, 2, 1], RangeConstraints(3, ((1, 2), (0, 3)))),
+        ({0: (3, 1)}, 4, [1, 2, 2, 1], RangeConstraints(1, ((0, 0), (1, 1)))),
+        ({0: (0,)}, 3, [1, 1, 2], RangeConstraints(3, ((2, 2), (1, 1)))),
+        ({0: (0,), 1: (2,)}, 4, [1, 1, 2, 2], RangeConstraints(2, ((0, 2), (0, 2)))),
+        ({0: (0,)}, 2, [2, 1], RangeConstraints(1, ((1, 1), (0, 1)))),
+        ({0: (0,)}, 3, [1, 2, 2], RangeConstraints(2, ((2, 2), (1, 1)))),
+    ])
+    def test_toy_partitions(self, sets, num_f, groups, rc):
+        part = toy_partition(sets)
+        assert (selection_outcome(toy_select, part, num_f, groups, rc)
+                == selection_outcome(reference_select, part, num_f, groups, rc))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(selection_problems())
+    def test_any_partition_and_windows(self, problem):
+        part, num_f, groups, rc = problem
+        got = selection_outcome(toy_select, part, num_f, groups, rc)
+        assert got == selection_outcome(reference_select, part, num_f, groups, rc)
+        if not isinstance(got, str):
+            assert_valid_selection(np.asarray(got), part, groups, rc)
 
 
 class TestSelectCenters:
@@ -615,20 +691,13 @@ class TestSelectCenters:
     def test_end_to_end_random(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(10, 12):
             x = service(ss, half)
-            centers, part, net = select_centers(ss, x, groups_of(inst), rc)
-            assert len(centers) == rc.k
-            labels = np.asarray(groups_of(inst))
-            for gi, (alpha, beta) in enumerate(rc.ranges, start=1):
-                count = int(np.sum(labels[centers] == gi))
-                assert alpha <= count <= beta
-            chosen = set(centers.tolist())
-            for v in part.surviving:
-                assert chosen & set(part.sets[v])
+            centers, part = select_centers(ss, x, groups_of(inst), rc)
+            assert_valid_selection(centers, part, groups_of(inst), rc)
 
     def test_removed_location_distance_bounds(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(11, 12):
             x = service(ss, half)
-            centers, part, net = select_centers(ss, x, groups_of(inst), rc)
+            centers, part = select_centers(ss, x, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
             chosen = set(centers.tolist())
             p = sp.p
@@ -645,7 +714,7 @@ class TestSelectCenters:
         rng = np.random.default_rng(12)
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(13, 8):
             x = service(ss, half)
-            centers, part, net = select_centers(ss, x, groups_of(inst), rc)
+            centers, part = select_centers(ss, x, groups_of(inst), rc)
             dp = sp.fac_dist ** sp.p
             bound = (4.5 ** sp.p) * half_integral_cost(ss, half.y_own) * (1 + 1e-6) + 1e-9
             num_f = dp.shape[1]
