@@ -21,26 +21,18 @@ import numpy as np
 from .instance import MetricInstance
 
 
-def farthest_first(inst: MetricInstance, k: int,
-                   candidates: Sequence[str] | None = None) -> tuple[str, ...]:
-    """Greedy k-center seeding over the candidate points.
+def farthest_first(inst: MetricInstance, k: int) -> list[int]:
+    """Greedy k-center seeding over all points, as sorted indices into
+    inst.point_pos.
 
-    Starts from the lexicographically smallest candidate id and repeatedly
-    adds the candidate farthest from the chosen set, ties again by id.  A
-    chosen candidate is never chosen again, even where every candidate left
+    Starts from the lexicographically smallest point id and repeatedly
+    adds the point farthest from the chosen set, ties again by id.  A
+    chosen point is never chosen again, even where every point left
     coincides with a chosen one.
     """
-    pos, chosen = _seed(inst, k, candidates)
-    return tuple(inst.point_ids[pos[t]] for t in chosen)
-
-
-def _seed(inst: MetricInstance, k: int,
-          candidates: Sequence[str] | None) -> tuple[np.ndarray, list[int]]:
-    """farthest_first's candidate positions, in id order, and its choice as
-    sorted indices into them."""
-    pos = inst.point_pos if candidates is None else inst.positions(sorted(candidates))
+    pos = inst.point_pos
     if not 1 <= k <= len(pos):
-        raise ValueError(f"k={k} out of range for {len(pos)} candidates")
+        raise ValueError(f"k={k} out of range for {len(pos)} points")
     chosen = [0]
     mind = inst.block(pos[:1], pos)[0].copy()     # the block may be a view
     mind[0] = -np.inf
@@ -49,9 +41,11 @@ def _seed(inst: MetricInstance, k: int,
         chosen.append(nxt)
         np.minimum(mind, inst.block(pos[nxt:nxt + 1], pos)[0], out=mind)
         mind[nxt] = -np.inf
-    return pos, sorted(chosen)
+    return sorted(chosen)
 
 
+# swaps per center after which the search stops short of a local optimum
+_SWAPS_PER_CENTER = 100
 # candidate columns per block.  The search builds one block's k x 128 swap
 # table at a time, so its temporaries stay two clients x 128 arrays whatever
 # the number of candidates, and a swap is applied as soon as its block finds it
@@ -134,19 +128,18 @@ def _block_hits(table: np.ndarray, inside: np.ndarray, rho: float, a: float,
     return np.flatnonzero(hit)
 
 
-def local_search_clustering(inst: MetricInstance, k: int, *,
-                            candidates: Sequence[str] | None = None,
-                            max_iters: int | None = None) -> tuple[tuple[str, ...], float, int]:
+def local_search_clustering(inst: MetricInstance, k: int) -> tuple[tuple[str, ...], float, int]:
     """Single-swap local search for the power-p clustering cost.
 
-    Seeded with farthest_first.  The search walks the candidates in blocks
-    of _TABLE_BLOCK, in id order and cyclically.  In each block it finds
-    the first cheapest swap, slots in order and then candidates in order,
-    and applies it when it costs less than cost * (1 - 1e-10) - 1e-15; then
-    it moves on to the next block either way (the eager rule of FasterPAM).
-    It stops after a full cycle of blocks without a swap, which is a
-    single-swap local optimum, or after max_iters swaps.  Returns (centers,
-    cost in power-p terms, swaps applied).  Deterministic.
+    Seeded with farthest_first; every point is a candidate center.  The
+    search walks the candidates in blocks of _TABLE_BLOCK, in id order and
+    cyclically.  In each block it finds the first cheapest swap, slots in
+    order and then candidates in order, and applies it when it costs less
+    than cost * (1 - 1e-10) - 1e-15; then it moves on to the next block
+    either way (the eager rule of FasterPAM).  It stops after a full cycle
+    of blocks without a swap, which is a single-swap local optimum, or
+    after _SWAPS_PER_CENTER * k swaps.  Returns (centers, cost in power-p
+    terms, swaps applied).  Deterministic.
 
     A block's swaps are scored from one float32 nearest/second-nearest
     table, scaled by powers of two so that it cannot overflow
@@ -158,9 +151,7 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     filter's bound needs nonnegative distances, which solve_fair_range
     requires.
     """
-    pos, current = _seed(inst, k, candidates)
-    if max_iters is None:
-        max_iters = 100 * k
+    pos, current = inst.point_pos, farthest_first(inst, k)
     clients, w = inst.client_pos, inst.client_weights()
     blocks = range(0, len(pos), _TABLE_BLOCK)
     with np.errstate(over="ignore"):
@@ -187,7 +178,7 @@ def local_search_clustering(inst: MetricInstance, k: int, *,
     cur_cost = float(w @ cols.min(axis=0))
     rows = np.arange(len(w))
     swaps = idle = b = 0
-    while swaps < max_iters and k < len(pos) and idle < len(blocks):
+    while swaps < _SWAPS_PER_CENTER * k and k < len(pos) and idle < len(blocks):
         if idle == 0:                           # at the start and after a swap
             near = cols.argmin(axis=0)          # first min = lowest slot
             d1 = cols.min(axis=0)

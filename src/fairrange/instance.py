@@ -67,10 +67,6 @@ class MetricInstance:
     def n(self) -> int:
         return len(self.point_ids)
 
-    @property
-    def num_groups(self) -> int:
-        return max(self.group_label.values(), default=0)
-
     def client_weights(self) -> np.ndarray:
         """Client demands as floats, in client_ids order (read-only)."""
         return self._weights
@@ -82,9 +78,6 @@ class MetricInstance:
         """Matrix positions of the ids, in their order."""
         return np.array([self.index(i) for i in ids], dtype=np.intp)
 
-    def d(self, a: str, b: str) -> float:
-        return float(self.dist[self._index[a], self._index[b]])
-
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances from the points at positions rows to those at cols: a
         read-only view of the matrix when rows and cols are each one
@@ -92,9 +85,6 @@ class MetricInstance:
         if _is_run(rows) and _is_run(cols):
             return self.dist[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
         return self.dist[rows[:, None], cols]
-
-    def submatrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
-        return self.block(self.positions(rows), self.positions(cols))
 
     @cached_property
     def distance_range(self) -> tuple[float, float]:
@@ -106,9 +96,8 @@ class MetricInstance:
         i, j = np.argwhere(where(self.dist))[0]
         return self.point_ids[i], self.point_ids[j], float(self.dist[i, j])
 
-    def group_sizes(self, num_groups: int | None = None) -> list[int]:
-        ell = self.num_groups if num_groups is None else num_groups
-        return [self.facility_groups.count(g) for g in range(1, ell + 1)]
+    def group_sizes(self, num_groups: int) -> list[int]:
+        return [self.facility_groups.count(g) for g in range(1, num_groups + 1)]
 
 
 def _is_run(i: np.ndarray) -> bool:
@@ -211,13 +200,13 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMPLE_CAP,
-                      seed: int = 0) -> ValidationReport:
+def validate_instance(inst: MetricInstance) -> ValidationReport:
     """Check the metric and labeling invariants, reporting every violation found.
 
     Symmetry, zero diagonal, nonnegativity and the triangle inequality are
     checked to METRIC_TOL; a nan entry is named and reported by no other
-    check.  Triangle triples: exhaustive up to triangle_cap, then sampled.
+    check.  Triangle triples: exhaustive up to TRIANGLE_SAMPLE_CAP, then
+    that many sampled with seed 0.
     """
     out: list[str] = []
     D = inst.dist
@@ -252,7 +241,7 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
         out.append("negativity: negative distance entry")
 
     if n >= 3:
-        viol = _triangle_violations(D, triangle_cap, seed)
+        viol = _triangle_violations(D)
         for i, j, k in viol[:3]:
             out.append("triangle: d(%s,%s) > d(%s,%s) + d(%s,%s)" % (
                 inst.point_ids[i], inst.point_ids[j], inst.point_ids[i],
@@ -273,7 +262,7 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
         if f not in facilities:
             out.append(f"group: label given for non-facility {f}")
     for c, w in inst.client_demands.items():
-        if not isinstance(w, int) or w <= 0:
+        if not (is_integer(w) and w > 0):
             out.append(f"demand: client {c} demand {w!r} is not a positive integer")
     if not inst.client_demands:
         out.append("clients: no clients")
@@ -283,20 +272,17 @@ def validate_instance(inst: MetricInstance, *, triangle_cap: int = TRIANGLE_SAMP
 
 
 @np.errstate(invalid="ignore")     # an inf - inf slack is nan: no violation
-def _triangle_violations(D: np.ndarray, cap: int, seed: int) -> list[tuple[int, int, int]]:
+def _triangle_violations(D: np.ndarray) -> list[tuple[int, int, int]]:
     n = D.shape[0]
     bad: list[tuple[int, int, int]] = []
-    if n ** 3 <= cap:
+    if n ** 3 <= TRIANGLE_SAMPLE_CAP:
         for k in range(n):
             slack = D - (D[:, k][:, None] + D[k, :][None, :])
             for i, j in zip(*np.nonzero(slack > METRIC_TOL)):
                 bad.append((int(i), int(j), k))
         return bad
-    rng = np.random.default_rng(seed)
-    m = cap
-    ii = rng.integers(0, n, size=m)
-    jj = rng.integers(0, n, size=m)
-    kk = rng.integers(0, n, size=m)
+    rng = np.random.default_rng(0)
+    ii, jj, kk = (rng.integers(0, n, size=TRIANGLE_SAMPLE_CAP) for _ in range(3))
     slack = D[ii, jj] - (D[ii, kk] + D[kk, jj])
     for t in np.nonzero(slack > METRIC_TOL)[0]:
         bad.append((int(ii[t]), int(jj[t]), int(kk[t])))
@@ -335,10 +321,9 @@ def check_range_feasibility(group_sizes: Sequence[int], rc: RangeConstraints) ->
 
 
 def build_center_solution(inst: MetricInstance, centers: Iterable[str],
-                          rc: RangeConstraints | None = None) -> CenterSolution:
+                          rc: RangeConstraints) -> CenterSolution:
     C = tuple(sorted(set(centers)))
-    ell = rc.num_groups if rc is not None else inst.num_groups
     groups = [inst.group_label.get(c) for c in C]
-    counts = tuple(groups.count(g) for g in range(1, ell + 1))
+    counts = tuple(groups.count(g) for g in range(1, rc.num_groups + 1))
     cost_p, cost = clustering_cost(inst, C)
     return CenterSolution(C, counts, cost_p, cost)

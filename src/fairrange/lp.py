@@ -34,8 +34,9 @@ from .errors import IterationLimitError, SimplexError
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
-MAX_ITERS = 1_000_000
-# variables; larger programs go to HiGHS.  The cutover sits between the
+MAX_ITERS = 1_000_000     # pivots per solve_vertex call
+# solve_lp keeps programs of up to HIGHS_CUTOVER variables on the simplex;
+# larger programs go to HiGHS.  The cutover sits between the
 # relaxations of the small-instance traffic (at most 90 variables) and
 # repeated 360-variable relaxations, where HiGHS saves about 10 ms a solve.
 # Two things keep small programs on the simplex.  HiGHS's first use costs a
@@ -168,12 +169,13 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
 
 
 def _pivot_loop(T: np.ndarray, basis: list[int], allowed: np.ndarray,
-                iters: int, max_iters: int) -> tuple[str, int]:
+                iters: int) -> tuple[str, int]:
     """Price and pivot until no allowed column improves the objective row.
 
     T holds one row per basic variable and the objective row last, with the
     right-hand sides in its last column.  Returns "optimal" or "unbounded"
-    and the pivot count carried on from iters.
+    and the pivot count carried on from iters; raises IterationLimitError
+    once that count passes MAX_ITERS.
     """
     m = len(basis)
     ncols = T.shape[1] - 1
@@ -204,7 +206,7 @@ def _pivot_loop(T: np.ndarray, basis: list[int], allowed: np.ndarray,
         _pivot(T, r, j)
         basis[r] = j
         iters += 1
-        if iters > max_iters:
+        if iters > MAX_ITERS:
             raise IterationLimitError("iteration limit")
         obj = -T[m, ncols]
         if obj < best - 1e-12 * (1.0 + abs(best)):
@@ -216,7 +218,7 @@ def _pivot_loop(T: np.ndarray, basis: list[int], allowed: np.ndarray,
                 bland = True
 
 
-def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexResult:
+def solve_vertex(lp: LinearProgram) -> SimplexResult:
     """Two-phase primal simplex on a dense tableau.
 
     Pricing is by steepest reduced cost with first-index ties; a stall
@@ -247,7 +249,7 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
         for i in art_rows:
             T[m, :] -= T[i, :]
         T[m, art_cols] = 0.0
-        status, iters = _pivot_loop(T, basis, allowed, iters, max_iters)
+        status, iters = _pivot_loop(T, basis, allowed, iters)
         if status == "unbounded":
             raise SimplexError("phase 1 unbounded; malformed program")
         if -T[m, ncols] > FEAS_TOL:
@@ -272,7 +274,7 @@ def solve_vertex(lp: LinearProgram, *, max_iters: int = MAX_ITERS) -> SimplexRes
         cb = lp.objective[b] if b < n else 0.0
         if cb:
             T[m, :] -= cb * T[i, :]
-    status, iters = _pivot_loop(T, basis, allowed, iters, max_iters)
+    status, iters = _pivot_loop(T, basis, allowed, iters)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, iterations=iters)
 

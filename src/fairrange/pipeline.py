@@ -185,7 +185,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
 
     x2, moves = reassign_private_facilities(sp)
     cost_reassigned = sp.assignment_cost(x2)
-    ss = enforce_structure(x2, sp.y, build_super_balls(x2, sp.balls), sp)
+    ss = enforce_structure(x2, build_super_balls(x2, sp.balls), sp)
     lap("structure")
 
     stage_costs = {"opt_d": float(res.objective), "reassigned": cost_reassigned,
@@ -228,20 +228,19 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     return SolveReport(solution, stage_costs, bounds, timings, diagnostics, reduced)
 
 
-def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints,
-                        budget: int = ORACLE_BUDGET) -> tuple[float, tuple[str, ...]]:
+def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints) -> tuple[float, tuple[str, ...]]:
     """Exact minimum over all range-feasible k-subsets of the facilities.
 
     Ties, costs within a relative 1e-12 of the best, break to the
-    lexicographically smallest center tuple.  Refuses to
-    enumerate more than `budget` subsets, and facilities whose group has no
-    range (UnrangedGroupError).
+    lexicographically smallest center tuple.  Refuses to enumerate more
+    than ORACLE_BUDGET subsets, and facilities whose group has no range
+    (UnrangedGroupError).
     """
     _require_ranged_groups(inst, rc)
     nF = len(inst.facility_ids)
     if rc.k > nF:
         raise InfeasibleRangesError(f"k={rc.k} exceeds {nF} facilities")
-    if math.comb(nF, rc.k) > budget:
+    if math.comb(nF, rc.k) > ORACLE_BUDGET:
         raise ValueError(f"C({nF}, {rc.k}) subsets exceed the oracle budget")
     if not check_range_feasibility(inst.group_sizes(rc.num_groups), rc):
         raise InfeasibleRangesError("ranges admit no center set")
@@ -356,9 +355,7 @@ class StudyRow:
 
 def approximation_study(seeds: Sequence[int],
                         grid: Sequence[tuple[int, int, int]],
-                        p_values: Sequence[float],
-                        budget: int = ORACLE_BUDGET
-                        ) -> tuple[list[StudyRow], dict]:
+                        p_values: Sequence[float]) -> tuple[list[StudyRow], dict]:
     """Solver-versus-oracle ratios over a (n, k, ell) x p x seed grid.
 
     Returns the individual rows plus a per-cell summary with the max and
@@ -367,7 +364,7 @@ def approximation_study(seeds: Sequence[int],
     """
     rows: list[StudyRow] = []
     for (n, k, ell) in grid:
-        if math.comb(n, k) > budget:
+        if math.comb(n, k) > ORACLE_BUDGET:
             raise ValueError(f"cell n={n}, k={k} exceeds the oracle budget")
         for p in p_values:
             for seed in seeds:
@@ -376,7 +373,7 @@ def approximation_study(seeds: Sequence[int],
                 t0 = time.perf_counter()
                 report = solve_fair_range(inst, rc)
                 wall_ms = 1000.0 * (time.perf_counter() - t0)
-                oracle_p, _ = brute_force_optimum(inst, rc, budget)
+                oracle_p, _ = brute_force_optimum(inst, rc)
                 solver = report.centers.cost_p ** (1.0 / p)
                 oracle = oracle_p ** (1.0 / p)
                 if solver <= 0.0 and oracle <= 0.0:

@@ -142,19 +142,6 @@ class SparsifiedInstance:
         """Weighted p-th power cost of the survivors x facilities assignment x."""
         return float(self.weights @ (x * self.fac_dist_p).sum(axis=1))
 
-    def half_contribution(self) -> float:
-        """Smallest in-ball assignment mass across survivors; inf with none."""
-        return min((float(self.x[v, b].sum()) for v, b in enumerate(self.balls)), default=np.inf)
-
-    def separation_margin(self) -> float:
-        """min over survivor pairs of d(v, v') - 2^(1+1/p) max(R, R').
-
-        Nonnegative up to float slack when consolidation ran correctly.
-        """
-        i, j = np.triu_indices(len(self.location_ids), 1)
-        sep = separation_multiplier(self.p) * np.maximum(self.radii[i], self.radii[j])
-        return float((self.loc_dist[i, j] - sep).min(initial=np.inf))
-
 
 def sparsify(red: ReducedInstance, x: np.ndarray, y: np.ndarray) -> SparsifiedInstance:
     """Consolidate the reduced locations under the LP radii.

@@ -184,25 +184,25 @@ def fill_service(sp: SparsifiedInstance, supers: Sequence[np.ndarray],
     return x
 
 
-def enforce_structure(x2: np.ndarray, y: np.ndarray,
-                      supers: Sequence[np.ndarray],
+def enforce_structure(x2: np.ndarray, supers: Sequence[np.ndarray],
                       sp: SparsifiedInstance) -> StructuredSolution:
     """Prune far private openings and rebuild service greedily.
 
-    Openings survive untouched except for private facilities beyond twice
-    the peer distance, which are closed outright.  Each survivor's service
-    row is then refilled to one unit from scratch by fill_service.  The
-    peer ball's half unit always covers what the territory cannot, so the
-    fill never comes up short on a carried solution.  Whether a survivor
-    has a peer, and which territory facilities are opened beyond their
-    survivor's own use, is decided here, once, for every later stage.
+    The openings sp.y survive untouched except for private facilities
+    beyond twice the peer distance, which are closed outright.  Each
+    survivor's service row is then refilled to one unit from scratch by
+    fill_service.  The peer ball's half unit always covers what the
+    territory cannot, so the fill never comes up short on a carried
+    solution.  Whether a survivor has a peer, and which territory
+    facilities are opened beyond their survivor's own use, is decided
+    here, once, for every later stage.
     """
     m = len(x2)
     D = sp.fac_dist
     nn_idx, peer_dist = nearest_surviving(sp.loc_dist)
-    y_bar = np.clip(np.asarray(y, dtype=float).copy(), 0.0, 1.0)
+    y_bar = np.clip(sp.y, 0.0, 1.0)
     supers = [np.asarray(mem, dtype=int).copy() for mem in supers]
-    diagnostics = {"pruned": 0.0, "rerouted": 0.0}
+    diagnostics = {"pruned": 0.0}
 
     if nn_idx is None:
         # no peer: nothing to prune against, and the ball must open a full unit
@@ -224,7 +224,6 @@ def enforce_structure(x2: np.ndarray, y: np.ndarray,
 
     x_bar = fill_service(sp, supers, peer_balls, y_bar, y_bar)
     cost = sp.assignment_cost(x_bar)
-    diagnostics["rerouted"] = float(np.abs(x_bar - x2).sum()) / 2.0
     split = np.array(sorted(u for v, t in enumerate(territories)
                             for u in t[y_bar[t] > x_bar[v, t]].tolist()), dtype=int)
     return StructuredSolution(sp, supers, territories, peer_balls, peer_dist, base_pow,

@@ -37,6 +37,16 @@ def matrix_instance(ids, dist, facility_ids, group_label, client_demands, p):
                           dict(client_demands), p)
 
 
+def distance(inst, a, b):
+    """d(a, b), by point id."""
+    return float(inst.dist[inst.index(a), inst.index(b)])
+
+
+def submatrix(inst, rows, cols):
+    """Distances from the points rows to the points cols, by id."""
+    return inst.block(inst.positions(rows), inst.positions(cols))
+
+
 def with_distance(inst, a, b, value):
     """inst as a matrix instance with d(a, b) = d(b, a) = value."""
     dist = inst.dist.copy()
@@ -58,7 +68,7 @@ def random_fair_instance(rng, n, p):
 
 def feasible_ranges(rng, inst, k):
     """Ranges admitting at least one witness center set of size k."""
-    sizes = inst.group_sizes()
+    sizes = inst.group_sizes(2)
     n1, n2 = sizes[0], sizes[1]
     lo = max(0, k - n2)
     hi = min(k, n1)
@@ -271,7 +281,7 @@ def enumerate_optimum(inst, rc):
     best_set = None
     clients = inst.client_ids
     w = np.array([inst.client_demands[c] for c in clients], dtype=float)
-    dmat = inst.submatrix(clients, inst.facility_ids) ** inst.p
+    dmat = submatrix(inst, clients, inst.facility_ids) ** inst.p
     fidx = {f: i for i, f in enumerate(inst.facility_ids)}
     for combo in itertools.combinations(inst.facility_ids, rc.k):
         counts = [0] * rc.num_groups

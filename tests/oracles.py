@@ -1,8 +1,9 @@
 """Exact oracles the tests hold the solver to: row tags rebuilt from the
 builders' row order, unimodularity evidence, exact rational re-solves, the
 reference center selection by a circulation with arc lower bounds and its
-network as text, the power inequalities, the consolidation bound and the
-structural properties of stage 4's point."""
+network as text, the power inequalities, the consolidation bound, the
+sparsification margins, the structural properties of stage 4's point and
+the fair-range optimum by a HiGHS MIP."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -12,10 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from fairrange.baseline import ReducedInstance
-from fairrange.instance import clustering_cost
+from fairrange.instance import MetricInstance, RangeConstraints, clustering_cost
 from fairrange.lp import GEQ, LEQ, LinearProgram, SimplexResult, _normalized, _write_standard
 from fairrange.errors import StageError
 from fairrange.round import FacilityPartition, _MaxFlow
+from fairrange.sparsify import SparsifiedInstance, separation_multiplier
 from fairrange.structure import GEOM_TOL, SUPPORT_TOL, StructuredSolution
 
 POWER_CHECK_TOL = 1e-9
@@ -503,6 +505,55 @@ def lift_bound(red: ReducedInstance, centers) -> tuple[float, float]:
     actual = clustering_cost(red.source, centers)[0]
     bound = 2.0 ** (red.p - 1.0) * (baseline_cost_p(red) + red.cost_of(centers))
     return actual, bound
+
+
+def half_contribution(sp: SparsifiedInstance) -> float:
+    """Smallest in-ball assignment mass across survivors; inf with none."""
+    return min((float(sp.x[v, b].sum()) for v, b in enumerate(sp.balls)), default=np.inf)
+
+
+def separation_margin(sp: SparsifiedInstance) -> float:
+    """min over survivor pairs of d(v, v') - 2^(1+1/p) max(R, R'); inf
+    with fewer than two survivors.
+
+    Nonnegative up to float slack when consolidation ran correctly.
+    """
+    i, j = np.triu_indices(len(sp.location_ids), 1)
+    sep = separation_multiplier(sp.p) * np.maximum(sp.radii[i], sp.radii[j])
+    return float((sp.loc_dist[i, j] - sep).min(initial=np.inf))
+
+
+def mip_optimum(inst: MetricInstance, rc: RangeConstraints) -> tuple[float, float]:
+    """The fair-range optimum on the original clients by HiGHS's branch and
+    bound, as (objective, proven lower bound).
+
+    Columns: x[v, u] in [0, 1], client v served by facility u, row-major,
+    then y[u] binary, u open.  Rows: each client served once, x[v, u] <=
+    y[u], each group's open count inside its range, and k open in all.
+    With y integral some optimal x is integral, so the objective is the
+    ILP's; the lower bound is HiGHS's dual bound, which holds however
+    early the search stops.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array, eye_array, hstack, kron, vstack
+
+    nC, nF = len(inst.client_ids), len(inst.facility_ids)
+    dp = inst.block(inst.client_pos, inst.facility_pos) ** inst.p
+    c = np.concatenate([(inst.client_weights()[:, None] * dp).ravel(), np.zeros(nF)])
+    groups = np.array(inst.facility_groups)
+    member = csr_array(np.array([groups == g for g in range(1, rc.num_groups + 1)]
+                                + [np.ones(nF, dtype=bool)], dtype=float))
+    cover = hstack([kron(eye_array(nC), np.ones((1, nF))), csr_array((nC, nF))])
+    link = hstack([eye_array(nC * nF), -kron(np.ones((nC, 1)), eye_array(nF))])
+    ranged = hstack([csr_array((rc.num_groups + 1, nC * nF)), member])
+    lo = np.concatenate([np.ones(nC), np.full(nC * nF, -np.inf),
+                         [a for a, _ in rc.ranges], [rc.k]])
+    hi = np.concatenate([np.ones(nC), np.zeros(nC * nF), [b for _, b in rc.ranges], [rc.k]])
+    res = milp(c, integrality=np.repeat([0, 1], [nC * nF, nF]), bounds=Bounds(0.0, 1.0),
+               constraints=LinearConstraint(vstack([cover, link, ranged]).tocsr(), lo, hi))
+    if not res.success:
+        raise AssertionError(f"MIP oracle: {res.message}")
+    return float(res.fun), float(res.mip_dual_bound)
 
 
 def verify_structured(ss: StructuredSolution) -> list[str]:

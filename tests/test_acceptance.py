@@ -16,9 +16,9 @@ from fairrange.pipeline import (brute_force_optimum, generate_figure1_instance,
                                 random_instance, random_ranges,
                                 solve_fair_range)
 
-from conftest import solve_stages
-from oracles import (chain_power_check, ghouila_houri_check, matrix_geq,
-                     power_triangle_check, structured_row_kinds,
+from conftest import solve_stages, submatrix
+from oracles import (chain_power_check, ghouila_houri_check, half_contribution, matrix_geq,
+                     power_triangle_check, separation_margin, structured_row_kinds,
                      submatrix_determinant_check)
 
 SUITE1_SIZE = 500
@@ -176,8 +176,8 @@ def test_criterion_06_consolidation_quality(sweep):
     overlaps = 0
     for entry in sweep:
         sp = entry[2]
-        worst_sep = min(worst_sep, sp.separation_margin())
-        worst_mass = min(worst_mass, sp.half_contribution())
+        worst_sep = min(worst_sep, separation_margin(sp))
+        worst_mass = min(worst_mass, half_contribution(sp))
         members = np.concatenate(sp.balls) if sp.balls else np.array([])
         if len(np.unique(members)) != len(members):
             overlaps += 1
@@ -207,7 +207,7 @@ def test_criterion_08_two_group_blocks_family():
     strict = RangeConstraints(6, ((3, 3), (3, 3)))
     o_range, range_centers = brute_force_optimum(inst, ranged)
     o_strict, _ = brute_force_optimum(inst, strict)
-    dmin = inst.submatrix(inst.client_ids, range_centers).min(axis=1)
+    dmin = submatrix(inst, inst.client_ids, range_centers).min(axis=1)
     only_m = bool(np.all((dmin < 1e-12) | (np.abs(dmin - 1.0) < 1e-12)))
     report = solve_fair_range(inst, ranged)
     s = report.centers.cost_p

@@ -14,7 +14,7 @@ from fairrange.baseline import (_block_hits, farthest_first, local_search_cluste
 from fairrange.instance import RangeConstraints, instance_from_coords
 from fairrange.pipeline import _require_costs_in_range
 
-from conftest import enumerate_optimum, line_instance, matrix_instance
+from conftest import enumerate_optimum, line_instance, matrix_instance, submatrix
 from oracles import baseline_cost_p
 
 
@@ -23,8 +23,8 @@ from oracles import baseline_cost_p
 # bit.  reference_local_search below is the block-eager rule written without
 # the swap table.
 
-def reference_farthest_first(inst, k, candidates=None):
-    cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
+def reference_farthest_first(inst, k):
+    cand = sorted(inst.point_ids)
     if not 1 <= k <= len(cand):
         raise ValueError(f"k={k} out of range for {len(cand)} candidates")
     ci = [inst.index(c) for c in cand]
@@ -40,23 +40,38 @@ def reference_farthest_first(inst, k, candidates=None):
     return tuple(sorted(cand[i] for i in chosen))
 
 
-def direct_cost(inst, cand):
+def seed_ids(inst, k):
+    """farthest_first's seeds as point ids, in id order."""
+    return tuple(inst.point_ids[inst.point_pos[t]] for t in farthest_first(inst, k))
+
+
+def restricted(inst, ids):
+    """inst on the points ids only, as a matrix instance."""
+    keep = set(ids)
+    return matrix_instance(ids, submatrix(inst, ids, ids),
+                           [u for u in inst.facility_ids if u in keep],
+                           {u: g for u, g in inst.group_label.items() if u in keep},
+                           {c: w for c, w in inst.client_demands.items() if c in keep}, inst.p)
+
+
+def direct_cost(inst):
     """cost_of(positions): the power-p cost of a set of candidate positions,
     as one pass over the client x candidate matrix."""
+    cand = sorted(inst.point_ids)
     w = inst.client_weights()
     Dp = inst.dist[np.ix_(inst.client_pos, [inst.index(c) for c in cand])] ** inst.p
     return lambda pos_list: float(w @ Dp[:, pos_list].min(axis=1))
 
 
-def reference_local_search(inst, k, *, candidates=None, max_iters=None, tol=1e-10):
+def reference_local_search(inst, k, *, max_iters=None, tol=1e-10):
     """The block-eager rule, costing every candidate set of a block directly."""
-    cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
+    cand = sorted(inst.point_ids)
     if not 1 <= k <= len(cand):
         raise ValueError(f"k={k} out of range for {len(cand)} candidates")
     if max_iters is None:
         max_iters = 100 * k
-    cost_of = direct_cost(inst, cand)
-    start = reference_farthest_first(inst, k, candidates=cand)
+    cost_of = direct_cost(inst)
+    start = reference_farthest_first(inst, k)
     current = sorted(cand.index(c) for c in start)
     cur_cost = cost_of(current)
     size = baseline._TABLE_BLOCK
@@ -100,10 +115,10 @@ def reference_reduce_locations(inst, centers):
     return tuple(kept), weights, assign, float(base_cost)
 
 
-def assert_local_optimum(inst, k, centers, cost, candidates=None, tol=1e-10):
+def assert_local_optimum(inst, k, centers, cost, tol=1e-10):
     """No single swap of the k * (|cand| - k) costs below the acceptance bound."""
-    cand = sorted(candidates) if candidates is not None else sorted(inst.point_ids)
-    cost_of = direct_cost(inst, cand)
+    cand = sorted(inst.point_ids)
+    cost_of = direct_cost(inst)
     current = {cand.index(c) for c in centers}
     assert len(current) == k
     for out in current:
@@ -111,9 +126,16 @@ def assert_local_optimum(inst, k, centers, cost, candidates=None, tol=1e-10):
             assert cost_of(sorted(current - {out} | {inn})) >= cost * (1.0 - tol) - 1e-15
 
 
-def assert_same_search(inst, k, **kw):
-    got = local_search_clustering(inst, k, **kw)
-    want = reference_local_search(inst, k, **kw)
+def assert_same_search(inst, k, swaps_per_center=None):
+    """The search and its reference agree bit for bit; swaps_per_center,
+    when given, replaces _SWAPS_PER_CENTER."""
+    if swaps_per_center is None:
+        got = local_search_clustering(inst, k)
+        want = reference_local_search(inst, k)
+    else:
+        with mock.patch.object(baseline, "_SWAPS_PER_CENTER", swaps_per_center):
+            got = local_search_clustering(inst, k)
+        want = reference_local_search(inst, k, max_iters=swaps_per_center * k)
     assert got[0] == want[0]
     assert got[2] == want[2]
     assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
@@ -129,10 +151,10 @@ def planar_instance(rng, n, p=1.0, groups=None):
         client_demands={i: 1 for i in ids}, p=p)
 
 
-def grid_instance():
-    ids = [f"g{i:03d}" for i in range(300)]
+def grid_instance(width=20, n=300):
+    ids = [f"g{i:03d}" for i in range(n)]
     return instance_from_coords(
-        ids, [(i % 20, i // 20) for i in range(300)], facility_ids=ids,
+        ids, [(i % width, i // width) for i in range(n)], facility_ids=ids,
         group_label={i: 1 for i in ids},
         client_demands={i: 1 + j % 3 for j, i in enumerate(ids)}, p=2.0)
 
@@ -156,11 +178,11 @@ def kcenter_radius(inst, centers):
 class TestFarthestFirst:
     def test_line_example(self):
         inst = line_instance([0.0, 10.0, 11.0])
-        assert farthest_first(inst, 2) == ("p0", "p2")
+        assert seed_ids(inst, 2) == ("p0", "p2")
 
     def test_k_equals_n(self):
         inst = line_instance([0.0, 1.0, 2.0])
-        assert farthest_first(inst, 3) == ("p0", "p1", "p2")
+        assert seed_ids(inst, 3) == ("p0", "p1", "p2")
 
     def test_bad_k(self):
         inst = line_instance([0.0, 1.0])
@@ -168,16 +190,17 @@ class TestFarthestFirst:
             farthest_first(inst, 3)
 
     def test_candidate_restriction(self):
-        inst = line_instance([0.0, 5.0, 10.0])
-        out = farthest_first(inst, 2, candidates=["p0", "p1"])
-        assert out == ("p0", "p1")
+        # the seeding reads only distances among the points, so a point
+        # subset is the instance restricted to it: p2, the farthest, is out
+        inst = restricted(line_instance([0.0, 5.0, 10.0]), ["p0", "p1"])
+        assert seed_ids(inst, 2) == ("p0", "p1")
 
     def test_two_approximation_for_kcenter(self, rng):
         for _ in range(30):
             n = int(rng.integers(6, 11))
             k = int(rng.integers(2, 4))
             inst = planar_instance(rng, n)
-            got = kcenter_radius(inst, farthest_first(inst, k))
+            got = kcenter_radius(inst, seed_ids(inst, k))
             best = min(kcenter_radius(inst, c)
                        for c in itertools.combinations(inst.point_ids, k))
             assert got <= 2.0 * best + 1e-9
@@ -190,25 +213,25 @@ class TestFarthestFirst:
             facility_ids=["a", "b", "c", "d"],
             group_label={i: 1 for i in "abcd"},
             client_demands={i: 1 for i in "abcd"}, p=1.0)
-        runs = {farthest_first(inst, 2) for _ in range(5)}
+        runs = {seed_ids(inst, 2) for _ in range(5)}
         assert runs == {("a", "d")}
 
     def test_coincident_points_give_distinct_centers(self):
         # two positions for three centers: the third is the first unchosen id
         inst = line_instance([5.0, 0.0, 5.0, 0.0, 5.0])
-        assert farthest_first(inst, 3) == ("p0", "p1", "p2")
+        assert seed_ids(inst, 3) == ("p0", "p1", "p2")
         centers, cost, _ = local_search_clustering(inst, 3)
         assert len(set(centers)) == 3 and cost == 0.0
 
     def test_matches_reference_on_fixtures(self, rng):
-        fixtures = [(line_instance([0.0, 10.0, 11.0]), 2, None),
-                    (line_instance([0.0, 1.0, 2.0]), 3, None),
-                    (line_instance([0.0, 5.0, 10.0]), 2, ["p0", "p1"]),
-                    (line_instance([0.0, 1.0, 10.0, 11.0]), 2, ["p0", "p2"])]
-        fixtures += [(planar_instance(rng, int(rng.integers(6, 40))), k, None)
+        fixtures = [(line_instance([0.0, 10.0, 11.0]), 2),
+                    (line_instance([0.0, 1.0, 2.0]), 3),
+                    (restricted(line_instance([0.0, 5.0, 10.0]), ["p0", "p1"]), 2),
+                    (restricted(line_instance([0.0, 1.0, 10.0, 11.0]), ["p0", "p2"]), 2)]
+        fixtures += [(planar_instance(rng, int(rng.integers(6, 40))), k)
                      for k in (1, 2, 3, 5)]
-        for inst, k, cand in fixtures:
-            assert farthest_first(inst, k, cand) == reference_farthest_first(inst, k, cand)
+        for inst, k in fixtures:
+            assert seed_ids(inst, k) == reference_farthest_first(inst, k)
 
 
 class TestLocalSearch:
@@ -228,14 +251,10 @@ class TestLocalSearch:
 
     def test_zero_swaps_budget(self):
         inst = line_instance([0.0, 1.0, 10.0, 11.0])
-        centers, _, swaps = local_search_clustering(inst, 2, max_iters=0)
+        with mock.patch.object(baseline, "_SWAPS_PER_CENTER", 0):
+            centers, _, swaps = local_search_clustering(inst, 2)
         assert swaps == 0
-        assert centers == farthest_first(inst, 2)
-
-    def test_candidates_respected(self):
-        inst = line_instance([0.0, 1.0, 10.0, 11.0])
-        centers, _, _ = local_search_clustering(inst, 2, candidates=["p0", "p2"])
-        assert centers == ("p0", "p2")
+        assert centers == seed_ids(inst, 2)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_constant_factor_of_optimum(self, rng, p):
@@ -259,7 +278,8 @@ class TestLocalSearch:
 
 @st.composite
 def search_inputs(draw, max_n=12):
-    """Small instance, k, candidate subset and swap budget for the search."""
+    """Small instance, k and swaps per center (None: _SWAPS_PER_CENTER)
+    for the search."""
     n = draw(st.integers(2, max_n))
     if draw(st.booleans()):
         # integer grid with repeated points: many exactly tied swaps
@@ -273,11 +293,7 @@ def search_inputs(draw, max_n=12):
     coords = [(x * scale, y * scale) for x, y in coords]
     ids = [f"q{i:02d}" for i in range(n)]
     clients = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
-    cand = None
-    if draw(st.booleans()):
-        cand = draw(st.lists(st.sampled_from(ids), min_size=2, unique=True))
-    size = n if cand is None else len(cand)
-    k = draw(st.sampled_from(sorted({1, size - 1, draw(st.integers(1, size))})))
+    k = draw(st.sampled_from(sorted({1, n - 1, draw(st.integers(1, n))})))
     inst = instance_from_coords(
         ids, coords, facility_ids=ids, group_label={i: 1 for i in ids},
         # demands past 2^24 are inexact in float32; at p = 12 and 30 the
@@ -285,7 +301,7 @@ def search_inputs(draw, max_n=12):
         client_demands={c: draw(st.integers(1, 5) | st.integers(2**24, 2**25))
                         for c in clients},
         p=draw(st.sampled_from([1.0, 2.0, 3.0, 12.0, 30.0])))
-    return inst, k, cand, draw(st.sampled_from([0, 1, None]))
+    return inst, k, draw(st.sampled_from([0, 1, None]))
 
 
 def block_of(data, rho, a):
@@ -321,25 +337,24 @@ class TestSwapTable:
     @given(search_inputs())
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_matches_direct_scan(self, args):
-        inst, k, cand, max_iters = args
-        assert_same_search(inst, k, candidates=cand, max_iters=max_iters)
+        assert_same_search(*args)
 
     @given(search_inputs())
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_table_entries_within_bound(self, args):
         # every entry T of the first float32 table lies within rho * T + a
         # of its swap's direct cost in table units, at every scale and p
-        inst, k, cand, _ = args
-        cand = sorted(cand) if cand is not None else sorted(inst.point_ids)
+        inst, k, _ = args
         seen = []
         real = baseline._block_hits
 
         def capture(table, inside, *bound):
             seen.append((table.copy(), inside.copy(), bound))
             return real(table, inside, *bound)
-        with mock.patch.object(baseline, "_block_hits", capture):
-            local_search_clustering(inst, k, candidates=cand, max_iters=1)
-        if k == len(cand):
+        with mock.patch.object(baseline, "_block_hits", capture), \
+                mock.patch.object(baseline, "_SWAPS_PER_CENTER", 1):
+            local_search_clustering(inst, k)
+        if k == inst.n:
             assert seen == []
             return
         w = inst.client_weights()
@@ -347,8 +362,8 @@ class TestSwapTable:
             wscale, scale, rho, a = baseline._table_scale(w, float(inst.dist.max() ** inst.p))
         table, inside, bound = seen[0]
         assert bound[:2] == (rho, a) and np.isfinite(rho)
-        cost_of = direct_cost(inst, cand)
-        start = sorted(cand.index(c) for c in farthest_first(inst, k, cand))
+        cost_of = direct_cost(inst)
+        start = farthest_first(inst, k)
         for r, out in enumerate(start):
             for c in np.flatnonzero(~inside).tolist():
                 want = cost_of(sorted(set(start) - {out} | {c})) * wscale * scale
@@ -382,8 +397,14 @@ class TestSwapTable:
         assert_same_search(inst, 5)
 
     def test_candidates_not_one_run(self, rng):
-        inst = planar_instance(rng, 90, p=2.0)
-        assert_same_search(inst, 4, candidates=inst.point_ids[1::3] + inst.point_ids[:5])
+        # ids shuffled against matrix order: the candidates, every point in
+        # id order, sit at scrambled positions
+        ids = [f"p{i:02d}" for i in rng.permutation(90)]
+        inst = instance_from_coords(
+            ids, rng.uniform(0.0, 10.0, size=(90, 2)), facility_ids=ids,
+            group_label={i: 1 for i in ids}, client_demands={i: 1 for i in ids}, p=2.0)
+        assert not np.array_equal(np.sort(inst.point_pos), inst.point_pos)
+        assert_same_search(inst, 4)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_ids_out_of_index_order(self, rng, p):
@@ -405,8 +426,7 @@ class TestSwapTable:
         inst = instance_from_coords(
             ids, coords, facility_ids=ids, group_label={i: 1 for i in ids},
             client_demands={c: 1 + j % 3 for j, c in enumerate(ids)}, p=1.0)
-        sub = inst.dist[np.ix_(inst.client_pos,
-                               [inst.index(c) for c in farthest_first(inst, 20)])]
+        sub = inst.dist[np.ix_(inst.client_pos, inst.point_pos[farthest_first(inst, 20)])]
         assert ((sub == sub.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
         assert_same_search(inst, 20)
 
@@ -414,15 +434,15 @@ class TestSwapTable:
         # 20 x 15 integer grid: equal swaps everywhere, in every block
         inst = grid_instance()
         assert_same_search(inst, 7)
-        assert_same_search(inst, 7, candidates=inst.point_ids[::2])
+        assert_same_search(restricted(inst, inst.point_ids[::2]), 7)
 
     @given(search_inputs(max_n=40))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_ends_at_a_single_swap_local_optimum(self, args):
-        inst, k, cand, _ = args
-        centers, cost, swaps = local_search_clustering(inst, k, candidates=cand)
+        inst, k, _ = args
+        centers, cost, swaps = local_search_clustering(inst, k)
         assert swaps < 100 * k
-        assert_local_optimum(inst, k, centers, cost, candidates=cand)
+        assert_local_optimum(inst, k, centers, cost)
 
     @given(st.data())
     @settings(max_examples=400, derandomize=True, deadline=None)
@@ -511,12 +531,12 @@ class TestDirectEvaluations:
         assert swaps > 0
         assert calls == []
 
-    @pytest.mark.parametrize("every", [1, 2])
-    def test_fallback_runs_on_grid_ties(self, monkeypatch, every):
-        # with two centers the grid's best swap has a tied twin
+    @pytest.mark.parametrize("width, n", [(20, 300), (12, 144)])
+    def test_fallback_runs_on_grid_ties(self, monkeypatch, width, n):
+        # with two centers the grid's best swap has a tied twin; the grids
+        # span three and two column blocks
         calls = count_direct_evaluations(monkeypatch)
-        inst = grid_instance()
-        assert_same_search(inst, 2, candidates=inst.point_ids[::every])
+        assert_same_search(grid_instance(width, n), 2)
         assert len(calls) >= 1
 
     @pytest.mark.parametrize("scale", [1e-6, 1.5e6])
@@ -565,7 +585,7 @@ class TestSearchMemory:
         inst = many_clients_instance(rng, 2.0)
         if not ids_in_order:
             order = inst.point_ids[::-1]
-            inst = matrix_instance(order, inst.submatrix(order, order), inst.facility_ids,
+            inst = matrix_instance(order, submatrix(inst, order, order), inst.facility_ids,
                                    inst.group_label, inst.client_demands, inst.p)
         table = len(inst.client_ids) * len(inst.point_ids) * 8
         tracemalloc.start()

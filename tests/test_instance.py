@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairrange
+import fairrange.instance
 from fairrange.instance import (
     MetricInstance,
     RangeConstraints,
@@ -21,7 +22,7 @@ from fairrange.instance import (
     validate_instance,
 )
 
-from conftest import line_instance, matrix_instance
+from conftest import distance, line_instance, matrix_instance, submatrix
 from oracles import chain_power_check, power_triangle_check
 
 # a numpy invalid-value warning in instance code is a fault, not noise
@@ -199,13 +200,14 @@ def test_validate_names_the_first_largest_gap_across_row_blocks():
     assert symmetry() == ["symmetry: d(p70,p120) != transpose"]
 
 
-def test_validate_builds_no_square_temporary():
+def test_validate_builds_no_square_temporary(monkeypatch):
     # the symmetry check built an n x n copy and allclose's temporaries
+    monkeypatch.setattr(fairrange.instance, "TRIANGLE_SAMPLE_CAP", 1000)
     n = 600
     inst = coords_instance(np.random.default_rng(2).uniform(0.0, 10.0, size=(n, 2)))
     tracemalloc.start()
     try:
-        validate_instance(inst, triangle_cap=1000)
+        validate_instance(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -219,18 +221,21 @@ def test_coordinates_are_the_instance_own_copy():
     inst = coords_instance(c)
     c[1] = (30.0, 40.0)
     assert inst.coords.tolist() == [[0.0, 0.0], [3.0, 4.0]]
-    assert inst.d("q0", "q1") == 5.0
+    assert distance(inst, "q0", "q1") == 5.0
     assert not inst.coords.flags.writeable
 
 
-def test_validate_sampled_triples_deterministic():
+def test_validate_sampled_triples_deterministic(monkeypatch):
+    # 110^3 triples above the cap: the sample, always seeded with 0, is
+    # the same on every call
+    monkeypatch.setattr(fairrange.instance, "TRIANGLE_SAMPLE_CAP", 1000)
     rng = np.random.default_rng(7)
     pts = rng.random((110, 2))
     ids = tuple(f"q{i}" for i in range(110))
     inst = instance_from_coords(ids, pts, ids, {i: 1 for i in ids},
                                 {ids[0]: 1}, 2.0)
-    r1 = validate_instance(inst, triangle_cap=1000, seed=3)
-    r2 = validate_instance(inst, triangle_cap=1000, seed=3)
+    r1 = validate_instance(inst)
+    r2 = validate_instance(inst)
     assert r1.violations == r2.violations
     assert r1.ok
 
@@ -423,7 +428,7 @@ def test_block_is_a_view_only_for_runs():
         got = block(rows, cols)
         assert not np.shares_memory(got, D)
         assert np.array_equal(got, D[np.ix_(rows, cols)])
-    assert np.array_equal(inst.submatrix(["q3", "q1"], ["q2"]), D[np.ix_([3, 1], [2])])
+    assert np.array_equal(submatrix(inst, ["q3", "q1"], ["q2"]), D[np.ix_([3, 1], [2])])
 
 
 def test_positions_are_worked_out_once():
@@ -461,6 +466,54 @@ def test_only_the_instance_reads_the_matrix():
                    for n in reads(fn)]
         stray += [f"{path.name}:{n.lineno}" for n in reads(tree) if n not in allowed]
     assert stray == []
+
+
+def test_every_src_name_is_read_in_src_or_perfbench():
+    # a function, class or method that only tests or docstrings name is
+    # test scaffolding, and belongs in tests/.  A reference is a name, an
+    # attribute or an import alias, matched by spelling
+    src = pathlib.Path(fairrange.__file__).parent
+    modules = {path: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    bench = sorted((src.parents[1] / "perfbench").glob("*.py"))
+    assert bench, "perfbench/ not found beside src/"
+    used = set()
+    for tree in [*modules.values(), *(ast.parse(path.read_text()) for path in bench)]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used |= {n.name.rsplit(".", 1)[-1], n.asname}
+    unread = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef)
+                          and not (m.name.startswith("__") and m.name.endswith("__"))]
+            unread += [f"{path.name}:{name}" for name in names
+                       if name.rsplit(".", 1)[-1] not in used]
+    assert unread == []
+
+
+def test_validate_demands_by_the_integer_rule_of_labels_and_ranges():
+    # isinstance(w, int) refused a numpy demand of 2, which the solve
+    # answers, and took True as a demand of one
+    def demand(w):
+        inst = line_instance([0.0, 1.0], (0, 1), {0: 1, 1: 1}, {0: 1, 1: w}, 1.0)
+        return [v for v in validate_instance(inst).violations if v.startswith("demand")]
+    assert demand(np.int64(2)) == []
+    assert demand(2) == []
+    for bad in (True, 0, -1, 1.5, np.int64(0)):
+        assert demand(bad) == [f"demand: client p1 demand {bad!r} is not a positive integer"]
+    inst = line_instance([0.0, 1.0], (0, 1), {0: 1, 1: 1}, {0: 1, 1: np.int64(2)}, 1.0)
+    # the demand of 2 draws the one center to p1
+    report = fairrange.solve_fair_range(inst, RangeConstraints(1, ((0, 1),)))
+    assert report.centers.centers == ("p1",) and report.centers.cost_p == 1.0
 
 
 def test_solve_maps_only_o_of_k_ids(monkeypatch):

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,10 +120,11 @@ class TestSimplex:
         assert res.objective == pytest.approx(float(exact), abs=1e-9)
         assert res.objective == pytest.approx(-0.05, abs=1e-9)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(fairrange.lp, "MAX_ITERS", 0)
         lp = simple_lp([-1.0], [([(0, 1.0)], LEQ, 1.0)])
         with pytest.raises(IterationLimitError):
-            solve_vertex(lp, max_iters=0)
+            solve_vertex(lp)
 
     def test_enumeration_agreement_random(self, rng):
         for trial in range(40):
@@ -934,8 +936,9 @@ class TestMergedLoopMatchesReference:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(small_programs(), st.one_of(st.just(MAX_ITERS), st.integers(0, 3)))
     def test_bit_identical_on_small_programs(self, lp, max_iters):
-        assert (outcome(solve_vertex, lp, max_iters=max_iters)
-                == outcome(reference_solve_vertex, lp, max_iters=max_iters))
+        with mock.patch.object(fairrange.lp, "MAX_ITERS", max_iters):
+            got = outcome(solve_vertex, lp)
+        assert got == outcome(reference_solve_vertex, lp, max_iters=max_iters)
 
     def test_bit_identical_on_structured_programs(self):
         lp, _ = tiny_structured()
@@ -949,18 +952,19 @@ class TestMergedLoopMatchesReference:
         cases = [
             (simple_lp([1.0, 1.0], [([(0, 1.0), (1, 1.0)], GEQ, 2.0),
                                     ([(0, 2.0), (1, 2.0)], GEQ, 4.0),
-                                    ([(0, 1.0)], GEQ, 0.5)]), {}),
+                                    ([(0, 1.0)], GEQ, 0.5)]), MAX_ITERS),
             (simple_lp([1.0], [([(0, 1.0)], GEQ, 2.0),
-                               ([(0, 1.0)], LEQ, 1.0)]), {}),
-            (simple_lp([-1.0], []), {}),
-            (simple_lp([-1.0], [([(0, 1.0)], LEQ, 1.0)]), {"max_iters": 0}),
-            (mixed_rows_lp(), {}),
-            (beale_lp(), {}),
+                               ([(0, 1.0)], LEQ, 1.0)]), MAX_ITERS),
+            (simple_lp([-1.0], []), MAX_ITERS),
+            (simple_lp([-1.0], [([(0, 1.0)], LEQ, 1.0)]), 0),
+            (mixed_rows_lp(), MAX_ITERS),
+            (beale_lp(), MAX_ITERS),
         ]
         seen = []
-        for lp, kw in cases:
-            got = outcome(solve_vertex, lp, **kw)
-            assert got == outcome(reference_solve_vertex, lp, **kw)
+        for lp, max_iters in cases:
+            with mock.patch.object(fairrange.lp, "MAX_ITERS", max_iters):
+                got = outcome(solve_vertex, lp)
+            assert got == outcome(reference_solve_vertex, lp, max_iters=max_iters)
             seen.append(got[0])
         assert seen == ["optimal", "infeasible", "unbounded",
                         "IterationLimitError", "optimal", "optimal"]
@@ -971,11 +975,11 @@ class TestMergedLoopMatchesReference:
         # every relaxation and opening program of a few small solves
         checked = []
 
-        def compare(lp, **kw):
-            got = outcome(solve_vertex, lp, **kw)
-            assert got == outcome(reference_solve_vertex, lp, **kw)
+        def compare(lp):
+            got = outcome(solve_vertex, lp)
+            assert got == outcome(reference_solve_vertex, lp)
             checked.append(got[0])
-            return solve_vertex(lp, **kw)
+            return solve_vertex(lp)
 
         monkeypatch.setattr(fairrange.lp, "solve_vertex", compare)
         monkeypatch.setattr(fairrange.round, "solve_vertex", compare)

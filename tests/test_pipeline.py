@@ -25,8 +25,9 @@ from fairrange.pipeline import (
     solve_fair_range,
 )
 
-from conftest import (enumerate_optimum, line_instance, matrix_instance, solve_stages,
-                      with_distance)
+from conftest import (distance, enumerate_optimum, line_instance, matrix_instance,
+                      solve_stages, submatrix, with_distance)
+from oracles import mip_optimum
 
 
 class TestBruteForce:
@@ -47,11 +48,11 @@ class TestBruteForce:
         with pytest.raises(InfeasibleRangesError):
             brute_force_optimum(inst, RangeConstraints(1, ((2, 3),)))
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(fairrange.pipeline, "ORACLE_BUDGET", 1000)
         inst = random_instance(0, 30, 2, 1.0)
         with pytest.raises(ValueError, match="budget"):
-            brute_force_optimum(inst, RangeConstraints(15, ((0, 15), (0, 15))),
-                                budget=1000)
+            brute_force_optimum(inst, RangeConstraints(15, ((0, 15), (0, 15))))
 
     def test_ties_break_lexicographically(self):
         # two symmetric optima; the smaller center tuple wins
@@ -77,6 +78,39 @@ class TestBruteForce:
             cost, _ = brute_force_optimum(inst, rc)
             ref, _ = enumerate_optimum(inst, rc)
             assert cost == pytest.approx(ref, rel=1e-12)
+
+
+class TestMipOracle:
+    def test_matches_enumeration_on_tiny_instances(self):
+        cases = []
+        for n, p in ((8, 1.0), (10, 2.0), (12, 3.0)):
+            for seed in range(2):
+                inst = random_instance(seed, n, 2, p)
+                cases.append((inst, random_ranges(seed, inst, 3, 2)))
+        # clients and facilities as two overlapping subsets, three groups
+        inst = random_instance(5, 12, 3, 2.0)
+        ids = inst.point_ids
+        sub = matrix_instance(ids, inst.dist, ids[::2], inst.group_label,
+                              {c: 1 + i % 3 for i, c in enumerate(ids[3:])}, 2.0)
+        cases.append((sub, RangeConstraints(3, ((1, 2), (0, 1), (1, 2)))))
+        for inst, rc in cases:
+            obj, bound = mip_optimum(inst, rc)
+            ref, _ = enumerate_optimum(inst, rc)
+            assert obj == pytest.approx(ref, rel=1e-12)
+            assert bound == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [60, 80])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_solver_above_the_proven_bound(self, n, p):
+        # sizes where stage 1 and both LPs do work, out of the enumerating
+        # oracles' reach
+        inst = random_instance(1, n, 4, p)
+        rc = random_ranges(1, inst, 6, 4)
+        _, bound = mip_optimum(inst, rc)
+        report = solve_fair_range(inst, rc)
+        assert report.reduced
+        assert report.centers.cost_p >= bound * (1.0 - 1e-9)
+        assert len(report.bounds) == 6 and all(b.passed for b in report.bounds)
 
 
 class TestSolveFairRange:
@@ -498,10 +532,10 @@ class TestFigure1:
     def test_cluster_geometry(self):
         fig = generate_figure1_instance(6, 24, 1.0, 2.0)
         # blue clusters of size 3n/4k = 3: intra m, inter M
-        assert fig.d("b000", "b001") == 1.0
-        assert fig.d("b000", "b003") == 2.0
-        assert fig.d("r000", "r011") == 1.0
-        assert fig.d("r000", "b000") == 2.0
+        assert distance(fig, "b000", "b001") == 1.0
+        assert distance(fig, "b000", "b003") == 2.0
+        assert distance(fig, "r000", "r011") == 1.0
+        assert distance(fig, "r000", "b000") == 2.0
 
     def test_ranges_beat_strict_quotas(self):
         fig = generate_figure1_instance(6, 24, 1.0, 2.0, clients="blue")
@@ -510,7 +544,7 @@ class TestFigure1:
         assert o_range == pytest.approx(8.0)
         assert o_strict == pytest.approx(12.0)
         # the window optimum serves every blue cluster within m
-        sub = fig.submatrix(fig.client_ids, c_range)
+        sub = submatrix(fig, fig.client_ids, c_range)
         assert sub.min(axis=1).max() <= 1.0 + 1e-12
 
     def test_wide_spread_illustration_widens_the_gap(self):
@@ -668,7 +702,7 @@ def test_answers_do_not_depend_on_matrix_order(p):
                                   {c: 2 for c in ids[1::14]}, p), 7))
     reduced = []
     for inst, s in cases:
-        rc = random_ranges(s, inst, 4 if inst.n > 10 else 3, inst.num_groups)
+        rc = random_ranges(s, inst, 4 if inst.n > 10 else 3, max(inst.group_label.values()))
         want = solve_fair_range(inst, rc)
         reduced.append(want.reduced)
         assert _answer_bits(solve_fair_range(_permuted(inst, s), rc)) == _answer_bits(want)

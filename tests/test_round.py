@@ -865,7 +865,7 @@ def reference_enforce_structure(x2: np.ndarray, y: np.ndarray,
     y_bar = np.clip(np.asarray(y, dtype=float).copy(), 0.0, 1.0)
     supers = [np.asarray(mem, dtype=int).copy() for mem in supers]
     ball_sets = [set(b.tolist()) for b in sp.balls]
-    diagnostics = {"pruned": 0.0, "rerouted": 0.0}
+    diagnostics = {"pruned": 0.0}
 
     if nn_idx is not None:
         for v in range(m):
@@ -900,7 +900,6 @@ def reference_enforce_structure(x2: np.ndarray, y: np.ndarray,
 
     dp = D ** sp.p
     cost = float(sp.weights @ (x_bar * dp).sum(axis=1))
-    diagnostics["rerouted"] = float(np.abs(x_bar - x2).sum()) / 2.0
     return SimpleNamespace(nn_idx=nn_idx, nn_dist=nn_dist, supers=supers, y_bar=y_bar,
                            x_bar=x_bar, cost_p=cost, diagnostics=diagnostics)
 
@@ -986,7 +985,7 @@ def compare_structuring(sp, half=None):
     supers = outcome_of(build_super_balls, x2, sp.balls)
     if isinstance(supers, Raised):
         return "super balls raised"
-    got = outcome_of(enforce_structure, x2, sp.y, supers, sp)
+    got = outcome_of(enforce_structure, x2, supers, sp)
     want = outcome_of(reference_enforce_structure, x2, sp.y, supers, sp)
     if same_outcome(got, want):
         return "enforce raised"

@@ -21,7 +21,7 @@ from fairrange.sparsify import (
 
 from conftest import (feasible_ranges, line_instance, matrix_instance, random_fair_instance,
                       solve_stages)
-from oracles import lift_bound
+from oracles import half_contribution, lift_bound, separation_margin
 
 
 class TestRadii:
@@ -114,9 +114,9 @@ class TestSparsifyIntegration:
             stages = solve_stages(inst, rc, "sparsify")
             sp, opt = stages["sparsify"], stages["solve_lp"].objective
             # survivors keep at least half their service mass in the ball
-            assert sp.half_contribution() >= 0.5 - 1e-7
+            assert half_contribution(sp) >= 0.5 - 1e-7
             # pairwise separation from the greedy merge
-            assert sp.separation_margin() >= -1e-9
+            assert separation_margin(sp) >= -1e-9
             # balls of distinct survivors never share a facility
             for i, j in itertools.combinations(range(len(sp.location_ids)), 2):
                 assert not set(sp.balls[i].tolist()) & set(sp.balls[j].tolist())
@@ -135,8 +135,8 @@ class TestSparsifyIntegration:
                                 inst.group_label, {}, 2.0)
         sp = solve_stages(empty, random_ranges(0, inst, 3, 2), "sparsify")["sparsify"]
         assert sp.location_ids == ()
-        assert sp.half_contribution() == np.inf
-        assert sp.separation_margin() == np.inf
+        assert half_contribution(sp) == np.inf
+        assert separation_margin(sp) == np.inf
 
     def test_forward_map_covers_all_locations(self, rng):
         inst = random_fair_instance(rng, 10, 1.0)
