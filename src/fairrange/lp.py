@@ -4,6 +4,17 @@ Holds the shared LinearProgram container, a two-phase dense primal simplex
 that returns basic (vertex) solutions, and builders for the two clustering
 LPs.
 
+An infinite entry of the assignment LP's distance table means "no x
+column" for that pair.  That is how the pipeline writes the core of stage
+2: for each location, the _CORE_PER_GROUP nearest facilities of every
+group, with every facility's y column (core and price, as in Avella,
+Sassano & Vasil'ev 2007).  One rule decides when the core is used: when
+the core itself has more than HIGHS_CUTOVER variables, so that HiGHS
+solves it and returns its cover duals; otherwise the whole program is
+solved.  lagrangian_bound turns those duals into a lower bound over every
+facility (Cornuejols, Fisher & Nemhauser 1977), which certifies the
+core's optimum as the whole program's.
+
 The simplex keeps a full dense tableau.  That is deliberate: desk-scale
 instances stay below a few thousand variables, and basic solutions are what
 the half-integrality argument downstream needs.  solve_lp sends programs
@@ -46,6 +57,9 @@ MAX_ITERS = 1_000_000     # pivots per solve_vertex call
 # random_instance(s, 10, 2, p) at k=3 on 2, 5 and 9 of seeds 0-29 at p = 30,
 # 50 and 100, which the simplex answers (ROADMAP item 2).
 HIGHS_CUTOVER = 200
+# the core assignment LP keeps this many nearest facilities of each group
+# for every location (assignment_core)
+_CORE_PER_GROUP = 3
 
 LEQ, GEQ = "<=", ">="
 
@@ -112,6 +126,7 @@ class SimplexResult:
     iterations: int = 0
     backend: str = "simplex"
     max_violation: float = 0.0
+    duals: np.ndarray | None = None   # row multipliers, >= 0 (HiGHS only)
 
 
 def _normalized(lp: LinearProgram) -> LinearProgram:
@@ -336,8 +351,10 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
 
     The rows go in as built, row-wise; HiGHS stores them column-wise itself,
     so the model is the one linprog(method="highs") builds and the answer
-    is the one linprog gives without presolve.  The binding is a private
-    scipy module (scipy >= 1.15), loaded by _highs_core.
+    is the one linprog gives without presolve.  An optimal result carries
+    each row's multiplier in duals, >= 0 on >= and <= rows alike.  The
+    binding is a private scipy module (scipy >= 1.15), loaded by
+    _highs_core.
     """
     highspy = _highs_core()
 
@@ -372,12 +389,15 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
         return SimplexResult("unbounded", None, None, iterations=iters, backend="scipy")
     if status != highspy.HighsModelStatus.kOptimal:
         raise SimplexError(f"backend failure: {highs.modelStatusToString(status)}")
-    x = np.maximum(np.array(highs.getSolution().col_value), 0.0)
+    solution = highs.getSolution()
+    x = np.maximum(np.array(solution.col_value), 0.0)
     viol = _violation(lp, x)
     if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"backend residual {viol:.3g} exceeds tolerance")
+    # every row went in as a <= row, whose HiGHS dual is <= 0 at optimality
+    duals = np.maximum(-np.array(solution.row_dual), 0.0)
     return SimplexResult("optimal", x, float(lp.objective @ x), iterations=iters,
-                         backend="scipy", max_violation=viol)
+                         backend="scipy", max_violation=viol, duals=duals)
 
 
 def solve_lp(lp: LinearProgram) -> SimplexResult:
@@ -419,27 +439,33 @@ def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
                         k: int, ranges: Sequence[tuple[int, int]]) -> LinearProgram:
     """Assignment LP for weighted locations against group-labeled facilities.
 
-    dp[v, u] is the p-th power distance from location v to facility u.
-    Variables are x[v,u] (row-major, nD * nF of them) followed by y[u].
-    Rows appear as: one coverage row per location, a lower and an upper range
-    row per group, the cardinality row, then one linking row per (v, u) pair.
-    y is capped at 1 per facility, which integral solutions satisfy.
+    dp[v, u] is the p-th power distance from location v to facility u, and
+    inf where the pair has no x column: that is how a core leaves pairs
+    out.  Variables are x[v,u] for the finite pairs (row-major) followed by
+    y[u] for every facility.  Rows appear as: one coverage row per
+    location, a lower and an upper range row per group, the cardinality
+    row, then one linking row per x column.  y is capped at 1 per
+    facility, which integral solutions satisfy.
     """
     dp = np.asarray(dp, dtype=float)
     nD, nF = dp.shape
     if len(w) != nD or len(groups) != nF:
         raise ValueError("shape mismatch")
-    nx = nD * nF
+    keep = np.isfinite(dp)
+    nx = int(np.count_nonzero(keep))
     nv = nx + nF
     c = np.zeros(nv)
-    c[:nx] = (np.asarray(w, dtype=float)[:, None] * dp).ravel()
+    c[:nx] = (np.asarray(w, dtype=float)[:, None] * dp)[keep]
     sets, rhs, geq = _range_card_rows(groups, k, ranges, nx)
-    # cover row v holds x[v, :]
-    indptr, indices = _unit_rows([*np.arange(nx).reshape(nD, nF), *sets])
+    # cover row v holds location v's x columns, numbered in row order, so
+    # the cover rows together hold columns 0..nx-1
+    set_ptr, set_idx = _unit_rows(sets)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1)), nx + set_ptr[1:]))
+    indices = np.concatenate((np.arange(nx), set_idx))
     # then the link rows x[v,u] - y[u] <= 0, two entries each
     link = np.empty((nx, 2), dtype=np.intp)
     link[:, 0] = np.arange(nx)
-    link[:, 1] = nx + link[:, 0] % nF
+    link[:, 1] = nx + np.nonzero(keep)[1]
     data = np.ones(len(indices) + 2 * nx)
     data[len(indices) + 1::2] = -1.0
     upper = np.full(nv, np.inf)
@@ -451,8 +477,64 @@ def build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int
         np.concatenate(([True] * nD + geq, np.zeros(nx, dtype=bool))), upper)
 
 
-def split_fair_solution(x_flat: np.ndarray, nD: int, nF: int) -> tuple[np.ndarray, np.ndarray]:
-    return x_flat[:nD * nF].reshape(nD, nF).copy(), x_flat[nD * nF:].copy()
+def split_fair_solution(x_flat: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x as a locations x facilities array, 0 on the pairs dp leaves out
+    (inf), and y, from a solution of build_fair_range_lp(dp, ...)."""
+    keep = np.isfinite(dp)
+    nx = int(np.count_nonzero(keep))
+    x = np.zeros(keep.shape)
+    x[keep] = x_flat[:nx]
+    return x, x_flat[nx:].copy()
+
+
+def assignment_core(dp: np.ndarray, groups: Sequence[int]) -> np.ndarray:
+    """The table of the core assignment LP, or dp itself when the core has
+    at most HIGHS_CUTOVER variables.
+
+    The core keeps, for every location and every group, the
+    _CORE_PER_GROUP nearest facilities (ties to the lower index) and sets
+    every other entry to inf, so its program has their x columns and every
+    facility's y column.
+    """
+    label = np.asarray(groups)
+    sizes = np.bincount(label)
+    # each location keeps min(size, _CORE_PER_GROUP) facilities of a group
+    if len(dp) * np.minimum(sizes, _CORE_PER_GROUP).sum() + len(label) <= HIGHS_CUTOVER:
+        return dp
+    keep = np.zeros(dp.shape, dtype=bool)
+    rows = np.arange(len(dp))[:, None]
+    for g in np.flatnonzero(sizes):
+        members = np.flatnonzero(label == g)
+        near = np.argsort(dp[:, members], axis=1, kind="stable")[:, :_CORE_PER_GROUP]
+        keep[rows, members[near]] = True
+    return np.where(keep, dp, np.inf)
+
+
+def lagrangian_bound(dp: np.ndarray, w: Sequence[float], groups: Sequence[int], k: int,
+                     ranges: Sequence[tuple[int, int]], lam: np.ndarray) -> float:
+    """Lower bound on the optimum of build_fair_range_lp(dp, w, groups, k,
+    ranges), dp all finite, from cover multipliers lam >= 0.
+
+    Moving the cover rows into the objective leaves, for fixed y, each
+    x[v,u] at y[u] where w[v] dp[v,u] < lam[v] and at 0 elsewhere, so
+        L(lam) = sum(lam) - max over y in Y of sum_u y[u] s[u],
+        s[u] = sum_v max(lam[v] - w[v] dp[v,u], 0),
+    with Y the range and card rows and 0 <= y <= 1 (Cornuejols, Fisher &
+    Nemhauser, 1977).  s >= 0, so the max takes each group's top a_g
+    facilities, then the best of the rest up to b_g per group and k in
+    all.  The ranges must admit a y (sum of a_g <= k, a_g <= group size).
+    """
+    lam = np.asarray(lam, dtype=float)
+    s = np.maximum(lam[:, None] - np.asarray(w, dtype=float)[:, None] * dp, 0.0).sum(axis=0)
+    label = np.asarray(groups)
+    must, rest = [], []
+    for g, (a, b) in enumerate(ranges, start=1):
+        top = np.sort(s[label == g])[::-1]
+        must.append(top[:a])
+        rest.append(top[a:b])
+    must = np.concatenate(must)
+    rest = np.sort(np.concatenate(rest))[::-1]
+    return float(lam.sum() - must.sum() - rest[:k - len(must)].sum())
 
 
 def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],

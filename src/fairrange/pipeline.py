@@ -24,7 +24,8 @@ from .errors import (CostRangeError, InfeasibleRangesError, PowerRangeError,
 from .instance import (CenterSolution, MetricInstance, RangeConstraints,
                        build_center_solution, check_range_feasibility,
                        instance_from_coords, is_integer)
-from .lp import build_fair_range_lp, solve_lp, split_fair_solution
+from .lp import (SimplexResult, assignment_core, build_fair_range_lp, lagrangian_bound,
+                 solve_lp, split_fair_solution)
 from .round import (half_integral_cost, select_centers, solve_half_integral,
                     structured_program)
 from .sparsify import canonical_assignment, sparsify
@@ -35,6 +36,7 @@ ORACLE_BUDGET = 10_000_000
 CERT_ABS_TOL = 1e-9       # certificate slack, absolute
 CERT_REL_TOL = 1e-6       # certificate slack, relative
 COST_CAP = 1e300          # largest total weight * d_max^p a solve accepts
+CORE_REL_TOL = 1e-9       # Lagrangian bound slack that certifies a core optimum
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,36 @@ def _require_costs_in_range(inst: MetricInstance) -> None:
                           f"above {COST_CAP:g}{largest}")
 
 
+def _assignment_relaxation(dp: np.ndarray, w: np.ndarray, groups: Sequence[int],
+                           rc: RangeConstraints) -> tuple[np.ndarray, SimplexResult]:
+    """Stage 2: the assignment LP over dp, solved whole or on its core.
+
+    The core (assignment_core) is solved first, and its optimum is the
+    whole program's once the Lagrangian bound at the core's cover duals,
+    taken over every facility, reaches it (to a relative CORE_REL_TOL):
+    the core is a restriction, so
+    its optimum is at least the whole one, and the bound at most.  Short
+    of that, every left-out pair whose x column prices below 0 at those
+    duals (w[v] dp[v,u] < lam[v]) joins the core and it is solved again;
+    with no such pair, or an infeasible core, the whole program is.
+    Returns the table of the program that answered and its result.
+    """
+    table = assignment_core(dp, groups)
+    while True:
+        res = solve_lp(build_fair_range_lp(table, w, groups, rc.k, rc.ranges))
+        if table is dp:
+            return table, res
+        if res.status != "optimal":
+            table = dp
+            continue
+        lam = res.duals[:len(w)]
+        bound = lagrangian_bound(dp, w, groups, rc.k, rc.ranges, lam)
+        if bound >= res.objective * (1.0 - CORE_REL_TOL):
+            return table, res
+        priced = np.isinf(table) & (lam[:, None] > w[:, None] * dp)
+        table = np.where(priced, dp, table) if priced.any() else dp
+
+
 def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     """Full approximation chain from instance to certified center set.
 
@@ -171,12 +203,10 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     lap("baseline")
 
     groups = inst.facility_groups
-    flp = build_fair_range_lp(red.fac_dist_p, red.weights, groups, rc.k, rc.ranges)
-    res = solve_lp(flp)
+    table, res = _assignment_relaxation(red.fac_dist_p, red.weights, groups, rc)
     if res.status != "optimal":
         raise StageError("pipeline", f"assignment relaxation is {res.status}")
-    x, y = split_fair_solution(res.x, len(red.location_ids),
-                               len(inst.facility_ids))
+    x, y = split_fair_solution(res.x, table)
     x = canonical_assignment(x)
     lap("relaxation")
 
@@ -185,7 +215,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
 
     x2, moves = reassign_private_facilities(sp)
     cost_reassigned = sp.assignment_cost(x2)
-    ss = enforce_structure(x2, build_super_balls(x2, sp.balls), sp)
+    ss = enforce_structure(build_super_balls(x2, sp.balls), sp)
     lap("structure")
 
     stage_costs = {"opt_d": float(res.objective), "reassigned": cost_reassigned,

@@ -184,7 +184,7 @@ def fill_service(sp: SparsifiedInstance, supers: Sequence[np.ndarray],
     return x
 
 
-def enforce_structure(x2: np.ndarray, supers: Sequence[np.ndarray],
+def enforce_structure(supers: Sequence[np.ndarray],
                       sp: SparsifiedInstance) -> StructuredSolution:
     """Prune far private openings and rebuild service greedily.
 
@@ -197,7 +197,7 @@ def enforce_structure(x2: np.ndarray, supers: Sequence[np.ndarray],
     facilities are opened beyond their survivor's own use, is decided
     here, once, for every later stage.
     """
-    m = len(x2)
+    m = len(sp.location_ids)
     D = sp.fac_dist
     nn_idx, peer_dist = nearest_surviving(sp.loc_dist)
     y_bar = np.clip(sp.y, 0.0, 1.0)

@@ -26,10 +26,14 @@ from fairrange.lp import (
     LinearProgram,
     Row,
     SimplexResult,
+    _range_card_rows,
     _solve_scipy,
+    _unit_rows,
     _violation,
+    assignment_core,
     build_fair_range_lp,
     build_structured_lp,
+    lagrangian_bound,
     scale_doubled,
     solve_lp,
     solve_vertex,
@@ -174,10 +178,11 @@ class TestSimplex:
 
 
 class TestFairRangeBuilder:
+    # facilities at 0, 1, 2 with groups 1, 1, 2; one unit client at 1
+    LINE_DP = np.array([[1.0, 0.0, 1.0]])
+
     def build_line(self, k, ranges):
-        # facilities at 0, 1, 2 with groups 1, 1, 2; one unit client at 1
-        dp = np.array([[1.0, 0.0, 1.0]])
-        return build_fair_range_lp(dp, [1.0], [1, 1, 2], k, ranges)
+        return build_fair_range_lp(self.LINE_DP, [1.0], [1, 1, 2], k, ranges)
 
     def test_row_layout(self):
         lp = self.build_line(1, ((0, 1), (0, 1)))
@@ -194,14 +199,14 @@ class TestFairRangeBuilder:
         res = solve_vertex(lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.0, abs=1e-9)
-        x, y = split_fair_solution(res.x, 1, 3)
+        x, y = split_fair_solution(res.x, self.LINE_DP)
         assert float(x.sum()) == pytest.approx(1.0, abs=1e-7)
 
     def test_forced_group_costs_one(self):
         lp = self.build_line(1, ((0, 0), (1, 1)))
         res = solve_vertex(lp)
         assert res.objective == pytest.approx(1.0, abs=1e-9)
-        _, y = split_fair_solution(res.x, 1, 3)
+        _, y = split_fair_solution(res.x, self.LINE_DP)
         assert y[2] == pytest.approx(1.0, abs=1e-7)
 
     def test_infeasible_ranges(self):
@@ -456,12 +461,16 @@ def mixed_rows_lp():
     ], ub=[np.inf, np.inf, 5.0])
 
 
-def random_fair_range_lp(rng, nD, nF, p):
+def random_fair_range_args(rng, nD, nF, p):
+    """dp, w, groups, k and ranges of a planar assignment LP, three groups."""
     pts = rng.uniform(0.0, 10.0, size=(nD + nF, 2))
     dp = np.linalg.norm(pts[:nD, None] - pts[None, nD:], axis=2) ** p
     groups = [1 + u % 3 for u in range(nF)]
-    return build_fair_range_lp(dp, rng.uniform(1.0, 3.0, size=nD), groups, 3,
-                               ((0, 2), (1, 2), (0, 1)))
+    return dp, rng.uniform(1.0, 3.0, size=nD), groups, 3, ((0, 2), (1, 2), (0, 1))
+
+
+def random_fair_range_lp(rng, nD, nF, p):
+    return build_fair_range_lp(*random_fair_range_args(rng, nD, nF, p))
 
 
 def linprog_reference(lp, presolve=True):
@@ -1218,3 +1227,193 @@ class TestArrayBuildersMatchRows:
         LinearProgram(2, np.zeros(2), **base)
         with pytest.raises(ValueError, match="row array length mismatch"):
             LinearProgram(2, np.zeros(2), **{**base, **change})
+
+
+# build_fair_range_lp as it was before it read an inf entry of dp as "no
+# column", kept as the reference for the all-finite tables it still builds
+# bit for bit: verbatim except for its name.
+def reference_array_build_fair_range_lp(dp: np.ndarray, w: Sequence[float],
+                                        groups: Sequence[int], k: int,
+                                        ranges: Sequence[tuple[int, int]]) -> LinearProgram:
+    dp = np.asarray(dp, dtype=float)
+    nD, nF = dp.shape
+    if len(w) != nD or len(groups) != nF:
+        raise ValueError("shape mismatch")
+    nx = nD * nF
+    nv = nx + nF
+    c = np.zeros(nv)
+    c[:nx] = (np.asarray(w, dtype=float)[:, None] * dp).ravel()
+    sets, rhs, geq = _range_card_rows(groups, k, ranges, nx)
+    # cover row v holds x[v, :]
+    indptr, indices = _unit_rows([*np.arange(nx).reshape(nD, nF), *sets])
+    # then the link rows x[v,u] - y[u] <= 0, two entries each
+    link = np.empty((nx, 2), dtype=np.intp)
+    link[:, 0] = np.arange(nx)
+    link[:, 1] = nx + link[:, 0] % nF
+    data = np.ones(len(indices) + 2 * nx)
+    data[len(indices) + 1::2] = -1.0
+    upper = np.full(nv, np.inf)
+    upper[nx:] = 1.0
+    return LinearProgram(
+        nv, c, np.concatenate((indptr, indptr[-1] + 2 * np.arange(1, nx + 1))),
+        np.concatenate((indices, link.ravel())), data,
+        np.concatenate(([1.0] * nD + rhs, np.zeros(nx))),
+        np.concatenate(([True] * nD + geq, np.zeros(nx, dtype=bool))), upper)
+
+
+def without_pairs(lp: LinearProgram, dp: np.ndarray) -> LinearProgram:
+    """The program lp, built from an all-finite table shaped like dp, with
+    the x column and the link row of every pair that is inf in dp taken
+    out and the columns after each renumbered down."""
+    nD, nF = dp.shape
+    drop = np.isinf(dp).ravel()
+    kept = np.flatnonzero(np.concatenate((~drop, np.ones(nF, dtype=bool))))
+    new_of = np.full(lp.num_vars, -1)
+    new_of[kept] = np.arange(len(kept))
+    link_rows = set((len(lp.rhs) - nD * nF + np.flatnonzero(drop)).tolist())
+    rows = [Row(tuple((int(new_of[j]), a) for j, a in row.coeffs if new_of[j] >= 0),
+                row.sense, row.rhs)
+            for i, row in enumerate(lp.rows) if i not in link_rows]
+    return lp_from_rows(len(kept), lp.objective[kept], rows, upper=lp.upper[kept])
+
+
+class TestCoreProgram:
+    """The assignment LP of a table with inf entries: a core."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(builder_inputs())
+    def test_all_finite_tables_build_todays_arrays(self, args):
+        assert_same_program(build_fair_range_lp(*args[:5]),
+                            reference_array_build_fair_range_lp(*args[:5]))
+
+    def test_all_finite_tables_build_todays_arrays_at_assign_lp_size(self, rng):
+        args = random_fair_range_args(rng, 10, 300, 2)
+        assert_same_program(build_fair_range_lp(*args),
+                            reference_array_build_fair_range_lp(*args))
+
+    def test_an_inf_entry_drops_its_column_and_link_row(self, rng):
+        for trial in range(30):
+            nD, nF = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            dp, w, groups, k, ranges = random_fair_range_args(rng, nD, nF, 1 + trial % 3)
+            gapped = np.where(rng.random(dp.shape) < 0.3, np.inf, dp)
+            if trial == 0:
+                gapped = dp.copy()
+                gapped[0, 0] = np.inf
+            got = build_fair_range_lp(gapped, w, groups, k, ranges)
+            assert got.num_vars == np.isfinite(gapped).sum() + nF
+            assert_same_program(got, without_pairs(build_fair_range_lp(dp, w, groups, k, ranges),
+                                                   gapped))
+
+    def test_split_round_trips_a_core_solution(self, rng):
+        dp, w, groups, _, _ = random_fair_range_args(rng, 10, 300, 1)
+        k, ranges = 10, ((2, 4),) * 3
+        core = assignment_core(dp, groups)
+        keep = np.isfinite(core)
+        assert 0 < keep.sum() < keep.size
+        lp = build_fair_range_lp(core, w, groups, k, ranges)
+        res = solve_lp(lp)
+        x, y = split_fair_solution(res.x, core)
+        assert x.shape == dp.shape and not x[~keep].any()
+        assert x[keep].tobytes() == res.x[:keep.sum()].tobytes()
+        assert y.tobytes() == res.x[keep.sum():].tobytes()
+        assert float(((w[:, None] * dp) * x).sum()) == pytest.approx(res.objective, rel=1e-12)
+        # on an all-finite table the split is the old reshape
+        x, y = split_fair_solution(np.arange(12.0), np.ones((2, 4)))
+        assert x.tolist() == np.arange(8.0).reshape(2, 4).tolist() and y.tolist() == [8, 9, 10, 11]
+
+
+class TestCoreRouting:
+    def test_assign_lp_shape_takes_the_core(self, rng):
+        dp, _, _, _, _ = random_fair_range_args(rng, 10, 300, 1)
+        groups = [1 + u % 4 for u in range(300)]
+        core = assignment_core(dp, groups)
+        label = np.asarray(groups)
+        assert core is not dp
+        for g in range(1, 5):
+            members = np.flatnonzero(label == g)
+            for v in range(10):
+                nearest = members[np.argsort(dp[v, members], kind="stable")[:3]]
+                assert np.flatnonzero(np.isfinite(core[v]) & (label == g)).tolist() == \
+                    sorted(nearest.tolist())
+        assert (core[np.isfinite(core)] == dp[np.isfinite(core)]).all()
+        assert build_fair_range_lp(core, np.ones(10), groups, 10,
+                                   ((0, 4),) * 4).num_vars == 10 * 12 + 300
+
+    def test_ties_go_to_the_lower_index(self, monkeypatch):
+        monkeypatch.setattr(fairrange.lp, "HIGHS_CUTOVER", 0)
+        dp = np.array([[2.0, 1.0, 1.0, 1.0, 1.0, 0.5]])
+        core = assignment_core(dp, [1] * 6)
+        assert np.isfinite(core).tolist() == [[False, True, True, False, False, True]]
+
+    @pytest.mark.parametrize("nD,nF,ell", ((8, 40, 2), (5, 15, 3), (1, 150, 1)))
+    def test_small_cores_take_the_whole_program(self, rng, nD, nF, ell):
+        # 8 x 40 is the many-clients relaxation, whose core would have 88
+        # variables; 5 x 15 is small-mix's largest (90 variables); 1 x 150
+        # goes to HiGHS whole (300 variables) but its core (153) would not
+        dp = rng.uniform(0.0, 10.0, size=(nD, nF))
+        assert assignment_core(dp, [1 + u % ell for u in range(nF)]) is dp
+
+
+class TestLagrangianBound:
+    """lagrangian_bound(dp, w, groups, k, ranges, lam): item 11's bound."""
+
+    @staticmethod
+    def best_y_value(s, groups, k, ranges):
+        from scipy.optimize import linprog
+
+        label = np.asarray(groups)
+        A = [np.ones(len(s))]
+        b = [k]
+        for g, (a, hi) in enumerate(ranges, start=1):
+            A += [(label == g) * 1.0, (label == g) * -1.0]
+            b += [hi, -a]
+        res = linprog(-s, A_ub=np.array(A), b_ub=b, bounds=(0.0, 1.0), method="highs")
+        assert res.status == 0
+        return -res.fun
+
+    def test_greedy_inner_max_matches_an_lp_over_y(self, rng):
+        tight = {"free": 0, "a=b": 0, "sum a=k": 0}
+        for trial in range(150):
+            ell = int(rng.integers(1, 5))
+            sizes = rng.integers(1, 7, size=ell)
+            groups = np.repeat(np.arange(1, ell + 1), sizes)
+            rng.shuffle(groups)
+            mode = list(tight)[trial % 3]
+            lo = [int(rng.integers(0, n + 1)) for n in sizes]
+            hi = [a if mode == "a=b" else a + int(rng.integers(0, 4)) for a in lo]
+            k = sum(lo) + (0 if mode == "sum a=k" else int(rng.integers(0, 5)))
+            tight[mode] += 1
+            s = rng.uniform(0.0, 5.0, size=len(groups))
+            s[rng.random(len(groups)) < 0.2] = 0.0
+            # one location per facility, far from all but its own, so
+            # s[u] = lam[u] exactly
+            n = len(groups)
+            dp = np.full((n, n), 1e6)
+            np.fill_diagonal(dp, 0.0)
+            bound = lagrangian_bound(dp, np.ones(n), groups, k, tuple(zip(lo, hi)), s)
+            want = self.best_y_value(s, groups, k, tuple(zip(lo, hi)))
+            assert s.sum() - bound == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert min(tight.values()) >= 50
+
+    @pytest.mark.parametrize("p", (1, 2, 3))
+    def test_weak_duality(self, rng, p):
+        for nD, nF in ((3, 60), (10, 300)):
+            args = random_fair_range_args(rng, nD, nF, p)
+            opt = _solve_scipy(build_fair_range_lp(*args)).objective
+            dp, w = args[0], args[1]
+            scale = (w[:, None] * dp).max()
+            for _ in range(20):
+                lam = rng.uniform(0.0, scale, size=nD) * (rng.random(nD) < 0.8)
+                assert lagrangian_bound(*args, lam) <= opt * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p", (1, 2, 3))
+    def test_returned_duals_reach_the_optimum(self, rng, p):
+        for nD, nF in ((3, 60), (10, 300), (8, 40)):
+            args = random_fair_range_args(rng, nD, nF, p)
+            res = _solve_scipy(build_fair_range_lp(*args))
+            assert res.duals.shape == (len(res.duals),) and (res.duals >= 0.0).all()
+            bound = lagrangian_bound(*args, res.duals[:nD])
+            assert bound == pytest.approx(res.objective, rel=1e-9)
+
+    def test_simplex_returns_no_duals(self):
+        assert solve_vertex(simple_lp([1.0], [([(0, 1.0)], GEQ, 1.0)])).duals is None

@@ -747,3 +747,99 @@ def test_zero_demand_clients_change_nothing(case):
     without = fairrange.instance_from_coords(inst.point_ids, inst.coords, inst.facility_ids,
                                              inst.group_label, kept, inst.p)
     assert _answer_bits(solve_fair_range(inst, rc)) == _answer_bits(solve_fair_range(without, rc))
+
+
+def _relaxation_rounds(monkeypatch):
+    """Wrap the pipeline's solve_lp; returns a list that gets each call's
+    program size and result."""
+    results = []
+    real = fairrange.pipeline.solve_lp
+
+    def recording(lp):
+        results.append((lp.num_vars, real(lp)))
+        return results[-1][1]
+    monkeypatch.setattr(fairrange.pipeline, "solve_lp", recording)
+    return results
+
+
+class TestCoreRelaxation:
+    """Stage 2 on a core of each location's nearest facilities, certified
+    by the Lagrangian bound over every facility."""
+
+    def test_pricing_a_one_facility_core_keeps_the_answers(self, monkeypatch):
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench"))
+        from workloads import make_case
+
+        monkeypatch.setattr(fairrange.lp, "_CORE_PER_GROUP", 1)
+        results = _relaxation_rounds(monkeypatch)
+        # at width 1, cases 18 and 45 of the 96 need a second round
+        cases = [make_case("assign-lp", 1, i) for i in range(20)]
+        sizes, core = [], []
+        for case in cases:
+            results.clear()
+            rep = solve_fair_range(case.inst, case.rc)
+            sizes.append([n for n, _ in results])
+            core.append((rep.centers.centers, rep.centers.cost_p.hex()))
+        monkeypatch.setattr(fairrange.pipeline, "assignment_core", lambda dp, groups: dp)
+        whole = []
+        for case in cases:
+            results.clear()
+            rep = solve_fair_range(case.inst, case.rc)
+            assert len(results) == 1
+            whole.append((rep.centers.centers, rep.centers.cost_p.hex()))
+        assert core == whole
+        assert sizes[0] == [340] and len(sizes[18]) == 2
+
+        # the second round adds to the core exactly the left-out pairs its
+        # cover duals price below zero
+        monkeypatch.undo()
+        monkeypatch.setattr(fairrange.lp, "_CORE_PER_GROUP", 1)
+        results = _relaxation_rounds(monkeypatch)
+        case = cases[18]
+        red = solve_stages(case.inst, case.rc, "reduce_locations")["reduce_locations"]
+        dp, w = red.fac_dist_p, red.weights
+        fairrange.pipeline._assignment_relaxation(dp, w, case.inst.facility_groups, case.rc)
+        core = fairrange.lp.assignment_core(dp, case.inst.facility_groups)
+        lam = results[0][1].duals[:len(w)]
+        priced = np.isinf(core) & (lam[:, None] > w[:, None] * dp)
+        assert [n for n, _ in results] == [340, 340 + priced.sum()]
+
+    def test_an_infeasible_core_falls_back_to_the_whole_program(self, monkeypatch):
+        # two locations at the ends of a line of 250 one-group facilities
+        # and k=1: the core, each end's 3 nearest, needs two open units
+        from fairrange.baseline import reduce_locations
+
+        xs = np.linspace(0.0, 1000.0, 250)
+        inst = line_instance(list(xs), client_demands={0: 1, 249: 2})
+        rc = RangeConstraints(1, ((1, 1),))
+        red = reduce_locations(inst, inst.client_ids)
+        results = _relaxation_rounds(monkeypatch)
+        table, res = fairrange.pipeline._assignment_relaxation(
+            red.fac_dist_p, red.weights, inst.facility_groups, rc)
+        assert [r.status for _, r in results] == ["infeasible", "optimal"]
+        assert table is red.fac_dist_p
+        assert res.objective == pytest.approx(1000.0)
+        assert solve_fair_range(inst, rc).centers.centers == ("p249",)
+
+    @pytest.mark.parametrize("p", (12.0, 20.0))
+    def test_large_p_core_optimum_is_not_above_the_whole_one(self, monkeypatch, p):
+        # 4 locations x 60 facilities: a 300-variable whole program, whose
+        # core (84 variables) is put on HiGHS by lowering the cutover
+        from fairrange.lp import build_fair_range_lp, solve_lp
+
+        answered = 0
+        for seed in range(10):
+            inst = random_instance(seed, 60, 2, p)
+            rc = random_ranges(seed, inst, 4, 2)
+            red = solve_stages(inst, rc, "reduce_locations")["reduce_locations"]
+            args = (red.fac_dist_p, red.weights, inst.facility_groups)
+            whole = solve_lp(build_fair_range_lp(*args, rc.k, rc.ranges))
+            with monkeypatch.context() as mp:
+                mp.setattr(fairrange.lp, "HIGHS_CUTOVER", 80)
+                results = _relaxation_rounds(mp)
+                table, core = fairrange.pipeline._assignment_relaxation(*args, rc)
+            assert results[0][0] == 84 and results[0][1].backend == "scipy"
+            assert core.objective <= whole.objective * (1.0 + 1e-9)
+            answered += 1
+        assert answered == 10

@@ -985,7 +985,7 @@ def compare_structuring(sp, half=None):
     supers = outcome_of(build_super_balls, x2, sp.balls)
     if isinstance(supers, Raised):
         return "super balls raised"
-    got = outcome_of(enforce_structure, x2, supers, sp)
+    got = outcome_of(enforce_structure, supers, sp)
     want = outcome_of(reference_enforce_structure, x2, sp.y, supers, sp)
     if same_outcome(got, want):
         return "enforce raised"

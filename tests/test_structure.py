@@ -187,7 +187,7 @@ class TestEnforceStructure:
         rc = feasible_ranges(rng, inst, 4)
         ss = solve_stages(inst, rc, "enforce_structure")["enforce_structure"]
         sp = ss.sp
-        again = enforce_structure(ss.x_bar, ss.supers, dataclasses.replace(sp, y=ss.y_bar))
+        again = enforce_structure(ss.supers, dataclasses.replace(sp, y=ss.y_bar))
         assert np.allclose(again.y_bar, ss.y_bar)
         assert np.allclose(again.x_bar, ss.x_bar)
 
@@ -204,7 +204,7 @@ class TestEnforceStructure:
         x2, _ = reassign_private_facilities(sp)
         supers = build_super_balls(x2, sp.balls)
         assert supers[0].tolist() == [0, 1]
-        ss = enforce_structure(x2, supers, sp)
+        ss = enforce_structure(supers, sp)
         assert ss.supers[0].tolist() == [0]
         assert ss.y_bar.tolist() == [0.5, 0.0, 1.0]
         assert ss.x_bar[0] == pytest.approx([0.5, 0.0, 0.5])
@@ -224,7 +224,7 @@ class TestEnforceStructure:
             y=[0.5, 0.5, 1.0])
         x2, _ = reassign_private_facilities(sp)
         supers = build_super_balls(x2, sp.balls)
-        ss = enforce_structure(x2, supers, sp)
+        ss = enforce_structure(supers, sp)
         # 15 <= 2 * 10: the private opening stays, and the fill prefers it
         # over the farther neighbor ball
         assert ss.supers[0].tolist() == [0, 1]
@@ -243,7 +243,7 @@ class TestEnforceStructure:
             x=[[0.2, 0.8, 0.0], [0.0, 0.0, 1.0]],
             y=[1.0, 0.8, 1.0])
         x2, _ = reassign_private_facilities(sp)
-        ss = enforce_structure(x2, build_super_balls(x2, sp.balls), sp)
+        ss = enforce_structure(build_super_balls(x2, sp.balls), sp)
         assert ss.x_bar[0] == pytest.approx([1.0, 0.0, 0.0])
         assert verify_structured(ss) == []
 
