@@ -49,10 +49,13 @@ MAX_ITERS = 1_000_000     # pivots per solve_vertex call
 # solve_lp keeps programs of up to HIGHS_CUTOVER variables on the simplex;
 # larger programs go to HiGHS.  The cutover sits between the
 # relaxations of the small-instance traffic (at most 90 variables) and
-# repeated 360-variable relaxations, where HiGHS saves about 10 ms a solve.
+# repeated 360-variable relaxations, where HiGHS saves about 7 ms a solve.
+# Warm assignment relaxations on a 2-vCPU host take 1.0, 1.1 and 8 ms on the
+# simplex at 90, 200 and 360 variables, and 0.35, 0.45 and 1.1 ms on HiGHS.
 # Two things keep small programs on the simplex.  HiGHS's first use costs a
-# 10 ms load: a cold first solve of a 300-variable relaxation takes about
-# 2 ms longer than on the simplex.  And HiGHS gives up on large-p programs
+# 6-10 ms load, which a process whose programs are all small never pays (a
+# cold first 300-variable solve takes 15-25 ms on the simplex and 7-11 ms on
+# HiGHS, load included).  And HiGHS gives up on large-p programs
 # whose costs span many orders of magnitude: sent every program, it fails
 # random_instance(s, 10, 2, p) at k=3 on 2, 5 and 9 of seeds 0-29 at p = 30,
 # 50 and 100, which the simplex answers (ROADMAP item 2).
@@ -95,6 +98,9 @@ class LinearProgram:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.shape != (self.num_vars,):
             raise ValueError("objective length mismatch")
+        bad = np.flatnonzero(~np.isfinite(self.objective))
+        if bad.size:
+            raise ValueError(f"objective of column {bad[0]} is not finite")
         self.upper = np.asarray(self.upper, dtype=float)
         if self.upper.shape != (self.num_vars,):
             raise ValueError("upper bound length mismatch")
@@ -129,32 +135,6 @@ class SimplexResult:
     duals: np.ndarray | None = None   # row multipliers, >= 0 (HiGHS only)
 
 
-def _normalized(lp: LinearProgram) -> LinearProgram:
-    """The program with, in place of the upper bounds, one x_j <= ub row
-    per finite bound in variable order.  The simplex and the rational
-    recheck share this row order."""
-    bound = np.flatnonzero(np.isfinite(lp.upper))
-    nb = len(bound)
-    return LinearProgram(
-        lp.num_vars, lp.objective,
-        np.concatenate((lp.indptr, lp.indptr[-1] + np.arange(1, nb + 1))),
-        np.concatenate((lp.indices, bound)),
-        np.concatenate((lp.data, np.ones(nb))),
-        np.concatenate((lp.rhs, lp.upper[bound])),
-        np.concatenate((lp.geq, np.zeros(nb, dtype=bool))),
-        np.full(lp.num_vars, np.inf))
-
-
-def _write_standard(M: np.ndarray, norm: LinearProgram) -> np.ndarray:
-    """Write normalized rows into the leading rows of M: the coefficients in
-    columns 0..n-1, then row i's slack in column n + i, +1 on a <= row and
-    -1 on a >= row.  Returns each row's slack column."""
-    rows = np.arange(len(norm.rhs))
-    M[norm.row_of, norm.indices] = norm.data
-    M[rows, norm.num_vars + rows] = np.where(norm.geq, -1.0, 1.0)
-    return norm.num_vars + rows
-
-
 def _violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Worst residual of x over the rows, the finite upper bounds and x >= 0.
 
@@ -177,47 +157,48 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r] /= T[r, j]
     colv = T[:, j].copy()
     colv[r] = 0.0
-    nz = np.nonzero(colv)[0]
-    T[nz] -= np.outer(colv[nz], T[r])
+    nz = colv.nonzero()[0]
+    T[nz] -= colv[nz, None] * T[r]
     T[:, j] = 0.0
     T[r, j] = 1.0
 
 
-def _pivot_loop(T: np.ndarray, basis: list[int], allowed: np.ndarray,
-                iters: int) -> tuple[str, int]:
-    """Price and pivot until no allowed column improves the objective row.
+def _pivot_loop(T: np.ndarray, basis: np.ndarray, lim: int, iters: int) -> tuple[str, int]:
+    """Price columns 0..lim-1 and pivot until none improves the objective row.
 
     T holds one row per basic variable and the objective row last, with the
     right-hand sides in its last column.  Returns "optimal" or "unbounded"
     and the pivot count carried on from iters; raises IterationLimitError
     once that count passes MAX_ITERS.
     """
+    if lim == 0:
+        return "optimal", iters     # no column to price: the empty program
     m = len(basis)
     ncols = T.shape[1] - 1
+    z, rhs = T[m, :lim], T[:m, ncols]      # views, current after every pivot
     bland = False
     stall = 0
     stall_limit = max(200, m)
     best = np.inf
     while True:
-        z = T[m, :ncols]
         if bland:
-            cand = np.nonzero(allowed & (z < -PIVOT_TOL))[0]
+            cand = (z < -PIVOT_TOL).nonzero()[0]
             if cand.size == 0:
                 return "optimal", iters
             j = int(cand[0])
         else:
-            masked = np.where(allowed, z, np.inf)
-            j = int(np.argmin(masked))
-            if masked[j] >= -PIVOT_TOL:
+            j = int(z.argmin())
+            if z[j] >= -PIVOT_TOL:
                 return "optimal", iters
         col = T[:m, j]
-        rows_ok = np.nonzero(col > PIVOT_TOL)[0]
+        rows_ok = (col > PIVOT_TOL).nonzero()[0]
         if rows_ok.size == 0:
             return "unbounded", iters
-        ratios = T[rows_ok, ncols] / col[rows_ok]
+        ratios = rhs[rows_ok] / col[rows_ok]
         rmin = ratios.min()
         near = rows_ok[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
-        r = int(min(near, key=lambda i: basis[i]))
+        # basis entries are distinct: the tie goes to the smallest basic index
+        r = int(near[0] if near.size == 1 else near[basis[near].argmin()])
         _pivot(T, r, j)
         basis[r] = j
         iters += 1
@@ -242,29 +223,37 @@ def solve_vertex(lp: LinearProgram) -> SimplexResult:
     minimum-ratio rows, so results are deterministic.  Returns a basic
     optimal solution, i.e. a vertex of the feasible polytope.
     """
-    norm = _normalized(lp)
-    m = len(norm.rhs)
     n = lp.num_vars
+    # after the program's rows, one x_j <= ub row per finite bound, in
+    # variable order; every row gets a slack column, +1 on a <= row and -1
+    # on a >= row, and a >= row starts on an artificial column
+    bound = np.flatnonzero(np.isfinite(lp.upper))
+    m0 = len(lp.rhs)
+    m = m0 + len(bound)
     n_real = n + m
-    art_rows = np.flatnonzero(norm.geq)
+    art_rows = np.flatnonzero(lp.geq)
     art_cols = np.arange(n_real, n_real + len(art_rows))
     ncols = n_real + len(art_rows)
 
+    rows = np.arange(m)
     T = np.zeros((m + 1, ncols + 1))
-    basis = _write_standard(T, norm)     # <= rows start on their slack
-    T[:m, ncols] = norm.rhs
+    T[lp.row_of, lp.indices] = lp.data
+    T[rows[m0:], bound] = 1.0
+    T[rows, n + rows] = 1.0
+    T[art_rows, n + art_rows] = -1.0
+    T[:m0, ncols] = lp.rhs
+    T[m0:m, ncols] = lp.upper[bound]
     T[art_rows, art_cols] = 1.0
+    basis = n + rows
     basis[art_rows] = art_cols
-    basis = basis.tolist()
 
-    allowed = np.ones(ncols, dtype=bool)
     iters = 0
     # phase 1: minimize the artificial mass
     if len(art_rows):
         for i in art_rows:
             T[m, :] -= T[i, :]
         T[m, art_cols] = 0.0
-        status, iters = _pivot_loop(T, basis, allowed, iters)
+        status, iters = _pivot_loop(T, basis, ncols, iters)
         if status == "unbounded":
             raise SimplexError("phase 1 unbounded; malformed program")
         if -T[m, ncols] > FEAS_TOL:
@@ -272,38 +261,34 @@ def solve_vertex(lp: LinearProgram) -> SimplexResult:
         # drive leftover artificials out of the basis; every row has a
         # slack, so only a numerically broken tableau leaves a row with no
         # real column to pivot on
-        for i in range(m):
-            if basis[i] >= n_real:
-                nz = np.nonzero(np.abs(T[i, :n_real]) > PIVOT_TOL)[0]
-                if nz.size == 0:
-                    raise SimplexError(f"phase 1 left row {i} without a real pivot")
-                basis[i] = int(nz[0])
-                _pivot(T, i, basis[i])
-        allowed[art_cols] = False
+        for i in np.flatnonzero(basis >= n_real).tolist():
+            nz = np.nonzero(np.abs(T[i, :n_real]) > PIVOT_TOL)[0]
+            if nz.size == 0:
+                raise SimplexError(f"phase 1 left row {i} without a real pivot")
+            basis[i] = nz[0]
+            _pivot(T, i, basis[i])
 
-    # phase 2: real objective, in the last row
+    # phase 2: real objective, in the last row, over the real columns
+    c = lp.objective
     T[m, :] = 0.0
-    T[m, :n] = lp.objective
-    for i in range(m):
-        b = basis[i]
-        cb = lp.objective[b] if b < n else 0.0
-        if cb:
-            T[m, :] -= cb * T[i, :]
-    status, iters = _pivot_loop(T, basis, allowed, iters)
+    T[m, :n] = c
+    real = np.flatnonzero(basis < n)
+    for i in real[c[basis[real]] != 0.0].tolist():
+        T[m, :] -= c[basis[i]] * T[i, :]
+    status, iters = _pivot_loop(T, basis, n_real, iters)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, iterations=iters)
 
     x = np.zeros(n)
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = T[i, ncols]
+    real = np.flatnonzero(basis < n)
+    x[basis[real]] = T[real, ncols]
     x[np.abs(x) < 1e-12] = 0.0
     np.maximum(x, 0.0, out=x)
     viol = _violation(lp, x)
     if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"solution residual {viol:.3g} exceeds tolerance")
-    obj = float(lp.objective @ x)
-    return SimplexResult("optimal", x, obj, tuple(basis), iterations=iters,
+    obj = float(c @ x)
+    return SimplexResult("optimal", x, obj, tuple(basis.tolist()), iterations=iters,
                          max_violation=viol)
 
 

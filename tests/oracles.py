@@ -14,7 +14,7 @@ import numpy as np
 
 from fairrange.baseline import ReducedInstance
 from fairrange.instance import MetricInstance, RangeConstraints, clustering_cost
-from fairrange.lp import GEQ, LEQ, LinearProgram, SimplexResult, _normalized, _write_standard
+from fairrange.lp import GEQ, LEQ, LinearProgram, SimplexResult
 from fairrange.errors import StageError
 from fairrange.round import FacilityPartition, _MaxFlow
 from fairrange.sparsify import SparsifiedInstance, separation_multiplier
@@ -243,13 +243,31 @@ def _exact(v: float) -> Fraction:
     return Fraction(v).limit_denominator(10 ** 12)
 
 
+def _normalized(lp: LinearProgram) -> LinearProgram:
+    """The program with, in place of the upper bounds, one x_j <= ub row
+    per finite bound in variable order: the row order of solve_vertex's
+    tableau."""
+    bound = np.flatnonzero(np.isfinite(lp.upper))
+    nb = len(bound)
+    return LinearProgram(
+        lp.num_vars, lp.objective,
+        np.concatenate((lp.indptr, lp.indptr[-1] + np.arange(1, nb + 1))),
+        np.concatenate((lp.indices, bound)),
+        np.concatenate((lp.data, np.ones(nb))),
+        np.concatenate((lp.rhs, lp.upper[bound])),
+        np.concatenate((lp.geq, np.zeros(nb, dtype=bool))),
+        np.full(lp.num_vars, np.inf))
+
+
 def _std_form_fractions(lp: LinearProgram):
     """Equality standard form over Fractions, with the simplex's row order
-    and slack columns; returns (A, b, c, row senses)."""
+    and slack columns (row i's slack in column n + i, +1 on a <= row and
+    -1 on a >= row); returns (A, b, c, row senses)."""
     norm = _normalized(lp)
     m = len(norm.rhs)
     M = np.zeros((m, lp.num_vars + m))
-    _write_standard(M, norm)
+    M[norm.row_of, norm.indices] = norm.data
+    M[np.arange(m), lp.num_vars + np.arange(m)] = np.where(norm.geq, -1.0, 1.0)
     A = [[_exact(v) for v in row] for row in M.tolist()]
     b = [_exact(v) for v in norm.rhs.tolist()]
     c = [_exact(v) for v in lp.objective] + [Fraction(0)] * m

@@ -110,6 +110,22 @@ class TestSimplex:
         lp = simple_lp([1.0], [([(0, -1.0)], LEQ, 1.0)])
         assert solve_vertex(lp).objective == 0.0
 
+    def test_non_finite_objective_rejected(self):
+        # no builder writes one (COST_CAP bounds every cost); unchecked, a
+        # nan cost stalled into Bland's rule and answered "optimal" at nan
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="objective of column 1 is not finite"):
+                simple_lp([0.0, bad], [([(1, 1.0)], LEQ, 1.0)])
+
+    def test_programs_without_variables(self):
+        # each row reads 0 against its right-hand side
+        for rows, status in (([], "optimal"), ([([], GEQ, 1.0)], "infeasible"),
+                             ([([], LEQ, 1.0)], "optimal"), ([([], GEQ, 0.0)], "optimal")):
+            res = solve_vertex(simple_lp([], rows))
+            assert res.status == status
+            if status == "optimal":
+                assert res.x.shape == (0,) and res.objective == 0.0
+
     def test_upper_bounds_respected(self):
         lp = simple_lp([-1.0, -1.0], [([(0, 1.0), (1, 1.0)], LEQ, 10.0)],
                        ub=[3.0, 2.0])
@@ -918,15 +934,16 @@ COEFFS = st.one_of(st.integers(-3, 3).map(float),
 @st.composite
 def small_programs(draw):
     """Dense-simplex inputs of every row shape: <= and >= rows with
-    nonnegative right-hand sides, finite and infinite upper bounds, >= rows
-    repeated at a multiple (redundant, so phase 1 can end with an
-    artificial at zero to drive out), and infeasible or unbounded programs
-    among them."""
+    nonnegative right-hand sides, unit or mixed coefficients, finite and
+    infinite upper bounds, >= rows repeated at a multiple (redundant, so
+    phase 1 can end with an artificial at zero to drive out), and
+    infeasible or unbounded programs among them."""
     n = draw(st.integers(1, 6))
+    unit = draw(st.booleans())      # the pipeline's rows, where ratios often tie
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         cols = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-        coeffs = [(j, draw(COEFFS)) for j in cols]
+        coeffs = [(j, 1.0 if unit else draw(COEFFS)) for j in cols]
         sense = draw(st.sampled_from([LEQ, LEQ, GEQ]))
         rhs = float(draw(st.integers(0, 8)))
         rows.append((coeffs, sense, rhs))
@@ -980,22 +997,36 @@ class TestMergedLoopMatchesReference:
         assert len(solve_vertex(cases[0][0]).basis) == 3
         assert solve_vertex(beale_lp()).iterations > 200
 
+    def test_ratio_tie_goes_to_the_smallest_basic_index(self):
+        # x0 enters first and becomes basic in row 1; then x1's ratio test
+        # ties row 0 (basic slack, column 2) with row 1 (basic x0, column
+        # 0), and the tie goes to row 1
+        lp = simple_lp([-2.0, -1.5], [([(1, 1.0)], LEQ, 2.0),
+                                      ([(0, 1.0), (1, 0.5)], LEQ, 1.0)])
+        got = outcome(solve_vertex, lp)
+        assert got == outcome(reference_solve_vertex, lp)
+        res = solve_vertex(lp)
+        assert res.basis == (2, 1) and res.x.tolist() == [0.0, 2.0]
+
     def test_bit_identical_on_pipeline_programs(self, monkeypatch):
-        # every relaxation and opening program of a few small solves
+        # every relaxation and opening program of solves in the benchmark's
+        # small-mix family: p 1-3, two or three groups, n 12 and 18
         checked = []
 
         def compare(lp):
             got = outcome(solve_vertex, lp)
             assert got == outcome(reference_solve_vertex, lp)
             checked.append(got[0])
-            return solve_vertex(lp)
+            res = solve_vertex(lp)
+            assert all(type(b) is int for b in res.basis)
+            return res
 
         monkeypatch.setattr(fairrange.lp, "solve_vertex", compare)
         monkeypatch.setattr(fairrange.round, "solve_vertex", compare)
-        for seed in range(4):
-            inst = random_instance(seed, 14, 2, 2.0)
-            solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
-        assert len(checked) >= 8 and set(checked) == {"optimal"}
+        for p, ell, n, seed in itertools.product((1.0, 2.0, 3.0), (2, 3), (12, 18), range(3)):
+            inst = random_instance(seed, n, ell, p)
+            solve_fair_range(inst, random_ranges(seed, inst, 2 + seed, ell))
+        assert len(checked) == 72 and set(checked) == {"optimal"}
 
 
 # matrix_geq and _std_form_fractions as they were before they read the rows
