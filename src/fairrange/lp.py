@@ -1,8 +1,9 @@
 """Linear programming layer.
 
-Holds the shared LinearProgram container, a two-phase dense primal simplex
-that returns basic (vertex) solutions, and builders for the two clustering
-LPs.
+Holds the LinearProgram container, a two-phase dense primal simplex that
+returns basic (vertex) solutions, and the builder of stage 2's assignment
+LP.  Stage 5's opening program is a flow network and is solved in
+round.py.
 
 An infinite entry of the assignment LP's distance table means "no x
 column" for that pair.  That is how the pipeline writes the core of stage
@@ -15,9 +16,8 @@ solved.  lagrangian_bound turns those duals into a lower bound over every
 facility (Cornuejols, Fisher & Nemhauser 1977), which certifies the
 core's optimum as the whole program's.
 
-The simplex keeps a full dense tableau.  That is deliberate: desk-scale
-instances stay below a few thousand variables, and basic solutions are what
-the half-integrality argument downstream needs.  solve_lp sends programs
+The simplex keeps a full dense tableau.  That is deliberate: the programs
+it gets stay at or below HIGHS_CUTOVER variables.  solve_lp sends programs
 above HIGHS_CUTOVER variables (mid-size and large assignment LPs) to HiGHS
 as the program's own row-wise sparse arrays, with presolve off:
 presolve removes nothing from the assignment LP and costs about 40% of its
@@ -25,8 +25,7 @@ solve.  The binding is the extension scipy bundles
 (scipy.optimize._highspy._core, a private module); _highs_core loads that
 one file, in about 10 ms, without importing scipy.optimize or scipy.sparse
 (about 0.8 s cold).  The rest stay on the simplex, so a solve whose programs
-are all at or below the cutover imports no scipy; the opening LP, which
-needs a vertex, calls solve_vertex directly.  Both backends gate their
+are all at or below the cutover imports no scipy.  Both backends gate their
 answer on the same vectorised residual check.
 """
 from __future__ import annotations
@@ -36,7 +35,7 @@ import importlib.util
 import itertools
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +81,7 @@ class LinearProgram:
     The rows are in compressed sparse row layout: row i holds the entries
     indptr[i]:indptr[i+1] of indices (variable) and data (coefficient), and
     reads >= where geq is set and <= elsewhere.  Right-hand sides and upper
-    bounds are nonnegative, as in both clustering programs.
+    bounds are nonnegative, as in the assignment program.
     """
     num_vars: int
     objective: np.ndarray
@@ -112,15 +111,13 @@ class LinearProgram:
             raise ValueError("negative right-hand side or upper bound")
         self.row_of = np.repeat(np.arange(m), self.indptr[1:] - self.indptr[:-1])
 
-    def senses(self) -> list[str]:
-        return np.where(self.geq, GEQ, LEQ).tolist()
-
     @property
     def rows(self) -> list[Row]:
         """The rows as Row tuples, for readers outside the solver."""
         ptr, idx, val = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
+        senses = np.where(self.geq, GEQ, LEQ).tolist()
         return [Row(tuple(zip(idx[a:b], val[a:b])), sense, rhs) for a, b, sense, rhs
-                in zip(ptr, ptr[1:], self.senses(), self.rhs.tolist())]
+                in zip(ptr, ptr[1:], senses, self.rhs.tolist())]
 
 
 @dataclass
@@ -520,81 +517,3 @@ def lagrangian_bound(dp: np.ndarray, w: Sequence[float], groups: Sequence[int], 
     must = np.concatenate(must)
     rest = np.sort(np.concatenate(rest))[::-1]
     return float(lam.sum() - must.sum() - rest[:k - len(must)].sum())
-
-
-def build_structured_lp(dp: np.ndarray, w: Sequence[float], groups: Sequence[int],
-                        k: int, ranges: Sequence[tuple[int, int]],
-                        balls: Sequence[Sequence[int]],
-                        territories: Sequence[Sequence[int]],
-                        base_pow: Sequence[float], ball_need: Sequence[float],
-                        split: Sequence[int]) -> tuple[LinearProgram, list[np.ndarray]]:
-    """Opening LP over y alone, shaped by the per-location territories.
-
-    The per-location term is
-        d(v, v')^p + sum_{u in P(v)} (d(v,u)^p - d(v,v')^p) y_u,
-    where v' is the nearest other surviving location, d(v, v')^p is
-    base_pow[v] and P(v) the territory.  The objective holds the sum alone,
-    as the constant moves no optimum; half_integral_cost prices a point in
-    full.  Rows appear as: a lower and an upper range row per group, the
-    cardinality row, one ball row per location (at least ball_need[v]),
-    one territory row per location (at most 1), then one split row per
-    facility in split.  With no v' the caller passes base 0 and need 1,
-    and the term is sum d(v,u)^p y_u.
-
-    Each facility u in split, a territory facility that may open beyond
-    its survivor's own use, gets a second, spare column after all the
-    others: cost 0, in its group's range rows and the card row only, and
-    with the split row own + spare <= 1.  The territory row then caps the
-    survivor's own use and not the whole opening (facility splitting as in
-    Krishnaswamy et al., "The matroid median problem", 2011).  A split
-    row lies inside one group's range rows, so the range side stays
-    laminar and the matrix totally unimodular.
-
-    A free facility, in no ball or territory, costs nothing and meets only
-    its group's range rows and the card row, so the free facilities of a
-    group are one column (duplicate-column merging, Andersen & Andersen,
-    "Presolving in linear programming", 1995), placed where the first of
-    them sits, with their count as its upper bound.  A copy of an existing
-    column keeps the matrix totally unimodular and the bounds integral.
-    Group labels run over 1..len(ranges).  Returns the program and the
-    facilities behind each column, in index order; a facility in split
-    is behind its own column and, later, its spare.
-    """
-    dp = np.asarray(dp, dtype=float)
-    nD, nF = dp.shape
-    c = np.zeros(nF)
-    for v in range(nD):
-        for u in territories[v]:
-            c[u] += w[v] * (dp[v, u] - base_pow[v])
-    label = np.asarray(groups)
-    split = np.asarray(split, dtype=np.intp)
-    ball_sets = [np.asarray(s, dtype=np.intp) for s in (*balls, *territories)]
-    free = np.ones(nF, dtype=bool)
-    free[np.concatenate([np.zeros(0, dtype=np.intp), *ball_sets])] = False
-    # each free facility joins the first free facility of its group
-    head = np.arange(nF)
-    cols = np.flatnonzero(free)
-    labels, first = np.unique(label[cols], return_index=True)
-    head[cols] = cols[first][np.searchsorted(labels, label[cols])]
-    keep, col_of = np.unique(head, return_inverse=True)
-    members = np.split(np.argsort(col_of, kind="stable"), np.cumsum(np.bincount(col_of))[:-1])
-    spare = len(keep) + np.arange(len(split))
-    sets, rhs, geq = _range_card_rows(label[np.concatenate((keep, split))], k, ranges, 0)
-    pairs = np.column_stack((col_of[split], spare))
-    indptr, indices = _unit_rows([*sets, *(col_of[s] for s in ball_sets), *pairs])
-    rhs += [*ball_need] + [1.0] * (nD + len(split))
-    geq += [True] * nD + [False] * (nD + len(split))
-    lp = LinearProgram(len(spare) + len(keep), np.concatenate((c[keep], np.zeros(len(split)))),
-                       indptr, indices, np.ones(len(indices)), np.array(rhs), np.array(geq),
-                       np.concatenate((np.bincount(col_of), np.ones(len(split)))))
-    return lp, [*members, *split[:, None]]
-
-
-def scale_doubled(lp: LinearProgram) -> LinearProgram:
-    """Same matrix with doubled right-hand sides and doubled upper bounds.
-
-    The structured matrix is totally unimodular, all doubled right-hand
-    sides are integers, so every vertex of the scaled polytope is integral;
-    halving an integral vertex yields a half-integral point of the original.
-    """
-    return replace(lp, rhs=2.0 * lp.rhs, upper=2.0 * lp.upper)

@@ -226,7 +226,6 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     slp, members = structured_program(ss, groups, rc)
     half = solve_half_integral(slp, members)
     stage_costs["half_integral"] = half_integral_cost(ss, half.y_own)
-    diagnostics["snap_deviation"] = half.snap_deviation
     lap("half_integral")
     x_tilde = fill_service(sp, ss.supers, ss.peer_balls, half.y_own, half.y)
     centers_idx, part = select_centers(ss, x_tilde, groups, rc)

@@ -1,5 +1,7 @@
 import itertools
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 
 import fairrange.pipeline
 from fairrange.instance import MetricInstance, RangeConstraints, instance_from_coords
-from fairrange.lp import GEQ, LEQ, LinearProgram, Row, build_structured_lp, scale_doubled
+from fairrange.lp import GEQ, LEQ, LinearProgram, Row
+from fairrange.round import structured_program
 from oracles import structured_row_kinds
 
 
@@ -214,20 +217,72 @@ def assert_same_program(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def same_opening_program(args):
-    """The doubled program build_structured_lp(*args) writes against the
-    reference builder's full program, doubled and merged by the reference
-    presolve: arrays bit for bit, the row tags the oracles rebuild against
-    the reference's, and the members of every column, a spare column's
-    being the facility it splits."""
-    lp, members = build_structured_lp(*args)
+def opening_program(dp, w, groups, k, ranges, balls, territories, base_pow, ball_need, split):
+    """structured_program on the reference builder's arguments: the
+    network and its columns' facilities."""
+    sp = SimpleNamespace(fac_dist_p=np.asarray(dp, dtype=float),
+                         weights=np.asarray(w, dtype=float),
+                         balls=[np.asarray(b, dtype=np.intp) for b in balls])
+    ss = SimpleNamespace(sp=sp, territories=[np.asarray(t, dtype=np.intp) for t in territories],
+                         base_pow=np.asarray(base_pow, dtype=float),
+                         ball_need=np.asarray(ball_need, dtype=float),
+                         split=np.asarray(split, dtype=np.intp))
+    return structured_program(ss, groups, SimpleNamespace(k=k, ranges=ranges))
+
+
+def reference_opening_lp(args):
+    """The reference builder's program for args, merged by the reference
+    presolve, and the facilities behind each of its columns."""
     full, _, kinds = reference_build_structured_lp(*args)
-    want, want_members = reference_merge_free_columns(scale_doubled(full), kinds)
-    assert_same_program(scale_doubled(lp), want)
-    assert structured_row_kinds(lp) == kinds
+    lp, cols = reference_merge_free_columns(full, kinds)
     facility = [*range(len(args[2])), *args[9]]
-    assert [c.tolist() for c in members] == \
-        [[facility[j] for j in c] for c in want_members]
+    return lp, [np.array([facility[j] for j in c], dtype=np.intp) for c in cols]
+
+
+def exact_opening_costs(args) -> list[Fraction]:
+    """The objective of reference_build_structured_lp(*args), each column's
+    sum of w_v (d(v,u)^p - d(v,v')^p) taken in Fractions."""
+    dp, w, groups, _, _, _, territories, base, _, split = args
+    cost = [Fraction(0)] * (len(groups) + len(split))
+    for v, t in enumerate(territories):
+        for u in t:
+            cost[u] += Fraction(float(w[v])) * (Fraction(float(dp[v][u])) - Fraction(float(base[v])))
+    return cost
+
+
+def same_opening_program(args):
+    """The network structured_program writes for the reference builder's
+    arguments against the reference program, merged by the reference
+    presolve: the members of every column, each node's columns against
+    the reference's rows, the arc bounds against its doubled right-hand
+    sides and upper bounds, and the column costs against its exact
+    objective, up to one positive scale."""
+    program, members = opening_program(*args)
+    lp, want_members = reference_opening_lp(args)
+    assert [c.tolist() for c in members] == [c.tolist() for c in want_members]
+    kinds = structured_row_kinds(lp)
+    row = {kind: (sorted(j for j, _ in r.coeffs), r.rhs) for r, kind in zip(lp.rows, kinds)}
+    ell, nD, nsplit = len(args[4]), len(args[1]), len(args[9])
+    order = ([("card",)] + [("range_lower", g) for g in range(1, ell + 1)]
+             + [("split", i) for i in range(nsplit)] + [("ball", v) for v in range(nD)]
+             + [("superball", v) for v in range(nD)])
+    assert [list(r) for r in program.rows] == [row[kind][0] for kind in order]
+    assert program.num_vars == lp.num_vars
+    bounds = [(lo, up) for _, _, lo, up, _ in program.arcs]
+    assert bounds[:lp.num_vars] == [(0, 2 * int(u)) for u in lp.upper]
+    assert bounds[lp.num_vars:] == (
+        [(0, 2 * row[("card",)][1])]
+        + [(2 * row[("range_lower", g)][1], 2 * row[("range_upper", g)][1])
+           for g in range(1, ell + 1)]
+        + [(0, 2)] * nsplit + [(2 * row[("ball", v)][1], 2) for v in range(nD)]
+        + [(0, 2)] * nD)
+    exact = exact_opening_costs(args)
+    full_cols = reference_merge_free_columns(*reference_build_structured_lp(*args)[::2])[1]
+    want = [exact[c[0]] for c in full_cols]
+    got = [cost for *_, cost in program.arcs[:program.num_vars]]
+    assert [g == 0 for g in got] == [e == 0 for e in want]
+    assert len({Fraction(g) / e for g, e in zip(got, want) if e}) <= 1
+    assert all((g > 0) == (e > 0) for g, e in zip(got, want))
 
 
 def groups_of(inst):

@@ -16,7 +16,7 @@ from fairrange.baseline import ReducedInstance
 from fairrange.instance import MetricInstance, RangeConstraints, clustering_cost
 from fairrange.lp import GEQ, LEQ, LinearProgram, SimplexResult
 from fairrange.errors import StageError
-from fairrange.round import FacilityPartition, _MaxFlow
+from fairrange.round import FacilityPartition, _Network
 from fairrange.sparsify import SparsifiedInstance, separation_multiplier
 from fairrange.structure import GEOM_TOL, SUPPORT_TOL, StructuredSolution
 
@@ -271,7 +271,7 @@ def _std_form_fractions(lp: LinearProgram):
     A = [[_exact(v) for v in row] for row in M.tolist()]
     b = [_exact(v) for v in norm.rhs.tolist()]
     c = [_exact(v) for v in lp.objective] + [Fraction(0)] * m
-    return A, b, c, norm.senses()
+    return A, b, c, np.where(norm.geq, GEQ, LEQ).tolist()
 
 
 def _frac_solve(B, rhs):
@@ -358,6 +358,35 @@ def enumerate_vertices_min(lp: LinearProgram, max_bases: int = 300_000) -> Fract
     return best
 
 
+def exact_minimum(lp: LinearProgram, cost: Sequence[Fraction],
+                  basis: Sequence[int]) -> Fraction:
+    """Exact minimum of lp under the objective cost (one Fraction per
+    column), by the primal simplex over Fractions with Bland's rule,
+    started from a feasible basis of its standard form, such as the one
+    solve_vertex returns for lp.  The matrix and right-hand sides must be
+    exact in floats, as small integers are."""
+    A, b, _, _ = _std_form_fractions(lp)
+    m = len(A)
+    cols = len(A[0]) if m else lp.num_vars
+    c = list(cost) + [Fraction(0)] * (cols - lp.num_vars)
+    basis = list(basis)
+    while True:
+        B = [[row[j] for j in basis] for row in A]
+        xb = _frac_solve(B, b)
+        if xb is None or any(v < 0 for v in xb):
+            raise ValueError("the basis is not feasible")
+        y = _frac_solve([list(col) for col in zip(*B)], [c[j] for j in basis]) if m else []
+        enter = next((j for j in range(cols) if j not in basis
+                      and c[j] < sum(y[i] * A[i][j] for i in range(m))), None)
+        if enter is None:
+            return sum((c[j] * v for j, v in zip(basis, xb)), Fraction(0))
+        d = _frac_solve(B, [row[enter] for row in A])
+        ratios = [(xb[i] / d[i], basis[i], i) for i in range(m) if d[i] > 0]
+        if not ratios:
+            raise ValueError("unbounded")
+        basis[min(ratios)[2]] = enter
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     num_nodes: int
@@ -413,7 +442,7 @@ def solve_flow_lower_bounds(net: FlowNetwork) -> np.ndarray | None:
     """
     arcs = list(net.arcs) + [(net.t2, net.s, net.k, net.k)]
     src, sink = net.num_nodes, net.num_nodes + 1
-    mf = _MaxFlow(net.num_nodes + 2)
+    mf = _Network(net.num_nodes + 2)
     eids = []
     excess = [0] * net.num_nodes
     for a, b, lo, hi in arcs:

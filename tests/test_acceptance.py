@@ -11,12 +11,13 @@ import time
 import numpy as np
 import pytest
 
+import fairrange.pipeline
 from fairrange.instance import RangeConstraints
 from fairrange.pipeline import (brute_force_optimum, generate_figure1_instance,
                                 random_instance, random_ranges,
                                 solve_fair_range)
 
-from conftest import solve_stages, submatrix
+from conftest import reference_opening_lp, solve_stages, submatrix
 from oracles import (chain_power_check, ghouila_houri_check, half_contribution, matrix_geq,
                      power_triangle_check, separation_margin, structured_row_kinds,
                      submatrix_determinant_check)
@@ -31,6 +32,19 @@ CHAIN = ("reassigned-vs-opt", "structured-vs-opt",
 def emit(num, ok, detail):
     print(f"\ncriterion {num:2d}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def solve_recording_half(inst, rc, halves):
+    """solve_fair_range(inst, rc), with stage 5's openings appended to halves."""
+    real = fairrange.pipeline.solve_half_integral
+
+    def record(*args):
+        halves.append(real(*args))
+        return halves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fairrange.pipeline, "solve_half_integral", record)
+        return solve_fair_range(inst, rc)
 
 
 def suite2_params(i):
@@ -48,7 +62,7 @@ def suite1():
     # opening program meets through spare columns, is pinned in
     # test_pipeline.
     t0 = time.perf_counter()
-    runs = []
+    runs, halves = [], []
     for i in range(SUITE1_SIZE):
         rng = np.random.default_rng([1002, i])
         n = int(rng.integers(6, 41))
@@ -57,22 +71,22 @@ def suite1():
         p = float((1, 2, 3)[i % 3])
         inst = random_instance(3000 + i, n, ell, p)
         rc = random_ranges(3000 + i, inst, k, ell)
-        runs.append((inst, rc, solve_fair_range(inst, rc)))
-    return {"runs": runs, "seconds": time.perf_counter() - t0}
+        runs.append((inst, rc, solve_recording_half(inst, rc, halves)))
+    return {"runs": runs, "halves": halves, "seconds": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
 def suite2():
     t0 = time.perf_counter()
-    runs = []
+    runs, halves = [], []
     for i in range(SUITE2_SIZE):
         n, k, ell, p = suite2_params(i)
         inst = random_instance(7000 + i, n, ell, p)
         rc = random_ranges(5000 + i, inst, k, ell)
-        report = solve_fair_range(inst, rc)
+        report = solve_recording_half(inst, rc, halves)
         oracle_p, _ = brute_force_optimum(inst, rc)
         runs.append((inst, rc, report, oracle_p))
-    return {"runs": runs, "seconds": time.perf_counter() - t0}
+    return {"runs": runs, "halves": halves, "seconds": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +98,12 @@ def sweep():
         rc = random_ranges(5000 + i, inst, k, ell)
         stages = solve_stages(inst, rc, "select_centers")
         centers, part = stages["select_centers"]
-        entries.append((inst, rc, stages["sparsify"], stages["structured_program"][0],
-                        stages["solve_half_integral"], part, centers))
+        ss, sp = stages["enforce_structure"], stages["sparsify"]
+        # the opening program as rows, which the network models
+        slp, _ = reference_opening_lp((sp.fac_dist_p, sp.weights, inst.facility_groups, rc.k,
+                                       rc.ranges, sp.balls, ss.territories, ss.base_pow,
+                                       ss.ball_need, ss.split))
+        entries.append((inst, rc, sp, slp, stages["solve_half_integral"], part, centers))
     return entries
 
 
@@ -132,13 +150,13 @@ def test_criterion_03_stage_certificates(suite1, suite2):
 
 
 def test_criterion_04_half_integrality(suite1, suite2):
-    devs = [r.diagnostics["snap_deviation"] for _, _, r in suite1["runs"]
-            if "snap_deviation" in r.diagnostics]
-    devs += [r.diagnostics["snap_deviation"] for _, _, r, _ in suite2["runs"]
-             if "snap_deviation" in r.diagnostics]
-    worst = max(devs)
-    emit(4, len(devs) >= 500 and worst <= 1e-6,
-         f"{len(devs)} vertex solves, worst coordinate gap {worst:.2e}")
+    halves = suite1["halves"] + suite2["halves"]
+    bad = sum(1 for h in halves
+              if not (set(h.y.tolist()) | set(h.y_own.tolist())) <= {0.0, 0.5, 1.0}
+              or np.any(h.y_own > h.y))
+    emit(4, len(halves) >= 500 and bad == 0,
+         f"{len(halves) - bad}/{len(halves)} opening solves with every y and y_own "
+         f"in {{0, 1/2, 1}} and y_own <= y")
 
 
 def test_criterion_05_unimodularity_evidence(sweep):

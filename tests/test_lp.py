@@ -32,17 +32,18 @@ from fairrange.lp import (
     _violation,
     assignment_core,
     build_fair_range_lp,
-    build_structured_lp,
     lagrangian_bound,
-    scale_doubled,
     solve_lp,
     solve_vertex,
     split_fair_solution,
 )
 from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 
-from conftest import (assert_same_program, groups_of, lp_from_rows,
-                      reference_build_structured_lp, same_opening_program, solve_stages)
+import fairrange.round
+from fairrange.round import solve_half_integral
+from conftest import (assert_same_program, exact_opening_costs, groups_of, lp_from_rows,
+                      opening_program, reference_build_structured_lp, reference_opening_lp,
+                      same_opening_program, solve_stages)
 from oracles import (_exact, _gh_constructive, _gh_valid, _std_form_fractions,
                      assignment_row_kinds, bareiss_determinant,
                      enumerate_vertices_min, ghouila_houri_check, matrix_geq,
@@ -237,89 +238,97 @@ class TestFairRangeBuilder:
         assert res.objective == pytest.approx(12.0, abs=1e-9)
 
 
-def tiny_structured():
+def tiny_structured_args(split=()):
     dp = np.array([[1.0, 4.0, 9.0, 25.0], [49.0, 16.0, 4.0, 1.0]])
-    return build_structured_lp(
-        dp, [2.0, 3.0], [1, 2, 1, 2], 2, ((0, 2), (0, 2)),
-        balls=[[0], [3]], territories=[[0, 1], [2, 3]], base_pow=[9.0, 9.0],
-        ball_need=[0.5, 0.5], split=[])
+    return (dp, [2.0, 3.0], [1, 2, 1, 2], 2, ((0, 2), (0, 2)), [[0], [3]], [[0, 1], [2, 3]],
+            [9.0, 9.0], [0.5, 0.5], list(split))
+
+
+def tiny_structured():
+    """The reference opening program of tiny_structured_args(), merged."""
+    return reference_opening_lp(tiny_structured_args())
 
 
 def tiny_split():
     """tiny_structured with facility 1 (group 2, first territory) and
     facility 2 (group 1, second territory) split."""
-    dp = np.array([[1.0, 4.0, 9.0, 25.0], [49.0, 16.0, 4.0, 1.0]])
-    return build_structured_lp(
-        dp, [2.0, 3.0], [1, 2, 1, 2], 2, ((0, 2), (0, 2)),
-        balls=[[0], [3]], territories=[[0, 1], [2, 3]], base_pow=[9.0, 9.0],
-        ball_need=[0.5, 0.5], split=[1, 2])
+    return reference_opening_lp(tiny_structured_args(split=[1, 2]))
+
+
+def column_costs(program):
+    return [cost for *_, cost in program.arcs[:program.num_vars]]
+
+
+def proportional(got, want):
+    """got is want times one positive factor."""
+    return all(Fraction(g) * want[0] == Fraction(want[j]) * got[0] for j, g in enumerate(got)) \
+        and (got[0] > 0) == (want[0] > 0)
 
 
 class TestStructuredBuilder:
+    """structured_program's network against the reference builder's rows."""
+
     def test_spare_columns(self):
-        lp, members = tiny_split()
+        args = tiny_structured_args(split=[1, 2])
+        program, members = opening_program(*args)
         assert [c.tolist() for c in members] == [[0], [1], [2], [3], [1], [2]]
-        assert lp.objective[4:].tolist() == [0.0, 0.0]
-        assert lp.upper.tolist() == [1.0] * 6
-        kinds = structured_row_kinds(lp)
-        assert [k[0] for k in kinds[-4:]] == ["superball", "superball", "split", "split"]
-        rows = lp.rows
-        # a spare sits in its group's range rows and the card row, and in
-        # its split row beside its own column
-        assert [j for j, _ in rows[0].coeffs] == [0, 2, 5]
-        assert [j for j, _ in rows[2].coeffs] == [1, 3, 4]
-        assert [j for j, _ in rows[4].coeffs] == list(range(6))
-        assert rows[-2:] == [Row(((1, 1.0), (4, 1.0)), LEQ, 1.0),
-                             Row(((2, 1.0), (5, 1.0)), LEQ, 1.0)]
-        assert structured_column_profile(lp) == []
+        assert column_costs(program)[4:] == [0, 0]
+        assert [upper for _, _, _, upper, _ in program.arcs[:6]] == [2] * 6
+        # the card row, the group windows, then the split pairs: a spare
+        # sits in its group's window and the card row, and in its split
+        # pair beside its own column
+        rows = program.rows
+        assert rows[:5] == [tuple(range(6)), (0, 2, 5), (1, 3, 4), (1, 4), (2, 5)]
+        same_opening_program(args)
+        assert structured_column_profile(tiny_split()[0]) == []
 
     def test_objective_terms(self):
-        lp, members = tiny_structured()
+        program, members = opening_program(*tiny_structured_args())
         assert [c.tolist() for c in members] == [[0], [1], [2], [3]]
-        assert lp.objective == pytest.approx([-16.0, -10.0, -15.0, -24.0])
+        assert proportional(column_costs(program), [-16, -10, -15, -24])
 
     def test_row_layout(self):
-        lp, _ = tiny_structured()
-        kinds = [k[0] for k in structured_row_kinds(lp)]
-        assert kinds == ["range_lower", "range_upper", "range_lower", "range_upper",
-                         "card", "ball", "ball", "superball", "superball"]
-        ball_rows = [r for r, k in zip(lp.rows, kinds) if k == "ball"]
-        assert all(r.rhs == 0.5 for r in ball_rows)
+        program, _ = opening_program(*tiny_structured_args())
+        # card, two windows, two balls, two territories
+        assert program.rows == [(0, 1, 2, 3), (0, 2), (1, 3), (0,), (3,), (0, 1), (2, 3)]
+        balls = [arc for arc in program.arcs if arc[2] > 0]
+        assert [arc[2:4] for arc in balls] == [(1, 2), (1, 2)]
 
     def test_optimum_matches_hand_value(self):
-        lp, _ = tiny_structured()
-        res = solve_vertex(lp)
-        assert res.status == "optimal"
+        args = tiny_structured_args()
+        half = solve_half_integral(*opening_program(*args))
+        cost = sum(c * Fraction(float(y)) for c, y in zip(exact_opening_costs(args), half.y_own))
         # plus the constant the objective leaves out, 2 * 9 + 3 * 9
-        assert res.objective + 45.0 == pytest.approx(5.0, abs=1e-9)
+        assert cost + 45 == 5
 
     def test_single_location_mode(self):
         # no peer: base cost 0 and a full unit in the ball
-        dp = np.array([[1.0, 2.0, 3.0]])
-        lp, _ = build_structured_lp(
-            dp, [2.0], [1, 1, 1], 1, ((0, 3),),
-            balls=[[0, 1]], territories=[[0, 1, 2]], base_pow=[0.0], ball_need=[1.0],
-            split=[])
-        assert lp.objective == pytest.approx([2.0, 4.0, 6.0])
-        ball = [r for r, k in zip(lp.rows, structured_row_kinds(lp)) if k[0] == "ball"]
-        assert ball[0].rhs == 1.0
+        args = (np.array([[1.0, 2.0, 3.0]]), [2.0], [1, 1, 1], 1, ((0, 3),),
+                [[0, 1]], [[0, 1, 2]], [0.0], [1.0], [])
+        program, _ = opening_program(*args)
+        assert proportional(column_costs(program), [2, 4, 6])
+        assert [arc[2:4] for arc in program.arcs if arc[2] > 0] == [(2, 2)]
+        same_opening_program(args)
 
     def test_no_locations(self):
-        # no survivor: only the range and card rows, each group one free column
-        lp, members = build_structured_lp(
-            np.zeros((0, 3)), [], [1, 2, 1], 2, ((1, 2), (0, 1)),
-            balls=[], territories=[], base_pow=[], ball_need=[], split=[])
+        # no survivor: only the card row and the windows, each group one free column
+        program, members = opening_program(
+            np.zeros((0, 3)), [], [1, 2, 1], 2, ((1, 2), (0, 1)), [], [], [], [], [])
         assert [c.tolist() for c in members] == [[0, 2], [1]]
-        assert lp.upper.tolist() == [2.0, 1.0] and lp.objective.tolist() == [0.0, 0.0]
-        assert [k[0] for k in structured_row_kinds(lp)] == [
-            "range_lower", "range_upper", "range_lower", "range_upper", "card"]
+        assert [arc[3:] for arc in program.arcs[:2]] == [(4, 0), (2, 0)]
+        assert program.rows == [(0, 1), (0,), (1,)]
 
     def test_scale_doubled(self):
-        lp, _ = tiny_structured()
-        big = scale_doubled(lp)
-        assert [r.rhs for r in big.rows] == [2 * r.rhs for r in lp.rows]
-        assert np.all(big.upper == 2.0)
-        assert big.objective == pytest.approx(lp.objective)
+        # the network is the doubled program: its bounds are twice the
+        # reference's right-hand sides and upper bounds
+        for split in ((), (1, 2)):
+            program, _ = opening_program(*tiny_structured_args(split))
+            lp, _ = reference_opening_lp(tiny_structured_args(split))
+            assert [arc[3] for arc in program.arcs[:program.num_vars]] == \
+                (2 * lp.upper).astype(int).tolist()
+            windows = [arc[2:4] for arc in program.arcs[program.num_vars + 1:][:2]]
+            assert windows == [(0, 4), (0, 4)] and program.arcs[program.num_vars][3] == 4
+            same_opening_program(tiny_structured_args(split))
 
     def test_column_profile_clean(self):
         lp, _ = tiny_structured()
@@ -394,7 +403,7 @@ class TestUnimodularity:
 
     def test_scaled_structured_vertex_is_integral(self):
         lp, _ = tiny_structured()
-        res = solve_vertex(scale_doubled(lp))
+        res = solve_vertex(reference_scale_doubled(lp))
         assert res.status == "optimal"
         frac = np.abs(res.x - np.round(res.x))
         assert float(frac.max()) < 1e-7
@@ -968,7 +977,8 @@ class TestMergedLoopMatchesReference:
 
     def test_bit_identical_on_structured_programs(self):
         lp, _ = tiny_structured()
-        for prog in (lp, scale_doubled(lp), scale_doubled(scale_doubled(lp))):
+        for prog in (lp, reference_scale_doubled(lp),
+                     reference_scale_doubled(reference_scale_doubled(lp))):
             assert outcome(solve_vertex, prog) == outcome(reference_solve_vertex, prog)
 
     def test_bit_identical_on_every_exit(self):
@@ -1009,7 +1019,7 @@ class TestMergedLoopMatchesReference:
         assert res.basis == (2, 1) and res.x.tolist() == [0.0, 2.0]
 
     def test_bit_identical_on_pipeline_programs(self, monkeypatch):
-        # every relaxation and opening program of solves in the benchmark's
+        # every relaxation of solves in the benchmark's
         # small-mix family: p 1-3, two or three groups, n 12 and 18
         checked = []
 
@@ -1022,11 +1032,10 @@ class TestMergedLoopMatchesReference:
             return res
 
         monkeypatch.setattr(fairrange.lp, "solve_vertex", compare)
-        monkeypatch.setattr(fairrange.round, "solve_vertex", compare)
         for p, ell, n, seed in itertools.product((1.0, 2.0, 3.0), (2, 3), (12, 18), range(3)):
             inst = random_instance(seed, n, ell, p)
             solve_fair_range(inst, random_ranges(seed, inst, 2 + seed, ell))
-        assert len(checked) == 72 and set(checked) == {"optimal"}
+        assert len(checked) == 36 and set(checked) == {"optimal"}
 
 
 # matrix_geq and _std_form_fractions as they were before they read the rows
@@ -1065,13 +1074,12 @@ class TestRowReadersMatchLoops:
 
     def test_matrix_geq_on_structured_programs(self, monkeypatch):
         lp, _ = tiny_structured()
-        programs = [lp, scale_doubled(lp)]
+        programs = [lp, reference_scale_doubled(lp)]
         real = fairrange.round.structured_program
 
-        def build(*args):
-            out = real(*args)
-            programs.append(out[0])
-            return out
+        def build(ss, groups, rc):
+            programs.append(reference_opening_lp(opening_args(ss, groups, rc))[0])
+            return real(ss, groups, rc)
 
         monkeypatch.setattr(fairrange.pipeline, "structured_program", build)
         for seed in range(3):
@@ -1135,6 +1143,13 @@ def reference_scale_doubled(lp: LinearProgram) -> LinearProgram:
     return lp_from_rows(lp.num_vars, lp.objective.copy(), rows, upper=2.0 * lp.upper)
 
 
+def opening_args(ss, groups, rc):
+    """The reference builder's arguments for the opening program of ss."""
+    sp = ss.sp
+    return (sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
+            ss.territories, ss.base_pow, ss.ball_need, ss.split)
+
+
 def same_assignment_program(args):
     """build_fair_range_lp(*args) against the Row-based reference: arrays
     bit for bit, and the row tags the oracles rebuild against the
@@ -1180,8 +1195,6 @@ class TestArrayBuildersMatchRows:
     def test_bit_identical_to_row_builders(self, args):
         same_assignment_program(args[:5])
         same_opening_program(args)
-        lp, _ = build_structured_lp(*args)
-        assert_same_program(scale_doubled(lp), reference_scale_doubled(lp))
 
     def test_bit_identical_on_solver_fronts(self, monkeypatch):
         seen = []
@@ -1191,25 +1204,23 @@ class TestArrayBuildersMatchRows:
             seen.append("build_fair_range_lp")
             return build_fair_range_lp(*args)
 
-        def doubled(lp):
-            out = scale_doubled(lp)
-            assert_same_program(out, reference_scale_doubled(lp))
-            seen.append("scale_doubled")
-            return out
-
-        def opening(*args):
+        def opening(ss, groups, rc, _build=fairrange.round.structured_program):
+            args = opening_args(ss, groups, rc)
             same_opening_program(args)
-            seen.append("build_structured_lp")
-            return build_structured_lp(*args)
+            seen.append("structured_program")
+            program, members = _build(ss, groups, rc)
+            again, again_members = opening_program(*args)
+            assert program.arcs == again.arcs
+            assert [c.tolist() for c in members] == [c.tolist() for c in again_members]
+            return program, members
 
         monkeypatch.setattr(fairrange.pipeline, "build_fair_range_lp", assignment)
-        monkeypatch.setattr(fairrange.round, "build_structured_lp", opening)
-        monkeypatch.setattr(fairrange.round, "scale_doubled", doubled)
+        monkeypatch.setattr(fairrange.pipeline, "structured_program", opening)
         for seed in range(6):
             inst = random_instance(seed, 12 + seed, 2 + seed % 2, 1.0 + seed % 3)
             solve_fair_range(inst, random_ranges(seed, inst, 3, 2 + seed % 2))
         assert seen.count("build_fair_range_lp") == 6
-        assert seen.count("build_structured_lp") == seen.count("scale_doubled") >= 5
+        assert seen.count("structured_program") >= 5
 
     def test_rebuilt_row_tags_match_the_reference_builders_on_real_solves(self):
         # the Ghouila-Houri evidence reads these tags against the rows of
@@ -1222,12 +1233,12 @@ class TestArrayBuildersMatchRows:
             _, kinds = reference_build_fair_range_lp(red.fac_dist_p, red.weights, groups,
                                                      rc.k, rc.ranges)
             assert assignment_row_kinds(out["build_fair_range_lp"], len(red.weights)) == kinds
-            sp = ss.sp
-            _, _, kinds = reference_build_structured_lp(
-                sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
-                ss.territories, ss.base_pow, ss.ball_need, ss.split)
-            assert structured_row_kinds(out["structured_program"][0]) == kinds
+            args = opening_args(ss, groups, rc)
+            _, _, kinds = reference_build_structured_lp(*args)
+            assert structured_row_kinds(reference_opening_lp(args)[0]) == kinds
             assert kinds.count(("card",)) == 1 and ("ball", 1) in kinds
+            # the network holds a group's two window rows as one set
+            assert len(out["structured_program"][0].rows) == len(kinds) - len(rc.ranges)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(small_programs())

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fairrange.errors import (CostRangeError, InfeasibleRangesError, StageError,
                               UnrangedGroupError)
 from fairrange.instance import RangeConstraints, validate_instance
 from fairrange.pipeline import (
+    CERTIFICATES,
     approximation_study,
     brute_force_optimum,
     generate_figure1_instance,
@@ -259,7 +261,7 @@ class TestSolveFairRange:
     def test_flow_without_selection_is_a_stage_error(self, monkeypatch):
         # the flow over half-integral openings always has a selection, so a
         # max flow below k is a fault, not a fallback
-        monkeypatch.setattr(fairrange.round._MaxFlow, "max_flow", lambda self, s, t: 0)
+        monkeypatch.setattr(fairrange.round._Network, "max_flow", lambda self, s, t: 0)
         inst = random_instance(3, 12, 2, 2.0)
         with pytest.raises(StageError, match="round: no integral selection") as err:
             solve_fair_range(inst, random_ranges(3, inst, 3, 2))
@@ -286,7 +288,7 @@ class TestSolveFairRange:
         with pytest.raises(StageError):
             solve_fair_range(inst, random_ranges(3, inst, 3, 2))
         unbounded = fairrange.lp.SimplexResult("unbounded", None, None)
-        monkeypatch.setattr(fairrange.round, "solve_vertex", lambda lp: unbounded)
+        monkeypatch.setattr(fairrange.pipeline, "solve_lp", lambda lp: unbounded)
         with pytest.raises(StageError, match="is unbounded"):
             solve_fair_range(inst, random_ranges(3, inst, 3, 2))
 
@@ -325,12 +327,24 @@ class TestSolveFairRange:
     @pytest.mark.parametrize("p,seed", ((12.0, 15), (20.0, 6), (50.0, 1)))
     def test_large_p_half_integral_cost_does_not_cancel(self, p, seed):
         # the opening program's objective plus its constant read exactly 0.0
-        # here, and assignment-vs-half failed against it
+        # here while the openings cost more, and assignment-vs-half failed
+        # against it; the stage cost must be its openings' exact cost (at
+        # p=50, seed 1 each territory now opens its own location: exactly 0)
         inst = random_instance(seed, 10, 2, p)
-        rep = solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
+        rc = random_ranges(seed, inst, 3, 2)
+        rep = solve_fair_range(inst, rc)
         assert not rep.fallback
-        assert rep.stage_costs["half_integral"] > 0.0
         assert all(b.passed for b in rep.bounds)
+        stages = solve_stages(inst, rc, "solve_half_integral")
+        ss, y = stages["enforce_structure"], stages["solve_half_integral"].y_own
+        exact = Fraction(0)
+        for v, t in enumerate(ss.territories):
+            own = [Fraction(float(y[u])) for u in t]
+            exact += Fraction(float(ss.sp.weights[v])) * (
+                sum(Fraction(float(ss.sp.fac_dist_p[v, u])) * f for u, f in zip(t, own))
+                + (1 - sum(own)) * Fraction(float(ss.base_pow[v])))
+        assert rep.stage_costs["half_integral"] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+        assert (exact > 0) == (p != 50.0)
 
     def test_overflowing_p_rejected_up_front(self, monkeypatch):
         # at p=1000 every seed's costs overflow; before the check all 20
@@ -598,10 +612,13 @@ def test_random_instance_refuses_fewer_than_one_group(ell):
 
 def test_small_solve_imports_no_scipy():
     # below the HiGHS cutover the solver must not pay for importing scipy,
-    # and no solve needs the exact arithmetic of fractions and decimal
+    # and no solve needs the exact arithmetic of fractions and decimal: the
+    # p=40 solve prices stage 5 exactly, in Python ints
     code = ("import sys, fairrange\n"
             "inst = fairrange.random_instance(4, 15, 3, 2.0)\n"
             "fairrange.solve_fair_range(inst, fairrange.random_ranges(4, inst, 4, 3))\n"
+            "inst = fairrange.random_instance(15, 10, 2, 40.0)\n"
+            "fairrange.solve_fair_range(inst, fairrange.random_ranges(15, inst, 3, 2))\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))\n")
     src = os.path.dirname(os.path.dirname(fairrange.__file__))
@@ -611,9 +628,48 @@ def test_small_solve_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("seed,p", [(9, 55), (15, 70), (15, 71), (15, 72), (15, 79),
+                                    (15, 84), (15, 85), (15, 89), (15, 92), (16, 79),
+                                    (16, 90), (17, 34), (17, 38), (24, 70), (24, 78)])
+def test_large_p_sweep_failures_certify(seed, p):
+    # these solves raised half-integral-vs-structured while stage 5 summed
+    # its objective in floats, where d(v,u)^p - d(v,v')^p cancels
+    inst = random_instance(seed, 10, 2, float(p))
+    report = solve_fair_range(inst, random_ranges(seed, inst, 3, 2))
+    assert [b.name for b in report.bounds] == [name for name, _, _ in CERTIFICATES]
+    assert all(b.passed for b in report.bounds)
+
+
+def tight_window_case(seed, p):
+    """random_instance(seed, n, ell, p) at n 8-15 with every window (c, c),
+    c the count of a drawn witness center set in its group."""
+    rng = np.random.default_rng([seed, 31])
+    n, ell, k = int(rng.integers(8, 16)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+    inst = random_instance(seed, n, ell, p)
+    witness = rng.choice(n, size=k, replace=False)
+    counts = np.bincount(np.asarray(inst.facility_groups)[witness], minlength=ell + 1)
+    return inst, RangeConstraints(k, tuple((int(c), int(c)) for c in counts[1:]))
+
+
+@pytest.mark.parametrize("p", (12.0, 20.0, 30.0, 40.0, 60.0, 80.0, 100.0))
+def test_tight_windows_at_large_p_end_certified_or_typed(p):
+    answered = 0
+    for seed in range(40):
+        inst, rc = tight_window_case(seed, p)
+        try:
+            report = solve_fair_range(inst, rc)
+        except (InfeasibleRangesError, UnrangedGroupError, CostRangeError):
+            continue
+        assert len(report.bounds) == 6 and all(b.passed for b in report.bounds), seed
+        assert list(report.centers.group_counts) == [a for a, _ in rc.ranges]
+        answered += 1
+    assert answered == 40
+
+
 @st.composite
 def tiny_instances(draw):
     """Instances of at most 8 points on a 5x5 grid, so points may coincide,
+    at p up to 30,
     with ids that may sort against matrix order, built from coordinates or
     from their matrix, clients and facilities drawn as subsets of the
     points, demands that may be 0, one to three groups and now and then a
@@ -621,7 +677,7 @@ def tiny_instances(draw):
     center set that are often tight (alpha = beta), or now and then drawn
     with no witness."""
     n = draw(st.integers(1, 8))
-    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 30.0]))
     ids = draw(st.permutations([f"p{i}" for i in range(n)]))
     coords = np.array([[draw(st.integers(0, 4)), draw(st.integers(0, 4))] for _ in ids],
                       dtype=float)

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -13,10 +14,9 @@ import fairrange.pipeline
 import fairrange.round
 from fairrange.errors import StageError
 from fairrange.instance import RangeConstraints
-from fairrange.lp import Row, build_structured_lp, scale_doubled, solve_lp, solve_vertex
+from fairrange.lp import solve_lp, solve_vertex as lp_solve_vertex
 from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 from fairrange.round import (
-    _check_rows_exact,
     FacilityPartition,
     half_integral_cost,
     partition_facilities,
@@ -28,10 +28,11 @@ from fairrange.sparsify import SparsifiedInstance
 from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, build_super_balls,
                                  enforce_structure, fill_service, nearest_surviving,
                                  reassign_private_facilities)
-from conftest import (assert_same_program, feasible_ranges, groups_of, line_instance,
-                      lp_from_rows, manual_sp, random_fair_instance,
+from conftest import (exact_opening_costs, feasible_ranges, groups_of, line_instance,
+                      manual_sp, opening_program, random_fair_instance,
                       reference_build_structured_lp, same_opening_program, solve_stages)
-from oracles import build_flow_network, flow_to_text, reference_select, structured_row_kinds
+from oracles import (build_flow_network, exact_minimum, flow_to_text, matrix_geq,
+                     reference_select, structured_row_kinds)
 
 
 def random_fronts(seed, count, sizes=(8, 14), p_values=(1.0, 2.0)):
@@ -69,11 +70,13 @@ def service(ss, half):
     return fill_service(ss.sp, ss.supers, ss.peer_balls, half.y_own, half.y)
 
 
-def program_cost(lp, members, ss, y_own):
-    """c.y + constant: the opening program's objective at the own openings
-    y_own, the constant added back.  Spare columns cost nothing."""
-    cols = np.array([y_own[c].sum() for c in members])
-    return float(lp.objective @ cols) + left_out_constant(ss)
+def program_cost(ss, groups, rc, half_y_own, spare=None):
+    """c.y + constant: the reference opening program's float objective at
+    the own openings y_own (spare columns cost nothing), the constant added
+    back."""
+    full, _, _ = reference_build_structured_lp(*opening_args(ss, groups, rc))
+    y = np.concatenate((half_y_own, np.zeros(full.num_vars - len(half_y_own))))
+    return float(full.objective @ y) + left_out_constant(ss)
 
 
 def stage_four_own(ss):
@@ -87,29 +90,26 @@ def stage_four_own(ss):
 
 class TestSolveHalfIntegral:
     def test_forced_singleton(self):
-        lp, members = build_structured_lp(
+        program, members = opening_program(
             np.array([[4.0]]), [1.0], [1], 1, [(0, 1)], [[0]], [[0]], [0.0], [1.0], [])
-        half = solve_half_integral(lp, members)
-        assert half.y.tolist() == [1.0]
-        assert float(lp.objective @ half.y) == pytest.approx(4.0)
-        assert half.snap_deviation <= 1e-9
+        half = solve_half_integral(program, members)
+        assert half.y.tolist() == half.y_own.tolist() == [1.0]
 
     def test_equal_distance_pair_lands_on_a_vertex(self):
         # Vertices of this two-variable polytope put the whole unit on one
         # facility; the split 1/2, 1/2 has the same objective but is not a
-        # vertex, and the first column wins the entering tie.
-        lp, members = build_structured_lp(
+        # vertex, and the first column wins the tie.
+        program, members = opening_program(
             np.array([[4.0, 4.0]]), [1.0], [1, 1], 1, [(0, 1)],
             [[0, 1]], [[0, 1]], [0.0], [1.0], [])
-        half = solve_half_integral(lp, members)
+        half = solve_half_integral(program, members)
         assert half.y.tolist() == [1.0, 0.0]
-        assert float(lp.objective @ half.y) == pytest.approx(4.0)
 
     def test_infeasible_range_raises(self):
-        program = build_structured_lp(
+        program = opening_program(
             np.array([[1.0, 1.0]]), [1.0], [1, 1], 3, [(3, 3)],
             [[0, 1]], [[0, 1]], [0.0], [1.0], [])
-        with pytest.raises(StageError) as err:
+        with pytest.raises(StageError, match="opening program is infeasible") as err:
             solve_half_integral(*program)
         assert err.value.stage == "round"
 
@@ -121,19 +121,21 @@ class TestSolveHalfIntegral:
 
     def test_matches_unscaled_optimum_and_improves_on_y_bar(self):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(6, 6):
-            res = solve_lp(lp)
+            full, _, _ = reference_build_structured_lp(*opening_args(ss, groups_of(inst), rc))
+            res = solve_lp(full)
             assert res.status == "optimal"
-            cost = program_cost(lp, members, ss, half.y_own)
+            cost = program_cost(ss, groups_of(inst), rc, half.y_own)
             assert cost == pytest.approx(res.objective + left_out_constant(ss),
                                          rel=1e-6, abs=1e-9)
-            assert cost <= program_cost(lp, members, ss, stage_four_own(ss)) * (1.0 + 1e-9) + 1e-9
+            assert cost <= program_cost(ss, groups_of(inst), rc, stage_four_own(ss)) \
+                * (1.0 + 1e-9) + 1e-9
 
     @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
     def test_cost_matches_objective_at_small_p(self, p):
         for inst, rc, sp, ss, lp, members, half, opt in random_fronts(7, 6, p_values=(p,)):
             cost = half_integral_cost(ss, half.y_own)
             assert cost >= 0.0
-            assert cost == pytest.approx(program_cost(lp, members, ss, half.y_own),
+            assert cost == pytest.approx(program_cost(ss, groups_of(inst), rc, half.y_own),
                                          rel=1e-9, abs=1e-12)
 
     def test_cost_stays_nonnegative_at_large_p(self):
@@ -160,33 +162,38 @@ def free_columns(lp):
 
 
 def check_merged_matches_full(args):
-    """solve_half_integral against the vertex of the full doubled program,
-    one column per facility and one per spare, that the reference builder
-    writes.
+    """solve_half_integral against the full program, one column per
+    facility and one per spare, that the reference builder writes: the
+    point meets its rows, its exact objective is the full program's exact
+    optimum, and each merged column's value reaches its members whole, in
+    index order.
 
     Returns the half-integral solution, or None when both find the program
     infeasible.
     """
-    lp, members = build_structured_lp(*args)
+    program, members = opening_program(*args)
     full, _, _ = reference_build_structured_lp(*args)
-    vertex = solve_vertex(scale_doubled(full))
+    vertex = lp_solve_vertex(full)
     if vertex.status == "infeasible":
         with pytest.raises(StageError, match="program is infeasible"):
-            solve_half_integral(lp, members)
+            solve_half_integral(program, members)
         return None
     assert vertex.status == "optimal"
-    half = solve_half_integral(lp, members)
+    half = solve_half_integral(program, members)
     split = list(args[9])
     spare = (half.y - half.y_own)[split]
     y_full = np.concatenate((half.y_own, spare))
-    assert float(full.objective @ y_full) == pytest.approx(vertex.objective / 2.0,
-                                                           rel=1e-12, abs=1e-12)
-    free, group = free_columns(full)
-    full_y = np.round(vertex.x) / 2.0
-    assert y_full[~free].tolist() == full_y[~free].tolist()
-    assert set(y_full[free].tolist()) <= {0.0, 0.5, 1.0}
+    # every row and bound of the full program, in >= orientation; the
+    # doubled values and right-hand sides are small integers
+    sign = np.where(full.geq, 1.0, -1.0)
+    assert np.all(matrix_geq(full) @ (2.0 * y_full) >= 2.0 * sign * full.rhs)
+    assert np.all((y_full >= 0.0) & (y_full <= full.upper))
+    cost = exact_opening_costs(args)
+    got = sum((c * Fraction(float(y)) for c, y in zip(cost, y_full)), Fraction(0))
+    assert got == exact_minimum(full, cost, vertex.basis)
     # the merged value reaches the members whole, filled in index order
-    merged = np.round(solve_vertex(scale_doubled(lp)).x)
+    merged = fairrange.round.solve_vertex(program).x
+    free, group = free_columns(full)
     assert sorted(j for cols in members if len(cols) > 1 for j in cols) == \
         [j for j in np.nonzero(free)[0] if np.sum(free & (group == group[j])) > 1]
     own_cols = len(members) - len(split)
@@ -194,7 +201,7 @@ def check_merged_matches_full(args):
         assert 2.0 * half.y_own[cols].sum() == value
         assert np.all(np.diff(half.y_own[cols]) <= 0.0)
         assert np.sum((half.y_own[cols] > 0.0) & (half.y_own[cols] < 1.0)) <= 1
-    assert (2.0 * spare).tolist() == merged[own_cols:].tolist()
+    assert (2.0 * spare).tolist() == merged[own_cols:]
     return half
 
 
@@ -306,59 +313,14 @@ class TestMergedOpeningLP:
         unsplit = (*named_opening_programs()["shared"][:9], [])
         assert check_merged_matches_full(unsplit) is None
 
-    def test_merged_value_above_the_members_bounds_is_refused(self, monkeypatch):
-        # col 0 takes the ball's unit; the free pair {1, 2} may hold up to 2
-        # in the doubled program, so 6 there breaks a bound but no row
-        lp, members = build_structured_lp(np.array([[3.0, 1.0, 2.0]]), [1.0],
-                                          [1, 1, 1], 5, [(1, 5)], [[0]], [[0]], [0.0], [1.0],
-                                          [])
-
-        def overfull(small, **kw):
-            res = solve_vertex(small, **kw)
-            assert small.num_vars == 2 and small.upper.tolist() == [2.0, 4.0]
-            res.x[1] = 6.0
-            return res
-
-        monkeypatch.setattr(fairrange.round, "solve_vertex", overfull)
-        with pytest.raises(StageError, match="upper bound"):
-            solve_half_integral(lp, members)
-
-    def test_exact_check_runs_on_the_solved_point(self, monkeypatch):
-        # an all-zero point breaks the ball's >= row of the merged program
-        def empty(small, **kw):
-            res = solve_vertex(small, **kw)
-            assert small.num_vars == 2 and res.x.tolist() != [0.0, 0.0]
-            res.x[:] = 0.0
-            return res
-
-        monkeypatch.setattr(fairrange.round, "solve_vertex", empty)
-        with pytest.raises(StageError, match=">= row"):
-            solve_half_integral(*build_structured_lp(*named_opening_programs()["odd"]))
-
-    def test_territory_above_one_unit_is_refused_by_the_row_check(self, monkeypatch):
-        # facility 2 is free; a point putting 2 units on the territory {0, 1}
-        # breaks its row and no other, so the fill never sees it
-        lp, members = build_structured_lp(np.array([[1.0, 2.0, 3.0]]), [1.0], [1, 1, 1], 3,
-                                          [(0, 3)], [[0]], [[0, 1]], [1.0], [0.5], [])
-        assert solve_half_integral(lp, members).y[:2].sum() <= 1.0
-
-        def overfull(small, **kw):
-            res = solve_vertex(small, **kw)
-            res.x[:] = [2.0, 2.0, 0.0]
-            return res
-
-        monkeypatch.setattr(fairrange.round, "solve_vertex", overfull)
-        with pytest.raises(StageError, match="breaks a <= row"):
-            solve_half_integral(lp, members)
-
     def test_matches_full_solve_on_fixtures(self):
         merged = 0
-        for inst, rc, sp, ss, lp, members, half, opt in random_fronts(14, 12):
+        for inst, rc, sp, ss, program, members, half, opt in random_fronts(14, 12):
             args = opening_args(ss, groups_of(inst), rc)
-            assert_same_program(build_structured_lp(*args)[0], lp)
+            assert opening_program(*args)[0].arcs == program.arcs
             again = check_merged_matches_full(args)
             assert again.y.tolist() == half.y.tolist()
-            merged += lp.num_vars < len(sp.facility_ids)
+            merged += program.num_vars < len(sp.facility_ids)
         assert merged > 0
 
     def test_vertex_solve_sees_one_column_per_group_of_free_facilities(self, monkeypatch):
@@ -366,17 +328,16 @@ class TestMergedOpeningLP:
         inst = random_instance(3, 300, 4, 1.0)
         rc = random_ranges(3, inst, 10, 4)
         built, widths = [], []
-        real_build, real_vertex = build_structured_lp, solve_vertex
 
-        def build(*args):
-            built.append(args)
-            return real_build(*args)
+        def build(ss, groups, rc, _build=fairrange.round.structured_program):
+            built.append(opening_args(ss, groups, rc))
+            return _build(ss, groups, rc)
 
-        def vertex(lp, **kw):
-            widths.append(lp.num_vars)
-            return real_vertex(lp, **kw)
+        def vertex(program, _solve=fairrange.round.solve_vertex):
+            widths.append(program.num_vars)
+            return _solve(program)
 
-        monkeypatch.setattr(fairrange.round, "build_structured_lp", build)
+        monkeypatch.setattr(fairrange.pipeline, "structured_program", build)
         monkeypatch.setattr(fairrange.round, "solve_vertex", vertex)
         solve_fair_range(inst, rc)
         (args,) = built
@@ -728,50 +689,6 @@ class TestSelectCenters:
             for chosen in candidates:
                 cost = float(sp.weights @ dp[:, list(chosen)].min(axis=1))
                 assert cost <= bound
-
-
-class TestCheckRowsExact:
-    def program(self):
-        # x0 + x1 >= 2, x1 + x2 <= 2, x0 + x2 = 2 as a >= and a <= row, x <= 2
-        return lp_from_rows(3, np.zeros(3), [
-            Row(((0, 1.0), (1, 1.0)), ">=", 2.0),
-            Row(((1, 1.0), (2, 1.0)), "<=", 2.0),
-            Row(((0, 1.0), (2, 1.0)), ">=", 2.0),
-            Row(((0, 1.0), (2, 1.0)), "<=", 2.0),
-        ], upper=np.full(3, 2.0))
-
-    def test_feasible_point_passes(self):
-        _check_rows_exact(self.program(), np.array([1.0, 1.0, 1.0]))
-        _check_rows_exact(self.program(), np.array([2.0, 0.0, 0.0]))
-
-    @pytest.mark.parametrize("x, sense", [
-        ([1.0, 0.0, 1.0], ">="),
-        ([0.0, 2.0, 2.0], "<="),
-        ([2.0, 1.0, 1.0], "<="),
-        ([0.0, 2.0, 0.0], ">="),
-    ])
-    def test_each_sense_is_enforced(self, x, sense):
-        with pytest.raises(StageError, match=f"breaks a {sense} row"):
-            _check_rows_exact(self.program(), np.array(x))
-
-    def test_first_broken_row_is_named(self):
-        with pytest.raises(StageError, match="breaks a >= row"):
-            _check_rows_exact(self.program(), np.array([0.0, 0.0, 0.0]))
-
-    @pytest.mark.parametrize("sense", [">=", "<="])
-    def test_nan_breaks_its_row(self, sense):
-        # a check that flags lhs < rhs (or lhs > rhs) would pass a NaN
-        lp = lp_from_rows(2, np.zeros(2), [Row(((0, 1.0), (1, 1.0)), sense, 1.0)])
-        with pytest.raises(StageError, match=f"breaks a {sense} row"):
-            _check_rows_exact(lp, np.array([np.nan, 1.0]))
-
-    def test_bounds_and_sign(self):
-        lp = lp_from_rows(2, np.zeros(2), [Row(((0, 1.0),), "<=", 5.0)],
-                          upper=np.array([4.0, 1.0]))
-        with pytest.raises(StageError, match="upper bound"):
-            _check_rows_exact(lp, np.array([0.0, 2.0]))
-        with pytest.raises(StageError, match="negative"):
-            _check_rows_exact(lp, np.array([-1.0, 0.0]))
 
 
 # The three capped nearest-first fills as they were before they shared

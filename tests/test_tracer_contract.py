@@ -1,8 +1,9 @@
 """The benchmark tracer against the solver it wraps.
 
-perfbench/tracing.py counts rows and nonzeros through LinearProgram.rows;
-these tests keep that read-only view in step with the program's arrays, so
-a change to it fails here and not only in a traced benchmark run.  The
+perfbench/tracing.py counts rows and nonzeros through LinearProgram.rows,
+and the opening program's constraint sets through its own rows; these
+tests keep those read-only views in step with the programs, so a change to
+them fails here and not only in a traced benchmark run.  The
 tracer, like the tests' solve_stages, sees a stage only when the solver
 calls it through its module global; the last test checks that it does.
 """
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 import fairrange.round
-from fairrange.lp import build_fair_range_lp, solve_vertex
+from fairrange.lp import build_fair_range_lp
 from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 from fairrange.round import solve_half_integral
 
@@ -38,24 +39,33 @@ def test_relaxation_counts():
 
 
 def test_opening_program_counts(monkeypatch):
-    widths = []
+    # the opening program's rows are its constraint sets: the card row, a
+    # window per group, a pair per split facility, and a ball and a
+    # territory per location; its columns are the flow's column arcs
+    vertices = []
 
-    def vertex(lp, **kw):
-        widths.append(lp.num_vars)
-        return solve_vertex(lp, **kw)
+    def vertex(program, _solve=fairrange.round.solve_vertex):
+        vertices.append((program.num_vars, _solve(program)))
+        return vertices[-1][1]
 
     monkeypatch.setattr(fairrange.round, "solve_vertex", vertex)
+    count_vertex = next(c for m, a, _, c in STAGES if (m, a) == ("fairrange.round", "solve_vertex"))
     merged = 0
     for seed in range(3):
         inst = random_instance(seed, 14, 2, 2.0)
         rc = random_ranges(seed, inst, 3, 2)
-        out = solve_stages(inst, rc, "structured_program")["structured_program"]
+        stages = solve_stages(inst, rc, "structured_program")
+        out, ss = stages["structured_program"], stages["enforce_structure"]
         counts = {}
         _open_counts(counts, (), out)
-        assert counts["round.open_rows"] == len(out[0].rhs)
-        assert counts["round.open_cols"] == out[0].num_vars
+        assert counts["round.open_rows"] == len(out[0].rows) == \
+            1 + len(rc.ranges) + len(ss.split) + 2 * len(ss.territories)
+        assert counts["round.open_cols"] == out[0].num_vars == len(out[1])
         solve_half_integral(*out)
-        assert counts["round.open_cols"] == widths.pop()
+        width, result = vertices.pop()
+        assert counts["round.open_cols"] == width
+        count_vertex(counts, (out[0],), result)
+        assert counts["round.open_iterations"] == result.iterations > 0
         merged += counts["round.open_cols"] < len(inst.facility_ids)
     assert merged > 0
 
