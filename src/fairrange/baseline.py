@@ -150,9 +150,17 @@ def local_search_clustering(inst: MetricInstance, k: int) -> tuple[tuple[str, ..
     result is that of costing every swap directly, bit for bit.  The
     filter's bound needs nonnegative distances, which solve_fair_range
     requires.
+
+    The table and the columns come from MetricInstance.to_clients, one row
+    of distances per candidate.  On an instance from instance_from_coords,
+    the only builder that marks its matrix mirrored, those are the
+    candidates' rows of the matrix, read and written contiguously: each
+    entry there is the same bits as its transpose, so the row holds exactly
+    the column's values.  Every other instance, a matrix document or an
+    asymmetric matrix, is read along the candidates' columns.
     """
     pos, current = inst.point_pos, farthest_first(inst, k)
-    clients, w = inst.client_pos, inst.client_weights()
+    w = inst.client_weights()
     blocks = range(0, len(pos), _TABLE_BLOCK)
     with np.errstate(over="ignore"):
         wscale, scale, rho, a = _table_scale(
@@ -160,56 +168,60 @@ def local_search_clustering(inst: MetricInstance, k: int) -> tuple[tuple[str, ..
     unit = wscale * scale                       # table units per unit of cost
     w32 = (w * wscale).astype(np.float32)
     # column-major: every scan below reads whole candidate columns.  Raised
-    # in float64 half a block of columns at a time, so its temporaries stay
-    # two clients x 64 arrays, and cast to float32 on the scaling write
+    # in float64 half a block of candidates at a time, so its temporaries
+    # stay two 64 x clients arrays, and cast to float32 on the scaling write
     Dp = np.empty((len(w), len(pos)), dtype=np.float32, order="F")
     half = _TABLE_BLOCK // 2
     for lo in range(0, len(pos), half):
-        np.multiply(np.power(inst.block(clients, pos[lo:lo + half]), inst.p),
-                    scale, out=Dp[:, lo:lo + half])
+        np.multiply(np.power(inst.to_clients(pos[lo:lo + half]), inst.p),
+                    scale, out=Dp.T[lo:lo + half])
 
     def columns(ts):
         # float64 d^p of the candidates ts, one row per candidate, for every
         # client: the values that direct costs are defined on
-        return np.power(inst.block(clients, pos[ts]).T, inst.p, order="C")
+        return np.power(inst.to_clients(pos[ts]), inst.p, order="C")
 
     cols = columns(current)                     # slot-major: k x n
     colv = list(cols)
     cur_cost = float(w @ cols.min(axis=0))
-    rows = np.arange(len(w))
+    inside = np.zeros(len(pos), dtype=bool)
+    inside[current] = True
     swaps = idle = b = 0
     while swaps < _SWAPS_PER_CENTER * k and k < len(pos) and idle < len(blocks):
         if idle == 0:                           # at the start and after a swap
-            near = cols.argmin(axis=0)          # first min = lowest slot
             d1 = cols.min(axis=0)
-            masked = cols.copy()
-            masked[near, rows] = np.inf
-            d2 = masked.min(axis=0)             # inf when k = 1
-            own = np.zeros((k, len(w)), dtype=np.float32)
-            own[near, rows] = w32               # w_i in the row of i's nearest slot
+            # mine[r, i]: slot r is client i's nearest, the first minimum,
+            # so ties go to the lowest slot.  Without ties that is d1's one
+            # entry in each column (a NaN column has none, but then the cost
+            # is NaN and no swap is ever taken)
+            mine = cols == d1
+            if np.count_nonzero(mine) != len(w):
+                mine = np.zeros_like(mine)
+                mine[cols.argmin(axis=0), np.arange(len(w))] = True
+            d2 = np.where(mine, np.inf, cols).min(axis=0)   # inf when k = 1
+            own = mine * w32                    # w_i in the row of i's nearest slot
             rest = w32 - own
             d1s = (d1 * scale).astype(np.float32)   # rounded as the table is
             d2s = (d2 * scale).astype(np.float32)
-            inside = np.zeros(len(pos), dtype=bool)
-            inside[current] = True
             below = cur_cost * (1.0 - 1e-10) - 1e-15
             others = {}                         # slot r -> min over the other slots
         lo = blocks[b]
         table = _block_table(Dp, rest, own, d1s, d2s, lo)
         hits = _block_hits(table, inside[lo:lo + _TABLE_BLOCK], rho, a, below * unit)
         trial_cols = {}                         # candidate -> its column, this block
-        trials = [divmod(int(h), table.shape[1]) for h in hits]
-        vals = []
-        for r, c in trials:
+        best = None                             # (cost, slot, candidate) of the first cheapest hit
+        for h in hits.tolist():
+            r, c = divmod(h, table.shape[1])
             if r not in others:
-                others[r] = np.where(near == r, d2, d1)
+                others[r] = np.where(mine[r], d2, d1)
             if c not in trial_cols:
-                trial_cols[c] = columns([lo + c])[0]
-            vals.append(float(w @ np.minimum(others[r], trial_cols[c])))
-        j = int(np.argmin(vals)) if vals else 0
-        if vals and vals[j] < below:
-            cur_cost = vals[j]
-            r, c = trials[j]
+                trial_cols[c] = columns(slice(lo + c, lo + c + 1))[0]
+            v = float(w @ np.minimum(others[r], trial_cols[c]))
+            if best is None or v < best[0]:
+                best = (v, r, c)
+        if best is not None and best[0] < below:
+            cur_cost, r, c = best
+            inside[current[r]], inside[lo + c] = False, True
             del current[r], colv[r]
             i = bisect.bisect(current, lo + c)
             current.insert(i, lo + c)
@@ -273,8 +285,8 @@ def reduce_locations(inst: MetricInstance, centers: Sequence[str]) -> ReducedIns
     cs = sorted(centers)
     if not cs:
         raise ValueError("empty center set")
-    D = inst.block(inst.client_pos, inst.positions(cs))
-    nearest = np.argmin(D, axis=1)          # first min = lowest id
+    D = inst.to_clients(inst.positions(cs))    # one row per center
+    nearest = np.argmin(D, axis=0)          # first min = lowest id
     agg = np.bincount(nearest, weights=inst.client_weights(), minlength=len(cs))
     kept = tuple(c for c, a in zip(cs, agg) if a > 0.0)
     return ReducedInstance(inst, kept, agg[agg > 0.0])

@@ -20,6 +20,15 @@ ROW_BLOCK = 64     # rows of an n-wide temporary built at a time
 
 @dataclass
 class MetricInstance:
+    """Points, their distance matrix, facilities and groups, and weighted
+    clients.
+
+    A solve reads the matrix through block() and to_clients() alone.
+    to_clients() reads a mirrored instance along its rows; mirrored is set
+    only by instance_from_coords, whose entries are the same bits as their
+    transposes.  Any other instance, a matrix that may not be symmetric
+    bit for bit, is read along its columns.
+    """
     point_ids: tuple[str, ...]
     dist: np.ndarray                 # square symmetric matrix, row order = point_ids
     facility_ids: tuple[str, ...]
@@ -28,14 +37,18 @@ class MetricInstance:
     p: float
     coords: np.ndarray | None = None  # optional, kept only for serialization
 
+    # set by instance_from_coords alone, which can prove it: every entry of
+    # dist is the same bits as its transpose
+    mirrored: bool = field(default=False, init=False, repr=False, compare=False)
     # Worked out once, here: the instance is read-only.  Positions are rows
-    # of dist; a solve reads dist only through block().
+    # of dist; a solve reads dist only through block() and to_clients().
     client_ids: tuple[str, ...] = field(init=False, compare=False)
     client_pos: np.ndarray = field(init=False, repr=False, compare=False)
     facility_pos: np.ndarray = field(init=False, repr=False, compare=False)
     facility_groups: tuple[int, ...] = field(init=False, repr=False, compare=False)  # 0: unlabeled
     point_pos: np.ndarray = field(init=False, repr=False, compare=False)  # in id order
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _clients: slice | np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -59,6 +72,7 @@ class MetricInstance:
         self.facility_pos = self.positions(self.facility_ids)
         self.facility_groups = tuple(self.group_label.get(u, 0) for u in self.facility_ids)
         self.point_pos = self.positions(sorted(self.point_ids))
+        self._clients = _as_run(self.client_pos)
         self._weights = np.array([self.client_demands[c] for c in self.client_ids], float)
         for a in (self.dist, self.client_pos, self.facility_pos, self.point_pos, self._weights):
             a.setflags(write=False)
@@ -82,9 +96,18 @@ class MetricInstance:
         """Distances from the points at positions rows to those at cols: a
         read-only view of the matrix when rows and cols are each one
         ascending run of positions, a gathered copy otherwise."""
-        if _is_run(rows) and _is_run(cols):
-            return self.dist[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-        return self.dist[rows[:, None], cols]
+        return self.dist[_grid(_as_run(rows), _as_run(cols))]
+
+    def to_clients(self, pos: np.ndarray) -> np.ndarray:
+        """Distances d(client, point) from every client, in client_ids
+        order, to each point at positions pos: one row per point, so
+        block(client_pos, pos).T.  A mirrored matrix is read along the
+        points' rows, contiguously; any other along their columns, the one
+        read that is right for a matrix that is not symmetric bit for bit.
+        A read-only view when pos and the clients are each one run."""
+        if self.mirrored:
+            return self.dist[_grid(_as_run(pos), self._clients)]
+        return self.dist[_grid(self._clients, _as_run(pos))].T
 
     @cached_property
     def distance_range(self) -> tuple[float, float]:
@@ -100,9 +123,22 @@ class MetricInstance:
         return [self.facility_groups.count(g) for g in range(1, num_groups + 1)]
 
 
-def _is_run(i: np.ndarray) -> bool:
-    """Whether the positions i are one ascending run i[0], i[0] + 1, ..."""
-    return len(i) > 0 and i[-1] - i[0] == len(i) - 1 and bool((i[:-1] < i[1:]).all())
+def _as_run(i: np.ndarray) -> slice | np.ndarray:
+    """The positions i as a slice when they are one ascending run i[0],
+    i[0] + 1, ..., else i itself."""
+    if len(i) and i[-1] - i[0] == len(i) - 1 and (len(i) == 1 or (i[:-1] < i[1:]).all()):
+        return slice(i[0], i[-1] + 1)
+    return i
+
+
+def _grid(rows: slice | np.ndarray, cols: slice | np.ndarray) -> tuple:
+    """An index of dist for the block rows x cols: two slices give a view,
+    anything else a row-major gather of the two sides crossed."""
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        return rows, cols
+    rows, cols = (np.arange(i.start, i.stop) if isinstance(i, slice) else i
+                  for i in (rows, cols))
+    return rows[:, None], cols
 
 
 def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
@@ -146,8 +182,12 @@ def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
                 out += sq
             np.sqrt(out, out=out)
     np.fill_diagonal(dist, 0.0)
-    return MetricInstance(tuple(ids), dist, tuple(facility_ids),
+    inst = MetricInstance(tuple(ids), dist, tuple(facility_ids),
                           dict(group_label), dict(client_demands), p, coords=pts)
+    # d(a, b) and d(b, a) square the same differences up to sign and sum
+    # them in the same order, so the two are the same bits
+    inst.mirrored = True
+    return inst
 
 
 def is_integer(v) -> bool:
@@ -299,7 +339,7 @@ def clustering_cost(inst: MetricInstance, centers: Iterable[str]) -> tuple[float
     for c in C:
         if c not in fset:
             raise ValueError(f"center {c!r} is not a facility")
-    nearest = inst.block(inst.client_pos, inst.positions(C)).min(axis=1)
+    nearest = inst.to_clients(inst.positions(C)).min(axis=0)
     cost_p = float(inst.client_weights() @ nearest ** inst.p)
     return cost_p, cost_p ** (1.0 / inst.p)
 

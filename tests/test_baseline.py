@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fairrange.baseline as baseline
 from fairrange.baseline import (_block_hits, farthest_first, local_search_clustering,
                                 reduce_locations)
-from fairrange.instance import RangeConstraints, instance_from_coords
+from fairrange.instance import MetricInstance, RangeConstraints, instance_from_coords
 from fairrange.pipeline import _require_costs_in_range
 
 from conftest import enumerate_optimum, line_instance, matrix_instance, submatrix
@@ -304,6 +304,28 @@ def search_inputs(draw, max_n=12):
     return inst, k, draw(st.sampled_from([0, 1, None]))
 
 
+@st.composite
+def both_read_directions(draw):
+    """search_inputs' instance, which the search reads along candidate
+    rows, and the same matrix as a matrix instance, read along candidate
+    columns; under a drawn flag also that matrix with one off-diagonal
+    entry raised, so that it is not symmetric.  Each with k and swaps per
+    center."""
+    inst, k, swaps_per_center = draw(search_inputs())
+    assert inst.mirrored
+    dist = np.array(inst.dist)
+    copies = [dist]
+    if inst.n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(inst.n)))[:2]
+        raised = dist.copy()
+        raised[i, j] += 1.0 + dist.max()
+        copies.append(raised)
+    same = [matrix_instance(inst.point_ids, d, inst.facility_ids, inst.group_label,
+                            inst.client_demands, inst.p) for d in copies]
+    assert not any(c.mirrored for c in same)
+    return [inst, *same], k, swaps_per_center
+
+
 def block_of(data, rho, a):
     """A drawn block: direct costs X, a table T with |T - X| <= rho * T + a
     (exactly, as integers keep every sum exact) and the current centers'
@@ -334,10 +356,14 @@ class TestSwapTable:
     """The search must reproduce the direct scan exactly; the block table
     only filters, and the hits hold the block's direct choice."""
 
-    @given(search_inputs())
+    @given(both_read_directions())
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_matches_direct_scan(self, args):
-        assert_same_search(*args)
+        # the coordinate instance is read by rows, its matrix copies by
+        # columns, one of them asymmetric: the same bits as the reference
+        instances, k, swaps_per_center = args
+        for inst in instances:
+            assert_same_search(inst, k, swaps_per_center)
 
     @given(search_inputs())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -573,20 +599,55 @@ class TestDirectEvaluations:
         assert swaps > 0
         assert len(builds) < (swaps + 1) * nb
 
+    @pytest.mark.parametrize("as_matrix", [False, True])
+    def test_table_raised_along_the_read_direction(self, rng, monkeypatch, as_matrix):
+        # a deterministic read shape in place of a timing: the coordinate
+        # instance's table is raised from views of 64 candidate rows each,
+        # its matrix copy's from views of 64 candidate columns each, and so
+        # is every trial candidate's one row or column
+        inst = many_clients_instance(rng, 2.0)
+        if as_matrix:
+            inst = matrix_instance(inst.point_ids, inst.dist, inst.facility_ids,
+                                   inst.group_label, inst.client_demands, inst.p)
+        reads = []
+        real = MetricInstance.to_clients
+
+        def recording(self, pos):
+            out = real(self, pos)
+            reads.append((len(pos), out.strides, np.shares_memory(out, self.dist)))
+            return out
+        monkeypatch.setattr(MetricInstance, "to_clients", recording)
+        local_search_clustering(inst, 8)
+        n, step = inst.n, inst.dist.itemsize
+        shape = (step, n * step) if as_matrix else (n * step, step)
+        raise_reads = [r for r in reads if r[0] == baseline._TABLE_BLOCK // 2]
+        assert raise_reads == [(64, shape, True)] * (n // 64)
+        trial_reads = [r for r in reads if r[0] == 1]
+        assert trial_reads and all(r[1:] == (shape, True) for r in trial_reads)
+
 
 class TestSearchMemory:
-    @pytest.mark.parametrize("ids_in_order", [True, False])
-    def test_peak_near_one_power_table(self, rng, ids_in_order):
+    @pytest.mark.parametrize("ids_in_order, every_point_a_client", [
+        pytest.param(True, True, id="True"), pytest.param(False, True, id="False"),
+        pytest.param(True, False, id="client_subset")])
+    def test_peak_near_one_power_table(self, rng, ids_in_order, every_point_a_client):
         # the n x |cand| table is the search's one large array, in float32:
         # half the bytes of a float64 table.  Building it through gathered
         # copies peaked at twice the float64 size, and with a float64 table
         # at 1.23 times it.  With the ids in reverse order the table is
-        # gathered, not read through a view
+        # gathered, not read through a view, and with a third of the points
+        # no client each candidate row is gathered
         inst = many_clients_instance(rng, 2.0)
         if not ids_in_order:
             order = inst.point_ids[::-1]
             inst = matrix_instance(order, submatrix(inst, order, order), inst.facility_ids,
                                    inst.group_label, inst.client_demands, inst.p)
+        if not every_point_a_client:
+            inst = instance_from_coords(
+                inst.point_ids, inst.coords, inst.facility_ids, inst.group_label,
+                {c: w for j, (c, w) in enumerate(inst.client_demands.items()) if j % 3}, inst.p)
+            assert inst.mirrored and not np.array_equal(
+                inst.client_pos, np.arange(inst.client_pos[0], inst.client_pos[-1] + 1))
         table = len(inst.client_ids) * len(inst.point_ids) * 8
         tracemalloc.start()
         try:

@@ -57,12 +57,15 @@ def test_coordinate_distances_match_full_difference_tensor(dim):
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 150])
 def test_coordinate_distances_keep_bits_at_block_edges(n, dim):
     # dims 7 and 8 sit on either side of numpy's pairwise summation, and
-    # n on either side of a row-block edge
+    # n on either side of a row-block edge.  Each entry is also the same
+    # bits as its transpose, which the instance's mirrored mark states
     rng = np.random.default_rng([n, dim])
     pts = rng.normal(size=(n, dim)) * rng.uniform(0.1, 1000.0, size=dim)
     inst = coords_instance(pts)
     assert inst.dist.shape == (n, n)
     assert inst.dist.tobytes() == one_shot_distances(pts).tobytes()
+    assert inst.mirrored
+    assert inst.dist.tobytes() == np.ascontiguousarray(inst.dist.T).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -429,6 +432,28 @@ def test_block_is_a_view_only_for_runs():
         assert not np.shares_memory(got, D)
         assert np.array_equal(got, D[np.ix_(rows, cols)])
     assert np.array_equal(submatrix(inst, ["q3", "q1"], ["q2"]), D[np.ix_([3, 1], [2])])
+
+
+def test_to_clients_reads_rows_only_when_mirrored():
+    # the values are block(client_pos, pos).T either way; a mirrored
+    # instance reads the points' rows, any other their columns, and runs
+    # of positions give views
+    ids = [f"q{i}" for i in range(6)]
+    asym = matrix_instance(ids, np.arange(36.0).reshape(6, 6), ids, {i: 1 for i in ids},
+                           {i: 1 for i in ids[1:4]}, 1.0)
+    sym = coords_instance(np.random.default_rng(0).normal(size=(6, 2)))
+    gathered = instance_from_coords(ids, sym.coords, ids, {i: 1 for i in ids},
+                                    {i: 1 for i in ("q0", "q2", "q5")}, 1.0)
+    for inst in (asym, sym, gathered):
+        D, step = inst.dist, inst.dist.itemsize
+        for pos in ([0, 1, 2], [4], [5, 1], []):
+            pos = np.array(pos, dtype=np.intp)
+            got = inst.to_clients(pos)
+            assert np.array_equal(got, inst.block(inst.client_pos, pos).T)
+            if inst is not gathered and len(pos) and pos[-1] - pos[0] == len(pos) - 1:
+                assert np.shares_memory(got, D) and not got.flags.writeable
+                assert got.strides == ((6 * step, step) if inst.mirrored else (step, 6 * step))
+    assert not asym.mirrored and sym.mirrored and gathered.mirrored
 
 
 def test_positions_are_worked_out_once():

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import fairrange
 from fairrange.cli import document_from_instance, main, serialize_document
-from fairrange.errors import (CostRangeError, InfeasibleRangesError, StageError,
-                              UnrangedGroupError)
+from fairrange.errors import (CostRangeError, FairRangeError, InfeasibleRangesError,
+                              StageError, UnrangedGroupError)
 from fairrange.instance import RangeConstraints, validate_instance
 from fairrange.pipeline import (
     CERTIFICATES,
+    COST_CAP,
     approximation_study,
     brute_force_optimum,
     generate_figure1_instance,
@@ -765,31 +766,60 @@ def test_answers_do_not_depend_on_matrix_order(p):
     assert reduced == [True] * 6 + [False]
 
 
+def largest_accepted_p(weight, d_max):
+    """The largest float p at which weight * d_max^p stays within COST_CAP,
+    the last p before PowerRangeError (weight > 0, d_max > 1)."""
+    def accepted(p):
+        return weight * np.float64(d_max) ** p <= COST_CAP
+    p = (math.log(COST_CAP) - math.log(weight)) / math.log(d_max)
+    while accepted(math.nextafter(p, math.inf)):
+        p = math.nextafter(p, math.inf)
+    while not accepted(p):
+        p = math.nextafter(p, 0.0)
+    return p
+
+
 @st.composite
 def few_client_instances(draw):
     """Instances of 4 to 8 distinct points on a 10x10 grid with no more
     clients than k, at least one of them with demand 0, and windows around
     a drawn witness center set.  The points are distinct because a
     zero-demand client on the same spot as a client with demand and a lower
-    id would take that client's demand, and its id, as the location."""
+    id would take that client's demand, and its id, as the location.  p is
+    1, 2, 3, 12, 30 or the largest p the instance accepts; an instance of
+    zero total demand has no such p and takes 30."""
     n = draw(st.integers(4, 8))
     cells = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
                           min_size=n, max_size=n, unique=True))
     ids = [f"p{i}" for i in range(n)]
-    p = draw(st.sampled_from([1.0, 2.0, 3.0]))
-    facilities = [u for u in ids if draw(st.booleans())] or [ids[0]]
+    facilities = sorted(draw(st.lists(st.sampled_from(ids), min_size=1, unique=True)))
     ell = draw(st.integers(1, 2))
     labels = {u: draw(st.integers(1, ell)) for u in facilities}
-    k = draw(st.integers(1, len(facilities)))
-    clients = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=k, unique=True))
-    zeros = draw(st.integers(1, len(clients)))
+    k = draw(st.sampled_from(range(1, len(facilities) + 1)))
+    clients = draw(st.lists(st.sampled_from(ids), min_size=min(2, k), max_size=k, unique=True))
+    zeros = draw(st.sampled_from(range(1, len(clients) + 1)))
     demands = {c: 0 if i < zeros else draw(st.integers(1, 3)) for i, c in enumerate(clients)}
     witness = [labels[u] for u in draw(st.permutations(facilities))[:k]]
     ranges = tuple((max(0, witness.count(g) - draw(st.integers(0, 1))),
                     witness.count(g) + draw(st.integers(0, 1))) for g in range(1, ell + 1))
-    inst = fairrange.instance_from_coords(ids, np.array(cells, dtype=float),
-                                          facilities, labels, demands, p)
-    return inst, RangeConstraints(k, ranges)
+
+    def build(p):
+        return fairrange.instance_from_coords(ids, np.array(cells, dtype=float),
+                                              facilities, labels, demands, p)
+    # about half the draws at large p: 12, 30 or the instance's largest
+    p = draw(st.sampled_from([1.0, 2.0, 3.0]) | st.sampled_from([12.0, 30.0, None]))
+    if p is None:
+        weight = sum(demands.values())
+        p = largest_accepted_p(weight, build(1.0).distance_range[1]) if weight else 30.0
+    return build(p), RangeConstraints(k, ranges)
+
+
+def _outcome(inst, rc):
+    """A solve's answer bits, or the type and message of its typed error."""
+    try:
+        return _answer_bits(solve_fair_range(inst, rc))
+    except FairRangeError as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -797,12 +827,12 @@ def few_client_instances(draw):
 def test_zero_demand_clients_change_nothing(case):
     # the objective gives a zero-demand client no weight, so dropping it
     # must leave the same answer, bit for bit, also when the clients
-    # themselves are the locations
+    # themselves are the locations, or the same typed error
     inst, rc = case
     kept = {c: w for c, w in inst.client_demands.items() if w > 0}
     without = fairrange.instance_from_coords(inst.point_ids, inst.coords, inst.facility_ids,
                                              inst.group_label, kept, inst.p)
-    assert _answer_bits(solve_fair_range(inst, rc)) == _answer_bits(solve_fair_range(without, rc))
+    assert _outcome(inst, rc) == _outcome(without, rc)
 
 
 def _relaxation_rounds(monkeypatch):
