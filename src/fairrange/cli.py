@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (CostRangeError, FairRangeError, InfeasibleRangesError,
                      PowerRangeError)
-from .instance import (MetricInstance, RangeConstraints, instance_from_coords,
-                       validate_instance)
+from .instance import (MetricInstance, RangeConstraints, check_power,
+                       instance_from_coords, validate_instance)
 from .pipeline import (ORACLE_BUDGET, approximation_study,
                        brute_force_optimum, generate_figure1_instance,
                        random_instance, random_ranges, report_to_text,
@@ -248,6 +248,15 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"bad instance document: {exc}", file=sys.stderr)
         return 1
+    if args.p is not None:
+        try:
+            check_power(args.p)
+        except ValueError as exc:
+            print(f"invalid parameters: {exc}", file=sys.stderr)
+            return 1
+        # the instance is built once, at the flag's p: a coordinate instance
+        # keeps the mirrored mark that a copy with a new p would lose
+        doc = dataclasses.replace(doc, p=args.p)
     try:
         inst, rc = document_to_instance(doc)
         report_v = validate_instance(inst)
@@ -259,8 +268,6 @@ def cmd_solve(args) -> int:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.p is not None:
-            inst = dataclasses.replace(inst, p=args.p)    # shares the read-only dist
         if args.k is not None or args.ranges is not None:
             rc = RangeConstraints(
                 args.k if args.k is not None else rc.k,

@@ -64,8 +64,7 @@ class MetricInstance:
             for i in ids:
                 if i not in self._index:
                     raise ValueError(f"{kind} {i!r} is not a point")
-        if not 1 <= self.p < math.inf:
-            raise ValueError(f"p must be finite and at least 1, got {self.p}")
+        check_power(self.p)
         self.facility_ids = tuple(sorted(self.facility_ids))
         self.client_ids = tuple(sorted(self.client_demands))
         self.client_pos = self.positions(self.client_ids)
@@ -188,6 +187,12 @@ def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
     # them in the same order, so the two are the same bits
     inst.mirrored = True
     return inst
+
+
+def check_power(p: float) -> None:
+    """Refuse a distance exponent p that is not finite and at least 1."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
 
 
 def is_integer(v) -> bool:

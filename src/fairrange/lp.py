@@ -163,8 +163,11 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
 def _pivot_loop(T: np.ndarray, basis: np.ndarray, lim: int, iters: int) -> tuple[str, int]:
     """Price columns 0..lim-1 and pivot until none improves the objective row.
 
-    T holds one row per basic variable and the objective row last, with the
-    right-hand sides in its last column.  Returns "optimal" or "unbounded"
+    The entering column has the steepest reduced cost (first index on ties)
+    until this call has made more than max(200, m) pivots, then the lowest
+    improving index (Bland's rule), which cannot cycle.  T holds one row
+    per basic variable and the objective row last, with the right-hand
+    sides in its last column.  Returns "optimal" or "unbounded"
     and the pivot count carried on from iters; raises IterationLimitError
     once that count passes MAX_ITERS.
     """
@@ -173,12 +176,9 @@ def _pivot_loop(T: np.ndarray, basis: np.ndarray, lim: int, iters: int) -> tuple
     m = len(basis)
     ncols = T.shape[1] - 1
     z, rhs = T[m, :lim], T[:m, ncols]      # views, current after every pivot
-    bland = False
-    stall = 0
-    stall_limit = max(200, m)
-    best = np.inf
+    steepest_until = iters + max(200, m)
     while True:
-        if bland:
+        if iters > steepest_until:
             cand = (z < -PIVOT_TOL).nonzero()[0]
             if cand.size == 0:
                 return "optimal", iters
@@ -201,24 +201,17 @@ def _pivot_loop(T: np.ndarray, basis: np.ndarray, lim: int, iters: int) -> tuple
         iters += 1
         if iters > MAX_ITERS:
             raise IterationLimitError("iteration limit")
-        obj = -T[m, ncols]
-        if obj < best - 1e-12 * (1.0 + abs(best)):
-            best = obj
-            stall = 0
-        else:
-            stall += 1
-            if stall > stall_limit:
-                bland = True
 
 
 def solve_vertex(lp: LinearProgram) -> SimplexResult:
     """Two-phase primal simplex on a dense tableau.
 
-    Pricing is by steepest reduced cost with first-index ties; a stall
-    counter switches to Bland's rule, which guards against cycling.  The
-    leaving row always takes the smallest basic variable index among the
-    minimum-ratio rows, so results are deterministic.  Returns a basic
-    optimal solution, i.e. a vertex of the feasible polytope.
+    Pricing is by steepest reduced cost with first-index ties; once a
+    phase has made more than max(200, m) pivots it switches to Bland's
+    rule, which guards against cycling.  The leaving row always takes the
+    smallest basic variable index among the minimum-ratio rows, so results
+    are deterministic.  Returns a basic optimal solution, i.e. a vertex of
+    the feasible polytope.
     """
     n = lp.num_vars
     # after the program's rows, one x_j <= ub row per finite bound, in
@@ -331,37 +324,30 @@ def _highs_core():
 def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     """HiGHS's dual simplex through scipy's bundled binding, presolve off.
 
-    The rows go in as built, row-wise; HiGHS stores them column-wise itself,
-    so the model is the one linprog(method="highs") builds and the answer
-    is the one linprog gives without presolve.  An optimal result carries
-    each row's multiplier in duals, >= 0 on >= and <= rows alike.  The
-    binding is a private scipy module (scipy >= 1.15), loaded by
-    _highs_core.
+    HiGHS takes the program's own row-wise arrays, a >= row as a row lower
+    bound, and stores them column-wise itself; x, the duals and the
+    iteration count are those linprog(method="highs") gives without
+    presolve.  An optimal result carries each row's multiplier in duals,
+    >= 0 on >= and <= rows alike.  The binding is a private scipy module
+    (scipy >= 1.15), loaded by _highs_core.
     """
     highspy = _highs_core()
-
-    # >= rows go in negated as <= rows; HiGHS reads A x <= row_upper
-    sign = np.where(lp.geq, -1.0, 1.0)
-    b = sign * lp.rhs
-    model = highspy.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
-    model.num_row_ = model.a_matrix_.num_row_ = len(b)
-    model.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
-    # the binding copies element by element; lists convert faster than arrays
-    model.a_matrix_.start_ = lp.indptr.tolist()
-    model.a_matrix_.index_ = lp.indices.tolist()
-    model.a_matrix_.value_ = (lp.data * sign[lp.row_of]).tolist()
-    model.col_cost_ = lp.objective.tolist()
-    model.col_lower_ = [0.0] * lp.num_vars
-    model.col_upper_ = lp.upper.tolist()
-    model.row_lower_ = [-highspy.kHighsInf] * len(b)
-    model.row_upper_ = b.tolist()
-
     highs = highspy._Highs()
-    for option, value in (("output_flag", False), ("log_to_console", False),
-                          ("presolve", "off"), ("simplex_strategy", 1)):
+    for option, value in (("output_flag", False), ("presolve", "off"),
+                          ("simplex_strategy", 1)):
         highs.setOptionValue(option, value)
-    highs.passModel(model)
+    # a >= row reads rhs <= a.x <= inf and a <= row -inf <= a.x <= rhs.
+    # HiGHS takes the row starts without the final entry and one
+    # integrality flag per column (0: continuous), and refuses other
+    # lengths with kError, after which run() would report an empty model
+    n, inf = lp.num_vars, highspy.kHighsInf
+    if highs.passModel(
+            n, len(lp.rhs), len(lp.indices), int(highspy.MatrixFormat.kRowwise),
+            int(highspy.ObjSense.kMinimize), 0.0, lp.objective, np.zeros(n), lp.upper,
+            np.where(lp.geq, lp.rhs, -inf), np.where(lp.geq, inf, lp.rhs),
+            lp.indptr[:-1].astype(np.int32), lp.indices.astype(np.int32), lp.data,
+            np.zeros(n, dtype=np.int32)) == highspy.HighsStatus.kError:
+        raise SimplexError("backend failure: HiGHS refused the model")
     highs.run()
     status = highs.getModelStatus()
     iters = highs.getInfo().simplex_iteration_count
@@ -376,8 +362,9 @@ def _solve_scipy(lp: LinearProgram) -> SimplexResult:
     viol = _violation(lp, x)
     if not viol <= 100 * FEAS_TOL:
         raise SimplexError(f"backend residual {viol:.3g} exceeds tolerance")
-    # every row went in as a <= row, whose HiGHS dual is <= 0 at optimality
-    duals = np.maximum(-np.array(solution.row_dual), 0.0)
+    # at optimality HiGHS's dual is >= 0 on a >= row and <= 0 on a <= row
+    row_dual = np.array(solution.row_dual)
+    duals = np.maximum(np.where(lp.geq, row_dual, -row_dual), 0.0)
     return SimplexResult("optimal", x, float(lp.objective @ x), iterations=iters,
                          backend="scipy", max_violation=viol, duals=duals)
 

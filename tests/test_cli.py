@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fairrange.cli
 from fairrange.cli import (CSV_HEADER, InstanceDocument, document_from_instance,
                            document_to_instance, main, parse_document,
                            serialize_document)
 from fairrange.instance import RangeConstraints
-from fairrange.pipeline import generate_figure1_instance, random_instance, random_ranges
+from fairrange.pipeline import (generate_figure1_instance, random_instance, random_ranges,
+                                solve_fair_range)
 
 from conftest import line_instance, matrix_instance, with_distance
 
@@ -163,6 +165,25 @@ class TestSolveCommand:
                      "--p", "2"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()[1].split(": ")[1].split()) == 3
+
+    def test_p_flag_builds_a_mirrored_instance(self, tmp_path, capsys, monkeypatch):
+        # a copy of the built instance with the flag's p lost the mark that
+        # lets stage 1 read a coordinate instance along its rows
+        inst = random_instance(0, 10, 2, 1.0)
+        doc = document_from_instance(inst, random_ranges(0, inst, 3, 2))
+        solved = []
+
+        def solve(inst, rc):
+            solved.append(inst)
+            return solve_fair_range(inst, rc)
+
+        monkeypatch.setattr(fairrange.cli, "solve_fair_range", solve)
+        reports = []
+        for d, flag in ((doc, ["--p", "2"]), (dataclasses.replace(doc, p=2.0), [])):
+            assert main(["solve", self.write(tmp_path, d), *flag]) == 0
+            reports.append(capsys.readouterr().out.split("timings-ms:")[0])
+        assert [(i.p, i.mirrored) for i in solved] == [(2.0, True)] * 2
+        assert reports[0] == reports[1]
 
     def test_unranged_facility_group_exit_one(self, tmp_path, capsys):
         doc = tiny_document()

@@ -499,8 +499,11 @@ def random_fair_range_lp(rng, nD, nF, p):
 
 
 def linprog_reference(lp, presolve=True):
-    """linprog fed the arrays _solve_scipy hands HiGHS: every row as a <=
-    row, the >= rows negated."""
+    """linprog on the program written with every row as a <= row, the >=
+    rows negated: a formulation of its own, not the arrays _solve_scipy
+    hands HiGHS (the program's rows, a >= row as a row lower bound).
+    Without presolve it gives _solve_scipy's x, duals (its <= row
+    marginals, negated) and iteration count bit for bit."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
@@ -510,6 +513,14 @@ def linprog_reference(lp, presolve=True):
     return linprog(lp.objective, A_ub=A, b_ub=sign * lp.rhs,
                    bounds=np.column_stack((np.zeros(lp.num_vars), lp.upper)),
                    method="highs", options={"presolve": presolve})
+
+
+def assert_matches_unpresolved(res, ref):
+    """x, duals and iterations of _solve_scipy equal linprog_reference's
+    without presolve, bit for bit."""
+    assert res.x.tobytes() == np.maximum(ref.x, 0.0).tobytes()
+    assert res.duals.tobytes() == np.maximum(-ref.ineqlin.marginals, 0.0).tobytes()
+    assert res.iterations == ref.nit
 
 
 class TestSparseHighs:
@@ -538,6 +549,17 @@ class TestSparseHighs:
         with pytest.raises(SimplexError, match="residual"):
             _solve_scipy(mixed_rows_lp())
 
+    def test_refused_model_raises(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        class Refusing(_core._Highs):
+            def passModel(self, *args):
+                return _core.HighsStatus.kError
+
+        monkeypatch.setattr(_core, "_Highs", Refusing)
+        with pytest.raises(SimplexError, match="refused the model"):
+            _solve_scipy(mixed_rows_lp())
+
     @pytest.mark.parametrize("nD,nF,p", list(itertools.product((3, 10), (200, 300), (1, 2))))
     def test_direct_call_matches_linprog_bit_for_bit(self, rng, nD, nF, p):
         lp = random_fair_range_lp(rng, nD, nF, p)
@@ -545,7 +567,7 @@ class TestSparseHighs:
         res = _solve_scipy(lp)
         assert res.status == "optimal"
         unpresolved = linprog_reference(lp, presolve=False)
-        assert res.x.tobytes() == np.maximum(unpresolved.x, 0.0).tobytes()
+        assert_matches_unpresolved(res, unpresolved)
         assert res.objective == pytest.approx(linprog_reference(lp).fun, rel=1e-9)
 
     def test_mixed_rows_match_linprog_bit_for_bit(self, rng):
@@ -562,7 +584,7 @@ class TestSparseHighs:
             assert res.status == {0: "optimal", 2: "infeasible"}[ref.status]
             if res.status == "optimal":
                 optimal += 1
-                assert res.x.tobytes() == np.maximum(ref.x, 0.0).tobytes()
+                assert_matches_unpresolved(res, ref)
         assert optimal >= 5
 
     def test_contradictory_ranges_above_cutover_are_infeasible(self, rng):

@@ -670,15 +670,15 @@ def test_tight_windows_at_large_p_end_certified_or_typed(p):
 @st.composite
 def tiny_instances(draw):
     """Instances of at most 8 points on a 5x5 grid, so points may coincide,
-    at p up to 30,
-    with ids that may sort against matrix order, built from coordinates or
+    at p 1, 1.5, 2, 3, 30 or the largest p the instance accepts (30 where
+    the total demand is 0 or no distance exceeds 1), with ids that may sort against matrix order, built from coordinates or
     from their matrix, clients and facilities drawn as subsets of the
     points, demands that may be 0, one to three groups and now and then a
     label outside them, k up to |F|, and windows around a drawn witness
     center set that are often tight (alpha = beta), or now and then drawn
     with no witness."""
     n = draw(st.integers(1, 8))
-    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 30.0]))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 30.0, None]))
     ids = draw(st.permutations([f"p{i}" for i in range(n)]))
     coords = np.array([[draw(st.integers(0, 4)), draw(st.integers(0, 4))] for _ in ids],
                       dtype=float)
@@ -687,6 +687,11 @@ def tiny_instances(draw):
     label_range = st.integers(0, ell + 1) if draw(st.integers(0, 5)) == 0 else st.integers(1, ell)
     labels = {u: draw(label_range) for u in facilities}
     demands = {c: draw(st.integers(0, 3)) for c in ids if draw(st.booleans())}
+    if p is None:
+        weight = sum(demands.values())
+        d_max = fairrange.instance_from_coords(ids, coords, facilities, labels, demands,
+                                               1.0).distance_range[1]
+        p = largest_accepted_p(weight, d_max) if weight and d_max > 1.0 else 30.0
     inst = fairrange.instance_from_coords(ids, coords, facilities, labels, demands, p)
     if draw(st.booleans()):
         inst = matrix_instance(ids, inst.dist, facilities, labels, demands, p)
