@@ -136,6 +136,17 @@ def _require_costs_in_range(inst: MetricInstance) -> None:
                           f"above {COST_CAP:g}{largest}")
 
 
+def _require_solvable(inst: MetricInstance, rc: RangeConstraints) -> None:
+    """The input checks of the solve and the oracle, in this order: every
+    facility in a ranged group, ranges some size-k center set meets, and
+    costs in range."""
+    _require_ranged_groups(inst, rc)
+    if not check_range_feasibility(inst.group_sizes(rc.num_groups), rc):
+        raise InfeasibleRangesError(
+            f"no size-{rc.k} center set can meet the ranges")
+    _require_costs_in_range(inst)
+
+
 def _assignment_relaxation(dp: np.ndarray, w: np.ndarray, groups: Sequence[int],
                            rc: RangeConstraints) -> tuple[np.ndarray, SimplexResult]:
     """Stage 2: the assignment LP over dp, solved whole or on its core.
@@ -179,12 +190,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     the flow over its half-integral openings always finds a selection, so
     an infeasible opening program or an empty flow is a StageError too.
     """
-    _require_ranged_groups(inst, rc)
-    sizes = inst.group_sizes(rc.num_groups)
-    if not check_range_feasibility(sizes, rc):
-        raise InfeasibleRangesError(
-            f"no size-{rc.k} center set can meet the ranges")
-    _require_costs_in_range(inst)
+    _require_solvable(inst, rc)
 
     timings: dict[str, float] = {}
     clock = [time.perf_counter()]        # start of the solve, then each lap's end
@@ -260,24 +266,19 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
 def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints) -> tuple[float, tuple[str, ...]]:
     """Exact minimum over all range-feasible k-subsets of the facilities.
 
-    Ties, costs within a relative 1e-12 of the best, break to the
-    lexicographically smallest center tuple.  Refuses to enumerate more
-    than ORACLE_BUDGET subsets, and facilities whose group has no range
-    (UnrangedGroupError).
+    Refuses first what solve_fair_range refuses, with the same errors, then
+    more than ORACLE_BUDGET subsets (ValueError).  Ties, costs within a
+    relative 1e-12 of the best, break to the lexicographically smallest
+    center tuple.
     """
-    _require_ranged_groups(inst, rc)
+    _require_solvable(inst, rc)
     nF = len(inst.facility_ids)
-    if rc.k > nF:
-        raise InfeasibleRangesError(f"k={rc.k} exceeds {nF} facilities")
     if math.comb(nF, rc.k) > ORACLE_BUDGET:
         raise ValueError(f"C({nF}, {rc.k}) subsets exceed the oracle budget")
-    if not check_range_feasibility(inst.group_sizes(rc.num_groups), rc):
-        raise InfeasibleRangesError("ranges admit no center set")
     w = inst.client_weights()
     dmat = inst.block(inst.client_pos, inst.facility_pos) ** inst.p
     groups = inst.facility_groups
-    best = math.inf
-    best_set: tuple[str, ...] | None = None
+    best, best_set = math.inf, ()
     for combo in itertools.combinations(range(nF), rc.k):
         counts = [0] * rc.num_groups
         for ui in combo:
@@ -288,8 +289,6 @@ def brute_force_optimum(inst: MetricInstance, rc: RangeConstraints) -> tuple[flo
         if cost < best * (1.0 - 1e-12):
             best = cost
             best_set = tuple(inst.facility_ids[ui] for ui in combo)
-    if best_set is None:
-        raise InfeasibleRangesError("ranges admit no center set")
     return best, best_set
 
 
@@ -393,16 +392,14 @@ def approximation_study(seeds: Sequence[int],
     """
     rows: list[StudyRow] = []
     for (n, k, ell) in grid:
-        if math.comb(n, k) > ORACLE_BUDGET:
-            raise ValueError(f"cell n={n}, k={k} exceeds the oracle budget")
         for p in p_values:
             for seed in seeds:
                 inst = random_instance(seed, n, ell, p)
                 rc = random_ranges(seed, inst, k, ell)
+                oracle_p, _ = brute_force_optimum(inst, rc)
                 t0 = time.perf_counter()
                 report = solve_fair_range(inst, rc)
                 wall_ms = 1000.0 * (time.perf_counter() - t0)
-                oracle_p, _ = brute_force_optimum(inst, rc)
                 solver = report.centers.cost_p ** (1.0 / p)
                 oracle = oracle_p ** (1.0 / p)
                 if solver <= 0.0 and oracle <= 0.0:

@@ -11,7 +11,8 @@ raises writes `raised Type: message` instead.  The solves, 3806 in all:
 - the seed-1 pools of the benchmark's three workloads (536), built by
   perfbench/workloads.make_case;
 - random_instance(s, 10, 2, p) with random_ranges(s, inst, 3, 2) at p 1,
-  2 and 3 for s 0-199 (600);
+  2 and 3 for s 0-199 (600), each followed by an `oracle` line with
+  brute_force_optimum's centers and cost (hex);
 - the same at every integer p 12-100 for s 0-29 (2670), the large-p sweep.
 
 The tree's own src/ and perfbench/ are imported, so each tree is measured
@@ -23,21 +24,23 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from fairrange.pipeline import random_instance, random_ranges, solve_fair_range  # noqa: E402
+from fairrange.pipeline import (brute_force_optimum, random_instance,  # noqa: E402
+                                random_ranges, solve_fair_range)
 from workloads import POOL, WORKLOADS, make_case  # noqa: E402
 
 
 def cases():
-    """(label, instance, ranges) of every solve, in a fixed order."""
+    """(label, instance, ranges, whether the oracle runs too) of every
+    solve, in a fixed order."""
     for workload in WORKLOADS:
         for i in range(POOL[workload]):
             case = make_case(workload, 1, i)
-            yield f"{workload} {i}", case.inst, case.rc
+            yield f"{workload} {i}", case.inst, case.rc, False
     for ps, seeds in (((1, 2, 3), range(200)), (range(12, 101), range(30))):
         for p in ps:
             for s in seeds:
                 inst = random_instance(s, 10, 2, float(p))
-                yield f"n10 s{s} p{p}", inst, random_ranges(s, inst, 3, 2)
+                yield f"n10 s{s} p{p}", inst, random_ranges(s, inst, 3, 2), p <= 3
 
 
 def answer_line(inst, rc) -> str:
@@ -56,8 +59,11 @@ def main(argv):
     if len(argv) != 2:
         sys.exit("usage: python tests/answer_bits.py OUT")
     with open(argv[1], "w") as out:
-        for label, inst, rc in cases():
+        for label, inst, rc, oracle in cases():
             out.write(f"{label}: {answer_line(inst, rc)}\n")
+            if oracle:
+                cost, centers = brute_force_optimum(inst, rc)
+                out.write(f"{label} oracle: {','.join(centers)} | {cost.hex()}\n")
 
 
 if __name__ == "__main__":

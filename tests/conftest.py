@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -323,40 +322,6 @@ def solve_stages(inst, rc, last):
         except _LastStage:
             return out
     raise AssertionError(f"the solve ended without calling {last}")
-
-
-def enumerate_optimum(inst, rc):
-    """Independent brute-force oracle used to cross-check solver output.
-
-    Walks all k-subsets of facilities in lexicographic order and keeps the
-    first minimizer among range-feasible subsets, a cost within a relative
-    1e-12 of the best counting as a tie.
-    """
-    best = None
-    best_set = None
-    clients = inst.client_ids
-    w = np.array([inst.client_demands[c] for c in clients], dtype=float)
-    dmat = submatrix(inst, clients, inst.facility_ids) ** inst.p
-    fidx = {f: i for i, f in enumerate(inst.facility_ids)}
-    for combo in itertools.combinations(inst.facility_ids, rc.k):
-        counts = [0] * rc.num_groups
-        ok = True
-        for c in combo:
-            g = inst.group_label.get(c)
-            if g is None or g > rc.num_groups:
-                ok = False
-                break
-            counts[g - 1] += 1
-        if not ok:
-            continue
-        if any(not (a <= t <= b) for t, (a, b) in zip(counts, rc.ranges)):
-            continue
-        cols = [fidx[c] for c in combo]
-        cost = float(w @ dmat[:, cols].min(axis=1))
-        if best is None or cost < best * (1.0 - 1e-12):
-            best = cost
-            best_set = combo
-    return best, best_set
 
 
 @pytest.fixture

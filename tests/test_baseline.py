@@ -12,9 +12,9 @@ import fairrange.baseline as baseline
 from fairrange.baseline import (_block_hits, farthest_first, local_search_clustering,
                                 reduce_locations)
 from fairrange.instance import MetricInstance, RangeConstraints, instance_from_coords
-from fairrange.pipeline import _require_costs_in_range
+from fairrange.pipeline import _require_costs_in_range, brute_force_optimum
 
-from conftest import enumerate_optimum, line_instance, matrix_instance, submatrix
+from conftest import line_instance, matrix_instance, submatrix
 from oracles import baseline_cost_p
 
 
@@ -246,7 +246,7 @@ class TestLocalSearch:
         inst = line_instance([0.0, 1.0, 10.0, 11.0])
         _, cost, _ = local_search_clustering(inst, 2)
         rc = RangeConstraints(2, ((0, 2),))
-        best, _ = enumerate_optimum(inst, rc)
+        best, _ = brute_force_optimum(inst, rc)
         assert cost == pytest.approx(best)
 
     def test_zero_swaps_budget(self):
@@ -266,7 +266,7 @@ class TestLocalSearch:
             inst = planar_instance(rng, n, p=p)
             _, cost, _ = local_search_clustering(inst, k)
             rc = RangeConstraints(k, ((0, k),))
-            best, _ = enumerate_optimum(inst, rc)
+            best, _ = brute_force_optimum(inst, rc)
             assert cost <= (5.0 ** p) * best + 1e-9
 
     def test_weighted_clients_steer_centers(self):

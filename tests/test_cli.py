@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fairrange.cli
+import fairrange.pipeline
 from fairrange.cli import (CSV_HEADER, InstanceDocument, document_from_instance,
                            document_to_instance, main, parse_document,
                            serialize_document)
@@ -144,13 +145,19 @@ class TestSolveCommand:
         assert "triangle" in capsys.readouterr().err
         assert main(["solve", path, "--allow-nonmetric"]) == 0
 
-    def test_oracle_flag_appends_ratio(self, tmp_path, capsys):
-        assert main(["solve", self.write(tmp_path, tiny_document()),
-                     "--oracle"]) == 0
+    def test_oracle_flag_appends_ratio(self, tmp_path, capsys, monkeypatch):
+        path = self.write(tmp_path, tiny_document())
+        assert main(["solve", path, "--oracle"]) == 0
         out = capsys.readouterr().out
         assert "oracle-cost-p:" in out
         ratio = float(out.splitlines()[-1].split(": ")[1])
         assert ratio >= 1.0 - 1e-9
+        # past the budget the report is printed alone, with the oracle's refusal
+        monkeypatch.setattr(fairrange.pipeline, "ORACLE_BUDGET", 5)
+        assert main(["solve", path, "--oracle"]) == 0
+        captured = capsys.readouterr()
+        assert "oracle-cost-p:" not in captured.out
+        assert captured.err == "oracle skipped: C(4, 2) subsets exceed the oracle budget\n"
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"

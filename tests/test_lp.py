@@ -141,6 +141,30 @@ class TestSimplex:
         assert res.objective == pytest.approx(float(exact), abs=1e-9)
         assert res.objective == pytest.approx(-0.05, abs=1e-9)
 
+    def test_bland_takes_over_after_max_200_m_steepest_pivots(self, monkeypatch):
+        # every row is <=, so phase 2 is the one phase, and it takes 219
+        # pivots; the two rules pick different columns at pivots 201 and 202
+        rng = np.random.default_rng(4)
+        A = rng.integers(1, 10, (80, 200)).astype(float)
+        lp = simple_lp(-rng.integers(1, 10, 200).astype(float),
+                       [(list(enumerate(row)), LEQ, 100.0) for row in A])
+        picks = []          # (entering, steepest, first improving) per pivot
+        pivot = fairrange.lp._pivot
+
+        def spy(T, r, j):
+            z = T[-1, :-1]  # no artificial columns, so every column is priced
+            picks.append((j, int(z.argmin()), int(np.flatnonzero(z < -PIVOT_TOL)[0])))
+            pivot(T, r, j)
+
+        monkeypatch.setattr(fairrange.lp, "_pivot", spy)
+        assert solve_vertex(lp).status == "optimal"
+        last_steepest = max(200, len(A)) + 1
+        entering, steepest, first = map(list, zip(*picks))
+        for t in (last_steepest, last_steepest + 1):
+            assert steepest[t - 1] != first[t - 1]
+        assert entering == steepest[:last_steepest] + first[last_steepest:]
+        assert len(picks) == 219
+
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(fairrange.lp, "MAX_ITERS", 0)
         lp = simple_lp([-1.0], [([(0, 1.0)], LEQ, 1.0)])

@@ -28,8 +28,8 @@ from fairrange.pipeline import (
     solve_fair_range,
 )
 
-from conftest import (distance, enumerate_optimum, line_instance, matrix_instance,
-                      solve_stages, submatrix, with_distance)
+from conftest import (distance, line_instance, matrix_instance, solve_stages, submatrix,
+                      with_distance)
 from oracles import mip_optimum
 
 
@@ -51,6 +51,28 @@ class TestBruteForce:
         with pytest.raises(InfeasibleRangesError):
             brute_force_optimum(inst, RangeConstraints(1, ((2, 3),)))
 
+    @pytest.mark.parametrize("change", [
+        lambda inst: with_distance(inst, "p000", "p001", math.nan),
+        lambda inst: with_distance(inst, "p001", "p002", -5.0),
+        lambda inst: dataclasses.replace(inst, client_demands={**inst.client_demands,
+                                                               "p003": -2}),
+        lambda inst: dataclasses.replace(inst, p=300.0),
+        lambda inst: dataclasses.replace(inst, group_label={**inst.group_label, "p004": 3})],
+        ids=["nan-distance", "negative-distance", "negative-demand", "p300", "unranged-label"])
+    def test_refuses_what_the_solve_refuses(self, change):
+        # the oracle answered the first four cases with 33.19, 0.3039, 10.96
+        # and, past an overflow warning, 7.28e243
+        inst = change(random_instance(0, 8, 2, 1.0))
+        rc = RangeConstraints(2, ((0, 2), (0, 2)))
+        refusals = []
+        for solve in (solve_fair_range, brute_force_optimum):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FairRangeError) as err:
+                    solve(inst, rc)
+            refusals.append((type(err.value), str(err.value)))
+        assert refusals[0] == refusals[1]
+
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setattr(fairrange.pipeline, "ORACLE_BUDGET", 1000)
         inst = random_instance(0, 30, 2, 1.0)
@@ -69,17 +91,17 @@ class TestBruteForce:
         # kept p0 (1.091e-12) over p2 (2.81e-13)
         inst = line_instance([0.0, 3e-5, 4e-5, 1e-4], p=3.0)
         rc = RangeConstraints(1, ((0, 1),))
-        for oracle in (brute_force_optimum, enumerate_optimum):
-            cost, centers = oracle(inst, rc)
-            assert tuple(centers) == ("p2",)
-            assert cost == pytest.approx(2.81e-13, rel=1e-9)
+        cost, centers = brute_force_optimum(inst, rc)
+        assert centers == ("p2",)
+        assert cost == pytest.approx(2.81e-13, rel=1e-9)
 
-    def test_matches_independent_enumeration(self, rng):
+    def test_matches_independent_enumeration(self):
+        # the MIP reaches the optimum by branch and bound, not by enumeration
         for seed in range(6):
             inst = random_instance(seed, 9, 2, 2.0)
             rc = random_ranges(seed, inst, 3, 2)
             cost, _ = brute_force_optimum(inst, rc)
-            ref, _ = enumerate_optimum(inst, rc)
+            ref, _ = mip_optimum(inst, rc)
             assert cost == pytest.approx(ref, rel=1e-12)
 
 
@@ -98,7 +120,7 @@ class TestMipOracle:
         cases.append((sub, RangeConstraints(3, ((1, 2), (0, 1), (1, 2)))))
         for inst, rc in cases:
             obj, bound = mip_optimum(inst, rc)
-            ref, _ = enumerate_optimum(inst, rc)
+            ref, _ = brute_force_optimum(inst, rc)
             assert obj == pytest.approx(ref, rel=1e-12)
             assert bound == pytest.approx(ref, rel=1e-12)
 
