@@ -35,7 +35,6 @@ CSV_HEADER = "n,k,l,p,seed,solver_cost,oracle_cost,ratio,certificates_passed,wal
 
 @dataclass(frozen=True, eq=False)
 class InstanceDocument:
-    format_version: int
     point_ids: tuple[str, ...]
     coords: np.ndarray | None        # n x dim, read-only
     matrix: np.ndarray | None        # n x n, symmetric, read-only
@@ -78,7 +77,7 @@ def _read_only(a) -> np.ndarray:
 
 
 def serialize_document(doc: InstanceDocument) -> str:
-    lines = [f"fair-range instance v{doc.format_version}",
+    lines = [f"fair-range instance v{FORMAT_VERSION}",
              "p: " + G % doc.p,
              f"k: {doc.k}",
              "ranges: " + ",".join(f"{a}:{b}" for a, b in doc.ranges),
@@ -146,7 +145,7 @@ def parse_document(text: str) -> InstanceDocument:
     facilities, clients = (tuple(_id_and_count(name, rec) for rec in sections[name])
                            for name in ("facilities", "clients"))
     return InstanceDocument(
-        FORMAT_VERSION, tuple(ids), coords if has_coords else None, matrix,
+        tuple(ids), coords if has_coords else None, matrix,
         facilities, clients, _parse_field("p", scalars["p"], "a number", float),
         _parse_field("k", scalars["k"], "an integer", int),
         _parse_ranges(scalars["ranges"]))
@@ -223,7 +222,7 @@ def document_from_instance(inst: MetricInstance, rc: RangeConstraints) -> Instan
     matrix = inst.dist if inst.coords is None else None
     facilities = tuple((u, inst.group_label[u]) for u in inst.facility_ids)
     clients = tuple((c, inst.client_demands[c]) for c in inst.client_ids)
-    return InstanceDocument(FORMAT_VERSION, inst.point_ids, inst.coords, matrix,
+    return InstanceDocument(inst.point_ids, inst.coords, matrix,
                             facilities, clients, inst.p, rc.k, rc.ranges)
 
 

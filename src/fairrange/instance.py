@@ -35,10 +35,11 @@ class MetricInstance:
     group_label: dict[str, int]      # facility id -> group in 1..num_groups
     client_demands: dict[str, int]   # client id -> positive integer demand
     p: float
-    coords: np.ndarray | None = None  # optional, kept only for serialization
 
-    # set by instance_from_coords alone, which can prove it: every entry of
-    # dist is the same bits as its transpose
+    # set by instance_from_coords alone, the one builder that can vouch for
+    # both: the coordinates dist was computed from (kept for serialization),
+    # and that every entry of dist is the same bits as its transpose
+    coords: np.ndarray | None = field(default=None, init=False)
     mirrored: bool = field(default=False, init=False, repr=False, compare=False)
     # Worked out once, here: the instance is read-only.  Positions are rows
     # of dist; a solve reads dist only through block() and to_clients().
@@ -72,7 +73,11 @@ class MetricInstance:
         self.facility_groups = tuple(self.group_label.get(u, 0) for u in self.facility_ids)
         self.point_pos = self.positions(sorted(self.point_ids))
         self._clients = _as_run(self.client_pos)
-        self._weights = np.array([self.client_demands[c] for c in self.client_ids], float)
+        try:
+            self._weights = np.array([self.client_demands[c] for c in self.client_ids], float)
+        except OverflowError:       # float() rounds from 2^1024 - 2^970 up past the range
+            c = next(c for c in self.client_ids if abs(self.client_demands[c]) >= 2**1024 - 2**970)
+            raise ValueError(f"demand of client {c} is past the float range") from None
         for a in (self.dist, self.client_pos, self.facility_pos, self.point_pos, self._weights):
             a.setflags(write=False)
 
@@ -182,10 +187,10 @@ def instance_from_coords(ids: Sequence[str], coords, facility_ids, group_label,
             np.sqrt(out, out=out)
     np.fill_diagonal(dist, 0.0)
     inst = MetricInstance(tuple(ids), dist, tuple(facility_ids),
-                          dict(group_label), dict(client_demands), p, coords=pts)
+                          dict(group_label), dict(client_demands), p)
     # d(a, b) and d(b, a) square the same differences up to sign and sum
     # them in the same order, so the two are the same bits
-    inst.mirrored = True
+    inst.coords, inst.mirrored = pts, True
     return inst
 
 

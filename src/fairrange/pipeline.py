@@ -245,8 +245,7 @@ def solve_fair_range(inst: MetricInstance, rc: RangeConstraints) -> SolveReport:
     for cnt, (a, b) in zip(solution.group_counts, rc.ranges):
         if not a <= cnt <= b:
             raise StageError("pipeline", "selected centers break a range")
-    dmin = sp.fac_dist[:, centers_idx].min(axis=1)
-    stage_costs["integral_sparse"] = float(sp.weights @ dmin ** sp.p)
+    stage_costs["integral_sparse"] = sp.cost_of(solution.centers)
     stage_costs["integral_clients"] = red.cost_of(solution.centers)
     stage_costs["integral_original"] = solution.cost_p
 

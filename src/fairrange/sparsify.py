@@ -9,11 +9,12 @@ cheapest radius first, so that the survivors are pairwise farther apart
 than 2^(1+1/p) times either radius, which keeps their balls disjoint.
 
 The survivors with aggregated demand, their balls, and the restricted
-fractional solution are what the structure stage consumes.
+fractional solution are what the structure stage consumes: a
+ReducedInstance on the same metric, with what sparsification adds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -108,35 +109,15 @@ def consolidate(ids: Sequence[str], loc_dist: np.ndarray, radii: np.ndarray,
 
 
 @dataclass
-class SparsifiedInstance:
-    """Surviving locations, red's at positions kept, with their balls and the
-    carried LP solution.  The distance tables are red's, at the kept rows."""
-    red: ReducedInstance
-    kept: list[int]                         # positions in red.location_ids
-    weights: np.ndarray
+class SparsifiedInstance(ReducedInstance):
+    """Surviving locations with their aggregated weights, balls and the
+    carried LP solution: a ReducedInstance on the same metric, so its
+    distance tables are taken as any weighted locations' are."""
     radii: np.ndarray                       # aligned with location_ids
     forward_map: dict[str, str]             # reduced location id -> survivor id
     balls: list[np.ndarray]                 # facility indices per survivor
     x: np.ndarray                           # survivors x facilities
     y: np.ndarray
-    location_ids: tuple[str, ...] = field(init=False)
-    fac_dist: np.ndarray = field(init=False, repr=False)
-    fac_dist_p: np.ndarray = field(init=False, repr=False)
-    loc_dist: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.location_ids = tuple(self.red.location_ids[t] for t in self.kept)
-        self.fac_dist = self.red.fac_dist[self.kept]
-        self.fac_dist_p = self.red.fac_dist_p[self.kept]
-        self.loc_dist = self.red.loc_dist[np.ix_(self.kept, self.kept)]
-
-    @property
-    def p(self) -> float:
-        return self.red.p
-
-    @property
-    def facility_ids(self) -> tuple[str, ...]:
-        return self.red.facility_ids
 
     def assignment_cost(self, x: np.ndarray) -> float:
         """Weighted p-th power cost of the survivors x facilities assignment x."""
@@ -156,5 +137,6 @@ def sparsify(red: ReducedInstance, x: np.ndarray, y: np.ndarray) -> SparsifiedIn
                                       radii, red.weights, red.p)
     r_kept = radii[kept]
     balls = compute_balls(red.fac_dist[kept], r_kept, red.p)
-    return SparsifiedInstance(red, kept, w_prime, r_kept, fmap, balls,
+    ids = tuple(red.location_ids[t] for t in kept)
+    return SparsifiedInstance(red.source, ids, w_prime, r_kept, fmap, balls,
                               x[kept].copy(), np.asarray(y, dtype=float).copy())

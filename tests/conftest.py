@@ -89,7 +89,7 @@ def manual_sp(inst, locations, radii, balls, x, y):
     red = reduce_locations(inst, locations)
     assert red.location_ids == tuple(locations)
     return SparsifiedInstance(
-        red, list(range(len(locations))), red.weights, np.asarray(radii, dtype=float),
+        inst, red.location_ids, red.weights, np.asarray(radii, dtype=float),
         {v: v for v in locations}, [np.asarray(b, dtype=int) for b in balls],
         np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
@@ -214,6 +214,13 @@ def assert_same_program(got, want):
     for name in PROGRAM_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def opening_args(ss, groups, rc):
+    """The builder arguments structured_program passes for ss."""
+    sp = ss.sp
+    return (sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
+            ss.territories, ss.base_pow, ss.ball_need, ss.split)
 
 
 def opening_program(dp, w, groups, k, ranges, balls, territories, base_pow, ball_need, split):

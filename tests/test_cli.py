@@ -66,7 +66,7 @@ class TestDocumentRoundTrip:
 
     def test_rejects_coords_and_matrix_together(self):
         with pytest.raises(ValueError, match="exactly one"):
-            InstanceDocument(1, ("a", "b"), ((0.0,), (1.0,)),
+            InstanceDocument(("a", "b"), ((0.0,), (1.0,)),
                              ((0.0, 1.0), (1.0, 0.0)),
                              (("a", 1),), (("b", 1),), 1.0, 1, ((1, 1),))
 
@@ -99,7 +99,7 @@ class TestOneCopy:
         assert not doc.coords.flags.writeable
 
     def test_nested_tuples_are_converted_once(self):
-        doc = InstanceDocument(1, ("a", "b"), None, ((0.0, 1.0), (1.0, 0.0)),
+        doc = InstanceDocument(("a", "b"), None, ((0.0, 1.0), (1.0, 0.0)),
                                (("a", 1),), (("b", 1),), 1.0, 1, ((1, 1),))
         assert doc.matrix.dtype == np.float64 and not doc.matrix.flags.writeable
         assert dataclasses.replace(doc, matrix=doc.matrix).matrix is doc.matrix
@@ -124,9 +124,8 @@ class TestSolveCommand:
 
     def test_infeasible_ranges_exit_two(self, tmp_path, capsys):
         doc = tiny_document()
-        bad = InstanceDocument(doc.format_version, doc.point_ids, doc.coords,
-                               doc.matrix, doc.facilities, doc.clients,
-                               doc.p, 2, ((2, 2), (2, 2)))
+        bad = InstanceDocument(doc.point_ids, doc.coords, doc.matrix,
+                               doc.facilities, doc.clients, doc.p, 2, ((2, 2), (2, 2)))
         assert main(["solve", self.write(tmp_path, bad)]) == 2
         assert "infeasible" in capsys.readouterr().err
 
@@ -194,9 +193,8 @@ class TestSolveCommand:
 
     def test_unranged_facility_group_exit_one(self, tmp_path, capsys):
         doc = tiny_document()
-        unranged = InstanceDocument(doc.format_version, doc.point_ids,
-                                    doc.coords, doc.matrix, doc.facilities,
-                                    doc.clients, doc.p, 2, ((0, 2),))
+        unranged = InstanceDocument(doc.point_ids, doc.coords, doc.matrix,
+                                    doc.facilities, doc.clients, doc.p, 2, ((0, 2),))
         assert main(["solve", self.write(tmp_path, unranged)]) == 1
         err = capsys.readouterr().err
         assert "group 2" in err and "Traceback" not in err
@@ -337,6 +335,16 @@ class TestSolveCommand:
         assert main(["solve", path, "--allow-nonmetric"]) == 1
         err = capsys.readouterr().err
         assert err == "invalid instance: demand of client p1 = -3 is negative\n"
+
+    def test_demand_past_the_float_range_exit_one(self, tmp_path, capsys):
+        # a demand of 10^400 raised OverflowError out of the instance and
+        # printed a traceback
+        doc = tiny_document()
+        clients = tuple((c, 10**400 if c == "p1" else w) for c, w in doc.clients)
+        path = self.write(tmp_path, dataclasses.replace(doc, clients=clients))
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid instance: demand of client p1 is past the float range\n"
 
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_coordinate_exit_one(self, tmp_path, capsys, bad):

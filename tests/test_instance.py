@@ -228,6 +228,16 @@ def test_coordinates_are_the_instance_own_copy():
     assert not inst.coords.flags.writeable
 
 
+def test_coordinates_come_only_from_the_coordinate_builder():
+    # coords was a constructor argument: this instance, its matrix three
+    # times the coordinates' distances, solved at cost_p 143.338 while its
+    # document round trip, a coordinates document, solved at 47.780
+    inst = fairrange.random_instance(0, 8, 2, 1.0)
+    with pytest.raises(TypeError, match="coords"):
+        MetricInstance(inst.point_ids, 3 * inst.dist, inst.facility_ids, inst.group_label,
+                       inst.client_demands, inst.p, coords=inst.coords)
+
+
 def test_validate_sampled_triples_deterministic(monkeypatch):
     # 110^3 triples above the cap: the sample, always seeded with 0, is
     # the same on every call

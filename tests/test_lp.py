@@ -42,8 +42,8 @@ from fairrange.pipeline import random_instance, random_ranges, solve_fair_range
 import fairrange.round
 from fairrange.round import solve_half_integral
 from conftest import (assert_same_program, exact_opening_costs, groups_of, lp_from_rows,
-                      opening_program, reference_build_structured_lp, reference_opening_lp,
-                      same_opening_program, solve_stages)
+                      opening_args, opening_program, reference_build_structured_lp,
+                      reference_opening_lp, same_opening_program, solve_stages)
 from oracles import (_exact, _gh_constructive, _gh_valid, _std_form_fractions,
                      assignment_row_kinds, bareiss_determinant,
                      enumerate_vertices_min, ghouila_houri_check, matrix_geq,
@@ -1187,13 +1187,6 @@ def reference_build_fair_range_lp(dp: np.ndarray, w: Sequence[float], groups: Se
 def reference_scale_doubled(lp: LinearProgram) -> LinearProgram:
     rows = [Row(r.coeffs, r.sense, 2.0 * r.rhs) for r in lp.rows]
     return lp_from_rows(lp.num_vars, lp.objective.copy(), rows, upper=2.0 * lp.upper)
-
-
-def opening_args(ss, groups, rc):
-    """The reference builder's arguments for the opening program of ss."""
-    sp = ss.sp
-    return (sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
-            ss.territories, ss.base_pow, ss.ball_need, ss.split)
 
 
 def same_assignment_program(args):

@@ -29,7 +29,7 @@ from fairrange.structure import (GEOM_TOL, SUPPORT_TOL, build_super_balls,
                                  enforce_structure, fill_service, nearest_surviving,
                                  reassign_private_facilities)
 from conftest import (exact_opening_costs, feasible_ranges, groups_of, line_instance,
-                      manual_sp, opening_program, random_fair_instance,
+                      manual_sp, opening_args, opening_program, random_fair_instance,
                       reference_build_structured_lp, same_opening_program, solve_stages)
 from oracles import (build_flow_network, exact_minimum, flow_to_text, matrix_geq,
                      reference_select, structured_row_kinds)
@@ -50,13 +50,6 @@ def random_fronts(seed, count, sizes=(8, 14), p_values=(1.0, 2.0)):
                     stages["solve_half_integral"], stages["solve_lp"].objective))
         made += 1
     return out
-
-
-def opening_args(ss, groups, rc):
-    """The builder arguments structured_program passes for ss."""
-    sp = ss.sp
-    return (sp.fac_dist_p, sp.weights, groups, rc.k, rc.ranges, sp.balls,
-            ss.territories, ss.base_pow, ss.ball_need, ss.split)
 
 
 def left_out_constant(ss):
@@ -698,14 +691,14 @@ class TestSelectCenters:
 # references for those changes, except that reference_enforce_structure
 # returns its fields by name.
 def old_dist_to_facilities(sp):
-    src = sp.red.source
+    src = sp.source
     fi = [src.index(u) for u in sp.facility_ids]
     li = [src.index(v) for v in sp.location_ids]
     return src.dist[np.ix_(li, fi)]
 
 
 def old_location_dist(sp):
-    src = sp.red.source
+    src = sp.source
     li = [src.index(v) for v in sp.location_ids]
     return src.dist[np.ix_(li, li)]
 
@@ -989,10 +982,16 @@ class TestFillsMatchReference:
             assert bits(sp.fac_dist) == bits(D)
             assert bits(sp.fac_dist_p) == bits(D ** sp.p)
             assert bits(sp.loc_dist) == bits(old_location_dist(sp))
-            red = sp.red
+            red = solve_stages(inst, rc, "sparsify")["reduce_locations"]
             li = [red.source.index(v) for v in red.location_ids]
             fi = [red.source.index(u) for u in red.facility_ids]
             assert bits(red.fac_dist_p) == bits(red.source.dist[np.ix_(li, fi)] ** red.p)
+            # integral_sparse, the selected centers' cost on the survivors,
+            # has the bits of the minimum priced by hand
+            report = solve_fair_range(inst, rc)
+            idx = [sp.facility_ids.index(u) for u in report.centers.centers]
+            by_hand = float(sp.weights @ sp.fac_dist[:, idx].min(axis=1) ** sp.p)
+            assert bits(report.stage_costs["integral_sparse"]) == bits(by_hand)
 
 
 def stage_five_rows(inst, rc):

@@ -141,15 +141,17 @@ class TestSparsifyIntegration:
     def test_forward_map_covers_all_locations(self, rng):
         inst = random_fair_instance(rng, 10, 1.0)
         rc = feasible_ranges(rng, inst, 3)
-        sp = solve_stages(inst, rc, "sparsify")["sparsify"]
-        assert set(sp.forward_map) == set(sp.red.location_ids)
+        stages = solve_stages(inst, rc, "sparsify")
+        sp, red = stages["sparsify"], stages["reduce_locations"]
+        assert set(sp.forward_map) == set(red.location_ids)
         assert set(sp.forward_map.values()) == set(sp.location_ids)
 
     def test_weights_conserved(self, rng):
         inst = random_fair_instance(rng, 12, 2.0)
         rc = feasible_ranges(rng, inst, 4)
-        sp = solve_stages(inst, rc, "sparsify")["sparsify"]
-        assert sp.weights.sum() == pytest.approx(sp.red.weights.sum())
+        stages = solve_stages(inst, rc, "sparsify")
+        sp, red = stages["sparsify"], stages["reduce_locations"]
+        assert sp.weights.sum() == pytest.approx(red.weights.sum())
 
 
 class TestLiftBound:
